@@ -277,7 +277,7 @@ def _cmd_sanitize_run(args: argparse.Namespace) -> int:
         print(
             f"warning: ignoring purity-roots config: {exc}", file=sys.stderr
         )
-    # Arm this process and let pool workers (fork or spawn) self-arm.
+    # Arm this process; forked pool workers inherit the armed state.
     os.environ[sanitizer.ENV_FLAG] = "1"
     sanitizer.install(snapshot)
     print(

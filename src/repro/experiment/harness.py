@@ -12,15 +12,14 @@ its streams run, which channels it watches) cannot perturb the randomness
 any other session sees — exactly as in the real trial, where users arrive
 independently.  That independence is what makes the trial *embarrassingly
 parallel*: :func:`run_session` is a pure function of
-``(specs, config, session_id)`` and the process-pool engine in
+``(specs, config, session_id)`` and the trial engine in
 :mod:`repro.experiment.parallel` shards sessions across workers and merges
-the shards back bit-identically to the serial loop.
+the shards back bit-identically at any worker count.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -67,6 +66,7 @@ __all__ = [
     "TrialConfig",
     "TrialResult",
     "assign_expt_ids",
+    "checked_scheme_names",
     "connection_seed",
     "media_seed",
     "merge_shards",
@@ -125,7 +125,7 @@ class WorkerTiming:
     """How much work one worker process did during a trial."""
 
     worker: int
-    """Worker identity (the OS pid for pool workers; 0 for the serial path)."""
+    """Worker identity: the OS pid of the process that ran the chunks."""
 
     sessions: int
     streams: int
@@ -141,7 +141,7 @@ class ThroughputReport:
     """Lightweight throughput accounting for one trial run."""
 
     mode: str
-    """``"serial"`` or the multiprocessing start method (``"fork"`` …)."""
+    """``"serial"`` (in-process) or ``"fork"`` (process pool)."""
 
     workers: int
     n_sessions: int
@@ -244,10 +244,10 @@ class TrialResult:
 class SessionShard:
     """Everything one simulated session contributes to a trial.
 
-    The serial loop and the process-pool engine both produce a stream of
-    shards; :func:`merge_shards` folds them into a :class:`TrialResult`
-    deterministically (by session id), which is what makes the two paths
-    bit-identical.
+    The trial engine produces a stream of shards at any worker count;
+    :func:`merge_shards` folds them into a :class:`TrialResult`
+    deterministically (by session id), which is what makes every worker
+    count bit-identical.
     """
 
     session: SessionResult
@@ -255,6 +255,17 @@ class SessionShard:
     telemetry: Optional[TelemetryLog]
     obs: Optional["obs.ObsContext"] = None
     """Per-session metrics/events (``TrialConfig.observability=True``)."""
+
+
+def checked_scheme_names(specs: Sequence[SchemeSpec]) -> List[str]:
+    """The arm names of an experiment; an empty or ambiguous arm set is an
+    error every driver (trial, fleet, retrain service) rejects up front."""
+    if not specs:
+        raise ValueError("need at least one scheme")
+    names = [spec.name for spec in specs]
+    if len(set(names)) != len(names):
+        raise ValueError("scheme names must be unique")
+    return names
 
 
 def assign_expt_ids(specs: Sequence[SchemeSpec], seed: int) -> Dict[str, int]:
@@ -465,8 +476,8 @@ def run_session(
     expt_ids: Optional[Mapping[str, int]] = None,
     algorithms: Optional[Mapping[str, AbrAlgorithm]] = None,
 ) -> SessionShard:
-    """Simulate one randomized session — the pure unit of work both the
-    serial loop and the parallel engine execute.
+    """Simulate one randomized session — the pure unit of work every
+    driver (trial engine, fleet, batch fallback, singleton cell) executes.
 
     Drives :func:`session_machine` against a private per-session TCP
     connection: the connect request is answered with
@@ -488,9 +499,8 @@ def run_session(
         omitted.
     algorithms:
         Cache of built scheme instances keyed by name.  Callers that run
-        many sessions pass a long-lived cache (one per trial in the serial
-        path, one per worker process in the parallel path — never shared
-        across processes, which is what removes the shared-instance
+        many sessions pass a long-lived cache (one per process — never
+        shared across processes, which is what removes the shared-instance
         hazard); when omitted, fresh instances are built for this session.
     """
     machine = session_machine(
@@ -518,7 +528,6 @@ def merge_shards(
     config: TrialConfig,
     expt_ids: Mapping[str, int],
     shards: Sequence[SessionShard],
-    throughput: Optional[ThroughputReport] = None,
 ) -> TrialResult:
     """Fold session shards into a :class:`TrialResult`.
 
@@ -557,7 +566,6 @@ def merge_shards(
         scheme_names=[spec.name for spec in specs],
         expt_ids=dict(expt_ids),
         telemetry=telemetry,
-        throughput=throughput,
         obs=merged_obs,
     )
 
@@ -565,28 +573,22 @@ def merge_shards(
 class RandomizedTrial:
     """Run a blinded randomized comparison of a set of schemes.
 
-    One algorithm instance per scheme is built up front and reused across
-    its sessions (``begin_stream`` resets per-stream state); the *viewer*
-    cannot observe which scheme serves them — assignment is a uniform draw
-    keyed only by the session id, and ``expt_id`` is an opaque integer as in
-    the open data.
+    Each process that simulates sessions builds one algorithm instance per
+    scheme and reuses it across its sessions (``begin_stream`` resets
+    per-stream state); the *viewer* cannot observe which scheme serves them
+    — assignment is a uniform draw keyed only by the session id, and
+    ``expt_id`` is an opaque integer as in the open data.
 
     ``run(workers=N)`` shards the sessions across ``N`` worker processes
-    (each with its own scheme instances) and merges the shards back
-    bit-identically to the serial loop; see
-    :mod:`repro.experiment.parallel`.
+    and merges the shards back by session id; the result is bit-identical
+    at every ``N``, because ``N = 1`` is the same engine running in this
+    process (see :mod:`repro.experiment.parallel`).
     """
 
     def __init__(self, specs: Sequence[SchemeSpec], config: TrialConfig) -> None:
-        if not specs:
-            raise ValueError("need at least one scheme")
-        names = [spec.name for spec in specs]
-        if len(set(names)) != len(names):
-            raise ValueError("scheme names must be unique")
+        checked_scheme_names(specs)
         self.specs = list(specs)
         self.config = config
-        self._algorithms = {spec.name: spec.build() for spec in self.specs}
-        self._expt_ids = assign_expt_ids(self.specs, config.seed)
 
     def run(
         self, workers: int = 1, chunk_size: Optional[int] = None
@@ -603,53 +605,8 @@ class RandomizedTrial:
             Sessions per parallel task (``workers > 1`` only); defaults to
             a value that gives each worker several chunks for load balance.
         """
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if workers > 1:
-            from repro.experiment.parallel import run_trial_parallel
+        from repro.experiment.parallel import run_trial_parallel
 
-            return run_trial_parallel(
-                self.specs, self.config, workers=workers, chunk_size=chunk_size
-            )
-
-        config = self.config
-        # repro: allow-DET002(throughput report timing; never enters results)
-        start = time.perf_counter()
-        shards = [
-            run_session(
-                self.specs, config, session_id, self._expt_ids, self._algorithms
-            )
-            for session_id in range(config.n_sessions)
-        ]
-        wall = time.perf_counter() - start  # repro: allow-DET002(throughput report timing; never enters results)
-        n_streams = sum(len(shard.session.streams) for shard in shards)
-        # repro: allow-DET002(throughput report timing; never enters results)
-        merge_start = time.perf_counter()
-        result = merge_shards(self.specs, config, self._expt_ids, shards)
-        merge_s = time.perf_counter() - merge_start  # repro: allow-DET002(throughput report timing; never enters results)
-        result.throughput = ThroughputReport(
-            mode="serial",
-            workers=1,
-            n_sessions=config.n_sessions,
-            n_streams=n_streams,
-            wall_s=wall,
-            chunk_size=config.n_sessions,
-            merge_s=merge_s,
-            per_worker=[
-                WorkerTiming(
-                    worker=os.getpid(),
-                    sessions=config.n_sessions,
-                    streams=n_streams,
-                    busy_s=wall,
-                    chunks=1,
-                )
-            ],
+        return run_trial_parallel(
+            self.specs, self.config, workers=workers, chunk_size=chunk_size
         )
-        if result.obs is not None:
-            result.obs.metrics.observe(
-                "profile.trial_merge_s",
-                merge_s,
-                spec=obs.TIME_SPEC,
-                wallclock=True,
-            )
-        return result

@@ -31,6 +31,7 @@ from repro.abr.pensieve import (
 from repro.core.fugu import Fugu
 from repro.core.train import TtpTrainer, build_ttp_datasets
 from repro.core.ttp import TransmissionTimePredictor, TtpConfig
+from repro.experiment import parallel
 from repro.experiment.consort import eligible_streams
 from repro.experiment.harness import TrialConfig
 from repro.media.encoder import VbrEncoder
@@ -63,9 +64,10 @@ _HOLDOUT_STREAM = 0x801D
 def _collect_one_stream(payload, i: int) -> StreamResult:
     """One round-robin collection stream — pure in ``(payload, i)``.
 
-    Module-level so the parallel engine's :func:`fork_map` can address it;
-    ``payload`` carries the (possibly unpicklable) algorithm instances by
-    fork inheritance, so each worker process operates on its own copies.
+    The :func:`~repro.experiment.parallel.fork_map` chunk function of the
+    collection loop: ``payload`` carries the (possibly unpicklable)
+    algorithm instances by fork inheritance, so each worker process
+    operates on its own copies.
     """
     algorithms, population, watch_time_s, seed = payload
     algorithm = algorithms[i % len(algorithms)]
@@ -111,15 +113,10 @@ def deploy_and_collect(
         raise ValueError("workers must be >= 1")
     population = config.population if config is not None else TrialConfig().population
     payload = (list(algorithms), population, watch_time_s, seed)
-    if workers > 1:
-        from repro.experiment.parallel import fork_map
-
-        results = fork_map(
-            _collect_one_stream, payload, range(n_streams), workers
-        )
-    else:
-        results = [_collect_one_stream(payload, i) for i in range(n_streams)]
-    return eligible_streams(results)
+    results = parallel.fork_map(
+        _collect_one_stream, payload, range(n_streams), min(workers, n_streams)
+    )
+    return eligible_streams(list(results))
 
 
 @dataclass

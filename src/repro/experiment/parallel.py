@@ -1,29 +1,29 @@
-"""Process-pool parallel trial engine.
+"""The one process pool in ``src/repro``, and the trial engine on it.
 
 The paper's statistics rest on scale — 38.6 client-years of data from about
 half a million streams — and a serial Python loop over sessions is the
 bottleneck for anything paper-sized.  Sessions are independent by
 construction (every draw is keyed on ``(config.seed, session_id)``; see
-:func:`repro.experiment.harness.run_session`), so a trial is embarrassingly
-parallel:
+:func:`repro.experiment.harness.run_session`), so every result in the repo
+is "run many pure sessions in id order and fold them":
 
-1. session ids are sharded into contiguous chunks (several chunks per
-   worker, for load balance — sessions vary a lot in length, Fig. 10);
-2. each worker process builds its **own** scheme instances via
-   ``SchemeSpec.build()`` — instances are never shared across processes,
-   which removes the cross-session shared-instance hazard of the historical
-   single-loop harness;
-3. the resulting :class:`~repro.experiment.harness.SessionShard` stream is
-   merged by session id, making the output — stream records, CONSORT
-   counts, telemetry record order — **bit-identical** to the serial path
-   for the same :class:`~repro.experiment.harness.TrialConfig`.
+1. work is cut into contiguous chunks (several per worker, for load
+   balance — sessions vary a lot in length, Fig. 10);
+2. :func:`fork_map` runs a chunk function over them — on a forked process
+   pool, or in this process when ``workers <= 1`` or the platform cannot
+   fork — and hands the results back **in order, lazily**;
+3. the caller folds them: :func:`run_trial_parallel` merges
+   :class:`~repro.experiment.harness.SessionShard` lists by session id,
+   the fleet driver (:mod:`repro.fleet.runner`) commits sink deltas, the
+   in-situ collection loop keeps the eligible streams.  Because the fold
+   sees the same values in the same order at any worker count, the output
+   is **bit-identical** to the in-process path.
 
 Scheme factories often close over big model objects (a trained TTP, a
-Pensieve policy) as lambdas, which do not pickle.  On platforms with the
-``fork`` start method (Linux), workers inherit the specs by copy-on-write
-fork, so nothing needs to pickle.  Elsewhere the engine tries to pickle the
-payload for ``spawn`` workers and falls back to the serial loop when it
-cannot — correctness first, speedup where the platform allows.
+Pensieve policy) as lambdas, which do not pickle.  The pool therefore
+never pickles its payload: workers inherit it by copy-on-write ``fork``,
+and each builds its **own** scheme instances from it
+(:class:`SessionPayload`) — instances are never shared across processes.
 """
 
 from __future__ import annotations
@@ -31,11 +31,23 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-import pickle
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
+from repro import obs
 from repro.abr.base import AbrAlgorithm
 from repro.experiment.harness import (
     SessionShard,
@@ -44,6 +56,7 @@ from repro.experiment.harness import (
     TrialResult,
     WorkerTiming,
     assign_expt_ids,
+    checked_scheme_names,
     merge_shards,
     run_session,
 )
@@ -54,51 +67,97 @@ DEFAULT_CHUNKS_PER_WORKER = 4
 have heavy-tailed durations, so fine-grained chunks stop one long chunk from
 straggling the whole pool)."""
 
-WorkerPayload = Tuple[List[SchemeSpec], TrialConfig, Dict[str, int]]
+_P = TypeVar("_P")
+_T = TypeVar("_T")
+_R = TypeVar("_R")
+
+
+# ---------------------------------------------------------------------------
+# The pool.
+# ---------------------------------------------------------------------------
+_WORKER_CALL: Optional[Tuple[Callable[[Any, Any], Any], Any]] = None
+"""``(fn, payload)`` of the pool this process is a worker of.  Written once,
+by :func:`_adopt` as a worker is born; every parent's copy stays ``None``.
+Pool tasks are pickled by name, so a worker needs one fixed place to find
+the (unpicklable) function and payload it inherited."""
+
+
+def _adopt(fn: Callable[[Any, Any], Any], payload: Any) -> None:
+    """Pool initializer: its arguments reach the worker by fork, unpickled."""
+    global _WORKER_CALL
+    _WORKER_CALL = (fn, payload)
+
+
+def _call(item: Any) -> Any:
+    if _WORKER_CALL is None:
+        raise RuntimeError("fork_map worker state missing (pool misconfigured)")
+    fn, payload = _WORKER_CALL
+    return fn(payload, item)
+
+
+def pool_mode(workers: int) -> str:
+    """How :func:`fork_map` will run at this worker count: ``"fork"`` on a
+    process pool, or ``"serial"`` in the calling process (a single worker,
+    or a platform without the ``fork`` start method)."""
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        return "fork"
+    return "serial"
+
+
+def fork_map(
+    fn: Callable[[_P, _T], _R], payload: _P, items: Iterable[_T], workers: int
+) -> Generator[_R, None, None]:
+    """``(fn(payload, item) for item in items)``, in order, across a pool.
+
+    ``payload`` travels to the workers by fork inheritance (copy-on-write),
+    so it may hold unpicklable objects such as scheme factories or live
+    algorithm instances; each worker mutates only its own copy.  Items and
+    results must pickle.  Results are yielded as they become available, in
+    item order, so a consumer can fold and discard them one at a time;
+    closing the generator early (a paused fleet run) tears the pool down
+    at that point instead of at GC time.
+
+    Runs in the calling process when :func:`pool_mode` says ``"serial"`` —
+    then ``fn`` sees the caller's own ``payload`` object.
+    """
+    if pool_mode(workers) == "serial":
+        for item in items:
+            yield fn(payload, item)
+        return
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(
+        processes=workers, initializer=_adopt, initargs=(fn, payload)
+    ) as pool:
+        yield from pool.imap(_call, items, chunksize=1)
 
 
 @dataclass
-class _WorkerState:
-    """Per-process worker state with explicit fork-inheritance semantics.
+class SessionPayload:
+    """What a chunk function needs to simulate sessions: the
+    :func:`fork_map` payload of the trial engine and (extended) of the
+    fleet driver.
 
-    There is exactly one instance per process, the module-level
-    ``_WORKER_STATE`` singleton, and it is written at exactly three points:
-
-    * ``payload`` is set by the **parent** immediately before the pool
-      forks (and cleared when the pool is done), so forked children inherit
-      the specs/config/expt-id mapping by copy-on-write without pickling.
-      Spawn children receive a pickled copy via :func:`_init_spawn_worker`
-      instead.
-    * ``algorithms`` is the per-process scheme-instance cache: each
-      **worker** builds it on the first chunk it executes and reuses it for
-      every later chunk in that process.  Instances never cross a process
-      boundary, and the parent's copy is never populated — which is what
-      removes the cross-session shared-instance hazard of the historical
-      single-loop harness.
-
-    This is deliberate, documented impure state on the pure session path;
-    the writes below carry ``repro: allow-PURE001`` suppressions that point
-    back at this contract.
+    ``algorithms`` is the per-process scheme-instance cache.  A pool
+    worker inherits the payload with the cache empty, builds its instances
+    on the first chunk it executes and reuses them for every later chunk;
+    the in-process path does the same on the caller's payload, which lives
+    for one run.  Instances therefore never cross a process boundary —
+    which is what removes the cross-session shared-instance hazard of the
+    historical single-loop harness.
     """
 
-    payload: Optional[WorkerPayload] = None
-    algorithms: Optional[Dict[str, AbrAlgorithm]] = None
+    specs: List[SchemeSpec]
+    config: TrialConfig
+    expt_ids: Dict[str, int]
 
-    def adopt_payload(self, payload: Optional[WorkerPayload]) -> None:
-        """Parent-side: stage (or clear) the payload around a pool's life."""
-        self.payload = payload
-        # A stale cache must never outlive its payload (tests re-enter the
-        # pool within one process; workers always start from None anyway).
-        self.algorithms = None
-
-    def require_payload(self) -> WorkerPayload:
-        if self.payload is None:
-            raise RuntimeError("worker payload missing (pool misconfigured)")
-        return self.payload
-
-_WORKER_STATE = _WorkerState()
+    @cached_property
+    def algorithms(self) -> Dict[str, AbrAlgorithm]:
+        return {spec.name: spec.build() for spec in self.specs}
 
 
+# ---------------------------------------------------------------------------
+# The trial engine.
+# ---------------------------------------------------------------------------
 @dataclass
 class _ChunkResult:
     """One chunk of sessions simulated by one worker."""
@@ -108,25 +167,17 @@ class _ChunkResult:
     busy_s: float
 
 
-def _init_spawn_worker(payload_bytes: bytes) -> None:
-    """Pool initializer for spawn-based platforms."""
-    _WORKER_STATE.adopt_payload(pickle.loads(payload_bytes))
-
-
-def _run_chunk(session_ids: Sequence[int]) -> _ChunkResult:
-    """Simulate a contiguous chunk of sessions in this worker process."""
-    specs, config, expt_ids = _WORKER_STATE.require_payload()
-    if _WORKER_STATE.algorithms is None:
-        # Per-worker scheme instances: built once per process, reused across
-        # this worker's sessions, never shared with any other process (see
-        # the _WorkerState contract above).
-        # repro: allow-PURE001(per-process scheme cache; instances never cross a process boundary, see _WorkerState)
-        _WORKER_STATE.algorithms = {spec.name: spec.build() for spec in specs}
-    algorithms = _WORKER_STATE.algorithms
+def _run_chunk(
+    payload: SessionPayload, session_ids: Sequence[int]
+) -> _ChunkResult:
+    """Simulate a contiguous chunk of sessions in this process."""
+    algorithms = payload.algorithms
     # repro: allow-DET002(per-worker busy-time report; never enters results) repro: allow-PURE002(busy-time report only; never enters session results)
     start = time.perf_counter()
     shards = [
-        run_session(specs, config, session_id, expt_ids, algorithms)
+        run_session(
+            payload.specs, payload.config, session_id, payload.expt_ids, algorithms
+        )
         for session_id in session_ids
     ]
     return _ChunkResult(
@@ -157,16 +208,6 @@ def plan_chunks(
     ]
 
 
-def _payload_for_spawn(
-    payload: Tuple[List[SchemeSpec], TrialConfig, Dict[str, int]],
-) -> Optional[bytes]:
-    """Pickle the worker payload, or ``None`` if it cannot travel."""
-    try:
-        return pickle.dumps(payload)
-    except (pickle.PicklingError, AttributeError, TypeError):
-        return None
-
-
 def run_trial_parallel(
     specs: Sequence[SchemeSpec],
     config: TrialConfig,
@@ -175,65 +216,34 @@ def run_trial_parallel(
 ) -> TrialResult:
     """Run a randomized trial sharded across ``workers`` processes.
 
-    Bit-identical to ``RandomizedTrial(specs, config).run()`` for the same
-    ``config``: same sessions, same stream records, same CONSORT counts,
-    same telemetry records in the same order.  Falls back to the serial
-    loop (with a ``mode="serial"`` throughput report) when the platform can
-    neither fork nor pickle the scheme specs.
+    The one trial engine: :meth:`RandomizedTrial.run` delegates here at
+    every worker count.  The result — sessions, stream records, CONSORT
+    counts, telemetry records and their order — is bit-identical at any
+    ``workers`` and ``chunk_size``.  With one worker (or on a platform that
+    cannot fork) the sessions run in this process as a single chunk and the
+    throughput report says ``mode="serial"``.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     specs = list(specs)
-    names = [spec.name for spec in specs]
-    if not specs:
-        raise ValueError("need at least one scheme")
-    if len(set(names)) != len(names):
-        raise ValueError("scheme names must be unique")
+    checked_scheme_names(specs)
 
     workers = min(workers, config.n_sessions)
     expt_ids = assign_expt_ids(specs, config.seed)
-    payload = (specs, config, expt_ids)
-
-    if workers == 1:
-        from repro.experiment.harness import RandomizedTrial
-
-        return RandomizedTrial(specs, config).run()
-
-    chunks = plan_chunks(config.n_sessions, workers, chunk_size)
-    effective_chunk = len(chunks[0])
-
-    try:
-        ctx = multiprocessing.get_context("fork")
-        mode = "fork"
-    except ValueError:  # pragma: no cover - non-fork platforms
-        ctx = multiprocessing.get_context()
-        mode = ctx.get_start_method()
+    mode = pool_mode(workers)
+    chunks = plan_chunks(
+        config.n_sessions,
+        workers,
+        chunk_size if mode == "fork" else config.n_sessions,
+    )
 
     # repro: allow-DET002(throughput report timing; never enters results)
     start = time.perf_counter()
-    chunk_results: List[_ChunkResult]
-    if mode == "fork":
-        # Parent-side payload staging: forked children inherit the singleton
-        # copy-on-write (see the _WorkerState contract).
-        _WORKER_STATE.adopt_payload(payload)
-        try:
-            with ctx.Pool(processes=workers) as pool:
-                chunk_results = pool.map(_run_chunk, chunks, chunksize=1)
-        finally:
-            _WORKER_STATE.adopt_payload(None)
-    else:  # pragma: no cover - non-fork platforms
-        payload_bytes = _payload_for_spawn(payload)
-        if payload_bytes is None:
-            # Unpicklable factories and no fork: correctness over speedup.
-            from repro.experiment.harness import RandomizedTrial
-
-            return RandomizedTrial(specs, config).run()
-        with ctx.Pool(
-            processes=workers,
-            initializer=_init_spawn_worker,
-            initargs=(payload_bytes,),
-        ) as pool:
-            chunk_results = pool.map(_run_chunk, chunks, chunksize=1)
+    chunk_results = list(
+        fork_map(
+            _run_chunk, SessionPayload(specs, config, expt_ids), chunks, workers
+        )
+    )
     wall = time.perf_counter() - start  # repro: allow-DET002(throughput report timing; never enters results)
 
     shards = [shard for result in chunk_results for shard in result.shards]
@@ -264,53 +274,12 @@ def run_trial_parallel(
         n_sessions=config.n_sessions,
         n_streams=sum(t.streams for t in timings),
         wall_s=wall,
-        chunk_size=effective_chunk,
+        chunk_size=len(chunks[0]),
         merge_s=merge_s,
         per_worker=timings,
     )
     if trial.obs is not None:
-        from repro import obs
-
         trial.obs.metrics.observe(
             "profile.trial_merge_s", merge_s, spec=obs.TIME_SPEC, wallclock=True
         )
     return trial
-
-
-# ---------------------------------------------------------------------------
-# Generic forked map — used by the in-situ collection loop.
-# ---------------------------------------------------------------------------
-_FORK_MAP_STATE: Optional[Tuple[object, object]] = None
-
-
-def _fork_map_call(item):
-    if _FORK_MAP_STATE is None:
-        raise RuntimeError("fork_map worker state missing")
-    fn, payload = _FORK_MAP_STATE
-    return fn(payload, item)
-
-
-def fork_map(fn, payload, items: Sequence, workers: int) -> List:
-    """``[fn(payload, item) for item in items]`` across a forked pool.
-
-    ``payload`` travels to the workers by fork inheritance (copy-on-write),
-    so it may hold unpicklable objects such as live algorithm instances; the
-    per-item results must pickle.  Order is preserved.  Falls back to an
-    in-process loop when ``workers <= 1``, when there are few items, or when
-    the platform cannot fork.
-    """
-    items = list(items)
-    workers = min(int(workers), len(items))
-    if workers <= 1:
-        return [fn(payload, item) for item in items]
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platforms
-        return [fn(payload, item) for item in items]
-    global _FORK_MAP_STATE
-    _FORK_MAP_STATE = (fn, payload)
-    try:
-        with ctx.Pool(processes=workers) as pool:
-            return pool.map(_fork_map_call, items, chunksize=1)
-    finally:
-        _FORK_MAP_STATE = None

@@ -129,18 +129,18 @@ class CheckpointManager:
         """Read and validate the checkpoint.
 
         Raises :class:`FileNotFoundError` when absent and
-        :class:`CheckpointError` when corrupt or — if
-        ``expected_fingerprint`` is given — written under a different
-        configuration.
+        :class:`CheckpointError` when corrupt (not JSON, or JSON of the
+        wrong shape) or — if ``expected_fingerprint`` is given — written
+        under a different configuration.
         """
         with open(self.path) as f:
             try:
-                data = json.load(f)
-            except json.JSONDecodeError as exc:
+                checkpoint = FleetCheckpoint.from_dict(json.load(f))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise CheckpointError(
-                    f"corrupt checkpoint {self.path}: {exc}"
+                    f"corrupt checkpoint {self.path} "
+                    f"({type(exc).__name__}: {exc}); delete it to start fresh"
                 ) from exc
-        checkpoint = FleetCheckpoint.from_dict(data)
         if (
             expected_fingerprint is not None
             and checkpoint.fingerprint != expected_fingerprint

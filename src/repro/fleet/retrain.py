@@ -46,13 +46,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from itertools import groupby
 from pathlib import Path
 from typing import (
     Callable,
-    Dict,
+    Generator,
     Iterator,
     List,
     Optional,
@@ -72,33 +71,17 @@ from repro.core.train import (
 )
 from repro.core.ttp import TransmissionTimePredictor, TtpConfig
 from repro.data.archive import ArchiveAppender
-from repro.experiment.harness import assign_expt_ids
 from repro.experiment.schemes import SchemeSpec, generation_scheme_spec
-from repro.fleet.checkpoint import (
-    CheckpointManager,
-    FleetCheckpoint,
-    config_fingerprint,
-)
-from repro.fleet.runner import (
-    FleetConfig,
-    FleetResult,
-    FleetThroughput,
-    _chunked,
-    _execute_chunks,
-    _FleetChunk,
-    _fork_context,
-    _resolve_executor,
-)
+from repro.fleet.checkpoint import FleetCheckpoint, config_fingerprint
+from repro.fleet.runner import FleetConfig, FleetResult, _drive_fleet, _Segment
 from repro.fleet.sinks import FleetSink
-from repro.fleet.workload import SessionArrival, WorkloadGenerator
+from repro.fleet.workload import SessionArrival
 
 REGISTRY_SCHEMA_VERSION = 1
 """Version of the on-disk model-registry layout."""
 
 RETRAIN_STATE_VERSION = 1
 """Version of the checkpoint ``extra["retrain"]`` payload."""
-
-_SECONDS_PER_DAY = 86_400.0
 
 
 class RegistryError(RuntimeError):
@@ -110,8 +93,6 @@ def _canonical_bytes(payload: dict) -> bytes:
     return (
         json.dumps(payload, sort_keys=True, indent=2) + "\n"
     ).encode("utf-8")
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +176,7 @@ class GenerationEntry:
     for the first generation (warm-started from random init)."""
 
     def to_dict(self) -> dict:
-        return {
-            "generation": self.generation,
-            "day": self.day,
-            "arm": self.arm,
-            "filename": self.filename,
-            "sha256": self.sha256,
-            "parent_sha256": self.parent_sha256,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "GenerationEntry":
@@ -237,25 +211,28 @@ class ModelRegistry:
         if manifest.exists():
             try:
                 data = json.loads(manifest.read_text())
-            except json.JSONDecodeError as exc:
-                raise RegistryError(
-                    f"corrupt registry manifest {manifest}: {exc}"
-                ) from exc
-            version = int(data.get("schema_version", 0))
-            if version != REGISTRY_SCHEMA_VERSION:
-                raise RegistryError(
-                    f"unsupported registry schema version {version} "
-                    f"(expected {REGISTRY_SCHEMA_VERSION})"
-                )
-            self._entries = [
-                GenerationEntry.from_dict(entry)
-                for entry in data["generations"]
-            ]
-            for i, entry in enumerate(self._entries):
-                if entry.generation != i + 1:
-                    raise RegistryError(
-                        f"registry manifest out of order at index {i}"
+                version = int(data.get("schema_version", 0))
+                if version != REGISTRY_SCHEMA_VERSION:
+                    raise ValueError(
+                        f"unsupported schema version {version} "
+                        f"(expected {REGISTRY_SCHEMA_VERSION})"
                     )
+                if not isinstance(data["generations"], list):
+                    raise TypeError("'generations' is not a list")
+                self._entries = [
+                    GenerationEntry.from_dict(entry)
+                    for entry in data["generations"]
+                ]
+                for i, entry in enumerate(self._entries):
+                    if entry.generation != i + 1:
+                        raise ValueError(f"out of order at index {i}")
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                # JSON of the wrong shape is as unusable as non-JSON.
+                raise RegistryError(
+                    f"corrupt registry manifest {manifest} "
+                    f"({type(exc).__name__}: {exc}); a run cannot resume "
+                    "from it — restore the file or use a fresh directory"
+                ) from exc
 
     def _manifest_path(self) -> Path:
         return self.directory / "manifest.json"
@@ -419,35 +396,6 @@ class ModelRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Day-aligned arrival feed
-# ---------------------------------------------------------------------------
-class _ArrivalFeed:
-    """Peekable arrival stream, split at day boundaries.
-
-    Arrivals come time-ordered from the workload generator; this wrapper
-    hands out one day at a time, holding back the first arrival of a later
-    day so chunks never span a boundary.
-    """
-
-    def __init__(self, arrivals: Iterator[SessionArrival]) -> None:
-        self._arrivals = arrivals
-        self._pending: Optional[SessionArrival] = None
-
-    def take_day(self, day: int) -> Iterator[SessionArrival]:
-        if self._pending is not None:
-            if self._pending.day != day:
-                return
-            pending, self._pending = self._pending, None
-            yield pending
-        for arrival in self._arrivals:
-            if arrival.day == day:
-                yield arrival
-            else:
-                self._pending = arrival
-                return
-
-
-# ---------------------------------------------------------------------------
 # The continual driver
 # ---------------------------------------------------------------------------
 def run_fleet_retrain(
@@ -486,308 +434,180 @@ def run_fleet_retrain(
     + resume at any instant.
     """
     base_specs = list(base_specs)
-    if not base_specs:
-        raise ValueError("need at least one base scheme")
-    names = [spec.name for spec in base_specs]
-    if len(set(names)) != len(names):
-        raise ValueError("scheme names must be unique")
     marker = f"{retrain.arm_prefix}@g"
-    if any(name.startswith(marker) for name in names):
+    if any(spec.name.startswith(marker) for spec in base_specs):
         raise ValueError(
             f"base scheme names must not collide with generation arms "
             f"({marker}…)"
         )
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if stop_after_sessions is not None and stop_after_sessions < 1:
-        raise ValueError("stop_after_sessions must be >= 1")
     if config.edge is not None:
         raise ValueError(
             "edge cell mode is not supported with continual retraining "
             "(set FleetConfig.edge=None)"
         )
-
-    fingerprint = config_fingerprint(
-        config.fingerprint(base_specs), retrain.to_dict()
-    )
-    # The archive is mandatory here: telemetry is always collected.
-    trial = replace(config.trial, n_sessions=1, collect_telemetry=True)
-    executor = _resolve_executor(config.executor, base_specs, trial)
-    registry = ModelRegistry(registry_dir)
-    manager = (
-        CheckpointManager(checkpoint_path)
-        if checkpoint_path is not None
-        else None
-    )
-
-    sink = FleetSink()
-    next_session_id = 0
-    day_counter = 0
-    window_slices: List[Tuple[int, Dict[str, int], Dict[str, int]]] = []
-    day_start_offsets: Optional[Dict[str, int]] = None
-    stored_offsets: Optional[Dict[str, int]] = None
-
-    if resume and manager is not None and manager.exists():
-        checkpoint = manager.load(expected_fingerprint=fingerprint)
-        state = checkpoint.extra.get("retrain")
-        if state is None:
-            raise RegistryError(
-                "checkpoint has no retrain state (written by plain "
-                "`repro fleet run`?)"
-            )
-        version = int(state.get("schema_version", 0))
-        if version != RETRAIN_STATE_VERSION:
-            raise RegistryError(
-                f"unsupported retrain state version {version}"
-            )
-        sink = checkpoint.sink
-        next_session_id = checkpoint.next_session_id
-        stored_offsets = checkpoint.archive_offsets
-        registry.truncate(int(state["generations"]))
-        day_counter = int(state["day_counter"])
-        window_slices = [
-            (
-                int(day),
-                {str(k): int(v) for k, v in sorted(start.items())},
-                {str(k): int(v) for k, v in sorted(end.items())},
-            )
-            for day, start, end in state["window"]
-        ]
-        day_start_offsets = {
-            str(k): int(v)
-            for k, v in sorted(state["day_start_offsets"].items())
-        }
-    else:
-        if len(registry) and not resume:
-            raise RegistryError(
-                f"registry {registry.directory} is not empty; pass "
-                "resume=True to continue or point at a fresh directory"
-            )
-        # resume=True with no checkpoint yet: a crash may have landed
-        # before the first checkpoint — roll the registry back to empty.
-        registry.truncate(0)
-
-    appender = ArchiveAppender(archive_dir)
-    if stored_offsets is not None:
-        appender.truncate_to(stored_offsets)
-    elif resume:
-        # Fresh start under --resume: the crash landed before the first
-        # checkpoint ever committed, so (like the registry rollback
-        # above) any rows a dead run appended are uncommitted — clear
-        # them, or the restart would append after leftovers and diverge.
-        appender.reset()
-    if day_start_offsets is None:
-        day_start_offsets = appender.offsets()
-
-    # Learner state: the predictor is the last committed generation (or a
-    # fresh seeded init), the window is rebuilt from archive byte-ranges.
-    if len(registry):
-        predictor = registry.load_predictor()
-    else:
-        predictor = TransmissionTimePredictor(retrain.ttp, seed=retrain.seed)
-    retrainer = DailyRetrainer.restore(
-        predictor,
-        day_counter,
-        [
-            (day, appender.reconstruct_streams(start, end))
-            for day, start, end in window_slices
-        ],
-        window_days=retrain.window_days,
-        recency_decay=retrain.recency_decay,
-        epochs_per_day=retrain.epochs_per_day,
-        seed=retrain.seed,
-    )
+    # The arm set: base schemes plus every enrolled generation, in order.
     specs = list(base_specs)
-    for entry in registry.generations:
-        specs.append(
-            generation_scheme_spec(
-                entry.arm, registry.load_predictor(entry.generation)
-            )
-        )
 
-    def retrain_state() -> dict:
-        return {
-            "schema_version": RETRAIN_STATE_VERSION,
-            "generations": len(registry),
-            "day_counter": retrainer.current_day,
-            "window": [
-                [day, start, end] for day, start, end in window_slices
+    def days(
+        arrivals: Iterator[SessionArrival],
+        checkpoint: Optional[FleetCheckpoint],
+        appender: ArchiveAppender,  # never None: the archive is mandatory
+        extra: dict,
+        save_checkpoint: Callable[[bool], None],
+    ) -> Generator[_Segment, None, None]:
+        """One segment per simulated day; each day's close retrains."""
+        registry = ModelRegistry(registry_dir)
+        if checkpoint is not None:
+            state = extra.get("retrain")
+            if state is None:
+                raise RegistryError(
+                    "checkpoint has no retrain state (written by plain "
+                    "`repro fleet run`?)"
+                )
+            version = int(state.get("schema_version", 0))
+            if version != RETRAIN_STATE_VERSION:
+                raise RegistryError(
+                    f"unsupported retrain state version {version}"
+                )
+        else:
+            if len(registry) and not resume:
+                raise RegistryError(
+                    f"registry {registry.directory} is not empty; pass "
+                    "resume=True to continue or point at a fresh directory"
+                )
+            # The service's whole state, kept where every checkpoint saves
+            # it: ``window`` holds ``[day, start_offsets, end_offsets]`` per
+            # day of the sliding window.
+            state = extra["retrain"] = {
+                "schema_version": RETRAIN_STATE_VERSION,
+                "generations": 0,
+                "day_counter": 0,
+                "window": [],
+                "day_start_offsets": appender.offsets(),
+            }
+        # Roll the registry back to the checkpointed generation count — to
+        # empty under resume=True with no checkpoint yet, where a crash may
+        # have landed before the first one.
+        registry.truncate(int(state["generations"]))
+
+        # Learner state: the predictor is the last committed generation (or
+        # a fresh seeded init), the window is rebuilt from archive
+        # byte-ranges.
+        if len(registry):
+            predictor = registry.load_predictor()
+        else:
+            predictor = TransmissionTimePredictor(
+                retrain.ttp, seed=retrain.seed
+            )
+        retrainer = DailyRetrainer.restore(
+            predictor,
+            int(state["day_counter"]),
+            [
+                (int(day), appender.reconstruct_streams(start, end))
+                for day, start, end in state["window"]
             ],
-            "day_start_offsets": day_start_offsets,
-        }
-
-    def save_checkpoint(completed: bool) -> None:
-        if manager is None:
-            return
-        appender.flush(sync=True)
-        # Commit order: archive rows must be durable before the
-        # checkpoint durably records their byte offsets (DUR003 pair).
-        crashpoint("retrain.checkpoint-boundary")
-        manager.save(
-            FleetCheckpoint(
-                fingerprint=fingerprint,
-                next_session_id=next_session_id,
-                sink=sink,
-                archive_offsets=appender.offsets(),
-                cli_args=cli_args,
-                completed=completed,
-                extra={"retrain": retrain_state()},
+            window_days=retrain.window_days,
+            recency_decay=retrain.recency_decay,
+            epochs_per_day=retrain.epochs_per_day,
+            seed=retrain.seed,
+        )
+        for entry in registry.generations:
+            specs.append(
+                generation_scheme_spec(
+                    entry.arm, registry.load_predictor(entry.generation)
+                )
             )
-        )
 
-    commits = 0
-    sessions_this_run = 0
-    streams_this_run = 0
-    stopped = False
-    # repro: allow-DET002(throughput report timing; never enters results)
-    start_wall = time.perf_counter()
-
-    def should_stop() -> bool:
-        return (
-            stop_after_sessions is not None
-            and next_session_id >= stop_after_sessions
-        )
-
-    def close_day() -> None:
-        """Day boundary: slide the window, retrain, commit, enroll."""
-        nonlocal day_start_offsets
-        appender.flush(sync=True)
-        end_offsets = appender.offsets()
-        day_streams = appender.reconstruct_streams(
-            day_start_offsets, end_offsets
-        )
-        retrainer.add_day(day_streams)
-        window_slices.append(
-            (retrainer.current_day, day_start_offsets, end_offsets)
-        )
-        del window_slices[: max(0, len(window_slices) - retrain.window_days)]
-        day_start_offsets = end_offsets
-        datasets = retrainer.window_datasets()
-        if datasets is not None:
-            # The in-situ tail calibration uses the same window as
-            # training (reconstructible from the checkpointed byte-ranges,
-            # hence resume-exact).
-            predictor.calibrate_tail(
-                [
+        def close_day() -> None:
+            """Day boundary: slide the window, retrain, commit, enroll."""
+            window = state["window"]
+            appender.flush(sync=True)
+            end_offsets = appender.offsets()
+            day_streams = appender.reconstruct_streams(
+                state["day_start_offsets"], end_offsets
+            )
+            retrainer.add_day(day_streams)
+            window.append(
+                [retrainer.current_day, state["day_start_offsets"], end_offsets]
+            )
+            del window[: max(0, len(window) - retrain.window_days)]
+            state["day_start_offsets"] = end_offsets
+            state["day_counter"] = retrainer.current_day
+            datasets = retrainer.window_datasets()
+            if datasets is not None:
+                # The in-situ tail calibration uses the same window as
+                # training (reconstructible from the checkpointed
+                # byte-ranges, hence resume-exact).
+                window_streams = [
                     stream
                     for _, streams in retrainer.window_state()
                     for stream in streams
                 ]
-            )
-            retrainer.retrain()
-            evaluator = TtpTrainer(predictor)
-            evaluation = []
-            for k, dataset in enumerate(datasets):
-                result = evaluator.evaluate(dataset, step=k)
-                evaluation.append(
-                    {
-                        "step": k,
-                        "cross_entropy": result.cross_entropy,
-                        "bin_accuracy": result.bin_accuracy,
-                        "expected_abs_error_s": result.expected_abs_error_s,
-                        "n_examples": result.n_examples,
-                    }
+                predictor.calibrate_tail(window_streams)
+                retrainer.retrain()
+                evaluator = TtpTrainer(predictor)
+                evaluation = []
+                for k, dataset in enumerate(datasets):
+                    result = evaluator.evaluate(dataset, step=k)
+                    evaluation.append(
+                        {
+                            "step": k,
+                            "cross_entropy": result.cross_entropy,
+                            "bin_accuracy": result.bin_accuracy,
+                            "expected_abs_error_s": (
+                                result.expected_abs_error_s
+                            ),
+                            "n_examples": result.n_examples,
+                        }
+                    )
+                entry = registry.commit(
+                    day=retrainer.current_day,
+                    arm=retrain.arm_name(len(registry) + 1),
+                    state=predictor.state_dict(),
+                    window_days=[day for day, _, _ in window],
+                    n_streams_day=len(day_streams),
+                    n_streams_window=len(window_streams),
+                    evaluation=evaluation,
                 )
-            arm = retrain.arm_name(len(registry) + 1)
-            entry = registry.commit(
-                day=retrainer.current_day,
-                arm=arm,
-                state=predictor.state_dict(),
-                window_days=[day for day, _, _ in window_slices],
-                n_streams_day=len(day_streams),
-                n_streams_window=sum(
-                    len(streams)
-                    for _, streams in retrainer.window_state()
-                ),
-                evaluation=evaluation,
-            )
-            # Enroll the frozen generation as a fresh arm for all
-            # subsequent days (sessions of *this* day never saw it).
-            specs.append(
-                generation_scheme_spec(entry.arm, predictor.copy())
-            )
+                # Enroll the frozen generation as a fresh arm for all
+                # subsequent days (sessions of *this* day never saw it).
+                specs.append(
+                    generation_scheme_spec(entry.arm, predictor.copy())
+                )
+                state["generations"] = len(registry)
+                if obs.ENABLED:
+                    obs.counter_inc("fleet.retrain.generations")
             if obs.ENABLED:
-                obs.counter_inc("fleet.retrain.generations")
-        if obs.ENABLED:
-            obs.counter_inc("fleet.retrain.days")
-        save_checkpoint(completed=False)
+                obs.counter_inc("fleet.retrain.days")
+            save_checkpoint(False)
 
-    def commit(chunk_result: _FleetChunk) -> None:
-        # repro: allow-CKPT002(the commit counter is wall-clock throughput accounting; a resumed run correctly restarts it at zero)
-        nonlocal next_session_id, commits
-        # repro: allow-CKPT002(per-run throughput counters; a resumed run correctly restarts them at zero)
-        nonlocal sessions_this_run, streams_this_run
-        sink.merge(chunk_result.delta)
-        if chunk_result.telemetry is not None:
-            appender.append(chunk_result.telemetry)
-        next_session_id = chunk_result.last_session_id + 1
-        commits += 1
-        sessions_this_run += chunk_result.delta.sessions
-        streams_this_run += chunk_result.n_streams
-        save_checkpoint(completed=False)
-        if obs.ENABLED:
-            obs.counter_inc("fleet.commits")
-            obs.counter_inc(
-                "fleet.sessions", float(chunk_result.delta.sessions)
-            )
-        if on_commit is not None:
-            on_commit(next_session_id, sink)
+        # Arrivals come time-ordered, so grouping by day splits them at the
+        # day boundaries: chunks never span one.  A day nobody arrived in
+        # has no group and no segment, but still closes.
+        by_day = groupby(arrivals, key=lambda arrival: arrival.day)
+        upcoming = next(by_day, None)
+        total_days = int(math.ceil(config.workload.days))
+        for day in range(int(state["day_counter"]), total_days):
+            if upcoming is not None and upcoming[0] == day:
+                # Every session of day ``d`` runs against the arm set as of
+                # its start; the generation its close enrolls joins from
+                # ``d + 1``.
+                yield specs, upcoming[1]
+                upcoming = next(by_day, None)
+            close_day()
 
-    total_days = int(math.ceil(config.workload.days))
-    generator = WorkloadGenerator(config.workload)
-    feed = _ArrivalFeed(
-        generator.arrivals(start_session_id=next_session_id)
+    result = _drive_fleet(
+        base_specs,
+        config,
+        config_fingerprint(config.fingerprint(base_specs), retrain.to_dict()),
+        days,
+        workers,
+        checkpoint_path,
+        resume,
+        str(archive_dir),
+        stop_after_sessions,
+        cli_args,
+        on_commit,
     )
-
-    for day in range(day_counter, total_days):
-        # Per-day pool: the payload (specs incl. enrolled generations,
-        # expt ids) is fork-inherited at pool creation, so each day
-        # segment gets its own pool built from the current arm set.
-        expt_ids = assign_expt_ids(specs, trial.seed)
-        chunk_results = _execute_chunks(
-            specs,
-            trial,
-            expt_ids,
-            executor,
-            config.batch_lanes,
-            _chunked(feed.take_day(day), config.chunk_sessions),
-            workers,
-        )
-        try:
-            for chunk_result in chunk_results:
-                commit(chunk_result)
-                if should_stop():
-                    stopped = True
-                    break
-        finally:
-            chunk_results.close()
-        if stopped:
-            break
-        close_day()
-
-    completed = not stopped
-    save_checkpoint(completed=completed)
-    appender.close()
-    # repro: allow-DET002(throughput report timing; never enters results)
-    wall = time.perf_counter() - start_wall
-
-    mode = "fork" if _fork_context(workers) is not None else "serial"
-    return FleetResult(
-        sink=sink,
-        config=config,
-        scheme_names=[spec.name for spec in specs],
-        next_session_id=next_session_id,
-        completed=completed,
-        throughput=FleetThroughput(
-            mode=mode,
-            workers=workers,
-            sessions=sessions_this_run,
-            streams=streams_this_run,
-            wall_s=wall,
-            commits=commits,
-            checkpoints=manager.saves if manager is not None else 0,
-            executor=executor,
-        ),
-        checkpoint_path=checkpoint_path,
-        archive_dir=str(archive_dir),
-    )
+    result.scheme_names = [spec.name for spec in specs]
+    return result

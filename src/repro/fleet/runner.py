@@ -13,25 +13,36 @@ Composes the other three fleet pieces with the existing trial machinery:
   open-data archive (optional), and checkpoints after every commit
   (:mod:`repro.fleet.checkpoint`).
 
-Parallel execution follows :mod:`repro.experiment.parallel`: chunks are
-contiguous session-id ranges executed on a forked process pool (per-worker
-scheme instances, fork-inherited payload), consumed via ordered ``imap`` so
-commits stream instead of materializing every result.  Because sink merging
-is exact (integer arithmetic), the final dump is byte-identical at any
-worker count, any chunk size, and across kill/resume at any point.
+Execution is :func:`repro.experiment.parallel.fork_map` — the one process
+pool — over :func:`_simulate_chunk`: chunks are contiguous session-id ranges
+(per-process scheme instances, fork-inherited payload) whose deltas come
+back in order, lazily, so commits stream instead of materializing every
+result.  Because sink merging is exact (integer arithmetic), the final dump
+is byte-identical at any worker count, any chunk size, and across
+kill/resume at any point.  :func:`_drive_fleet` is the only commit loop:
+:func:`run_fleet` runs it over one segment, the continual-retraining service
+(:mod:`repro.fleet.retrain`) over one segment per simulated day.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
 import time
+from contextlib import closing
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import (
+    Callable,
+    Dict,
+    Generator,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro import obs
-from repro.abr.base import AbrAlgorithm
 from repro.atomio import atomic_write_text
 from repro.crashpoints import crashpoint
 from repro.batch import is_vectorizable_algorithm, run_session_batch
@@ -40,11 +51,13 @@ from repro.analysis.summary import SchemeSummary
 from repro.data.archive import ArchiveAppender
 from repro.edge.cells import Cell, EdgeConfig, iter_cells
 from repro.edge.engine import run_cell
+from repro.experiment import parallel
 from repro.experiment.consort import classify_stream
 from repro.experiment.harness import (
     SessionShard,
     TrialConfig,
     assign_expt_ids,
+    checked_scheme_names,
     run_session,
 )
 from repro.experiment.schemes import SchemeSpec
@@ -68,8 +81,6 @@ DEFAULT_CHUNK_SESSIONS = 16
 """Sessions per commit/checkpoint unit.  Grouping is irrelevant to the
 result (sink merging is exact); this only trades checkpoint frequency
 against pool overhead."""
-
-_AbrCache = Dict[str, AbrAlgorithm]
 
 
 @dataclass(frozen=True)
@@ -284,29 +295,27 @@ def _ci_dict(ci: ConfidenceInterval) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Chunk execution (shared by the serial loop and the pool workers).
+# Chunk execution (the fork_map chunk function, in-process or in a worker).
 # ---------------------------------------------------------------------------
+_EDGE_STATS = ("cells", "shared_cells", "cache_hits", "cache_misses")
+
+
 @dataclass
 class _FleetChunk:
     """One committed unit: the chunk's exact sink delta and its telemetry."""
 
-    first_session_id: int
     last_session_id: int
     delta: FleetSink
     telemetry: Optional[TelemetryLog]
-    n_streams: int
-    busy_s: float
-    # Edge-tier accounting (zero in classic mode; never enters the dump).
-    cells: int = 0
-    shared_cells: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
+    edge_stats: Dict[str, int]
+    """Edge-tier accounting, keyed by :data:`_EDGE_STATS` (all zero in
+    classic mode; never enters the dump)."""
 
 
 def _fold_session(
     delta: FleetSink, shard: SessionShard, arrival: SessionArrival
-) -> int:
-    """Fold one finished session into a sink delta; returns stream count.
+) -> None:
+    """Fold one finished session into a sink delta.
 
     This is where stream results die: after folding, nothing retains them,
     which is what makes fleet memory independent of run length.
@@ -331,59 +340,17 @@ def _fold_session(
         delta.sim_watch_s.add(stream.watch_time)
         if classify_stream(stream) == "considered":
             scheme_sink.observe_stream(stream)
-    return len(session.streams)
 
 
-def _simulate_chunk(
-    specs: Sequence[SchemeSpec],
-    config: TrialConfig,
-    expt_ids: Dict[str, int],
-    algorithms: _AbrCache,
-    items: Sequence[Tuple[int, float]],
-    executor: str = "scalar",
-    batch_lanes: int = 64,
-) -> _FleetChunk:
-    """Simulate a contiguous chunk of arrivals into one exact sink delta.
+@dataclass
+class _ChunkPayload(parallel.SessionPayload):
+    """The fleet's :func:`~repro.experiment.parallel.fork_map` payload: the
+    session payload plus how a chunk's shards are produced.  ``executor`` is
+    the *resolved* executor ("scalar" or "batch" — never "auto")."""
 
-    ``executor`` is the *resolved* executor ("scalar" or "batch" — never
-    "auto").  The batch kernel returns shards bit-identical to the scalar
-    path, so the folded delta (and therefore the dump) does not depend on
-    the choice.
-    """
-    delta = FleetSink()
-    telemetry = TelemetryLog() if config.collect_telemetry else None
-    n_streams = 0
-    # repro: allow-DET002(per-chunk busy-time report; never enters results) repro: allow-PURE002(busy-time report only; never enters session results)
-    start = time.perf_counter()
-    if executor == "batch":
-        shards: Sequence[SessionShard] = run_session_batch(
-            specs,
-            config,
-            [session_id for session_id, _ in items],
-            expt_ids,
-            algorithms,
-            lanes=batch_lanes,
-        )
-    else:
-        shards = [
-            run_session(specs, config, session_id, expt_ids, algorithms)
-            for session_id, _ in items
-        ]
-    for (session_id, time_s), shard in zip(items, shards):
-        n_streams += _fold_session(
-            delta, shard, SessionArrival(session_id=session_id, time_s=time_s)
-        )
-        if telemetry is not None and shard.telemetry is not None:
-            telemetry.extend(shard.telemetry)
-    return _FleetChunk(
-        first_session_id=items[0][0],
-        last_session_id=items[-1][0],
-        delta=delta,
-        telemetry=telemetry,
-        n_streams=n_streams,
-        # repro: allow-DET002(per-chunk busy-time report; never enters results) repro: allow-PURE002(busy-time report only; never enters session results)
-        busy_s=time.perf_counter() - start,
-    )
+    executor: str
+    batch_lanes: int
+    edge: Optional[EdgeConfig]
 
 
 _CellItems = Tuple[int, List[Tuple[int, float]]]
@@ -392,121 +359,98 @@ with the arrivals contiguous and covering the whole (possibly truncated)
 cell."""
 
 
-def _simulate_cell_chunk(
-    specs: Sequence[SchemeSpec],
-    config: TrialConfig,
-    expt_ids: Dict[str, int],
-    algorithms: _AbrCache,
-    edge: EdgeConfig,
-    cell_items: Sequence[_CellItems],
-) -> _FleetChunk:
-    """Simulate a chunk of whole cells into one exact sink delta.
+def _simulate_chunk(payload: _ChunkPayload, items: Sequence) -> _FleetChunk:
+    """Simulate one contiguous chunk of arrivals into one exact sink delta.
 
-    Each cell runs through :func:`repro.edge.engine.run_cell` with offsets
-    measured from the cell's first arrival (sessions in a cell contend in
-    arrival order; cells are independent, so absolute time never matters).
-    Singleton cells dispatch to ``run_session`` inside ``run_cell`` and are
-    bit-identical to the private-link executor.
+    The chunk function of every fleet run, in a pool worker or in-process.
+    ``items`` is ``[(session_id, time_s), ...]``, or in cell mode a list of
+    whole cells (:data:`_CellItems`).  The shards come from one of three
+    executors — ``run_session`` per arrival, the ``run_session_batch``
+    kernel, or ``run_cell`` per cell — which are bit-identical wherever
+    they overlap (the batch kernel to the scalar path, a singleton cell to
+    ``run_session``), so the folded delta, and therefore the dump, does not
+    depend on the choice.
     """
-    delta = FleetSink()
-    telemetry = TelemetryLog() if config.collect_telemetry else None
-    n_streams = 0
-    cells = shared_cells = cache_hits = cache_misses = 0
-    # repro: allow-DET002(per-chunk busy-time report; never enters results) repro: allow-PURE002(busy-time report only; never enters session results)
-    start = time.perf_counter()
-    for cell_id, items in cell_items:
-        cell = Cell(
-            cell_id=cell_id,
-            start_session_id=items[0][0],
-            size=len(items),
-        )
-        first_time_s = items[0][1]
-        result = run_cell(
+    specs, config, expt_ids = payload.specs, payload.config, payload.expt_ids
+    algorithms = payload.algorithms
+    edge_stats = dict.fromkeys(_EDGE_STATS, 0)
+    if payload.edge is not None:
+        # Each cell runs with offsets measured from its first arrival
+        # (sessions in a cell contend in arrival order; cells are
+        # independent, so absolute time never matters).
+        arrivals: Sequence[Tuple[int, float]] = [
+            arrival for _, cell_items in items for arrival in cell_items
+        ]
+        shards: List[SessionShard] = []
+        for cell_id, cell_items in items:
+            first_session_id, first_time_s = cell_items[0]
+            result = run_cell(
+                specs,
+                config,
+                Cell(
+                    cell_id=cell_id,
+                    start_session_id=first_session_id,
+                    size=len(cell_items),
+                ),
+                payload.edge,
+                offsets=[time_s - first_time_s for _, time_s in cell_items],
+                expt_ids=expt_ids,
+                algorithms=algorithms,
+            )
+            edge_stats["cells"] += 1
+            edge_stats["shared_cells"] += 1 if result.shared else 0
+            edge_stats["cache_hits"] += result.cache_hits
+            edge_stats["cache_misses"] += result.cache_misses
+            shards.extend(result.shards)
+    elif payload.executor == "batch":
+        arrivals = items
+        shards = run_session_batch(
             specs,
             config,
-            cell,
-            edge,
-            offsets=[time_s - first_time_s for _, time_s in items],
-            expt_ids=expt_ids,
-            algorithms=algorithms,
+            [session_id for session_id, _ in items],
+            expt_ids,
+            algorithms,
+            lanes=payload.batch_lanes,
         )
-        cells += 1
-        shared_cells += 1 if result.shared else 0
-        cache_hits += result.cache_hits
-        cache_misses += result.cache_misses
-        for (session_id, time_s), shard in zip(items, result.shards):
-            n_streams += _fold_session(
-                delta,
-                shard,
-                SessionArrival(session_id=session_id, time_s=time_s),
-            )
-            if telemetry is not None and shard.telemetry is not None:
-                telemetry.extend(shard.telemetry)
+    else:
+        arrivals = items
+        shards = [
+            run_session(specs, config, session_id, expt_ids, algorithms)
+            for session_id, _ in items
+        ]
+    delta = FleetSink()
+    telemetry = TelemetryLog() if config.collect_telemetry else None
+    for (session_id, time_s), shard in zip(arrivals, shards):
+        _fold_session(
+            delta, shard, SessionArrival(session_id=session_id, time_s=time_s)
+        )
+        if telemetry is not None and shard.telemetry is not None:
+            telemetry.extend(shard.telemetry)
     return _FleetChunk(
-        first_session_id=cell_items[0][1][0][0],
-        last_session_id=cell_items[-1][1][-1][0],
+        last_session_id=arrivals[-1][0],
         delta=delta,
         telemetry=telemetry,
-        n_streams=n_streams,
-        # repro: allow-DET002(per-chunk busy-time report; never enters results) repro: allow-PURE002(busy-time report only; never enters session results)
-        busy_s=time.perf_counter() - start,
-        cells=cells,
-        shared_cells=shared_cells,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
-    )
-
-
-# Worker-side state: fork-inherited payload plus a lazily-built per-process
-# scheme-instance cache (instances are never shared across processes).
-_FLEET_PAYLOAD: Optional[
-    Tuple[
-        List[SchemeSpec],
-        TrialConfig,
-        Dict[str, int],
-        str,
-        int,
-        Optional[EdgeConfig],
-    ]
-] = None
-_FLEET_ALGORITHMS: Optional[_AbrCache] = None
-
-
-def _run_fleet_chunk(items: Sequence) -> _FleetChunk:
-    global _FLEET_ALGORITHMS
-    if _FLEET_PAYLOAD is None:
-        raise RuntimeError("fleet worker payload missing (pool misconfigured)")
-    specs, config, expt_ids, executor, batch_lanes, edge = _FLEET_PAYLOAD
-    if _FLEET_ALGORITHMS is None:
-        # repro: allow-PURE001(per-process scheme cache; instances never cross a process boundary, mirrors experiment.parallel._WorkerState)
-        _FLEET_ALGORITHMS = {spec.name: spec.build() for spec in specs}
-    if edge is not None:
-        return _simulate_cell_chunk(
-            specs, config, expt_ids, _FLEET_ALGORITHMS, edge, items
-        )
-    return _simulate_chunk(
-        specs,
-        config,
-        expt_ids,
-        _FLEET_ALGORITHMS,
-        items,
-        executor=executor,
-        batch_lanes=batch_lanes,
+        edge_stats=edge_stats,
     )
 
 
 def _resolve_executor(
-    executor: str, specs: Sequence[SchemeSpec], trial: TrialConfig
+    config: FleetConfig, specs: Sequence[SchemeSpec], trial: TrialConfig
 ) -> str:
-    """Resolve ``"auto"`` to a concrete chunk executor.
+    """Resolve ``config.executor`` to a concrete chunk executor.
 
     ``auto`` selects the batch kernel when it can actually vectorize
     something: telemetry collection forces the kernel into per-session
     scalar fallback (so there is nothing to gain), and so does a scheme
     set with no vectorizable member.
     """
-    if executor != "auto":
-        return executor
+    if config.edge is not None:
+        # The cell engine drives session machines itself; the batch kernel's
+        # private-link lockstep does not apply.  Singleton cells still take
+        # the scalar run_session path inside run_cell.
+        return "scalar"
+    if config.executor != "auto":
+        return config.executor
     if trial.collect_telemetry:
         return "scalar"
     # Throwaway instances, used only for classification — the simulating
@@ -520,13 +464,7 @@ def _chunked(
     arrivals: Iterator[SessionArrival], size: int
 ) -> Iterator[List[Tuple[int, float]]]:
     """Group consecutive arrivals into commit-sized chunks."""
-    chunk: List[Tuple[int, float]] = []
-    for arrival in arrivals:
-        chunk.append((arrival.session_id, arrival.time_s))
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-    if chunk:
+    while chunk := [(a.session_id, a.time_s) for a in islice(arrivals, size)]:
         yield chunk
 
 
@@ -545,118 +483,247 @@ def _chunked_cells(
     boundary, which is what makes kill/resume alignment automatic.  The
     final cell of a finite workload may be truncated by the arrival stream
     (fewer sessions than its seeded size); contention among the sessions
-    that did arrive is unaffected.
+    that did arrive is unaffected.  Only a run with nothing left to
+    simulate can therefore resume from inside a cell, which is why the
+    alignment is checked against arrivals, not up front.
     """
-    cells = iter_cells(edge)
-    cell = next(cells)
-    while cell.end_session_id <= start_session_id:
-        cell = next(cells)
-    if cell.start_session_id != start_session_id:
-        raise ValueError(
-            f"resume session {start_session_id} is not a cell boundary "
-            f"(cell {cell.cell_id} spans "
-            f"[{cell.start_session_id}, {cell.end_session_id}))"
-        )
     chunk: List[_CellItems] = []
     sessions_in_chunk = 0
-    current: List[Tuple[int, float]] = []
-    for arrival in arrivals:
-        if arrival.session_id != cell.start_session_id + len(current):
+    for cell in iter_cells(edge):
+        if cell.end_session_id <= start_session_id:
+            continue
+        members = [(a.session_id, a.time_s) for a in islice(arrivals, cell.size)]
+        if not members:
+            break
+        if members[0][0] != cell.start_session_id:
             raise ValueError(
                 f"arrival stream out of step with cell partition: got "
-                f"session {arrival.session_id} inside cell {cell.cell_id}"
+                f"session {members[0][0]} where cell {cell.cell_id} starts at "
+                f"{cell.start_session_id} — a resume point with sessions "
+                "still to come must be a cell boundary"
             )
-        current.append((arrival.session_id, arrival.time_s))
-        if len(current) == cell.size:
-            chunk.append((cell.cell_id, current))
-            sessions_in_chunk += len(current)
-            current = []
-            cell = next(cells)
-            if sessions_in_chunk >= size:
-                yield chunk
-                chunk = []
-                sessions_in_chunk = 0
-    if current:
-        chunk.append((cell.cell_id, current))
+        chunk.append((cell.cell_id, members))
+        sessions_in_chunk += len(members)
+        if sessions_in_chunk >= size:
+            yield chunk
+            chunk = []
+            sessions_in_chunk = 0
     if chunk:
         yield chunk
-
-
-def _fork_context(
-    workers: int,
-) -> Optional[multiprocessing.context.BaseContext]:
-    """The fork context for pool execution, or ``None`` to run in-process
-    (single worker, or a platform without fork)."""
-    if workers <= 1:
-        return None
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platforms
-        return None
-
-
-def _execute_chunks(
-    specs: Sequence[SchemeSpec],
-    trial: TrialConfig,
-    expt_ids: Dict[str, int],
-    executor: str,
-    batch_lanes: int,
-    chunks: Iterator[List],
-    workers: int,
-    edge: Optional[EdgeConfig] = None,
-) -> Iterator[_FleetChunk]:
-    """Execute chunks in session-id order, yielding each exact delta.
-
-    The shared execution core of :func:`run_fleet` and the continual
-    retraining driver (:mod:`repro.fleet.retrain`).  The retrainer calls it
-    once per day segment: the pool payload (scheme specs, expt ids) is
-    fork-inherited at pool creation, so a fresh pool is required whenever a
-    new model generation enrolls as an arm.
-
-    With ``workers > 1`` on a fork platform, chunks run on a process pool
-    and stream back via ordered ``imap``; abandoning the generator early
-    (``close()`` after a pause) tears the pool down via the context
-    manager.  Otherwise chunks run in-process against a per-call scheme
-    cache.  Either way the yielded deltas are bit-identical.
-    """
-    ctx = _fork_context(workers)
-    if ctx is not None:
-        global _FLEET_PAYLOAD
-        _FLEET_PAYLOAD = (
-            list(specs), trial, dict(expt_ids), executor, batch_lanes, edge
-        )
-        try:
-            with ctx.Pool(processes=workers) as pool:
-                # Ordered imap: chunk results stream back in session-id
-                # order and are merged + discarded one at a time.
-                for chunk_result in pool.imap(
-                    _run_fleet_chunk, chunks, chunksize=1
-                ):
-                    yield chunk_result
-        finally:
-            _FLEET_PAYLOAD = None
-    else:
-        algorithms: _AbrCache = {spec.name: spec.build() for spec in specs}
-        for items in chunks:
-            if edge is not None:
-                yield _simulate_cell_chunk(
-                    specs, trial, expt_ids, algorithms, edge, items
-                )
-            else:
-                yield _simulate_chunk(
-                    specs,
-                    trial,
-                    expt_ids,
-                    algorithms,
-                    items,
-                    executor=executor,
-                    batch_lanes=batch_lanes,
-                )
 
 
 # ---------------------------------------------------------------------------
 # The driver.
 # ---------------------------------------------------------------------------
+_Segment = Tuple[Sequence[SchemeSpec], Iterator[SessionArrival]]
+"""One stretch of a run simulated against a fixed arm set: the specs and
+the arrivals they serve.  Each segment gets its own pool, because the
+payload (specs, expt ids) is fork-inherited at pool creation."""
+
+
+def _drive_fleet(
+    specs: Sequence[SchemeSpec],
+    config: FleetConfig,
+    fingerprint: str,
+    plan: Callable[..., Generator[_Segment, None, None]],
+    workers: int,
+    checkpoint_path: Optional[str],
+    resume: bool,
+    archive_dir: Optional[str],
+    stop_after_sessions: Optional[int],
+    cli_args: Optional[dict],
+    on_commit: Optional[Callable[[int, FleetSink], None]],
+) -> FleetResult:
+    """The one commit loop behind :func:`run_fleet` and
+    :func:`repro.fleet.retrain.run_fleet_retrain`.
+
+    Validates the arguments, loads the checkpoint and rolls the archive
+    back to it, then for each segment of ``plan`` runs :func:`_simulate_chunk`
+    over commit-sized chunks through
+    :func:`~repro.experiment.parallel.fork_map` and commits the deltas in
+    session-id order — merge into the sink, append telemetry, checkpoint —
+    until the plan is exhausted or ``stop_after_sessions`` is reached.
+
+    ``plan(arrivals, checkpoint, appender, extra, save_checkpoint)`` is a
+    generator function yielding the run's segments in order.  ``arrivals``
+    is the workload from the resume point on; ``checkpoint`` is the one
+    being resumed (``None`` on a fresh start); ``appender`` is the open
+    archive, already rolled back; ``extra`` is the dict every checkpoint
+    stores verbatim — a plan with state of its own keeps it there;
+    ``save_checkpoint(completed)`` makes the present state durable.  Code
+    after a ``yield`` runs once that segment has fully committed, and not at
+    all when the run pauses inside it.
+    """
+    specs = list(specs)
+    names = checked_scheme_names(specs)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if stop_after_sessions is not None and stop_after_sessions < 1:
+        raise ValueError("stop_after_sessions must be >= 1")
+
+    trial = replace(
+        config.trial,
+        n_sessions=1,  # unused by run_session; workload decides scale
+        collect_telemetry=archive_dir is not None,
+    )
+    executor = _resolve_executor(config, specs, trial)
+
+    manager = (
+        CheckpointManager(checkpoint_path)
+        if checkpoint_path is not None
+        else None
+    )
+    checkpoint: Optional[FleetCheckpoint] = None
+    sink = FleetSink()
+    next_session_id = 0
+    extra: dict = {}
+    if resume and manager is not None and manager.exists():
+        checkpoint = manager.load(expected_fingerprint=fingerprint)
+        sink = checkpoint.sink
+        next_session_id = checkpoint.next_session_id
+        extra = checkpoint.extra
+    edge_stats = dict.fromkeys(_EDGE_STATS, 0)
+    if config.edge is not None:
+        edge_stats.update(
+            {k: int(v) for k, v in extra.get("edge", {}).items()}
+        )
+        extra["edge"] = edge_stats  # tallied in place by commit()
+
+    commits = 0
+    resumed_sessions, resumed_streams = sink.sessions, sink.streams
+    stopped = False
+    # repro: allow-DET002(throughput report timing; never enters results)
+    start_wall = time.perf_counter()
+
+    appender = ArchiveAppender(archive_dir) if archive_dir is not None else None
+    try:
+        if appender is not None:
+            if checkpoint is not None and checkpoint.archive_offsets is not None:
+                # Roll the streamed archive back to the last durable commit:
+                # rows appended after the surviving checkpoint belong to
+                # sessions that will be re-simulated.
+                appender.truncate_to(checkpoint.archive_offsets)
+            elif resume and checkpoint is None:
+                # Fresh start under --resume: the crash landed before the
+                # first checkpoint ever committed, so every row a dead run
+                # appended is uncommitted — clear them, or the restart would
+                # append after leftovers and diverge from a clean run.
+                appender.reset()
+
+        def save_checkpoint(completed: bool) -> None:
+            if manager is None:
+                return
+            offsets = None
+            if appender is not None:
+                appender.flush(sync=True)
+                offsets = appender.offsets()
+            # Commit order: archive rows must be durable before the
+            # checkpoint durably records their byte offsets (DUR003 pair).
+            crashpoint("fleet.checkpoint-boundary")
+            manager.save(
+                FleetCheckpoint(
+                    fingerprint=fingerprint,
+                    next_session_id=next_session_id,
+                    sink=sink,
+                    archive_offsets=offsets,
+                    cli_args=cli_args,
+                    completed=completed,
+                    extra=extra,
+                )
+            )
+
+        def commit(chunk_result: _FleetChunk) -> None:
+            # repro: allow-CKPT002(the commit counter is wall-clock throughput accounting; a resumed run correctly restarts it at zero)
+            nonlocal next_session_id, commits
+            sink.merge(chunk_result.delta)
+            if appender is not None and chunk_result.telemetry is not None:
+                appender.append(chunk_result.telemetry)
+            next_session_id = chunk_result.last_session_id + 1
+            commits += 1
+            for key, count in chunk_result.edge_stats.items():
+                edge_stats[key] += count
+            save_checkpoint(completed=False)
+            if obs.ENABLED:
+                obs.counter_inc("fleet.commits")
+                obs.counter_inc(
+                    "fleet.sessions", float(chunk_result.delta.sessions)
+                )
+            if on_commit is not None:
+                on_commit(next_session_id, sink)
+
+        def should_stop() -> bool:
+            return (
+                stop_after_sessions is not None
+                and next_session_id >= stop_after_sessions
+            )
+
+        arrivals = WorkloadGenerator(config.workload).arrivals(
+            start_session_id=next_session_id
+        )
+        # closing(): a pause or a failing chunk tears the pool down, and
+        # abandons the plan at its yield, here instead of at GC time.
+        with closing(
+            plan(arrivals, checkpoint, appender, extra, save_checkpoint)
+        ) as segments:
+            for segment_specs, segment_arrivals in segments:
+                payload = _ChunkPayload(
+                    list(segment_specs),
+                    trial,
+                    assign_expt_ids(segment_specs, trial.seed),
+                    executor=executor,
+                    batch_lanes=config.batch_lanes,
+                    edge=config.edge,
+                )
+                if config.edge is not None:
+                    chunks: Iterator[List] = _chunked_cells(
+                        segment_arrivals,
+                        config.edge,
+                        config.chunk_sessions,
+                        start_session_id=next_session_id,
+                    )
+                else:
+                    chunks = _chunked(segment_arrivals, config.chunk_sessions)
+                with closing(
+                    parallel.fork_map(_simulate_chunk, payload, chunks, workers)
+                ) as chunk_results:
+                    for chunk_result in chunk_results:
+                        commit(chunk_result)
+                        if should_stop():
+                            stopped = True
+                            break
+                if stopped:
+                    break
+
+        completed = not stopped
+        save_checkpoint(completed=completed)
+    finally:
+        if appender is not None:
+            appender.close()
+    # repro: allow-DET002(throughput report timing; never enters results)
+    wall = time.perf_counter() - start_wall
+
+    return FleetResult(
+        sink=sink,
+        config=config,
+        scheme_names=names,
+        next_session_id=next_session_id,
+        completed=completed,
+        throughput=FleetThroughput(
+            mode=parallel.pool_mode(workers),
+            workers=workers,
+            sessions=sink.sessions - resumed_sessions,
+            streams=sink.streams - resumed_streams,
+            wall_s=wall,
+            commits=commits,
+            checkpoints=manager.saves if manager is not None else 0,
+            executor=executor,
+        ),
+        checkpoint_path=checkpoint_path,
+        archive_dir=archive_dir,
+        edge_stats=dict(edge_stats) if config.edge is not None else None,
+    )
+
+
 def run_fleet(
     specs: Sequence[SchemeSpec],
     config: FleetConfig,
@@ -696,187 +763,22 @@ def run_fleet(
         — progress reporting hook.
     """
     specs = list(specs)
-    if not specs:
-        raise ValueError("need at least one scheme")
-    names = [spec.name for spec in specs]
-    if len(set(names)) != len(names):
-        raise ValueError("scheme names must be unique")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if stop_after_sessions is not None and stop_after_sessions < 1:
-        raise ValueError("stop_after_sessions must be >= 1")
 
-    fingerprint = config.fingerprint(specs)
-    trial = replace(
-        config.trial,
-        n_sessions=1,  # unused by run_session; workload decides scale
-        collect_telemetry=archive_dir is not None,
-    )
-    expt_ids = assign_expt_ids(specs, trial.seed)
+    def whole_run(
+        arrivals: Iterator[SessionArrival], *_: object
+    ) -> Generator[_Segment, None, None]:
+        yield specs, arrivals
 
-    manager = (
-        CheckpointManager(checkpoint_path)
-        if checkpoint_path is not None
-        else None
-    )
-    sink = FleetSink()
-    next_session_id = 0
-    stored_offsets: Optional[Dict[str, int]] = None
-    edge_stats = {
-        "cells": 0, "shared_cells": 0, "cache_hits": 0, "cache_misses": 0,
-    }
-    if resume and manager is not None and manager.exists():
-        checkpoint = manager.load(expected_fingerprint=fingerprint)
-        sink = checkpoint.sink
-        next_session_id = checkpoint.next_session_id
-        stored_offsets = checkpoint.archive_offsets
-        stored_edge = checkpoint.extra.get("edge")
-        if stored_edge is not None:
-            edge_stats.update({k: int(v) for k, v in stored_edge.items()})
-
-    appender: Optional[ArchiveAppender] = None
-    if archive_dir is not None:
-        appender = ArchiveAppender(archive_dir)
-        if stored_offsets is not None:
-            # Roll the streamed archive back to the last durable commit:
-            # rows appended after the surviving checkpoint belong to
-            # sessions that will be re-simulated.
-            appender.truncate_to(stored_offsets)
-        elif resume and manager is not None and not manager.exists():
-            # Fresh start under --resume: the crash landed before the
-            # first checkpoint ever committed, so every row a dead run
-            # appended is uncommitted — clear them, or the restart would
-            # append after leftovers and diverge from a clean run.
-            appender.reset()
-
-    def save_checkpoint(completed: bool) -> None:
-        if manager is None:
-            return
-        offsets = None
-        if appender is not None:
-            appender.flush(sync=True)
-            offsets = appender.offsets()
-        # Commit order: archive rows must be durable before the
-        # checkpoint durably records their byte offsets (DUR003 pair).
-        crashpoint("fleet.checkpoint-boundary")
-        manager.save(
-            FleetCheckpoint(
-                fingerprint=fingerprint,
-                next_session_id=next_session_id,
-                sink=sink,
-                archive_offsets=offsets,
-                cli_args=cli_args,
-                completed=completed,
-                extra=(
-                    {"edge": dict(edge_stats)}
-                    if config.edge is not None
-                    else {}
-                ),
-            )
-        )
-
-    generator = WorkloadGenerator(config.workload)
-    if config.edge is not None:
-        chunks: Iterator[List] = _chunked_cells(
-            generator.arrivals(start_session_id=next_session_id),
-            config.edge,
-            config.chunk_sessions,
-            start_session_id=next_session_id,
-        )
-    else:
-        chunks = _chunked(
-            generator.arrivals(start_session_id=next_session_id),
-            config.chunk_sessions,
-        )
-
-    commits = 0
-    streams_this_run = 0
-    sessions_this_run = 0
-    stopped = False
-    # repro: allow-DET002(throughput report timing; never enters results)
-    start_wall = time.perf_counter()
-
-    def commit(chunk_result: _FleetChunk) -> None:
-        # repro: allow-CKPT002(commit/stream/session counters are wall-clock throughput accounting; a resumed run correctly restarts them at zero)
-        nonlocal next_session_id, commits, streams_this_run, sessions_this_run
-        sink.merge(chunk_result.delta)
-        if appender is not None and chunk_result.telemetry is not None:
-            appender.append(chunk_result.telemetry)
-        next_session_id = chunk_result.last_session_id + 1
-        commits += 1
-        sessions_this_run += chunk_result.delta.sessions
-        streams_this_run += chunk_result.n_streams
-        edge_stats["cells"] += chunk_result.cells
-        edge_stats["shared_cells"] += chunk_result.shared_cells
-        edge_stats["cache_hits"] += chunk_result.cache_hits
-        edge_stats["cache_misses"] += chunk_result.cache_misses
-        save_checkpoint(completed=False)
-        if obs.ENABLED:
-            obs.counter_inc("fleet.commits")
-            obs.counter_inc("fleet.sessions", float(chunk_result.delta.sessions))
-        if on_commit is not None:
-            on_commit(next_session_id, sink)
-
-    def should_stop() -> bool:
-        return (
-            stop_after_sessions is not None
-            and next_session_id >= stop_after_sessions
-        )
-
-    if config.edge is not None:
-        # The cell engine drives session machines itself; the batch kernel's
-        # private-link lockstep does not apply.  Singleton cells still take
-        # the scalar run_session path inside run_cell.
-        executor = "scalar"
-    else:
-        executor = _resolve_executor(config.executor, specs, trial)
-    mode = "fork" if _fork_context(workers) is not None else "serial"
-
-    chunk_results = _execute_chunks(
+    return _drive_fleet(
         specs,
-        trial,
-        expt_ids,
-        executor,
-        config.batch_lanes,
-        chunks,
+        config,
+        config.fingerprint(specs),
+        whole_run,
         workers,
-        edge=config.edge,
-    )
-    try:
-        for chunk_result in chunk_results:
-            commit(chunk_result)
-            if should_stop():
-                stopped = True
-                break
-    finally:
-        # Deterministic teardown: closing the generator terminates the
-        # pool (if any) at the pause point instead of at GC time.
-        chunk_results.close()
-
-    completed = not stopped
-    save_checkpoint(completed=completed)
-    if appender is not None:
-        appender.close()
-    # repro: allow-DET002(throughput report timing; never enters results)
-    wall = time.perf_counter() - start_wall
-
-    return FleetResult(
-        sink=sink,
-        config=config,
-        scheme_names=names,
-        next_session_id=next_session_id,
-        completed=completed,
-        throughput=FleetThroughput(
-            mode=mode,
-            workers=workers,
-            sessions=sessions_this_run,
-            streams=streams_this_run,
-            wall_s=wall,
-            commits=commits,
-            checkpoints=manager.saves if manager is not None else 0,
-            executor=executor,
-        ),
-        checkpoint_path=checkpoint_path,
-        archive_dir=archive_dir,
-        edge_stats=dict(edge_stats) if config.edge is not None else None,
+        checkpoint_path,
+        resume,
+        archive_dir,
+        stop_after_sessions,
+        cli_args,
+        on_commit,
     )

@@ -2,9 +2,10 @@
 
 The *purity roots* are the functions the experiment's statistics assume to
 be pure: :func:`repro.experiment.harness.run_session` (the unit of work the
-paper's confidence intervals are built on), the fork-pool worker bodies
-that execute it (`repro.experiment.parallel._run_chunk`,
-`repro.fleet.runner._run_fleet_chunk`), and every
+paper's confidence intervals are built on), the chunk functions that
+``repro.experiment.parallel.fork_map`` runs over it
+(`repro.experiment.parallel._run_chunk`,
+`repro.fleet.runner._simulate_chunk`), and every
 ``AbrAlgorithm.choose`` implementation.  They are declared in a checked-in
 ``purity-roots.json`` so the contract is reviewable, versioned, and shared
 between the static pass (this module) and the runtime sanitizer

@@ -23,9 +23,10 @@ PURE003    a pure-region function *accepts* an RNG parameter but also
 Findings are attributed to the offending call/statement in the file where
 it lives, and the message carries the shortest known call chain from a
 purity root so the report explains *why* that function is in the region.
-Waivers use the ordinary inline suppression syntax — the two legitimate
-cases in the tree (the fork-pool workers' per-process scheme caches) carry
-reasoned ``# repro: allow-PURE001(...)`` comments.
+Waivers use the ordinary inline suppression syntax
+(``# repro: allow-PURE001(reason)``).  The tree needs none: the per-process
+scheme-instance cache lives on the fork-inherited
+``repro.experiment.parallel.SessionPayload``, not in a module global.
 
 Unlike the per-file rules these are **not** in the :func:`repro.lint.base
 .register` registry (they cannot run on a single file in isolation); the

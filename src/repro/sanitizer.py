@@ -668,9 +668,9 @@ def guarded(label: str) -> Callable[[_F], _F]:
     def decorate(fn: _F) -> _F:
         def wrapper(*args: Any, **kwargs: Any) -> Any:
             if not _STATE.installed:
-                # Self-arming under REPRO_SANITIZE=1: pool workers (fork or
-                # spawn) reach the entrypoint without anyone having called
-                # install() in their process.
+                # Self-arming under REPRO_SANITIZE=1: a process (a pytest
+                # run, a worker forked from an unarmed parent) reaches the
+                # entrypoint without anyone having called install() in it.
                 if not enabled():
                     return fn(*args, **kwargs)
                 install(DEFAULT_SNAPSHOT_MODULES)

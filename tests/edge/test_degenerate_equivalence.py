@@ -105,3 +105,22 @@ class TestSharedInvariance:
         )
         assert _dump_bytes(shared) != _dump_bytes(classic)
         assert shared.edge_stats["shared_cells"] > 0
+
+    def test_finished_run_resumes_from_inside_its_truncated_last_cell(
+        self, specs, workload, tmp_path
+    ):
+        # The workload ends mid-cell, so the final checkpoint's
+        # next_session_id is not a cell boundary; resuming it has nothing
+        # left to simulate and must be a no-op, not an alignment error.
+        from repro.edge.cells import cell_covering
+
+        edge = EdgeConfig(mean_cell_sessions=3.0, seed=11)
+        config = FleetConfig(workload=workload, chunk_sessions=4, edge=edge)
+        ckpt = str(tmp_path / "ckpt.json")
+        first = run_fleet(specs, config, checkpoint_path=ckpt)
+        last_cell = cell_covering(edge, first.next_session_id)
+        assert last_cell.start_session_id < first.next_session_id
+        again = run_fleet(specs, config, checkpoint_path=ckpt, resume=True)
+        assert again.completed
+        assert _dump_bytes(again) == _dump_bytes(first)
+        assert again.edge_stats == first.edge_stats

@@ -78,6 +78,40 @@ class TestCheckpointManager:
         with pytest.raises(CheckpointError):
             CheckpointManager(str(path)).load()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '"a string"',
+            '{"schema_version": 1}',
+            '{"schema_version": "x"}',
+            '{"schema_version": 1, "fingerprint": "abc", '
+            '"next_session_id": "seven", "sink": {}}',
+            '{"schema_version": 1, "fingerprint": "abc", '
+            '"next_session_id": 7, "sink": []}',
+            '{"schema_version": 1, "fingerprint": "abc", '
+            '"next_session_id": 7, "sink": {"sessions": "many"}}',
+            '{"schema_version": 1, "fingerprint": "abc", '
+            '"next_session_id": 7, "sink": {}, "archive_offsets": [1]}',
+        ],
+        ids=[
+            "list", "string", "missing-fields", "bad-version",
+            "bad-session-id", "sink-list", "bad-sink", "bad-offsets",
+        ],
+    )
+    def test_well_formed_json_of_the_wrong_shape_is_a_typed_error(
+        self, tmp_path, text
+    ):
+        # Valid JSON is not a valid checkpoint: every such file must
+        # surface as CheckpointError naming the file and the remedy, never
+        # as a bare AttributeError/KeyError/ValueError from the loader.
+        path = tmp_path / "ckpt.json"
+        path.write_text(text)
+        with pytest.raises(CheckpointError) as err:
+            CheckpointManager(str(path)).load()
+        assert str(path) in str(err.value)
+        assert "delete" in str(err.value)
+
     def test_save_leaves_no_tmp_file(self, tmp_path):
         manager = CheckpointManager(str(tmp_path / "ckpt.json"))
         manager.save(
@@ -191,6 +225,71 @@ class TestInProcessResume:
             checkpoint_path=str(tmp_path / "new.json"), resume=True,
         )
         assert dump_bytes(result) == dump_bytes(expected)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_chunk_closes_the_archive_and_resume_recovers(
+        self, reference, tmp_path, monkeypatch, workers
+    ):
+        # A scheme whose ``choose`` raises mid-run (in-process and in a
+        # pool worker): the exception propagates, the driver closes the
+        # archive it owns on the way out, and resuming with the working
+        # scheme reproduces the reference dump and archive.
+        from dataclasses import replace
+
+        from repro.abr.bba import BBA
+        from repro.data.archive import ArchiveAppender
+        from repro.fleet import runner
+
+        from .conftest import classical_specs
+
+        class FlakyBBA(BBA):
+            """BBA, until its ninth stream in this process."""
+
+            streams = 0
+
+            def begin_stream(self):
+                self.streams += 1
+                super().begin_stream()
+
+            def choose(self, context):
+                if self.streams > 8:
+                    raise RuntimeError("scheme crashed")
+                return super().choose(context)
+
+        handles = []
+
+        class SpyAppender(ArchiveAppender):
+            def __init__(self, directory):
+                super().__init__(directory)
+                handles.extend(self._files.values())
+
+        monkeypatch.setattr(runner, "ArchiveAppender", SpyAppender)
+        config, expected, expected_archive = reference
+        specs = classical_specs()
+        ckpt = str(tmp_path / "ckpt.json")
+        archive = tmp_path / "archive"
+        with pytest.raises(RuntimeError, match="scheme crashed"):
+            run_fleet(
+                [replace(specs[0], factory=FlakyBBA), specs[1]],
+                replace(config, chunk_sessions=4), workers=workers,
+                checkpoint_path=ckpt, archive_dir=str(archive),
+            )
+        assert len(handles) == 3 and all(h.closed for h in handles)
+        if workers == 1:  # in-process, the failure point is deterministic
+            assert 0 < CheckpointManager(ckpt).load().next_session_id < 35
+
+        resumed = run_fleet(
+            specs, config, workers=workers, checkpoint_path=ckpt,
+            archive_dir=str(archive), resume=True,
+        )
+        assert resumed.completed
+        assert all(h.closed for h in handles)
+        assert dump_bytes(resumed) == dump_bytes(expected)
+        for name in ("video_sent.csv", "video_acked.csv",
+                     "client_buffer.csv"):
+            assert (archive / name).read_bytes() == (
+                expected_archive / name
+            ).read_bytes()
 
 
 @pytest.mark.parallel_smoke

@@ -181,6 +181,40 @@ class TestModelRegistry:
         with pytest.raises(RegistryError):
             ModelRegistry(tmp_path)
 
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            [],
+            "a string",
+            {"schema_version": "x", "generations": []},
+            {"schema_version": 1},
+            {"schema_version": 1, "generations": {}},
+            {"schema_version": 1, "generations": ["gen-0001.json"]},
+            {"schema_version": 1, "generations": [
+                {"generation": 1, "arm": "fugu@g001",
+                 "filename": "gen-0001.json", "sha256": "00"},
+            ]},
+            {"schema_version": 1, "generations": [
+                {"generation": "one", "day": 1, "arm": "fugu@g001",
+                 "filename": "gen-0001.json", "sha256": "00"},
+            ]},
+        ],
+        ids=[
+            "list", "string", "bad-version", "no-generations",
+            "generations-dict", "entry-not-dict", "entry-missing-day",
+            "entry-bad-int",
+        ],
+    )
+    def test_well_formed_manifest_of_the_wrong_shape_is_a_typed_error(
+        self, tmp_path, manifest
+    ):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(RegistryError) as err:
+            ModelRegistry(tmp_path)
+        assert str(path) in str(err.value)
+        assert "resume" in str(err.value)
+
     def test_empty_registry_has_no_payload(self, tmp_path):
         with pytest.raises(RegistryError):
             ModelRegistry(tmp_path).load_payload()

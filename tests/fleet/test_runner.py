@@ -5,8 +5,10 @@ at any worker count and any chunk size, and a fleet run streaming the
 open-data archive produces the same CSV bytes serially and in parallel.
 """
 
+import ast
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -172,3 +174,61 @@ class TestPause:
         checkpoint = CheckpointManager(ckpt).load()
         assert not checkpoint.completed
         assert checkpoint.next_session_id == result.next_session_id
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_trial_and_fleet_share_one_core(
+    specs, tiny_fleet_config, reference, monkeypatch, workers
+):
+    """The trial and the fleet are one engine: the sessions a
+    ``RandomizedTrial`` simulates (at any worker count), folded through the
+    fleet's fold against the fleet's arrivals, are the fleet's sink —
+    exactly, not approximately."""
+    from dataclasses import replace
+
+    from repro.experiment import parallel
+    from repro.experiment.harness import RandomizedTrial
+    from repro.fleet.runner import _fold_session
+    from repro.fleet.sinks import FleetSink
+    from repro.fleet.workload import WorkloadGenerator
+
+    arrivals = list(WorkloadGenerator(tiny_fleet_config.workload).arrivals())
+    assert len(arrivals) == reference.sink.sessions
+
+    # The fleet's fold consumes per-session shards (each carries its own
+    # CONSORT counts), which the merged TrialResult no longer has: watch
+    # them go by on their way into the trial's own merge.
+    shards = []
+    merge_shards = parallel.merge_shards
+
+    def spying_merge(specs_, config_, expt_ids_, shards_):
+        shards.extend(shards_)
+        return merge_shards(specs_, config_, expt_ids_, shards_)
+
+    monkeypatch.setattr(parallel, "merge_shards", spying_merge)
+    trial = RandomizedTrial(
+        specs, replace(tiny_fleet_config.trial, n_sessions=len(arrivals))
+    ).run(workers=workers)
+    assert trial.throughput.workers == workers
+    assert [shard.session for shard in shards] == trial.sessions
+
+    folded = FleetSink()
+    for shard, arrival in zip(shards, arrivals):
+        assert shard.session.session_id == arrival.session_id
+        _fold_session(folded, shard, arrival)
+    assert folded.to_dict() == reference.sink.to_dict()
+
+
+def test_src_has_exactly_one_process_pool():
+    """Structural guard: every driver runs on ``fork_map``'s pool; a second
+    ``Pool(...)``/``ProcessPoolExecutor(...)`` call site anywhere in
+    ``src/repro`` is a second driver."""
+    root = Path(__file__).resolve().parents[2]
+    sites = []
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                if callee in ("Pool", "ProcessPoolExecutor"):
+                    sites.append(path.relative_to(root).as_posix())
+    assert sites == ["src/repro/experiment/parallel.py"]

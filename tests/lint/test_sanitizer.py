@@ -123,12 +123,12 @@ class TestSnapshots:
         import repro.experiment.parallel as parallel
 
         before = sanitizer.snapshot_digest("repro.experiment.parallel")
-        parallel._WORKER_STATE.payload = ("sentinel",)
+        parallel._WORKER_CALL = (len, ("sentinel",))
         try:
             assert (
                 sanitizer.snapshot_digest("repro.experiment.parallel")
                 != before
             )
         finally:
-            parallel._WORKER_STATE.payload = None
+            parallel._WORKER_CALL = None
         assert sanitizer.snapshot_digest("repro.experiment.parallel") == before
