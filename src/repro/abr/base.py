@@ -103,7 +103,7 @@ def harmonic_mean_throughput(
     harmonic mean of the last five chunk-level throughput observations.
     Returns None when there is no history yet.
     """
-    recent = list(history)[-window:]
+    recent = history[-window:]
     if not recent:
         return None
     inverse_sum = sum(1.0 / r.observed_throughput_bps for r in recent)

@@ -225,25 +225,28 @@ class Cs2pPredictor:
         self.window = window
 
     def predict(
-        self, context: AbrContext, step: int, sizes_bytes: np.ndarray
-    ) -> TimeDistribution:
+        self, context: AbrContext, sizes_per_step: Sequence[np.ndarray]
+    ) -> List[TimeDistribution]:
         observations = [
             r.observed_throughput_bps
-            for r in list(context.history)[-self.window :]
+            for r in context.history[-self.window :]
         ]
         belief = self.hmm.state_belief(observations)
-        future = belief @ np.linalg.matrix_power(
-            self.hmm.transition, step + 1
-        )
-        future = future / (future.sum() + _LOG_FLOOR)
         state_rates = np.maximum(
             np.exp(self.hmm.means + 0.5 * self.hmm.sigmas**2),
             _MIN_THROUGHPUT,
         )
-        sizes = np.asarray(sizes_bytes, float)
-        times = sizes[:, None] * 8.0 / state_rates[None, :]
-        probs = np.tile(future, (len(sizes), 1))
-        return TimeDistribution(times=times, probs=probs)
+        dists = []
+        for step, sizes_bytes in enumerate(sizes_per_step):
+            future = belief @ np.linalg.matrix_power(
+                self.hmm.transition, step + 1
+            )
+            future = future / (future.sum() + _LOG_FLOOR)
+            sizes = np.asarray(sizes_bytes, float)
+            times = sizes[:, None] * 8.0 / state_rates[None, :]
+            probs = np.tile(future, (len(sizes), 1))
+            dists.append(TimeDistribution(times=times, probs=probs))
+        return dists
 
 
 class Cs2pMpc(AbrAlgorithm):

@@ -16,7 +16,7 @@ RobustMPC-HM has the lowest stall rate and markedly lower SSIM.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque, List, Optional, Sequence
 
 import numpy as np
 
@@ -76,12 +76,16 @@ class HarmonicMeanPredictor:
         return estimate
 
     def predict(
-        self, context: AbrContext, step: int, sizes_bytes: np.ndarray
-    ) -> TimeDistribution:
+        self, context: AbrContext, sizes_per_step: Sequence[np.ndarray]
+    ) -> List[TimeDistribution]:
         estimate = self.throughput_estimate(context)
         self._last_estimate_bps = estimate
-        times = np.asarray(sizes_bytes, dtype=float) * 8.0 / estimate
-        return TimeDistribution.point_mass(times)
+        return [
+            TimeDistribution.point_mass(
+                np.asarray(sizes_bytes, dtype=float) * 8.0 / estimate
+            )
+            for sizes_bytes in sizes_per_step
+        ]
 
     def observe(self, record: ChunkRecord) -> None:
         """Record the relative error of the last prediction (RobustMPC)."""

@@ -157,7 +157,7 @@ class OboeRobustMpc(AbrAlgorithm):
         self._state = None
 
     def _update_state(self, history: Sequence[ChunkRecord]) -> None:
-        recent = list(history)[-self.window :]
+        recent = history[-self.window :]
         if len(recent) < 2:
             return
         throughputs = np.array(

@@ -47,7 +47,7 @@ def encode_state(
         raise ValueError("Pensieve's Puffer deployment uses a 10-rung ladder")
     throughputs = np.zeros(HISTORY_LEN)
     times = np.zeros(HISTORY_LEN)
-    recent = list(history)[-HISTORY_LEN:]
+    recent = history[-HISTORY_LEN:]
     offset = HISTORY_LEN - len(recent)
     for i, record in enumerate(recent):
         throughputs[offset + i] = min(

@@ -21,7 +21,7 @@ recursion over reachable states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -39,14 +39,23 @@ DEFAULT_BUFFER_BIN_S = 0.5
 "discretize[d] into bins"; half-second bins keep the planner's error well
 under one chunk duration while halving the DP's state space."""
 
+_GEOMETRY_MEMO_ENTRIES = 8
+"""Shared-row geometries one controller keeps (a few 31×21 arrays each). A
+deployed TTP presents one row and one chunk duration, so one entry is live
+at a time; the bound only stops a caller that keeps changing rows from
+growing the memo."""
+
 
 @dataclass(frozen=True)
 class TimeDistribution:
     """Predicted transmission-time distribution for each candidate version.
 
-    ``times[a, j]`` is the j-th possible transmission time of version ``a``
-    and ``probs[a, j]`` its probability; rows sum to 1. A deterministic
-    predictor uses a single column.
+    ``probs[a, j]`` is the probability of the j-th outcome of version ``a``;
+    rows sum to 1. ``times`` holds the outcomes' transmission times, either
+    one row per version, ``(n_versions, n_outcomes)``, or — when every
+    version shares the same outcomes, as the TTP's bin centres do — a single
+    shared row ``(1, n_outcomes)`` that broadcasts against ``probs``. A
+    deterministic predictor uses a single column.
     """
 
     times: np.ndarray
@@ -55,10 +64,13 @@ class TimeDistribution:
     def __post_init__(self) -> None:
         # Only shape checks here: this sits on the per-decision hot path.
         # Full numeric validation is available via validate().
-        if self.times.shape != self.probs.shape:
-            raise ValueError("times and probs must share a shape")
-        if self.times.ndim != 2:
-            raise ValueError("expected a (n_versions, n_outcomes) matrix")
+        if self.times.ndim != 2 or self.probs.ndim != 2:
+            raise ValueError("expected (n_versions, n_outcomes) matrices")
+        shared_row = (1, self.probs.shape[1])
+        if self.times.shape not in (self.probs.shape, shared_row):
+            raise ValueError(
+                "times must match probs or be one shared (1, n_outcomes) row"
+            )
 
     def validate(self) -> None:
         """Full numeric sanity checks (used by tests and custom models)."""
@@ -81,11 +93,13 @@ class TransmissionTimeModel(Protocol):
     """Supplies predicted transmission-time distributions to the planner."""
 
     def predict(
-        self, context: "AbrContext", step: int, sizes_bytes: np.ndarray
-    ) -> TimeDistribution:
-        """Distribution over transmission times for each candidate size of
-        the chunk ``step`` positions ahead of the current one (step 0 is the
-        chunk being decided)."""
+        self, context: "AbrContext", sizes_per_step: Sequence[np.ndarray]
+    ) -> Sequence[TimeDistribution]:
+        """One distribution per horizon step, in step order:
+        ``sizes_per_step[s]`` holds the candidate sizes of the chunk ``s``
+        positions ahead of the current one (step 0 is the chunk being
+        decided). The planner calls this once per decision, so whatever
+        depends on the context alone is computed once."""
         ...
 
 
@@ -108,10 +122,44 @@ class ValueIterationController:
         self.max_buffer_s = max_buffer_s
         self.buffer_bin_s = buffer_bin_s
         self._grid = np.arange(0.0, max_buffer_s + buffer_bin_s / 2, buffer_bin_s)
+        self._geometry_memo: Dict[
+            Tuple[bytes, float], Tuple[np.ndarray, np.ndarray]
+        ] = {}
 
     def _bin_index(self, buffer_s: np.ndarray) -> np.ndarray:
         idx = np.rint(buffer_s / self.buffer_bin_s).astype(int)
         return np.clip(idx, 0, len(self._grid) - 1)
+
+    def _outcome_geometry(
+        self, times: np.ndarray, duration: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(stall, next_bin)``, each ``[a, b, j]``: seconds stalled, and
+        the grid bin the buffer lands in, when a chunk of ``duration``
+        seconds sent from grid bin ``b`` takes ``times[a, j]`` to arrive.
+        Depends on neither the rung's quality nor the context."""
+        t = times[:, None, :]  # (rows, 1, k)
+        b = self._grid[None, :, None]  # (1, n_bins, 1)
+        stall = np.maximum(t - b, 0.0)
+        next_buffer = np.minimum(
+            np.maximum(b - t, 0.0) + duration, self.max_buffer_s
+        )
+        return stall, self._bin_index(next_buffer)
+
+    def _shared_row_geometry(
+        self, times: np.ndarray, duration: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`_outcome_geometry` of a one-row ``times``, memoised on the
+        row's contents — not its identity: a TTP recalibrates its tail
+        centre in place, and a content key can never serve the old row's
+        geometry for the new one."""
+        key = (times.tobytes(), duration)
+        geometry = self._geometry_memo.get(key)
+        if geometry is None:
+            if len(self._geometry_memo) >= _GEOMETRY_MEMO_ENTRIES:
+                self._geometry_memo.clear()
+            geometry = self._outcome_geometry(times, duration)
+            self._geometry_memo[key] = geometry
+        return geometry
 
     def plan(
         self,
@@ -132,17 +180,22 @@ class ValueIterationController:
             obs.counter_inc("controller.plans")
             obs.counter_inc("controller.plan_steps", float(steps))
         with obs.span("controller.plan"):
-            return self._plan(context, model, steps)
+            return int(np.argmax(self._scores(context, model, steps)))
 
-    def _plan(
+    def _scores(
         self,
         context: "AbrContext",
         model: TransmissionTimeModel,
         steps: int,
-    ) -> int:
+    ) -> np.ndarray:
+        """Expected cumulative QoE of each rung of ``context.menu``."""
         menus = context.lookahead[:steps]
         n_bins = len(self._grid)
-        grid = self._grid
+        dists = model.predict(
+            context, [np.asarray(menu.sizes) for menu in menus]
+        )
+        if len(dists) != steps:
+            raise ValueError("model returned wrong number of steps")
 
         # Backward pass. V[b, a_prev] = max expected QoE-to-go from buffer
         # bin b when the previous chunk used rung a_prev of the previous
@@ -152,31 +205,28 @@ class ValueIterationController:
         for step in range(steps - 1, -1, -1):
             menu = menus[step]
             n_rungs = len(menu)
-            sizes = np.asarray(menu.sizes)
             qualities = np.asarray(menu.ssims_db)
-            duration = menu.duration
-            dist = model.predict(context, step, sizes)
-            if dist.times.shape[0] != n_rungs:
+            times = dists[step].times  # (n_rungs, k), or (1, k) shared
+            probs = dists[step].probs
+            if probs.shape[0] != n_rungs:
                 raise ValueError("model returned wrong number of versions")
-            times = dist.times  # (n_rungs, k)
-            probs = dist.probs
 
-            # stall[a, b, j] and next-buffer bins; vectorized over the grid.
-            t = times[:, None, :]  # (n_rungs, 1, k)
-            b = grid[None, :, None]  # (1, n_bins, 1)
-            stall = np.maximum(t - b, 0.0)
-            next_buffer = np.minimum(
-                np.maximum(b - t, 0.0) + duration, self.max_buffer_s
-            )
+            # A shared row leaves stall and next_bin one row deep; they
+            # broadcast over the rungs below, value for value.
+            if times.shape[0] == 1:
+                stall, next_bin = self._shared_row_geometry(
+                    times, menu.duration
+                )
+            else:
+                stall, next_bin = self._outcome_geometry(times, menu.duration)
             # Expected immediate reward without the variation term.
             immediate = (
                 self.qoe.quality_weight * qualities[:, None, None]
                 - self.qoe.stall_weight * stall
             )
             if value is not None:
-                nb_idx = self._bin_index(next_buffer)  # (n_rungs, n_bins, k)
                 # Continuation indexed by (next bin, this rung as a_prev).
-                cont = value[nb_idx, np.arange(n_rungs)[:, None, None]]
+                cont = value[next_bin, np.arange(n_rungs)[:, None, None]]
                 immediate = immediate + cont
             # Expectation over outcomes j.
             ev = (immediate * probs[:, None, :]).sum(axis=2)  # (n_rungs, n_bins)
@@ -198,12 +248,12 @@ class ValueIterationController:
             value = candidate.max(axis=0).reshape(n_bins, len(prev_menu))
 
         assert first_step_ev is not None
-        menu0 = menus[0]
-        qualities0 = np.asarray(menu0.ssims_db)
-        b0 = self._bin_index(np.asarray([context.buffer_s]))[0]
+        b0 = min(
+            max(round(context.buffer_s / self.buffer_bin_s), 0), n_bins - 1
+        )
         scores = first_step_ev[:, b0].copy()
         if context.last_ssim_db is not None:
             scores -= self.qoe.variation_weight * np.abs(
-                qualities0 - context.last_ssim_db
+                np.asarray(menus[0].ssims_db) - context.last_ssim_db
             )
-        return int(np.argmax(scores))
+        return scores

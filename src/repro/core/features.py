@@ -84,13 +84,13 @@ def time_bin_centers() -> np.ndarray:
 
 def tcp_features(info: TcpInfo) -> np.ndarray:
     """Scaled ``tcp_info`` feature block."""
-    return np.array(
+    return np.log1p(
         [
-            np.log1p(info.cwnd / CWND_LOG_SCALE),
-            np.log1p(info.in_flight / CWND_LOG_SCALE),
-            np.log1p(info.min_rtt / RTT_LOG_SCALE),
-            np.log1p(info.rtt / RTT_LOG_SCALE),
-            np.log1p(info.delivery_rate / DELIVERY_RATE_LOG_SCALE),
+            info.cwnd / CWND_LOG_SCALE,
+            info.in_flight / CWND_LOG_SCALE,
+            info.min_rtt / RTT_LOG_SCALE,
+            info.rtt / RTT_LOG_SCALE,
+            info.delivery_rate / DELIVERY_RATE_LOG_SCALE,
         ]
     )
 
@@ -98,14 +98,18 @@ def tcp_features(info: TcpInfo) -> np.ndarray:
 def history_features(history: Sequence[ChunkRecord]) -> np.ndarray:
     """Past-chunk feature block: 8 sizes then 8 transmission times, oldest
     first, zero-padded on the left when the stream is young."""
-    recent = list(history)[-HISTORY_LEN:]
-    sizes = np.zeros(HISTORY_LEN)
-    times = np.zeros(HISTORY_LEN)
-    offset = HISTORY_LEN - len(recent)
-    for i, record in enumerate(recent):
-        sizes[offset + i] = _scale_size(record.size_bytes)
-        times[offset + i] = _scale_time(record.transmission_time)
-    return np.concatenate([sizes, times])
+    # Slice, never copy: the history is the whole stream so far, and this
+    # runs on every decision.
+    recent = history[-HISTORY_LEN:]
+    block = np.zeros(2 * HISTORY_LEN)
+    if recent:
+        block[HISTORY_LEN - len(recent) : HISTORY_LEN] = _scale_size(
+            [record.size_bytes for record in recent]
+        )
+        block[2 * HISTORY_LEN - len(recent) :] = _scale_time(
+            [record.transmission_time for record in recent]
+        )
+    return block
 
 
 def make_features(
@@ -133,13 +137,16 @@ def make_feature_matrix(
     """Feature matrix for several candidate sizes sharing one history —
     one TTP forward pass evaluates the whole ladder."""
     sizes_bytes = np.asarray(sizes_bytes, dtype=float)
-    if np.any(sizes_bytes <= 0):
+    if (sizes_bytes <= 0).any():
         raise ValueError("proposed sizes must be positive")
-    base = np.concatenate([history_features(history), tcp_features(info)])
-    matrix = np.tile(base, (len(sizes_bytes), 1))
-    return np.concatenate(
-        [matrix, np.asarray(_scale_size(sizes_bytes))[:, None]], axis=1
+    # The history and TCP blocks are the same in every row and built once;
+    # only the proposed-size column differs.
+    matrix = np.empty((len(sizes_bytes), FEATURE_DIM))
+    matrix[:, :PROPOSED_SIZE_INDEX] = np.concatenate(
+        [history_features(history), tcp_features(info)]
     )
+    matrix[:, PROPOSED_SIZE_INDEX] = _scale_size(sizes_bytes)
+    return matrix
 
 
 # Indices of feature groups, for the ablation study (§4.6).

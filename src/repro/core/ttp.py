@@ -197,17 +197,12 @@ class TransmissionTimePredictor:
     ) -> np.ndarray:
         return make_feature_matrix(history, info, sizes_bytes) * self._mask
 
-    def distribution(
-        self,
-        history: Sequence[ChunkRecord],
-        info: TcpInfo,
-        sizes_bytes: np.ndarray,
-        step: int = 0,
+    def _infer(
+        self, features: np.ndarray, sizes_bytes: np.ndarray, step: int
     ) -> TimeDistribution:
-        """Transmission-time distribution per candidate size."""
+        """Horizon step ``step``'s network over the candidates' rows."""
         if not 0 <= step < self.config.horizon:
             raise ValueError(f"step must lie in [0, {self.config.horizon})")
-        sizes_bytes = np.asarray(sizes_bytes, dtype=float)
         if obs.ENABLED:
             # Inference *counts* are deterministic (one per planner call per
             # horizon step); the latency histogram is wall-clock and lands
@@ -215,26 +210,56 @@ class TransmissionTimePredictor:
             obs.counter_inc("ttp.inferences")
             obs.counter_inc("ttp.inference_rows", float(len(sizes_bytes)))
         with obs.span("ttp.predict"):
-            features = self.masked_features(history, info, sizes_bytes)
             probs = self.models[step].predict_proba(features)
         if self.config.predict_throughput:
             # times[a, j] = size_a / throughput_center_j
             times = sizes_bytes[:, None] * 8.0 / self._tput_centers[None, :]
         else:
-            times = np.tile(self._time_centers, (len(sizes_bytes), 1))
+            # Every size shares the bin centres: one row, which the planner
+            # broadcasts. A copy, so a later calibrate_tail cannot reach
+            # into a distribution already handed out.
+            times = self._time_centers[None, :].copy()
         if self.config.point_estimate:
             best = probs.argmax(axis=1)
-            times = times[np.arange(len(sizes_bytes)), best][:, None]
+            times = np.broadcast_to(times, probs.shape)[
+                np.arange(len(sizes_bytes)), best
+            ][:, None]
             probs = np.ones_like(times)
         return TimeDistribution(times=times, probs=probs)
 
-    def predict(
-        self, context: AbrContext, step: int, sizes_bytes: np.ndarray
+    def distribution(
+        self,
+        history: Sequence[ChunkRecord],
+        info: TcpInfo,
+        sizes_bytes: np.ndarray,
+        step: int = 0,
     ) -> TimeDistribution:
-        """TransmissionTimeModel protocol entry point for the controller."""
-        return self.distribution(
-            context.history, context.tcp_info, sizes_bytes, step=step
+        """Transmission-time distribution per candidate size, for the chunk
+        ``step`` positions ahead."""
+        sizes_bytes = np.asarray(sizes_bytes, dtype=float)
+        features = self.masked_features(history, info, sizes_bytes)
+        return self._infer(features, sizes_bytes, step)
+
+    def predict(
+        self, context: AbrContext, sizes_per_step: Sequence[np.ndarray]
+    ) -> List[TimeDistribution]:
+        """TransmissionTimeModel protocol entry point for the controller:
+        the rows of the whole horizon are built in one go — one history, one
+        TCP snapshot — then each step's network reads its own candidates."""
+        sizes_per_step = [
+            np.asarray(sizes_bytes, dtype=float)
+            for sizes_bytes in sizes_per_step
+        ]
+        features = self.masked_features(
+            context.history, context.tcp_info, np.concatenate(sizes_per_step)
         )
+        dists = []
+        start = 0
+        for step, sizes_bytes in enumerate(sizes_per_step):
+            stop = start + len(sizes_bytes)
+            dists.append(self._infer(features[start:stop], sizes_bytes, step))
+            start = stop
+        return dists
 
     # ------------------------------------------------------------------
     # Persistence

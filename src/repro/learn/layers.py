@@ -21,6 +21,11 @@ class Layer:
     def forward(self, x: Array) -> Array:
         raise NotImplementedError
 
+    def infer(self, x: Array) -> Array:
+        """``forward``'s value for a float matrix ``x`` of the right width,
+        keeping nothing for ``backward``: the deployment-time pass."""
+        raise NotImplementedError
+
     def backward(self, grad_out: Array) -> Array:
         """Propagate ``dL/d(output)`` to ``dL/d(input)``, accumulating
         parameter gradients along the way."""
@@ -84,6 +89,9 @@ class Linear(Layer):
                 f"expected input width {self.in_features}, got {x.shape[1]}"
             )
         self._input = x
+        return self.infer(x)
+
+    def infer(self, x: Array) -> Array:
         return x @ self.weight + self.bias
 
     def backward(self, grad_out: Array) -> Array:
@@ -110,6 +118,9 @@ class ReLU(Layer):
         self._mask = x > 0
         return np.where(self._mask, x, 0.0)
 
+    def infer(self, x: Array) -> Array:
+        return np.where(x > 0, x, 0.0)
+
     def backward(self, grad_out: Array) -> Array:
         if self._mask is None:
             raise RuntimeError("backward() called before forward()")
@@ -125,6 +136,11 @@ class Sequential(Layer):
     def forward(self, x: Array) -> Array:
         for layer in self.layers:
             x = layer.forward(x)
+        return x
+
+    def infer(self, x: Array) -> Array:
+        for layer in self.layers:
+            x = layer.infer(x)
         return x
 
     def backward(self, grad_out: Array) -> Array:

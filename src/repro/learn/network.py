@@ -56,9 +56,14 @@ class MLP(Sequential):
     # Inference helpers
     # ------------------------------------------------------------------
     def predict(self, x: Array) -> Array:
-        """Forward pass without caching overhead semantics (same as forward,
-        provided for API clarity at call sites that never backprop)."""
-        return self.forward(np.atleast_2d(np.asarray(x, dtype=float)))
+        """The network's output for call sites that never backprop: the same
+        values as ``forward``, with no backward cache written."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.shape[1] != self.in_features:
+            raise ValueError(
+                f"expected input width {self.in_features}, got {x.shape[1]}"
+            )
+        return self.infer(x)
 
     def predict_proba(self, x: Array) -> Array:
         """Softmax over the output head — the TTP's probability distribution

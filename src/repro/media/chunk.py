@@ -71,6 +71,12 @@ class ChunkMenu:
         )
         self.chunk_index = self.versions[0].chunk_index
         self.duration = self.versions[0].duration
+        self.sizes: Tuple[float, ...] = tuple(
+            v.size_bytes for v in self.versions
+        )
+        self.ssims_db: Tuple[float, ...] = tuple(
+            v.ssim_db for v in self.versions
+        )
 
     def __len__(self) -> int:
         return len(self.versions)
@@ -80,14 +86,6 @@ class ChunkMenu:
 
     def __getitem__(self, index: int) -> EncodedChunk:
         return self.versions[index]
-
-    @property
-    def sizes(self) -> Tuple[float, ...]:
-        return tuple(v.size_bytes for v in self.versions)
-
-    @property
-    def ssims_db(self) -> Tuple[float, ...]:
-        return tuple(v.ssim_db for v in self.versions)
 
     def version_for_profile(self, profile: EncodingProfile) -> EncodedChunk:
         for version in self.versions:

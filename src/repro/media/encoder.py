@@ -92,7 +92,7 @@ class VbrEncoder:
                 - self.quality_complexity_slope * np.log2(complexity)
                 + float(self.rng.normal(0.0, self.quality_noise_sigma))
             )
-            ssim_db = float(np.clip(ssim_db, _MIN_SSIM_DB, _MAX_SSIM_DB))
+            ssim_db = float(min(max(ssim_db, _MIN_SSIM_DB), _MAX_SSIM_DB))
             versions.append(
                 EncodedChunk(
                     chunk_index=chunk_index,

@@ -13,6 +13,8 @@ from repro.media.encoder import encode_clip
 from repro.media.source import DEFAULT_CHANNELS
 from repro.net.tcp import TcpInfo
 
+from tests.counting import CountingSequence
+
 
 def info():
     return TcpInfo(cwnd=10, in_flight=0, min_rtt=0.05, rtt=0.05, delivery_rate=0)
@@ -68,3 +70,12 @@ class TestAbrContext:
         algo = AbrAlgorithm()
         algo.begin_stream()
         algo.on_chunk_complete(record(0))
+
+
+class TestHarmonicMeanTailOnly:
+    def test_touches_only_the_window(self):
+        records = [record(i, tx=1.0 + i % 3) for i in range(400)]
+        history = CountingSequence(records)
+        hm = harmonic_mean_throughput(history, window=5)
+        assert history.touched <= 5
+        assert hm == harmonic_mean_throughput(records, window=5)

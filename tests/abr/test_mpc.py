@@ -38,7 +38,7 @@ class TestHarmonicMeanPredictor:
     def test_point_mass_distribution(self):
         predictor = HarmonicMeanPredictor()
         context = ctx(history=[record(0)])
-        dist = predictor.predict(context, 0, np.array([1_000_000, 2_000_000]))
+        (dist,) = predictor.predict(context, [np.array([1_000_000, 2_000_000])])
         assert dist.times.shape == (2, 1)
         assert dist.probs.shape == (2, 1)
         # 8 Mbps HM estimate -> 1 MB takes 1 s.
@@ -53,7 +53,7 @@ class TestHarmonicMeanPredictor:
     def test_robust_discount_after_error(self):
         predictor = HarmonicMeanPredictor(robust=True, conservatism=1.0)
         context = ctx(history=[record(0, 1_000_000, 1.0)])  # 8 Mbps
-        predictor.predict(context, 0, np.array([1_000_000.0]))
+        predictor.predict(context, [np.array([1_000_000.0])])
         # Actual throughput was 4x lower than predicted.
         predictor.observe(record(1, 1_000_000, 4.0))
         discounted = predictor.throughput_estimate(
@@ -68,7 +68,7 @@ class TestHarmonicMeanPredictor:
         def discounted_estimate(conservatism):
             p = HarmonicMeanPredictor(robust=True, conservatism=conservatism)
             c = ctx(history=[record(0, 1_000_000, 1.0)])
-            p.predict(c, 0, np.array([1_000_000.0]))
+            p.predict(c, [np.array([1_000_000.0])])
             p.observe(record(1, 1_000_000, 2.0))
             return p.throughput_estimate(c)
 
@@ -77,7 +77,7 @@ class TestHarmonicMeanPredictor:
     def test_reset_clears_errors(self):
         predictor = HarmonicMeanPredictor(robust=True)
         context = ctx(history=[record(0)])
-        predictor.predict(context, 0, np.array([1_000_000.0]))
+        predictor.predict(context, [np.array([1_000_000.0])])
         predictor.observe(record(1, 1_000_000, 10.0))
         predictor.reset()
         assert predictor.throughput_estimate(context) == pytest.approx(

@@ -32,9 +32,13 @@ class ConstantThroughputModel:
     def __init__(self, throughput_bps):
         self.throughput_bps = throughput_bps
 
-    def predict(self, context, step, sizes_bytes):
-        times = np.asarray(sizes_bytes) * 8.0 / self.throughput_bps
-        return TimeDistribution.point_mass(times)
+    def predict(self, context, sizes_per_step):
+        return [
+            TimeDistribution.point_mass(
+                np.asarray(sizes_bytes) * 8.0 / self.throughput_bps
+            )
+            for sizes_bytes in sizes_per_step
+        ]
 
 
 class BimodalModel:
@@ -45,7 +49,10 @@ class BimodalModel:
         self.slow_probability = slow_probability
         self.slow_time = slow_time
 
-    def predict(self, context, step, sizes_bytes):
+    def predict(self, context, sizes_per_step):
+        return [self._step(sizes_bytes) for sizes_bytes in sizes_per_step]
+
+    def _step(self, sizes_bytes):
         sizes = np.asarray(sizes_bytes, dtype=float)
         fast = sizes * 8.0 / 50e6
         times = np.stack([fast, np.full_like(fast, self.slow_time)], axis=1)
@@ -65,6 +72,23 @@ class TestTimeDistribution:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             TimeDistribution(times=np.zeros((2, 3)), probs=np.zeros((2, 2)))
+
+    def test_shared_row_of_times_accepted(self):
+        dist = TimeDistribution(
+            times=np.array([[0.5, 4.0]]),
+            probs=np.array([[0.9, 0.1], [0.6, 0.4], [0.2, 0.8]]),
+        )
+        dist.validate()
+
+    @pytest.mark.parametrize(
+        "times_shape, probs_shape",
+        [((2, 3), (4, 3)), ((1, 2), (4, 3)), ((3,), (1, 3)), ((4, 3), (1, 3))],
+    )
+    def test_unbroadcastable_shapes_rejected(self, times_shape, probs_shape):
+        with pytest.raises(ValueError):
+            TimeDistribution(
+                times=np.zeros(times_shape), probs=np.zeros(probs_shape)
+            )
 
     def test_validate_checks_probabilities(self):
         dist = TimeDistribution(
@@ -171,8 +195,9 @@ class TestPlanning:
 
     def test_wrong_model_output_shape_rejected(self):
         class BadModel:
-            def predict(self, context, step, sizes_bytes):
-                return TimeDistribution.point_mass([1.0])  # wrong n
+            def predict(self, context, sizes_per_step):
+                # wrong n
+                return [TimeDistribution.point_mass([1.0])] * len(sizes_per_step)
 
         controller = ValueIterationController()
         with pytest.raises(ValueError, match="wrong number"):

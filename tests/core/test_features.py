@@ -19,6 +19,8 @@ from repro.core.features import (
 )
 from repro.net.tcp import TcpInfo
 
+from tests.counting import CountingSequence
+
 
 def info(**kwargs):
     defaults = dict(cwnd=20, in_flight=5, min_rtt=0.04, rtt=0.05,
@@ -133,3 +135,15 @@ class TestFeatures:
     def test_matrix_rejects_nonpositive_sizes(self):
         with pytest.raises(ValueError):
             make_feature_matrix([], info(), np.array([1.0, 0.0]))
+
+
+class TestHistoryTailOnly:
+    def test_history_features_touch_only_the_last_eight(self):
+        # A four-hour session is ~7000 records; copying them per decision
+        # made the decide step quadratic in stream length.
+        history = CountingSequence(record(i, tx=0.1 + i) for i in range(500))
+        features = make_features(history, info(), 500_000)
+        assert history.touched <= HISTORY_LEN
+        np.testing.assert_array_equal(
+            features, make_features([record(i, tx=0.1 + i) for i in range(500)], info(), 500_000)
+        )

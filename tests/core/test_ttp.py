@@ -78,7 +78,9 @@ class TestPredictor:
         ttp = TransmissionTimePredictor(seed=0)
         sizes = np.array([1e5, 5e5, 1.5e6])
         dist = ttp.distribution([record(0)], info(), sizes, step=0)
-        assert dist.times.shape == (3, 21)
+        # Every size shares the bin centres: one broadcast row.
+        assert dist.times.shape == (1, 21)
+        assert dist.probs.shape == (3, 21)
         np.testing.assert_allclose(dist.probs.sum(axis=1), 1.0)
         dist.validate()
 

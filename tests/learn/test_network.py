@@ -30,6 +30,24 @@ class TestArchitecture:
         assert np.all(p >= 0)
         np.testing.assert_allclose(p.sum(axis=1), 1.0)
 
+    def test_inference_is_forward_without_the_backward_caches(self):
+        from repro.learn.losses import softmax
+
+        x = np.random.default_rng(3).normal(size=(7, 5))
+        net = MLP(5, [8, 8], 4, rng=np.random.default_rng(1))
+        probs = net.predict_proba(x)
+        # Nothing was kept for a backward pass...
+        with pytest.raises(RuntimeError, match="before forward"):
+            net.backward(np.ones((7, 4)))
+        # ...and the values are the training pass's, to the bit.
+        np.testing.assert_array_equal(net.predict(x), net.forward(x))
+        np.testing.assert_array_equal(probs, softmax(net.forward(x)))
+
+    def test_inference_rejects_wrong_width(self):
+        net = MLP(5, [8], 4)
+        with pytest.raises(ValueError, match="input width"):
+            net.predict_proba(np.zeros((2, 6)))
+
     def test_parameter_count(self):
         net = MLP(22, [64, 64], 21)
         n_params = sum(v.size for _, v, __ in net.parameters())

@@ -54,6 +54,9 @@ class TestChunkMenu:
         )
         assert menu.sizes == (100, 200)
         assert menu.ssims_db == (5.0, 8.0)
+        # Built once with the menu, not on every access.
+        assert menu.sizes is menu.sizes
+        assert menu.ssims_db is menu.ssims_db
 
     def test_version_for_profile(self):
         v0 = make_version(rung=0)

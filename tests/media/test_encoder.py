@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.media.encoder import VbrEncoder, encode_clip
 from repro.media.ladder import PUFFER_LADDER
@@ -59,6 +61,33 @@ class TestEncodeChunk:
         mean_size = np.mean([m[9].size_bytes for m in menus])
         target_size = PUFFER_LADDER[9].target_bitrate * 2.002 / 8
         assert mean_size == pytest.approx(target_size, rel=0.3)
+
+
+class TestSsimClamp:
+    @given(
+        # Wide enough that both ends of the [2, 25] dB clamp are reached.
+        log2_complexity=st.floats(-12.0, 12.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_clamp_is_np_clip(self, log2_complexity, seed):
+        # The per-rung clamp is plain min/max on the hot path; for the
+        # non-NaN floats it sees, that is np.clip to the last bit.
+        complexity = float(2.0**log2_complexity)
+        encoder = VbrEncoder(seed=seed)
+        menu = encoder.encode_chunk(0, complexity)
+        twin = np.random.default_rng(seed)
+        twin.lognormal(-0.5 * encoder.size_noise_sigma**2, encoder.size_noise_sigma)
+        expected = []
+        for profile in encoder.ladder:
+            raw = (
+                profile.base_ssim_db
+                - encoder.quality_complexity_slope * np.log2(complexity)
+                + float(twin.normal(0.0, encoder.quality_noise_sigma))
+            )
+            clipped = float(np.clip(raw, 2.0, 25.0))
+            expected.append(max(clipped, expected[-1]) if expected else clipped)
+        assert menu.ssims_db == tuple(expected)
 
 
 class TestEncodeSource:
