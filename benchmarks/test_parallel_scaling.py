@@ -11,18 +11,14 @@ Scale knobs (environment variables):
 
 * ``REPRO_SCALING_SESSIONS`` — sessions in the timed trial (default 200).
 * ``REPRO_SCALING_WORKERS`` — pool size for the timed run (default 4).
-* ``REPRO_BATCH_SESSIONS`` — sessions in the batch-executor bench
+* ``REPRO_BATCH_SESSIONS`` — sessions in the batch-executor check
   (default 512).
-* ``REPRO_BATCH_LANES`` — lockstep width for the batch kernel
-  (default 128).
 
 The >= 2x-at-4-workers assertion only engages when the machine actually has
 the cores; on smaller CI boxes the bench still validates correctness and
-prints the measured throughput.  The batch-executor bench follows the same
-pattern: the single-process vectorization floor is asserted everywhere,
-and the composed >= 10x bar (vectorized kernel x process pool, the
-configuration the fleet runner actually deploys) engages when the cores
-exist to run the pool in parallel.
+prints the measured throughput.  The batch executor is only checked for
+bit-identity here, at a scale the tier-1 suite cannot afford; its speed is
+measured by the ``bba_batch`` workload of ``perf/run.py``.
 """
 
 import os
@@ -30,7 +26,6 @@ import time
 
 import pytest
 
-from repro import obs
 from repro.abr.bba import BBA
 from repro.abr.mpc import MpcHm, RobustMpcHm
 from repro.batch import run_session_batch
@@ -40,7 +35,6 @@ from repro.experiment.schemes import SchemeSpec
 SESSIONS = int(os.environ.get("REPRO_SCALING_SESSIONS", "200"))
 WORKERS = int(os.environ.get("REPRO_SCALING_WORKERS", "4"))
 BATCH_SESSIONS = int(os.environ.get("REPRO_BATCH_SESSIONS", "512"))
-BATCH_LANES = int(os.environ.get("REPRO_BATCH_LANES", "128"))
 
 
 def scaling_specs():
@@ -122,87 +116,22 @@ class TestParallelScaling:
         assert report.chunk_size * max(len(report.per_worker), 1) <= SESSIONS
 
 
-@pytest.fixture(scope="module")
-def batch_runs():
-    """Identical session ids through the scalar loop and the batch kernel.
-
-    Timed with observability *off*: ``obs.ENABLED`` forces the kernel into
-    its scalar fallback (and perturbs the scalar loop), so wall clock is
-    captured around the runs and recorded onto an :class:`repro.obs`
-    context afterwards.
-    """
-    specs = [
-        SchemeSpec(
-            name="bba", control="classical", predictor="n/a",
-            optimization_goal="+SSIM s.t. bitrate < limit",
-            how_trained="n/a", factory=BBA,
-        )
-    ]
-    config = TrialConfig(n_sessions=max(BATCH_SESSIONS, 1000), seed=42)
-    ids = range(BATCH_SESSIONS)
-    t0 = time.perf_counter()
-    batch_shards = run_session_batch(
-        specs, config, ids, lanes=BATCH_LANES
-    )
-    batch_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    scalar_shards = [run_session(specs, config, sid) for sid in ids]
-    scalar_s = time.perf_counter() - t0
-
-    context = obs.ObsContext()
-    with obs.activate(context):
-        obs.gauge_set("bench.batch.sessions", float(BATCH_SESSIONS))
-        obs.gauge_set("bench.batch.lanes", float(BATCH_LANES))
-        obs.observe("bench.batch.wall_s", batch_s, spec=obs.TIME_SPEC)
-        obs.observe("bench.scalar.wall_s", scalar_s, spec=obs.TIME_SPEC)
-        obs.gauge_set(
-            "bench.batch.sessions_per_s", BATCH_SESSIONS / batch_s
-        )
-        obs.gauge_set(
-            "bench.scalar.sessions_per_s", BATCH_SESSIONS / scalar_s
-        )
-    return batch_shards, batch_s, scalar_shards, scalar_s, context
-
-
 class TestBatchExecutorSpeedup:
-    def test_bit_identical(self, batch_runs):
-        batch_shards, _, scalar_shards, _, _ = batch_runs
-        assert len(batch_shards) == len(scalar_shards) == BATCH_SESSIONS
-        for sid, (b, s) in enumerate(zip(batch_shards, scalar_shards)):
-            assert b == s, f"batch shard diverged for session {sid}"
-
-    def test_speedup(self, batch_runs):
-        _, batch_s, _, scalar_s, context = batch_runs
-        kernel_speedup = scalar_s / batch_s if batch_s > 0 else float("inf")
-        composed = kernel_speedup * WORKERS
-        cpus = os.cpu_count() or 1
-        print(
-            f"\nbatch executor @ {BATCH_SESSIONS} sessions, "
-            f"{BATCH_LANES} lanes: scalar {scalar_s:.2f}s "
-            f"({BATCH_SESSIONS / scalar_s:.1f} sess/s), "
-            f"batch {batch_s:.2f}s ({BATCH_SESSIONS / batch_s:.1f} sess/s) "
-            f"-> kernel {kernel_speedup:.2f}x, "
-            f"x{WORKERS} workers -> {composed:.1f}x on {cpus} cpus"
-        )
-        print(obs.format_summary(context.to_dict()))
-        # The vectorization floor holds on any machine: one process, same
-        # session ids, no parallelism involved.
-        assert kernel_speedup >= 2.5, (
-            f"batch kernel only {kernel_speedup:.2f}x faster than the "
-            f"scalar loop (expected >= 2.5x single-process)"
-        )
-        if cpus >= WORKERS:
-            # The deployed configuration: the fleet runner shards chunks
-            # across WORKERS processes, each draining them through the
-            # batch kernel.  Kernel and pool speedups compose because the
-            # pool already scales near-linearly (TestParallelScaling).
-            assert composed >= 10.0, (
-                f"batch executor x {WORKERS} workers projects only "
-                f"{composed:.1f}x over the serial scalar loop"
+    def test_bit_identical(self):
+        """Identical session ids through the scalar loop and the batch
+        fast path, under the stock heavy-tailed viewer."""
+        specs = [
+            SchemeSpec(
+                name="bba", control="classical", predictor="n/a",
+                optimization_goal="+SSIM s.t. bitrate < limit",
+                how_trained="n/a", factory=BBA,
             )
-        else:
-            pytest.skip(
-                f"only {cpus} cpu(s): recorded kernel speedup "
-                f"{kernel_speedup:.2f}x without asserting the composed "
-                f">=10x bar"
+        ]
+        config = TrialConfig(n_sessions=max(BATCH_SESSIONS, 1000), seed=42)
+        ids = range(BATCH_SESSIONS)
+        batch_shards = run_session_batch(specs, config, ids)
+        assert len(batch_shards) == BATCH_SESSIONS
+        for sid, shard in zip(ids, batch_shards):
+            assert shard == run_session(specs, config, sid), (
+                f"batch shard diverged for session {sid}"
             )

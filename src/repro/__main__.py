@@ -397,7 +397,6 @@ def _fleet_cli_args(args: argparse.Namespace) -> dict:
         "chunk_size": args.chunk_size,
         "archive_dir": args.archive_dir,
         "executor": args.executor,
-        "batch_lanes": args.batch_lanes,
         "cells": args.cells,
         "cell_dist": args.cell_dist,
         "cell_capacity_bps": args.cell_capacity_bps,
@@ -436,7 +435,6 @@ def _fleet_config_from_args(args: argparse.Namespace):
         trial=trial,
         chunk_sessions=args.chunk_size,
         executor=args.executor,
-        batch_lanes=args.batch_lanes,
         edge=edge,
     )
 
@@ -601,7 +599,6 @@ def _cmd_fleet_resume(args: argparse.Namespace) -> int:
         chunk_size=int(stored["chunk_size"]),
         archive_dir=stored["archive_dir"],
         executor=str(stored.get("executor", "auto")),
-        batch_lanes=int(stored.get("batch_lanes", 64)),
         cells=(
             float(stored["cells"])
             if stored.get("cells") is not None
@@ -798,14 +795,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--executor", choices=["auto", "batch", "scalar"],
             default="auto",
-            help="chunk executor: the vectorized batch kernel, the scalar "
-            "session loop, or auto-select (the dump is byte-identical "
-            "either way)",
-        )
-        p.add_argument(
-            "--batch-lanes", type=int, default=64,
-            help="lockstep width of the batch executor (does not affect "
-            "results)",
+            help="chunk executor: the per-session fast path for bba / bola "
+            "arms (block menus, fused TCP round loop), the scalar session "
+            "loop, or auto-select (the dump is byte-identical either way)",
         )
         p.add_argument(
             "--cells", type=float, default=None, metavar="MEAN",

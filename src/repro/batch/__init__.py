@@ -1,17 +1,20 @@
-"""Vectorized batch-session kernel.
+"""Batch executor: a per-session fast path for BBA, BOLA and rate-based.
 
-``run_session_batch`` advances many sessions in lockstep with numpy
-struct-of-arrays state, producing :class:`repro.experiment.harness.
+``run_session_batch`` runs its sessions one after another on a lean copy of
+the scalar stack — block-generated chunk menus, ``TcpConnection.transmit``
+and ``BbrLike.on_round`` fused into one round loop, the buffer and the
+three decision rules inlined — producing :class:`repro.experiment.harness.
 SessionShard` objects **bit-identical** to the scalar
 :func:`repro.experiment.harness.run_session` — same random draws, same
-float arithmetic, same record contents.  Sessions whose configuration is
-not vectorizable (non-vectorizable ABR scheme, CUBIC congestion control,
-telemetry or observability collection) transparently fall back to the
-scalar path, so the batch executor is always safe to enable.
+float arithmetic, same record contents.  Sessions it does not reproduce
+(any other ABR scheme, CUBIC congestion control, telemetry or
+observability collection) transparently fall back to the scalar path, so
+the batch executor is always safe to enable.
 
 The equivalence contract is enforced by the differential suite in
-``tests/batch/`` (see EXPERIMENTS.md for the vectorizability criteria and
-the tolerance policy — there is none: equality is exact).
+``tests/batch/`` (see EXPERIMENTS.md for the eligibility criteria, where
+the speed comes from, and the tolerance policy — there is none: equality
+is exact).
 """
 
 from repro.batch.engine import (

@@ -363,7 +363,7 @@ def session_machine(
     # repro: allow-DET002(wall-clock session cost; quarantined profile.* metric) repro: allow-PURE002(profiling only; value never reaches session results)
     wall_start = time.perf_counter()
 
-    # repro: allow-SEED003(scheme-assignment fold; the batch lane replays it bit-for-bit, and a stream constant would re-randomize every historical assignment)
+    # repro: allow-SEED003(scheme-assignment fold; repro.batch replays it bit-for-bit, and a stream constant would re-randomize every historical assignment)
     rng = np.random.default_rng((config.seed, session_id))
     spec = specs[int(rng.integers(len(specs)))]
     algorithm = algorithms[spec.name]
@@ -376,7 +376,7 @@ def session_machine(
     )
 
     path = PathSampler(
-        # repro: allow-SEED001(legacy path seed; the batch lane and all collected telemetry depend on this exact arithmetic form staying bit-identical)
+        # repro: allow-SEED001(legacy path seed; repro.batch and all collected telemetry depend on this exact arithmetic form staying bit-identical)
         population=config.population, seed=config.seed * 1_000_003 + session_id
     ).next_path()
     transport = yield ConnectRequest(

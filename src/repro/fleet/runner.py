@@ -99,16 +99,12 @@ class FleetConfig:
 
     executor: str = "auto"
     """Per-chunk session executor: ``"scalar"`` runs ``run_session`` per
-    arrival; ``"batch"`` runs each chunk through the vectorized
-    ``run_session_batch`` kernel (bit-identical shards — the dump does not
-    change); ``"auto"`` picks the batch kernel whenever it can help (no
-    telemetry collection and at least one vectorizable scheme).  A pure
-    execution knob: not part of the fingerprint."""
-
-    batch_lanes: int = 64
-    """Lockstep width for the batch executor (sessions advanced per vector
-    round).  Not part of the fingerprint: shards are bit-identical at any
-    lane count."""
+    arrival; ``"batch"`` runs each chunk through ``run_session_batch``, the
+    per-session fast path for BBA / BOLA / rate-based arms (block menus, a
+    fused TCP round loop, inlined glue; bit-identical shards — the dump
+    does not change); ``"auto"`` picks the fast path whenever it can help
+    (no telemetry collection and at least one scheme it reproduces).  A
+    pure execution knob: not part of the fingerprint."""
 
     edge: Optional[EdgeConfig] = None
     """Cell mode: partition arrivals into shared-bottleneck edge cells and
@@ -122,8 +118,6 @@ class FleetConfig:
             raise ValueError("chunk_sessions must be >= 1")
         if self.executor not in ("auto", "batch", "scalar"):
             raise ValueError("executor must be 'auto', 'batch' or 'scalar'")
-        if self.batch_lanes < 1:
-            raise ValueError("batch_lanes must be >= 1")
 
     def fingerprint(self, specs: Sequence[SchemeSpec]) -> str:
         """Configuration identity for checkpoint compatibility.
@@ -133,7 +127,7 @@ class FleetConfig:
         via their stable dataclass reprs), the scheme set, and the edge
         tier when enabled (appended only then, so classic checkpoints keep
         their historical fingerprints).  Excludes pure execution knobs
-        (workers, chunk size, checkpoint cadence, executor/batch lanes).
+        (workers, chunk size, checkpoint cadence, executor).
         """
         trial = self.trial
         trial_knobs = {
@@ -349,7 +343,6 @@ class _ChunkPayload(parallel.SessionPayload):
     the *resolved* executor ("scalar" or "batch" — never "auto")."""
 
     executor: str
-    batch_lanes: int
     edge: Optional[EdgeConfig]
 
 
@@ -366,8 +359,8 @@ def _simulate_chunk(payload: _ChunkPayload, items: Sequence) -> _FleetChunk:
     ``items`` is ``[(session_id, time_s), ...]``, or in cell mode a list of
     whole cells (:data:`_CellItems`).  The shards come from one of three
     executors — ``run_session`` per arrival, the ``run_session_batch``
-    kernel, or ``run_cell`` per cell — which are bit-identical wherever
-    they overlap (the batch kernel to the scalar path, a singleton cell to
+    fast path, or ``run_cell`` per cell — which are bit-identical wherever
+    they overlap (the fast path to the scalar path, a singleton cell to
     ``run_session``), so the folded delta, and therefore the dump, does not
     depend on the choice.
     """
@@ -410,7 +403,6 @@ def _simulate_chunk(payload: _ChunkPayload, items: Sequence) -> _FleetChunk:
             [session_id for session_id, _ in items],
             expt_ids,
             algorithms,
-            lanes=payload.batch_lanes,
         )
     else:
         arrivals = items
@@ -439,15 +431,15 @@ def _resolve_executor(
 ) -> str:
     """Resolve ``config.executor`` to a concrete chunk executor.
 
-    ``auto`` selects the batch kernel when it can actually vectorize
-    something: telemetry collection forces the kernel into per-session
-    scalar fallback (so there is nothing to gain), and so does a scheme
-    set with no vectorizable member.
+    ``auto`` selects the batch fast path when some session can actually
+    take it: telemetry collection sends every session to its scalar
+    fallback (so there is nothing to gain), and so does a scheme set with
+    no member it reproduces (``is_vectorizable_algorithm``).
     """
     if config.edge is not None:
-        # The cell engine drives session machines itself; the batch kernel's
-        # private-link lockstep does not apply.  Singleton cells still take
-        # the scalar run_session path inside run_cell.
+        # The cell engine drives session machines itself; the fast path
+        # models a private link per session and does not apply.  Singleton
+        # cells still take the scalar run_session path inside run_cell.
         return "scalar"
     if config.executor != "auto":
         return config.executor
@@ -671,7 +663,6 @@ def _drive_fleet(
                     trial,
                     assign_expt_ids(segment_specs, trial.seed),
                     executor=executor,
-                    batch_lanes=config.batch_lanes,
                     edge=config.edge,
                 )
                 if config.edge is not None:

@@ -48,17 +48,6 @@ def epoch_index(t: float, epoch: float) -> int:
     return i
 
 
-def epoch_index_array(times: np.ndarray, epoch: float) -> np.ndarray:
-    """Vectorized :func:`epoch_index` (bit-identical for every element)."""
-    t = np.asarray(times, dtype=np.float64)
-    if t.size and float(t.min()) < 0:
-        raise ValueError("time must be non-negative")
-    idx = (t / epoch).astype(np.int64)
-    idx = np.where((idx + 1) * epoch <= t, idx + 1, idx)
-    idx = np.where((idx > 0) & (idx * epoch > t), idx - 1, idx)
-    return idx
-
-
 class LinkModel:
     """Abstract time-varying bottleneck."""
 
@@ -80,14 +69,6 @@ class LinkModel:
         if t < 0:
             raise ValueError("time must be non-negative")
         return math.inf
-
-    def capacity_batch(self, times: np.ndarray) -> np.ndarray:
-        """Capacities at a 1-D array of times (bit-identical to looping
-        :meth:`capacity_at`; subclasses override with vectorized math)."""
-        t = np.asarray(times, dtype=np.float64)
-        return np.array(
-            [self.capacity_at(float(v)) for v in t], dtype=np.float64
-        )
 
     def mean_capacity(self, horizon: float = 300.0, dt: float = 1.0) -> float:
         """Empirical mean capacity over ``[0, horizon)`` (diagnostics)."""
@@ -112,12 +93,6 @@ class ConstantLink(LinkModel):
         if t < 0:
             raise ValueError("time must be non-negative")
         return max(self.rate_bps, MIN_CAPACITY)
-
-    def capacity_batch(self, times: np.ndarray) -> np.ndarray:
-        t = np.asarray(times, dtype=np.float64)
-        if t.size and float(t.min()) < 0:
-            raise ValueError("time must be non-negative")
-        return np.full(t.shape, max(self.rate_bps, MIN_CAPACITY))
 
 
 class TraceLink(LinkModel):
@@ -163,15 +138,6 @@ class TraceLink(LinkModel):
             index = min(index, len(self.rates_bps) - 1)
         return self.rates_bps[index]
 
-    def capacity_batch(self, times: np.ndarray) -> np.ndarray:
-        idx = epoch_index_array(times, self.epoch)
-        n = len(self.rates_bps)
-        if self.loop:
-            idx = idx % n
-        else:
-            idx = np.minimum(idx, n - 1)
-        return np.asarray(self.rates_bps, dtype=np.float64)[idx]
-
 
 class _LazyEpochLink(LinkModel):
     """Base for stochastic links that realize capacity one epoch at a time."""
@@ -195,8 +161,7 @@ class _LazyEpochLink(LinkModel):
         """Materialize epochs up to and including ``index``.
 
         Realizing ahead is unobservable: the per-epoch generator is consumed
-        in the same order regardless of when epochs are materialized, so a
-        batch caller may prefetch a whole horizon at once.
+        in the same order regardless of when epochs are materialized.
         """
         while len(self._realized) <= index:
             self._realized.append(max(self._next_epoch_capacity(), MIN_CAPACITY))
@@ -207,12 +172,6 @@ class _LazyEpochLink(LinkModel):
         index = epoch_index(t, self.epoch)
         self.realize_through(index)
         return self._realized[index]
-
-    def capacity_batch(self, times: np.ndarray) -> np.ndarray:
-        idx = epoch_index_array(times, self.epoch)
-        if idx.size:
-            self.realize_through(int(idx.max()))
-        return np.asarray(self._realized, dtype=np.float64)[idx]
 
 
 class MarkovLink(_LazyEpochLink):

@@ -381,3 +381,39 @@ class TestSigkillResume:
             assert (victim_dir / "archive" / name).read_bytes() == (
                 ref_dir / "archive" / name
             ).read_bytes()
+
+
+class TestResumeOfOlderCheckpoint:
+    """``repro fleet resume`` rebuilds the run from the checkpoint's stored
+    ``cli_args``; a key a later version no longer has must be ignored."""
+
+    CLI = [
+        "--days", "0.02", "--rate", "80", "--seed", "5",
+        "--trial-seed", "11", "--chunk-size", "4",
+    ]
+
+    def test_stored_batch_lanes_is_ignored(self, tmp_path):
+        from repro.__main__ import main
+
+        reference = tmp_path / "reference.json"
+        assert main(["fleet", "run", *self.CLI, "--out", str(reference)]) == 0
+
+        ckpt = tmp_path / "ckpt.json"
+        assert main([
+            "fleet", "run", *self.CLI,
+            "--checkpoint", str(ckpt), "--stop-after", "12",
+        ]) == 0
+        # Every checkpoint written while the batch executor had a lockstep
+        # width carries it in cli_args.
+        stored = json.loads(ckpt.read_text())
+        assert not stored["completed"]
+        assert "batch_lanes" not in stored["cli_args"]
+        stored["cli_args"]["batch_lanes"] = 64
+        ckpt.write_text(json.dumps(stored, sort_keys=True) + "\n")
+
+        resumed = tmp_path / "resumed.json"
+        assert main([
+            "fleet", "resume", "--checkpoint", str(ckpt),
+            "--out", str(resumed),
+        ]) == 0
+        assert resumed.read_bytes() == reference.read_bytes()

@@ -6,6 +6,7 @@ open-data archive produces the same CSV bytes serially and in parallel.
 """
 
 import ast
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -232,3 +233,11 @@ def test_src_has_exactly_one_process_pool():
                 if callee in ("Pool", "ProcessPoolExecutor"):
                     sites.append(path.relative_to(root).as_posix())
     assert sites == ["src/repro/experiment/parallel.py"]
+
+
+def test_fleet_config_has_exactly_these_fields():
+    """Structural guard: every ``FleetConfig`` field is a value someone can
+    set independently, so an option cannot (re)appear unnoticed."""
+    assert {f.name for f in dataclasses.fields(FleetConfig)} == {
+        "workload", "trial", "chunk_sessions", "executor", "edge",
+    }

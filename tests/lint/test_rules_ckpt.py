@@ -189,7 +189,6 @@ class TestFleetConfigMutation:
                 exclude={
                     "chunk_sessions": "cadence only",
                     "executor": "execution knob",
-                    "batch_lanes": "lockstep width",
                 },
             )
         }
@@ -211,7 +210,7 @@ class TestFleetConfigMutation:
 
     def test_new_undeclared_field_fails_before_allowlisting(self):
         text = self.RUNNER.read_text()
-        anchor = "    batch_lanes: int = 64"
+        anchor = '    executor: str = "auto"'
         assert anchor in text
         mutated = text.replace(
             anchor, "    new_knob: int = 0\n" + anchor, 1
@@ -222,7 +221,7 @@ class TestFleetConfigMutation:
 
     def test_allowlisting_the_new_field_restores_green(self):
         text = self.RUNNER.read_text()
-        anchor = "    batch_lanes: int = 64"
+        anchor = '    executor: str = "auto"'
         mutated = text.replace(
             anchor, "    new_knob: int = 0\n" + anchor, 1
         )
@@ -235,7 +234,6 @@ class TestFleetConfigMutation:
                     exclude={
                         "chunk_sessions": "cadence only",
                         "executor": "execution knob",
-                        "batch_lanes": "lockstep width",
                         "new_knob": "decided: execution knob",
                     },
                 )

@@ -5,8 +5,7 @@ at epoch boundaries when ``epoch`` is not binary-representable: for
 ``t = k * epoch`` the float division can land just below ``k`` (~6% of the
 time for ``epoch = 0.3``), returning the *previous* epoch's capacity at the
 instant a new epoch begins.  These tests pin the corrected half-open
-interval rule — epoch ``i`` owns ``[i * epoch, (i + 1) * epoch)`` — and the
-scalar/vector agreement the batch kernel depends on.
+interval rule — epoch ``i`` owns ``[i * epoch, (i + 1) * epoch)``.
 """
 
 import numpy as np
@@ -20,7 +19,6 @@ from repro.net.link import (
     MarkovLink,
     TraceLink,
     epoch_index,
-    epoch_index_array,
 )
 
 # 0.3 and 0.1 are the classic non-representable widths; 6.0 is the paper's
@@ -55,27 +53,14 @@ class TestEpochIndex:
         with pytest.raises(ValueError):
             epoch_index(-0.1, 0.3)
 
-    @pytest.mark.parametrize("epoch", EPOCHS)
-    def test_array_matches_scalar_on_boundaries(self, epoch):
-        times = np.array([k * epoch for k in range(1000)])
-        idx = epoch_index_array(times, epoch)
-        assert idx.tolist() == [
-            epoch_index(float(t), epoch) for t in times
-        ]
-
     @given(
         st.floats(0.0, 1e4),
         st.sampled_from(EPOCHS),
     )
     @settings(max_examples=200, deadline=None)
-    def test_array_matches_scalar_everywhere(self, t, epoch):
-        assert epoch_index_array(np.array([t]), epoch)[0] == epoch_index(
-            t, epoch
-        )
-
-    def test_array_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            epoch_index_array(np.array([0.0, -1.0]), 0.3)
+    def test_half_open_interval_rule_everywhere(self, t, epoch):
+        i = epoch_index(t, epoch)
+        assert i * epoch <= t < (i + 1) * epoch
 
 
 def _links():
@@ -125,17 +110,16 @@ class TestBoundaryLookups:
         assert at_boundary == mid
 
     @pytest.mark.parametrize("link", _links(), ids=lambda l: type(l).__name__)
-    def test_capacity_batch_matches_capacity_at_pointwise(self, link):
-        # Boundaries, near-boundaries, and interior points all at once.
-        base = np.array([k * 0.3 for k in range(300)])
-        times = np.concatenate(
-            [base, base + 0.15, np.nextafter(base[1:], 0.0)]
-        )
-        batch = link.capacity_batch(times)
-        scalar = [link.capacity_at(float(t)) for t in times]
-        assert batch.tolist() == scalar
+    def test_capacity_at_follows_the_half_open_rule(self, link):
+        # At every boundary and one ulp below it, the lookup returns the
+        # capacity of the epoch that owns the instant (read at its midpoint).
+        boundaries = [k * 0.3 for k in range(1, 300)]
+        below = [float(np.nextafter(b, 0.0)) for b in boundaries]
+        for t in boundaries + below:
+            owner = epoch_index(t, 0.3)
+            assert link.capacity_at(t) == link.capacity_at(owner * 0.3 + 0.15)
 
     @pytest.mark.parametrize("link", _links(), ids=lambda l: type(l).__name__)
-    def test_capacity_batch_negative_time_rejected(self, link):
+    def test_capacity_at_negative_time_rejected(self, link):
         with pytest.raises(ValueError):
-            link.capacity_batch(np.array([-0.5]))
+            link.capacity_at(-0.5)

@@ -24,6 +24,17 @@ class TestParser:
         assert args.streams == [100, 200]
         assert args.trials == 3
 
+    @pytest.mark.parametrize("command", ["run", "retrain"])
+    def test_fleet_rejects_the_removed_batch_lanes_flag(self, command, capsys):
+        argv = ["fleet", command, "--executor", "batch"]
+        if command == "retrain":
+            argv += ["--archive-dir", "a", "--registry", "r"]
+        assert build_parser().parse_args(argv).executor == "batch"
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv + ["--batch-lanes", "64"])
+        assert exit_info.value.code == 2
+        assert "--batch-lanes" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_quickstart_runs(self, capsys):
