@@ -103,6 +103,9 @@ def harmonic_mean_throughput(
     harmonic mean of the last five chunk-level throughput observations.
     Returns None when there is no history yet.
     """
+    if window <= 0:
+        # history[-0:] is the whole history, not none of it.
+        raise ValueError("window must be positive")
     recent = history[-window:]
     if not recent:
         return None

@@ -221,6 +221,8 @@ class Cs2pPredictor:
     """
 
     def __init__(self, hmm: DiscreteThroughputHmm, window: int = 20) -> None:
+        if window <= 0:
+            raise ValueError("window must be positive")
         self.hmm = hmm
         self.window = window
 

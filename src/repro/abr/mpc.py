@@ -56,6 +56,9 @@ class HarmonicMeanPredictor:
     ) -> None:
         if conservatism <= 0:
             raise ValueError("conservatism must be positive")
+        if window <= 0:
+            # A deque(maxlen=0) would also silently drop every error sample.
+            raise ValueError("window must be positive")
         self.robust = robust
         self.window = window
         self.startup_throughput_bps = startup_throughput_bps

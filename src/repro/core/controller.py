@@ -15,13 +15,24 @@ the :class:`TransmissionTimeModel` supplying ``P[T̂(K_i^s) = T_j]``:
 
 The implementation runs the backward recursion with numpy over the buffer
 grid, which is the vectorized equivalent of the paper's memoized forward
-recursion over reachable states.
+recursion over reachable states; the first step, whose one reachable state
+is the current buffer level, evaluates that bin alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Protocol, Sequence, Tuple
+from itertools import accumulate
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -30,6 +41,7 @@ from repro.core.qoe import DEFAULT_QOE, QoeParams
 
 if TYPE_CHECKING:  # typing only; avoids a circular import with repro.abr
     from repro.abr.base import AbrContext
+    from repro.media.chunk import ChunkMenu
 
 DEFAULT_HORIZON = 5
 """Planning horizon in chunks (~10 s of video, §4.5)."""
@@ -121,6 +133,9 @@ class ValueIterationController:
         self.horizon = horizon
         self.max_buffer_s = max_buffer_s
         self.buffer_bin_s = buffer_bin_s
+        # The grid and the memoised geometries are derived from the
+        # parameters above (the stall weight among them), which are fixed
+        # from here on.
         self._grid = np.arange(0.0, max_buffer_s + buffer_bin_s / 2, buffer_bin_s)
         self._geometry_memo: Dict[
             Tuple[bytes, float], Tuple[np.ndarray, np.ndarray]
@@ -128,30 +143,34 @@ class ValueIterationController:
 
     def _bin_index(self, buffer_s: np.ndarray) -> np.ndarray:
         idx = np.rint(buffer_s / self.buffer_bin_s).astype(int)
-        return np.clip(idx, 0, len(self._grid) - 1)
+        np.maximum(idx, 0, out=idx)
+        return np.minimum(idx, len(self._grid) - 1, out=idx)
 
     def _outcome_geometry(
-        self, times: np.ndarray, duration: float
+        self, times: np.ndarray, duration: Union[float, np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(stall, next_bin)``, each ``[a, b, j]``: seconds stalled, and
-        the grid bin the buffer lands in, when a chunk of ``duration``
-        seconds sent from grid bin ``b`` takes ``times[a, j]`` to arrive.
-        Depends on neither the rung's quality nor the context."""
+        """``(stall_cost, next_bin)``, each ``[a, b, j]``: the stall penalty
+        ``stall_weight * seconds stalled``, and the grid bin the buffer
+        lands in, when a chunk of ``duration`` seconds sent from grid bin
+        ``b`` takes ``times[a, j]`` to arrive. ``duration`` is one number or
+        one per row, as an ``(n_rows, 1, 1)`` column. Depends on neither the
+        rung's quality nor the context."""
         t = times[:, None, :]  # (rows, 1, k)
         b = self._grid[None, :, None]  # (1, n_bins, 1)
-        stall = np.maximum(t - b, 0.0)
-        next_buffer = np.minimum(
-            np.maximum(b - t, 0.0) + duration, self.max_buffer_s
-        )
-        return stall, self._bin_index(next_buffer)
+        stall_cost = np.maximum(t - b, 0.0)
+        stall_cost *= self.qoe.stall_weight
+        next_buffer = np.maximum(b - t, 0.0)
+        next_buffer += duration
+        np.minimum(next_buffer, self.max_buffer_s, out=next_buffer)
+        return stall_cost, self._bin_index(next_buffer)
 
     def _shared_row_geometry(
         self, times: np.ndarray, duration: float
     ) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`_outcome_geometry` of a one-row ``times``, memoised on the
-        row's contents — not its identity: a TTP recalibrates its tail
-        centre in place, and a content key can never serve the old row's
-        geometry for the new one."""
+        row's contents — not its identity: a TTP that recalibrates its tail
+        centre presents a row with other bytes, and a content key can never
+        serve the old row's geometry for the new one."""
         key = (times.tobytes(), duration)
         geometry = self._geometry_memo.get(key)
         if geometry is None:
@@ -159,6 +178,49 @@ class ValueIterationController:
                 self._geometry_memo.clear()
             geometry = self._outcome_geometry(times, duration)
             self._geometry_memo[key] = geometry
+        return geometry
+
+    def _horizon_geometry(
+        self,
+        dists: Sequence[TimeDistribution],
+        menus: Sequence["ChunkMenu"],
+    ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+        """Each step's ``(stall_cost, next_bin)``. A shared outcome row
+        keeps its memoised one-row geometry, which broadcasts over the
+        rungs. Per-rung rows (point masses, mixtures) are computed for the
+        whole horizon in one pass over the concatenated rows, each with its
+        own step's chunk duration; their ``next_bin`` holds offsets into the
+        flattened ``(rungs, bins)`` value table, ``rung * n_bins + bin``."""
+        n_bins = len(self._grid)
+        geometry: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        # Rows concatenate only at equal width: one pass per outcome count.
+        per_rung: Dict[int, List[int]] = {}
+        for step, (dist, menu) in enumerate(zip(dists, menus)):
+            if dist.probs.shape[0] != len(menu):
+                raise ValueError("model returned wrong number of versions")
+            if dist.times.shape[0] == 1:
+                geometry[step] = self._shared_row_geometry(
+                    dist.times, menu.duration
+                )
+            else:
+                per_rung.setdefault(dist.times.shape[1], []).append(step)
+        for group in per_rung.values():
+            counts = [len(menus[step]) for step in group]
+            durations = np.repeat(
+                np.array([menus[step].duration for step in group]), counts
+            )
+            stall_cost, next_bin = self._outcome_geometry(
+                np.concatenate([dists[step].times for step in group]),
+                durations[:, None, None],
+            )
+            # Rung r of a step reads row r of that step's value table.
+            rows = np.arange(max(counts)) * n_bins
+            next_bin += np.concatenate([rows[:n] for n in counts])[
+                :, None, None
+            ]
+            stops = list(accumulate(counts))
+            for step, start, stop in zip(group, [0] + stops, stops):
+                geometry[step] = (stall_cost[start:stop], next_bin[start:stop])
         return geometry
 
     def plan(
@@ -196,64 +258,50 @@ class ValueIterationController:
         )
         if len(dists) != steps:
             raise ValueError("model returned wrong number of steps")
+        geometry = self._horizon_geometry(dists, menus)
+        qualities = [np.asarray(menu.ssims_db) for menu in menus]
+        b0 = min(
+            max(round(context.buffer_s / self.buffer_bin_s), 0), n_bins - 1
+        )
 
-        # Backward pass. V[b, a_prev] = max expected QoE-to-go from buffer
+        # Backward pass. V[a_prev, b] = max expected QoE-to-go from buffer
         # bin b when the previous chunk used rung a_prev of the previous
-        # step's menu.
-        value: Optional[np.ndarray] = None  # shape (n_bins, n_prev_rungs)
-        first_step_ev: Optional[np.ndarray] = None
+        # step's menu. Step 0 is read at the current bin alone, so that is
+        # the one bin it evaluates.
+        value: Optional[np.ndarray] = None  # shape (n_prev_rungs, n_bins)
         for step in range(steps - 1, -1, -1):
-            menu = menus[step]
-            n_rungs = len(menu)
-            qualities = np.asarray(menu.ssims_db)
-            times = dists[step].times  # (n_rungs, k), or (1, k) shared
-            probs = dists[step].probs
-            if probs.shape[0] != n_rungs:
-                raise ValueError("model returned wrong number of versions")
-
-            # A shared row leaves stall and next_bin one row deep; they
-            # broadcast over the rungs below, value for value.
-            if times.shape[0] == 1:
-                stall, next_bin = self._shared_row_geometry(
-                    times, menu.duration
-                )
-            else:
-                stall, next_bin = self._outcome_geometry(times, menu.duration)
-            # Expected immediate reward without the variation term.
-            immediate = (
-                self.qoe.quality_weight * qualities[:, None, None]
-                - self.qoe.stall_weight * stall
+            bins = slice(None) if step else slice(b0, b0 + 1)
+            stall_cost, next_bin = geometry[step]
+            # Expected immediate reward without the variation term; a shared
+            # row's one-row geometry broadcasts over the rungs here.
+            block = (
+                self.qoe.quality_weight * qualities[step][:, None, None]
+                - stall_cost[:, bins]
             )
             if value is not None:
-                # Continuation indexed by (next bin, this rung as a_prev).
-                cont = value[next_bin, np.arange(n_rungs)[:, None, None]]
-                immediate = immediate + cont
+                # Continuation indexed by (this rung as a_prev, next bin).
+                if next_bin.shape[0] == 1:
+                    block += value.take(next_bin[0, bins], axis=1)
+                else:
+                    block += value.take(next_bin[:, bins])
             # Expectation over outcomes j.
-            ev = (immediate * probs[:, None, :]).sum(axis=2)  # (n_rungs, n_bins)
-
+            block *= dists[step].probs[:, None, :]
+            ev = block.sum(axis=2)  # (n_rungs, n_bins), or (n_rungs, 1)
             if step == 0:
-                first_step_ev = ev
                 break
 
             # Build V for the previous step: subtract the variation penalty
             # |q_a - q_prev| for every previous rung.
-            prev_menu = menus[step - 1]
-            prev_qualities = np.asarray(prev_menu.ssims_db)
             # penalty[a, p] = λ |q_a - q_prev_p|
             penalty = self.qoe.variation_weight * np.abs(
-                qualities[:, None] - prev_qualities[None, :]
+                qualities[step][:, None] - qualities[step - 1][None, :]
             )
-            # candidate[a, b, p] = ev[a, b] - penalty[a, p]
-            candidate = ev[:, :, None] - penalty[:, None, :]
-            value = candidate.max(axis=0).reshape(n_bins, len(prev_menu))
+            # candidate[a, p, b] = ev[a, b] - penalty[a, p]
+            value = (ev[:, None, :] - penalty[:, :, None]).max(axis=0)
 
-        assert first_step_ev is not None
-        b0 = min(
-            max(round(context.buffer_s / self.buffer_bin_s), 0), n_bins - 1
-        )
-        scores = first_step_ev[:, b0].copy()
+        scores = ev[:, 0]
         if context.last_ssim_db is not None:
             scores -= self.qoe.variation_weight * np.abs(
-                np.asarray(menus[0].ssims_db) - context.last_ssim_db
+                qualities[0] - context.last_ssim_db
             )
         return scores

@@ -5,7 +5,8 @@ chunk of a given size, a *probability distribution* over its transmission
 time, discretized into 21 bins. One fully-connected network (two hidden
 layers of 64) is trained per horizon step — "multiple networks in parallel
 are functionally equivalent to one that takes the future time step as a
-variable" (§4.2).
+variable" (§4.2) — and at decision time the step networks run as one stacked
+pass over the whole horizon (:class:`repro.learn.network.MLPStack`).
 
 The class also implements every ablated variant of §4.6 through
 :class:`TtpConfig`:
@@ -24,6 +25,7 @@ The class also implements every ablated variant of §4.6 through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import TYPE_CHECKING, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
@@ -46,7 +48,7 @@ from repro.core.features import (
     time_bin_centers,
     time_bin_index,
 )
-from repro.learn.network import MLP
+from repro.learn.network import MLP, MLPStack
 from repro.net.tcp import TcpInfo
 
 N_THROUGHPUT_BINS = N_TIME_BINS
@@ -140,13 +142,28 @@ class TransmissionTimePredictor:
     def __init__(self, config: TtpConfig = TtpConfig(), seed: int = 0) -> None:
         self.config = config
         rng = np.random.default_rng(seed)
-        self.models: List[MLP] = [
-            MLP(FEATURE_DIM, list(config.hidden), config.n_output_bins, rng=rng)
-            for _ in range(config.horizon)
-        ]
+        self._stack = MLPStack(
+            [
+                MLP(
+                    FEATURE_DIM,
+                    list(config.hidden),
+                    config.n_output_bins,
+                    rng=rng,
+                )
+                for _ in range(config.horizon)
+            ]
+        )
         self._mask = config.feature_mask()
         self._time_centers = time_bin_centers()
+        self._time_centers.flags.writeable = False
         self._tput_centers = throughput_bin_centers_bps()
+
+    @property
+    def models(self) -> Tuple[MLP, ...]:
+        """The step networks, step 0 first. Train or reload them in place;
+        neither the tuple nor this attribute can be assigned to, so a
+        network cannot be swapped out from under the stacked pass."""
+        return self._stack.models
 
     # ------------------------------------------------------------------
     # Tail calibration
@@ -174,8 +191,16 @@ class TransmissionTimePredictor:
             if record.transmission_time >= 9.75
         ]
         if tail_times:
-            self._time_centers[-1] = max(float(np.mean(tail_times)), 10.0)
+            self._set_tail_center(max(float(np.mean(tail_times)), 10.0))
         return self.tail_center_s
+
+    def _set_tail_center(self, seconds: float) -> None:
+        # A new read-only array, never a write into the old one: the
+        # distributions already handed out are views of the old row.
+        centers = self._time_centers.copy()
+        centers[-1] = seconds
+        centers.flags.writeable = False
+        self._time_centers = centers
 
     # ------------------------------------------------------------------
     # Label construction
@@ -198,34 +223,54 @@ class TransmissionTimePredictor:
         return make_feature_matrix(history, info, sizes_bytes) * self._mask
 
     def _infer(
-        self, features: np.ndarray, sizes_bytes: np.ndarray, step: int
-    ) -> TimeDistribution:
-        """Horizon step ``step``'s network over the candidates' rows."""
-        if not 0 <= step < self.config.horizon:
+        self,
+        history: Sequence[ChunkRecord],
+        info: TcpInfo,
+        sizes_per_step: Sequence[np.ndarray],
+        first_step: int,
+    ) -> List[TimeDistribution]:
+        """Distributions of ``len(sizes_per_step)`` consecutive horizon
+        steps from ``first_step`` on: one feature matrix — one history, one
+        TCP snapshot — and one stacked pass of the step networks."""
+        steps = len(sizes_per_step)
+        if first_step < 0 or first_step + steps > self.config.horizon:
             raise ValueError(f"step must lie in [0, {self.config.horizon})")
+        sizes_per_step = [
+            np.asarray(sizes, dtype=float) for sizes in sizes_per_step
+        ]
+        counts = [len(sizes) for sizes in sizes_per_step]
+        sizes_bytes = np.concatenate(sizes_per_step)
+        features = self.masked_features(history, info, sizes_bytes)
         if obs.ENABLED:
             # Inference *counts* are deterministic (one per planner call per
             # horizon step); the latency histogram is wall-clock and lands
             # in the quarantined profile.* namespace.
-            obs.counter_inc("ttp.inferences")
+            obs.counter_inc("ttp.inferences", float(steps))
             obs.counter_inc("ttp.inference_rows", float(len(sizes_bytes)))
         with obs.span("ttp.predict"):
-            probs = self.models[step].predict_proba(features)
+            probs = self._stack.predict_proba(features, counts, first_step)
         if self.config.predict_throughput:
             # times[a, j] = size_a / throughput_center_j
             times = sizes_bytes[:, None] * 8.0 / self._tput_centers[None, :]
         else:
             # Every size shares the bin centres: one row, which the planner
-            # broadcasts. A copy, so a later calibrate_tail cannot reach
-            # into a distribution already handed out.
-            times = self._time_centers[None, :].copy()
+            # broadcasts, and which every step of the horizon shares.
+            times = self._time_centers[None, :]
         if self.config.point_estimate:
             best = probs.argmax(axis=1)
             times = np.broadcast_to(times, probs.shape)[
                 np.arange(len(sizes_bytes)), best
             ][:, None]
             probs = np.ones_like(times)
-        return TimeDistribution(times=times, probs=probs)
+        per_rung = self.config.predict_throughput or self.config.point_estimate
+        stops = list(accumulate(counts))
+        return [
+            TimeDistribution(
+                times=times[start:stop] if per_rung else times,
+                probs=probs[start:stop],
+            )
+            for start, stop in zip([0] + stops, stops)
+        ]
 
     def distribution(
         self,
@@ -236,30 +281,16 @@ class TransmissionTimePredictor:
     ) -> TimeDistribution:
         """Transmission-time distribution per candidate size, for the chunk
         ``step`` positions ahead."""
-        sizes_bytes = np.asarray(sizes_bytes, dtype=float)
-        features = self.masked_features(history, info, sizes_bytes)
-        return self._infer(features, sizes_bytes, step)
+        return self._infer(history, info, [sizes_bytes], step)[0]
 
     def predict(
         self, context: AbrContext, sizes_per_step: Sequence[np.ndarray]
     ) -> List[TimeDistribution]:
         """TransmissionTimeModel protocol entry point for the controller:
-        the rows of the whole horizon are built in one go — one history, one
-        TCP snapshot — then each step's network reads its own candidates."""
-        sizes_per_step = [
-            np.asarray(sizes_bytes, dtype=float)
-            for sizes_bytes in sizes_per_step
-        ]
-        features = self.masked_features(
-            context.history, context.tcp_info, np.concatenate(sizes_per_step)
+        the whole horizon in one inference pass."""
+        return self._infer(
+            context.history, context.tcp_info, sizes_per_step, 0
         )
-        dists = []
-        start = 0
-        for step, sizes_bytes in enumerate(sizes_per_step):
-            stop = start + len(sizes_bytes)
-            dists.append(self._infer(features[start:stop], sizes_bytes, step))
-            start = stop
-        return dists
 
     # ------------------------------------------------------------------
     # Persistence
@@ -279,13 +310,15 @@ class TransmissionTimePredictor:
         saved = state["models"]
         if len(saved) != len(self.models):
             raise ValueError("horizon mismatch while loading TTP state")
+        tail = state.get("tail_center_s")  # absent in pre-calibration saves
+        # NaN fails both comparisons: it would poison every stall term, and
+        # an argmax over all-NaN scores silently streams the lowest rung.
+        if tail is not None and not 0 < tail < float("inf"):
+            raise ValueError("tail_center_s must be positive and finite")
         for model, model_state in zip(self.models, saved):
             model.load_state_dict(model_state)
-        tail = state.get("tail_center_s")  # absent in pre-calibration saves
         if tail is not None:
-            if tail <= 0:
-                raise ValueError("tail_center_s must be positive")
-            self._time_centers[-1] = float(tail)
+            self._set_tail_center(float(tail))
 
     def copy(self) -> "TransmissionTimePredictor":
         clone = TransmissionTimePredictor(self.config)

@@ -11,7 +11,7 @@ Everything operates on ``float64`` numpy arrays with samples along axis 0.
 
 from repro.learn.layers import Layer, Linear, ReLU, Sequential
 from repro.learn.losses import Loss, MeanSquaredError, SoftmaxCrossEntropy, HuberLoss
-from repro.learn.network import MLP
+from repro.learn.network import MLP, MLPStack
 from repro.learn.optim import SGD, Adam, Optimizer
 from repro.learn.training import Dataset, Trainer, TrainingReport
 
@@ -25,6 +25,7 @@ __all__ = [
     "MeanSquaredError",
     "HuberLoss",
     "MLP",
+    "MLPStack",
     "Optimizer",
     "SGD",
     "Adam",

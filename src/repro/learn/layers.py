@@ -92,7 +92,8 @@ class Linear(Layer):
         return self.infer(x)
 
     def infer(self, x: Array) -> Array:
-        return x @ self.weight + self.bias
+        out: Array = x @ self.weight + self.bias
+        return out
 
     def backward(self, grad_out: Array) -> Array:
         if self._input is None:
@@ -100,7 +101,8 @@ class Linear(Layer):
         grad_out = np.atleast_2d(grad_out)
         self.grad_weight += self._input.T @ grad_out
         self.grad_bias += grad_out.sum(axis=0)
-        return grad_out @ self.weight.T
+        grad_in: Array = grad_out @ self.weight.T
+        return grad_in
 
     def parameters(self) -> Iterator[Tuple[str, Array, Array]]:
         yield "weight", self.weight, self.grad_weight

@@ -9,11 +9,18 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from itertools import groupby
+from typing import List, Optional, Sequence, Tuple, Union, cast
 
 import numpy as np
 
-from repro.learn.layers import DEFAULT_INIT_SEED, Linear, ReLU, Sequential
+from repro.learn.layers import (
+    DEFAULT_INIT_SEED,
+    Layer,
+    Linear,
+    ReLU,
+    Sequential,
+)
 from repro.learn.losses import softmax
 
 Array = np.ndarray
@@ -43,7 +50,7 @@ class MLP(Sequential):
             # seeded fallback would initialize same-shaped layers
             # identically and break symmetry).
             rng = np.random.default_rng(seed)
-        layers: List = []
+        layers: List[Layer] = []
         width = in_features
         for h in self.hidden:
             layers.append(Linear(width, h, rng=rng))
@@ -122,3 +129,94 @@ class MLP(Sequential):
         clone = MLP(self.in_features, self.hidden, self.out_features)
         clone.load_state_dict(self.state_dict())
         return clone
+
+
+class MLPStack:
+    """Same-architecture MLPs evaluated in one batched inference pass.
+
+    The parameters of each layer position are re-homed into one
+    ``(n, in, out)`` weight block and one ``(n, 1, out)`` bias block, and
+    every member's ``Linear.weight`` / ``.bias`` becomes a *view* of its
+    slice. Optimizers and :meth:`MLP.load_state_dict` update parameters in
+    place, so training or reloading a member writes through to the block:
+    there is no copy to refresh and none that can go stale. Rebinding a
+    member's ``weight`` or ``bias`` to another array would break that, which
+    is why ``models`` is a tuple and nothing in the package rebinds them.
+    """
+
+    def __init__(self, models: Sequence[MLP]) -> None:
+        self.models: Tuple[MLP, ...] = tuple(models)
+        if not self.models:
+            raise ValueError("need at least one model to stack")
+        first = self.models[0]
+        shape = (first.in_features, first.hidden, first.out_features)
+        if any(
+            (m.in_features, m.hidden, m.out_features) != shape
+            for m in self.models
+        ):
+            raise ValueError("stacked models must share one architecture")
+        self.in_features = first.in_features
+        # Per layer position: the (weight, bias) blocks of a Linear, or the
+        # first member's own parameter-free layer (a ReLU is elementwise, so
+        # its ``infer`` takes the stacked input as it is).
+        self._blocks: List[Union[Tuple[Array, Array], Layer]] = []
+        for position, layer in enumerate(first.layers):
+            if not isinstance(layer, Linear):
+                self._blocks.append(layer)
+                continue
+            peers = [
+                cast(Linear, model.layers[position]) for model in self.models
+            ]
+            weight = np.stack([peer.weight for peer in peers])
+            bias = np.stack([peer.bias for peer in peers])[:, None, :]
+            for k, peer in enumerate(peers):
+                peer.weight = weight[k]
+                peer.bias = bias[k, 0]
+            self._blocks.append((weight, bias))
+
+    def __reduce__(self) -> Tuple[type, Tuple[Tuple[MLP, ...]]]:
+        # Pickle and deepcopy restore each array on its own, which would
+        # sever the views; rebuilding from the members re-homes them.
+        return (type(self), (self.models,))
+
+    def predict(
+        self, x: Array, counts: Sequence[int], first: int = 0
+    ) -> Array:
+        """Logits of ``x``'s rows: member ``first + i`` reads the next
+        ``counts[i]`` of them. Each run of equal counts is one batched
+        product per layer — the same ``(rows, in)·(in, out)`` products the
+        members would issue one by one, hence the same float64 bits. Runs
+        are never padded to a common row count: a row of a BLAS product is
+        not independent of how many rows the product has.
+        """
+        if x.ndim != 2 or x.shape[1] != self.in_features:
+            raise ValueError(
+                f"expected input width {self.in_features}, got {x.shape}"
+            )
+        if first < 0 or first + len(counts) > len(self.models):
+            raise ValueError("rows for a model outside the stack")
+        if sum(counts) != len(x):
+            raise ValueError("counts must add up to the number of rows")
+        outputs = []
+        start = 0
+        for rows, run in groupby(counts):
+            members = len(list(run))
+            stop = start + members * rows
+            h = x[start:stop].reshape(members, rows, self.in_features)
+            for block in self._blocks:
+                if isinstance(block, Layer):
+                    h = block.infer(h)
+                else:
+                    weight, bias = block
+                    h = np.matmul(h, weight[first : first + members])
+                    h += bias[first : first + members]
+            outputs.append(h.reshape(members * rows, -1))
+            first += members
+            start = stop
+        return outputs[0] if len(outputs) == 1 else np.concatenate(outputs)
+
+    def predict_proba(
+        self, x: Array, counts: Sequence[int], first: int = 0
+    ) -> Array:
+        """Softmax over :meth:`predict`'s logits, row by row."""
+        return softmax(self.predict(x, counts, first))

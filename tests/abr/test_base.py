@@ -9,6 +9,8 @@ from repro.abr.base import (
     ChunkRecord,
     harmonic_mean_throughput,
 )
+from repro.abr.cs2p import Cs2pPredictor, DiscreteThroughputHmm
+from repro.abr.mpc import HarmonicMeanPredictor
 from repro.media.encoder import encode_clip
 from repro.media.source import DEFAULT_CHANNELS
 from repro.net.tcp import TcpInfo
@@ -52,6 +54,25 @@ class TestHarmonicMean:
         history = [record(0, 1_000_000, 1.0)] * 4 + [record(4, 1_000_000, 100.0)]
         hm = harmonic_mean_throughput(history)
         assert hm < 0.4e6 * 8
+
+
+class TestWindowMustBePositive:
+    """``history[-0:]`` is the whole history and ``deque(maxlen=0)`` keeps
+    no error sample: a zero window silently means something else."""
+
+    @pytest.mark.parametrize("window", [0, -1])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda window: harmonic_mean_throughput([record(0)], window),
+            lambda window: HarmonicMeanPredictor(window=window),
+            lambda window: Cs2pPredictor(DiscreteThroughputHmm(), window),
+        ],
+        ids=["harmonic_mean_throughput", "HarmonicMeanPredictor", "Cs2pPredictor"],
+    )
+    def test_rejected(self, build, window):
+        with pytest.raises(ValueError, match="window must be positive"):
+            build(window)
 
 
 class TestAbrContext:

@@ -1,22 +1,32 @@
 """The decide step against its frozen predecessor, bit for bit.
 
-One model call per decision, a shared outcome row and a memoised DP
-geometry must change *when* arithmetic happens and never *which*: for every
-TTP variant, the horizon-wide ``predict`` returns the distributions the
+One model call per decision, one stacked forward pass across the horizon, a
+shared outcome row, a memoised DP geometry and a step 0 that evaluates one
+bin must change *when* arithmetic happens and never *which*: for every TTP
+variant, the horizon-wide ``predict`` returns the distributions the
 step-wise one did, and the planner scores every rung of the first menu to
 the same float64 bits (``tests/core/decide_reference.py``). No tolerance
 anywhere in this file.
 """
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.abr.base import AbrContext, ChunkRecord
+from repro.abr.cs2p import Cs2pPredictor, DiscreteThroughputHmm
 from repro.abr.mpc import HarmonicMeanPredictor
 from repro.core.controller import TimeDistribution, ValueIterationController
 from repro.core.fugu import make_fugu_variant
+from repro.core.ttp import TransmissionTimePredictor
+from repro.learn.losses import SoftmaxCrossEntropy
+from repro.learn.network import MLP
+from repro.learn.training import Dataset, Trainer
 from repro.net.tcp import TcpInfo
 from repro.streaming.session import StreamResult
 
@@ -68,21 +78,40 @@ def make_record(rng, index):
     )
 
 
+RUNG_COUNTS = {
+    # What production presents: one ladder, so one stacked product per layer.
+    "rectangular": st.integers(1, 10).flatmap(
+        lambda n: st.lists(st.just(n), min_size=1, max_size=5)
+    ),
+    # Every step its own rung count: one product per step.
+    "ragged": st.lists(st.integers(2, 10), min_size=1, max_size=5),
+    # Few distinct counts, so equal neighbours form runs inside a horizon.
+    "runs": st.lists(st.sampled_from([1, 3, 4]), min_size=2, max_size=5),
+}
+
+
+CHUNK_DURATIONS = st.sampled_from([0.5, 1.001, 2.002, 3.3, 6.006])
+
+
 @st.composite
-def contexts(draw):
-    """A decision point: 0–12 chunks of history, 1–5 menus ahead whose rung
-    counts differ from step to step."""
+def contexts(draw, shape=None):
+    """A decision point: 0–12 chunks of history and 1–5 menus ahead — fewer
+    than the TTP's horizon more often than not — whose rung counts are all
+    equal, all free, or equal in runs (``RUNG_COUNTS``), and whose chunks all
+    last 2.002 s, as deployed, or each its own duration."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     history = [make_record(rng, i) for i in range(draw(st.integers(0, 12)))]
+    if shape is None:
+        shape = draw(st.sampled_from(sorted(RUNG_COUNTS)))
+    durations = st.just(2.002) if draw(st.booleans()) else CHUNK_DURATIONS
     menus = []
-    for step in range(draw(st.integers(1, 5))):
-        n_rungs = draw(st.integers(2, 10))
+    for step, n_rungs in enumerate(draw(RUNG_COUNTS[shape])):
         menus.append(
             make_menu(
                 len(history) + step,
                 np.sort(rng.lognormal(12.5, 1.0, n_rungs)),
                 np.sort(rng.uniform(5.0, 19.0, n_rungs)),
-                duration=2.002,
+                duration=draw(durations),
             )
         )
     return AbrContext(
@@ -96,6 +125,17 @@ def contexts(draw):
 
 def sizes_per_step(context):
     return [np.asarray(menu.sizes) for menu in context.lookahead]
+
+
+def ttp_stepwise(ttp):
+    """The frozen per-step TTP call, in ``reference_scores``' signature."""
+
+    def step_model(ctx, step, sizes):
+        return reference_distribution(
+            ttp, ctx.history, ctx.tcp_info, sizes, step
+        )
+
+    return step_model
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -132,13 +172,7 @@ class TestTtpAgainstStepwiseReference:
         ttp, _ = make_fugu_variant(variant, seed=seed)
         controller = ValueIterationController()
         steps = len(context.lookahead)
-
-        def stepwise(ctx, step, sizes):
-            return reference_distribution(
-                ttp, ctx.history, ctx.tcp_info, sizes, step
-            )
-
-        old = reference_scores(controller, context, stepwise, steps)
+        old = reference_scores(controller, context, ttp_stepwise(ttp), steps)
         # Twice: the second plan reads the geometry the first one memoised.
         for _ in range(2):
             new = controller._scores(context, ttp, steps)
@@ -180,7 +214,9 @@ class TestPointMassModels:
         steps = len(context.lookahead)
         old = reference_scores(controller, context, stepwise, steps)
         assert same_bits(controller._scores(context, predictor, steps), old)
-        assert controller._geometry_memo == {}
+        # A one-rung menu's only row is a shared row.
+        if all(len(menu) > 1 for menu in context.lookahead):
+            assert controller._geometry_memo == {}
 
 
 def tail_stream(seconds):
@@ -258,3 +294,268 @@ class TestGeometryMemoCannotGoStale:
         dist = ttp.distribution([], info, np.array([1e5, 5e5]))
         ttp.load_state_dict({**ttp.state_dict(), "tail_center_s": 40.0})
         assert dist.times[0, -1] == 16.0
+
+
+def stacked_rows(ttp, context):
+    """``predict``'s probabilities, one array per step."""
+    return [d.probs for d in ttp.predict(context, sizes_per_step(context))]
+
+
+def member_rows(ttp, context):
+    """The same rows from each step network on its own — the pass the
+    stacked one replaced."""
+    return [
+        ttp.models[step].predict_proba(
+            ttp.masked_features(context.history, context.tcp_info, sizes)
+        )
+        for step, sizes in enumerate(sizes_per_step(context))
+    ]
+
+
+def assert_stacked_pass_is_current(ttp, context):
+    """The parameter block behind ``predict`` holds what the step networks
+    hold now: the stacked rows equal each member's own, and those of a
+    predictor built afresh from ``state_dict()``."""
+    fresh = TransmissionTimePredictor.from_state_dict(ttp.state_dict())
+    for stacked, member, rebuilt in zip(
+        stacked_rows(ttp, context),
+        member_rows(ttp, context),
+        stacked_rows(fresh, context),
+    ):
+        assert same_bits(stacked, member)
+        assert same_bits(stacked, rebuilt)
+
+
+@pytest.mark.parametrize("variant", ["full", "linear", "shallow", "throughput"])
+class TestParameterBlockWriteThrough:
+    """Every step network's weights are views of one block per layer; the
+    paths that change weights do it in place, so the block follows."""
+
+    @given(context=contexts(shape="rectangular"), step=st.integers(0, 4))
+    @settings(max_examples=5, deadline=None)
+    def test_after_an_optimizer_step(self, variant, context, step):
+        ttp, _ = make_fugu_variant(variant, seed=2)
+        before = stacked_rows(ttp, context)
+        rng = np.random.default_rng(step)
+        dataset = Dataset(
+            rng.normal(size=(48, 22)),
+            rng.integers(0, ttp.config.n_output_bins, 48),
+        )
+        # With validation, fit also restores its best epoch through
+        # load_state_dict.
+        Trainer(
+            ttp.models[step], SoftmaxCrossEntropy(), epochs=2, seed=step
+        ).fit(dataset, validation=dataset)
+        assert_stacked_pass_is_current(ttp, context)
+        if step < len(before):
+            assert not same_bits(stacked_rows(ttp, context)[step], before[step])
+
+    @given(context=contexts())
+    @settings(max_examples=5, deadline=None)
+    def test_after_load_copy_and_rebuild(self, variant, context):
+        ttp, _ = make_fugu_variant(variant, seed=3)
+        donor, _ = make_fugu_variant(variant, seed=4)
+        ttp.load_state_dict(donor.state_dict())
+        assert_stacked_pass_is_current(ttp, context)
+        for a, b in zip(stacked_rows(ttp, context), stacked_rows(donor, context)):
+            assert same_bits(a, b)
+        clone = ttp.copy()
+        assert_stacked_pass_is_current(clone, context)
+        # The clone has its own block: training it leaves the source alone.
+        for _, value, _grad in clone.models[0].parameters():
+            value += 0.5
+        assert_stacked_pass_is_current(clone, context)
+        for a, b in zip(stacked_rows(ttp, context), stacked_rows(donor, context)):
+            assert same_bits(a, b)
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.deepcopy, lambda ttp: pickle.loads(pickle.dumps(ttp))],
+        ids=["deepcopy", "pickle"],
+    )
+    @given(context=contexts(shape="rectangular"))
+    @settings(max_examples=3, deadline=None)
+    def test_a_duplicate_keeps_its_views(self, variant, duplicate, context):
+        # Both restore arrays one by one, which alone would leave the step
+        # networks and the block as unrelated copies.
+        ttp, _ = make_fugu_variant(variant, seed=5)
+        twin = duplicate(ttp)
+        for _, value, _grad in twin.models[0].parameters():
+            value *= 1.5
+        assert_stacked_pass_is_current(twin, context)
+        assert not same_bits(
+            stacked_rows(twin, context)[0], stacked_rows(ttp, context)[0]
+        )
+
+    def test_a_step_network_cannot_be_swapped_out(self, variant):
+        ttp, _ = make_fugu_variant(variant, seed=6)
+        other = MLP(22, list(ttp.config.hidden), ttp.config.n_output_bins)
+        with pytest.raises(TypeError):
+            ttp.models[0] = other
+        with pytest.raises(AttributeError):
+            ttp.models = [other] * ttp.config.horizon
+
+
+class TestStepRange:
+    def test_steps_beyond_the_trained_horizon_are_rejected(self):
+        ttp, _ = make_fugu_variant("full", seed=0, horizon=3)
+        info = make_record(np.random.default_rng(0), 0).info_at_send
+        sizes = np.array([1e5, 4e5])
+        with pytest.raises(ValueError, match=r"step must lie in \[0, 3\)"):
+            ttp.distribution([], info, sizes, step=3)
+        with pytest.raises(ValueError, match="step must lie"):
+            ttp.distribution([], info, sizes, step=-1)
+        context = AbrContext(
+            lookahead=[make_menu(i, sizes, [8.0, 12.0]) for i in range(4)],
+            buffer_s=3.0,
+            tcp_info=info,
+        )
+        with pytest.raises(ValueError, match="step must lie"):
+            ttp.predict(context, sizes_per_step(context))
+
+
+BUFFER_LEVELS = [-2.5, -0.0, 0.0, 0.25, 0.75, 7.25, 7.5, 14.75, 15.0, 15.2, 90.0]
+"""Negative, zero, exactly on a bin edge (half-way between two grid points,
+where rounding goes to the even bin), on a grid point, the top of the grid
+and beyond it."""
+
+
+class TestStepZeroAtTheCurrentBin:
+    """Step 0 evaluates one bin; the reference evaluates all 31 and picks."""
+
+    @pytest.mark.parametrize("buffer_s", BUFFER_LEVELS)
+    @pytest.mark.parametrize("variant", ["full", "throughput", "point_estimate"])
+    @given(context=contexts())
+    @settings(max_examples=8, deadline=None)
+    def test_ttp_scores(self, variant, buffer_s, context):
+        context.buffer_s = buffer_s
+        ttp, _ = make_fugu_variant(variant, seed=8)
+        controller = ValueIterationController()
+        steps = len(context.lookahead)
+        old = reference_scores(controller, context, ttp_stepwise(ttp), steps)
+        assert same_bits(controller._scores(context, ttp, steps), old)
+
+    @pytest.mark.parametrize("buffer_s", BUFFER_LEVELS)
+    def test_other_grids(self, buffer_s):
+        # The grid's top bin is not always max_buffer_s / buffer_bin_s.
+        rng = np.random.default_rng(3)
+        ttp, _ = make_fugu_variant("full", seed=9)
+        context = AbrContext(
+            lookahead=[
+                make_menu(i, np.sort(rng.lognormal(12.5, 1.0, 6)),
+                          np.sort(rng.uniform(5.0, 19.0, 6)), duration=2.002)
+                for i in range(4)
+            ],
+            buffer_s=buffer_s,
+            tcp_info=make_record(rng, 0).info_at_send,
+            last_ssim_db=11.0,
+        )
+        for max_buffer_s, bin_s in [(15.0, 0.5), (7.0, 0.4), (20.0, 1.5)]:
+            controller = ValueIterationController(
+                horizon=4, max_buffer_s=max_buffer_s, buffer_bin_s=bin_s
+            )
+            old = reference_scores(controller, context, ttp_stepwise(ttp), 4)
+            assert same_bits(controller._scores(context, ttp, 4), old)
+
+
+class PerStepModel:
+    """A model that answers the horizon-wide call from a step-wise one."""
+
+    def __init__(self, stepwise):
+        self.stepwise = stepwise
+
+    def predict(self, context, sizes_per_step):
+        return [
+            self.stepwise(context, step, sizes)
+            for step, sizes in enumerate(sizes_per_step)
+        ]
+
+
+class TestPerRungRowsAcrossTheHorizon:
+    """Per-rung outcome rows get their stall/next-bin geometry in one pass
+    over the whole horizon's rows, with each row's own chunk duration.
+    Harmonic-mean point masses and the ``throughput`` / ``point_estimate``
+    TTPs are held to the reference above, on the same contexts."""
+
+    @given(
+        context=contexts(),
+        n_states=st.integers(1, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_cs2p_mixtures(self, context, n_states):
+        predictor = Cs2pPredictor(DiscreteThroughputHmm(n_states, seed=n_states))
+        dists = predictor.predict(context, sizes_per_step(context))
+        controller = ValueIterationController()
+        steps = len(context.lookahead)
+        old = reference_scores(
+            controller, context, lambda ctx, step, sizes: dists[step], steps
+        )
+        assert same_bits(controller._scores(context, predictor, steps), old)
+
+    @given(
+        context=contexts(),
+        widths=st.lists(st.integers(1, 4), min_size=5, max_size=5),
+        shared=st.lists(st.booleans(), min_size=5, max_size=5),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_outcome_counts_and_row_shapes_mixed_in_one_horizon(
+        self, context, widths, shared, seed
+    ):
+        # Nothing the repo ships does this; the protocol allows it: rows
+        # concatenate per outcome count, shared rows keep the memo.
+        rng = np.random.default_rng(seed)
+        tables = []
+        for menu, k, one_row in zip(context.lookahead, widths, shared):
+            raw = rng.uniform(0.1, 1.0, (len(menu), k))
+            tables.append(
+                (
+                    rng.uniform(0.05, 18.0, (1 if one_row else len(menu), k)),
+                    raw / raw.sum(axis=1, keepdims=True),
+                )
+            )
+
+        def tiled(ctx, step, sizes):
+            times, probs = tables[step]
+            return TimeDistribution(
+                times=np.tile(times, (len(probs) // len(times), 1)),
+                probs=probs,
+            )
+
+        def as_given(ctx, step, sizes):
+            return TimeDistribution(*tables[step])
+
+        controller = ValueIterationController()
+        steps = len(context.lookahead)
+        old = reference_scores(controller, context, tiled, steps)
+        new = controller._scores(context, PerStepModel(as_given), steps)
+        assert same_bits(new, old)
+
+
+class TestDecideCounters:
+    """The counts a merged obs dump carries are the step-wise decide's."""
+
+    @pytest.mark.parametrize("shape", sorted(RUNG_COUNTS))
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_one_plan(self, shape, data):
+        context = data.draw(contexts(shape=shape))
+        horizon = data.draw(st.integers(1, 5))
+        ttp, _ = make_fugu_variant("full", seed=1)
+        controller = ValueIterationController(horizon=horizon)
+        steps = min(horizon, len(context.lookahead))
+        ctx = obs.ObsContext()
+        with obs.activate(ctx):
+            controller.plan(context, ttp)
+        assert ctx.metrics.counters == {
+            "controller.plans": 1.0,
+            "controller.plan_steps": float(steps),
+            "ttp.inferences": float(steps),
+            "ttp.inference_rows": float(
+                sum(len(menu) for menu in context.lookahead[:steps])
+            ),
+        }
+        # One wall-clock span each, around the whole horizon.
+        histograms = ctx.metrics.histograms
+        assert histograms["profile.controller.plan_s"].count == 1
+        assert histograms["profile.ttp.predict_s"].count == 1

@@ -229,6 +229,40 @@ class TestTailCalibration:
         with pytest.raises(ValueError, match="tail_center_s"):
             TransmissionTimePredictor(seed=0).load_state_dict(state)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_tail_center_rejected_on_load(self, literal):
+        # Python's json writes and reads these bare literals. NaN passes a
+        # ``tail <= 0`` guard; as a tail centre it makes every stall term —
+        # so every score — NaN, and argmax then streams the lowest rung.
+        import json
+
+        from repro.abr.base import AbrContext
+        from repro.core.controller import ValueIterationController
+        from tests.core.test_controller_reference import make_menu
+
+        ttp = TransmissionTimePredictor(seed=0)
+        text = json.dumps(ttp.state_dict()).replace(
+            '"tail_center_s": 16.0', f'"tail_center_s": {literal}'
+        )
+        state = json.loads(text)
+        assert not np.isfinite(state["tail_center_s"])
+        with pytest.raises(ValueError, match="tail_center_s"):
+            TransmissionTimePredictor.from_state_dict(state)
+        # Loading into a live predictor leaves it as it was, weights too:
+        # the controller behind it never plans over the poisoned row.
+        live = TransmissionTimePredictor(seed=7)
+        before = live.state_dict()
+        with pytest.raises(ValueError, match="tail_center_s"):
+            live.load_state_dict(state)
+        assert live.state_dict() == before
+        context = AbrContext(
+            lookahead=[make_menu(0, [1e5, 9e5], [8.0, 15.0])] * 2,
+            buffer_s=1.0,
+            tcp_info=info(),
+        )
+        controller = ValueIterationController(horizon=2)
+        assert np.isfinite(controller._scores(context, live, 2)).all()
+
     def test_calibrate_no_tail_samples_is_noop(self):
         from repro.streaming.session import StreamResult
 
