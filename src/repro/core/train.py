@@ -14,7 +14,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    cast,
+)
 
 import numpy as np
 
@@ -139,22 +148,23 @@ class TtpTrainer:
         """Train each horizon step's network on its dataset. Training always
         warm-starts from the predictor's current weights (a fresh predictor
         has random weights; a day-old one continues from yesterday)."""
-        if len(datasets) != self.predictor.config.horizon:
+        horizon = self.predictor.config.horizon
+        if len(datasets) != horizon:
             raise ValueError("need one dataset per horizon step")
-        reports: List[TrainingReport] = []
-        for k, dataset in enumerate(datasets):
-            trainer = Trainer(
-                self.predictor.models[k],
-                SoftmaxCrossEntropy(),
-                optimizer=Adam(self.predictor.models[k], lr=self.learning_rate),
-                batch_size=self.batch_size,
-                epochs=self.epochs,
-                # repro: allow-SEED001(per-model offset, injective over the k bin models; reseeding invalidates trained-model digests)
-                seed=self.seed + k,
-            )
-            val = validation[k] if validation is not None else None
-            reports.append(trainer.fit(dataset, validation=val))
-        return reports
+        stack = self.predictor.stack
+        trainer = Trainer(
+            stack,
+            SoftmaxCrossEntropy(),
+            optimizer=Adam(stack, lr=self.learning_rate),
+            batch_size=self.batch_size,
+            epochs=self.epochs,
+            # repro: allow-SEED001(per-model offset, injective over the k bin models; reseeding invalidates trained-model digests)
+            seed=[self.seed + k for k in range(horizon)],
+        )
+        # Fitting a stack returns one report per member.
+        return cast(
+            List[TrainingReport], trainer.fit(datasets, validation=validation)
+        )
 
     def holdout_split(
         self,
@@ -251,6 +261,13 @@ class DailyRetrainer:
         self._days: Deque[Tuple[int, List[StreamResult]]] = deque(
             maxlen=window_days
         )
+        # Per retained day, its unweighted per-step datasets: a function of
+        # the day's streams (and the predictor's fixed feature mask and
+        # labelling) alone, so built once, when the day is first pooled,
+        # and dropped when the day leaves the window. Derived data, never
+        # part of a checkpoint: a restored retrainer rebuilds it from the
+        # streams it was given.
+        self._day_sets: Dict[int, List[Dataset]] = {}
         self._day_counter = 0
         self.snapshots: Dict[int, TransmissionTimePredictor] = {}
 
@@ -262,6 +279,9 @@ class DailyRetrainer:
         """Ingest one day of telemetry (an empty day still advances the
         calendar, so recency weights measure real days of age)."""
         self._day_counter += 1
+        if len(self._days) == self.window_days:
+            # The append below slides this day out of the window.
+            self._day_sets.pop(self._days[0][0], None)
         self._days.append((self._day_counter, list(streams)))
 
     def window_state(self) -> List[Tuple[int, List[StreamResult]]]:
@@ -322,26 +342,34 @@ class DailyRetrainer:
             [] for _ in range(self.predictor.config.horizon)
         ]
         for day, streams in self._days:
-            age = self._day_counter - day
-            weight = self.recency_decay**age
             if not streams:
                 continue
-            day_sets = build_ttp_datasets(
-                streams, self.predictor, sample_weight=weight,
-                allow_empty=True,
-            )
-            for k, ds in enumerate(day_sets):
+            if day not in self._day_sets:
+                self._day_sets[day] = build_ttp_datasets(
+                    streams, self.predictor, allow_empty=True
+                )
+            weight = self.recency_decay ** (self._day_counter - day)
+            for k, ds in enumerate(self._day_sets[day]):
                 if len(ds):
-                    per_step[k].append(ds)
+                    per_step[k].append(
+                        Dataset(
+                            ds.features, ds.targets, np.full(len(ds), weight)
+                        )
+                    )
         if any(not parts for parts in per_step):
             return None
         return [Dataset.concatenate(parts) for parts in per_step]
 
-    def retrain(self) -> List[TrainingReport]:
-        """Retrain on the window, recency-weighted, warm-started."""
+    def retrain(
+        self, datasets: Optional[Sequence[Dataset]] = None
+    ) -> List[TrainingReport]:
+        """Retrain on the window, recency-weighted, warm-started.
+        ``datasets`` is today's :meth:`window_datasets`, for a caller that
+        pooled the window already (to evaluate on it, say)."""
         if not self._days:
             raise RuntimeError("no telemetry ingested yet")
-        datasets = self.window_datasets()
+        if datasets is None:
+            datasets = self.window_datasets()
         if datasets is None:
             raise ValueError(
                 "no training examples for some horizon step in the window; "

@@ -159,6 +159,13 @@ class TransmissionTimePredictor:
         self._tput_centers = throughput_bin_centers_bps()
 
     @property
+    def stack(self) -> MLPStack:
+        """The step networks behind one parameter buffer: what training
+        runs in lockstep, and where one look tells whether every weight is
+        finite."""
+        return self._stack
+
+    @property
     def models(self) -> Tuple[MLP, ...]:
         """The step networks, step 0 first. Train or reload them in place;
         neither the tuple nor this attribute can be assigned to, so a

@@ -22,8 +22,9 @@ import csv
 import io
 import os
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from repro.atomio import atomic_write_bytes
 from repro.streaming.telemetry import (
@@ -46,6 +47,23 @@ _BUFFER_COLUMNS = [
     "time", "stream_id", "expt_id", "event", "buffer", "cum_rebuf",
 ]
 
+# A record's CSV row, positionally: its fields in column order (the event
+# as its string value) — what ``csv.DictWriter`` made of ``to_dict()``.
+_SENT_ROW = attrgetter(*_SENT_COLUMNS)
+_ACKED_ROW = attrgetter(*_ACKED_COLUMNS)
+_BUFFER_ROW = attrgetter(
+    *("event.value" if name == "event" else name for name in _BUFFER_COLUMNS)
+)
+
+
+def _write_rows(writers: Dict[str, Any], telemetry: TelemetryLog) -> None:
+    """Append every record of ``telemetry`` to its table's ``csv.writer``."""
+    writers["video_sent"].writerows(map(_SENT_ROW, telemetry.video_sent))
+    writers["video_acked"].writerows(map(_ACKED_ROW, telemetry.video_acked))
+    writers["client_buffer"].writerows(
+        map(_BUFFER_ROW, telemetry.client_buffer)
+    )
+
 
 @dataclass(frozen=True)
 class ArchiveDay:
@@ -66,6 +84,14 @@ class ArchiveDay:
             client_buffer=directory / "client_buffer.csv",
         )
 
+    def tables(self) -> List[Tuple[str, Path, List[str]]]:
+        """``(name, path, columns)`` of the three tables, in write order."""
+        return [
+            ("video_sent", self.video_sent, _SENT_COLUMNS),
+            ("video_acked", self.video_acked, _ACKED_COLUMNS),
+            ("client_buffer", self.client_buffer, _BUFFER_COLUMNS),
+        ]
+
 
 def write_archive_day(
     telemetry: TelemetryLog, directory: Union[str, Path]
@@ -81,28 +107,14 @@ def write_archive_day(
     """
     day = ArchiveDay.in_directory(directory)
     day.directory.mkdir(parents=True, exist_ok=True)
-
-    buffer = io.StringIO(newline="")
-    writer = csv.DictWriter(buffer, fieldnames=_SENT_COLUMNS)
-    writer.writeheader()
-    for record in telemetry.video_sent:
-        writer.writerow(record.to_dict())
-    atomic_write_bytes(day.video_sent, buffer.getvalue().encode("utf-8"))
-
-    buffer = io.StringIO(newline="")
-    writer = csv.DictWriter(buffer, fieldnames=_ACKED_COLUMNS)
-    writer.writeheader()
-    for record in telemetry.video_acked:
-        writer.writerow(record.to_dict())
-    atomic_write_bytes(day.video_acked, buffer.getvalue().encode("utf-8"))
-
-    buffer = io.StringIO(newline="")
-    writer = csv.DictWriter(buffer, fieldnames=_BUFFER_COLUMNS)
-    writer.writeheader()
-    for record in telemetry.client_buffer:
-        writer.writerow(record.to_dict())
-    atomic_write_bytes(day.client_buffer, buffer.getvalue().encode("utf-8"))
-
+    tables = day.tables()
+    buffers = {name: io.StringIO(newline="") for name, _, _ in tables}
+    writers = {name: csv.writer(buffers[name]) for name in buffers}
+    for name, _, columns in tables:
+        writers[name].writerow(columns)
+    _write_rows(writers, telemetry)
+    for name, path, _ in tables:
+        atomic_write_bytes(path, buffers[name].getvalue().encode("utf-8"))
     return day
 
 
@@ -128,7 +140,7 @@ class ArchiveAppender:
         self.day.directory.mkdir(parents=True, exist_ok=True)
         self._files = {}
         self._writers = {}
-        for name, path, columns in self._tables():
+        for name, path, columns in self.day.tables():
             fresh = not path.exists() or path.stat().st_size == 0
             f = open(path, "a", newline="")
             # Append mode leaves the reported position implementation-
@@ -136,30 +148,18 @@ class ArchiveAppender:
             # ``offsets()`` is meaningful before any append.
             f.seek(0, os.SEEK_END)
             self._files[name] = f
-            writer = csv.DictWriter(f, fieldnames=columns)
+            writer = csv.writer(f)
             self._writers[name] = writer
             if fresh:
-                writer.writeheader()
+                writer.writerow(columns)
         self.flush()
-
-    def _tables(self) -> List[Tuple[str, Path, List[str]]]:
-        return [
-            ("video_sent", self.day.video_sent, _SENT_COLUMNS),
-            ("video_acked", self.day.video_acked, _ACKED_COLUMNS),
-            ("client_buffer", self.day.client_buffer, _BUFFER_COLUMNS),
-        ]
 
     # ------------------------------------------------------------------
     # Appending
     # ------------------------------------------------------------------
     def append(self, telemetry: TelemetryLog) -> None:
         """Append one batch of rows (typically one committed session)."""
-        for record in telemetry.video_sent:
-            self._writers["video_sent"].writerow(record.to_dict())
-        for record in telemetry.video_acked:
-            self._writers["video_acked"].writerow(record.to_dict())
-        for record in telemetry.client_buffer:
-            self._writers["client_buffer"].writerow(record.to_dict())
+        _write_rows(self._writers, telemetry)
 
     def flush(self, sync: bool = False) -> None:
         """Flush buffered rows; ``sync=True`` additionally fsyncs (called
@@ -199,12 +199,12 @@ class ArchiveAppender:
         so every appended row is uncommitted.  The result is
         byte-identical to a freshly created archive.
         """
-        for name, _path, _columns in self._tables():
+        for name, _path, columns in self.day.tables():
             f = self._files[name]
             f.flush()
             f.truncate(0)
             f.seek(0)
-            self._writers[name].writeheader()
+            self._writers[name].writerow(columns)
         self.flush()
 
     # ------------------------------------------------------------------
@@ -448,11 +448,7 @@ def read_telemetry_slice(
     and no re-reading of earlier days.
     """
     day = ArchiveDay.in_directory(directory)
-    tables = {
-        "video_sent": (day.video_sent, _SENT_COLUMNS),
-        "video_acked": (day.video_acked, _ACKED_COLUMNS),
-        "client_buffer": (day.client_buffer, _BUFFER_COLUMNS),
-    }
+    tables = {name: (path, columns) for name, path, columns in day.tables()}
     telemetry = TelemetryLog()
     for name in sorted(tables):
         path, columns = tables[name]

@@ -60,6 +60,8 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro import obs
 from repro.atomio import atomic_write_bytes
 from repro.crashpoints import crashpoint
@@ -544,7 +546,17 @@ def run_fleet_retrain(
                     for stream in streams
                 ]
                 predictor.calibrate_tail(window_streams)
-                retrainer.retrain()
+                retrainer.retrain(datasets)
+                if not np.isfinite(predictor.stack.params).all():
+                    # All-NaN scores argmax to rung 0: the arm would stream
+                    # the lowest quality and report it as Fugu's.
+                    raise RegistryError(
+                        f"day {retrainer.current_day}: retraining left "
+                        f"generation {len(registry) + 1} with non-finite "
+                        "parameters (a non-finite value in the day's "
+                        "telemetry?); it is not published — repair the "
+                        "archive rows of that day and resume"
+                    )
                 evaluator = TtpTrainer(predictor)
                 evaluation = []
                 for k, dataset in enumerate(datasets):

@@ -110,23 +110,40 @@ class Linear(Layer):
 
 
 class ReLU(Layer):
-    """Rectified linear activation."""
+    """Rectified linear activation, without a data-dependent branch.
+
+    ``np.where(x > 0, x, 0.0)`` selects element by element, and on
+    activations of random sign the select loop mispredicts every other
+    element. ``fmax`` and an integer mask give the same bit patterns for
+    every float64 input — ``fmax`` drops a NaN for the 0.0 beside it, and
+    adding 0.0 turns the -0.0 it may return into the +0.0 the select
+    produced — at a fraction of the time.
+    """
 
     def __init__(self) -> None:
         self._mask: Optional[Array] = None
 
     def forward(self, x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        out = self.infer(np.asarray(x, dtype=float))
+        self._mask = out > 0
+        return out
 
     def infer(self, x: Array) -> Array:
-        return np.where(x > 0, x, 0.0)
+        out: Array = np.fmax(x, 0.0)
+        out += 0.0
+        return out
 
     def backward(self, grad_out: Array) -> Array:
         if self._mask is None:
             raise RuntimeError("backward() called before forward()")
-        return np.where(self._mask, grad_out, 0.0)
+        grad_out = np.asarray(grad_out, dtype=float)
+        # All-ones where the unit was active, zero elsewhere; ANDed with
+        # the gradient's bit pattern that keeps it or leaves +0.0, also
+        # for a NaN or infinite gradient (which a 0/1 product would keep).
+        keep = self._mask.view(np.int8).astype(np.int64)
+        np.negative(keep, out=keep)
+        grad_in: Array = (keep & grad_out.view(np.int64)).view(np.float64)
+        return grad_in
 
 
 class Sequential(Layer):

@@ -15,20 +15,25 @@ import numpy as np
 Array = np.ndarray
 
 
-def _normalize_weights(weights: Optional[Array], n: int) -> Array:
+def _normalize_weights(weights: Optional[Array], *shape: int) -> Array:
     """Return per-sample weights normalized to sum to ``n`` so that loss
-    magnitudes stay comparable whether or not weighting is used."""
+    magnitudes stay comparable whether or not weighting is used. ``shape``
+    is ``n``, or ``members, n`` for a stacked batch, whose members are
+    normalized each on its own."""
     if weights is None:
-        return np.ones(n)
+        return np.ones(shape)
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (n,):
-        raise ValueError(f"expected {n} sample weights, got shape {weights.shape}")
+    if weights.shape != shape:
+        raise ValueError(
+            f"expected {shape[-1]} sample weights, got shape {weights.shape}"
+        )
     if np.any(weights < 0):
         raise ValueError("sample weights must be non-negative")
-    total = weights.sum()
-    if total <= 0:
+    total = weights.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
         raise ValueError("sample weights must not all be zero")
-    return weights * (n / total)
+    scaled: Array = weights * (shape[-1] / total)
+    return scaled
 
 
 def log_softmax(logits: Array) -> Array:
@@ -51,6 +56,20 @@ class Loss:
     ) -> Tuple[float, Array]:
         raise NotImplementedError
 
+    def stacked(
+        self, output: Array, target: Array, weights: Array
+    ) -> Tuple[Array, Array]:
+        """One loss per member of a stacked batch: ``output`` is
+        ``(members, n, k)``, ``target`` and ``weights`` carry the same two
+        leading axes. Returns ``(losses (members,), grad (members, n, k))``,
+        each member's exactly what ``__call__`` gives for its slice — which
+        is how this default computes them."""
+        pairs = [self(*member) for member in zip(output, target, weights)]
+        return (
+            np.array([value for value, _ in pairs]),
+            np.stack([grad for _, grad in pairs]),
+        )
+
 
 class SoftmaxCrossEntropy(Loss):
     """Cross-entropy between softmax(logits) and integer class targets.
@@ -65,18 +84,35 @@ class SoftmaxCrossEntropy(Loss):
     ) -> Tuple[float, Array]:
         logits = np.atleast_2d(output)
         target = np.asarray(target, dtype=int).ravel()
-        n, k = logits.shape
-        if target.shape != (n,):
+        if weights is None:
+            # Normalized, all-ones weights are all ones again, bit for bit.
+            weights = np.ones(len(logits))
+        values, grad = self.stacked(
+            logits[None], target[None], np.asarray(weights, dtype=float)[None]
+        )
+        return float(values[0]), grad[0]
+
+    def stacked(
+        self, output: Array, target: Array, weights: Array
+    ) -> Tuple[Array, Array]:
+        members, n, k = output.shape
+        target = np.asarray(target, dtype=int)
+        if target.shape != (members, n):
             raise ValueError(f"expected {n} targets, got shape {target.shape}")
         if target.min() < 0 or target.max() >= k:
             raise ValueError(f"targets must lie in [0, {k})")
-        w = _normalize_weights(weights, n)
-        logp = log_softmax(logits)
-        loss = float(-(w * logp[np.arange(n), target]).mean())
-        grad = softmax(logits)
-        grad[np.arange(n), target] -= 1.0
-        grad *= (w / n)[:, None]
-        return loss, grad
+        w = _normalize_weights(weights, members, n)
+        logp = log_softmax(output)
+        # Flat positions of each row's target bin.
+        at_target = np.arange(0, members * n * k, k) + target.ravel()
+        picked = logp.ravel()[at_target].reshape(members, n)
+        losses: Array = -(w * picked).mean(axis=1)
+        # softmax(logits) is exp(log_softmax(logits)): the value the loss
+        # just used, not a second pass over the logits.
+        grad = np.exp(logp, out=logp)
+        grad.ravel()[at_target] -= 1.0
+        grad *= (w / n)[:, :, None]
+        return losses, grad
 
 
 class MeanSquaredError(Loss):

@@ -25,6 +25,12 @@ from repro.learn.losses import softmax
 
 Array = np.ndarray
 
+Block = Union[Layer, Tuple[Array, Array, Array, Array]]
+"""One layer position of one or more same-architecture networks: a Linear's
+``(weight (n, in, out), bias (n, 1, out), grad_weight, grad_bias)`` with the
+members along axis 0, or the parameter-free layer itself (a ReLU is
+elementwise, so it takes a stacked input as it is)."""
+
 
 class MLP(Sequential):
     """Fully-connected network: Linear(+ReLU) stacks ending in a linear head.
@@ -76,6 +82,26 @@ class MLP(Sequential):
         """Softmax over the output head — the TTP's probability distribution
         over transmission-time bins."""
         return softmax(self.predict(x))
+
+    @property
+    def blocks(self) -> List[Block]:
+        """This network as a stack of one: its own arrays under a leading
+        member axis. Views, wherever the arrays live — nothing is re-homed,
+        so a member of an :class:`MLPStack` stays one."""
+        blocks: List[Block] = []
+        for layer in self.layers:
+            if isinstance(layer, Linear):
+                blocks.append(
+                    (
+                        layer.weight[None],
+                        layer.bias[None, None],
+                        layer.grad_weight[None],
+                        layer.grad_bias[None, None],
+                    )
+                )
+            else:
+                blocks.append(layer)
+        return blocks
 
     # ------------------------------------------------------------------
     # Serialization
@@ -132,15 +158,18 @@ class MLP(Sequential):
 
 
 class MLPStack:
-    """Same-architecture MLPs evaluated in one batched inference pass.
+    """Same-architecture MLPs behind one parameter buffer, evaluated and
+    trained in batched passes.
 
-    The parameters of each layer position are re-homed into one
-    ``(n, in, out)`` weight block and one ``(n, 1, out)`` bias block, and
-    every member's ``Linear.weight`` / ``.bias`` becomes a *view* of its
-    slice. Optimizers and :meth:`MLP.load_state_dict` update parameters in
-    place, so training or reloading a member writes through to the block:
-    there is no copy to refresh and none that can go stale. Rebinding a
-    member's ``weight`` or ``bias`` to another array would break that, which
+    Every parameter of every member lives in ``params``, one ``(n, P)``
+    float64 buffer with a member per row (per Linear position the weight,
+    then the bias), and every gradient in ``grads``, laid out the same. The
+    per-position :data:`Block` arrays in ``blocks`` and each member's
+    ``Linear.weight`` / ``.bias`` / ``.grad_weight`` / ``.grad_bias`` are
+    *views* of the two buffers. Optimizers, :meth:`MLP.load_state_dict` and
+    ``Linear.backward`` update those arrays in place, so training or
+    reloading a member writes through: there is no copy to refresh and none
+    that can go stale. Rebinding a member's arrays would break that, which
     is why ``models`` is a tuple and nothing in the package rebinds them.
     """
 
@@ -156,23 +185,37 @@ class MLPStack:
         ):
             raise ValueError("stacked models must share one architecture")
         self.in_features = first.in_features
-        # Per layer position: the (weight, bias) blocks of a Linear, or the
-        # first member's own parameter-free layer (a ReLU is elementwise, so
-        # its ``infer`` takes the stacked input as it is).
-        self._blocks: List[Union[Tuple[Array, Array], Layer]] = []
+        n = len(self.models)
+        width = sum(
+            value.size for _, value, _grad in first.parameters()
+        )
+        self.params = np.empty((n, width))
+        self.grads = np.empty((n, width))
+        self.blocks: List[Block] = []
+        start = 0
         for position, layer in enumerate(first.layers):
             if not isinstance(layer, Linear):
-                self._blocks.append(layer)
+                self.blocks.append(layer)
                 continue
-            peers = [
-                cast(Linear, model.layers[position]) for model in self.models
-            ]
-            weight = np.stack([peer.weight for peer in peers])
-            bias = np.stack([peer.bias for peer in peers])[:, None, :]
-            for k, peer in enumerate(peers):
-                peer.weight = weight[k]
-                peer.bias = bias[k, 0]
-            self._blocks.append((weight, bias))
+            rows, cols = layer.in_features, layer.out_features
+            stop = start + rows * cols
+            weight, grad_weight = (
+                buffer[:, start:stop].reshape(n, rows, cols)
+                for buffer in (self.params, self.grads)
+            )
+            bias, grad_bias = (
+                buffer[:, stop : stop + cols].reshape(n, 1, cols)
+                for buffer in (self.params, self.grads)
+            )
+            start = stop + cols
+            for k, model in enumerate(self.models):
+                peer = cast(Linear, model.layers[position])
+                weight[k], bias[k, 0] = peer.weight, peer.bias
+                grad_weight[k] = peer.grad_weight
+                grad_bias[k, 0] = peer.grad_bias
+                peer.weight, peer.bias = weight[k], bias[k, 0]
+                peer.grad_weight, peer.grad_bias = grad_weight[k], grad_bias[k, 0]
+            self.blocks.append((weight, bias, grad_weight, grad_bias))
 
     def __reduce__(self) -> Tuple[type, Tuple[Tuple[MLP, ...]]]:
         # Pickle and deepcopy restore each array on its own, which would
@@ -203,13 +246,12 @@ class MLPStack:
             members = len(list(run))
             stop = start + members * rows
             h = x[start:stop].reshape(members, rows, self.in_features)
-            for block in self._blocks:
+            for block in self.blocks:
                 if isinstance(block, Layer):
                     h = block.infer(h)
                 else:
-                    weight, bias = block
-                    h = np.matmul(h, weight[first : first + members])
-                    h += bias[first : first + members]
+                    h = np.matmul(h, block[0][first : first + members])
+                    h += block[1][first : first + members]
             outputs.append(h.reshape(members * rows, -1))
             first += members
             start = stop

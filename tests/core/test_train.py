@@ -10,8 +10,11 @@ from repro.core.train import (
     build_ttp_datasets,
 )
 from repro.core.ttp import TransmissionTimePredictor, TtpConfig
+from repro.learn.training import Dataset
 from repro.net.tcp import TcpInfo
 from repro.streaming.session import StreamResult
+
+from tests.counting import CountingSequence
 
 
 def info(delivery_rate=5e6):
@@ -158,3 +161,158 @@ class TestDailyRetrainer:
             DailyRetrainer(ttp, window_days=0)
         with pytest.raises(ValueError):
             DailyRetrainer(ttp, recency_decay=0.0)
+
+
+def same_datasets(a, b):
+    def bits(x, y):
+        return x.shape == y.shape and x.dtype == y.dtype and (
+            x.tobytes() == y.tobytes()
+        )
+
+    return len(a) == len(b) and all(
+        bits(p.features, q.features)
+        and bits(p.targets, q.targets)
+        and bits(p.weights, q.weights)
+        for p, q in zip(a, b)
+    )
+
+
+def pooled_from_scratch(retrainer):
+    """``window_datasets`` as it was before the day cache: every retained
+    day's features rebuilt, weighted as they are built."""
+    per_step = [[] for _ in range(retrainer.predictor.config.horizon)]
+    for day, streams in retrainer.window_state():
+        if not streams:
+            continue
+        weight = retrainer.recency_decay ** (retrainer.current_day - day)
+        for k, ds in enumerate(
+            build_ttp_datasets(
+                streams, retrainer.predictor, sample_weight=weight,
+                allow_empty=True,
+            )
+        ):
+            if len(ds):
+                per_step[k].append(ds)
+    if any(not parts for parts in per_step):
+        return None
+    return [Dataset.concatenate(parts) for parts in per_step]
+
+
+def counted_day(day, n_streams=2):
+    """A day of streams whose records count how often they are read."""
+    streams = [
+        make_stream(6 + day + i, stream_id=10 * day + i, tx=0.5 + 0.4 * i)
+        for i in range(n_streams)
+    ]
+    for stream in streams:
+        stream.records = CountingSequence(stream.records)
+    return streams
+
+
+def touched(days):
+    return [sum(s.records.touched for s in streams) for streams in days]
+
+
+class TestWindowDatasetCache:
+    """A day's features are built once, when the day is first pooled, and
+    only its recency weight changes as it ages."""
+
+    def make(self, **kwargs):
+        ttp = TransmissionTimePredictor(TtpConfig(horizon=2), seed=0)
+        return DailyRetrainer(
+            ttp, window_days=3, recency_decay=0.8, epochs_per_day=1, **kwargs
+        )
+
+    def test_equals_the_from_scratch_pooling_every_day(self):
+        retrainer = self.make()
+        assert retrainer.window_datasets() is None
+        for day in range(6):
+            # Day 2 is empty; it still ages the others.
+            retrainer.add_day([] if day == 2 else counted_day(day))
+            datasets = retrainer.window_datasets()
+            assert same_datasets(datasets, pooled_from_scratch(retrainer))
+            # What the caller gets is its own: no view of the cache.
+            datasets[0].features[...] = np.nan
+            datasets[0].weights[...] = np.nan
+            assert same_datasets(
+                retrainer.window_datasets(), pooled_from_scratch(retrainer)
+            )
+
+    def test_a_sparse_window_still_pools_to_none(self):
+        retrainer = self.make()
+        retrainer.add_day([make_stream(1)])  # no example for step 1
+        assert retrainer.window_datasets() is None
+        retrainer.add_day([make_stream(4, stream_id=1)])
+        assert same_datasets(
+            retrainer.window_datasets(), pooled_from_scratch(retrainer)
+        )
+
+    def test_two_poolings_in_one_day_build_features_once(self):
+        retrainer = self.make()
+        days = []
+        for day in range(3):
+            days.append(counted_day(day))
+            retrainer.add_day(days[-1])
+            before = touched(days)
+            retrainer.window_datasets()
+            first = touched(days)
+            # Only the new day's records were read ...
+            assert first[:-1] == before[:-1]
+            assert first[-1] > before[-1]
+            # ... and neither pooling again nor retraining reads any.
+            retrainer.window_datasets()
+            retrainer.retrain()
+            retrainer.retrain(retrainer.window_datasets())
+            assert touched(days) == first
+
+    def test_sliding_past_the_window_evicts(self):
+        retrainer = self.make()
+        for day in range(5):
+            retrainer.add_day(counted_day(day))
+            retrainer.window_datasets()
+            assert sorted(retrainer._day_sets) == [
+                d for d, _ in retrainer.window_state()
+            ]
+        assert sorted(retrainer._day_sets) == [3, 4, 5]
+        # Never pooled, never cached — and evicting it is not an error.
+        idle = self.make()
+        for day in range(5):
+            idle.add_day(counted_day(day))
+        assert idle._day_sets == {}
+
+    def test_restore_rebuilds_lazily_to_the_same_bits(self):
+        retrainer = self.make(seed=4)
+        for day in range(4):
+            retrainer.add_day(counted_day(day))
+            retrainer.window_datasets()
+        restored = DailyRetrainer.restore(
+            retrainer.predictor.copy(),
+            retrainer.current_day,
+            retrainer.window_state(),
+            window_days=3,
+            recency_decay=0.8,
+            epochs_per_day=1,
+            seed=4,
+        )
+        assert restored._day_sets == {}
+        assert same_datasets(
+            restored.window_datasets(), retrainer.window_datasets()
+        )
+        assert sorted(restored._day_sets) == [2, 3, 4]
+        for each in (retrainer, restored):
+            each.add_day(counted_day(4))
+            each.retrain()
+        assert (
+            restored.predictor.state_dict() == retrainer.predictor.state_dict()
+        )
+
+    def test_retrain_on_given_datasets_is_retrain(self):
+        a, b = self.make(seed=2), self.make(seed=2)
+        for retrainer in (a, b):
+            retrainer.add_day(counted_day(0))
+        reports_a = a.retrain()
+        reports_b = b.retrain(b.window_datasets())
+        assert a.predictor.state_dict() == b.predictor.state_dict()
+        assert [r.train_losses for r in reports_a] == [
+            r.train_losses for r in reports_b
+        ]

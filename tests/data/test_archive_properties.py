@@ -12,19 +12,28 @@ what the TTP learns.  Three property families:
   exact in-memory rows (CSV float round-trips are exact), and consecutive
   slices compose to the whole;
 * **truncation** — rolling the archive back to a commit boundary
-  reconstructs exactly the in-order prefix's streams.
+  reconstructs exactly the in-order prefix's streams;
+* **rendering** — the positional ``csv.writer`` rows are, byte for byte,
+  what ``csv.DictWriter`` made of each record's ``to_dict()``.
 """
 
+import csv
+import io
 import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.data.archive import (
+    _ACKED_COLUMNS,
+    _BUFFER_COLUMNS,
+    _SENT_COLUMNS,
     ArchiveAppender,
     read_telemetry_slice,
     reconstruct_streams,
     reconstruct_training_streams,
+    write_archive_day,
 )
 from repro.streaming.telemetry import (
     BufferEvent,
@@ -236,3 +245,85 @@ class TestByteSlices:
                 reconstruct_training_streams(prefix)
             )
             appender.close()
+
+
+# Every float the csv module could render differently from ``repr``: signed
+# zero, a subnormal, the switch to exponent notation, the extremes.
+awkward_floats = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 1e-320, 5e-324, 1e22, 1e16, 123456789012345680.0,
+         0.1, 1 / 3, 1e-5, 1.7976931348623157e308, -2.5]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+ids = st.integers(min_value=-(2**40), max_value=2**40)
+
+
+@st.composite
+def awkward_logs(draw):
+    log = TelemetryLog()
+    for _ in range(draw(st.integers(0, 4))):
+        log.video_sent.append(
+            VideoSentRecord(
+                draw(awkward_floats), draw(ids), draw(ids), draw(ids),
+                *(draw(awkward_floats) for _ in range(7)),
+            )
+        )
+    for _ in range(draw(st.integers(0, 4))):
+        log.video_acked.append(
+            VideoAckedRecord(draw(awkward_floats), draw(ids), draw(ids), draw(ids))
+        )
+    for event in draw(st.lists(st.sampled_from(list(BufferEvent)), max_size=6)):
+        log.client_buffer.append(
+            ClientBufferRecord(
+                draw(awkward_floats), draw(ids), draw(ids), event,
+                draw(awkward_floats), draw(awkward_floats),
+            )
+        )
+    return log
+
+
+def dict_writer_bytes(columns, records):
+    """The table as the archive rendered it before: ``to_dict()`` per
+    record through a ``csv.DictWriter``."""
+    buffer = io.StringIO(newline="")
+    writer = csv.DictWriter(buffer, fieldnames=columns)
+    writer.writeheader()
+    for record in records:
+        writer.writerow(record.to_dict())
+    return buffer.getvalue().encode("utf-8")
+
+
+class TestRendering:
+    @settings(max_examples=60, deadline=None)
+    @given(logs=st.lists(awkward_logs(), min_size=1, max_size=3))
+    def test_positional_rows_are_the_dict_writer_bytes(self, logs):
+        whole = TelemetryLog()
+        for log in logs:
+            whole.extend(log)
+        expected = {
+            "video_sent.csv": dict_writer_bytes(
+                _SENT_COLUMNS, whole.video_sent
+            ),
+            "video_acked.csv": dict_writer_bytes(
+                _ACKED_COLUMNS, whole.video_acked
+            ),
+            "client_buffer.csv": dict_writer_bytes(
+                _BUFFER_COLUMNS, whole.client_buffer
+            ),
+        }
+        with tempfile.TemporaryDirectory() as directory:
+            streamed, batch = Path(directory, "a"), Path(directory, "b")
+            with ArchiveAppender(streamed) as appender:
+                for log in logs:
+                    appender.append(log)
+            write_archive_day(whole, batch)
+            for name, data in expected.items():
+                assert (streamed / name).read_bytes() == data
+                assert (batch / name).read_bytes() == data
+            # Emptied, the appender starts over with the same header.
+            with ArchiveAppender(streamed) as appender:
+                appender.reset()
+                appender.append(whole)
+            for name, data in expected.items():
+                assert (streamed / name).read_bytes() == data

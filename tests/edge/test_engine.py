@@ -131,6 +131,8 @@ class TestObservability:
         trial = TrialConfig(seed=3, n_sessions=1, observability=True)
         edge = EdgeConfig(mean_cell_sessions=2.0, seed=1)
         cell = Cell(cell_id=0, start_session_id=0, size=2)
+        # False by default, True on the REPRO_OBS=1 leg of CI.
+        enabled_on_entry = obs.ENABLED
         result = run_cell(specs, trial, cell, edge, offsets=[0.0, 2.0])
         hits = misses = 0
         for shard in result.shards:
@@ -141,4 +143,4 @@ class TestObservability:
             )
         assert hits == result.cache_hits
         assert misses == result.cache_misses
-        assert not obs.ENABLED
+        assert obs.ENABLED == enabled_on_entry

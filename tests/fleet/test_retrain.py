@@ -384,6 +384,50 @@ class TestByteIdentity:
 
 
 class TestGuards:
+    def test_a_poisoned_generation_is_never_published(
+        self, reference, tmp_path, monkeypatch
+    ):
+        # One non-finite feature in day 2's training set turns every weight
+        # NaN within a batch. Enrolled, that arm's all-NaN scores would
+        # argmax to the lowest rung, silently; the day close refuses it.
+        import repro.core.train as train
+
+        build = train.build_ttp_datasets
+        registry_dir = tmp_path / "registry"
+        seen = []
+
+        def poisoned(*args, **kwargs):
+            datasets = build(*args, **kwargs)
+            seen.append(registry_bytes(registry_dir))
+            if len(seen) == 2:
+                datasets[1].features[3, 5] = float("nan")
+            return datasets
+
+        monkeypatch.setattr(train, "build_ttp_datasets", poisoned)
+        with pytest.raises(RegistryError, match="day 2.*generation 2"):
+            run_fleet_retrain(
+                classical_specs(), fleet_config(), retrain_config(),
+                archive_dir=tmp_path / "archive",
+                registry_dir=registry_dir,
+                checkpoint_path=str(tmp_path / "ckpt.json"),
+            )
+        # Registry and manifest are as day 2's close found them: generation
+        # 1 as the clean run published it, and nothing else.
+        assert len(seen) == 2
+        after = registry_bytes(registry_dir)
+        assert after == seen[1]
+        assert sorted(after) == ["gen-0001.json", "manifest.json"]
+        root, _ = reference
+        clean = registry_bytes(root / "registry")
+        assert after["gen-0001.json"] == clean["gen-0001.json"]
+        registry = ModelRegistry(registry_dir)
+        assert [entry.generation for entry in registry.generations] == [1]
+        # The checkpoint still says one generation: a resume replays day 2.
+        state = CheckpointManager(str(tmp_path / "ckpt.json")).load().extra[
+            "retrain"
+        ]
+        assert state["generations"] == 1 and state["day_counter"] == 1
+
     def test_nonempty_registry_requires_resume(self, tmp_path):
         registry = ModelRegistry(tmp_path / "registry")
         registry.commit(

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.learn.layers import Linear, Sequential
+from repro.learn.layers import Linear, ReLU, Sequential
 from repro.learn.losses import MeanSquaredError
 from repro.learn.optim import SGD, Adam
+
+from tests.learn.train_reference import (
+    ReferenceAdam,
+    ReferenceNetwork,
+    ReferenceSGD,
+)
 
 
 def quadratic_step(optimizer, layer, target):
@@ -104,3 +110,59 @@ class TestAdam:
             opt.step()
             losses.append(value)
         assert losses[-1] < losses[0] * 0.2
+
+
+class TestStateIsAllocatedOnce:
+    """The per-model path (Pensieve's actor and critic optimizers): state
+    arrays are made on a parameter's first step and updated in place from
+    then on, and the updates are the old ones bit for bit."""
+
+    @pytest.mark.parametrize(
+        "live, frozen, hyper",
+        [
+            (Adam, ReferenceAdam, {"lr": 0.01}),
+            (Adam, ReferenceAdam, {"lr": 0.01, "weight_decay": 0.1}),
+            (SGD, ReferenceSGD, {"lr": 0.05, "momentum": 0.9}),
+            (
+                SGD,
+                ReferenceSGD,
+                {"lr": 0.05, "momentum": 0.5, "weight_decay": 0.1},
+            ),
+            (SGD, ReferenceSGD, {"lr": 0.05}),
+        ],
+    )
+    def test_ten_steps(self, live, frozen, hyper):
+        rng = np.random.default_rng(2)
+        model = Sequential(
+            [Linear(3, 8, rng=rng), ReLU(), Linear(8, 2, rng=rng)]
+        )
+        twin = ReferenceNetwork(
+            [(model.layers[0].weight, model.layers[0].bias),
+             (model.layers[2].weight, model.layers[2].bias)]
+        )
+        opt, ref = live(model, **hyper), frozen(twin, **hyper)
+        state = None
+        for _ in range(10):
+            x, grad = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
+            for network, optimizer in ((model, opt), (twin, ref)):
+                network.forward(x)
+                optimizer.zero_grad()
+                network.backward(grad)
+                optimizer.step()
+            arrays = [
+                id(slot) for name in sorted(opt._state)
+                for slot in opt._state[name]
+            ]
+            assert state is None or arrays == state
+            state = arrays
+        assert len(state) == 4 * {Adam: 4, SGD: bool(hyper.get("momentum"))}[live]
+        for (_, value, _grad), (_, old, _old_grad) in zip(
+            model.parameters(), twin.parameters()
+        ):
+            assert value.shape == old.shape
+            assert np.array_equal(value.view(np.uint64), old.view(np.uint64))
+
+    def test_no_state_before_the_first_step(self):
+        layer = Linear(2, 2)
+        assert Adam(layer)._state == {}
+        assert SGD(layer, momentum=0.9)._state == {}
