@@ -1,10 +1,12 @@
 """Batch executor: a per-session fast path for BBA, BOLA and rate-based.
 
 ``run_session_batch`` runs its sessions one after another on a lean copy of
-the scalar stack — block-generated chunk menus, ``TcpConnection.transmit``
-and ``BbrLike.on_round`` fused into one round loop, the buffer and the
-three decision rules inlined — producing :class:`repro.experiment.harness.
-SessionShard` objects **bit-identical** to the scalar
+the scalar stack — menu block rows read without a ``ChunkMenu``,
+``BbrLike.on_round`` inlined into the TCP round loop, the buffer and the
+three decision rules inlined (block menus and the local-variable round loop
+themselves are the scalar core's too) — producing
+:class:`repro.experiment.harness.SessionShard` objects **bit-identical** to
+the scalar
 :func:`repro.experiment.harness.run_session` — same random draws, same
 float arithmetic, same record contents.  Sessions it does not reproduce
 (any other ABR scheme, CUBIC congestion control, telemetry or

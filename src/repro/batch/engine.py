@@ -2,15 +2,17 @@
 
 ``run_session_batch`` is a plain loop over ``session_ids``: each session
 runs to completion on a lean copy of the scalar stack before the next one
-starts.  Three things make it faster than ``run_session`` (profile shares
-of the scalar path on the stock viewer, see EXPERIMENTS.md "Batch
-execution backend"):
+starts.  Two of the three things that used to set it apart now belong to
+the scalar core as well — every session streams from
+:class:`~repro.media.menus.MenuBlockSource`, and ``TcpConnection.transmit``
+is one loop over local variables with no object per RTT — so what is left
+here is (EXPERIMENTS.md, "A chunk outside the decide step", has the
+measured residual):
 
-* chunk menus come from :class:`~repro.batch.menus.MenuBlockSource` — a
-  whole stream's menus in one block of array math instead of one
-  ``VbrEncoder.encode_chunk`` + ``ChunkMenu`` per chunk (31 %);
-* ``TcpConnection.transmit`` and ``BbrLike.on_round`` are fused into one
-  round loop over local variables, with no ``RoundSample`` per RTT (49 %);
+* the menu *rows* are read directly, with no ``ChunkMenu`` per chunk;
+* ``BbrLike.on_round`` is inlined into the round loop, the loss generator
+  is never created, and connection + controller state are slots of one
+  object;
 * the stream/session glue — playback buffer, BBA / BOLA / rate-based
   decision rules, CONSORT bookkeeping — is inlined, with no coroutine
   hand-offs, ``AbrContext`` or telemetry branches.
@@ -26,8 +28,8 @@ Random-draw equivalence:
 
 * each session owns its session/media generators, exactly as on the
   scalar path;
-* the per-connection loss generator is *not* created: BBR ignores
-  ``RoundSample.loss`` and the loss generator feeds nothing else, so
+* the per-connection loss generator is *not* created: BBR ignores a
+  round's ``loss`` flag and the loss generator feeds nothing else, so
   skipping its draws is unobservable (CUBIC paths fall back to the scalar
   executor);
 * chunk menus are realized ahead in blocks — the media generator feeds
@@ -49,8 +51,8 @@ from repro.abr.base import AbrAlgorithm, ChunkRecord
 from repro.abr.bba import BBA
 from repro.abr.bola import Bola
 from repro.abr.rate_based import RateBased
-from repro.batch.menus import MenuBlockSource
 from repro.media.encoder import CHUNK_DURATION
+from repro.media.menus import MenuBlockSource
 from repro.experiment.consort import ConsortFlow, classify_stream
 from repro.experiment.harness import (
     SessionResult,
@@ -434,8 +436,8 @@ class _Session:
                 queue = max(window - capacity_Bps * base_rtt, 0.0)
             else:
                 queue = 0.0
-            # The stochastic loss draw is skipped: BbrLike ignores
-            # sample.loss and the loss generator feeds nothing else (see
+            # The stochastic loss draw is skipped: BbrLike ignores the
+            # loss flag and the loss generator feeds nothing else (see
             # module docstring).
             delivery_rate = window * 8.0 / duration
             # --- BbrLike.on_round -------------------------------------

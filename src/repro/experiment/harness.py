@@ -45,12 +45,15 @@ from repro.experiment.consort import (
 )
 from repro.experiment.schemes import SchemeSpec
 from repro.experiment.watch import ViewerModel
-from repro.media.encoder import VbrEncoder
-from repro.media.source import DEFAULT_CHANNELS, Channel, VideoSource
+from repro.media.encoder import CHUNK_DURATION
+from repro.media.menus import DEFAULT_BLOCK_CHUNKS, MenuBlockSource
+from repro.media.source import DEFAULT_CHANNELS, Channel
 from repro.net.path import NetworkPath, PathSampler, PopulationModel
 from repro.net.tcp import TransmissionResult
+from repro.streaming.buffer import MAX_BUFFER_S
 from repro.streaming.session import StreamResult
 from repro.streaming.simulator import (
+    DEFAULT_LOOKAHEAD,
     TransmitRequest,
     Transport,
     simulate_stream,
@@ -405,8 +408,22 @@ def session_machine(
         media_rng = np.random.default_rng(
             media_seed(config.seed, session_id, stream_no)
         )
-        source = VideoSource(channel, rng=media_rng)
-        encoder = VbrEncoder(rng=media_rng)
+        menus = MenuBlockSource(
+            channel,
+            media_rng,
+            # A short stream generates only the menus it can pull by its
+            # intended watch time: the chunks played, a full buffer beyond
+            # them and the lookahead window.  Never more than a default
+            # block — a bigger one is no cheaper per chunk, and every live
+            # stream of a cell holds its block.  Sizing is invisible in the
+            # results (the generator feeds nothing but this sequence).
+            first_block_chunks=min(
+                int((watch + MAX_BUFFER_S) / CHUNK_DURATION)
+                + DEFAULT_LOOKAHEAD
+                + 1,
+                DEFAULT_BLOCK_CHUNKS,
+            ),
+        ).menus()
         hook = (
             config.viewer.make_extension_hook(rng)
             if kind == "view"
@@ -414,7 +431,7 @@ def session_machine(
         )
         stream_id = session_id * config.max_streams_per_session + stream_no
         result = yield from stream_machine(
-            encoder.stream(source),
+            menus,
             algorithm,
             transport,
             watch_time_s=watch,

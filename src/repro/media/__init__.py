@@ -17,6 +17,7 @@ from repro.media.chunk import ChunkMenu, EncodedChunk
 from repro.media.ladder import EncodingLadder, EncodingProfile, PUFFER_LADDER
 from repro.media.source import Channel, SceneComplexityProcess, VideoSource
 from repro.media.encoder import VbrEncoder, encode_clip
+from repro.media.menus import MenuBlockSource
 from repro.media.ssim import ssim_db_to_index, ssim_index_to_db
 
 CHUNK_DURATION = 2.002
@@ -33,6 +34,7 @@ __all__ = [
     "Channel",
     "VideoSource",
     "VbrEncoder",
+    "MenuBlockSource",
     "encode_clip",
     "ssim_index_to_db",
     "ssim_db_to_index",

@@ -8,7 +8,7 @@ chunk the ABR algorithm chooses among — the "limited menu" of §2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.media.ladder import EncodingProfile
 
@@ -58,7 +58,15 @@ class ChunkMenu:
 
     Indexing follows ladder order, so ``menu[0]`` is the 240p version and
     ``menu[-1]`` the 1080p/CRF-20 version on the default ladder.
+
+    ``sizes`` / ``ssims_db`` / ``duration`` / ``chunk_index`` are plain
+    attributes; the streaming loop and the planners read only those.  A
+    menu made by :meth:`from_rows` builds its :class:`EncodedChunk` objects
+    the first time something indexes or iterates it.
     """
+
+    _profiles: Tuple[EncodingProfile, ...] = ()
+    """Rungs of a :meth:`from_rows` menu whose versions are not built yet."""
 
     def __init__(self, versions: Sequence[EncodedChunk]) -> None:
         if not versions:
@@ -66,20 +74,48 @@ class ChunkMenu:
         indices = {v.chunk_index for v in versions}
         if len(indices) != 1:
             raise ValueError("all versions in a menu must share a chunk index")
-        self.versions: Tuple[EncodedChunk, ...] = tuple(
-            sorted(versions, key=lambda v: v.profile.target_bitrate)
-        )
-        self.chunk_index = self.versions[0].chunk_index
-        self.duration = self.versions[0].duration
-        self.sizes: Tuple[float, ...] = tuple(
-            v.size_bytes for v in self.versions
-        )
-        self.ssims_db: Tuple[float, ...] = tuple(
-            v.ssim_db for v in self.versions
-        )
+        ordered = tuple(sorted(versions, key=lambda v: v.profile.target_bitrate))
+        self._versions: Optional[Tuple[EncodedChunk, ...]] = ordered
+        self.chunk_index = ordered[0].chunk_index
+        self.duration = ordered[0].duration
+        self.sizes: Tuple[float, ...] = tuple(v.size_bytes for v in ordered)
+        self.ssims_db: Tuple[float, ...] = tuple(v.ssim_db for v in ordered)
+
+    @classmethod
+    def from_rows(
+        cls,
+        chunk_index: int,
+        duration: float,
+        sizes: Tuple[float, ...],
+        ssims_db: Tuple[float, ...],
+        profiles: Tuple[EncodingProfile, ...],
+    ) -> "ChunkMenu":
+        """A menu from one chunk's per-rung rows, lowest bitrate first —
+        what :class:`repro.media.menus.MenuBlockSource` produces.  Equal in
+        every field to the menu built from the corresponding versions."""
+        menu = cls.__new__(cls)
+        menu._versions = None
+        menu._profiles = profiles
+        menu.chunk_index = chunk_index
+        menu.duration = duration
+        menu.sizes = sizes
+        menu.ssims_db = ssims_db
+        return menu
+
+    @property
+    def versions(self) -> Tuple[EncodedChunk, ...]:
+        versions = self._versions
+        if versions is None:
+            versions = self._versions = tuple(
+                EncodedChunk(self.chunk_index, profile, size, ssim, self.duration)
+                for profile, size, ssim in zip(
+                    self._profiles, self.sizes, self.ssims_db
+                )
+            )
+        return versions
 
     def __len__(self) -> int:
-        return len(self.versions)
+        return len(self.sizes)
 
     def __iter__(self) -> Iterator[EncodedChunk]:
         return iter(self.versions)

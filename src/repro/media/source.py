@@ -70,6 +70,10 @@ class SceneComplexityProcess:
     def __init__(self, channel: Channel, rng: np.random.Generator) -> None:
         self.channel = channel
         self.rng = rng
+        # Innovation scaled so the stationary std is complexity_sigma.
+        self._innovation_sigma = channel.complexity_sigma * np.sqrt(
+            1.0 - (1.0 - channel.mean_reversion) ** 2
+        )
         self._log_c = float(rng.normal(0.0, channel.complexity_sigma))
 
     @property
@@ -79,17 +83,13 @@ class SceneComplexityProcess:
     def step(self) -> float:
         """Advance one chunk and return the new complexity."""
         ch = self.channel
-        # Innovation scaled so the stationary std is complexity_sigma.
-        innovation_sigma = ch.complexity_sigma * np.sqrt(
-            1.0 - (1.0 - ch.mean_reversion) ** 2
-        )
         if self.rng.random() < ch.scene_cut_rate:
             # A cut re-draws complexity from the stationary distribution.
             self._log_c = float(self.rng.normal(0.0, ch.complexity_sigma))
         else:
             self._log_c = float(
                 (1.0 - ch.mean_reversion) * self._log_c
-                + self.rng.normal(0.0, innovation_sigma)
+                + self.rng.normal(0.0, self._innovation_sigma)
             )
         return self.complexity
 

@@ -6,8 +6,8 @@ was assigned CUBIC (Fig. A1) and because the two produce different
 ``tcp_info`` signatures for the TTP to learn from.
 """
 
-from repro.net.cc.base import CongestionControl, RoundSample
+from repro.net.cc.base import CongestionControl
 from repro.net.cc.bbr import BbrLike
 from repro.net.cc.cubic import CubicLike
 
-__all__ = ["CongestionControl", "RoundSample", "BbrLike", "CubicLike"]
+__all__ = ["CongestionControl", "BbrLike", "CubicLike"]

@@ -17,11 +17,12 @@ from collections import deque
 from typing import Deque
 
 from repro import obs
-from repro.net.cc.base import CongestionControl, RoundSample, DEFAULT_MSS
+from repro.net.cc.base import DEFAULT_MSS, MAX_CWND_BYTES, CongestionControl
 
 _BW_FILTER_ROUNDS = 10
 _FULL_PIPE_GROWTH = 1.25
 _FULL_PIPE_ROUNDS = 3
+_INF = float("inf")
 
 
 class BbrLike(CongestionControl):
@@ -49,44 +50,62 @@ class BbrLike(CongestionControl):
     def in_startup(self) -> bool:
         return self._in_startup
 
-    def on_round(self, sample: RoundSample) -> None:
+    def on_round(
+        self,
+        delivered_bytes: float,
+        duration: float,
+        rtt: float,
+        delivery_rate_bps: float,
+        link_limited: bool,
+        loss: bool,
+        app_limited: bool = False,
+    ) -> None:
+        observing = obs.ENABLED
+        samples = self._bw_samples
         # As in Linux BBR, app-limited rate samples are ignored unless they
         # exceed the current estimate: a partial final round says nothing
         # about the bottleneck (and appending it would also evict a genuine
         # sample from the windowed-max filter).
-        if not sample.app_limited or (
-            sample.delivery_rate_bps > self.bandwidth_estimate_bps
+        if not app_limited or delivery_rate_bps > (
+            max(samples) if samples else 0.0
         ):
-            self._bw_samples.append(sample.delivery_rate_bps)
-            if obs.ENABLED:
+            samples.append(delivery_rate_bps)
+            if observing:
                 obs.counter_inc("cc.bbr.bw_samples")
-        elif obs.ENABLED:
+        elif observing:
             obs.counter_inc("cc.bbr.bw_samples_app_limited_skipped")
-        self._min_rtt = min(self._min_rtt, sample.rtt)
-        bw = self.bandwidth_estimate_bps
-        if self._in_startup:
+        min_rtt = self._min_rtt
+        if rtt < min_rtt:
+            self._min_rtt = min_rtt = rtt
+        bw = max(samples) if samples else 0.0
+        cwnd = self.cwnd_bytes
+        in_startup = self._in_startup
+        if in_startup:
             if bw > self._full_pipe_baseline * _FULL_PIPE_GROWTH:
                 self._full_pipe_baseline = bw
                 self._stale_rounds = 0
-            elif not sample.app_limited:
+            elif not app_limited:
                 # App-limited rounds are no evidence the pipe is full
                 # (Linux: bbr_check_full_bw_reached bails on app-limited
                 # samples), so they don't age the full-pipe check.
                 self._stale_rounds += 1
                 if self._stale_rounds >= _FULL_PIPE_ROUNDS:
-                    self._in_startup = False
-                    if obs.ENABLED:
+                    self._in_startup = in_startup = False
+                    if observing:
                         obs.counter_inc("cc.bbr.startup_exits")
-            if not sample.app_limited:
+            if not app_limited:
                 # Congestion-window validation (RFC 7661): the window does
                 # not grow on rounds the application could not fill —
                 # otherwise streaming small chunks would double cwnd
                 # without bound while staying in STARTUP.
-                self.cwnd_bytes *= 2.0
-        if not self._in_startup and bw > 0 and self._min_rtt < float("inf"):
-            bdp_bytes = bw / 8.0 * self._min_rtt
-            self.cwnd_bytes = self.cwnd_gain * bdp_bytes
-        self._clamp()
+                cwnd *= 2.0
+        if not in_startup and bw > 0 and min_rtt < _INF:
+            bdp_bytes = bw / 8.0 * min_rtt
+            cwnd = self.cwnd_gain * bdp_bytes
+        # CongestionControl._clamp, inlined: this runs once per RTT.
+        self.cwnd_bytes = float(
+            min(max(cwnd, 2.0 * self.mss), MAX_CWND_BYTES)
+        )
 
     def on_idle(self, idle_time: float, rtt: float) -> None:
         super().on_idle(idle_time, rtt)

@@ -9,7 +9,7 @@ multiplicative decrease by ``beta`` on loss events.
 from __future__ import annotations
 
 from repro import obs
-from repro.net.cc.base import CongestionControl, RoundSample, DEFAULT_MSS
+from repro.net.cc.base import CongestionControl, DEFAULT_MSS
 
 _CUBIC_C = 0.4
 """Cubic scaling constant, in segments/second^3 as in RFC 8312."""
@@ -46,14 +46,23 @@ class CubicLike(CongestionControl):
             1.0 / 3.0
         )
 
-    def on_round(self, sample: RoundSample) -> None:
-        if sample.loss:
+    def on_round(
+        self,
+        delivered_bytes: float,
+        duration: float,
+        rtt: float,
+        delivery_rate_bps: float,
+        link_limited: bool,
+        loss: bool,
+        app_limited: bool = False,
+    ) -> None:
+        if loss:
             if obs.ENABLED:
                 obs.counter_inc("cc.cubic.loss_events")
             self._enter_recovery()
             self._clamp()
             return
-        if sample.app_limited:
+        if app_limited:
             # Congestion-window validation (RFC 7661), as Linux applies to
             # CUBIC via tcp_cwnd_validate: a round whose send was capped by
             # available application data — the short final round of a chunk
@@ -73,7 +82,7 @@ class CubicLike(CongestionControl):
                 if obs.ENABLED:
                     obs.counter_inc("cc.cubic.slow_start_exits")
         else:
-            self._epoch_elapsed += sample.duration
+            self._epoch_elapsed += duration
             target_segments = (
                 _CUBIC_C * (self._epoch_elapsed - self._k) ** 3
                 + self._w_max_segments
@@ -84,7 +93,7 @@ class CubicLike(CongestionControl):
             else:
                 # TCP-friendly region: at least Reno-like linear growth.
                 self.cwnd_bytes += self.mss * max(
-                    sample.duration / max(sample.rtt, 1e-3), 0.0
+                    duration / max(rtt, 1e-3), 0.0
                 )
         self._clamp()
 

@@ -279,6 +279,8 @@ class HeavyTailLink(_LazyEpochLink):
         self.fade_floor_median_bps = fade_floor_median_bps
         self.fade_floor_sigma = fade_floor_sigma
         self.fade_onset_epochs = int(fade_onset_epochs)
+        # Innovation scaled so the stationary std of log-capacity is sigma.
+        self._innovation_sigma = sigma * np.sqrt(1.0 - (1.0 - reversion) ** 2)
         self._log_dev = float(self.rng.normal(0.0, sigma))
         self._fade_schedule: List[float] = []
         self._fade_floor_bps = 0.0
@@ -308,10 +310,9 @@ class HeavyTailLink(_LazyEpochLink):
         self._fade_schedule = schedule
 
     def _next_epoch_capacity(self) -> float:
-        innovation_sigma = self.sigma * np.sqrt(1.0 - (1.0 - self.reversion) ** 2)
         self._log_dev = float(
             (1.0 - self.reversion) * self._log_dev
-            + self.rng.normal(0.0, innovation_sigma)
+            + self.rng.normal(0.0, self._innovation_sigma)
         )
         if self._fade_schedule:
             attenuation = self._fade_schedule.pop(0)

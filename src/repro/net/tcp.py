@@ -18,13 +18,14 @@ non-linear function of chunk size*:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro import obs
-from repro.net.cc.base import CongestionControl, RoundSample, DEFAULT_MSS
+from repro.net.cc.base import CongestionControl, DEFAULT_MSS
 from repro.net.cc.bbr import BbrLike
 from repro.net.link import LinkModel
 
@@ -96,6 +97,8 @@ class TcpConnection:
         mss: int = DEFAULT_MSS,
         loss_rng: Optional[np.random.Generator] = None,
     ) -> None:
+        if not math.isfinite(base_rtt):
+            raise ValueError(f"base_rtt must be finite, got {base_rtt!r}")
         if base_rtt <= 0:
             raise ValueError("base RTT must be positive")
         self.link = link
@@ -147,10 +150,11 @@ class TcpConnection:
             obs.observe("tcp.idle_s", idle, spec=obs.TIME_SPEC)
         self.cc.on_idle(idle, self.srtt)
         # In-flight data drains within an RTT of going quiet.
-        self._in_flight_bytes *= float(np.exp(-idle / max(self.srtt, 1e-3)))
+        decay = float(np.exp(-idle / max(self.srtt, 1e-3)))
+        self._in_flight_bytes *= decay
         if self._in_flight_bytes < self.mss:
             self._in_flight_bytes = 0.0
-        self._queue_bytes *= float(np.exp(-idle / max(self.srtt, 1e-3)))
+        self._queue_bytes *= decay
 
     def transmit(self, size_bytes: float, at_time: float) -> TransmissionResult:
         """Send ``size_bytes`` starting at absolute time ``at_time``.
@@ -158,8 +162,12 @@ class TcpConnection:
         ``at_time`` must not precede the end of the previous transmission
         (the server sends chunks back to back on one connection).
         """
+        if not math.isfinite(size_bytes):
+            raise ValueError(f"size_bytes must be finite, got {size_bytes!r}")
         if size_bytes <= 0:
             raise ValueError("chunk size must be positive")
+        if not math.isfinite(at_time):
+            raise ValueError(f"at_time must be finite, got {at_time!r}")
         if at_time < self._last_activity_end - 1e-9:
             raise ValueError(
                 "transmission requested before previous one finished "
@@ -168,6 +176,24 @@ class TcpConnection:
         self._handle_idle(at_time)
         info_at_send = self.tcp_info()
 
+        # One RTT round per iteration, ten a chunk: connection state lives
+        # in locals for the length of the loop and is written back once.
+        observing = obs.ENABLED
+        cc = self.cc
+        on_round = cc.on_round
+        capacity_at = self.link.capacity_at
+        next_change_after = self.link.next_change_after
+        base_rtt = self.base_rtt
+        mss = self.mss
+        srtt = self.srtt
+        min_rtt = self.min_rtt
+        delivery_rate_bps = self.delivery_rate_bps
+        queue_bytes = self._queue_bytes
+        window = self._in_flight_bytes
+        capacity_Bps = 0.0
+        # Capacity is constant on [now, next_change_after(now)), so one
+        # lookup serves every round that starts inside that interval.
+        change_at = -math.inf
         remaining = float(size_bytes)
         elapsed = 0.0
         rounds = 0
@@ -175,43 +201,44 @@ class TcpConnection:
             rounds += 1
             if rounds > _MAX_ROUNDS_PER_CHUNK:
                 raise RuntimeError("transmission did not terminate")
-            capacity_bps = self.link.capacity_at(at_time + elapsed)
-            capacity_Bps = capacity_bps / 8.0
-            window = min(self.cc.cwnd_bytes, remaining)
+            now = at_time + elapsed
+            if now >= change_at:
+                capacity_Bps = capacity_at(now) / 8.0
+                change_at = next_change_after(now)
+            cwnd_bytes = cc.cwnd_bytes
+            window = min(cwnd_bytes, remaining)
             # App-limited round (Linux `app_limited`): the send was capped
             # by remaining application data, not the congestion window, so
             # the delivery-rate sample understates what the path can carry.
-            app_limited = remaining < self.cc.cwnd_bytes
+            app_limited = remaining < cwnd_bytes
             drain_time = window / capacity_Bps
             # Queueing delay from data the bottleneck hasn't drained yet.
-            queue_delay = self._queue_bytes / capacity_Bps
-            rtt_sample = self.base_rtt + queue_delay
+            rtt_sample = base_rtt + queue_bytes / capacity_Bps
             link_limited = drain_time > rtt_sample
-            duration = max(rtt_sample, drain_time)
-            if link_limited:
-                # The excess of window over one BDP sits in the queue.
-                bdp = capacity_Bps * self.base_rtt
-                self._queue_bytes = max(window - bdp, 0.0)
-            else:
-                self._queue_bytes = 0.0
             loss = False
             if link_limited:
-                bdp = max(capacity_Bps * self.base_rtt, self.mss)
-                if self._queue_bytes > _QUEUE_LOSS_THRESHOLD * bdp:
-                    overflow = self._queue_bytes / bdp - _QUEUE_LOSS_THRESHOLD
+                duration = drain_time
+                # The excess of window over one BDP sits in the queue.
+                bdp = capacity_Bps * base_rtt
+                queue_bytes = max(window - bdp, 0.0)
+                bdp = max(bdp, mss)
+                if queue_bytes > _QUEUE_LOSS_THRESHOLD * bdp:
+                    overflow = queue_bytes / bdp - _QUEUE_LOSS_THRESHOLD
                     loss = bool(self.loss_rng.random() < min(0.8, 0.3 * overflow))
+            else:
+                duration = rtt_sample
+                queue_bytes = 0.0
             delivery_rate = window * 8.0 / duration
-            sample = RoundSample(
-                delivered_bytes=window,
-                duration=duration,
-                rtt=rtt_sample,
-                delivery_rate_bps=delivery_rate,
-                link_limited=link_limited,
-                loss=loss,
-                app_limited=app_limited,
+            on_round(
+                window,
+                duration,
+                rtt_sample,
+                delivery_rate,
+                link_limited,
+                loss,
+                app_limited,
             )
-            self.cc.on_round(sample)
-            if obs.ENABLED:
+            if observing:
                 # Per-round accounting: the counters Appendix B's tcp_info
                 # telemetry cannot expose (it snapshots state, not flux).
                 obs.counter_inc("tcp.rounds")
@@ -226,20 +253,25 @@ class TcpConnection:
                     delivery_rate,
                     spec=obs.RATE_SPEC,
                 )
-            self.srtt = (1.0 - _SRTT_GAIN) * self.srtt + _SRTT_GAIN * rtt_sample
-            self.min_rtt = min(self.min_rtt, rtt_sample)
+            srtt = (1.0 - _SRTT_GAIN) * srtt + _SRTT_GAIN * rtt_sample
+            if rtt_sample < min_rtt:
+                min_rtt = rtt_sample
             # Linux semantics: app-limited samples may only *raise* the
             # estimate — a short final round must not make the TTP's
             # `delivery_rate` feature claim the path got slower.
-            if not app_limited or delivery_rate > self.delivery_rate_bps:
-                self.delivery_rate_bps = delivery_rate
-            self._in_flight_bytes = window
+            if not app_limited or delivery_rate > delivery_rate_bps:
+                delivery_rate_bps = delivery_rate
             remaining -= window
             elapsed += duration
 
+        self.srtt = srtt
+        self.min_rtt = min_rtt
+        self.delivery_rate_bps = delivery_rate_bps
+        self._queue_bytes = queue_bytes
+        self._in_flight_bytes = window
         self._total_bytes_sent += size_bytes
         self._last_activity_end = at_time + elapsed
-        if obs.ENABLED:
+        if observing:
             obs.counter_inc("tcp.transmissions")
             obs.counter_inc("tcp.bytes_sent", float(size_bytes))
             obs.observe("tcp.transmission_s", elapsed, spec=obs.TIME_SPEC)

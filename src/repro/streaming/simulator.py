@@ -109,6 +109,11 @@ class _MenuWindow:
     def exhausted(self) -> bool:
         return not self._window
 
+    @property
+    def head(self) -> ChunkMenu:
+        """The next menu to be popped (the window must not be exhausted)."""
+        return self._window[0]
+
     def peek(self) -> "list[ChunkMenu]":
         return list(self._window)
 
@@ -273,8 +278,7 @@ def stream_machine(
             break  # bounded clip finished
 
         # Server pauses while the buffer is full; playback continues.
-        duration = window.peek()[0].duration
-        wait = buffer.time_until_room(duration)
+        wait = buffer.time_until_room(window.head.duration)
         if wait > 0:
             wait = min(wait, max(limit - t, 0.0))
             if wait <= 0:
@@ -303,10 +307,13 @@ def stream_machine(
             raise ValueError(
                 f"{abr.name} chose rung {rung}, menu has {len(menu)} versions"
             )
-        version = menu[rung]
+        # The chosen version's fields, read off the menu's rows: indexing
+        # the menu would build an EncodedChunk per rung only to drop them.
+        size_bytes = menu.sizes[rung]
+        ssim_db = menu.ssims_db[rung]
         send_at = start_time + t
         tx = yield TransmitRequest(
-            size_bytes=version.size_bytes,
+            size_bytes=size_bytes,
             send_at=send_at,
             chunk_index=menu.chunk_index,
             rung=rung,
@@ -327,8 +334,8 @@ def stream_machine(
                     stream_id=stream_id,
                     expt_id=expt_id,
                     chunk_index=menu.chunk_index,
-                    size=version.size_bytes,
-                    ssim_index=ssim_db_to_index(version.ssim_db),
+                    size=size_bytes,
+                    ssim_index=ssim_db_to_index(ssim_db),
                     info=tx.info_at_send,
                 )
             )
@@ -372,7 +379,7 @@ def stream_machine(
                 result.never_began = True
             t = limit
             break
-        buffer.add(version.duration)
+        buffer.add(menu.duration)
         if not playing:
             playing = True
             result.startup_delay = t
@@ -389,15 +396,15 @@ def stream_machine(
         record = ChunkRecord(
             chunk_index=menu.chunk_index,
             rung=rung,
-            size_bytes=version.size_bytes,
-            ssim_db=version.ssim_db,
+            size_bytes=size_bytes,
+            ssim_db=ssim_db,
             transmission_time=tx.transmission_time,
             info_at_send=tx.info_at_send,
             send_time=send_at,
         )
         result.records.append(record)
         abr.on_chunk_complete(record)
-        last_ssim = version.ssim_db
+        last_ssim = ssim_db
         if telemetry is not None:
             telemetry.video_acked.append(
                 VideoAckedRecord(

@@ -17,7 +17,6 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.cc.base import RoundSample
 from repro.net.cc.cubic import CubicLike
 
 
@@ -28,7 +27,8 @@ def sample(
     rtt=0.08,
     delivered=100_000.0,
 ):
-    return RoundSample(
+    """One round's values, as the keywords ``on_round`` takes."""
+    return dict(
         delivered_bytes=delivered,
         duration=duration,
         rtt=rtt,
@@ -71,10 +71,10 @@ class TestCubicProperties:
         cc = CubicLike()
         floor = 2.0 * cc.mss
         for rnd, idle in events:
-            cc.on_round(rnd)
+            cc.on_round(**rnd)
             assert cc.cwnd_bytes >= floor - 1e-9
             assert math.isfinite(cc.cwnd_bytes)
-            cc.on_idle(idle, rnd.rtt)
+            cc.on_idle(idle, rnd["rtt"])
             assert cc.cwnd_bytes >= floor - 1e-9
 
     @given(
@@ -89,7 +89,7 @@ class TestCubicProperties:
         cc = CubicLike()
         prev = cc.cwnd_bytes
         for duration, rtt in rounds:
-            cc.on_round(sample(duration=duration, rtt=rtt))
+            cc.on_round(**sample(duration=duration, rtt=rtt))
             # No loss, no idle: slow start doubles, cubic/Reno only grows.
             assert cc.cwnd_bytes >= prev - 1e-9
             prev = cc.cwnd_bytes
@@ -99,10 +99,10 @@ class TestCubicProperties:
     def test_ssthresh_monotone_on_back_to_back_losses(self, warmup, losses):
         cc = CubicLike()
         for _ in range(warmup):
-            cc.on_round(sample())
+            cc.on_round(**sample())
         prev_ssthresh = cc.ssthresh_bytes
         for _ in range(losses):
-            cc.on_round(sample(loss=True))
+            cc.on_round(**sample(loss=True))
             # Each loss multiplies the window (and so ssthresh) down; with
             # no growth rounds in between the sequence is non-increasing.
             assert cc.ssthresh_bytes <= prev_ssthresh
@@ -115,16 +115,7 @@ class TestCubicProperties:
         cc = CubicLike()
         for rnd, _ in events:
             before = cc.cwnd_bytes
-            forced = RoundSample(
-                delivered_bytes=rnd.delivered_bytes,
-                duration=rnd.duration,
-                rtt=rnd.rtt,
-                delivery_rate_bps=rnd.delivery_rate_bps,
-                link_limited=rnd.link_limited,
-                loss=False,
-                app_limited=True,
-            )
-            cc.on_round(forced)
+            cc.on_round(**dict(rnd, loss=False, app_limited=True))
             assert cc.cwnd_bytes == before
 
     def test_app_limited_does_not_double_in_slow_start(self):
@@ -134,10 +125,10 @@ class TestCubicProperties:
         cc = CubicLike()
         start = cc.cwnd_bytes
         for _ in range(20):
-            cc.on_round(sample(app_limited=True))
+            cc.on_round(**sample(app_limited=True))
         assert cc.cwnd_bytes == start
         # A genuine (window-limited) round still grows the window.
-        cc.on_round(sample())
+        cc.on_round(**sample())
         assert cc.cwnd_bytes > start
 
     @given(st.integers(0, 8))
@@ -145,8 +136,8 @@ class TestCubicProperties:
     def test_loss_applies_multiplicative_decrease(self, warmup):
         cc = CubicLike()
         for _ in range(warmup):
-            cc.on_round(sample())
+            cc.on_round(**sample())
         before = cc.cwnd_bytes
-        cc.on_round(sample(loss=True))
+        cc.on_round(**sample(loss=True))
         assert cc.cwnd_bytes <= before
         assert cc.cwnd_bytes >= 2.0 * cc.mss - 1e-9

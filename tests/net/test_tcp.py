@@ -5,6 +5,8 @@ see lower effective throughput), idle restart, and the ``tcp_info``
 snapshot semantics of the ``video_sent`` record.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,43 @@ class TestTransmit:
         with pytest.raises(ValueError):
             TcpConnection(ConstantLink(1e6), base_rtt=0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rtt_rejected(self, bad):
+        # nan <= 0 is False, so the sign check alone lets it through.
+        with pytest.raises(ValueError, match="base_rtt"):
+            TcpConnection(ConstantLink(1e6), base_rtt=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_size_rejected_before_any_state_moves(self, bad):
+        # transmit(nan, t) used to return 0 rounds in 0 s and leave
+        # total_bytes_sent NaN for the rest of the session.
+        conn = fresh_connection()
+        t = conn.transmit(200_000, 0.0).transmission_time
+        before = {k: v for k, v in vars(conn).items() if k != "cc"}
+        cc_before = copy.deepcopy(vars(conn.cc))
+        with pytest.raises(ValueError, match="size_bytes"):
+            conn.transmit(bad, t + 5.0)
+        assert {k: v for k, v in vars(conn).items() if k != "cc"} == before
+        assert vars(conn.cc) == cc_before
+        assert conn.total_bytes_sent == 200_000
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_send_time_rejected_before_any_state_moves(self, bad):
+        # transmit(size, nan) used to return a NaN time and a NaN
+        # busy_until, which no later at_time compares below: the overlap
+        # check was off for good.
+        conn = fresh_connection()
+        res = conn.transmit(200_000, 0.0)
+        before = {k: v for k, v in vars(conn).items() if k != "cc"}
+        cc_before = copy.deepcopy(vars(conn.cc))
+        with pytest.raises(ValueError, match="at_time"):
+            conn.transmit(1e5, bad)
+        assert {k: v for k, v in vars(conn).items() if k != "cc"} == before
+        assert vars(conn.cc) == cc_before
+        assert conn.busy_until == res.transmission_time
+        with pytest.raises(ValueError, match="before previous"):
+            conn.transmit(1000, res.transmission_time / 2)
+
     def test_busy_until_tracks_completion(self):
         conn = fresh_connection()
         res = conn.transmit(500_000, 5.0)
@@ -132,14 +171,18 @@ class TestAppLimited:
         conn.transmit(5_000, 0.0)
         assert conn.tcp_info().delivery_rate > 0.0
 
-    def test_round_sample_default_not_app_limited(self):
-        from repro.net.cc.base import RoundSample
+    def test_round_default_not_app_limited(self):
+        # A round reported without the flag counts as window-limited: in
+        # STARTUP it doubles the window, which an app-limited one may not.
+        from repro.net.cc.bbr import BbrLike
 
-        sample = RoundSample(
+        cc = BbrLike()
+        before = cc.cwnd_bytes
+        cc.on_round(
             delivered_bytes=1e4, duration=0.05, rtt=0.05,
             delivery_rate_bps=1e6, link_limited=False, loss=False,
         )
-        assert sample.app_limited is False
+        assert cc.cwnd_bytes == 2.0 * before
 
 
 class TestTcpInfo:

@@ -1,0 +1,258 @@
+"""The TCP round against its frozen predecessor, bit for bit.
+
+Moving the round loop onto local variables, looking capacity up once per
+capacity epoch and handing ``on_round`` seven plain values may change *when*
+state is written and never *what*: for every link model, both congestion
+controllers and any schedule of sends and idle gaps, the live
+``TcpConnection`` returns the results and ends in the state
+``tests/net/transmit_reference.py`` does — same float64 bits, same
+loss-generator position, same epochs realized on the link, and with
+observability on the same counters and histograms.  No tolerance anywhere in
+this file.
+"""
+
+import math
+import struct
+from collections import deque
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import obs
+from repro.net.cc.bbr import BbrLike
+from repro.net.cc.cubic import CubicLike
+from repro.net.link import (
+    ConstantLink,
+    HeavyTailLink,
+    MarkovLink,
+    TraceLink,
+    epoch_index,
+)
+from repro.net.tcp import TcpConnection
+
+from tests.net.transmit_reference import (
+    ReferenceBbr,
+    ReferenceCubic,
+    ReferenceTcpConnection,
+)
+
+TRACE_RATES = [4e5, 6e6, 2.5e5, 1.2e7, 9e5, 3e6, 1e3, 5e6]
+EPOCH = 0.3  # not representable in binary: k * EPOCH / EPOCH lands below k
+
+LINKS = {
+    "heavy_tail": lambda rate, seed: HeavyTailLink(
+        base_bps=rate, fade_rate=0.05, seed=seed
+    ),
+    "heavy_tail_0.3": lambda rate, seed: HeavyTailLink(
+        base_bps=rate, fade_rate=0.05, epoch=EPOCH, seed=seed
+    ),
+    "markov": lambda rate, seed: MarkovLink(
+        [rate / 8.0, rate, rate * 4.0],
+        switch_probability=0.3,
+        epoch=EPOCH,
+        seed=seed,
+    ),
+    "trace_loop": lambda rate, seed: TraceLink(TRACE_RATES, epoch=EPOCH),
+    "trace_hold": lambda rate, seed: TraceLink(
+        TRACE_RATES, epoch=EPOCH, loop=False
+    ),
+    "constant": lambda rate, seed: ConstantLink(rate),
+}
+CONTROLLERS = {"bbr": (BbrLike, ReferenceBbr), "cubic": (CubicLike, ReferenceCubic)}
+
+
+def canonical(value):
+    """A value with its type and, for floats, its exact bit pattern."""
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    if isinstance(value, (deque, list, tuple)):
+        return (type(value).__name__, [canonical(v) for v in value])
+    if isinstance(value, np.random.Generator):
+        return ("rng", value.bit_generator.state)
+    return (type(value).__name__, value)
+
+
+def state_of(obj, skip=()):
+    return {
+        name: canonical(value)
+        for name, value in vars(obj).items()
+        if name not in skip
+    }
+
+
+def make_pair(link_kind, cc_kind, rate, rtt, seed):
+    live_cc, reference_cc = CONTROLLERS[cc_kind]
+    live = TcpConnection(
+        LINKS[link_kind](rate, seed),
+        base_rtt=rtt,
+        cc=live_cc(),
+        loss_rng=np.random.default_rng(seed + 1),
+    )
+    reference = ReferenceTcpConnection(
+        LINKS[link_kind](rate, seed),
+        base_rtt=rtt,
+        cc=reference_cc(),
+        loss_rng=np.random.default_rng(seed + 1),
+    )
+    return live, reference
+
+
+def on_epoch_boundary(t):
+    """The first ``k * EPOCH`` at or after ``t`` — a send landing exactly
+    where ``int(t / epoch)`` alone names the wrong epoch."""
+    k = epoch_index(t, EPOCH)
+    while k * EPOCH < t:
+        k += 1
+    return k * EPOCH
+
+
+def assert_same_step(live, reference, got, want):
+    assert canonical(got.transmission_time) == canonical(want.transmission_time)
+    assert got.rounds == want.rounds
+    assert state_of(got.info_at_send) == state_of(want.info_at_send)
+    skip = ("link", "cc")
+    assert state_of(live, skip) == state_of(reference, skip)
+    assert state_of(live.cc) == state_of(reference.cc)
+    # The link realizes the same epochs from the same generator position.
+    assert state_of(live.link) == state_of(reference.link)
+
+
+def drive(live, reference, schedule, live_ctx=None, reference_ctx=None):
+    """Send the same ``(size, gap, snap)`` schedule down both connections,
+    each under its own obs context when given one, comparing after every
+    chunk; returns the live results."""
+    results = []
+    for size, gap, snap in schedule:
+        at = live.busy_until + gap
+        if snap:
+            at = on_epoch_boundary(at)
+        with obs.activate(live_ctx):
+            got = live.transmit(size, at)
+        with obs.activate(reference_ctx):
+            want = reference.transmit(size, at)
+        assert_same_step(live, reference, got, want)
+        results.append(got)
+    return results
+
+
+schedules = st.lists(
+    st.tuples(
+        st.one_of(st.floats(1.0, 5e4), st.floats(5e4, 6e6)),
+        st.one_of(st.just(0.0), st.floats(0.0, 0.5), st.floats(0.5, 40.0)),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(
+    link_kind=st.sampled_from(sorted(LINKS)),
+    cc_kind=st.sampled_from(sorted(CONTROLLERS)),
+    rate=st.sampled_from([1.5e5, 8e5, 4e6, 3e7]),
+    rtt=st.floats(0.004, 0.4),
+    seed=st.integers(0, 10_000),
+    schedule=schedules,
+)
+@settings(max_examples=150, deadline=None)
+def test_transmit_matches_reference_bit_for_bit(
+    link_kind, cc_kind, rate, rtt, seed, schedule
+):
+    live, reference = make_pair(link_kind, cc_kind, rate, rtt, seed)
+    drive(live, reference, schedule)
+
+
+def long_schedule(seed, n=60):
+    rng = np.random.default_rng(seed)
+    return [
+        (
+            float(rng.choice([3e3, 4e4, 3e5, 1.5e6, 5e6])),
+            float(rng.choice([0.0, 0.0, 0.05, 1.0, 12.0])),
+            bool(rng.random() < 0.3),
+        )
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("cc_kind", sorted(CONTROLLERS))
+@pytest.mark.parametrize("link_kind", sorted(LINKS))
+def test_long_session_matches_reference_with_obs_on_and_off(link_kind, cc_kind):
+    schedule = long_schedule(7)
+    live, reference = make_pair(link_kind, cc_kind, 8e5, 0.04, seed=11)
+    plain = drive(live, reference, schedule)
+
+    # Observed: the same loop runs (results equal to the unobserved pass)
+    # and the registry equals the reference's, count for count.
+    live, reference = make_pair(link_kind, cc_kind, 8e5, 0.04, seed=11)
+    live_ctx, reference_ctx = obs.ObsContext(), obs.ObsContext()
+    observed = drive(live, reference, schedule, live_ctx, reference_ctx)
+    assert [state_of(r.info_at_send) for r in observed] == [
+        state_of(r.info_at_send) for r in plain
+    ]
+    assert [(canonical(r.transmission_time), r.rounds) for r in observed] == [
+        (canonical(r.transmission_time), r.rounds) for r in plain
+    ]
+    assert live_ctx.metrics.to_dict() == reference_ctx.metrics.to_dict()
+    counters = live_ctx.metrics.counters
+    assert counters["tcp.rounds"] == sum(r.rounds for r in observed)
+    assert counters["tcp.transmissions"] == len(schedule)
+
+
+def test_merged_registry_equals_the_references():
+    """Per-connection contexts fold into the registry the reference's do —
+    the shape a trial merges session shards in."""
+    live_shards, reference_shards, total_rounds, losses = [], [], 0, 0.0
+    for seed, (link_kind, cc_kind) in enumerate(
+        (kind, cc) for kind in sorted(LINKS) for cc in sorted(CONTROLLERS)
+    ):
+        live, reference = make_pair(link_kind, cc_kind, 4e5, 0.03, seed)
+        live_ctx, reference_ctx = obs.ObsContext(), obs.ObsContext()
+        results = drive(
+            live, reference, long_schedule(seed, n=25), live_ctx, reference_ctx
+        )
+        total_rounds += sum(r.rounds for r in results)
+        live_shards.append(live_ctx)
+        reference_shards.append(reference_ctx)
+        losses += live_ctx.metrics.counters.get("tcp.loss_events", 0.0)
+    merged = obs.merge_contexts(live_shards)
+    expected = obs.merge_contexts(reference_shards)
+    assert merged.metrics.to_dict() == expected.metrics.to_dict()
+    assert merged.metrics.counters["tcp.rounds"] == total_rounds
+    # The schedule reaches the stochastic-loss branch, or the comparison of
+    # loss-generator positions above proves nothing.
+    assert losses > 0
+
+
+@given(
+    link_kind=st.sampled_from(sorted(LINKS)),
+    seed=st.integers(0, 1000),
+    t=st.one_of(
+        st.floats(0.0, 500.0),
+        st.integers(0, 2000).map(lambda k: k * EPOCH),
+    ),
+    fraction=st.floats(0.0, 1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_capacity_is_constant_until_next_change(link_kind, seed, t, fraction):
+    """What lets ``transmit`` look capacity up once per epoch: on
+    ``[t, next_change_after(t))`` every query returns the capacity at ``t``
+    — also for the last float before the change point, and with the change
+    point itself already in the next interval."""
+    link = LINKS[link_kind](2e6, seed)
+    capacity = link.capacity_at(t)
+    change_at = link.next_change_after(t)
+    assert change_at > t
+    if math.isinf(change_at):
+        probes = [t + fraction * 1e4]
+    else:
+        probes = [
+            t + fraction * (change_at - t),
+            math.nextafter(change_at, -math.inf),
+        ]
+        assert link.next_change_after(change_at) > change_at
+    for probe in probes:
+        if t <= probe < change_at:
+            assert link.capacity_at(probe) == capacity
+            assert link.next_change_after(probe) == change_at
