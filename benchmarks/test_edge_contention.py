@@ -11,7 +11,7 @@ Two questions the private-link harness cannot ask:
   compares schemes on *independent* sessions; a real deployment's
   sessions share access networks and CDN edges.  The paired comparison
   below runs the identical workload, trial seed and scheme set through
-  the private-link executor and through shared cells, and reports the
+  private links and through shared cells, and reports the
   per-scheme deltas plus any rank inversions.
 
 Scale knobs (environment variables):
@@ -150,7 +150,7 @@ def test_private_vs_shared_ranking_deltas():
         f"({'stable' if not inversions else f'{len(inversions)} moved'})"
     )
 
-    # The executors genuinely differ: at least one scheme's QoE moves.
+    # The two tiers genuinely differ: at least one scheme's QoE moves.
     assert any(p[name] != s[name] for name in p), (p, s)
     # Sanity on the shared tier itself.
     stats = shared.edge_stats

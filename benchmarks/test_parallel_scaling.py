@@ -11,30 +11,30 @@ Scale knobs (environment variables):
 
 * ``REPRO_SCALING_SESSIONS`` — sessions in the timed trial (default 200).
 * ``REPRO_SCALING_WORKERS`` — pool size for the timed run (default 4).
-* ``REPRO_BATCH_SESSIONS`` — sessions in the batch-executor check
+* ``REPRO_KERNEL_SESSIONS`` — sessions in the stream-kernel check
   (default 512).
 
 The >= 2x-at-4-workers assertion only engages when the machine actually has
 the cores; on smaller CI boxes the bench still validates correctness and
-prints the measured throughput.  The batch executor is only checked for
+prints the measured throughput.  The stream kernel is only checked for
 bit-identity here, at a scale the tier-1 suite cannot afford; its speed is
 measured by the ``bba_batch`` workload of ``perf/run.py``.
 """
 
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.abr.bba import BBA
 from repro.abr.mpc import MpcHm, RobustMpcHm
-from repro.batch import run_session_batch
 from repro.experiment.harness import RandomizedTrial, TrialConfig, run_session
 from repro.experiment.schemes import SchemeSpec
 
 SESSIONS = int(os.environ.get("REPRO_SCALING_SESSIONS", "200"))
 WORKERS = int(os.environ.get("REPRO_SCALING_WORKERS", "4"))
-BATCH_SESSIONS = int(os.environ.get("REPRO_BATCH_SESSIONS", "512"))
+KERNEL_SESSIONS = int(os.environ.get("REPRO_KERNEL_SESSIONS", "512"))
 
 
 def scaling_specs():
@@ -116,10 +116,11 @@ class TestParallelScaling:
         assert report.chunk_size * max(len(report.per_worker), 1) <= SESSIONS
 
 
-class TestBatchExecutorSpeedup:
+class TestStreamKernel:
     def test_bit_identical(self):
-        """Identical session ids through the scalar loop and the batch
-        fast path, under the stock heavy-tailed viewer."""
+        """Identical session ids through the stream kernel and through
+        ``stream_machine`` (the same sessions, observed), under the stock
+        heavy-tailed viewer."""
         specs = [
             SchemeSpec(
                 name="bba", control="classical", predictor="n/a",
@@ -127,11 +128,12 @@ class TestBatchExecutorSpeedup:
                 how_trained="n/a", factory=BBA,
             )
         ]
-        config = TrialConfig(n_sessions=max(BATCH_SESSIONS, 1000), seed=42)
-        ids = range(BATCH_SESSIONS)
-        batch_shards = run_session_batch(specs, config, ids)
-        assert len(batch_shards) == BATCH_SESSIONS
-        for sid, shard in zip(ids, batch_shards):
-            assert shard == run_session(specs, config, sid), (
-                f"batch shard diverged for session {sid}"
-            )
+        config = TrialConfig(n_sessions=max(KERNEL_SESSIONS, 1000), seed=42)
+        observed = replace(config, observability=True)
+        for sid in range(KERNEL_SESSIONS):
+            shard = run_session(specs, config, sid)
+            reference = run_session(specs, observed, sid)
+            assert shard.obs is None and reference.obs is not None
+            assert (shard.session, shard.consort) == (
+                reference.session, reference.consort
+            ), f"kernel diverged for session {sid}"

@@ -1,7 +1,7 @@
 """A flash crowd through the edge contention tier (`repro.edge`).
 
 Simulates two days of arrivals with an evening flash crowd, twice over
-the *same* sessions: once on the classic private-link executor (every
+the *same* sessions: once on the classic private-link fleet (every
 session gets its own bottleneck — the seed harness's assumption) and once
 in cell mode, where consecutive arrivals are grouped into edge cells that
 share a fluid fair-share bottleneck and a per-cell LRU chunk cache with

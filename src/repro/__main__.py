@@ -396,7 +396,6 @@ def _fleet_cli_args(args: argparse.Namespace) -> dict:
         "schemes": list(args.schemes),
         "chunk_size": args.chunk_size,
         "archive_dir": args.archive_dir,
-        "executor": args.executor,
         "cells": args.cells,
         "cell_dist": args.cell_dist,
         "cell_capacity_bps": args.cell_capacity_bps,
@@ -434,7 +433,6 @@ def _fleet_config_from_args(args: argparse.Namespace):
         workload=workload,
         trial=trial,
         chunk_sessions=args.chunk_size,
-        executor=args.executor,
         edge=edge,
     )
 
@@ -598,7 +596,6 @@ def _cmd_fleet_resume(args: argparse.Namespace) -> int:
         schemes=list(stored["schemes"]),
         chunk_size=int(stored["chunk_size"]),
         archive_dir=stored["archive_dir"],
-        executor=str(stored.get("executor", "auto")),
         cells=(
             float(stored["cells"])
             if stored.get("cells") is not None
@@ -793,13 +790,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="sessions per commit/checkpoint (does not affect results)",
         )
         p.add_argument(
-            "--executor", choices=["auto", "batch", "scalar"],
-            default="auto",
-            help="chunk executor: the per-session fast path for bba / bola "
-            "arms (block menus, fused TCP round loop), the scalar session "
-            "loop, or auto-select (the dump is byte-identical either way)",
-        )
-        p.add_argument(
             "--cells", type=float, default=None, metavar="MEAN",
             help="enable the edge-contention tier: partition arrivals into "
             "shared-bottleneck cells with this mean size (sessions); "
@@ -866,7 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
             "committed to a versioned model registry with hash-chained "
             "lineage, and every generation enrolls as a fresh RCT arm. "
             "Registry, archive, and dump are byte-identical at any worker "
-            "count, either executor, and across kill -9 + resume."
+            "count and across kill -9 + resume."
         ),
     )
     add_fleet_run_arguments(fleet_retrain)

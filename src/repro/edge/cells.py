@@ -40,7 +40,7 @@ class EdgeConfig:
 
     ``mean_cell_sessions = 1`` with ``cell_size_dist = "fixed"`` makes
     every cell a singleton — the degenerate configuration whose fleet
-    dumps are byte-identical to the private-link executor.
+    dumps are byte-identical to the private-link fleet.
     """
 
     mean_cell_sessions: float = 4.0

@@ -225,7 +225,7 @@ def run_cell(
         # Degenerate cell: a private bottleneck and a cache shared with
         # nobody.  The private-link path is the exact model — dispatching
         # to it is what makes singleton-cell fleets byte-identical to the
-        # classic executor.
+        # classic fleet.
         shard = run_session(
             specs, config, cell.start_session_id, expt_ids, algorithms
         )

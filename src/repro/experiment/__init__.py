@@ -31,11 +31,6 @@ from repro.experiment.insitu import (
     train_fugu_in_situ,
     train_pensieve_in_simulation,
 )
-from repro.experiment.operations import (
-    DayReport,
-    OperationsReport,
-    simulate_operation,
-)
 from repro.experiment.presets import (
     bench_trial_config,
     paper_scale_trial_config,
@@ -74,9 +69,6 @@ __all__ = [
     "train_fugu_in_situ",
     "train_pensieve_in_simulation",
     "deploy_and_collect",
-    "simulate_operation",
-    "OperationsReport",
-    "DayReport",
     "smoke_trial_config",
     "bench_trial_config",
     "paper_scale_trial_config",

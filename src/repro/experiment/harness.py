@@ -51,6 +51,7 @@ from repro.media.source import DEFAULT_CHANNELS, Channel
 from repro.net.path import NetworkPath, PathSampler, PopulationModel
 from repro.net.tcp import TransmissionResult
 from repro.streaming.buffer import MAX_BUFFER_S
+from repro.streaming.fastpath import fast_stream, reproduces
 from repro.streaming.session import StreamResult
 from repro.streaming.simulator import (
     DEFAULT_LOOKAHEAD,
@@ -106,6 +107,13 @@ class TrialConfig:
             raise ValueError("extra_stream_prob must lie in [0, 1)")
         if self.max_streams_per_session < 1:
             raise ValueError("sessions contain at least one stream")
+        # Written so that NaN fails too (every comparison with it is false).
+        if not 0.0 <= self.slow_decoder_prob <= 1.0:
+            raise ValueError("slow_decoder_prob must lie in [0, 1]")
+        if not 0.0 <= self.loss_of_contact_prob <= 1.0:
+            raise ValueError("loss_of_contact_prob must lie in [0, 1]")
+        if len(self.channels) == 0:
+            raise ValueError("channels must name at least one channel")
 
 
 @dataclass
@@ -366,7 +374,7 @@ def session_machine(
     # repro: allow-DET002(wall-clock session cost; quarantined profile.* metric) repro: allow-PURE002(profiling only; value never reaches session results)
     wall_start = time.perf_counter()
 
-    # repro: allow-SEED003(scheme-assignment fold; repro.batch replays it bit-for-bit, and a stream constant would re-randomize every historical assignment)
+    # repro: allow-SEED003(scheme-assignment fold; a stream constant would re-randomize every historical assignment)
     rng = np.random.default_rng((config.seed, session_id))
     spec = specs[int(rng.integers(len(specs)))]
     algorithm = algorithms[spec.name]
@@ -379,7 +387,7 @@ def session_machine(
     )
 
     path = PathSampler(
-        # repro: allow-SEED001(legacy path seed; repro.batch and all collected telemetry depend on this exact arithmetic form staying bit-identical)
+        # repro: allow-SEED001(legacy path seed; all collected telemetry depends on this exact arithmetic form staying bit-identical)
         population=config.population, seed=config.seed * 1_000_003 + session_id
     ).next_path()
     transport = yield ConnectRequest(
@@ -389,6 +397,16 @@ def session_machine(
         obs_ctx=obs_ctx,
     )
     assert not isinstance(transport, TransmissionResult)
+    # Which stream kernel serves this session, decided once and only from
+    # what the machine can observe: nobody is watching, and the scheme and
+    # the transport are ones the kernel reproduces.  A kernel stream never
+    # yields, so the answer cannot go stale between streams.
+    kernel = (
+        telemetry is None
+        and obs_ctx is None
+        and not obs.ENABLED
+        and reproduces(algorithm, transport)
+    )
     clock = 0.0  # connection time shared across the session's streams
 
     n_streams = 1
@@ -408,7 +426,7 @@ def session_machine(
         media_rng = np.random.default_rng(
             media_seed(config.seed, session_id, stream_no)
         )
-        menus = MenuBlockSource(
+        source = MenuBlockSource(
             channel,
             media_rng,
             # A short stream generates only the menus it can pull by its
@@ -423,25 +441,30 @@ def session_machine(
                 + 1,
                 DEFAULT_BLOCK_CHUNKS,
             ),
-        ).menus()
+        )
         hook = (
             config.viewer.make_extension_hook(rng)
             if kind == "view"
             else None
         )
         stream_id = session_id * config.max_streams_per_session + stream_no
-        result = yield from stream_machine(
-            menus,
-            algorithm,
-            transport,
-            watch_time_s=watch,
-            stream_id=stream_id,
-            expt_id=session.expt_id,
-            telemetry=telemetry,
-            extension_hook=hook,
-            start_time=clock,
-            channel_name=channel.name,
-        )
+        if kernel:
+            result = fast_stream(
+                source, algorithm, transport, watch, stream_id, hook, clock
+            )
+        else:
+            result = yield from stream_machine(
+                source.menus(),
+                algorithm,
+                transport,
+                watch_time_s=watch,
+                stream_id=stream_id,
+                expt_id=session.expt_id,
+                telemetry=telemetry,
+                extension_hook=hook,
+                start_time=clock,
+                channel_name=channel.name,
+            )
         result.scheme_name = spec.name
         clock += result.total_time + float(rng.uniform(0.1, 2.0))
         # A viewer may change channels while a chunk is still in
@@ -494,7 +517,7 @@ def run_session(
     algorithms: Optional[Mapping[str, AbrAlgorithm]] = None,
 ) -> SessionShard:
     """Simulate one randomized session — the pure unit of work every
-    driver (trial engine, fleet, batch fallback, singleton cell) executes.
+    driver (trial engine, fleet, singleton cell) executes.
 
     Drives :func:`session_machine` against a private per-session TCP
     connection: the connect request is answered with

@@ -432,8 +432,8 @@ def run_fleet_retrain(
     crash before the first checkpoint may have left in the registry.
 
     The dump, checkpoint, registry, and archive are byte-identical at any
-    worker count, any chunk size, either executor, and across ``kill -9``
-    + resume at any instant.
+    worker count, any chunk size, and across ``kill -9`` + resume at any
+    instant.
     """
     base_specs = list(base_specs)
     marker = f"{retrain.arm_prefix}@g"

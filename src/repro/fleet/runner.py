@@ -45,7 +45,6 @@ from typing import (
 from repro import obs
 from repro.atomio import atomic_write_text
 from repro.crashpoints import crashpoint
-from repro.batch import is_vectorizable_algorithm, run_session_batch
 from repro.analysis.bootstrap import ConfidenceInterval
 from repro.analysis.summary import SchemeSummary
 from repro.data.archive import ArchiveAppender
@@ -97,27 +96,16 @@ class FleetConfig:
     """Sessions per commit (and per checkpoint).  Not part of the
     fingerprint: any cadence reproduces the same dump."""
 
-    executor: str = "auto"
-    """Per-chunk session executor: ``"scalar"`` runs ``run_session`` per
-    arrival; ``"batch"`` runs each chunk through ``run_session_batch``, the
-    per-session fast path for BBA / BOLA / rate-based arms (block menus, a
-    fused TCP round loop, inlined glue; bit-identical shards — the dump
-    does not change); ``"auto"`` picks the fast path whenever it can help
-    (no telemetry collection and at least one scheme it reproduces).  A
-    pure execution knob: not part of the fingerprint."""
-
     edge: Optional[EdgeConfig] = None
     """Cell mode: partition arrivals into shared-bottleneck edge cells and
     run each cell through :func:`repro.edge.engine.run_cell` (singleton
     cells dispatch to the private-link path bit-identically).  ``None``
-    keeps the classic one-private-link-per-session executor.  Part of the
+    keeps the classic fleet of one private link per session.  Part of the
     fingerprint — cell mode changes the science."""
 
     def __post_init__(self) -> None:
         if self.chunk_sessions < 1:
             raise ValueError("chunk_sessions must be >= 1")
-        if self.executor not in ("auto", "batch", "scalar"):
-            raise ValueError("executor must be 'auto', 'batch' or 'scalar'")
 
     def fingerprint(self, specs: Sequence[SchemeSpec]) -> str:
         """Configuration identity for checkpoint compatibility.
@@ -127,7 +115,7 @@ class FleetConfig:
         via their stable dataclass reprs), the scheme set, and the edge
         tier when enabled (appended only then, so classic checkpoints keep
         their historical fingerprints).  Excludes pure execution knobs
-        (workers, chunk size, checkpoint cadence, executor).
+        (workers, chunk size, checkpoint cadence).
         """
         trial = self.trial
         trial_knobs = {
@@ -161,7 +149,6 @@ class FleetThroughput:
     wall_s: float
     commits: int
     checkpoints: int
-    executor: str = "scalar"
 
     @property
     def sessions_per_s(self) -> float:
@@ -173,8 +160,7 @@ class FleetThroughput:
             f"({self.streams} streams) in {self.wall_s:.2f}s "
             f"= {self.sessions_per_s:.1f} sessions/s "
             f"[{self.mode}, workers={self.workers}, "
-            f"executor={self.executor}, commits={self.commits}, "
-            f"checkpoints={self.checkpoints}]"
+            f"commits={self.commits}, checkpoints={self.checkpoints}]"
         )
 
 
@@ -339,10 +325,8 @@ def _fold_session(
 @dataclass
 class _ChunkPayload(parallel.SessionPayload):
     """The fleet's :func:`~repro.experiment.parallel.fork_map` payload: the
-    session payload plus how a chunk's shards are produced.  ``executor`` is
-    the *resolved* executor ("scalar" or "batch" — never "auto")."""
+    session payload plus the edge tier, when the chunk's items are cells."""
 
-    executor: str
     edge: Optional[EdgeConfig]
 
 
@@ -357,12 +341,9 @@ def _simulate_chunk(payload: _ChunkPayload, items: Sequence) -> _FleetChunk:
 
     The chunk function of every fleet run, in a pool worker or in-process.
     ``items`` is ``[(session_id, time_s), ...]``, or in cell mode a list of
-    whole cells (:data:`_CellItems`).  The shards come from one of three
-    executors — ``run_session`` per arrival, the ``run_session_batch``
-    fast path, or ``run_cell`` per cell — which are bit-identical wherever
-    they overlap (the fast path to the scalar path, a singleton cell to
-    ``run_session``), so the folded delta, and therefore the dump, does not
-    depend on the choice.
+    whole cells (:data:`_CellItems`).  The shards come from ``run_session``
+    per arrival or ``run_cell`` per cell, which agree where they overlap (a
+    singleton cell *is* a ``run_session`` call).
     """
     specs, config, expt_ids = payload.specs, payload.config, payload.expt_ids
     algorithms = payload.algorithms
@@ -395,15 +376,6 @@ def _simulate_chunk(payload: _ChunkPayload, items: Sequence) -> _FleetChunk:
             edge_stats["cache_hits"] += result.cache_hits
             edge_stats["cache_misses"] += result.cache_misses
             shards.extend(result.shards)
-    elif payload.executor == "batch":
-        arrivals = items
-        shards = run_session_batch(
-            specs,
-            config,
-            [session_id for session_id, _ in items],
-            expt_ids,
-            algorithms,
-        )
     else:
         arrivals = items
         shards = [
@@ -424,32 +396,6 @@ def _simulate_chunk(payload: _ChunkPayload, items: Sequence) -> _FleetChunk:
         telemetry=telemetry,
         edge_stats=edge_stats,
     )
-
-
-def _resolve_executor(
-    config: FleetConfig, specs: Sequence[SchemeSpec], trial: TrialConfig
-) -> str:
-    """Resolve ``config.executor`` to a concrete chunk executor.
-
-    ``auto`` selects the batch fast path when some session can actually
-    take it: telemetry collection sends every session to its scalar
-    fallback (so there is nothing to gain), and so does a scheme set with
-    no member it reproduces (``is_vectorizable_algorithm``).
-    """
-    if config.edge is not None:
-        # The cell engine drives session machines itself; the fast path
-        # models a private link per session and does not apply.  Singleton
-        # cells still take the scalar run_session path inside run_cell.
-        return "scalar"
-    if config.executor != "auto":
-        return config.executor
-    if trial.collect_telemetry:
-        return "scalar"
-    # Throwaway instances, used only for classification — the simulating
-    # instances are still built per process by the existing caches.
-    if any(is_vectorizable_algorithm(spec.build()) for spec in specs):
-        return "batch"
-    return "scalar"
 
 
 def _chunked(
@@ -558,7 +504,6 @@ def _drive_fleet(
         n_sessions=1,  # unused by run_session; workload decides scale
         collect_telemetry=archive_dir is not None,
     )
-    executor = _resolve_executor(config, specs, trial)
 
     manager = (
         CheckpointManager(checkpoint_path)
@@ -662,7 +607,6 @@ def _drive_fleet(
                     list(segment_specs),
                     trial,
                     assign_expt_ids(segment_specs, trial.seed),
-                    executor=executor,
                     edge=config.edge,
                 )
                 if config.edge is not None:
@@ -707,7 +651,6 @@ def _drive_fleet(
             wall_s=wall,
             commits=commits,
             checkpoints=manager.saves if manager is not None else 0,
-            executor=executor,
         ),
         checkpoint_path=checkpoint_path,
         archive_dir=archive_dir,

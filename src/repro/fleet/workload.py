@@ -38,6 +38,14 @@ _ARRIVAL_STREAM = 0xF1EE7
 arrival process never replays draws any session makes."""
 
 
+def _require_finite(**fields: float) -> None:
+    """NaN slips through every ordered comparison below, and a non-finite
+    horizon or intensity is a run whose arrival loop never ends."""
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FlashCrowd:
     """A window of elevated arrival intensity (a popular live event)."""
@@ -50,6 +58,11 @@ class FlashCrowd:
     """Intensity multiplier inside the window (``>= 1``)."""
 
     def __post_init__(self) -> None:
+        _require_finite(
+            start_day=self.start_day,
+            duration_hours=self.duration_hours,
+            multiplier=self.multiplier,
+        )
         if self.start_day < 0:
             raise ValueError("flash crowd must start at or after day 0")
         if self.duration_hours <= 0:
@@ -106,6 +119,9 @@ class WorkloadConfig:
     """Seed of the arrival process (independent of the trial seed)."""
 
     def __post_init__(self) -> None:
+        _require_finite(
+            days=self.days, sessions_per_hour=self.sessions_per_hour
+        )
         if self.days <= 0:
             raise ValueError("days must be positive")
         if self.sessions_per_hour <= 0:

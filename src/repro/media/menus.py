@@ -17,10 +17,12 @@ consumed sequence, and the simulator's lookahead window already consumes
 menus ahead of the playhead.
 
 Every session of :func:`repro.experiment.harness.session_machine` streams
-from :meth:`MenuBlockSource.menus`; the fast path in :mod:`repro.batch`
-reads the block rows directly.  ``VbrEncoder`` / ``VideoSource`` remain the
-per-chunk reference the differential suite (``tests/media/test_menus.py``)
-compares against, and the pipeline for bounded clips.
+from a ``MenuBlockSource``: :meth:`MenuBlockSource.menus` under
+``stream_machine``, the block rows directly under
+:func:`repro.streaming.fastpath.fast_stream`.  ``VbrEncoder`` /
+``VideoSource`` remain the per-chunk reference the differential suite
+(``tests/media/test_menus.py``) compares against, and the pipeline for
+bounded clips.
 """
 
 from __future__ import annotations

@@ -14,11 +14,12 @@ MAX_BUFFER_S = 15.0
 
 BUFFER_EPSILON_S = 1e-9
 """Float-tolerance on the buffer cap, shared by every occupancy comparison
-(and by the fast path in :mod:`repro.batch`).  ``room_for`` admits a
-chunk when ``level + duration <= cap + BUFFER_EPSILON_S`` and ``add`` only
-raises beyond the same slack, so a chunk admitted by ``room_for`` can never
-overflow ``add`` — the tolerances must stay one constant or accumulated
-rounding in ``level_s`` opens a gap between the two checks."""
+(and by the kernel in :mod:`repro.streaming.fastpath`).  ``room_for``
+admits a chunk when ``level + duration <= cap + BUFFER_EPSILON_S`` and
+``add`` only raises beyond the same slack, so a chunk admitted by
+``room_for`` can never overflow ``add`` — the tolerances must stay one
+constant or accumulated rounding in ``level_s`` opens a gap between the two
+checks."""
 
 
 class PlaybackBuffer:

@@ -1,0 +1,369 @@
+"""Stream kernel for the buffer- and rate-based schemes on BBR connections.
+
+:func:`fast_stream` is :func:`repro.streaming.simulator.stream_machine` for
+the streams whose every input it can reproduce without the machine's
+generality: the ABR scheme is exactly BBA, BOLA or rate-based, the
+transport is a private :class:`~repro.net.tcp.TcpConnection` under
+:class:`~repro.net.cc.bbr.BbrLike`, and nobody is watching (no telemetry,
+no observability).  :func:`repro.experiment.harness.session_machine` asks
+:func:`reproduces` once per session and then runs each stream through one
+kernel or the other; everything above the stream — assignment, paths,
+channel changes, CONSORT — exists once, there.
+
+What the kernel leaves out of a chunk's life:
+
+* the menu *rows* are read directly, with no ``ChunkMenu``, lookahead
+  window or ``AbrContext`` per chunk, and the three decision rules run on
+  those rows;
+* ``BbrLike.on_round`` is inlined into the round loop of
+  ``TcpConnection.transmit`` and the loss draw is skipped: BBR ignores a
+  round's ``loss`` flag and the loss generator feeds nothing else, so the
+  only trace is the generator's own unread state;
+* playback buffer, stream clock and watch limit live in locals, and the
+  stream never yields — which is also why it may suspend the garbage
+  collector around itself (a million small acyclic records a run; the
+  suspension cannot leak into a driver).
+
+Connection and controller state are the *real* objects' attributes, read
+into locals before a chunk's rounds and written back after them, so
+``tcp_info()``, ``busy_until``, ``total_bytes_sent`` and the idle handler
+stay true between chunks and after the stream.  Every arithmetic operation
+keeps the reference's IEEE evaluation order; the results are bit-identical
+(``tests/streaming/test_fastpath_equivalence.py``).  ``transmit``'s
+argument checks have no mirror: menu sizes are positive and finite by
+construction and the session machine never starts a stream before
+``busy_until``.
+"""
+
+from __future__ import annotations
+
+import gc
+import math
+from typing import Callable, Dict, List, Optional
+
+import numpy as np
+
+from repro.abr.base import AbrAlgorithm, ChunkRecord
+from repro.abr.bba import BBA
+from repro.abr.bola import Bola
+from repro.abr.rate_based import RateBased
+from repro.media.menus import MenuBlockSource
+from repro.net.cc.base import MAX_CWND_BYTES
+from repro.net.cc.bbr import _FULL_PIPE_GROWTH, _FULL_PIPE_ROUNDS, BbrLike
+from repro.net.tcp import _MAX_ROUNDS_PER_CHUNK, _SRTT_GAIN, TcpConnection
+from repro.streaming.buffer import BUFFER_EPSILON_S, MAX_BUFFER_S
+from repro.streaming.session import StreamResult
+from repro.streaming.simulator import ExtensionHook, Transport
+
+_MAX_CWND = float(MAX_CWND_BYTES)
+
+
+def _choose_bba(
+    abr: BBA, source: MenuBlockSource, row: int, level: float, tputs: List[float]
+) -> int:
+    """``BBA.choose`` on a menu row, ``rate_limit`` inlined.  The rate rows
+    (``EncodedChunk.bitrate``) and their min/max come precomputed per block."""
+    if level <= abr.reservoir_s:
+        limit = source.rates_min[row]
+    elif level >= abr.upper_reservoir_s:
+        limit = source.rates_max[row]
+    else:
+        fraction = (level - abr.reservoir_s) / (
+            abr.upper_reservoir_s - abr.reservoir_s
+        )
+        min_rate = source.rates_min[row]
+        limit = min_rate + fraction * (source.rates_max[row] - min_rate)
+    limit += 1e-9
+    qualities = source.ssims_lists[row]
+    best = 0
+    best_ssim = float("-inf")
+    for k, rate in enumerate(source.rates_lists[row]):
+        if rate <= limit and qualities[k] > best_ssim:
+            best = k
+            best_ssim = qualities[k]
+    return best
+
+
+def _choose_bola(
+    abr: Bola, source: MenuBlockSource, row: int, level: float, tputs: List[float]
+) -> int:
+    """``Bola.choose`` on the row's ndarrays."""
+    sizes, ssims = source.row_arrays(row)
+    duration = source.chunk_duration
+    q_chunks = level / duration
+    q_max = abr.max_buffer_s / duration
+    utilities = ssims - ssims[0]
+    gamma_p = abr.target_buffer_fraction * q_max
+    utility_span = max(float(utilities[-1]), 1e-9)
+    v = (q_max - 1.0) / (utility_span + gamma_p)
+    scores = (v * (utilities + gamma_p) - q_chunks) / sizes
+    if float(scores.max()) <= 0.0:
+        return len(sizes) - 1
+    return int(np.argmax(scores))
+
+
+def _choose_rate_based(
+    abr: RateBased, source: MenuBlockSource, row: int, level: float, tputs: List[float]
+) -> int:
+    """``RateBased.choose``: ``harmonic_mean_throughput`` over the stream's
+    observed throughputs, then ``size_bits / duration`` — the same rate row."""
+    recent = tputs[-abr.window:]
+    if recent:
+        estimate = len(recent) / sum(1.0 / r for r in recent)
+    else:
+        estimate = abr.startup_throughput_bps
+    budget = estimate * abr.safety_factor
+    choice = 0
+    for k, rate in enumerate(source.rates_lists[row]):
+        if rate <= budget:
+            choice = k
+    return choice
+
+
+_RULES: Dict[type, Callable[..., int]] = {
+    BBA: _choose_bba,
+    Bola: _choose_bola,
+    RateBased: _choose_rate_based,
+}
+"""The schemes whose ``choose`` has a mirror here, by exact type: a subclass
+may override ``choose`` arbitrarily."""
+
+
+def reproduces(abr: AbrAlgorithm, transport: Transport) -> bool:
+    """Whether :func:`fast_stream` reproduces ``stream_machine`` for this
+    scheme instance over this transport.  Exact types throughout — a
+    subclass of any of them may change what the kernel inlines."""
+    return (
+        type(abr) in _RULES
+        and type(transport) is TcpConnection
+        and type(transport.cc) is BbrLike
+    )
+
+
+def fast_stream(
+    source: MenuBlockSource,
+    abr: AbrAlgorithm,
+    connection: TcpConnection,
+    watch_time_s: float,
+    stream_id: int,
+    extension_hook: Optional[ExtensionHook],
+    start_time: float,
+) -> StreamResult:
+    """One stream, start to finish: the :class:`StreamResult`
+    ``stream_machine(source.menus(), abr, connection, ...)`` returns when
+    every transmit request is answered by ``connection.transmit``, for an
+    ``(abr, connection)`` pair :func:`reproduces` accepts."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _stream(
+            source,
+            abr,
+            connection,
+            watch_time_s,
+            stream_id,
+            extension_hook,
+            start_time,
+        )
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _stream(
+    source: MenuBlockSource,
+    abr: AbrAlgorithm,
+    connection: TcpConnection,
+    watch_time_s: float,
+    stream_id: int,
+    hook: Optional[ExtensionHook],
+    start_time: float,
+) -> StreamResult:
+    """The ``stream_machine`` loop, expression for expression, with
+    ``PlaybackBuffer`` inlined."""
+    if watch_time_s < 0:
+        raise ValueError("watch time must be non-negative")
+    choose = _RULES[type(abr)]
+    abr.begin_stream()
+    result = StreamResult(stream_id=stream_id, scheme_name=abr.name)
+    records = result.records
+    next_row = source.next_row
+    handle_idle = connection._handle_idle
+    tcp_info = connection.tcp_info
+    duration = source.chunk_duration
+    level = 0.0  # PlaybackBuffer.level_s
+    t = 0.0
+    limit = watch_time_s
+    playing = False
+    tputs: List[float] = []  # observed throughput per completed chunk
+    while True:
+        if t >= limit:
+            extra = hook(t, result) if hook is not None else 0.0
+            if extra > 0:
+                limit = t + extra
+            else:
+                break
+        # The live menu stream never exhausts (no bounded-clip break).
+        if level + duration > MAX_BUFFER_S + BUFFER_EPSILON_S:
+            # Server pauses while the buffer is full (time_until_room);
+            # drain's shortfall is discarded as the reference discards it.
+            wait = min(level + duration - MAX_BUFFER_S, max(limit - t, 0.0))
+            if wait <= 0:
+                t = limit
+                continue
+            if wait <= level:
+                level -= wait
+            else:
+                level = 0.0
+            result.play_time += wait
+            t += wait
+            continue
+        chunk_index, row = next_row()
+        rung = choose(abr, source, row, level, tputs)
+        # Block lists hold the same float64 values as the ndarray rows.
+        size = source.sizes_lists[row][rung]
+        ssim = source.ssims_lists[row][rung]
+        send_at = start_time + t
+        handle_idle(send_at)
+        info = tcp_info()
+        ttime = _transmit(connection, size, send_at)
+        t_end = t + ttime
+        if hook is not None and t_end >= limit:
+            extra = hook(t_end, result)
+            if extra > 0:
+                limit = t_end + extra
+        if playing:
+            # PlaybackBuffer.drain (the shortfall is the stall).
+            if ttime <= level:
+                level -= ttime
+                stall = 0.0
+            else:
+                stall = ttime - level
+                level = 0.0
+            play = ttime - stall
+            overshoot = max(t_end - limit, 0.0)
+            clipped_stall = min(stall, overshoot)
+            stall -= clipped_stall
+            play -= min(overshoot - clipped_stall, play)
+            result.play_time += play
+            if stall > 0:
+                result.stall_time += stall
+        t = t_end
+        if t >= limit:
+            # Mid-chunk departure: the chunk never finished for the viewer.
+            t = limit
+            break
+        # Room was checked before the send and the level has only fallen
+        # since, so PlaybackBuffer.add's overflow guard has no mirror.
+        level += duration
+        if not playing:
+            playing = True
+            result.startup_delay = t
+        record = ChunkRecord(
+            chunk_index=chunk_index,
+            rung=rung,
+            size_bytes=size,
+            ssim_db=ssim,
+            transmission_time=ttime,
+            info_at_send=info,
+            send_time=send_at,
+        )
+        records.append(record)
+        abr.on_chunk_complete(record)
+        # record.observed_throughput_bps
+        tputs.append(size * 8.0 / max(ttime, 1e-9))
+    # Every exit above leaves t >= limit, so the reference's tail play-out
+    # (reached only when a bounded clip runs out) has no mirror.
+    result.total_time = t
+    result.never_began = not playing
+    return result
+
+
+def _transmit(connection: TcpConnection, size_bytes: float, at_time: float) -> float:
+    """The round loop of ``TcpConnection.transmit`` with ``BbrLike.on_round``
+    inlined; returns the transmission time.  Idle handling and the
+    ``tcp_info`` snapshot are the caller's, through the connection's own
+    methods."""
+    cc = connection.cc
+    capacity_at = connection.link.capacity_at
+    next_change_after = connection.link.next_change_after
+    base_rtt = connection.base_rtt
+    srtt = connection.srtt
+    min_rtt = connection.min_rtt
+    delivery_rate_bps = connection.delivery_rate_bps
+    queue_bytes = connection._queue_bytes
+    window = connection._in_flight_bytes
+    cwnd = cc.cwnd_bytes
+    cwnd_gain = cc.cwnd_gain
+    cwnd_floor = 2.0 * cc.mss
+    samples = cc._bw_samples
+    cc_min_rtt = cc._min_rtt
+    in_startup = cc._in_startup
+    baseline = cc._full_pipe_baseline
+    stale = cc._stale_rounds
+    capacity_Bps = 0.0
+    change_at = -math.inf
+    remaining = float(size_bytes)
+    elapsed = 0.0
+    rounds = 0
+    while remaining > 0:
+        rounds += 1
+        if rounds > _MAX_ROUNDS_PER_CHUNK:
+            raise RuntimeError("transmission did not terminate")
+        now = at_time + elapsed
+        if now >= change_at:
+            capacity_Bps = capacity_at(now) / 8.0
+            change_at = next_change_after(now)
+        window = min(cwnd, remaining)
+        app_limited = remaining < cwnd
+        drain_time = window / capacity_Bps
+        rtt_sample = base_rtt + queue_bytes / capacity_Bps
+        if drain_time > rtt_sample:  # link limited
+            duration = drain_time
+            queue_bytes = max(window - capacity_Bps * base_rtt, 0.0)
+        else:
+            duration = rtt_sample
+            queue_bytes = 0.0
+        delivery_rate = window * 8.0 / duration
+        # --- BbrLike.on_round ---------------------------------------------
+        if not app_limited or delivery_rate > (
+            max(samples) if samples else 0.0
+        ):
+            samples.append(delivery_rate)
+        if rtt_sample < cc_min_rtt:
+            cc_min_rtt = rtt_sample
+        bw = max(samples) if samples else 0.0
+        if in_startup:
+            if bw > baseline * _FULL_PIPE_GROWTH:
+                baseline = bw
+                stale = 0
+            elif not app_limited:
+                stale += 1
+                if stale >= _FULL_PIPE_ROUNDS:
+                    in_startup = False
+            if not app_limited:
+                cwnd *= 2.0
+        if not in_startup and bw > 0 and cc_min_rtt < math.inf:
+            cwnd = cwnd_gain * (bw / 8.0 * cc_min_rtt)
+        cwnd = min(max(cwnd, cwnd_floor), _MAX_CWND)
+        # --- the connection's own updates ---------------------------------
+        srtt = (1.0 - _SRTT_GAIN) * srtt + _SRTT_GAIN * rtt_sample
+        if rtt_sample < min_rtt:
+            min_rtt = rtt_sample
+        if not app_limited or delivery_rate > delivery_rate_bps:
+            delivery_rate_bps = delivery_rate
+        remaining -= window
+        elapsed += duration
+    cc.cwnd_bytes = cwnd
+    cc._min_rtt = cc_min_rtt
+    cc._in_startup = in_startup
+    cc._full_pipe_baseline = baseline
+    cc._stale_rounds = stale
+    connection.srtt = srtt
+    connection.min_rtt = min_rtt
+    connection.delivery_rate_bps = delivery_rate_bps
+    connection._queue_bytes = queue_bytes
+    connection._in_flight_bytes = window
+    connection._total_bytes_sent += size_bytes
+    connection._last_activity_end = at_time + elapsed
+    return elapsed

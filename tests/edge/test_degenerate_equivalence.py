@@ -1,8 +1,8 @@
 """Differential guarantee of the edge tier's degenerate configuration.
 
-A fleet of one-session cells models exactly what the classic executor
+A fleet of one-session cells models exactly what the classic fleet
 models — every viewer alone behind a private bottleneck — so its metrics
-dump must be *byte-identical* to the private-link executor's, at any
+dump must be *byte-identical* to the private-link fleet's, at any
 worker count.  This pins the whole cell plumbing (partition, chunking,
 checkpointing, sink folding) to the established determinism contract.
 """

@@ -122,3 +122,19 @@ class TestValidation:
             TrialConfig(extra_stream_prob=1.0)
         with pytest.raises(ValueError):
             TrialConfig(max_streams_per_session=0)
+
+    @pytest.mark.parametrize(
+        "field", ["slow_decoder_prob", "loss_of_contact_prob"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), -1.0, 7.0])
+    def test_probabilities_outside_the_unit_interval_rejected(
+        self, field, value
+    ):
+        with pytest.raises(ValueError, match=field):
+            TrialConfig(**{field: value})
+        assert getattr(TrialConfig(**{field: 1.0}), field) == 1.0
+
+    def test_an_empty_channel_list_is_rejected_up_front(self):
+        # Used to surface as numpy's "high <= 0" from inside a session.
+        with pytest.raises(ValueError, match="channels"):
+            TrialConfig(channels=())

@@ -392,7 +392,7 @@ class TestResumeOfOlderCheckpoint:
         "--trial-seed", "11", "--chunk-size", "4",
     ]
 
-    def test_stored_batch_lanes_is_ignored(self, tmp_path):
+    def test_stored_batch_lanes_and_executor_are_ignored(self, tmp_path):
         from repro.__main__ import main
 
         reference = tmp_path / "reference.json"
@@ -403,12 +403,13 @@ class TestResumeOfOlderCheckpoint:
             "fleet", "run", *self.CLI,
             "--checkpoint", str(ckpt), "--stop-after", "12",
         ]) == 0
-        # Every checkpoint written while the batch executor had a lockstep
-        # width carries it in cli_args.
+        # Every checkpoint written while the fleet had an executor knob
+        # (and, before that, a lockstep width) carries them in cli_args.
         stored = json.loads(ckpt.read_text())
         assert not stored["completed"]
-        assert "batch_lanes" not in stored["cli_args"]
+        assert not {"batch_lanes", "executor"} & set(stored["cli_args"])
         stored["cli_args"]["batch_lanes"] = 64
+        stored["cli_args"]["executor"] = "batch"
         ckpt.write_text(json.dumps(stored, sort_keys=True) + "\n")
 
         resumed = tmp_path / "resumed.json"

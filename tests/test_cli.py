@@ -25,15 +25,20 @@ class TestParser:
         assert args.trials == 3
 
     @pytest.mark.parametrize("command", ["run", "retrain"])
-    def test_fleet_rejects_the_removed_batch_lanes_flag(self, command, capsys):
-        argv = ["fleet", command, "--executor", "batch"]
+    @pytest.mark.parametrize(
+        "removed", [["--batch-lanes", "64"], ["--executor", "batch"]]
+    )
+    def test_fleet_rejects_the_removed_execution_flags(
+        self, command, removed, capsys
+    ):
+        argv = ["fleet", command]
         if command == "retrain":
             argv += ["--archive-dir", "a", "--registry", "r"]
-        assert build_parser().parse_args(argv).executor == "batch"
+        assert not hasattr(build_parser().parse_args(argv), "executor")
         with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(argv + ["--batch-lanes", "64"])
+            build_parser().parse_args(argv + removed)
         assert exit_info.value.code == 2
-        assert "--batch-lanes" in capsys.readouterr().err
+        assert removed[0] in capsys.readouterr().err
 
 
 class TestCommands:
