@@ -15,7 +15,9 @@ RobustMPC-HM has the lowest stall rate and markedly lower SSIM.
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from itertools import accumulate
 from typing import Deque, List, Optional, Sequence
 
 import numpy as np
@@ -54,8 +56,18 @@ class HarmonicMeanPredictor:
         startup_throughput_bps: float = DEFAULT_STARTUP_THROUGHPUT_BPS,
         conservatism: float = 1.0,
     ) -> None:
-        if conservatism <= 0:
-            raise ValueError("conservatism must be positive")
+        # A NaN passes every ordered comparison, and either value below
+        # turns the estimate — then every score — negative or NaN, after
+        # which argmax streams rung 0 without a word.
+        if not (math.isfinite(conservatism) and conservatism > 0):
+            raise ValueError("conservatism must be finite and positive")
+        if not (
+            math.isfinite(startup_throughput_bps)
+            and startup_throughput_bps > 0
+        ):
+            raise ValueError(
+                "startup_throughput_bps must be finite and positive"
+            )
         if window <= 0:
             # A deque(maxlen=0) would also silently drop every error sample.
             raise ValueError("window must be positive")
@@ -83,11 +95,13 @@ class HarmonicMeanPredictor:
     ) -> List[TimeDistribution]:
         estimate = self.throughput_estimate(context)
         self._last_estimate_bps = estimate
+        # One division for the horizon; each step is a view of its rows.
+        times = (np.concatenate(sizes_per_step) * 8.0 / estimate)[:, None]
+        probs = np.ones_like(times)
+        stops = list(accumulate([len(sizes) for sizes in sizes_per_step]))
         return [
-            TimeDistribution.point_mass(
-                np.asarray(sizes_bytes, dtype=float) * 8.0 / estimate
-            )
-            for sizes_bytes in sizes_per_step
+            TimeDistribution(times=times[start:stop], probs=probs[start:stop])
+            for start, stop in zip([0] + stops, stops)
         ]
 
     def observe(self, record: ChunkRecord) -> None:
@@ -111,10 +125,13 @@ class MpcHm(AbrAlgorithm):
         horizon: int = 5,
         robust: bool = False,
         startup_throughput_bps: float = DEFAULT_STARTUP_THROUGHPUT_BPS,
+        conservatism: float = 1.0,
     ) -> None:
         self.controller = ValueIterationController(qoe=qoe, horizon=horizon)
         self.predictor = HarmonicMeanPredictor(
-            robust=robust, startup_throughput_bps=startup_throughput_bps
+            robust=robust,
+            startup_throughput_bps=startup_throughput_bps,
+            conservatism=conservatism,
         )
 
     def begin_stream(self) -> None:
@@ -150,5 +167,5 @@ class RobustMpcHm(MpcHm):
             horizon=horizon,
             robust=True,
             startup_throughput_bps=startup_throughput_bps,
+            conservatism=conservatism,
         )
-        self.predictor.conservatism = conservatism

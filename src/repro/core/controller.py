@@ -31,6 +31,7 @@ from typing import (
     Protocol,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -51,11 +52,26 @@ DEFAULT_BUFFER_BIN_S = 0.5
 "discretize[d] into bins"; half-second bins keep the planner's error well
 under one chunk duration while halving the DP's state space."""
 
-_GEOMETRY_MEMO_ENTRIES = 8
-"""Shared-row geometries one controller keeps (a few 31×21 arrays each). A
-deployed TTP presents one row and one chunk duration, so one entry is live
-at a time; the bound only stops a caller that keeps changing rows from
-growing the memo."""
+_MEMO_ENTRIES = 8
+"""Entries each of a controller's two memos keeps: shared-row geometries (a
+few 31×21 arrays each) and per-rung row layouts (two columns of one number
+per row). A deployed TTP presents one row and one chunk duration, so one
+geometry is live at a time; a point-mass model on one ladder presents one
+layout per horizon length, five in all. The bound only stops a caller that
+keeps changing rows or ladders from growing a memo."""
+
+_K = TypeVar("_K")
+_V = TypeVar("_V")
+
+
+def _keep(memo: Dict[_K, _V], key: _K, value: _V) -> _V:
+    """``value``, stored in ``memo`` — which starts over when it is full.
+    ``key`` must hold the *contents* of everything ``value`` was computed
+    from, never an identity."""
+    if len(memo) >= _MEMO_ENTRIES:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -140,6 +156,10 @@ class ValueIterationController:
         self._geometry_memo: Dict[
             Tuple[bytes, float], Tuple[np.ndarray, np.ndarray]
         ] = {}
+        self._layout_memo: Dict[
+            Tuple[Tuple[int, ...], Tuple[float, ...]],
+            Tuple[np.ndarray, np.ndarray, List[int]],
+        ] = {}
 
     def _bin_index(self, buffer_s: np.ndarray) -> np.ndarray:
         idx = np.rint(buffer_s / self.buffer_bin_s).astype(int)
@@ -167,60 +187,89 @@ class ValueIterationController:
     def _shared_row_geometry(
         self, times: np.ndarray, duration: float
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`_outcome_geometry` of a one-row ``times``, memoised on the
-        row's contents — not its identity: a TTP that recalibrates its tail
-        centre presents a row with other bytes, and a content key can never
-        serve the old row's geometry for the new one."""
+        """:meth:`_outcome_geometry` of a one-row ``times``, its ``next_bin``
+        as the ``(n_bins, n_outcomes)`` table every rung shares; memoised on
+        the row's contents — not its identity: a TTP that recalibrates its
+        tail centre presents a row with other bytes, and a content key can
+        never serve the old row's geometry for the new one."""
         key = (times.tobytes(), duration)
         geometry = self._geometry_memo.get(key)
         if geometry is None:
-            if len(self._geometry_memo) >= _GEOMETRY_MEMO_ENTRIES:
-                self._geometry_memo.clear()
-            geometry = self._outcome_geometry(times, duration)
-            self._geometry_memo[key] = geometry
+            stall_cost, next_bin = self._outcome_geometry(times, duration)
+            geometry = _keep(self._geometry_memo, key, (stall_cost, next_bin[0]))
         return geometry
+
+    def _row_layout(
+        self, counts: Tuple[int, ...], durations: Tuple[float, ...]
+    ) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+        """What the concatenated per-rung rows of steps with these rung
+        counts and chunk durations need beside their times: each row's
+        duration and its offset into the flattened ``(rungs, bins)`` value
+        table, both as ``(n_rows, 1, 1)`` columns, and where each step's
+        rows stop. One ladder and one chunk duration present one layout per
+        horizon length, so it is memoised like the shared-row geometry."""
+        key = (counts, durations)
+        layout = self._layout_memo.get(key)
+        if layout is None:
+            rows = np.arange(max(counts)) * len(self._grid)
+            layout = _keep(
+                self._layout_memo,
+                key,
+                (
+                    np.repeat(np.array(durations), counts)[:, None, None],
+                    np.concatenate([rows[:n] for n in counts])[:, None, None],
+                    list(accumulate(counts)),
+                ),
+            )
+        return layout
 
     def _horizon_geometry(
         self,
         dists: Sequence[TimeDistribution],
         menus: Sequence["ChunkMenu"],
-    ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-        """Each step's ``(stall_cost, next_bin)``. A shared outcome row
-        keeps its memoised one-row geometry, which broadcasts over the
-        rungs. Per-rung rows (point masses, mixtures) are computed for the
-        whole horizon in one pass over the concatenated rows, each with its
-        own step's chunk duration; their ``next_bin`` holds offsets into the
-        flattened ``(rungs, bins)`` value table, ``rung * n_bins + bin``."""
-        n_bins = len(self._grid)
-        geometry: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        b0: int,
+    ) -> Dict[int, Tuple[np.ndarray, np.ndarray, Optional[int]]]:
+        """Each step's ``(stall_cost, next_bin, axis)``: the continuation
+        of a step is ``value.take(next_bin, axis)``. A shared outcome row
+        keeps its memoised one-row geometry — ``stall_cost`` broadcasts over
+        the rungs, ``next_bin`` indexes the value table's bin axis (1).
+        Per-rung rows (point masses, mixtures) are computed for the whole
+        horizon in one pass over the concatenated rows, each with its own
+        step's chunk duration; their ``next_bin`` holds offsets into the
+        flattened value table (axis ``None``), ``rung * n_bins + bin``.
+        Step 0, read at the current bin ``b0`` alone, is cut to that bin."""
+        geometry: Dict[int, Tuple[np.ndarray, np.ndarray, Optional[int]]] = {}
         # Rows concatenate only at equal width: one pass per outcome count.
         per_rung: Dict[int, List[int]] = {}
         for step, (dist, menu) in enumerate(zip(dists, menus)):
             if dist.probs.shape[0] != len(menu):
                 raise ValueError("model returned wrong number of versions")
             if dist.times.shape[0] == 1:
-                geometry[step] = self._shared_row_geometry(
-                    dist.times, menu.duration
+                geometry[step] = (
+                    *self._shared_row_geometry(dist.times, menu.duration),
+                    1,
                 )
             else:
                 per_rung.setdefault(dist.times.shape[1], []).append(step)
         for group in per_rung.values():
-            counts = [len(menus[step]) for step in group]
-            durations = np.repeat(
-                np.array([menus[step].duration for step in group]), counts
+            durations, offsets, stops = self._row_layout(
+                tuple([len(menus[step]) for step in group]),
+                tuple([menus[step].duration for step in group]),
             )
             stall_cost, next_bin = self._outcome_geometry(
                 np.concatenate([dists[step].times for step in group]),
-                durations[:, None, None],
+                durations,
             )
             # Rung r of a step reads row r of that step's value table.
-            rows = np.arange(max(counts)) * n_bins
-            next_bin += np.concatenate([rows[:n] for n in counts])[
-                :, None, None
-            ]
-            stops = list(accumulate(counts))
+            next_bin += offsets
             for step, start, stop in zip(group, [0] + stops, stops):
-                geometry[step] = (stall_cost[start:stop], next_bin[start:stop])
+                geometry[step] = (
+                    stall_cost[start:stop], next_bin[start:stop], None
+                )
+        stall_cost, next_bin, axis = geometry[0]
+        geometry[0] = (
+            stall_cost[:, b0 : b0 + 1], next_bin[..., b0 : b0 + 1, :], axis
+        )
         return geometry
 
     def plan(
@@ -252,56 +301,59 @@ class ValueIterationController:
     ) -> np.ndarray:
         """Expected cumulative QoE of each rung of ``context.menu``."""
         menus = context.lookahead[:steps]
-        n_bins = len(self._grid)
         dists = model.predict(
             context, [np.asarray(menu.sizes) for menu in menus]
         )
         if len(dists) != steps:
             raise ValueError("model returned wrong number of steps")
-        geometry = self._horizon_geometry(dists, menus)
-        qualities = [np.asarray(menu.ssims_db) for menu in menus]
         b0 = min(
-            max(round(context.buffer_s / self.buffer_bin_s), 0), n_bins - 1
+            max(round(context.buffer_s / self.buffer_bin_s), 0),
+            len(self._grid) - 1,
         )
+        geometry = self._horizon_geometry(dists, menus, b0)
+
+        # What the menus alone determine, once for the horizon: each rung's
+        # weighted quality, and penalty[s - 1][a, p] = λ |q_s[a] - q_{s-1}[p]|
+        # for switching to rung a of step s from rung p of the step before.
+        # One rung count across the horizon (every real ladder) makes each a
+        # single block; otherwise the same operands are built step by step.
+        weight, variation = self.qoe.quality_weight, self.qoe.variation_weight
+        quality: Sequence[np.ndarray]
+        if len({len(menu) for menu in menus}) == 1:
+            quality = np.array([menu.ssims_db for menu in menus])
+            reward: Sequence[np.ndarray] = weight * quality
+            penalty: Sequence[np.ndarray] = variation * np.abs(
+                quality[1:, :, None] - quality[:-1, None, :]
+            )
+        else:
+            quality = [np.asarray(menu.ssims_db) for menu in menus]
+            reward = [weight * q for q in quality]
+            penalty = [
+                variation * np.abs(q[:, None] - q_prev[None, :])
+                for q, q_prev in zip(quality[1:], quality)
+            ]
 
         # Backward pass. V[a_prev, b] = max expected QoE-to-go from buffer
         # bin b when the previous chunk used rung a_prev of the previous
-        # step's menu. Step 0 is read at the current bin alone, so that is
-        # the one bin it evaluates.
+        # step's menu.
         value: Optional[np.ndarray] = None  # shape (n_prev_rungs, n_bins)
         for step in range(steps - 1, -1, -1):
-            bins = slice(None) if step else slice(b0, b0 + 1)
-            stall_cost, next_bin = geometry[step]
+            stall_cost, next_bin, axis = geometry[step]
             # Expected immediate reward without the variation term; a shared
-            # row's one-row geometry broadcasts over the rungs here.
-            block = (
-                self.qoe.quality_weight * qualities[step][:, None, None]
-                - stall_cost[:, bins]
-            )
+            # row's one-row stall cost broadcasts over the rungs here.
+            block = reward[step][:, None, None] - stall_cost
             if value is not None:
                 # Continuation indexed by (this rung as a_prev, next bin).
-                if next_bin.shape[0] == 1:
-                    block += value.take(next_bin[0, bins], axis=1)
-                else:
-                    block += value.take(next_bin[:, bins])
+                block += value.take(next_bin, axis)
             # Expectation over outcomes j.
             block *= dists[step].probs[:, None, :]
-            ev = block.sum(axis=2)  # (n_rungs, n_bins), or (n_rungs, 1)
+            ev = block.sum(axis=2)  # (n_rungs, n_bins); (n_rungs, 1) at step 0
             if step == 0:
                 break
-
-            # Build V for the previous step: subtract the variation penalty
-            # |q_a - q_prev| for every previous rung.
-            # penalty[a, p] = λ |q_a - q_prev_p|
-            penalty = self.qoe.variation_weight * np.abs(
-                qualities[step][:, None] - qualities[step - 1][None, :]
-            )
             # candidate[a, p, b] = ev[a, b] - penalty[a, p]
-            value = (ev[:, None, :] - penalty[:, :, None]).max(axis=0)
+            value = (ev[:, None, :] - penalty[step - 1][:, :, None]).max(axis=0)
 
         scores = ev[:, 0]
         if context.last_ssim_db is not None:
-            scores -= self.qoe.variation_weight * np.abs(
-                qualities[0] - context.last_ssim_db
-            )
+            scores -= variation * np.abs(quality[0] - context.last_ssim_db)
         return scores

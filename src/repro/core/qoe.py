@@ -11,6 +11,7 @@ objective for MPC-HM, RobustMPC-HM, and Fugu (§4.1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,6 +25,11 @@ class QoeParams:
     stall_weight: float = 100.0  # µ
 
     def __post_init__(self) -> None:
+        weights = (self.quality_weight, self.variation_weight, self.stall_weight)
+        if not all(math.isfinite(weight) for weight in weights):
+            # A NaN weight makes every score NaN, and argmax then picks
+            # rung 0 without a word.
+            raise ValueError("QoE weights must be finite")
         if self.variation_weight < 0 or self.stall_weight < 0:
             raise ValueError("QoE weights must be non-negative")
 

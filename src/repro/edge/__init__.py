@@ -12,7 +12,7 @@ correlated network events.  :mod:`repro.edge` closes that gap:
   pure, fork-safe parallelism unit (a declared purity root) so the fleet
   runner, ``ExactSum`` sinks, checkpoints and ``kill -9`` resume keep
   working byte-identically with cells as the shard key.
-* :mod:`repro.edge.fairshare` — exact (rational-arithmetic) weighted
+* :mod:`repro.edge.fairshare` — exact (integer-numerator) weighted
   max-min water-filling; shares conserve capacity and are permutation
   invariant in session order.
 * :mod:`repro.edge.transport` — the per-session fluid flow that stands in

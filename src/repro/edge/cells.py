@@ -17,6 +17,7 @@ cells are independent — which is what makes
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, List
 
@@ -76,6 +77,19 @@ class EdgeConfig:
     """Seed of the edge tier (independent of trial and workload seeds)."""
 
     def __post_init__(self) -> None:
+        # First, because a NaN passes every ordered check below and the run
+        # would die much later, inside the fair-share solver.
+        for name in (
+            "mean_cell_sessions",
+            "cell_capacity_bps",
+            "capacity_log_sigma",
+            "capacity_sigma",
+            "capacity_fade_rate",
+            "zipf_alpha",
+            "cubic_weight",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.mean_cell_sessions < 1.0:
             raise ValueError("mean cell size must be >= 1")
         if self.cell_size_dist not in _CELL_SIZE_DISTS:

@@ -5,16 +5,35 @@ shared link steps to a new epoch, so the solver must be *order independent*:
 a checkpointed run that rebuilds its active set in session-id order has to
 produce bit-identical shares to the original run.  Floating-point
 water-filling is not order independent (the running remainder accumulates
-differently under permutation), so the solve runs in exact rational
-arithmetic — ``Fraction(float)`` is lossless — and converts to float once,
-per flow, at the end.  That single rounding step is a per-flow function of
-exact rationals, hence permutation invariant.
+differently under permutation), so the solve is exact — and exact here
+needs only integers.  A finite float is ``m * 2**e``: capacity and caps are
+brought to one power-of-two denominator, weights to another
+(``float.as_integer_ratio``; the denominators are powers of two, so scaling
+a numerator up to the common one is exact), and the water-filling runs on
+Python ``int`` numerators.  Sums and differences are exact; the one
+comparison, ``cap <= level * weight``, is cross-multiplied so that no
+division happens; and each flow's share is rounded to a float once — a
+capped flow gets its own input back, an uncapped one the single ``int / int``
+of its exact share, which Python rounds correctly.  That rounding is a
+per-flow function of exact rationals, hence permutation invariant.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import List, Optional, Sequence
+import math
+from typing import List, Optional, Sequence, Tuple
+
+
+def _numerators(values: Sequence[float], name: str) -> Tuple[List[int], int]:
+    """``values`` as integer numerators over one power-of-two denominator,
+    which is returned beside them."""
+    try:
+        ratios = [float(value).as_integer_ratio() for value in values]
+    except (ValueError, OverflowError):
+        # as_integer_ratio's own words for NaN and for infinity.
+        raise ValueError(f"{name} must be finite") from None
+    den = max(d for _, d in ratios)
+    return [m * (den // d) for m, d in ratios], den
 
 
 def max_min_shares(
@@ -50,37 +69,48 @@ def max_min_shares(
     n = len(caps_bps)
     if n == 0:
         return []
+    if not math.isfinite(capacity_bps):
+        raise ValueError("capacity_bps must be finite")
     if capacity_bps < 0:
         raise ValueError("capacity must be non-negative")
     if weights is None:
-        weight_f = [Fraction(1)] * n
+        weight_n = [1] * n
     else:
         if len(weights) != n:
             raise ValueError("weights must align with caps")
-        weight_f = [Fraction(float(w)) for w in weights]
-        if any(w <= 0 for w in weight_f):
+        weight_n, _ = _numerators(weights, "weights")
+        if min(weight_n) <= 0:
             raise ValueError("weights must be positive")
-    cap_f = [Fraction(float(c)) for c in caps_bps]
-    if any(c < 0 for c in cap_f):
+    # Capacity rides along with the caps: one denominator for every rate.
+    (remaining, *cap_n), den = _numerators((capacity_bps, *caps_bps), "caps_bps")
+    if min(cap_n) < 0:
         raise ValueError("caps must be non-negative")
 
-    shares: List[Fraction] = [Fraction(0)] * n
-    remaining = Fraction(float(capacity_bps))
+    shares = [0.0] * n
     active = list(range(n))
     # Water-filling: raise the common water level until some flows hit
     # their caps, freeze those, redistribute the rest.  Terminates in at
     # most n rounds (every round freezes >= 1 flow or exits).
     while active and remaining > 0:
-        total_weight = sum(weight_f[i] for i in active)
-        level = remaining / total_weight
-        capped = [i for i in active if cap_f[i] <= level * weight_f[i]]
-        if not capped:
+        total_weight = sum([weight_n[i] for i in active])
+        # level = remaining / total_weight, never formed: a flow is capped
+        # when cap <= level * weight, i.e. cap * total_weight <= remaining
+        # * weight (total_weight > 0), both sides exact integers.
+        uncapped: List[int] = []
+        frozen = 0
+        for i in active:
+            if cap_n[i] * total_weight <= remaining * weight_n[i]:
+                # Exactly the flow's own cap: int / int is correctly
+                # rounded and the quotient is a float already.
+                shares[i] = cap_n[i] / den
+                frozen += cap_n[i]
+            else:
+                uncapped.append(i)
+        if len(uncapped) == len(active):
+            scale = den * total_weight
             for i in active:
-                shares[i] = level * weight_f[i]
-            remaining = Fraction(0)
+                shares[i] = remaining * weight_n[i] / scale
             break
-        for i in capped:
-            shares[i] = cap_f[i]
-            remaining -= cap_f[i]
-        active = [i for i in active if i not in set(capped)]
-    return [float(s) for s in shares]
+        remaining -= frozen
+        active = uncapped
+    return shares

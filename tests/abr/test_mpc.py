@@ -88,6 +88,13 @@ class TestHarmonicMeanPredictor:
         with pytest.raises(ValueError):
             HarmonicMeanPredictor(conservatism=0.0)
 
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_estimate_parameters_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="conservatism"):
+            HarmonicMeanPredictor(robust=True, conservatism=bad)
+        with pytest.raises(ValueError, match="startup_throughput_bps"):
+            HarmonicMeanPredictor(startup_throughput_bps=bad)
+
 
 class TestMpcHm:
     def test_high_throughput_history_yields_high_rung(self):
@@ -132,6 +139,19 @@ class TestMpcHm:
         c_plain = plain.choose(ctx(buffer_s=8.0, history=history, seed=2))
         c_robust = robust.choose(ctx(buffer_s=8.0, history=history, seed=2))
         assert c_robust <= c_plain
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_arms_validate_what_they_hand_the_predictor(self, bad):
+        # RobustMpcHm used to assign conservatism after building the
+        # predictor, past its check: a negative or NaN estimate, NaN scores,
+        # and an argmax that streamed rung 0.
+        with pytest.raises(ValueError, match="conservatism"):
+            RobustMpcHm(conservatism=bad)
+        for arm in (MpcHm, RobustMpcHm):
+            with pytest.raises(ValueError, match="startup_throughput_bps"):
+                arm(startup_throughput_bps=bad)
+        assert RobustMpcHm(conservatism=2.0).predictor.conservatism == 2.0
+        assert RobustMpcHm().predictor.conservatism == 3.0
 
     def test_begin_stream_resets_predictor(self):
         mpc = RobustMpcHm()

@@ -87,6 +87,14 @@ RUNG_COUNTS = {
     "ragged": st.lists(st.integers(2, 10), min_size=1, max_size=5),
     # Few distinct counts, so equal neighbours form runs inside a horizon.
     "runs": st.lists(st.sampled_from([1, 3, 4]), min_size=2, max_size=5),
+    # One step: a quality block with no penalty block behind it.
+    "one_step": st.integers(1, 10).map(lambda n: [n]),
+    # Ragged from the first pair on: the value table step 0 reads has
+    # another rung count than step 0's own menu.
+    "first_two_differ": st.tuples(
+        st.lists(st.integers(1, 10), min_size=2, max_size=2, unique=True),
+        st.lists(st.integers(1, 10), max_size=3),
+    ).map(lambda pair: pair[0] + pair[1]),
 }
 
 
@@ -94,11 +102,12 @@ CHUNK_DURATIONS = st.sampled_from([0.5, 1.001, 2.002, 3.3, 6.006])
 
 
 @st.composite
-def contexts(draw, shape=None):
+def contexts(draw, shape=None, first_chunk=None):
     """A decision point: 0–12 chunks of history and 1–5 menus ahead — fewer
-    than the TTP's horizon more often than not — whose rung counts are all
-    equal, all free, or equal in runs (``RUNG_COUNTS``), and whose chunks all
-    last 2.002 s, as deployed, or each its own duration."""
+    than the TTP's horizon more often than not — whose rung counts follow
+    one of ``RUNG_COUNTS``' shapes, and whose chunks all last 2.002 s, as
+    deployed, or each its own duration. ``first_chunk`` fixes whether a
+    previous chunk's quality exists (``last_ssim_db``); by default either."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     history = [make_record(rng, i) for i in range(draw(st.integers(0, 12)))]
     if shape is None:
@@ -119,7 +128,13 @@ def contexts(draw, shape=None):
         buffer_s=draw(st.floats(0.0, 16.0)),
         tcp_info=make_record(rng, 0).info_at_send,
         history=history,
-        last_ssim_db=draw(st.one_of(st.none(), st.floats(4.0, 20.0))),
+        last_ssim_db=draw(
+            {
+                True: st.none(),
+                False: st.floats(4.0, 20.0),
+                None: st.one_of(st.none(), st.floats(4.0, 20.0)),
+            }[first_chunk]
+        ),
     )
 
 
@@ -194,11 +209,14 @@ class TestFeatureRows:
 
 
 class TestPointMassModels:
-    @given(context=contexts(), robust=st.booleans())
-    @settings(max_examples=40, deadline=None)
-    def test_harmonic_mean_planner_scores(self, context, robust):
+    @pytest.mark.parametrize("first_chunk", [True, False])
+    @pytest.mark.parametrize("shape", sorted(RUNG_COUNTS))
+    @given(data=st.data(), robust=st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_harmonic_mean_planner_scores(self, shape, first_chunk, data, robust):
         # (n_rungs, 1) times: the planner's other input shape, which never
         # touches the geometry memo.
+        context = data.draw(contexts(shape=shape, first_chunk=first_chunk))
         predictor = HarmonicMeanPredictor(robust=robust)
         if context.history:
             predictor.predict(context, sizes_per_step(context))
@@ -213,7 +231,11 @@ class TestPointMassModels:
         controller = ValueIterationController()
         steps = len(context.lookahead)
         old = reference_scores(controller, context, stepwise, steps)
-        assert same_bits(controller._scores(context, predictor, steps), old)
+        # Twice: the second plan reads the row layout the first one kept.
+        for _ in range(2):
+            assert same_bits(
+                controller._scores(context, predictor, steps), old
+            )
         # A one-rung menu's only row is a shared row.
         if all(len(menu) > 1 for menu in context.lookahead):
             assert controller._geometry_memo == {}
@@ -287,6 +309,13 @@ class TestGeometryMemoCannotGoStale:
             )
             controller.plan(context, ttp)
             assert len(controller._geometry_memo) <= 8
+            # The per-rung row layouts live under the same rule: a caller
+            # whose chunk duration keeps changing cannot grow them either.
+            context.lookahead = [
+                make_menu(0, [1e5, 9e5], [8.0, 15.0], duration=2.0 + i)
+            ]
+            controller.plan(context, HarmonicMeanPredictor())
+            assert len(controller._layout_memo) <= 8
 
     def test_returned_row_is_not_the_predictors_own(self):
         ttp, _ = make_fugu_variant("full", seed=6)

@@ -17,6 +17,16 @@ class TestQoeParams:
         with pytest.raises(ValueError):
             QoeParams(stall_weight=-1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["quality_weight", "variation_weight", "stall_weight"]
+    )
+    def test_non_finite_weights_rejected(self, field, bad):
+        # NaN is not < 0: it used to pass, and the planner's argmax over
+        # all-NaN scores then streamed rung 0.
+        with pytest.raises(ValueError, match="finite"):
+            QoeParams(**{field: bad})
+
 
 class TestChunkQoe:
     def test_quality_only_when_no_stall_no_change(self):

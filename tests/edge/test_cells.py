@@ -113,6 +113,25 @@ class TestValidationAndSerialization:
         with pytest.raises(ValueError):
             EdgeConfig(cubic_weight=0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "mean_cell_sessions",
+            "cell_capacity_bps",
+            "capacity_log_sigma",
+            "capacity_sigma",
+            "capacity_fade_rate",
+            "zipf_alpha",
+            "cubic_weight",
+        ],
+    )
+    def test_non_finite_values_are_rejected_by_name(self, field, bad):
+        # NaN passes every `x <= 0` / `x < 0` check; the run used to die
+        # later, inside the solver, on as_integer_ratio's own message.
+        with pytest.raises(ValueError, match=field):
+            EdgeConfig(**{field: bad})
+
     def test_cell_validation(self):
         with pytest.raises(ValueError):
             Cell(cell_id=-1, start_session_id=0, size=1)

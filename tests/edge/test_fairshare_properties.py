@@ -3,8 +3,8 @@
 The solver is the numeric heart of the cell co-simulation: every event in
 every shared cell re-solves it, and the determinism contract requires its
 output to be a pure function of the multiset of (cap, weight) pairs — in
-particular *permutation-invariant*, which is why it computes in exact
-rational arithmetic and converts to float once per flow at the end.
+particular *permutation-invariant*, which is why it computes on exact
+integer numerators and rounds to float once per flow at the end.
 """
 
 import math
@@ -108,6 +108,17 @@ class TestWeighted:
             max_min_shares(1.0, [1.0], [0.0])
         with pytest.raises(ValueError):
             max_min_shares(1.0, [1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_are_rejected_by_argument(self, bad):
+        # Always a ValueError that names the argument: never the
+        # OverflowError float.as_integer_ratio raises for an infinity.
+        with pytest.raises(ValueError, match="capacity_bps"):
+            max_min_shares(bad, [1.0, 2.0])
+        with pytest.raises(ValueError, match="caps_bps"):
+            max_min_shares(1.0, [1.0, bad])
+        with pytest.raises(ValueError, match="weights"):
+            max_min_shares(1.0, [1.0, 2.0], [bad, 1.0])
 
     def test_empty(self):
         assert max_min_shares(10.0, []) == []
