@@ -2,6 +2,9 @@
 
 §3.4: "We calculate confidence intervals on average SSIM using the formula
 for weighted standard error, weighting each stream by its duration."
+
+This module is on the fleet's import path: numpy and the standard library at
+module scope, nothing else (DESIGN.md, "Imports at the use site").
 """
 
 from __future__ import annotations
@@ -9,9 +12,31 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.analysis.bootstrap import ConfidenceInterval
+
+_Z_95 = 1.959963984540054
+"""z-quantile for a two-sided 95% normal interval: bit-equal to
+``float(scipy.stats.norm.ppf(0.975))`` (pinned in
+``tests/analysis/test_stats.py``), so the default level needs no scipy."""
+
+
+def normal_z(confidence: float) -> float:
+    """z such that a standard normal lies in ``[-z, z]`` with probability
+    ``confidence``.
+
+    The default level, 0.95, is a constant; any other level imports
+    ``scipy.stats`` here, at the call, and asks ``norm.ppf`` —
+    ``statistics.NormalDist().inv_cdf`` is one ulp off scipy at 0.975 and
+    would change printed intervals.
+    """
+    if not 0.0 < confidence < 1.0:  # NaN fails both comparisons
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
+    if confidence == 0.95:
+        return _Z_95
+    from scipy import stats as sps
+
+    return float(sps.norm.ppf(0.5 + confidence / 2.0))
 
 
 def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
@@ -51,11 +76,9 @@ def weighted_mean_ci(
 ) -> ConfidenceInterval:
     """Normal-approximation CI around a weighted mean — the paper's SSIM
     interval construction."""
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie in (0, 1)")
+    z = normal_z(confidence)
     mean = weighted_mean(values, weights)
     se = weighted_standard_error(values, weights)
-    z = float(sps.norm.ppf(0.5 + confidence / 2.0))
     return ConfidenceInterval(
         point=mean, low=mean - z * se, high=mean + z * se, confidence=confidence
     )

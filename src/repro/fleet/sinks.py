@@ -35,10 +35,14 @@ constant-memory sink cannot retain.  The streaming sink reports the paper's
 *weighted-standard-error* interval for SSIM (the same formula as
 :func:`repro.analysis.stats.weighted_mean_ci`), a ratio-estimator
 (delta-method) normal interval for the stall ratio, and a normal interval
-for mean session duration.  Tolerances vs the exact list-based statistics
-are documented in EXPERIMENTS.md and enforced by the property tests: point
-estimates agree to ~1e-12 relative; normal-approximation CIs agree with
-their list-based counterparts to ~1e-9 and bracket the same point.
+for mean session duration.  All three take their z from
+:func:`repro.analysis.stats.normal_z` — a constant at the default 95 % level,
+so a fleet run to its dump imports no scipy; ``scipy.stats`` is imported at
+the call for any other level (DESIGN.md, "Imports at the use site").
+Tolerances vs the exact list-based statistics are documented in
+EXPERIMENTS.md and enforced by the property tests: point estimates agree to
+~1e-12 relative; normal-approximation CIs agree with their list-based
+counterparts to ~1e-9 and bracket the same point.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from typing import Dict, List, Optional
 
 from repro.analysis.bootstrap import ConfidenceInterval
 from repro.analysis.summary import SchemeSummary, StreamAggregator
-from repro.analysis.stats import stream_years
+from repro.analysis.stats import normal_z, stream_years
 from repro.obs.registry import HistogramSpec, TIME_SPEC
 from repro.streaming.session import StreamResult
 
@@ -61,10 +65,6 @@ _SCALE_BITS = 1074
 ``2**1074`` embeds all finite doubles exactly into the integers."""
 
 _SCALE = 1 << _SCALE_BITS
-
-_Z_95 = 1.959963984540054
-"""z-quantile for a two-sided 95% normal interval (scipy-free constant;
-matches ``scipy.stats.norm.ppf(0.975)`` to double precision)."""
 
 # Histogram layouts for the distributions the fleet tracks.  Reusing the
 # log-binned layout from repro.obs keeps every shard's bins identical by
@@ -206,6 +206,7 @@ class StreamingMoments:
     def mean_ci(self, confidence: float = 0.95) -> Optional[ConfidenceInterval]:
         """Normal-approximation interval around the mean (``None`` if
         empty; zero-width below n=2)."""
+        z = normal_z(confidence)
         if self.n == 0:
             return None
         point = self.mean()
@@ -213,7 +214,7 @@ class StreamingMoments:
             return ConfidenceInterval(
                 point=point, low=point, high=point, confidence=confidence
             )
-        half = _Z_95 * self.standard_error()
+        half = z * self.standard_error()
         return ConfidenceInterval(
             point=point, low=point - half, high=point + half,
             confidence=confidence,
@@ -301,6 +302,7 @@ class WeightedMoments:
         return math.sqrt(float(se2))
 
     def mean_ci(self, confidence: float = 0.95) -> Optional[ConfidenceInterval]:
+        z = normal_z(confidence)
         if self.n == 0 or self.sum_w.is_zero():
             return None
         point = self.mean()
@@ -308,7 +310,7 @@ class WeightedMoments:
             return ConfidenceInterval(
                 point=point, low=point, high=point, confidence=confidence
             )
-        half = _Z_95 * self.standard_error()
+        half = z * self.standard_error()
         return ConfidenceInterval(
             point=point, low=point - half, high=point + half,
             confidence=confidence,
@@ -557,6 +559,7 @@ class StreamingSchemeSink(StreamAggregator):
         the batch path's bootstrap CI is the reference; agreement is
         asymptotic, not exact (documented in EXPERIMENTS.md).
         """
+        z = normal_z(confidence)
         if self.n_streams == 0:
             return None
         total_watch = self.watch.fraction()
@@ -580,7 +583,7 @@ class StreamingSchemeSink(StreamAggregator):
             residual_sq = Fraction(0)
         n = self.n_streams
         se = math.sqrt(float(residual_sq) * n / (n - 1)) / float(total_watch)
-        half = _Z_95 * se
+        half = z * se
         return ConfidenceInterval(
             point=point,
             low=max(0.0, point - half),

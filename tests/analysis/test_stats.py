@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.stats import (
     ccdf,
+    normal_z,
     stream_years,
     weighted_mean,
     weighted_mean_ci,
@@ -72,6 +73,46 @@ class TestWeightedMeanCi:
     def test_invalid_confidence(self):
         with pytest.raises(ValueError):
             weighted_mean_ci([1.0, 2.0], [1.0, 1.0], confidence=0.0)
+
+    @pytest.mark.parametrize("confidence", [0.95, 0.99])
+    def test_bits_are_those_of_the_formula_written_out(self, confidence):
+        """The expression ``weighted_mean_ci`` evaluated before
+        ``normal_z`` existed, inline: same ``float.hex()`` triple."""
+        from scipy import stats as sps
+
+        rng = np.random.default_rng(4)
+        values = rng.normal(16.0, 2.0, 300)
+        weights = rng.lognormal(5.0, 1.5, 300)
+        mean = weighted_mean(values, weights)
+        se = weighted_standard_error(values, weights)
+        z = float(sps.norm.ppf(0.5 + confidence / 2.0))
+        expected = (mean, mean - z * se, mean + z * se)
+        ci = weighted_mean_ci(values, weights, confidence)
+        assert [x.hex() for x in (ci.point, ci.low, ci.high)] == [
+            x.hex() for x in expected
+        ]
+        assert ci.confidence == confidence
+
+
+class TestNormalZ:
+    @pytest.mark.parametrize(
+        "confidence", [0.5, 0.68, 0.8, 0.9, 0.95, 0.99, 0.999]
+    )
+    def test_every_level_is_scipys_double(self, confidence):
+        """0.95 is answered by a constant (``0.5 + 0.95 / 2`` is the double
+        0.975), every other level by scipy itself: the same bits."""
+        from scipy.stats import norm
+
+        assert 0.5 + 0.95 / 2 == 0.975
+        expected = float(norm.ppf(0.5 + confidence / 2))
+        assert normal_z(confidence).hex() == expected.hex()
+
+    @pytest.mark.parametrize(
+        "confidence", [0.0, 1.0, -0.1, 2.0, float("inf"), float("nan")]
+    )
+    def test_rejects_a_level_outside_the_unit_interval(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            normal_z(confidence)
 
 
 class TestCcdf:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.abr.base import ChunkRecord
-from repro.analysis.stats import weighted_mean, weighted_mean_ci
+from repro.analysis.stats import normal_z, weighted_mean, weighted_mean_ci
 from repro.analysis.summary import summarize_scheme
 from repro.fleet.sinks import (
     DURATION_SPEC,
@@ -95,17 +95,31 @@ class TestStreamingMoments:
         ci = m.mean_ci()
         assert ci is not None and ci.low == ci.high == ci.point == 4.0
 
+    def test_ci_uses_the_level_it_is_labelled_with(self):
+        from scipy.stats import norm
+
+        m = StreamingMoments()
+        for v in (0.1, 0.7, 2.5, -3.25, 1e-3, 11.0):
+            m.observe(v)
+        ci = m.mean_ci(confidence=0.99)
+        assert ci.confidence == 0.99
+        half = float(norm.ppf(0.995)) * m.standard_error()
+        assert (ci.low, ci.high) == (ci.point - half, ci.point + half)
+        assert ci.width > m.mean_ci().width
+
 
 class TestWeightedMoments:
-    def test_matches_weighted_mean_ci(self):
+    @pytest.mark.parametrize("confidence", [0.95, 0.99])
+    def test_matches_weighted_mean_ci(self, confidence):
         values = np.array([10.0, 20.0, 13.5, 17.25])
         weights = np.array([100.0, 300.0, 55.0, 10.0])
         m = WeightedMoments()
         for v, w in zip(values, weights):
             m.observe(v, w)
-        reference = weighted_mean_ci(values, weights)
+        reference = weighted_mean_ci(values, weights, confidence)
         assert m.mean() == pytest.approx(reference.point, rel=1e-12)
-        ci = m.mean_ci()
+        ci = m.mean_ci(confidence)
+        assert ci.confidence == reference.confidence == confidence
         assert ci.low == pytest.approx(reference.low, rel=1e-9)
         assert ci.high == pytest.approx(reference.high, rel=1e-9)
 
@@ -192,7 +206,8 @@ class TestStreamingSchemeSink:
             reference.fraction_streams_with_stall
         )
 
-    def test_ssim_ci_matches_weighted_se_formula(self):
+    @pytest.mark.parametrize("confidence", [0.95, 0.99])
+    def test_ssim_ci_matches_weighted_se_formula(self, confidence):
         streams = [
             make_stream(0, ssim=10.0, play=100.0),
             make_stream(1, ssim=20.0, play=300.0),
@@ -203,8 +218,10 @@ class TestStreamingSchemeSink:
             sink.observe_stream(s)
         values = np.array([s.mean_ssim_db for s in streams])
         weights = np.array([s.watch_time for s in streams])
-        reference = weighted_mean_ci(values, weights)
-        ci = sink.summary().mean_ssim_db
+        reference = weighted_mean_ci(values, weights, confidence)
+        ci = sink.ssim.mean_ci(confidence)
+        if confidence == 0.95:  # the level the summary row reports
+            assert sink.summary().mean_ssim_db == ci
         assert ci.point == pytest.approx(reference.point, rel=1e-12)
         assert ci.low == pytest.approx(reference.low, rel=1e-9)
         assert ci.high == pytest.approx(reference.high, rel=1e-9)
@@ -220,6 +237,34 @@ class TestStreamingSchemeSink:
         ci = sink.stall_ratio_ci()
         assert ci.low <= ci.point <= ci.high
         assert ci.low >= 0.0
+
+    def test_stall_ci_scales_with_the_level(self):
+        sink = StreamingSchemeSink("x")
+        for i in range(12):
+            sink.observe_stream(
+                make_stream(i, play=100.0 + 7 * i, stall=float(i % 3))
+            )
+        default, wide = sink.stall_ratio_ci(), sink.stall_ratio_ci(0.99)
+        assert wide.confidence == 0.99 and wide.point == default.point
+        se = (default.high - default.point) / normal_z(0.95)
+        assert wide.high - wide.point == pytest.approx(
+            normal_z(0.99) * se, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 2.0, -0.5, float("nan")])
+    def test_intervals_reject_a_level_outside_the_unit_interval(
+        self, confidence
+    ):
+        sink = StreamingSchemeSink("x")
+        for i in range(3):
+            sink.observe_stream(make_stream(i, stall=float(i)))
+            sink.observe_session_duration(60.0 + i)
+        for interval in (
+            sink.stall_ratio_ci, sink.ssim.mean_ci, sink.duration.mean_ci,
+            StreamingMoments().mean_ci,  # empty: still validated
+        ):
+            with pytest.raises(ValueError, match="confidence"):
+                interval(confidence)
 
     def test_empty_summary_rejected(self):
         with pytest.raises(ValueError):
