@@ -243,7 +243,12 @@ class Cs2pPredictor:
             future = belief @ np.linalg.matrix_power(
                 self.hmm.transition, step + 1
             )
-            future = future / (future.sum() + _LOG_FLOOR)
+            if len(future) == 1:
+                # One hidden state is certain, whatever the floored belief
+                # says: a point mass, whose probability is exactly 1.
+                future = np.ones(1)
+            else:
+                future = future / (future.sum() + _LOG_FLOOR)
             sizes = np.asarray(sizes_bytes, float)
             times = sizes[:, None] * 8.0 / state_rates[None, :]
             probs = np.tile(future, (len(sizes), 1))

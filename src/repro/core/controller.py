@@ -13,6 +13,10 @@ the :class:`TransmissionTimeModel` supplying ``P[T̂(K_i^s) = T_j]``:
   time per candidate size);
 * Fugu's TTP returns a full 21-bin probability distribution.
 
+A point-mass step has one outcome of probability exactly 1, so its
+expectation is that outcome: the backward pass skips the multiply by 1.0
+and the sum over an axis of length one for it, with the same bits.
+
 The implementation runs the backward recursion with numpy over the buffer
 grid, which is the vectorized equivalent of the paper's memoized forward
 recursion over reachable states; the first step, whose one reachable state
@@ -83,7 +87,8 @@ class TimeDistribution:
     one row per version, ``(n_versions, n_outcomes)``, or — when every
     version shares the same outcomes, as the TTP's bin centres do — a single
     shared row ``(1, n_outcomes)`` that broadcasts against ``probs``. A
-    deterministic predictor uses a single column.
+    deterministic predictor uses a single column, whose probabilities are
+    then exactly 1.0 (:meth:`validate` checks it; the planner relies on it).
     """
 
     times: np.ndarray
@@ -109,6 +114,12 @@ class TimeDistribution:
         row_sums = self.probs.sum(axis=1)
         if not np.allclose(row_sums, 1.0, atol=1e-6):
             raise ValueError("each version's probabilities must sum to 1")
+        # The planner takes a one-outcome row as certain and skips the
+        # weighting, so nearly 1 is not good enough: every point mass is
+        # built from the constant 1.0, never accumulated.
+        # repro: allow-SIM001(a contract check against the literal every point-mass producer writes, not an accumulated quantity)
+        if self.probs.shape[1] == 1 and np.any(self.probs != 1.0):
+            raise ValueError("a one-outcome probability must be exactly 1")
 
     @classmethod
     def point_mass(cls, times: Sequence[float]) -> "TimeDistribution":
@@ -345,9 +356,16 @@ class ValueIterationController:
             if value is not None:
                 # Continuation indexed by (this rung as a_prev, next bin).
                 block += value.take(next_bin, axis)
-            # Expectation over outcomes j.
-            block *= dists[step].probs[:, None, :]
-            ev = block.sum(axis=2)  # (n_rungs, n_bins); (n_rungs, 1) at step 0
+            # Expectation over outcomes j: (n_rungs, n_bins); (n_rungs, 1)
+            # at step 0.  A point mass is certain, so it is its one
+            # outcome; ``+ 0.0`` is what a length-1 sum does to it (-0.0
+            # becomes 0.0, everything else stays).
+            probs = dists[step].probs
+            if probs.shape[1] == 1:
+                ev = block[:, :, 0] + 0.0
+            else:
+                block *= probs[:, None, :]
+                ev = block.sum(axis=2)
             if step == 0:
                 break
             # candidate[a, p, b] = ev[a, b] - penalty[a, p]

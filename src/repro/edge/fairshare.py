@@ -16,6 +16,23 @@ division happens; and each flow's share is rounded to a float once — a
 capped flow gets its own input back, an uncapped one the single ``int / int``
 of its exact share, which Python rounds correctly.  That rounding is a
 per-flow function of exact rationals, hence permutation invariant.
+
+Two cases need no water-filling, and the solver answers them first (after
+the same validation, with the same messages):
+
+* **One flow** gets ``min(capacity, cap)``: it is capped exactly when its
+  cap is at most the whole capacity, and otherwise takes all of it.  Both
+  are inputs, returned unrounded.
+* **Caps that fit** — ``math.fsum(caps) < capacity`` — give every flow its
+  own cap.  ``fsum`` is the correctly rounded exact sum, and rounding is
+  monotone, so a rounded sum strictly below the capacity means the exact
+  sum is too; then each water-filling round freezes at least one flow at
+  its cap (were none capped, the caps would sum past the capacity) and the
+  remainder stays above the caps still to come.  A rounded sum that lands
+  on the capacity proves nothing, and takes the exact path.
+
+Either way the exact solve would have returned the same inputs, converted
+to floats; ``+ 0.0`` maps a ``-0.0`` input to the ``0.0`` it returns.
 """
 
 from __future__ import annotations
@@ -24,14 +41,23 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 
-def _numerators(values: Sequence[float], name: str) -> Tuple[List[int], int]:
-    """``values`` as integer numerators over one power-of-two denominator,
-    which is returned beside them."""
+def _floats(values: Sequence[float], name: str) -> List[float]:
+    """``values`` as finite floats, or a ``ValueError`` naming them."""
     try:
-        ratios = [float(value).as_integer_ratio() for value in values]
+        floats = [float(value) for value in values]
     except (ValueError, OverflowError):
-        # as_integer_ratio's own words for NaN and for infinity.
+        # float()'s own words for a non-number and for a huge int.
         raise ValueError(f"{name} must be finite") from None
+    for value in floats:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+    return floats
+
+
+def _numerators(values: Sequence[float]) -> Tuple[List[int], int]:
+    """Finite ``values`` as integer numerators over one power-of-two
+    denominator, which is returned beside them."""
+    ratios = [value.as_integer_ratio() for value in values]
     den = max(d for _, d in ratios)
     return [m * (den // d) for m, d in ratios], den
 
@@ -73,19 +99,27 @@ def max_min_shares(
         raise ValueError("capacity_bps must be finite")
     if capacity_bps < 0:
         raise ValueError("capacity must be non-negative")
-    if weights is None:
-        weight_n = [1] * n
-    else:
+    capacity = float(capacity_bps)
+    weight_f: Optional[List[float]] = None
+    if weights is not None:
         if len(weights) != n:
             raise ValueError("weights must align with caps")
-        weight_n, _ = _numerators(weights, "weights")
-        if min(weight_n) <= 0:
+        weight_f = _floats(weights, "weights")
+        if min(weight_f) <= 0:
             raise ValueError("weights must be positive")
-    # Capacity rides along with the caps: one denominator for every rate.
-    (remaining, *cap_n), den = _numerators((capacity_bps, *caps_bps), "caps_bps")
-    if min(cap_n) < 0:
+    caps = _floats(caps_bps, "caps_bps")
+    if min(caps) < 0:
         raise ValueError("caps must be non-negative")
 
+    # The two short cuts the module docstring proves exact.
+    if n == 1:
+        return [min(capacity, caps[0]) + 0.0]
+    if math.fsum(caps) < capacity:
+        return [cap + 0.0 for cap in caps]
+
+    weight_n = [1] * n if weight_f is None else _numerators(weight_f)[0]
+    # Capacity rides along with the caps: one denominator for every rate.
+    (remaining, *cap_n), den = _numerators((capacity, *caps))
     shares = [0.0] * n
     active = list(range(n))
     # Water-filling: raise the common water level until some flows hit

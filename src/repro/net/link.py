@@ -63,8 +63,10 @@ class LinkModel:
         shares at each one; this is how a link declares its change points.
         The default declares the capacity constant (``inf``) — every
         epoch-based link in this package overrides it; a custom
-        continuously-varying subclass should too, or the co-simulation
-        will treat its capacity as frozen between flow events.
+        continuously-varying subclass should too: the co-simulation and
+        :meth:`repro.net.tcp.TcpConnection.transmit` read ``capacity_at``
+        once and hold the value until the declared change point, so a link
+        that declares none is read once.
         """
         if t < 0:
             raise ValueError("time must be non-negative")

@@ -241,6 +241,54 @@ class TestPointMassModels:
             assert controller._geometry_memo == {}
 
 
+    def test_a_one_outcome_row_must_be_exactly_certain(self):
+        # The planner takes a one-outcome row as certain and skips the
+        # weighting, so validate() holds it to exactly 1.0 — a row within
+        # the row-sum tolerance is not enough.
+        TimeDistribution.point_mass([0.3, 1.7]).validate()
+        almost = TimeDistribution(
+            times=np.array([[0.3], [1.7]]),
+            probs=np.array([[1.0], [1.0 - 1e-12]]),
+        )
+        with pytest.raises(ValueError, match="exactly 1"):
+            almost.validate()
+
+    @given(context=contexts())
+    @settings(max_examples=20, deadline=None)
+    def test_every_shipped_point_mass_is_exact(self, context):
+        sizes = sizes_per_step(context)
+        ttp, _ = make_fugu_variant("point_estimate", seed=1)
+        for model in (
+            HarmonicMeanPredictor(),
+            ttp,
+            Cs2pPredictor(DiscreteThroughputHmm(1)),
+        ):
+            for dist in model.predict(context, sizes):
+                assert dist.probs.shape[1] == 1
+                dist.validate()
+
+    def test_a_negative_zero_outcome_scores_as_the_sum_did(self):
+        # A rung of quality -0.0 that cannot stall: its one outcome is
+        # worth -0.0, and a length-1 sum over outcomes returned +0.0.
+        menu = make_menu(0, [1000.0, 2000.0], [-0.0, 3.0])
+        context = AbrContext(
+            lookahead=[menu],
+            buffer_s=10.0,
+            tcp_info=make_record(np.random.default_rng(0), 0).info_at_send,
+            history=[],
+            last_ssim_db=None,
+        )
+
+        def stepwise(ctx, step, sizes):
+            return TimeDistribution.point_mass(np.asarray(sizes) * 1e-9)
+
+        controller = ValueIterationController()
+        old = reference_scores(controller, context, stepwise, 1)
+        new = controller._scores(context, PerStepModel(stepwise), 1)
+        assert same_bits(new, old)
+        assert new[0] == 0.0 and not np.signbit(new[0])
+
+
 def tail_stream(seconds):
     rng = np.random.default_rng(0)
     records = []

@@ -1,5 +1,7 @@
 """The cell co-simulation engine: determinism, degenerate dispatch, obs."""
 
+import math
+
 import pytest
 
 from repro import obs
@@ -124,6 +126,22 @@ class TestSharedCell:
             run_cell(specs, trial, cell, edge, offsets=[0.0])
         with pytest.raises(ValueError):
             run_cell(specs, trial, cell, edge, offsets=[0.0, -1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_non_finite_offsets_are_rejected_by_index(
+        self, specs, trial, bad, index
+    ):
+        # A NaN passed the old ``o < 0`` check and the loop's clock spun
+        # at NaN; inf escaped from the link as an OverflowError.
+        edge = EdgeConfig(mean_cell_sessions=2.0)
+        cell = Cell(cell_id=0, start_session_id=0, size=2)
+        offsets = [0.0, 0.0]
+        offsets[index] = bad
+        with pytest.raises(
+            ValueError, match=rf"offsets\[{index}\] must be finite"
+        ):
+            run_cell(specs, trial, cell, edge, offsets=offsets)
 
 
 class TestObservability:

@@ -14,6 +14,7 @@ each interpreter CI runs proves it.
 import dataclasses
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -38,15 +39,18 @@ FORCED = [
     5e-324,  # the smallest subnormal: denominator 2**1074
     2.2250738585072014e-308,
     1e-300,
+    2.0**-60,  # under half an ulp of 1.0: vanishes from a rounded sum
     0.1,
     1.0,
+    1.0000000000000002,  # one ulp above 1.0
     3.3e6,
     20e6,
     1e12,
 ]
 """Values hypothesis would rarely draw, and rarely twice in one example:
-zeros, subnormals, and rates three hundred orders of magnitude apart, which
-share a list with equal neighbours below."""
+zeros, subnormals, rates three hundred orders of magnitude apart, and
+neighbours of 1.0 whose rounded sums land on it, which share a list with
+equal neighbours below."""
 
 rates = st.one_of(
     st.sampled_from(FORCED),
@@ -87,6 +91,76 @@ def bits(shares):
 @settings(max_examples=300, deadline=None)
 def test_every_share_has_the_reference_bits(weights_kind, data, capacity, caps):
     weights = data.draw(WEIGHTS[weights_kind](len(caps)))
+    assert bits(max_min_shares(capacity, caps, weights)) == bits(
+        reference_max_min_shares(capacity, caps, weights)
+    )
+
+
+@pytest.mark.parametrize("weights_kind", sorted(WEIGHTS))
+@given(data=st.data(), capacity=rates)
+@settings(max_examples=200, deadline=None)
+def test_one_flow_has_the_reference_bits(weights_kind, data, capacity):
+    # The single-flow short cut, at its edges: a cap equal to the
+    # capacity, and -0.0 for either (FORCED draws it as the capacity).
+    cap = data.draw(rates | st.sampled_from([capacity, -0.0]))
+    weights = data.draw(WEIGHTS[weights_kind](1))
+    assert bits(max_min_shares(capacity, [cap], weights)) == bits(
+        reference_max_min_shares(capacity, [cap], weights)
+    )
+
+
+def capacities_at_the_sum(caps):
+    """Capacities where the caps-fit short cut decides: the correctly
+    rounded sum, its two neighbours, and the left-to-right float sum."""
+    total = math.fsum(caps)
+    return st.sampled_from(
+        [
+            total,
+            math.nextafter(total, math.inf),
+            math.nextafter(total, -math.inf),
+            sum(caps),
+        ]
+    ).filter(lambda capacity: capacity >= 0)
+
+
+@pytest.mark.parametrize("weights_kind", sorted(WEIGHTS))
+@given(data=st.data(), caps=cap_lists)
+@settings(max_examples=200, deadline=None)
+def test_caps_summing_to_about_the_capacity_have_the_reference_bits(
+    weights_kind, data, caps
+):
+    capacity = data.draw(capacities_at_the_sum(caps))
+    weights = data.draw(WEIGHTS[weights_kind](len(caps)))
+    assert bits(max_min_shares(capacity, caps, weights)) == bits(
+        reference_max_min_shares(capacity, caps, weights)
+    )
+
+
+@pytest.mark.parametrize(
+    "capacity, caps",
+    [
+        # The rounded sum equals the capacity; the exact sum exceeds it.
+        (1.0, [1.0, 2.0**-60]),
+        (1e12, [1e12, 1e-300, 5e-324]),
+        # The exact sum is below the capacity but rounds onto it: every
+        # flow is capped, and the exact path is the one that says so.
+        (2.0**53 + 2, [2.0**53, 1.5]),
+        # The exact sum is below the capacity by less than an ulp of it.
+        (1.0000000000000002, [1.0, 2.0**-60]),
+        # 0.1 + 0.2 + 0.3 adds up to 0.6000000000000001 left to right and
+        # to 0.6 correctly rounded; the exact sum lies between the two.
+        (0.6, [0.1, 0.2, 0.3]),
+        (0.6000000000000001, [0.1, 0.2, 0.3]),
+        # Left to right the caps add up to less than the capacity, which
+        # is one ulp below their correctly rounded sum: the exact sum is
+        # above it, and the 2.2 flow gets one ulp less than its cap.
+        (2.92, [0.3, 2.2, 0.01, 0.1, 0.3, 0.01]),
+    ],
+)
+@pytest.mark.parametrize("weighted", [False, True])
+def test_sums_that_round_onto_the_capacity(capacity, caps, weighted):
+    weights = [(1.3, 0.7, 1.0)[i % 3] for i in range(len(caps))]
+    weights = weights if weighted else None
     assert bits(max_min_shares(capacity, caps, weights)) == bits(
         reference_max_min_shares(capacity, caps, weights)
     )
