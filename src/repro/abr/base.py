@@ -109,5 +109,11 @@ def harmonic_mean_throughput(
     recent = history[-window:]
     if not recent:
         return None
-    inverse_sum = sum(1.0 / r.observed_throughput_bps for r in recent)
-    return len(recent) / inverse_sum
+    return harmonic_mean([r.observed_throughput_bps for r in recent])
+
+
+def harmonic_mean(samples: Sequence[float]) -> float:
+    """Harmonic mean of a non-empty run of throughput samples (bits/s):
+    the one formula behind :func:`harmonic_mean_throughput` and
+    :meth:`repro.abr.rate_based.RateBased.pick`."""
+    return len(samples) / sum(1.0 / sample for sample in samples)

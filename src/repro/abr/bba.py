@@ -11,6 +11,9 @@ pick the highest-SSIM version whose bitrate fits under the rate map
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 from repro.abr.base import AbrAlgorithm, AbrContext
 from repro.streaming.buffer import MAX_BUFFER_S
 
@@ -37,6 +40,10 @@ class BBA(AbrAlgorithm):
         reservoir_fraction: float = 0.25,
         upper_reservoir_fraction: float = 0.75,
     ) -> None:
+        if not 0.0 < max_buffer_s < math.inf:
+            raise ValueError(
+                f"max_buffer_s must be finite and positive, got {max_buffer_s!r}"
+            )
         if not 0.0 < reservoir_fraction < upper_reservoir_fraction <= 1.0:
             raise ValueError("need 0 < reservoir < upper reservoir <= 1")
         self.max_buffer_s = max_buffer_s
@@ -56,12 +63,18 @@ class BBA(AbrAlgorithm):
 
     def choose(self, context: AbrContext) -> int:
         menu = context.menu
-        rates = [v.bitrate for v in menu]
-        limit = self.rate_limit(context.buffer_s, min(rates), max(rates))
+        return self.pick(context.buffer_s, menu.bitrates, menu.ssims_db)
+
+    def pick(
+        self, buffer_s: float, rates: Sequence[float], ssims: Sequence[float]
+    ) -> int:
+        """The rule on one chunk's rows: the highest-SSIM version whose
+        bitrate fits under the buffer map's limit (ties to the lower rung)."""
+        limit = self.rate_limit(buffer_s, min(rates), max(rates)) + 1e-9
         best = 0
         best_ssim = float("-inf")
-        for i, version in enumerate(menu):
-            if version.bitrate <= limit + 1e-9 and version.ssim_db > best_ssim:
-                best = i
-                best_ssim = version.ssim_db
+        for k, rate in enumerate(rates):
+            if rate <= limit and ssims[k] > best_ssim:
+                best = k
+                best_ssim = ssims[k]
         return best

@@ -14,6 +14,8 @@ competes on the same objective as Puffer's other schemes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.abr.base import AbrAlgorithm, AbrContext
@@ -30,6 +32,10 @@ class Bola(AbrAlgorithm):
         max_buffer_s: float = MAX_BUFFER_S,
         target_buffer_fraction: float = 0.6,
     ) -> None:
+        if not 0.0 < max_buffer_s < math.inf:
+            raise ValueError(
+                f"max_buffer_s must be finite and positive, got {max_buffer_s!r}"
+            )
         if not 0.0 < target_buffer_fraction <= 1.0:
             raise ValueError("target buffer fraction must lie in (0, 1]")
         self.max_buffer_s = max_buffer_s
@@ -37,11 +43,20 @@ class Bola(AbrAlgorithm):
 
     def choose(self, context: AbrContext) -> int:
         menu = context.menu
-        duration = menu.duration
-        q_chunks = context.buffer_s / duration
+        return self.pick(
+            context.buffer_s,
+            np.asarray(menu.sizes),
+            np.asarray(menu.ssims_db),
+            menu.duration,
+        )
+
+    def pick(
+        self, buffer_s: float, sizes: np.ndarray, ssims: np.ndarray, duration: float
+    ) -> int:
+        """The rule on one chunk's ``float64`` rows: the version with the
+        best BOLA score."""
+        q_chunks = buffer_s / duration
         q_max = self.max_buffer_s / duration
-        ssims = np.asarray(menu.ssims_db)
-        sizes = np.asarray(menu.sizes)
         utilities = ssims - ssims[0]
         # Choose gamma_p so the score for the lowest rung crosses zero at
         # the target buffer level, and V to match the buffer scale
@@ -55,5 +70,5 @@ class Bola(AbrAlgorithm):
             # point and the algorithm would pause downloads. The server
             # paces separately (it waits for buffer room), so the sensible
             # action when asked for a chunk anyway is the highest utility.
-            return len(menu) - 1
+            return len(sizes) - 1
         return int(np.argmax(scores))

@@ -9,7 +9,10 @@ but a useful reference point and regression anchor for the test suite.
 
 from __future__ import annotations
 
-from repro.abr.base import AbrAlgorithm, AbrContext, harmonic_mean_throughput
+import math
+from typing import Sequence
+
+from repro.abr.base import AbrAlgorithm, AbrContext, harmonic_mean
 
 DEFAULT_STARTUP_THROUGHPUT_BPS = 1.3e6
 """Conservative assumption before any throughput sample exists."""
@@ -30,18 +33,32 @@ class RateBased(AbrAlgorithm):
             raise ValueError("safety factor must lie in (0, 1]")
         if window <= 0:
             raise ValueError("window must be positive")
+        if not 0.0 < startup_throughput_bps < math.inf:
+            raise ValueError(
+                "startup_throughput_bps must be finite and positive, "
+                f"got {startup_throughput_bps!r}"
+            )
         self.safety_factor = safety_factor
         self.window = window
         self.startup_throughput_bps = startup_throughput_bps
 
     def choose(self, context: AbrContext) -> int:
-        estimate = harmonic_mean_throughput(context.history, self.window)
-        if estimate is None:
+        recent = context.history[-self.window:]
+        return self.pick(
+            context.menu.bitrates, [r.observed_throughput_bps for r in recent]
+        )
+
+    def pick(self, rates: Sequence[float], throughputs: Sequence[float]) -> int:
+        """The rule on one chunk's bitrate row and the stream's observed
+        throughputs, oldest first: the highest rung under the budget."""
+        recent = throughputs[-self.window:]
+        if recent:
+            estimate = harmonic_mean(recent)
+        else:
             estimate = self.startup_throughput_bps
         budget = estimate * self.safety_factor
-        menu = context.menu
         choice = 0
-        for i, version in enumerate(menu):
-            if version.size_bits / version.duration <= budget:
-                choice = i
+        for k, rate in enumerate(rates):
+            if rate <= budget:
+                choice = k
         return choice

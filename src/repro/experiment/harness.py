@@ -60,7 +60,7 @@ from repro.streaming.simulator import (
     simulate_stream,
     stream_machine,
 )
-from repro.streaming.telemetry import TelemetryLog
+from repro.streaming.telemetry import StreamRecorder, TelemetryLog
 
 __all__ = [
     "ConnectRequest",
@@ -398,12 +398,15 @@ def session_machine(
     )
     assert not isinstance(transport, TransmissionResult)
     # Which stream kernel serves this session, decided once and only from
-    # what the machine can observe: nobody is watching, and the scheme and
-    # the transport are ones the kernel reproduces.  A kernel stream never
-    # yields, so the answer cannot go stale between streams.
+    # what the machine can observe: observability is off, and the scheme and
+    # the transport are ones the kernel reproduces.  Telemetry does not
+    # matter (both loops feed the same StreamRecorder); observability does,
+    # because it counts inside TcpConnection.transmit and BbrLike.on_round
+    # per round (tcp.*, cc.bbr.*), and tcp.loss_events needs the loss draws
+    # the kernel's fused round skips.  A kernel stream never yields, so the
+    # answer cannot go stale between streams.
     kernel = (
-        telemetry is None
-        and obs_ctx is None
+        obs_ctx is None
         and not obs.ENABLED
         and reproduces(algorithm, transport)
     )
@@ -448,19 +451,22 @@ def session_machine(
             else None
         )
         stream_id = session_id * config.max_streams_per_session + stream_no
+        recorder = StreamRecorder(telemetry, stream_id, session.expt_id, clock)
         if kernel:
+            # Observability is off here, so a recorder without telemetry
+            # would record nothing.
             result = fast_stream(
-                source, algorithm, transport, watch, stream_id, hook, clock
+                source, algorithm, transport, watch, stream_id, hook, clock,
+                None if telemetry is None else recorder,
             )
         else:
             result = yield from stream_machine(
                 source.menus(),
                 algorithm,
                 transport,
-                watch_time_s=watch,
+                watch,
+                recorder,
                 stream_id=stream_id,
-                expt_id=session.expt_id,
-                telemetry=telemetry,
                 extension_hook=hook,
                 start_time=clock,
                 channel_name=channel.name,

@@ -8,7 +8,7 @@ chunk the ABR algorithm chooses among — the "limited menu" of §2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.media.ladder import EncodingProfile
 
@@ -113,6 +113,12 @@ class ChunkMenu:
                 )
             )
         return versions
+
+    @property
+    def bitrates(self) -> List[float]:
+        """Each version's :attr:`EncodedChunk.bitrate`, off the rows."""
+        duration = self.duration
+        return [size * 8.0 / duration for size in self.sizes]
 
     def __len__(self) -> int:
         return len(self.sizes)

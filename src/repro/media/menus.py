@@ -108,8 +108,6 @@ class MenuBlockSource:
         self.sizes_lists: List[List[float]] = []
         self.ssims_lists: List[List[float]] = []
         self.rates_lists: List[List[float]] = []
-        self.rates_min: List[float] = []
-        self.rates_max: List[float] = []
         self._pos = 0
         self._next_index = 0
 
@@ -168,14 +166,11 @@ class MenuBlockSource:
         # path.  ``tolist()`` round-trips float64 exactly; the rate
         # expression mirrors ``EncodedChunk.bitrate`` — ``(size_bytes *
         # 8.0) / duration`` — elementwise (np.float64 scalar arithmetic is
-        # bit-identical to Python float arithmetic), and row min/max of the
-        # rate array equal Python ``min()``/``max()`` of the row list.
+        # bit-identical to Python float arithmetic).
         rates = (sizes * 8.0) / self.chunk_duration
         self.sizes_lists = sizes.tolist()
         self.ssims_lists = ssims.tolist()
         self.rates_lists = rates.tolist()
-        self.rates_min = rates.min(axis=1).tolist()
-        self.rates_max = rates.max(axis=1).tolist()
         self._pos = 0
 
     def next_row(self) -> Tuple[int, int]:

@@ -7,6 +7,8 @@ the cap is reached the server pauses until there is room for another chunk.
 
 from __future__ import annotations
 
+import math
+
 from repro import obs
 
 MAX_BUFFER_S = 15.0
@@ -31,8 +33,10 @@ class PlaybackBuffer:
     """
 
     def __init__(self, max_buffer_s: float = MAX_BUFFER_S) -> None:
-        if max_buffer_s <= 0:
-            raise ValueError("buffer cap must be positive")
+        if not 0.0 < max_buffer_s < math.inf:
+            raise ValueError(
+                f"max_buffer_s must be finite and positive, got {max_buffer_s!r}"
+            )
         self.max_buffer_s = max_buffer_s
         self.level_s = 0.0
 

@@ -4,16 +4,19 @@
 the streams whose every input it can reproduce without the machine's
 generality: the ABR scheme is exactly BBA, BOLA or rate-based, the
 transport is a private :class:`~repro.net.tcp.TcpConnection` under
-:class:`~repro.net.cc.bbr.BbrLike`, and nobody is watching (no telemetry,
-no observability).  :func:`repro.experiment.harness.session_machine` asks
-:func:`reproduces` once per session and then runs each stream through one
-kernel or the other; everything above the stream — assignment, paths,
-channel changes, CONSORT — exists once, there.
+:class:`~repro.net.cc.bbr.BbrLike`, and observability is off.
+:func:`repro.experiment.harness.session_machine` asks :func:`reproduces`
+once per session and then runs each stream through one kernel or the
+other; everything above the stream — assignment, paths, channel changes,
+CONSORT — exists once, there.  So does everything beside it: the decision
+rule is the scheme's own ``pick``, and telemetry is the
+:class:`~repro.streaming.telemetry.StreamRecorder` both loops call at the
+same seams.
 
 What the kernel leaves out of a chunk's life:
 
 * the menu *rows* are read directly, with no ``ChunkMenu``, lookahead
-  window or ``AbrContext`` per chunk, and the three decision rules run on
+  window or ``AbrContext`` per chunk, and the scheme's ``pick`` runs on
   those rows;
 * ``BbrLike.on_round`` is inlined into the round loop of
   ``TcpConnection.transmit`` and the loss draw is skipped: BBR ignores a
@@ -39,9 +42,7 @@ from __future__ import annotations
 
 import gc
 import math
-from typing import Callable, Dict, List, Optional
-
-import numpy as np
+from typing import List, Optional
 
 from repro.abr.base import AbrAlgorithm, ChunkRecord
 from repro.abr.bba import BBA
@@ -54,79 +55,13 @@ from repro.net.tcp import _MAX_ROUNDS_PER_CHUNK, _SRTT_GAIN, TcpConnection
 from repro.streaming.buffer import BUFFER_EPSILON_S, MAX_BUFFER_S
 from repro.streaming.session import StreamResult
 from repro.streaming.simulator import ExtensionHook, Transport
+from repro.streaming.telemetry import StreamRecorder
 
 _MAX_CWND = float(MAX_CWND_BYTES)
 
-
-def _choose_bba(
-    abr: BBA, source: MenuBlockSource, row: int, level: float, tputs: List[float]
-) -> int:
-    """``BBA.choose`` on a menu row, ``rate_limit`` inlined.  The rate rows
-    (``EncodedChunk.bitrate``) and their min/max come precomputed per block."""
-    if level <= abr.reservoir_s:
-        limit = source.rates_min[row]
-    elif level >= abr.upper_reservoir_s:
-        limit = source.rates_max[row]
-    else:
-        fraction = (level - abr.reservoir_s) / (
-            abr.upper_reservoir_s - abr.reservoir_s
-        )
-        min_rate = source.rates_min[row]
-        limit = min_rate + fraction * (source.rates_max[row] - min_rate)
-    limit += 1e-9
-    qualities = source.ssims_lists[row]
-    best = 0
-    best_ssim = float("-inf")
-    for k, rate in enumerate(source.rates_lists[row]):
-        if rate <= limit and qualities[k] > best_ssim:
-            best = k
-            best_ssim = qualities[k]
-    return best
-
-
-def _choose_bola(
-    abr: Bola, source: MenuBlockSource, row: int, level: float, tputs: List[float]
-) -> int:
-    """``Bola.choose`` on the row's ndarrays."""
-    sizes, ssims = source.row_arrays(row)
-    duration = source.chunk_duration
-    q_chunks = level / duration
-    q_max = abr.max_buffer_s / duration
-    utilities = ssims - ssims[0]
-    gamma_p = abr.target_buffer_fraction * q_max
-    utility_span = max(float(utilities[-1]), 1e-9)
-    v = (q_max - 1.0) / (utility_span + gamma_p)
-    scores = (v * (utilities + gamma_p) - q_chunks) / sizes
-    if float(scores.max()) <= 0.0:
-        return len(sizes) - 1
-    return int(np.argmax(scores))
-
-
-def _choose_rate_based(
-    abr: RateBased, source: MenuBlockSource, row: int, level: float, tputs: List[float]
-) -> int:
-    """``RateBased.choose``: ``harmonic_mean_throughput`` over the stream's
-    observed throughputs, then ``size_bits / duration`` — the same rate row."""
-    recent = tputs[-abr.window:]
-    if recent:
-        estimate = len(recent) / sum(1.0 / r for r in recent)
-    else:
-        estimate = abr.startup_throughput_bps
-    budget = estimate * abr.safety_factor
-    choice = 0
-    for k, rate in enumerate(source.rates_lists[row]):
-        if rate <= budget:
-            choice = k
-    return choice
-
-
-_RULES: Dict[type, Callable[..., int]] = {
-    BBA: _choose_bba,
-    Bola: _choose_bola,
-    RateBased: _choose_rate_based,
-}
-"""The schemes whose ``choose`` has a mirror here, by exact type: a subclass
-may override ``choose`` arbitrarily."""
+_SCHEMES = (BBA, Bola, RateBased)
+"""The schemes whose ``pick`` the kernel feeds from menu rows, by exact
+type: a subclass may override ``choose`` arbitrarily."""
 
 
 def reproduces(abr: AbrAlgorithm, transport: Transport) -> bool:
@@ -134,7 +69,7 @@ def reproduces(abr: AbrAlgorithm, transport: Transport) -> bool:
     scheme instance over this transport.  Exact types throughout — a
     subclass of any of them may change what the kernel inlines."""
     return (
-        type(abr) in _RULES
+        type(abr) in _SCHEMES
         and type(transport) is TcpConnection
         and type(transport.cc) is BbrLike
     )
@@ -148,11 +83,14 @@ def fast_stream(
     stream_id: int,
     extension_hook: Optional[ExtensionHook],
     start_time: float,
+    recorder: Optional[StreamRecorder],
 ) -> StreamResult:
     """One stream, start to finish: the :class:`StreamResult`
     ``stream_machine(source.menus(), abr, connection, ...)`` returns when
     every transmit request is answered by ``connection.transmit``, for an
-    ``(abr, connection)`` pair :func:`reproduces` accepts."""
+    ``(abr, connection)`` pair :func:`reproduces` accepts.  ``recorder``
+    (``None`` records nothing) is called at ``stream_machine``'s seams
+    with the same arguments, in the same order."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -164,6 +102,7 @@ def fast_stream(
             stream_id,
             extension_hook,
             start_time,
+            recorder,
         )
     finally:
         if was_enabled:
@@ -178,13 +117,15 @@ def _stream(
     stream_id: int,
     hook: Optional[ExtensionHook],
     start_time: float,
+    recorder: Optional[StreamRecorder],
 ) -> StreamResult:
     """The ``stream_machine`` loop, expression for expression, with
     ``PlaybackBuffer`` inlined."""
     if watch_time_s < 0:
         raise ValueError("watch time must be non-negative")
-    choose = _RULES[type(abr)]
     abr.begin_stream()
+    pick = abr.pick  # type: ignore[attr-defined]
+    scheme = type(abr)
     result = StreamResult(stream_id=stream_id, scheme_name=abr.name)
     records = result.records
     next_row = source.next_row
@@ -217,9 +158,18 @@ def _stream(
                 level = 0.0
             result.play_time += wait
             t += wait
+            if recorder is not None:
+                recorder.pause(t, wait, level, result.stall_time)
             continue
         chunk_index, row = next_row()
-        rung = choose(abr, source, row, level, tputs)
+        # Each scheme's own rule, fed the rows its ``choose`` reads off a
+        # ChunkMenu (the block's rate rows are EncodedChunk.bitrate's).
+        if scheme is BBA:
+            rung = pick(level, source.rates_lists[row], source.ssims_lists[row])
+        elif scheme is Bola:
+            rung = pick(level, *source.row_arrays(row), duration)
+        else:
+            rung = pick(source.rates_lists[row], tputs)
         # Block lists hold the same float64 values as the ndarray rows.
         size = source.sizes_lists[row][rung]
         ssim = source.ssims_lists[row][rung]
@@ -227,6 +177,8 @@ def _stream(
         handle_idle(send_at)
         info = tcp_info()
         ttime = _transmit(connection, size, send_at)
+        if recorder is not None:
+            recorder.sent(t, chunk_index, size, ssim, ttime, info)
         t_end = t + ttime
         if hook is not None and t_end >= limit:
             extra = hook(t_end, result)
@@ -248,7 +200,11 @@ def _stream(
             result.play_time += play
             if stall > 0:
                 result.stall_time += stall
+                if recorder is not None:
+                    recorder.rebuffer(t, ttime, stall, level, result.stall_time)
         t = t_end
+        if recorder is not None:
+            recorder.clock(t, level, result.stall_time)
         if t >= limit:
             # Mid-chunk departure: the chunk never finished for the viewer.
             t = limit
@@ -259,6 +215,8 @@ def _stream(
         if not playing:
             playing = True
             result.startup_delay = t
+            if recorder is not None:
+                recorder.startup(t, level, result.stall_time)
         record = ChunkRecord(
             chunk_index=chunk_index,
             rung=rung,
@@ -270,12 +228,15 @@ def _stream(
         )
         records.append(record)
         abr.on_chunk_complete(record)
-        # record.observed_throughput_bps
-        tputs.append(size * 8.0 / max(ttime, 1e-9))
+        tputs.append(record.observed_throughput_bps)
+        if recorder is not None:
+            recorder.acked(t, chunk_index, level, result.stall_time)
     # Every exit above leaves t >= limit, so the reference's tail play-out
     # (reached only when a bounded clip runs out) has no mirror.
     result.total_time = t
     result.never_began = not playing
+    if recorder is not None:
+        recorder.end(result)
     return result
 
 

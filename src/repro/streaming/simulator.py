@@ -5,7 +5,8 @@ browser client: the ABR scheme picks a version of each chunk, the chunk is
 transmitted over the TCP model, the playback buffer drains at 1 s/s while
 data is in flight, stalls accrue when it empties, and the server pauses when
 the 15-second buffer cap is reached. Telemetry is emitted in the open-data
-format.
+format, through a :class:`~repro.streaming.telemetry.StreamRecorder` the
+loop calls at its seams.
 
 The loop itself lives in :func:`stream_machine`, a coroutine-style generator
 that *yields* a :class:`TransmitRequest` whenever a chunk must cross the
@@ -31,20 +32,12 @@ from typing import (
     Protocol,
 )
 
-from repro import obs
 from repro.abr.base import AbrAlgorithm, AbrContext, ChunkRecord
 from repro.media.chunk import ChunkMenu
-from repro.media.ssim import ssim_db_to_index
 from repro.net.tcp import TcpConnection, TcpInfo, TransmissionResult
 from repro.streaming.buffer import MAX_BUFFER_S, PlaybackBuffer
 from repro.streaming.session import StreamResult
-from repro.streaming.telemetry import (
-    BufferEvent,
-    ClientBufferRecord,
-    TelemetryLog,
-    VideoAckedRecord,
-    VideoSentRecord,
-)
+from repro.streaming.telemetry import StreamRecorder, TelemetryLog
 
 
 class Transport(Protocol):
@@ -165,23 +158,22 @@ def simulate_stream(
         of a session start where the previous one left off).
     buffer_report_interval:
         When set (Puffer uses 0.25 s), emit periodic ``client_buffer``
-        TIMER records at this interval. Reported buffer levels are the
-        state when the boundary is processed (end of the enclosing event),
-        matching how a client-side timer observes the player.
+        TIMER records at this interval; see
+        :class:`~repro.streaming.telemetry.StreamRecorder`.
     """
     machine = stream_machine(
         menus,
         abr,
         connection,
         watch_time_s,
+        StreamRecorder(
+            telemetry, stream_id, expt_id, start_time, buffer_report_interval
+        ),
         stream_id=stream_id,
-        expt_id=expt_id,
         max_buffer_s=max_buffer_s,
         lookahead=lookahead,
-        telemetry=telemetry,
         extension_hook=extension_hook,
         start_time=start_time,
-        buffer_report_interval=buffer_report_interval,
     )
     response: Optional[TransmissionResult] = None
     while True:
@@ -198,14 +190,12 @@ def stream_machine(
     abr: AbrAlgorithm,
     transport: Transport,
     watch_time_s: float,
+    recorder: StreamRecorder,
     stream_id: int = 0,
-    expt_id: int = 0,
     max_buffer_s: float = MAX_BUFFER_S,
     lookahead: int = DEFAULT_LOOKAHEAD,
-    telemetry: Optional[TelemetryLog] = None,
     extension_hook: Optional[ExtensionHook] = None,
     start_time: float = 0.0,
-    buffer_report_interval: Optional[float] = None,
     channel_name: Optional[str] = None,
 ) -> StreamMachine:
     """The streaming loop as a resumable generator.
@@ -216,7 +206,8 @@ def stream_machine(
     :class:`~repro.net.tcp.TransmissionResult` from whoever drives the
     generator.  ``transport`` supplies the synchronous ``tcp_info()`` reads
     the ABR consumes; ``channel_name`` tags requests with a cache identity
-    for edge drivers.  Returns the :class:`StreamResult` via
+    for edge drivers; ``recorder`` receives every telemetry and
+    observability event.  Returns the :class:`StreamResult` via
     ``StopIteration.value``.
     """
     if watch_time_s < 0:
@@ -229,40 +220,6 @@ def stream_machine(
     limit = watch_time_s
     playing = False
     last_ssim: Optional[float] = None
-
-    def log_buffer(event: BufferEvent) -> None:
-        if telemetry is not None:
-            telemetry.client_buffer.append(
-                ClientBufferRecord(
-                    time=start_time + t,
-                    stream_id=stream_id,
-                    expt_id=expt_id,
-                    event=event,
-                    buffer=buffer.level_s,
-                    cum_rebuf=result.stall_time,
-                )
-            )
-
-    next_report = buffer_report_interval
-
-    def emit_timer_reports() -> None:
-        """Quarter-second periodic client reports (Appendix B)."""
-        nonlocal next_report
-        if telemetry is None or buffer_report_interval is None:
-            return
-        while next_report is not None and next_report <= t:
-            telemetry.client_buffer.append(
-                ClientBufferRecord(
-                    time=start_time + next_report,
-                    stream_id=stream_id,
-                    expt_id=expt_id,
-                    event=BufferEvent.TIMER,
-                    buffer=buffer.level_s,
-                    cum_rebuf=result.stall_time,
-                )
-            )
-            # repro: allow-PURE001(call-local accumulator; the cell dies with simulate_stream's frame, no cross-session state)
-            next_report += buffer_report_interval
 
     while True:
         if t >= limit:
@@ -287,10 +244,7 @@ def stream_machine(
             buffer.drain(wait)
             result.play_time += wait
             t += wait
-            if obs.ENABLED:
-                obs.counter_inc("stream.server_pauses")
-                obs.observe("stream.pause_s", wait, spec=obs.TIME_SPEC)
-            emit_timer_reports()
+            recorder.pause(t, wait, buffer.level_s, result.stall_time)
             continue  # re-evaluate the leave condition before choosing
 
         context = AbrContext(
@@ -319,26 +273,14 @@ def stream_machine(
             rung=rung,
             channel=channel_name,
         )
-        if obs.ENABLED:
-            # Chunk timing: the distribution the TTP is trained to predict.
-            obs.counter_inc("stream.chunks_sent")
-            obs.observe(
-                "stream.chunk_transmission_s",
-                tx.transmission_time,
-                spec=obs.TIME_SPEC,
-            )
-        if telemetry is not None:
-            telemetry.video_sent.append(
-                VideoSentRecord.from_send(
-                    time=send_at,
-                    stream_id=stream_id,
-                    expt_id=expt_id,
-                    chunk_index=menu.chunk_index,
-                    size=size_bytes,
-                    ssim_index=ssim_db_to_index(ssim_db),
-                    info=tx.info_at_send,
-                )
-            )
+        recorder.sent(
+            t,
+            menu.chunk_index,
+            size_bytes,
+            ssim_db,
+            tx.transmission_time,
+            tx.info_at_send,
+        )
         if extension_hook is not None and t + tx.transmission_time >= limit:
             # The intended watch time elapses during this transmission; ask
             # the tail model whether the viewer keeps watching.
@@ -359,40 +301,24 @@ def stream_machine(
             result.play_time += play
             if stall > 0:
                 result.stall_time += stall
-                if obs.ENABLED:
-                    # A rebuffer span: starts when the buffer ran dry during
-                    # this transmission, ends with the chunk's arrival.
-                    obs.counter_inc("stream.rebuffers")
-                    obs.observe("stream.rebuffer_s", stall, spec=obs.TIME_SPEC)
-                    obs.emit(
-                        "rebuffer",
-                        time=start_time + t + tx.transmission_time,
-                        stream_id=stream_id,
-                        duration=stall,
-                    )
-                log_buffer(BufferEvent.REBUFFER)
+                recorder.rebuffer(
+                    t,
+                    tx.transmission_time,
+                    stall,
+                    buffer.level_s,
+                    result.stall_time,
+                )
         t += tx.transmission_time
-        emit_timer_reports()
+        recorder.clock(t, buffer.level_s, result.stall_time)
         if t >= limit:
             # Mid-chunk departure: the chunk never finished for the viewer.
-            if not playing:
-                result.never_began = True
             t = limit
             break
         buffer.add(menu.duration)
         if not playing:
             playing = True
             result.startup_delay = t
-            if obs.ENABLED:
-                obs.counter_inc("stream.startups")
-                obs.observe("stream.startup_delay_s", t, spec=obs.TIME_SPEC)
-                obs.emit(
-                    "startup",
-                    time=start_time + t,
-                    stream_id=stream_id,
-                    delay=t,
-                )
-            log_buffer(BufferEvent.STARTUP)
+            recorder.startup(t, buffer.level_s, result.stall_time)
         record = ChunkRecord(
             chunk_index=menu.chunk_index,
             rung=rung,
@@ -405,16 +331,7 @@ def stream_machine(
         result.records.append(record)
         abr.on_chunk_complete(record)
         last_ssim = ssim_db
-        if telemetry is not None:
-            telemetry.video_acked.append(
-                VideoAckedRecord(
-                    time=start_time + t,
-                    stream_id=stream_id,
-                    expt_id=expt_id,
-                    chunk_index=menu.chunk_index,
-                )
-            )
-        log_buffer(BufferEvent.TIMER)
+        recorder.acked(t, menu.chunk_index, buffer.level_s, result.stall_time)
 
     # The viewer drains whatever is buffered until they leave or it empties.
     if playing and t < limit:
@@ -422,22 +339,9 @@ def stream_machine(
         buffer.drain(tail_play)
         result.play_time += tail_play
         t += tail_play
-        emit_timer_reports()
+        recorder.clock(t, buffer.level_s, result.stall_time)
 
     result.total_time = t
     result.never_began = not playing
-    if obs.ENABLED:
-        obs.counter_inc("stream.streams")
-        obs.counter_inc("stream.play_time_s", result.play_time)
-        obs.counter_inc("stream.stall_time_s", result.stall_time)
-        if result.never_began:
-            obs.counter_inc("stream.never_began")
-        obs.emit(
-            "stream_end",
-            time=start_time + t,
-            stream_id=stream_id,
-            play=result.play_time,
-            stall=result.stall_time,
-            chunks=len(result.records),
-        )
+    recorder.end(result)
     return result

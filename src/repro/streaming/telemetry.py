@@ -12,11 +12,15 @@ and (hypothetically) real data:
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
-from typing import List
+from typing import List, Optional
 
+from repro import obs
+from repro.media.ssim import ssim_db_to_index
 from repro.net.tcp import TcpInfo
+from repro.streaming.session import StreamResult
 
 
 class BufferEvent(str, Enum):
@@ -207,3 +211,143 @@ class TelemetryLog:
         import json
 
         return cls.from_dict(json.loads(text))
+
+
+class StreamRecorder:
+    """Everything one stream reports: its telemetry rows, the periodic
+    client reports and the ``stream.*`` observability emissions.
+
+    Both stream loops — :func:`repro.streaming.simulator.stream_machine`
+    and :func:`repro.streaming.fastpath.fast_stream` — call it at the same
+    seams in the same order (pause, sent, rebuffer, clock, startup, acked,
+    end) with the stream clock ``t`` (seconds since the stream began) and
+    the state the seam reports; the recorder owns the rows, the
+    ``start_time`` offset and the report cadence.  ``telemetry`` may be
+    ``None`` (observability only).
+
+    ``buffer_report_interval`` (Puffer uses 0.25 s) adds ``client_buffer``
+    TIMER rows on that cadence.  A report carries the buffer state when
+    its boundary is processed (the end of the enclosing event), which is
+    how a client-side timer observes the player.
+    """
+
+    def __init__(
+        self,
+        telemetry: Optional[TelemetryLog],
+        stream_id: int,
+        expt_id: int,
+        start_time: float,
+        buffer_report_interval: Optional[float] = None,
+    ) -> None:
+        # Zero or negative never passes the clock (the report loop would not
+        # end); NaN never compares true (no report would ever be made).
+        if buffer_report_interval is not None and not (
+            0.0 < buffer_report_interval < math.inf
+        ):
+            raise ValueError(
+                "buffer_report_interval must be finite and positive, "
+                f"got {buffer_report_interval!r}"
+            )
+        self._log = telemetry
+        self._stream_id = stream_id
+        self._expt_id = expt_id
+        self._start = start_time
+        self._interval = buffer_report_interval
+        self._next_report = buffer_report_interval
+
+    def _buffer_row(
+        self, t: float, event: BufferEvent, level: float, cum_rebuf: float
+    ) -> None:
+        if self._log is not None:
+            self._log.client_buffer.append(
+                ClientBufferRecord(
+                    self._start + t, self._stream_id, self._expt_id, event,
+                    level, cum_rebuf,
+                )
+            )
+
+    def clock(self, t: float, level: float, cum_rebuf: float) -> None:
+        """The stream clock reached ``t``: the periodic reports due by then
+        (Appendix B's quarter-second client reports)."""
+        if self._log is None or self._interval is None:
+            return
+        while self._next_report <= t:
+            self._buffer_row(self._next_report, BufferEvent.TIMER, level, cum_rebuf)
+            self._next_report += self._interval
+
+    def pause(self, t: float, wait: float, level: float, cum_rebuf: float) -> None:
+        """The server waited ``wait`` s for buffer room, up to ``t``."""
+        if obs.ENABLED:
+            obs.counter_inc("stream.server_pauses")
+            obs.observe("stream.pause_s", wait, spec=obs.TIME_SPEC)
+        self.clock(t, level, cum_rebuf)
+
+    def sent(
+        self, t: float, chunk_index: int, size_bytes: float, ssim_db: float,
+        transmission_time: float, info: TcpInfo,
+    ) -> None:
+        """A chunk sent at ``t`` took ``transmission_time`` s on the wire."""
+        if obs.ENABLED:
+            # Chunk timing: the distribution the TTP is trained to predict.
+            obs.counter_inc("stream.chunks_sent")
+            obs.observe(
+                "stream.chunk_transmission_s", transmission_time, spec=obs.TIME_SPEC
+            )
+        if self._log is not None:
+            self._log.video_sent.append(
+                VideoSentRecord.from_send(
+                    self._start + t, self._stream_id, self._expt_id,
+                    chunk_index, size_bytes, ssim_db_to_index(ssim_db), info,
+                )
+            )
+
+    def rebuffer(
+        self, t: float, transmission_time: float, stall: float, level: float,
+        cum_rebuf: float,
+    ) -> None:
+        """The buffer ran dry for ``stall`` s of the transmission sent at
+        ``t``; the rebuffer ends with the chunk's arrival."""
+        if obs.ENABLED:
+            obs.counter_inc("stream.rebuffers")
+            obs.observe("stream.rebuffer_s", stall, spec=obs.TIME_SPEC)
+            obs.emit(
+                "rebuffer", time=self._start + t + transmission_time,
+                stream_id=self._stream_id, duration=stall,
+            )
+        self._buffer_row(t, BufferEvent.REBUFFER, level, cum_rebuf)
+
+    def startup(self, t: float, level: float, cum_rebuf: float) -> None:
+        """Playback began at ``t`` with the first chunk's arrival."""
+        if obs.ENABLED:
+            obs.counter_inc("stream.startups")
+            obs.observe("stream.startup_delay_s", t, spec=obs.TIME_SPEC)
+            obs.emit(
+                "startup", time=self._start + t, stream_id=self._stream_id, delay=t
+            )
+        self._buffer_row(t, BufferEvent.STARTUP, level, cum_rebuf)
+
+    def acked(
+        self, t: float, chunk_index: int, level: float, cum_rebuf: float
+    ) -> None:
+        """Chunk ``chunk_index`` arrived at ``t`` and entered the buffer."""
+        if self._log is not None:
+            self._log.video_acked.append(
+                VideoAckedRecord(
+                    self._start + t, self._stream_id, self._expt_id, chunk_index
+                )
+            )
+        self._buffer_row(t, BufferEvent.TIMER, level, cum_rebuf)
+
+    def end(self, result: StreamResult) -> None:
+        """The stream is over; ``result`` is final."""
+        if obs.ENABLED:
+            obs.counter_inc("stream.streams")
+            obs.counter_inc("stream.play_time_s", result.play_time)
+            obs.counter_inc("stream.stall_time_s", result.stall_time)
+            if result.never_began:
+                obs.counter_inc("stream.never_began")
+            obs.emit(
+                "stream_end", time=self._start + result.total_time,
+                stream_id=self._stream_id, play=result.play_time,
+                stall=result.stall_time, chunks=len(result.records),
+            )

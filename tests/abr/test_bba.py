@@ -70,6 +70,12 @@ class TestBufferMap:
         with pytest.raises(ValueError):
             BBA(reservoir_fraction=0.0)
 
+    @pytest.mark.parametrize("max_buffer_s", [float("nan"), -15.0, 0.0, float("inf")])
+    def test_absurd_buffer_cap_rejected(self, max_buffer_s):
+        # A NaN or negative cap would put NaN or negative reservoirs in the map.
+        with pytest.raises(ValueError, match="max_buffer_s"):
+            BBA(max_buffer_s=max_buffer_s)
+
     def test_stateless_across_streams(self):
         bba = BBA()
         first = bba.choose(ctx(7.0, seed=2))

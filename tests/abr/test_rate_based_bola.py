@@ -59,6 +59,11 @@ class TestRateBased:
         with pytest.raises(ValueError):
             RateBased(window=0)
 
+    @pytest.mark.parametrize("startup", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_absurd_startup_throughput_rejected(self, startup):
+        with pytest.raises(ValueError, match="startup_throughput_bps"):
+            RateBased(startup_throughput_bps=startup)
+
 
 class TestBola:
     def test_low_buffer_low_rung(self):
@@ -89,3 +94,9 @@ class TestBola:
     def test_invalid_target_fraction(self):
         with pytest.raises(ValueError):
             Bola(target_buffer_fraction=0.0)
+
+    @pytest.mark.parametrize("max_buffer_s", [float("nan"), 0.0, -15.0, float("inf")])
+    def test_absurd_buffer_cap_rejected(self, max_buffer_s):
+        # A zero cap would make q_max 0 and every score a division artefact.
+        with pytest.raises(ValueError, match="max_buffer_s"):
+            Bola(max_buffer_s=max_buffer_s)

@@ -171,25 +171,36 @@ class _EncoderMenus:
 class TestSessionsCannotSeeBlockSizing:
     SPECS = [spec("mpc_hm", MpcHm), spec("bba", BBA)]
     # The tail viewer extends nearly every stream, so streams outrun
-    # whatever first block their intended watch time sized.
+    # whatever first block their intended watch time sized.  Observability
+    # keeps every session on stream_machine, the one loop that can take
+    # the per-chunk pipeline's menus.
     CONFIG = TrialConfig(
         n_sessions=50,
         seed=13,
         viewer=TAIL_VIEWER,
         extra_stream_prob=0.5,
         collect_telemetry=True,
+        observability=True,
     )
     SESSIONS = range(8)
 
     def shards(self):
-        return [run_session(self.SPECS, self.CONFIG, sid) for sid in self.SESSIONS]
+        # Not the obs shard: it carries a wall-clock metric.
+        return [
+            (shard.session, shard.consort, shard.telemetry)
+            for shard in (
+                run_session(self.SPECS, self.CONFIG, sid) for sid in self.SESSIONS
+            )
+        ]
 
     @pytest.mark.parametrize("first_block_chunks", FIRST_BLOCKS)
     def test_shard_identical_whatever_the_first_block(
         self, monkeypatch, first_block_chunks
     ):
         stock = self.shards()
-        assert sum(len(s.session.streams) for s in stock) > len(self.SESSIONS)
+        assert sum(len(session.streams) for session, _, _ in stock) > len(
+            self.SESSIONS
+        )
 
         forced = first_block_chunks
         monkeypatch.setattr(

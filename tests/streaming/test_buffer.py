@@ -61,6 +61,12 @@ class TestPlaybackBuffer:
         with pytest.raises(ValueError):
             buf.drain(-1.0)
 
+    @pytest.mark.parametrize("cap", [float("nan"), -15.0, float("inf")])
+    def test_absurd_cap_rejected(self, cap):
+        # nan <= 0 is False: a plain sign check let a NaN cap through.
+        with pytest.raises(ValueError, match="max_buffer_s"):
+            PlaybackBuffer(cap)
+
     @given(
         st.lists(
             st.tuples(st.floats(0.1, 2.0), st.floats(0.0, 3.0)),

@@ -1,12 +1,13 @@
 """Differential oracle: the stream kernel equals ``stream_machine`` bit for bit.
 
 ``session_machine`` picks :func:`repro.streaming.fastpath.fast_stream` for a
-session nobody is watching whose scheme and transport the kernel reproduces,
-and ``stream_machine`` for every other.  The inputs that select the
-reference path are ordinary ones — ``observability=True``,
-``collect_telemetry=True`` — so every case runs the same seeds both ways and
-asserts dataclass equality of the session and its CONSORT flow: every chunk
-record, every float, every counter.  There is no tolerance.
+session with observability off whose scheme and transport the kernel
+reproduces, and ``stream_machine`` for every other.  The input that selects
+the reference path is an ordinary one — ``observability=True`` — so every
+case runs the same seeds both ways and asserts dataclass equality of the
+session and its CONSORT flow (every chunk record, every float, every
+counter) and, with telemetry on in both, equality of the
+``TelemetryLog.to_json()`` bytes.  There is no tolerance.
 """
 
 import ast
@@ -15,6 +16,8 @@ import inspect
 import json
 from dataclasses import replace
 from pathlib import Path
+
+from repro.core.ttp import TtpConfig
 
 import numpy as np
 import pytest
@@ -38,7 +41,13 @@ from repro.experiment.harness import (
 from repro.experiment.presets import smoke_trial_config
 from repro.experiment.schemes import SchemeSpec
 from repro.experiment.watch import ViewerModel
-from repro.fleet import FleetConfig, WorkloadConfig, run_fleet
+from repro.fleet import (
+    FleetConfig,
+    RetrainConfig,
+    WorkloadConfig,
+    run_fleet,
+    run_fleet_retrain,
+)
 from repro.media.menus import MenuBlockSource
 from repro.media.source import DEFAULT_CHANNELS
 from repro.net.cc.bbr import BbrLike
@@ -46,7 +55,8 @@ from repro.net.link import ConstantLink
 from repro.net.path import PopulationModel
 from repro.net.tcp import TcpConnection
 from repro.streaming import fastpath
-from repro.streaming.simulator import TransmitRequest
+from repro.streaming.simulator import TransmitRequest, simulate_stream
+from repro.streaming.telemetry import StreamRecorder, TelemetryLog
 
 
 @pytest.fixture(autouse=True)
@@ -113,20 +123,31 @@ def spy(monkeypatch):
 
 
 def assert_equivalent(specs, config, session_ids):
-    """Every session equals its observed and its telemetry-collecting run."""
+    """Every session, with and without telemetry, equals its observed run;
+    the telemetry it collects is the observed run's to the byte."""
     algorithms = {s.name: s.build() for s in specs}
     shards = []
     for sid in session_ids:
         shard = run_session(specs, config, sid, algorithms=algorithms)
         assert shard.telemetry is None and shard.obs is None
-        observed = run_session(specs, replace(config, observability=True), sid)
-        logged = run_session(specs, replace(config, collect_telemetry=True), sid)
-        assert observed.obs is not None and logged.telemetry is not None
-        for reference in (observed, logged):
-            assert shard.session == reference.session, (
+        logged = run_session(
+            specs, replace(config, collect_telemetry=True), sid,
+            algorithms=algorithms,
+        )
+        assert logged.telemetry is not None and logged.obs is None
+        observed = run_session(
+            specs,
+            replace(config, observability=True, collect_telemetry=True),
+            sid,
+        )
+        assert observed.obs is not None and observed.telemetry is not None
+        for candidate in (shard, logged):
+            assert candidate.session == observed.session, (
                 f"kernel diverged from stream_machine for session {sid}"
             )
-            assert shard.consort == reference.consort
+            assert candidate.consort == observed.consort
+        assert len(logged.telemetry) > 0
+        assert logged.telemetry.to_json() == observed.telemetry.to_json()
         shards.append(shard)
     return shards
 
@@ -159,7 +180,8 @@ class TestSchemeEquivalence:
         config = smoke_trial_config(seed=2)
         shards = assert_equivalent(specs, config, range(12))
         assert {shard.session.scheme for shard in shards} == {"bba", "mpc_hm"}
-        assert spy.kernel_streams == sum(
+        # Every bba stream took the kernel twice: without and with telemetry.
+        assert spy.kernel_streams == 2 * sum(
             len(shard.session.streams)
             for shard in shards
             if shard.session.scheme == "bba"
@@ -214,6 +236,16 @@ class TestSelection:
         run_session(specs, replace(config, observability=True), 0)
         assert spy.transmits > 0
         assert spy.kernel_streams == len(shard.session.streams)
+
+    def test_telemetry_does_not_keep_sessions_off_the_kernel(self, spy):
+        config = replace(smoke_trial_config(seed=9), collect_telemetry=True)
+        shard = run_session([spec("bba", BBA)], config, 0)
+        assert spy.transmits == 0
+        assert spy.kernel_streams == len(shard.session.streams) > 0
+        # One ack per completed chunk (a departure mid-chunk is sent only).
+        assert len(shard.telemetry.video_acked) == sum(
+            len(stream.records) for stream in shard.session.streams
+        )
 
     def test_a_process_global_context_keeps_sessions_off_the_kernel(self, spy):
         obs.enable()
@@ -326,6 +358,7 @@ class TestGarbageCollector:
             0,
             hook,
             0.0,
+            None,
         )
 
     def test_collection_is_suspended_inside_and_restored_after(self):
@@ -392,10 +425,11 @@ class TestStructure:
 
     def test_kernel_signature_has_no_options(self):
         # No width, no mode, no hook: the session machine passes what
-        # stream_machine would have been passed, positionally.
+        # stream_machine would have been passed, positionally, and the
+        # recorder both loops report to.
         assert list(inspect.signature(fastpath.fast_stream).parameters) == [
             "source", "abr", "connection", "watch_time_s", "stream_id",
-            "extension_hook", "start_time",
+            "extension_hook", "start_time", "recorder",
         ]
 
 
@@ -437,6 +471,18 @@ def _dump(specs, workers=1, observability=False, archive_dir=None, edge=None):
     return json.dumps(result.to_dump_dict(), sort_keys=True)
 
 
+def _tree(directory):
+    """Every file under ``directory``, byte-exact."""
+    root = Path(directory)
+    files = {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+    assert files
+    return files
+
+
 @pytest.mark.parallel_smoke
 class TestFleetByteIdentity:
     """Fleet dumps are byte-identical whichever stream kernel the sessions
@@ -444,12 +490,15 @@ class TestFleetByteIdentity:
 
     def test_dump_identical_across_kernels_and_workers(self, tmp_path, spy):
         specs = [spec("bba", BBA), spec("mpc_hm", MpcHm)]
-        reference = _dump(specs, observability=True)
+        reference = _dump(
+            specs, observability=True, archive_dir=tmp_path / "observed"
+        )
         assert spy.kernel_streams == 0
+        # An archiving fleet collects telemetry, and still takes the kernel.
         assert _dump(specs, archive_dir=tmp_path / "archive") == reference
-        assert spy.kernel_streams == 0
-        assert _dump(specs) == reference
         assert spy.kernel_streams > 0
+        assert _tree(tmp_path / "archive") == _tree(tmp_path / "observed")
+        assert _dump(specs) == reference
         assert _dump(specs, workers=2) == reference
 
     def test_singleton_cells_reach_the_kernel(self, spy):
@@ -477,3 +526,87 @@ class TestFleetByteIdentity:
         )
         assert result.shared and len(result.shards) == 3
         assert spy.kernel_streams == 0
+
+
+class TestRecorderSeams:
+    """Both loops report to one recorder at the same seams: the rows it
+    builds, the quarter-second reports included, are the same."""
+
+    @staticmethod
+    def _hook(t, result):
+        # Extend twice, by less than a buffer: both extension branches run.
+        return 7.0 if t < 80.0 else 0.0
+
+    def _run(self, factory, rate_bps, seed, kernel):
+        log = TelemetryLog()
+        source = MenuBlockSource(
+            DEFAULT_CHANNELS[seed % len(DEFAULT_CHANNELS)],
+            np.random.default_rng(seed),
+        )
+        connection = TcpConnection(ConstantLink(rate_bps), 0.04)
+        if kernel:
+            recorder = StreamRecorder(
+                log, 7, 3, 1.5, buffer_report_interval=0.25
+            )
+            result = fastpath.fast_stream(
+                source, factory(), connection, 60.0, 7, self._hook, 1.5,
+                recorder,
+            )
+        else:
+            # stream_machine under its own driver, with the same recorder.
+            result = simulate_stream(
+                source.menus(), factory(), connection, 60.0, stream_id=7,
+                expt_id=3, telemetry=log, extension_hook=self._hook,
+                start_time=1.5, buffer_report_interval=0.25,
+            )
+        return result, log
+
+    @pytest.mark.parametrize("name,factory", KERNEL_SCHEMES)
+    # 0.4 Mbit/s sits under most rungs (rebuffers); 20 Mbit/s fills the
+    # buffer (server pauses).
+    @pytest.mark.parametrize("rate_bps", [4e5, 2e7])
+    def test_same_rows_at_a_quarter_second_cadence(self, name, factory, rate_bps):
+        for seed in range(3):
+            fast, fast_log = self._run(factory, rate_bps, seed, kernel=True)
+            slow, slow_log = self._run(factory, rate_bps, seed, kernel=False)
+            assert fast == slow
+            assert fast_log.to_json() == slow_log.to_json()
+            events = {row.event for row in slow_log.client_buffer}
+            assert "timer" in events and "startup" in events
+            assert len(slow_log.video_acked) == len(slow.records) > 0
+
+
+class TestRetrainReachesTheKernel:
+    """A continual-retraining deployment archives every session's telemetry;
+    its bba arm streams through the kernel, and the registry, the archive
+    and the dump are the observed run's to the byte."""
+
+    def _retrain(self, root, observability):
+        specs = [spec("bba", BBA), spec("mpc_hm", MpcHm)]
+        config = FleetConfig(
+            workload=WorkloadConfig(days=1.05, sessions_per_hour=2.0, seed=5),
+            trial=replace(
+                smoke_trial_config(seed=11), observability=observability
+            ),
+            chunk_sessions=8,
+        )
+        retrain = RetrainConfig(
+            ttp=TtpConfig(horizon=2), window_days=2, recency_decay=0.9,
+            epochs_per_day=1, seed=0,
+        )
+        result = run_fleet_retrain(
+            specs, config, retrain,
+            archive_dir=root / "archive", registry_dir=root / "registry",
+        )
+        assert result.completed
+        return json.dumps(result.to_dump_dict(), sort_keys=True)
+
+    def test_registry_and_archive_equal_the_observed_run(self, tmp_path, spy):
+        observed = self._retrain(tmp_path / "observed", observability=True)
+        assert spy.kernel_streams == 0
+        assert self._retrain(tmp_path / "kernel", observability=False) == observed
+        assert spy.kernel_streams > 0
+        for part in ("registry", "archive"):
+            assert _tree(tmp_path / "kernel" / part) == _tree(
+                tmp_path / "observed" / part
+            )

@@ -63,3 +63,14 @@ class TestTimerReports:
         values = [r.cum_rebuf for r in log.client_buffer]
         assert all(a <= b + 1e-9 for a, b in zip(values, values[1:]))
         assert values[-1] > 0  # the slow path did stall
+
+
+class TestIntervalValidation:
+    # Zero and negative intervals never pass the stream clock (the report
+    # loop would not end); NaN never compares true (no report at all).
+    @pytest.mark.parametrize(
+        "interval", [0.0, -1.0, float("nan"), float("inf")]
+    )
+    def test_absurd_interval_rejected(self, interval):
+        with pytest.raises(ValueError, match="buffer_report_interval"):
+            run(interval)
