@@ -9,6 +9,8 @@ reduced to what a chunk-level simulation needs.
 
 from __future__ import annotations
 
+import math
+
 DEFAULT_MSS = 1460
 """Sender maximum segment size in bytes."""
 
@@ -25,8 +27,8 @@ class CongestionControl:
     name = "base"
 
     def __init__(self, mss: int = DEFAULT_MSS) -> None:
-        if mss <= 0:
-            raise ValueError("mss must be positive")
+        if not (math.isfinite(mss) and mss > 0):
+            raise ValueError(f"mss must be finite and positive, got {mss!r}")
         self.mss = mss
         self.cwnd_bytes = float(INITIAL_CWND_SEGMENTS * mss)
 

@@ -13,6 +13,7 @@ A rate-based model of BBR v1 [Cardwell et al. 2016] at round granularity:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque
 
@@ -32,8 +33,13 @@ class BbrLike(CongestionControl):
 
     def __init__(self, mss: int = DEFAULT_MSS, cwnd_gain: float = 2.0) -> None:
         super().__init__(mss)
-        if cwnd_gain <= 0:
-            raise ValueError("cwnd_gain must be positive")
+        # A NaN gain would pass ``<= 0``; the steady-state window would be
+        # NaN, which the clamps pass through and which ends a transmission
+        # after one round: every chunk "arriving" in one RTT on any link.
+        if not (math.isfinite(cwnd_gain) and cwnd_gain > 0):
+            raise ValueError(
+                f"cwnd_gain must be finite and positive, got {cwnd_gain!r}"
+            )
         self.cwnd_gain = cwnd_gain
         self._bw_samples: Deque[float] = deque(maxlen=_BW_FILTER_ROUNDS)
         self._min_rtt = float("inf")

@@ -26,6 +26,30 @@ MIN_CAPACITY = 1_000.0
 """Floor on link capacity (bits/s) so transmissions always terminate."""
 
 
+def _finite(name: str, value: float) -> float:
+    """``value`` as a float, or a ``ValueError`` naming the field: a NaN
+    passes every ``<``/``>`` range check below and would come out of the
+    link as a NaN transmission time."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _positive(name: str, value: float) -> float:
+    value = _finite(name, value)
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def _non_negative(name: str, value: float) -> float:
+    value = _finite(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value!r}")
+    return value
+
+
 def epoch_index(t: float, epoch: float) -> int:
     """Index of the epoch containing time ``t`` under width ``epoch``.
 
@@ -87,9 +111,7 @@ class ConstantLink(LinkModel):
     """Fixed-rate link, mostly for tests and calibration."""
 
     def __init__(self, rate_bps: float) -> None:
-        if rate_bps <= 0:
-            raise ValueError("rate must be positive")
-        self.rate_bps = float(rate_bps)
+        self.rate_bps = _positive("rate_bps", rate_bps)
 
     def capacity_at(self, t: float) -> float:
         if t < 0:
@@ -110,9 +132,12 @@ class TraceLink(LinkModel):
     ) -> None:
         if not rates_bps:
             raise ValueError("trace must contain at least one epoch")
-        if epoch <= 0:
-            raise ValueError("epoch must be positive")
-        self.rates_bps = [max(float(r), MIN_CAPACITY) for r in rates_bps]
+        _positive("epoch", epoch)
+        # Finite entries, however low, are floored as capacity always is.
+        self.rates_bps = [
+            max(_finite(f"rates_bps[{i}]", r), MIN_CAPACITY)
+            for i, r in enumerate(rates_bps)
+        ]
         self.epoch = epoch
         self.loop = loop
 
@@ -145,8 +170,7 @@ class _LazyEpochLink(LinkModel):
     """Base for stochastic links that realize capacity one epoch at a time."""
 
     def __init__(self, epoch: float, seed: "int | tuple") -> None:
-        if epoch <= 0:
-            raise ValueError("epoch must be positive")
+        _positive("epoch", epoch)
         self.epoch = epoch
         self.rng = np.random.default_rng(seed)
         self._realized: List[float] = []
@@ -204,8 +228,13 @@ class MarkovLink(_LazyEpochLink):
             raise ValueError("need at least one state")
         if not 0.0 <= switch_probability <= 1.0:
             raise ValueError("switch_probability must lie in [0, 1]")
-        self.states_bps = [float(s) for s in states_bps]
+        # A state at or below zero would be floored to MIN_CAPACITY: a
+        # link that takes hours per megabyte, not the level asked for.
+        self.states_bps = [
+            _positive(f"states_bps[{i}]", s) for i, s in enumerate(states_bps)
+        ]
         self.switch_probability = switch_probability
+        _non_negative("jitter_sigma", jitter_sigma)
         self.jitter_sigma = jitter_sigma
         self._state = int(self.rng.integers(len(self.states_bps)))
 
@@ -264,15 +293,18 @@ class HeavyTailLink(_LazyEpochLink):
         seed: "int | tuple" = 0,
     ) -> None:
         super().__init__(epoch, seed)
-        if base_bps <= 0:
-            raise ValueError("base capacity must be positive")
+        self.base_bps = _positive("base_bps", base_bps)
         if not 0.0 < reversion <= 1.0:
             raise ValueError("reversion must lie in (0, 1]")
         if not 0.0 <= fade_rate <= 1.0:
             raise ValueError("fade_rate must lie in [0, 1]")
-        if fade_duration_epochs < 1.0:
+        if _finite("fade_duration_epochs", fade_duration_epochs) < 1.0:
             raise ValueError("fade duration must be at least one epoch")
-        self.base_bps = float(base_bps)
+        _non_negative("sigma", sigma)
+        _non_negative("fade_depth_log", fade_depth_log)
+        _positive("fade_floor_median_bps", fade_floor_median_bps)
+        _non_negative("fade_floor_sigma", fade_floor_sigma)
+        _finite("fade_onset_epochs", fade_onset_epochs)
         self.sigma = sigma
         self.reversion = reversion
         self.fade_rate = fade_rate

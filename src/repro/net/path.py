@@ -16,6 +16,7 @@ statistics depend on:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -99,10 +100,30 @@ class PopulationModel:
     fade_rate: float = 0.004
 
     def __post_init__(self) -> None:
-        if self.median_throughput_bps <= 0 or self.median_rtt <= 0:
-            raise ValueError("medians must be positive")
-        if not 0.0 <= self.cubic_fraction <= 1.0:
-            raise ValueError("cubic_fraction must lie in [0, 1]")
+        # First, because a NaN passes every ordered check below and
+        # ``sample_path`` clips an infinite draw back into range silently.
+        for name in (
+            "median_throughput_bps",
+            "log_sigma",
+            "median_rtt",
+            "rtt_log_sigma",
+            "rtt_throughput_exponent",
+            "cubic_fraction",
+            "link_sigma",
+            "fade_rate",
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ("median_throughput_bps", "median_rtt"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("log_sigma", "rtt_log_sigma", "link_sigma"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+        for name in ("cubic_fraction", "fade_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
 
     def sample_path(self, rng: np.random.Generator, seed: int = 0) -> NetworkPath:
         """Draw one client path."""

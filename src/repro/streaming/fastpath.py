@@ -22,6 +22,12 @@ What the kernel leaves out of a chunk's life:
   ``TcpConnection.transmit`` and the loss draw is skipped: BBR ignores a
   round's ``loss`` flag and the loss generator feeds nothing else, so the
   only trace is the generator's own unread state;
+* the round calls no builtin: the bandwidth filter's maximum is kept as a
+  running value with an age instead of ``max(samples)`` twice a round
+  (equal to it after every append — the age says when the maximum has
+  left the deque), and ``min``/``max`` clamps are comparisons that keep
+  the operand the builtin keeps, ties and ``-0.0`` included (the argument
+  is ``_transmit``'s docstring);
 * playback buffer, stream clock and watch limit live in locals, and the
   stream never yields — which is also why it may suspend the garbage
   collector around itself (a million small acyclic records a run; the
@@ -32,7 +38,8 @@ into locals before a chunk's rounds and written back after them, so
 ``tcp_info()``, ``busy_until``, ``total_bytes_sent`` and the idle handler
 stay true between chunks and after the stream.  Every arithmetic operation
 keeps the reference's IEEE evaluation order; the results are bit-identical
-(``tests/streaming/test_fastpath_equivalence.py``).  ``transmit``'s
+(``tests/streaming/test_fastpath_equivalence.py``, and for the round alone
+``tests/streaming/test_round_differential.py``).  ``transmit``'s
 argument checks have no mirror: menu sizes are positive and finite by
 construction and the session machine never starts a stream before
 ``busy_until``.
@@ -42,7 +49,7 @@ from __future__ import annotations
 
 import gc
 import math
-from typing import List, Optional
+from typing import Deque, List, Optional, Tuple
 
 from repro.abr.base import AbrAlgorithm, ChunkRecord
 from repro.abr.bba import BBA
@@ -50,7 +57,12 @@ from repro.abr.bola import Bola
 from repro.abr.rate_based import RateBased
 from repro.media.menus import MenuBlockSource
 from repro.net.cc.base import MAX_CWND_BYTES
-from repro.net.cc.bbr import _FULL_PIPE_GROWTH, _FULL_PIPE_ROUNDS, BbrLike
+from repro.net.cc.bbr import (
+    _BW_FILTER_ROUNDS,
+    _FULL_PIPE_GROWTH,
+    _FULL_PIPE_ROUNDS,
+    BbrLike,
+)
 from repro.net.tcp import _MAX_ROUNDS_PER_CHUNK, _SRTT_GAIN, TcpConnection
 from repro.streaming.buffer import BUFFER_EPSILON_S, MAX_BUFFER_S
 from repro.streaming.session import StreamResult
@@ -240,11 +252,51 @@ def _stream(
     return result
 
 
+def _filter_max(samples: Deque[float]) -> Tuple[float, int]:
+    """``BbrLike``'s bandwidth estimate off its filter, and the age of the
+    copy of it ``max`` returns: how many appends ago that copy arrived.
+    ``max`` returns the first (oldest) of equal maxima, so a younger copy
+    may exist; ``_transmit`` only needs the age not to understate it."""
+    if not samples:
+        return 0.0, 0
+    bw = max(samples)
+    return bw, len(samples) - 1 - samples.index(bw)
+
+
 def _transmit(connection: TcpConnection, size_bytes: float, at_time: float) -> float:
     """The round loop of ``TcpConnection.transmit`` with ``BbrLike.on_round``
     inlined; returns the transmission time.  Idle handling and the
     ``tcp_info`` snapshot are the caller's, through the connection's own
-    methods."""
+    methods.
+
+    Every float operation is the reference's, on the same operands in the
+    same order; what a round no longer pays for is a builtin call.
+
+    * *The filter's maximum is kept as it changes.*  ``on_round`` reads
+      ``max(samples)`` twice a round; here ``bw`` holds it, with ``age``, a
+      number of appends no smaller than the age of some copy of ``bw`` in
+      the deque (``_filter_max`` seeds both from the deque on every call,
+      because ``on_idle`` rewrites it between chunks).  Appending ``s``
+      keeps ``bw == max(samples)``: if ``s >= bw`` then ``s`` is at least
+      every element, so it is the maximum, at age 0 (a tie is the same
+      double: a rate is a positive window over at least the base RTT,
+      never ``-0.0`` or NaN).  Otherwise the copy of ``bw`` is one append
+      older and, while that age is below the deque's ``maxlen``
+      (``_BW_FILTER_ROUNDS``), still inside it; every element is at most
+      ``bw`` and ``s`` is below it, so the maximum is still ``bw``.  Only
+      when the age reaches ``maxlen`` has that copy been evicted, and the
+      deque is scanned again.  An overstated age only rescans early.
+    * *Clamps are comparisons.*  ``min(a, b)`` is ``b if b < a else a`` and
+      ``max(a, b)`` is ``b if b > a else a`` — the first operand wins ties
+      and a NaN in the second — and each comparison below is written to
+      keep exactly that operand: ``window`` is ``remaining`` only when
+      ``remaining < cwnd``; a queue of ``-0.0`` stays ``-0.0`` because
+      ``-0.0 < 0.0`` is false; the window is raised to its floor only when
+      below it and lowered to the ceiling only when above it.
+    * *Constants are hoisted only as the same double*: the round's BDP
+      ``capacity_Bps * base_rtt`` is computed once per capacity read from
+      the same two operands, and ``1.0 - _SRTT_GAIN`` is 0.875 exactly.
+    """
     cc = connection.cc
     capacity_at = connection.link.capacity_at
     next_change_after = connection.link.next_change_after
@@ -258,11 +310,15 @@ def _transmit(connection: TcpConnection, size_bytes: float, at_time: float) -> f
     cwnd_gain = cc.cwnd_gain
     cwnd_floor = 2.0 * cc.mss
     samples = cc._bw_samples
+    append = samples.append
+    bw, age = _filter_max(samples)
     cc_min_rtt = cc._min_rtt
     in_startup = cc._in_startup
     baseline = cc._full_pipe_baseline
     stale = cc._stale_rounds
+    srtt_keep = 1.0 - _SRTT_GAIN
     capacity_Bps = 0.0
+    bdp = 0.0
     change_at = -math.inf
     remaining = float(size_bytes)
     elapsed = 0.0
@@ -274,26 +330,33 @@ def _transmit(connection: TcpConnection, size_bytes: float, at_time: float) -> f
         now = at_time + elapsed
         if now >= change_at:
             capacity_Bps = capacity_at(now) / 8.0
+            bdp = capacity_Bps * base_rtt
             change_at = next_change_after(now)
-        window = min(cwnd, remaining)
         app_limited = remaining < cwnd
+        window = remaining if app_limited else cwnd
         drain_time = window / capacity_Bps
         rtt_sample = base_rtt + queue_bytes / capacity_Bps
         if drain_time > rtt_sample:  # link limited
             duration = drain_time
-            queue_bytes = max(window - capacity_Bps * base_rtt, 0.0)
+            queue_bytes = window - bdp
+            if queue_bytes < 0.0:
+                queue_bytes = 0.0
         else:
             duration = rtt_sample
             queue_bytes = 0.0
         delivery_rate = window * 8.0 / duration
         # --- BbrLike.on_round ---------------------------------------------
-        if not app_limited or delivery_rate > (
-            max(samples) if samples else 0.0
-        ):
-            samples.append(delivery_rate)
+        if not app_limited or delivery_rate > bw:
+            append(delivery_rate)
+            if delivery_rate >= bw:
+                bw = delivery_rate
+                age = 0
+            else:
+                age += 1
+                if age >= _BW_FILTER_ROUNDS:
+                    bw, age = _filter_max(samples)
         if rtt_sample < cc_min_rtt:
             cc_min_rtt = rtt_sample
-        bw = max(samples) if samples else 0.0
         if in_startup:
             if bw > baseline * _FULL_PIPE_GROWTH:
                 baseline = bw
@@ -306,9 +369,12 @@ def _transmit(connection: TcpConnection, size_bytes: float, at_time: float) -> f
                 cwnd *= 2.0
         if not in_startup and bw > 0 and cc_min_rtt < math.inf:
             cwnd = cwnd_gain * (bw / 8.0 * cc_min_rtt)
-        cwnd = min(max(cwnd, cwnd_floor), _MAX_CWND)
+        if cwnd < cwnd_floor:
+            cwnd = cwnd_floor
+        if cwnd > _MAX_CWND:
+            cwnd = _MAX_CWND
         # --- the connection's own updates ---------------------------------
-        srtt = (1.0 - _SRTT_GAIN) * srtt + _SRTT_GAIN * rtt_sample
+        srtt = srtt_keep * srtt + _SRTT_GAIN * rtt_sample
         if rtt_sample < min_rtt:
             min_rtt = rtt_sample
         if not app_limited or delivery_rate > delivery_rate_bps:

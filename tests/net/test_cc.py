@@ -107,6 +107,18 @@ class TestBbrLike:
         with pytest.raises(ValueError):
             BbrLike(cwnd_gain=0.0)
 
+    @pytest.mark.parametrize(
+        "gain", [-1.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_invalid_gain_rejected_by_name(self, gain):
+        with pytest.raises(ValueError, match="cwnd_gain"):
+            BbrLike(cwnd_gain=gain)
+
+    @pytest.mark.parametrize("mss", [0, -1460, float("nan"), float("inf")])
+    def test_invalid_mss_rejected_by_name(self, mss):
+        with pytest.raises(ValueError, match="mss"):
+            BbrLike(mss=mss)
+
 
 class TestCubicLike:
     def test_slow_start_doubles(self):

@@ -1,5 +1,7 @@
 """Tests for repro.net.link — capacity processes."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,11 @@ class TestConstantLink:
         with pytest.raises(ValueError):
             ConstantLink(0.0)
 
+    @pytest.mark.parametrize("rate", [-1e6, math.nan, math.inf])
+    def test_invalid_rate_rejected_by_name(self, rate):
+        with pytest.raises(ValueError, match="rate_bps"):
+            ConstantLink(rate)
+
 
 class TestTraceLink:
     def test_piecewise_lookup(self):
@@ -52,6 +59,20 @@ class TestTraceLink:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
             TraceLink([])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected_by_index(self, bad):
+        with pytest.raises(ValueError, match=r"rates_bps\[2\]"):
+            TraceLink([1e6, 2e6, bad, 3e6])
+
+    def test_finite_entries_keep_the_floor(self):
+        link = TraceLink([-5e5, 0.0, 2e6], epoch=1.0, loop=False)
+        assert link.rates_bps == [MIN_CAPACITY, MIN_CAPACITY, 2e6]
+
+    @pytest.mark.parametrize("epoch", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_epoch_rejected_by_name(self, epoch):
+        with pytest.raises(ValueError, match="epoch"):
+            TraceLink([1e6], epoch=epoch)
 
     def test_duration(self):
         assert TraceLink([1e6] * 5, epoch=2.0).duration == 10.0
@@ -87,6 +108,35 @@ class TestMarkovLink:
             MarkovLink([])
         with pytest.raises(ValueError):
             MarkovLink([1e6], switch_probability=2.0)
+
+    @pytest.mark.parametrize(
+        "states, field",
+        [
+            ([math.nan, 1e6], r"states_bps\[0\]"),
+            ([1e6, math.inf], r"states_bps\[1\]"),
+            # Used to be floored to 1 kbit/s: 1 MB in 8911 s.
+            ([-1e6], r"states_bps\[0\]"),
+            ([1e6, 0.0], r"states_bps\[1\]"),
+        ],
+    )
+    def test_bad_state_rejected_by_index(self, states, field):
+        with pytest.raises(ValueError, match=field):
+            MarkovLink(states)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("jitter_sigma", math.nan),
+            ("jitter_sigma", math.inf),
+            ("jitter_sigma", -0.1),
+            ("epoch", math.nan),
+            ("epoch", math.inf),
+            ("epoch", 0.0),
+        ],
+    )
+    def test_bad_parameter_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MarkovLink([1e6, 4e6], **{field: value})
 
 
 class TestHeavyTailLink:
@@ -145,6 +195,43 @@ class TestHeavyTailLink:
             HeavyTailLink(base_bps=1e6, fade_rate=1.5)
         with pytest.raises(ValueError):
             HeavyTailLink(base_bps=1e6, fade_duration_epochs=0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "base_bps",
+            "sigma",
+            "fade_depth_log",
+            "fade_duration_epochs",
+            "fade_floor_median_bps",
+            "fade_floor_sigma",
+            "fade_onset_epochs",
+            # NaN used to die at the first lookup: "cannot convert float
+            # NaN to integer".
+            "epoch",
+        ],
+    )
+    def test_non_finite_parameter_rejected_by_name(self, field, value):
+        kwargs = {"base_bps": 1e6, field: value}
+        with pytest.raises(ValueError, match=field):
+            HeavyTailLink(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("base_bps", -1e6),
+            ("sigma", -0.1),
+            ("fade_depth_log", -1.0),
+            ("fade_floor_median_bps", 0.0),
+            ("fade_floor_sigma", -0.5),
+            ("epoch", 0.0),
+        ],
+    )
+    def test_out_of_range_parameter_rejected_by_name(self, field, value):
+        kwargs = {"base_bps": 1e6, field: value}
+        with pytest.raises(ValueError, match=field):
+            HeavyTailLink(**kwargs)
 
     @given(st.integers(0, 1000), st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)

@@ -1,5 +1,7 @@
 """Tests for repro.net.path — paths and the client population model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,43 @@ class TestPopulationModel:
             PopulationModel(median_throughput_bps=0.0)
         with pytest.raises(ValueError):
             PopulationModel(cubic_fraction=1.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            # NaN used to surface as "base_rtt must be finite".
+            "median_throughput_bps",
+            "log_sigma",
+            # inf used to be clipped to 0.8 s without a word.
+            "median_rtt",
+            "rtt_log_sigma",
+            "rtt_throughput_exponent",
+            "cubic_fraction",
+            # NaN used to stream NaN transmission times.
+            "link_sigma",
+            "fade_rate",
+        ],
+    )
+    def test_non_finite_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PopulationModel(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("median_throughput_bps", -1e6),
+            ("median_rtt", 0.0),
+            ("log_sigma", -0.1),
+            ("rtt_log_sigma", -0.1),
+            ("link_sigma", -0.1),
+            ("fade_rate", 1.5),
+            ("cubic_fraction", -0.1),
+        ],
+    )
+    def test_out_of_range_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PopulationModel(**{field: value})
 
 
 class TestPathSampler:
