@@ -16,7 +16,8 @@ Commands
     Pretty-print a metrics dump (counters, histogram quantiles, events).
 ``lint``
     Run the AST-based determinism & correctness linter (``repro.lint``);
-    ``--whole-program`` adds the interprocedural purity phase.
+    ``--whole-program`` adds the interprocedural rules declared in
+    ``contract.json``.
 ``sanitize-run``
     Run the canonical mini-trial with the runtime determinism sanitizer
     armed (``repro.sanitizer``) and print the telemetry digest.
@@ -207,7 +208,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_crash_matrix(args: argparse.Namespace) -> int:
     """Enumerate every crash point of a mini fleet run and prove recovery.
 
-    Dynamic counterpart of ``repro lint --whole-program --durability``:
+    Dynamic counterpart of the DUR rules of ``repro lint --whole-program``:
     the static DUR rules claim every durable write is crash-safe; this
     harness kills a real run at each registered crash point, resumes
     from the survivor state, and byte-compares the durable outputs
@@ -264,22 +265,9 @@ def _cmd_sanitize_run(args: argparse.Namespace) -> int:
     from repro import sanitizer
     from repro.experiment import RandomizedTrial, TrialConfig
 
-    snapshot = list(sanitizer.DEFAULT_SNAPSHOT_MODULES)
-    try:
-        from repro.lint.purity import PurityConfig, default_config_path
-
-        config_path = default_config_path()
-        if config_path.is_file():
-            loaded = PurityConfig.load(config_path)
-            if loaded.snapshot_modules:
-                snapshot = list(loaded.snapshot_modules)
-    except (OSError, ValueError) as exc:
-        print(
-            f"warning: ignoring purity-roots config: {exc}", file=sys.stderr
-        )
     # Arm this process; forked pool workers inherit the armed state.
     os.environ[sanitizer.ENV_FLAG] = "1"
-    sanitizer.install(snapshot)
+    sanitizer.install(sanitizer.SNAPSHOT_MODULES)
     print(
         f"sanitizer armed (hash canary {sanitizer.hash_canary()})",
         file=sys.stderr,
@@ -939,8 +927,8 @@ def build_parser() -> argparse.ArgumentParser:
             "hash-order iteration (DET003), no float equality in simulator "
             "branches (SIM001), guarded metric emission (OBS001), no "
             "mutable default arguments (API001).  With --whole-program, "
-            "also run the interprocedural purity phase (PURE001-PURE003) "
-            "over the declared purity roots."
+            "also run the interprocedural rules (purity, seed lineage, "
+            "checkpoint coverage, durability) declared in contract.json."
         ),
     )
     from repro.lint.cli import add_lint_arguments
@@ -971,8 +959,8 @@ def build_parser() -> argparse.ArgumentParser:
         "crash-matrix",
         help="kill a mini fleet run at every crash point and prove recovery",
         description=(
-            "Dynamic counterpart of `repro lint --whole-program "
-            "--durability`: runs a reference mini fleet, enumerates every "
+            "Dynamic counterpart of the DUR rules of `repro lint "
+            "--whole-program`: runs a reference mini fleet, enumerates every "
             "registered crash point, then for each point kills a fresh run "
             "exactly there, resumes from the survivor state, and "
             "byte-compares dump/registry/archive against the reference."

@@ -10,10 +10,10 @@ the fsyncs entirely).
 Every durable writer in the tree (fleet checkpoint, model registry
 generation + manifest, metrics dump, archive day tables, trained-model
 output) routes through here, and the whole-program linter enforces
-exactly that: ``repro lint --whole-program --durability`` flags any raw
-write reachable from the durable roots declared in ``durable-roots.json``
-(rule DUR001), and this module's two public functions are the only
-writers that file blesses.
+exactly that: ``repro lint --whole-program`` flags any raw write
+reachable from the durable roots declared in the ``durability`` section
+of ``contract.json`` (rule DUR001), and this module's two public
+functions are the only writers that section blesses.
 
 Crash points: each ``durable=True`` write passes three numbered
 :func:`repro.crashpoints.crashpoint` markers — ``begin`` (nothing

@@ -534,7 +534,7 @@ def run_session(
     Every random draw is keyed on ``(config.seed, session_id)`` so the
     result depends only on the arguments, never on which sessions ran
     before it or on which process runs it.  This is also the declared
-    purity root of the static analyzer (``purity-roots.json``); under
+    purity root of the static analyzer (``contract.json``); under
     ``REPRO_SANITIZE=1`` the body runs inside a :mod:`repro.sanitizer`
     guard that turns any surviving impurity into a hard error.
 

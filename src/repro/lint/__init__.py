@@ -21,13 +21,14 @@ OBS001   metric/trace emission not guarded by ``if obs.ENABLED:``
 API001   mutable default arguments
 =======  ==================================================================
 
-Findings can be waived inline with a reasoned suppression comment::
+Findings are waived only inline, with a reasoned suppression comment::
 
     t0 = time.perf_counter()  # repro: allow-DET002(throughput report only)
 
-or grandfathered in a committed ``lint-baseline.json``.  Run it as
-``repro lint [paths]``; the tier-1 suite gates on the tree linting clean
-(``tests/lint/test_tree_clean.py``).
+Run it as ``repro lint [paths]``; ``--whole-program`` adds the
+interprocedural rules declared in ``contract.json``
+(:mod:`repro.lint.contract`).  The tier-1 suite gates on the tree linting
+clean (``tests/lint/test_tree_clean.py``).
 """
 
 from __future__ import annotations
@@ -40,14 +41,13 @@ from repro.lint.base import (
     register,
     registered_rules,
 )
-from repro.lint.baseline import Baseline, DEFAULT_BASELINE_NAME
 from repro.lint.cli import main
+from repro.lint.contract import Contract, ContractError, load_contract
 from repro.lint.engine import (
     LintReport,
     discover_files,
     lint_paths,
     lint_source,
-    refreshed_baseline,
 )
 from repro.lint.findings import Finding
 from repro.lint.suppressions import (
@@ -63,8 +63,8 @@ from repro.lint import rules_obs as _rules_obs  # noqa: F401
 from repro.lint import rules_sim as _rules_sim  # noqa: F401
 
 __all__ = [
-    "Baseline",
-    "DEFAULT_BASELINE_NAME",
+    "Contract",
+    "ContractError",
     "FileContext",
     "Finding",
     "LintReport",
@@ -75,10 +75,10 @@ __all__ = [
     "discover_files",
     "lint_paths",
     "lint_source",
+    "load_contract",
     "main",
     "make_rules",
     "parse_suppressions",
-    "refreshed_baseline",
     "register",
     "registered_rules",
 ]

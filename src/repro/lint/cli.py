@@ -1,32 +1,17 @@
 """``repro lint`` — command-line entry point for the determinism linter.
 
-Exit codes: 0 clean (new findings absent), 1 findings, 2 usage error.
+Exit codes: 0 clean, 1 findings, 2 usage error (a malformed contract
+included).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.lint.baseline import Baseline, DEFAULT_BASELINE_NAME
-from repro.lint.engine import iter_rule_docs, lint_paths, refreshed_baseline
-from repro.lint.purity import (
-    DEFAULT_PURITY_CONFIG_NAME,
-    PurityConfig,
-    default_config_path,
-)
-from repro.lint.rules_ckpt import (
-    DEFAULT_EXCLUSIONS_NAME,
-    FingerprintExclusions,
-    default_exclusions_path,
-)
-from repro.lint.rules_durability import (
-    DEFAULT_DURABLE_ROOTS_NAME,
-    DurabilityConfig,
-    default_durable_roots_path,
-)
+from repro.lint.contract import DEFAULT_CONTRACT_PATH, load_contract
+from repro.lint.engine import iter_rule_docs, lint_paths
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -43,26 +28,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="report format",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=(
-            "baseline file of grandfathered findings (default: "
-            f"{DEFAULT_BASELINE_NAME} next to the current directory, "
-            "when present)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file: report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline to absorb all current findings and exit 0",
-    )
-    parser.add_argument(
         "--select",
         default=None,
         metavar="RULES",
@@ -77,44 +42,18 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--whole-program",
         action="store_true",
         help=(
-            "also run the interprocedural purity phase (PURE001-PURE003) "
-            "over the declared purity roots"
+            "also run the interprocedural rules (PURE, SEED, CKPT, DUR) "
+            "the contract's sections turn on"
         ),
     )
     parser.add_argument(
-        "--purity-roots",
+        "--contract",
         default=None,
         metavar="FILE",
         help=(
-            "purity-roots config for --whole-program (default: "
-            f"{DEFAULT_PURITY_CONFIG_NAME} in the current directory)"
-        ),
-    )
-    parser.add_argument(
-        "--fingerprint-exclusions",
-        default=None,
-        metavar="FILE",
-        help=(
-            "fingerprint-coverage config enabling CKPT001 under "
-            f"--whole-program (default: {DEFAULT_EXCLUSIONS_NAME} in the "
-            "current directory, when present)"
-        ),
-    )
-    parser.add_argument(
-        "--durability",
-        action="store_true",
-        help=(
-            "also run the crash-consistency rules (DUR000-DUR004) over "
-            "the declared durable roots; requires --whole-program"
-        ),
-    )
-    parser.add_argument(
-        "--durable-roots",
-        default=None,
-        metavar="FILE",
-        help=(
-            "durable-roots config for --durability (default: "
-            f"{DEFAULT_DURABLE_ROOTS_NAME} in the current directory)"
+            "contract file for the whole-program rules; implies "
+            f"--whole-program (default: {DEFAULT_CONTRACT_PATH} in the "
+            "current directory)"
         ),
     )
     parser.add_argument(
@@ -122,17 +61,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="bypass the per-file findings cache for this run",
     )
-
-
-def _resolve_baseline(args: argparse.Namespace) -> Optional[Baseline]:
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        return Baseline.load(args.baseline)
-    default = Path(DEFAULT_BASELINE_NAME)
-    if default.is_file():
-        return Baseline.load(default)
-    return None
 
 
 def run_lint(args: argparse.Namespace) -> int:
@@ -143,74 +71,17 @@ def run_lint(args: argparse.Namespace) -> int:
     select: Optional[List[str]] = None
     if args.select:
         select = [part.strip() for part in args.select.split(",") if part.strip()]
-    purity_config: Optional[PurityConfig] = None
-    exclusions: Optional[FingerprintExclusions] = None
-    durability: Optional[DurabilityConfig] = None
-    if args.durability and not args.whole_program:
-        print(
-            "error: --durability requires --whole-program (the DUR rules "
-            "run over the whole-program call graph)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.whole_program:
-        config_path = (
-            Path(args.purity_roots)
-            if args.purity_roots is not None
-            else default_config_path()
-        )
-        try:
-            purity_config = PurityConfig.load(config_path)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.fingerprint_exclusions is not None:
-            try:
-                exclusions = FingerprintExclusions.load(
-                    args.fingerprint_exclusions
-                )
-            except (OSError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        elif default_exclusions_path().is_file():
-            try:
-                exclusions = FingerprintExclusions.load(
-                    default_exclusions_path()
-                )
-            except (OSError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        if args.durability:
-            durable_path = (
-                Path(args.durable_roots)
-                if args.durable_roots is not None
-                else default_durable_roots_path()
-            )
-            try:
-                durability = DurabilityConfig.load(durable_path)
-            except (OSError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
     try:
-        if args.write_baseline:
-            target = args.baseline or DEFAULT_BASELINE_NAME
-            baseline = refreshed_baseline(args.paths, select=select)
-            baseline.write(target)
-            print(
-                f"wrote {len(baseline.counts)} fingerprint(s) to {target}",
-                file=sys.stderr,
-            )
-            return 0
-        baseline = _resolve_baseline(args)
+        contract = (
+            load_contract(args.contract or DEFAULT_CONTRACT_PATH)
+            if args.whole_program or args.contract is not None
+            else None
+        )
         report = lint_paths(
             args.paths,
-            baseline=baseline,
             select=select,
-            whole_program=args.whole_program,
-            purity_config=purity_config,
+            contract=contract,
             use_cache=False if args.no_cache else None,
-            fingerprint_exclusions=exclusions,
-            durability=durability,
         )
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

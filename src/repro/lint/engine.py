@@ -10,12 +10,12 @@ Two phases:
   file in isolation.  Results are cached by content hash
   (:mod:`repro.lint.cache`) because they depend only on the rule set and
   the file bytes.
-* **whole-program** (``whole_program=True`` / ``repro lint
-  --whole-program``) — the interprocedural purity pass: a call graph over
-  the whole tree, the transitive closure of the declared purity roots, and
-  the PURE001–PURE003 rules over that region (:mod:`repro.lint.purity`,
-  :mod:`repro.lint.rules_purity`).  Never cached; suppressed by the same
-  inline ``# repro: allow-RULE(reason)`` comments as the per-file phase.
+* **whole-program** (a ``contract`` given / ``repro lint
+  --whole-program``) — the interprocedural pass: a call graph over the
+  whole tree and every rule family the contract's sections turn on
+  (:mod:`repro.lint.contract`, :mod:`repro.lint.purity`).  Never cached;
+  suppressed by the same inline ``# repro: allow-RULE(reason)`` comments
+  as the per-file phase.
 """
 
 from __future__ import annotations
@@ -27,13 +27,11 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.lint.base import FileContext, Rule, derive_module, make_rules
-from repro.lint.baseline import Baseline
 from repro.lint.cache import FindingsCache, cache_enabled
 from repro.lint.callgraph import ParsedModule
+from repro.lint.contract import Contract
 from repro.lint.findings import Finding
-from repro.lint.purity import PurityConfig, analyze_program
-from repro.lint.rules_ckpt import FingerprintExclusions
-from repro.lint.rules_durability import DurabilityConfig
+from repro.lint.purity import analyze_program
 from repro.lint.suppressions import apply_suppressions, parse_suppressions
 
 
@@ -42,10 +40,9 @@ class LintReport:
     """Outcome of one lint run."""
 
     findings: List[Finding] = field(default_factory=list)
-    """New findings — these fail the run."""
+    """Unsuppressed findings — these fail the run."""
 
     suppressed: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     files_checked: int = 0
     parse_errors: List[str] = field(default_factory=list)
     cache_hits: int = 0
@@ -65,8 +62,7 @@ class LintReport:
         summary = (
             f"{self.files_checked} file(s) checked: "
             f"{len(self.findings)} finding(s), "
-            f"{len(self.suppressed)} suppressed, "
-            f"{len(self.baselined)} baselined"
+            f"{len(self.suppressed)} suppressed"
         )
         if self.whole_program:
             summary += " [whole-program]"
@@ -75,11 +71,10 @@ class LintReport:
 
     def to_json(self) -> str:
         payload = {
-            "schema_version": 1,
+            "schema_version": 2,
             "files_checked": self.files_checked,
             "findings": [f.to_dict() for f in self.findings],
             "suppressed": [f.to_dict() for f in self.suppressed],
-            "baselined": [f.to_dict() for f in self.baselined],
             "parse_errors": list(self.parse_errors),
             "whole_program": self.whole_program,
             "ok": self.ok,
@@ -168,20 +163,16 @@ def _apply_program_suppressions(
 
 def lint_whole_program(
     files: Iterable[ParsedModule],
-    config: PurityConfig,
+    contract: Contract,
     sources: Optional[Dict[str, str]] = None,
-    exclusions: Optional[FingerprintExclusions] = None,
-    durability: Optional[DurabilityConfig] = None,
 ) -> List[Finding]:
     """Run only the whole-program phase over pre-parsed modules.
 
     Used directly by the purity/seed fixture tests; production runs go
-    through :func:`lint_paths` with ``whole_program=True``.
+    through :func:`lint_paths` with a ``contract``.
     """
     parsed_map = {parsed.path: parsed for parsed in files}
-    findings = analyze_program(
-        parsed_map, config, exclusions=exclusions, durability=durability
-    )
+    findings = analyze_program(parsed_map, contract)
     if sources is None:
         sources = {
             path: "\n".join(parsed.lines)
@@ -192,32 +183,26 @@ def lint_whole_program(
 
 def lint_paths(
     paths: Sequence[Union[str, Path]],
-    baseline: Optional[Baseline] = None,
     select: Optional[Sequence[str]] = None,
-    whole_program: bool = False,
-    purity_config: Optional[PurityConfig] = None,
+    contract: Optional[Contract] = None,
     use_cache: Optional[bool] = None,
-    fingerprint_exclusions: Optional[FingerprintExclusions] = None,
-    durability: Optional[DurabilityConfig] = None,
 ) -> LintReport:
     """Lint files/directories, returning a :class:`LintReport`.
 
     Parameters
     ----------
-    whole_program:
-        Also run the interprocedural phase — purity (PURE001–PURE003),
-        seed lineage (SEED001–SEED004), and checkpoint coverage
-        (CKPT001–CKPT002) — over the full file set, using *purity_config*
-        (required then).  *fingerprint_exclusions* enables CKPT001;
-        *durability* enables the crash-consistency rules
-        (DUR000–DUR004).
+    contract:
+        Also run the interprocedural phase over the full file set — purity
+        (PURE001–PURE003), seed lineage (SEED001–SEED004) and CKPT002
+        always, CKPT001 when the contract has a ``fingerprint`` section,
+        the crash-consistency rules (DUR000–DUR004) when it has a
+        ``durability`` section.
     use_cache:
         Force the per-file findings cache on/off; default follows
         :func:`repro.lint.cache.cache_enabled` (on, except in CI or under
         ``REPRO_LINT_CACHE=0``).
     """
-    if whole_program and purity_config is None:
-        raise ValueError("whole_program=True requires a purity_config")
+    whole_program = contract is not None
     report = LintReport(whole_program=whole_program)
     rules = make_rules(select)
     cache: Optional[FindingsCache] = None
@@ -258,40 +243,21 @@ def lint_paths(
             sources[path_key] = source
         all_findings.extend(findings)
 
-    if whole_program:
-        assert purity_config is not None
-        program_findings = analyze_program(
-            parsed_files,
-            purity_config,
-            exclusions=fingerprint_exclusions,
-            durability=durability,
-        )
+    if contract is not None:
+        program_findings = analyze_program(parsed_files, contract)
         all_findings.extend(
             _apply_program_suppressions(program_findings, sources)
         )
 
-    if baseline is not None:
-        all_findings = baseline.apply(all_findings)
     for finding in sorted(all_findings, key=Finding.sort_key):
         if finding.suppressed:
             report.suppressed.append(finding)
-        elif finding.baselined:
-            report.baselined.append(finding)
         else:
             report.findings.append(finding)
     if cache is not None:
         report.cache_hits = cache.hits
         report.cache_misses = cache.misses
     return report
-
-
-def refreshed_baseline(
-    paths: Sequence[Union[str, Path]],
-    select: Optional[Sequence[str]] = None,
-) -> Baseline:
-    """Baseline capturing every *current* unsuppressed finding."""
-    report = lint_paths(paths, baseline=None, select=select)
-    return Baseline.from_findings(report.findings)
 
 
 def iter_rule_docs() -> Iterable[str]:

@@ -2,14 +2,12 @@
 
 A :class:`Finding` pins a rule violation to a ``file:line:col`` location and
 carries everything the reporting layer needs: the human message, the source
-line (for fingerprinting into the baseline), and whether the finding was
-silenced by an inline suppression or a baseline entry.
+line, and whether the finding was silenced by an inline suppression.
 
 Fingerprints deliberately exclude the line *number*: they hash the rule id,
 the file's path relative to the lint root, and the stripped source text of
-the offending line.  Editing unrelated parts of a file therefore does not
-churn the baseline.  Duplicate fingerprints within one file are
-disambiguated by an occurrence index.
+the offending line, so a finding keeps its identity across edits elsewhere
+in the file.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ class Finding:
     source_line: str = ""
     suppressed: bool = field(default=False, compare=False)
     suppression_reason: str = field(default="", compare=False)
-    baselined: bool = field(default=False, compare=False)
 
     @property
     def content_hash(self) -> str:
@@ -40,17 +37,8 @@ class Finding:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
     def fingerprint(self) -> str:
-        """Baseline key: stable across pure line-number shifts."""
+        """Identity key: stable across pure line-number shifts."""
         return f"{self.rule}:{self.path}:{self.content_hash}"
-
-    def content_fingerprint(self) -> str:
-        """Path-free baseline key: survives file renames/moves.
-
-        :meth:`repro.lint.baseline.Baseline.apply` matches exact
-        fingerprints first and falls back to this rename-tolerant form, so
-        moving a file does not resurrect its grandfathered findings.
-        """
-        return f"{self.rule}:{self.content_hash}"
 
     def format_human(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -66,7 +54,6 @@ class Finding:
             "fingerprint": self.fingerprint(),
             "suppressed": self.suppressed,
             "suppression_reason": self.suppression_reason,
-            "baselined": self.baselined,
         }
 
     @classmethod
@@ -82,7 +69,6 @@ class Finding:
             source_line=str(data.get("source_line", "")),
             suppressed=bool(data.get("suppressed", False)),
             suppression_reason=str(data.get("suppression_reason", "")),
-            baselined=bool(data.get("baselined", False)),
         )
 
     def sort_key(self) -> "tuple[str, int, int, str]":

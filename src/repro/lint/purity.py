@@ -1,51 +1,38 @@
-"""Purity-roots configuration and the whole-program analysis driver.
+"""Purity configuration and the whole-program analysis driver.
 
 The *purity roots* are the functions the experiment's statistics assume to
 be pure: :func:`repro.experiment.harness.run_session` (the unit of work the
 paper's confidence intervals are built on), the chunk functions that
 ``repro.experiment.parallel.fork_map`` runs over it
 (`repro.experiment.parallel._run_chunk`,
-`repro.fleet.runner._simulate_chunk`), and every
-``AbrAlgorithm.choose`` implementation.  They are declared in a checked-in
-``purity-roots.json`` so the contract is reviewable, versioned, and shared
-between the static pass (this module) and the runtime sanitizer
-(:mod:`repro.sanitizer`).
-
-Config schema (version 1)::
-
-    {
-      "version": 1,
-      "roots": ["repro.experiment.harness.run_session", ...],
-      "method_roots": ["repro.abr.base.AbrAlgorithm.choose"],
-      "quarantine": ["repro.obs"],
-      "snapshot_modules": ["repro.experiment.harness", ...]
-    }
+`repro.fleet.runner._simulate_chunk`), the shared-cell engine
+(`repro.edge.engine.run_cell`), and every ``AbrAlgorithm.choose``
+implementation.  They are declared in the ``purity`` section of the
+checked-in ``contract.json`` (loaded by :mod:`repro.lint.contract`) so the
+contract is reviewable and versioned.
 
 ``roots`` are exact function qualnames.  ``method_roots`` name a base-class
 method; every override in the class hierarchy becomes a root.
 ``quarantine`` lists packages whose internals the graph never enters (the
-designed nondeterminism surface).  ``snapshot_modules`` is consumed by the
-runtime sanitizer: the module namespaces digested before/after every
-guarded session.
+designed nondeterminism surface).  The runtime sanitizer digests the
+roots' host modules around every guarded session; that list lives in code
+(:data:`repro.sanitizer.SNAPSHOT_MODULES`), because the session path may
+not read files at import.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple
 
 from repro.lint.callgraph import CallGraph, ParsedModule, build_graph
 from repro.lint.findings import Finding
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid cycles
+    from repro.lint.contract import Contract
     from repro.lint.dataflow import SeedFlow
     from repro.lint.rules_ckpt import FingerprintExclusions
     from repro.lint.rules_durability import DurabilityConfig
-
-PURITY_CONFIG_VERSION = 1
-DEFAULT_PURITY_CONFIG_NAME = "purity-roots.json"
 
 #: Rule id for configuration-level problems (a declared root that does not
 #: exist must fail the run loudly, not silently shrink the pure region).
@@ -54,36 +41,12 @@ CONFIG_RULE_ID = "PURE000"
 
 @dataclass(frozen=True)
 class PurityConfig:
-    """Checked-in declaration of the pure entrypoints."""
+    """The ``purity`` section of the contract: the pure entrypoints."""
 
     roots: Tuple[str, ...] = ()
     method_roots: Tuple[str, ...] = ()
     quarantine: Tuple[str, ...] = ()
-    snapshot_modules: Tuple[str, ...] = ()
     source_path: str = "<inline>"
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "PurityConfig":
-        data = json.loads(Path(path).read_text())
-        if data.get("version") != PURITY_CONFIG_VERSION:
-            raise ValueError(
-                f"unsupported purity-roots version {data.get('version')!r} "
-                f"in {path}"
-            )
-        return cls(
-            roots=tuple(str(r) for r in data.get("roots", [])),
-            method_roots=tuple(str(r) for r in data.get("method_roots", [])),
-            quarantine=tuple(str(q) for q in data.get("quarantine", [])),
-            snapshot_modules=tuple(
-                str(m) for m in data.get("snapshot_modules", [])
-            ),
-            source_path=Path(path).as_posix(),
-        )
-
-
-def default_config_path(start: Union[str, Path] = ".") -> Path:
-    """``purity-roots.json`` in *start* (the conventional repo root)."""
-    return Path(start) / DEFAULT_PURITY_CONFIG_NAME
 
 
 @dataclass
@@ -100,11 +63,11 @@ class ProgramContext:
     run and interpreted by the SEED rules."""
 
     exclusions: Optional["FingerprintExclusions"] = None
-    """Checked-in fingerprint-coverage declaration; ``None`` disables
-    CKPT001 (CKPT002 needs no configuration)."""
+    """The contract's ``fingerprint`` section; ``None`` disables CKPT001
+    (CKPT002 needs no configuration)."""
 
     durability: Optional["DurabilityConfig"] = None
-    """Checked-in durable-roots declaration; ``None`` disables the DUR
+    """The contract's ``durability`` section; ``None`` disables the DUR
     rule family."""
 
     durable: "frozenset[str]" = frozenset()
@@ -122,8 +85,8 @@ def expand_roots(
 
     Exact roots must exist.  Method roots expand to the base method (when
     implemented) plus every subclass override; the base *class* must exist.
-    Missing declarations surface as ``PURE000`` findings against the config
-    file, which fail the run — a typo must never silently shrink the
+    Missing declarations surface as ``PURE000`` findings against the
+    contract file, which fail the run — a typo must never silently shrink the
     checked region.
     """
     roots: List[str] = []
@@ -146,8 +109,8 @@ def expand_roots(
             problems.append(
                 config_error(
                     f"declared purity root {root!r} was not found in the "
-                    "linted tree — fix purity-roots.json or restore the "
-                    "function"
+                    "linted tree — fix purity.roots in the contract or "
+                    "restore the function"
                 )
             )
     for method_root in config.method_roots:
@@ -180,18 +143,16 @@ def expand_roots(
 
 
 def analyze_program(
-    files: Mapping[str, ParsedModule],
-    config: PurityConfig,
-    exclusions: Optional["FingerprintExclusions"] = None,
-    durability: Optional["DurabilityConfig"] = None,
+    files: Mapping[str, ParsedModule], contract: "Contract"
 ) -> List[Finding]:
     """Run every whole-program rule family; returns raw findings.
 
     Four rule families share the one call graph built here: the purity
     rules (over the pure region), the seed-lineage rules (over every
     function — seed discipline is a tree-wide contract), the
-    checkpoint-coverage rules (CKPT001 only when *exclusions* is given),
-    and the durability rules (only when *durability* is given).
+    checkpoint-coverage rules (CKPT001 only when the contract has a
+    ``fingerprint`` section), and the durability rules (only when it has
+    a ``durability`` section).
     Suppression handling is the caller's job (the engine applies the same
     per-file ``# repro: allow-RULE(reason)`` machinery the per-file phase
     uses, so one waiver syntax covers both phases).
@@ -203,6 +164,8 @@ def analyze_program(
     from repro.lint.rules_purity import make_purity_rules
     from repro.lint.rules_seed import make_seed_rules
 
+    config = contract.purity
+    durability = contract.durability
     graph = build_graph(files, exclude_prefixes=config.quarantine)
     roots, findings = expand_roots(graph, config)
     pure = graph.reachable(roots)
@@ -211,7 +174,7 @@ def analyze_program(
         config=config,
         pure=frozenset(pure),
         seed_flow=analyze_seed_flow(graph),
-        exclusions=exclusions,
+        exclusions=contract.fingerprint,
     )
     for rule in make_purity_rules():
         findings.extend(rule.check_program(program))

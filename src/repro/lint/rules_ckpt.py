@@ -3,13 +3,13 @@
 A fleet checkpoint is only crash-safe if it is *complete*: every config
 knob that changes the science must fold into the SHA-256 config
 fingerprint (or be excluded **explicitly**, with a reason, in the
-checked-in ``fingerprint-exclusions.json``), and every piece of mutable
-driver state written during the run must be reconstructible from the
-checkpoint.  Both contracts were previously enforced only by review;
+``fingerprint`` section of the checked-in ``contract.json``), and every
+piece of mutable driver state written during the run must be
+reconstructible from the checkpoint.  Both contracts were previously enforced only by review;
 these rules check them from the AST.
 
 =========  ===============================================================
-CKPT000    configuration error in ``fingerprint-exclusions.json`` — an
+CKPT000    configuration error in the contract's ``fingerprint`` — an
            unknown class or fingerprint function, an excluded field the
            class does not declare, or a stale exclusion for a field the
            fingerprint actually covers.  Config errors fail the run: a
@@ -27,19 +27,9 @@ CKPT002    mutable driver state (a ``nonlocal`` cell written by a nested
            reset it
 =========  ===============================================================
 
-Exclusion config schema (version 1)::
-
-    {
-      "version": 1,
-      "classes": {
-        "repro.fleet.runner.FleetConfig": {
-          "fingerprint": ["repro.fleet.runner.FleetConfig.fingerprint"],
-          "exclude": {"chunk_sessions": "any cadence reproduces the dump"}
-        }
-      }
-    }
-
-``fingerprint`` lists the function(s) whose body defines coverage: a
+The ``fingerprint`` section (schema in :mod:`repro.lint.contract`) maps
+each config dataclass to its fingerprint function(s) and an ``exclude``
+map of field -> reason.  ``fingerprint`` lists the function(s) whose body defines coverage: a
 field counts as covered when any listed function reads it as an
 attribute (``self.field`` / ``trial.field``) or names it in a string
 constant (a dict key in a ``to_dict``-style serializer).  CKPT002 needs
@@ -51,10 +41,8 @@ Waivers use the ordinary inline suppression comments
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Set, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Set, Tuple
 
 from repro.lint.base import resolve_call_target
 from repro.lint.callgraph import CallGraph, FunctionInfo, FunctionNode
@@ -62,9 +50,6 @@ from repro.lint.findings import Finding
 from repro.lint.purity import ProgramContext
 from repro.lint.rules_purity import PurityRule, _iter_scopes, _scope_nodes
 from repro.lint.rules_seed import SeedRule
-
-EXCLUSIONS_VERSION = 1
-DEFAULT_EXCLUSIONS_NAME = "fingerprint-exclusions.json"
 
 #: Rule id for exclusion-config problems (parallel to ``PURE000``).
 CKPT_CONFIG_RULE_ID = "CKPT000"
@@ -86,36 +71,10 @@ class ClassCoverage:
 
 @dataclass(frozen=True)
 class FingerprintExclusions:
-    """Checked-in declaration of config-fingerprint coverage."""
+    """The contract's ``fingerprint`` section: config-fingerprint coverage."""
 
     classes: Mapping[str, ClassCoverage] = field(default_factory=dict)
     source_path: str = "<inline>"
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "FingerprintExclusions":
-        data = json.loads(Path(path).read_text())
-        if data.get("version") != EXCLUSIONS_VERSION:
-            raise ValueError(
-                f"unsupported fingerprint-exclusions version "
-                f"{data.get('version')!r} in {path}"
-            )
-        classes: Dict[str, ClassCoverage] = {}
-        for qualname, spec in dict(data.get("classes", {})).items():
-            classes[str(qualname)] = ClassCoverage(
-                fingerprint=tuple(
-                    str(f) for f in spec.get("fingerprint", [])
-                ),
-                exclude={
-                    str(k): str(v)
-                    for k, v in dict(spec.get("exclude", {})).items()
-                },
-            )
-        return cls(classes=classes, source_path=Path(path).as_posix())
-
-
-def default_exclusions_path(start: Union[str, Path] = ".") -> Path:
-    """``fingerprint-exclusions.json`` in *start* (the repo root)."""
-    return Path(start) / DEFAULT_EXCLUSIONS_NAME
 
 
 def _in_lint_scope(graph: "CallGraph", qualname: str) -> bool:
@@ -163,8 +122,9 @@ def _coverage_names(fns: Iterator[FunctionInfo]) -> Set[str]:
 
 
 class CkptRule(SeedRule):
-    """Base for checkpoint rules: skipped without an exclusions config
-    (CKPT002 runs regardless — it needs no configuration)."""
+    """Base for checkpoint rules: skipped without the contract's
+    ``fingerprint`` section (CKPT002 runs regardless — it needs no
+    configuration)."""
 
     def config_finding(
         self, exclusions: FingerprintExclusions, message: str
@@ -182,15 +142,15 @@ class CkptRule(SeedRule):
 class FingerprintCoverageRule(CkptRule):
     """CKPT001 — every config field fingerprinted or excluded with reason.
 
-    Also emits the CKPT000 config errors, so one pass over the exclusion
-    file validates it completely.
+    Also emits the CKPT000 config errors, so one pass over the
+    ``fingerprint`` section validates it completely.
     """
 
     id = "CKPT001"
     summary = (
         "config dataclass field is neither folded into the checkpoint "
-        "fingerprint nor named in fingerprint-exclusions.json — decide "
-        "its identity before it ships"
+        "fingerprint nor excluded in the contract's fingerprint section — "
+        "decide its identity before it ships"
     )
 
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
@@ -207,7 +167,8 @@ class FingerprintCoverageRule(CkptRule):
                         exclusions,
                         f"declared config class {class_qual!r} was not "
                         "found in the linted tree — fix "
-                        "fingerprint-exclusions.json or restore the class",
+                        "fingerprint.classes in the contract or restore the "
+                        "class",
                     )
                 continue
             fingerprint_fns: List[FunctionInfo] = []

@@ -10,8 +10,8 @@ call chain from a durable root, so the report explains *why* a function
 is held to the durable contract.
 
 =========  ===============================================================
-DUR000     configuration error in ``durable-roots.json`` — a declared
-           root, atomic helper or commit-order member not found in the
+DUR000     configuration error in the contract's ``durability`` — a
+           declared root, atomic helper or commit-order member not found in the
            linted tree.  Config errors fail the run: a typo must never
            silently shrink the checked region.  Entries whose module is
            outside the linted file set are skipped (partial lints stay
@@ -26,28 +26,17 @@ DUR002     tmp+rename without an ``os.fsync`` of the written file before
 DUR003     multi-file commit-order violation: a pointer/manifest write
            precedes the data write it references (the ordered pairs —
            registry generation before manifest, archive flush before
-           checkpoint save — are declared in ``durable-roots.json``)
+           checkpoint save — are declared in the contract)
 DUR004     in-place read-modify-write of a durable file outside a commit
            section: an update-mode open, or reading and raw-rewriting
            the same path in one function — a crash between truncate and
            rewrite loses both versions
 =========  ===============================================================
 
-Config schema (version 1, checked in as ``durable-roots.json`` beside
-``purity-roots.json``)::
-
-    {
-      "version": 1,
-      "roots": ["repro.fleet.checkpoint.CheckpointManager.save", ...],
-      "atomic_helpers": ["repro.atomio.atomic_write_bytes", ...],
-      "exempt": ["repro.atomio", "repro.crashpoints"],
-      "commit_order": [
-        {"first": "<data write>", "then": "<pointer write>",
-         "reason": "why the pointer must land second"}
-      ]
-    }
-
-``exempt`` lists the module(s) implementing the blessed protocol itself:
+The ``durability`` section of the checked-in ``contract.json`` (schema
+in :mod:`repro.lint.contract`) declares the roots, the blessed atomic
+helpers, the exempt modules and the ``commit_order`` pairs.  ``exempt``
+lists the module(s) implementing the blessed protocol itself:
 their raw opens/renames/fsyncs ARE the helper, so the rules skip them.
 DUR001/002/004 run over the durable region; DUR003 scans every linted
 function (the callers that sequence two durable commits usually sit
@@ -57,10 +46,8 @@ function (the callers that sequence two durable commits usually sit
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.lint.callgraph import CallGraph, FunctionInfo
 from repro.lint.effects import (
@@ -83,10 +70,7 @@ from repro.lint.purity import ProgramContext
 from repro.lint.rules_ckpt import _in_lint_scope
 from repro.lint.rules_purity import PurityRule
 
-DURABLE_ROOTS_VERSION = 1
-DEFAULT_DURABLE_ROOTS_NAME = "durable-roots.json"
-
-#: Rule id for durable-roots config problems (parallel to ``PURE000``).
+#: Rule id for durability-config problems (parallel to ``PURE000``).
 DUR_CONFIG_RULE_ID = "DUR000"
 
 
@@ -103,45 +87,13 @@ class CommitOrderPair:
 
 @dataclass(frozen=True)
 class DurabilityConfig:
-    """Checked-in declaration of the durable roots and blessed helpers."""
+    """The contract's ``durability`` section: durable roots and helpers."""
 
     roots: Tuple[str, ...] = ()
     atomic_helpers: Tuple[str, ...] = ()
     exempt: Tuple[str, ...] = ()
     commit_order: Tuple[CommitOrderPair, ...] = ()
     source_path: str = "<inline>"
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "DurabilityConfig":
-        data = json.loads(Path(path).read_text())
-        if data.get("version") != DURABLE_ROOTS_VERSION:
-            raise ValueError(
-                f"unsupported durable-roots version "
-                f"{data.get('version')!r} in {path}"
-            )
-        pairs: List[CommitOrderPair] = []
-        for entry in list(data.get("commit_order", [])):
-            pairs.append(
-                CommitOrderPair(
-                    first=str(entry["first"]),
-                    then=str(entry["then"]),
-                    reason=str(entry.get("reason", "")),
-                )
-            )
-        return cls(
-            roots=tuple(str(r) for r in data.get("roots", [])),
-            atomic_helpers=tuple(
-                str(h) for h in data.get("atomic_helpers", [])
-            ),
-            exempt=tuple(str(e) for e in data.get("exempt", [])),
-            commit_order=tuple(pairs),
-            source_path=Path(path).as_posix(),
-        )
-
-
-def default_durable_roots_path(start: Union[str, Path] = ".") -> Path:
-    """``durable-roots.json`` in *start* (the conventional repo root)."""
-    return Path(start) / DEFAULT_DURABLE_ROOTS_NAME
 
 
 def expand_durable_roots(
@@ -150,7 +102,7 @@ def expand_durable_roots(
     """Resolve declared roots against the graph; missing ones are DUR000.
 
     Also validates the atomic helpers and commit-order members, so one
-    pass over ``durable-roots.json`` checks it completely.
+    pass over the ``durability`` section checks it completely.
     """
     roots: List[str] = []
     problems: List[Finding] = []
@@ -172,8 +124,8 @@ def expand_durable_roots(
             problems.append(
                 config_error(
                     f"declared durable root {root!r} was not found in the "
-                    "linted tree — fix durable-roots.json or restore the "
-                    "function"
+                    "linted tree — fix durability.roots in the contract or "
+                    "restore the function"
                 )
             )
     for helper in config.atomic_helpers:

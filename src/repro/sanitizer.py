@@ -43,9 +43,9 @@ and the import machinery are untouched):
   cannot be removed, so the hook consults module state and goes inert after
   :func:`uninstall`.
 * **module-state mutation** — :func:`guard` digests the namespaces of the
-  purity roots' host modules (``snapshot_modules`` in ``purity-roots.json``)
-  on entry and exit; a changed digest means the session leaked state into
-  the process, exactly what PURE001 forbids statically.  The digest recurses
+  purity roots' host modules (:data:`SNAPSHOT_MODULES`) on entry and exit;
+  a changed digest means the session leaked state into the process,
+  exactly what PURE001 forbids statically.  The digest recurses
   simple values and in-module classes but reduces foreign instances to
   their type name — algorithm objects legitimately mutate *internal* state
   during a session.
@@ -84,16 +84,27 @@ from typing import (
 
 ENV_FLAG = "REPRO_SANITIZE"
 
-DEFAULT_SNAPSHOT_MODULES = (
+SNAPSHOT_MODULES = (
     "repro.experiment.harness",
     "repro.experiment.parallel",
     "repro.fleet.runner",
+    "repro.fleet.retrain",
+    "repro.streaming.fastpath",
+    "repro.media.menus",
+    "repro.edge.engine",
+    "repro.edge.cells",
+    "repro.edge.transport",
+    "repro.edge.cache",
+    "repro.edge.fairshare",
+    "repro.edge.zipf",
 )
 """Modules whose namespaces are digested around every guard scope.
 
-Mirrors ``snapshot_modules`` in the checked-in ``purity-roots.json``; the
-CLI loads the config when available, while library use (and pool workers,
-which must not depend on the CWD) fall back to this constant.
+The one definition: the self-arming :func:`guarded` path and
+``repro sanitize-run`` both use it.  It must cover the host module of
+every exact purity root in ``contract.json`` (a test holds the two
+together); it stays a literal because the session path imports this
+module and may not read files at import.
 """
 
 _F = TypeVar("_F", bound=Callable[..., Any])
@@ -673,7 +684,7 @@ def guarded(label: str) -> Callable[[_F], _F]:
                 # entrypoint without anyone having called install() in it.
                 if not enabled():
                     return fn(*args, **kwargs)
-                install(DEFAULT_SNAPSHOT_MODULES)
+                install(SNAPSHOT_MODULES)
             with guard(label):
                 return fn(*args, **kwargs)
 

@@ -1,4 +1,4 @@
-"""CLI: exit codes, formats, baseline and purity flags — via ``repro lint``."""
+"""CLI: exit codes, formats, the contract and purity — via ``repro lint``."""
 
 import json
 
@@ -31,9 +31,10 @@ def purity_tree(tmp_path):
         "def root():\n"
         "    return time.time()  # repro: allow-DET002(cli purity test)\n"
     )
-    config = tmp_path / "purity-roots.json"
+    config = tmp_path / "contract.json"
     config.write_text(
-        json.dumps({"version": 1, "roots": ["pkg.app.root"]}) + "\n"
+        json.dumps({"version": 2, "purity": {"roots": ["pkg.app.root"]}})
+        + "\n"
     )
     return tmp_path
 
@@ -53,42 +54,6 @@ class TestLintCli:
         assert lint_main([str(dirty_dir), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["findings"][0]["rule"] == "DET002"
-
-    def test_write_baseline_then_clean(self, dirty_dir, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        assert (
-            lint_main(
-                [str(dirty_dir), "--baseline", str(baseline), "--write-baseline"]
-            )
-            == 0
-        )
-        assert baseline.is_file()
-        assert (
-            lint_main([str(dirty_dir), "--baseline", str(baseline)]) == 0
-        )
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_no_baseline_overrides(self, dirty_dir, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        lint_main(
-            [str(dirty_dir), "--baseline", str(baseline), "--write-baseline"]
-        )
-        assert (
-            lint_main(
-                [
-                    str(dirty_dir),
-                    "--baseline",
-                    str(baseline),
-                    "--no-baseline",
-                ]
-            )
-            == 1
-        )
-
-    def test_missing_baseline_file_is_usage_error(self, dirty_dir):
-        assert (
-            lint_main([str(dirty_dir), "--baseline", "/nonexistent.json"]) == 2
-        )
 
     def test_select_filters_rules(self, dirty_dir):
         assert lint_main([str(dirty_dir), "--select", "DET001"]) == 0
@@ -113,7 +78,6 @@ class TestJsonSchema:
         "files_checked",
         "findings",
         "suppressed",
-        "baselined",
         "parse_errors",
         "whole_program",
         "ok",
@@ -123,7 +87,7 @@ class TestJsonSchema:
         assert lint_main([str(dirty_dir), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == self.REQUIRED_KEYS
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["whole_program"] is False
         assert payload["ok"] is False
         finding = payload["findings"][0]
@@ -136,8 +100,8 @@ class TestJsonSchema:
                 [
                     str(purity_tree),
                     "--whole-program",
-                    "--purity-roots",
-                    str(purity_tree / "purity-roots.json"),
+                    "--contract",
+                    str(purity_tree / "contract.json"),
                     "--format",
                     "json",
                 ]
@@ -155,8 +119,8 @@ class TestWholeProgramCli:
             [
                 str(purity_tree),
                 "--whole-program",
-                "--purity-roots",
-                str(purity_tree / "purity-roots.json"),
+                "--contract",
+                str(purity_tree / "contract.json"),
             ]
         )
         assert code == 1
@@ -168,57 +132,19 @@ class TestWholeProgramCli:
             [
                 str(purity_tree),
                 "--whole-program",
-                "--purity-roots",
+                "--contract",
                 str(purity_tree / "absent.json"),
             ]
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_repo_tree_is_whole_program_clean(self, capsys, monkeypatch):
-        """The shipping gate: ``repro lint src --whole-program`` exits 0."""
-        import pathlib
-
-        repo_root = pathlib.Path(__file__).resolve().parents[2]
-        monkeypatch.chdir(repo_root)
-        assert lint_main(["src", "--whole-program"]) == 0
-        out = capsys.readouterr().out
-        assert "0 finding(s)" in out and "[whole-program]" in out
-
-
-class TestBaselineRenames:
-    def test_baselined_finding_survives_a_file_rename(
-        self, tmp_path, capsys
+    def test_contract_defaults_to_the_current_directory(
+        self, purity_tree, capsys, monkeypatch
     ):
-        tree = tmp_path / "tree"
-        tree.mkdir()
-        (tree / "a.py").write_text("import time\nt = time.time()\n")
-        baseline = tmp_path / "baseline.json"
-        assert (
-            lint_main(
-                [str(tree), "--baseline", str(baseline), "--write-baseline"]
-            )
-            == 0
-        )
-        (tree / "a.py").rename(tree / "b.py")
-        assert lint_main([str(tree), "--baseline", str(baseline)]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_extra_occurrence_beyond_the_budget_is_new(
-        self, tmp_path, capsys
-    ):
-        tree = tmp_path / "tree"
-        tree.mkdir()
-        (tree / "a.py").write_text("import time\nt = time.time()\n")
-        baseline = tmp_path / "baseline.json"
-        lint_main(
-            [str(tree), "--baseline", str(baseline), "--write-baseline"]
-        )
-        # A second copy of the same offending line exceeds the count.
-        (tree / "b.py").write_text("import time\nt = time.time()\n")
-        assert lint_main([str(tree), "--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        assert "1 finding(s)" in out and "1 baselined" in out
+        monkeypatch.chdir(purity_tree)
+        assert lint_main([".", "--whole-program"]) == 1
+        assert "PURE002" in capsys.readouterr().out
 
 
 class TestReproSubcommand:

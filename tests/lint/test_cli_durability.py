@@ -1,19 +1,17 @@
-"""CLI surface of the durability rules: ``repro lint --durability``.
+"""CLI surface of the durability rules: ``repro lint --whole-program``
+over a contract with a ``durability`` section.
 
 Exit codes (0 clean / 1 findings / 2 config or usage error), the JSON
-report schema for DUR findings, baseline interaction, and the shipping
-gate over the real tree with the checked-in ``durable-roots.json``.
+report schema for DUR findings, and the section deciding whether the DUR
+rules run.  The shipping gate over the real tree is
+``tests/lint/test_tree_clean.py``'s whole-program run.
 """
 
 import json
-import pathlib
 
 import pytest
 
 from repro.lint.cli import main as lint_main
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-
 
 @pytest.fixture(autouse=True)
 def _no_cache(monkeypatch):
@@ -32,17 +30,17 @@ def durable_tree(tmp_path):
         '    with open(path, "w") as f:\n'
         "        f.write(json.dumps(value))\n"
     )
-    (tmp_path / "purity-roots.json").write_text(
-        json.dumps({"version": 1, "roots": []}) + "\n"
-    )
-    (tmp_path / "durable-roots.json").write_text(
+    (tmp_path / "contract.json").write_text(
         json.dumps(
             {
-                "version": 1,
-                "roots": ["pkg.app.save"],
-                "atomic_helpers": ["repro.atomio.atomic_write_bytes"],
-                "exempt": [],
-                "commit_order": [],
+                "version": 2,
+                "purity": {"roots": []},
+                "durability": {
+                    "roots": ["pkg.app.save"],
+                    "atomic_helpers": ["repro.atomio.atomic_write_bytes"],
+                    "exempt": [],
+                    "commit_order": [],
+                },
             }
         )
         + "\n"
@@ -54,9 +52,7 @@ def _args(tree, *extra):
     return [
         str(tree),
         "--whole-program",
-        "--purity-roots", str(tree / "purity-roots.json"),
-        "--durability",
-        "--durable-roots", str(tree / "durable-roots.json"),
+        "--contract", str(tree / "contract.json"),
         *extra,
     ]
 
@@ -79,34 +75,41 @@ class TestDurabilityCli:
         assert lint_main(_args(durable_tree)) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
-    def test_durability_requires_whole_program(self, durable_tree, capsys):
-        code = lint_main([str(durable_tree), "--durability"])
-        assert code == 2
-        assert "--whole-program" in capsys.readouterr().err
+    def test_no_durability_section_no_dur_rules(self, durable_tree, capsys):
+        contract = durable_tree / "contract.json"
+        data = json.loads(contract.read_text())
+        del data["durability"]
+        contract.write_text(json.dumps(data))
+        assert lint_main(_args(durable_tree)) == 0
+        assert "0 finding(s)" in capsys.readouterr().out
+
+    def test_contract_implies_whole_program(self, durable_tree, capsys):
+        contract = str(durable_tree / "contract.json")
+        assert lint_main([str(durable_tree), "--contract", contract]) == 1
+        out = capsys.readouterr().out
+        assert "DUR001" in out and "[whole-program]" in out
 
     def test_missing_config_is_usage_error(self, durable_tree, capsys):
         code = lint_main(
             [
                 str(durable_tree),
                 "--whole-program",
-                "--purity-roots", str(durable_tree / "purity-roots.json"),
-                "--durability",
-                "--durable-roots", str(durable_tree / "absent.json"),
+                "--contract", str(durable_tree / "absent.json"),
             ]
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
     def test_version_mismatch_is_usage_error(self, durable_tree, capsys):
-        bad = durable_tree / "durable-roots.json"
-        bad.write_text(json.dumps({"version": 99}))
+        bad = durable_tree / "contract.json"
+        bad.write_text(json.dumps({"version": 99, "purity": {"roots": []}}))
         assert lint_main(_args(durable_tree)) == 2
         assert "version" in capsys.readouterr().err
 
     def test_missing_root_is_dur000_finding(self, durable_tree, capsys):
-        config = durable_tree / "durable-roots.json"
+        config = durable_tree / "contract.json"
         data = json.loads(config.read_text())
-        data["roots"].append("pkg.app.gone")
+        data["durability"]["roots"].append("pkg.app.gone")
         config.write_text(json.dumps(data))
         assert lint_main(_args(durable_tree)) == 1
         assert "DUR000" in capsys.readouterr().out
@@ -114,49 +117,10 @@ class TestDurabilityCli:
     def test_json_schema_carries_dur_findings(self, durable_tree, capsys):
         assert lint_main(_args(durable_tree, "--format", "json")) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["whole_program"] is True
         rules = [f["rule"] for f in payload["findings"]]
         assert "DUR001" in rules
         finding = payload["findings"][rules.index("DUR001")]
         for key in ("path", "line", "col", "message", "source_line"):
             assert key in finding
-
-    def test_baseline_absorbs_dur_findings(self, durable_tree, capsys):
-        baseline = durable_tree / "baseline.json"
-        assert (
-            lint_main(
-                _args(
-                    durable_tree,
-                    "--baseline", str(baseline),
-                    "--write-baseline",
-                )
-            )
-            == 0
-        )
-        capsys.readouterr()
-        # --write-baseline captures only the per-file phase, so the DUR
-        # finding survives a baselined run: whole-program findings are
-        # never silently grandfathered — inline waivers are the only
-        # mechanism, exactly as for the PURE/SEED/CKPT families.
-        code = lint_main(_args(durable_tree, "--baseline", str(baseline)))
-        assert code == 1
-        assert "DUR001" in capsys.readouterr().out
-
-    def test_repo_tree_is_durability_clean(self, capsys, monkeypatch):
-        """The shipping gate: lint src --whole-program --durability."""
-        monkeypatch.chdir(REPO_ROOT)
-        assert (
-            lint_main(
-                [
-                    "src",
-                    "--whole-program",
-                    "--fingerprint-exclusions",
-                    "fingerprint-exclusions.json",
-                    "--durability",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "0 finding(s)" in out and "[whole-program]" in out

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.crashpoints import find_torn_state
+from repro.lint.contract import Contract
 from repro.lint.engine import lint_whole_program, parse_module
 from repro.lint.purity import PurityConfig
 from repro.lint.rules_durability import CommitOrderPair, DurabilityConfig
@@ -79,9 +80,11 @@ def _durability_config():
 def static_rules():
     """Map fixture stem -> set of unsuppressed DUR rules it fires."""
     parsed, config = _durability_config()
-    purity = PurityConfig(source_path="<crosscheck>")
+    contract = Contract(
+        PurityConfig(source_path="<crosscheck>"), durability=config
+    )
     by_stem = {}
-    for finding in lint_whole_program(parsed, purity, durability=config):
+    for finding in lint_whole_program(parsed, contract):
         if finding.suppressed or not finding.rule.startswith("DUR"):
             continue
         by_stem.setdefault(Path(finding.path).stem, set()).add(finding.rule)
@@ -186,8 +189,10 @@ class TestConfigErrors:
             commit_order=(),
             source_path="<crosscheck>",
         )
-        purity = PurityConfig(source_path="<crosscheck>")
-        findings = lint_whole_program(parsed, purity, durability=broken)
+        contract = Contract(
+            PurityConfig(source_path="<crosscheck>"), durability=broken
+        )
+        findings = lint_whole_program(parsed, contract)
         dur000 = [f for f in findings if f.rule == "DUR000"]
         assert dur000 and "missing" in dur000[0].message
 
@@ -206,23 +211,21 @@ class TestConfigErrors:
             ),
             source_path="<crosscheck>",
         )
-        purity = PurityConfig(source_path="<crosscheck>")
-        findings = lint_whole_program(parsed, purity, durability=broken)
+        contract = Contract(
+            PurityConfig(source_path="<crosscheck>"), durability=broken
+        )
+        findings = lint_whole_program(parsed, contract)
         assert any(f.rule == "DUR000" for f in findings)
 
     def test_out_of_scope_entries_stay_quiet(self):
         # Partial lints (fixtures only) must not flag the real-tree
-        # helpers declared in durable-roots.json.
+        # helpers declared in contract.json.
         parsed, config = _durability_config()
-        purity = PurityConfig(source_path="<crosscheck>")
-        findings = lint_whole_program(parsed, purity, durability=config)
+        contract = Contract(
+            PurityConfig(source_path="<crosscheck>"), durability=config
+        )
+        findings = lint_whole_program(parsed, contract)
         assert not any(f.rule == "DUR000" for f in findings)
-
-    def test_version_mismatch_raises(self, tmp_path):
-        bad = tmp_path / "durable-roots.json"
-        bad.write_text('{"version": 99}')
-        with pytest.raises(ValueError, match="version"):
-            DurabilityConfig.load(bad)
 
 
 class TestMutationSensitivity:
@@ -244,8 +247,10 @@ class TestMutationSensitivity:
             commit_order=commit_order,
             source_path="<mutation>",
         )
-        purity = PurityConfig(source_path="<mutation>")
-        findings = lint_whole_program(parsed, purity, durability=config)
+        contract = Contract(
+            PurityConfig(source_path="<mutation>"), durability=config
+        )
+        findings = lint_whole_program(parsed, contract)
         return {
             f.rule
             for f in findings

@@ -13,6 +13,7 @@ import pytest
 import repro.lint.cache as cache_mod
 from repro.lint.cache import FindingsCache, cache_dir, cache_enabled
 from repro.lint.engine import lint_paths, lint_source
+from repro.lint.contract import Contract
 from repro.lint.purity import PurityConfig
 
 
@@ -165,20 +166,13 @@ class TestWholeProgramNeverCached:
             roots=("pkg.app.root",),
             method_roots=(),
             quarantine=(),
-            snapshot_modules=(),
             source_path="<test>",
         )
         first = lint_paths(
-            [str(target)],
-            whole_program=True,
-            purity_config=config,
-            use_cache=True,
+            [str(target)], contract=Contract(purity=config), use_cache=True
         )
         second = lint_paths(
-            [str(target)],
-            whole_program=True,
-            purity_config=config,
-            use_cache=True,
+            [str(target)], contract=Contract(purity=config), use_cache=True
         )
         # Per-file phase hit the cache, yet the interprocedural phase
         # re-ran and re-derived the PURE002 finding from the live AST.

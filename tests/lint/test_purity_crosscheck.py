@@ -19,6 +19,7 @@ import pytest
 
 from repro import sanitizer
 from repro.experiment.harness import RandomizedTrial, TrialConfig
+from repro.lint.contract import Contract
 from repro.lint.engine import lint_whole_program, parse_module
 from repro.lint.purity import PurityConfig
 from repro.sanitizer import SanitizerViolation
@@ -73,11 +74,10 @@ def static_rules():
         roots=tuple(f"{p.module}.root" for p in parsed),
         method_roots=(),
         quarantine=(),
-        snapshot_modules=(),
         source_path="<crosscheck>",
     )
     by_stem = {}
-    for finding in lint_whole_program(parsed, config):
+    for finding in lint_whole_program(parsed, Contract(config)):
         if finding.suppressed:
             continue
         stem = Path(finding.path).stem
@@ -273,7 +273,7 @@ class TestSanitizedTrial:
 
     def test_serial_parallel_equivalence_under_sanitizer(self, monkeypatch):
         monkeypatch.setenv(sanitizer.ENV_FLAG, "1")
-        sanitizer.install(sanitizer.DEFAULT_SNAPSHOT_MODULES)
+        sanitizer.install(sanitizer.SNAPSHOT_MODULES)
         try:
             config = TrialConfig(n_sessions=8, seed=0, collect_telemetry=True)
             serial = RandomizedTrial(_classical_specs(), config).run()

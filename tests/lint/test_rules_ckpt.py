@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.lint.contract import Contract, load_contract
 from repro.lint.engine import lint_whole_program, parse_module
 from repro.lint.purity import PurityConfig
 from repro.lint.rules_ckpt import (
@@ -30,7 +31,8 @@ def _lint(named_sources, exclusions=None):
         for stem, text in sorted(named_sources.items())
     ]
     config = PurityConfig(roots=(), source_path="<test>")
-    return list(lint_whole_program(parsed, config, exclusions=exclusions))
+    contract = Contract(config, fingerprint=exclusions)
+    return list(lint_whole_program(parsed, contract))
 
 
 def _sources(*stems):
@@ -147,12 +149,6 @@ class TestCkpt000ConfigErrors:
         errors = [f for f in findings if f.rule == "CKPT000"]
         assert any("'seed'" in f.message for f in errors)
 
-    def test_versioned_loader_rejects_future_schemas(self, tmp_path):
-        path = tmp_path / "exclusions.json"
-        path.write_text('{"version": 99, "classes": {}}')
-        with pytest.raises(ValueError, match="version"):
-            FingerprintExclusions.load(path)
-
 
 class TestCkpt002:
     def test_unthreaded_nonlocal_fires(self):
@@ -199,7 +195,7 @@ class TestFleetConfigMutation:
         return [
             f
             for f in lint_whole_program(
-                parsed, config, exclusions=self.EXCLUSIONS
+                parsed, Contract(config, fingerprint=self.EXCLUSIONS)
             )
             if f.rule == "CKPT001"
         ]
@@ -239,18 +235,18 @@ class TestFleetConfigMutation:
         )
         parsed = [parse_module(mutated, "src/repro/fleet/runner.py")]
         config = PurityConfig(roots=(), source_path="<test>")
+        contract = Contract(config, fingerprint=exclusions)
         findings = [
             f
-            for f in lint_whole_program(parsed, config, exclusions=exclusions)
+            for f in lint_whole_program(parsed, contract)
             if f.rule == "CKPT001"
         ]
         assert findings == []
 
     def test_checked_in_exclusions_match_the_tree(self):
-        """The real fingerprint-exclusions.json validates against src."""
-        real = FingerprintExclusions.load(
-            REPO_ROOT / "fingerprint-exclusions.json"
-        )
+        """The contract's fingerprint section validates against src."""
+        real = load_contract(REPO_ROOT / "contract.json").fingerprint
+        assert real is not None
         assert "repro.fleet.runner.FleetConfig" in real.classes
         for coverage in real.classes.values():
             for reason in coverage.exclude.values():

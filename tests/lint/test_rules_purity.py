@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.lint.contract import Contract, load_contract
 from repro.lint.engine import lint_whole_program, parse_module
 from repro.lint.purity import (
     PurityConfig,
@@ -41,7 +42,6 @@ def _config_for(parsed_modules):
         roots=tuple(f"{p.module}.root" for p in parsed_modules),
         method_roots=(),
         quarantine=(),
-        snapshot_modules=(),
         source_path="<test>",
     )
 
@@ -93,7 +93,7 @@ class TestFixtureCorpus:
         config = _config_for(parsed)
         findings = [
             f
-            for f in lint_whole_program(parsed, config)
+            for f in lint_whole_program(parsed, Contract(config))
             if not f.suppressed
         ]
         mine = [f for f in findings if f.path == path.as_posix()]
@@ -111,7 +111,7 @@ class TestFixtureCorpus:
     def test_witness_chain_appears_in_indirect_findings(self):
         parsed = _all_fixtures()
         config = _config_for(parsed)
-        findings = lint_whole_program(parsed, config)
+        findings = lint_whole_program(parsed, Contract(config))
         wallclock = [
             f
             for f in findings
@@ -131,13 +131,12 @@ class TestConfig:
             roots=("pkg.a.absent",),
             method_roots=(),
             quarantine=(),
-            snapshot_modules=(),
-            source_path="purity-roots.json",
+            source_path="contract.json",
         )
         roots, findings = expand_roots(graph, config)
         assert roots == []
         assert [f.rule for f in findings] == ["PURE000"]
-        assert findings[0].path == "purity-roots.json"
+        assert findings[0].path == "contract.json"
         assert "pkg.a.absent" in findings[0].message
 
     def test_method_roots_expand_to_subclass_overrides(self):
@@ -163,23 +162,16 @@ class TestConfig:
             roots=(),
             method_roots=("pkg.abr.Base.choose",),
             quarantine=(),
-            snapshot_modules=(),
             source_path="<test>",
         )
         roots, findings = expand_roots(graph, config)
         assert findings == []
         assert set(roots) == {"pkg.abr.Base.choose", "pkg.abr.Sub.choose"}
 
-    def test_load_rejects_unknown_version(self, tmp_path):
-        bad = tmp_path / "purity-roots.json"
-        bad.write_text('{"version": 99, "roots": []}')
-        with pytest.raises(ValueError):
-            PurityConfig.load(bad)
-
     def test_checked_in_config_names_real_functions(self):
-        """The repo's own purity-roots.json must stay in sync with src."""
+        """The contract's purity section must stay in sync with src."""
         repo_root = Path(__file__).resolve().parents[2]
-        config = PurityConfig.load(repo_root / "purity-roots.json")
+        config = load_contract(repo_root / "contract.json").purity
         src = repo_root / "src"
         parsed = {}
         for path in sorted(src.rglob("*.py")):
@@ -213,18 +205,14 @@ class TestSuppressions:
             )
         ]
         config = _config_for(parsed)
-        findings = lint_whole_program(parsed, config)
+        findings = lint_whole_program(parsed, Contract(config))
         pure = [f for f in findings if f.rule == "PURE002"]
         assert pure and all(f.suppressed for f in pure)
         assert pure[0].suppression_reason == "fixture reason"
 
     def test_analyze_program_sorts_deterministically(self):
         parsed = {p.path: p for p in _all_fixtures()}
-        config = _config_for(list(parsed.values()))
-        first = [
-            f.format_human() for f in analyze_program(parsed, config)
-        ]
-        second = [
-            f.format_human() for f in analyze_program(parsed, config)
-        ]
+        contract = Contract(_config_for(list(parsed.values())))
+        first = [f.format_human() for f in analyze_program(parsed, contract)]
+        second = [f.format_human() for f in analyze_program(parsed, contract)]
         assert first == second == sorted(first, key=lambda s: s)

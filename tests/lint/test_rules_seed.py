@@ -7,8 +7,8 @@ Three layers:
 * mutation sensitivity — string-level edits flip goods bad and bads good,
   proving the fixtures actually exercise the rule logic rather than
   passing vacuously;
-* the CLI contract — JSON schema, exit codes, and baseline survival for
-  whole-program SEED findings.
+* the CLI contract — JSON schema and exit codes for whole-program SEED
+  findings.
 """
 
 import json
@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.lint.contract import Contract
 from repro.lint.engine import lint_whole_program, parse_module
 from repro.lint.purity import PurityConfig
 
@@ -48,7 +49,7 @@ def _lint(named_sources):
         for stem, text in sorted(named_sources.items())
     ]
     config = PurityConfig(roots=(), source_path="<test>")
-    return list(lint_whole_program(parsed, config))
+    return list(lint_whole_program(parsed, Contract(config)))
 
 
 def _corpus_sources():
@@ -180,9 +181,10 @@ def _run_cli(args, cwd):
 
 @pytest.fixture
 def cli_tree(tmp_path):
-    """A tmp tree with one bad fixture, one good, and an empty-roots config."""
-    (tmp_path / "purity-roots.json").write_text(
-        json.dumps({"version": 1, "roots": []})
+    """A tmp tree with one bad fixture, one good, and an empty-roots
+    contract."""
+    (tmp_path / "contract.json").write_text(
+        json.dumps({"version": 2, "purity": {"roots": []}})
     )
     bad = tmp_path / "seed001_bad_mul_add.py"
     bad.write_text((FIXTURES / "seed001_bad_mul_add.py").read_text())
@@ -192,12 +194,11 @@ def cli_tree(tmp_path):
 
 
 class TestCli:
-    def test_bad_fixture_exits_one_with_schema_v1_json(self, cli_tree):
+    def test_bad_fixture_exits_one_with_schema_v2_json(self, cli_tree):
         proc = _run_cli(
             [
                 "seed001_bad_mul_add.py",
                 "--whole-program",
-                "--no-baseline",
                 "--no-cache",
                 "--format",
                 "json",
@@ -206,7 +207,7 @@ class TestCli:
         )
         assert proc.returncode == 1, proc.stderr
         payload = json.loads(proc.stdout)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["whole_program"] is True
         assert payload["ok"] is False
         rules = {f["rule"] for f in payload["findings"]}
@@ -219,7 +220,6 @@ class TestCli:
             [
                 "seed001_good_tuple.py",
                 "--whole-program",
-                "--no-baseline",
                 "--no-cache",
                 "--format",
                 "json",
@@ -230,63 +230,16 @@ class TestCli:
         payload = json.loads(proc.stdout)
         assert payload["findings"] == []
 
-    def test_bad_exclusions_path_exits_two(self, cli_tree):
+    def test_bad_contract_path_exits_two(self, cli_tree):
         proc = _run_cli(
             [
                 "seed001_good_tuple.py",
                 "--whole-program",
-                "--no-baseline",
                 "--no-cache",
-                "--fingerprint-exclusions",
+                "--contract",
                 "does-not-exist.json",
             ],
             cwd=cli_tree,
         )
         assert proc.returncode == 2
         assert "error" in proc.stderr.lower()
-
-    def test_seed_findings_survive_in_a_baseline(self, cli_tree):
-        baseline = cli_tree / "baseline.json"
-        first = _run_cli(
-            [
-                "seed001_bad_mul_add.py",
-                "--whole-program",
-                "--no-cache",
-                "--no-baseline",
-                "--format",
-                "json",
-            ],
-            cwd=cli_tree,
-        )
-        findings = json.loads(first.stdout)["findings"]
-        from repro.lint.baseline import Baseline
-        from repro.lint.findings import Finding
-
-        restored = [
-            Finding(
-                rule=f["rule"],
-                path=f["path"],
-                line=f["line"],
-                col=f["col"],
-                message=f["message"],
-                source_line=f.get("source_line", ""),
-            )
-            for f in findings
-        ]
-        Baseline.from_findings(restored).write(baseline)
-        second = _run_cli(
-            [
-                "seed001_bad_mul_add.py",
-                "--whole-program",
-                "--no-cache",
-                "--baseline",
-                "baseline.json",
-                "--format",
-                "json",
-            ],
-            cwd=cli_tree,
-        )
-        assert second.returncode == 0, second.stdout + second.stderr
-        payload = json.loads(second.stdout)
-        assert payload["findings"] == []
-        assert len(payload["baselined"]) == len(findings)

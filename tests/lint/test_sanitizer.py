@@ -6,14 +6,19 @@ without install, allowance comments, the env self-arming decorator, and
 the stability of namespace digests.
 """
 
+import importlib
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import sanitizer
+from repro.lint.contract import load_contract
 from repro.sanitizer import SanitizerViolation
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(autouse=True)
@@ -96,6 +101,7 @@ class TestGuard:
         with pytest.raises(SanitizerViolation):
             entry()
         assert sanitizer.installed()
+        assert sanitizer._STATE.snapshot_modules == sanitizer.SNAPSHOT_MODULES
 
     def test_guarded_decorator_is_transparent_when_off(self):
         @sanitizer.guarded("unit")
@@ -109,6 +115,17 @@ class TestGuard:
 
 
 class TestSnapshots:
+    def test_snapshot_modules_host_every_exact_purity_root(self):
+        contract = load_contract(REPO_ROOT / "contract.json")
+        hosts = {root.rpartition(".")[0] for root in contract.purity.roots}
+        assert hosts, "contract declares no exact purity roots"
+        missing = sorted(hosts - set(sanitizer.SNAPSHOT_MODULES))
+        assert not missing, f"purity-root hosts not digested: {missing}"
+
+    def test_snapshot_modules_all_exist(self):
+        for name in sanitizer.SNAPSHOT_MODULES:
+            importlib.import_module(name)
+
     def test_digest_is_stable_for_untouched_module(self):
         import repro.experiment.harness  # noqa: F401  (must be loaded)
 

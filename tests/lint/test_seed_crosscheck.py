@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro import sanitizer
+from repro.lint.contract import Contract
 from repro.lint.engine import lint_whole_program, parse_module
 from repro.lint.purity import PurityConfig
 from repro.sanitizer import SanitizerViolation
@@ -61,7 +62,7 @@ def static_rules():
     ]
     config = PurityConfig(roots=(), source_path="<crosscheck>")
     by_stem = {}
-    for finding in lint_whole_program(parsed, config):
+    for finding in lint_whole_program(parsed, Contract(config)):
         if finding.suppressed:
             continue
         stem = Path(finding.path).stem

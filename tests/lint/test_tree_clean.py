@@ -1,22 +1,24 @@
 """Tier-1 gate: the source tree must lint clean.
 
-This is the enforcement point for the determinism contract — the same check
-CI runs as ``repro lint src``.  It runs with *no* baseline, so the tree
-must be genuinely clean (inline reasoned suppressions are the only waiver
-mechanism), and every suppression in the tree must carry a reason.
+This is the enforcement point for the determinism contract — the same
+checks CI runs as ``repro lint src --whole-program``.  Inline reasoned
+suppressions are the only waiver mechanism, and every suppression in the
+tree must carry a reason.
 """
 
 from pathlib import Path
 
-from repro.lint import lint_paths
+import pytest
+
+from repro.lint import lint_paths, load_contract
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src" / "repro"
 
 
 class TestTreeClean:
-    def test_src_lints_clean_without_baseline(self):
-        report = lint_paths([SRC], baseline=None)
+    def test_src_lints_clean(self):
+        report = lint_paths([SRC])
         assert report.files_checked > 50
         assert not report.parse_errors, report.parse_errors
         assert not report.findings, "\n" + "\n".join(
@@ -24,115 +26,37 @@ class TestTreeClean:
         )
 
     def test_all_suppressions_carry_reasons(self):
-        report = lint_paths([SRC], baseline=None)
+        report = lint_paths([SRC])
         for finding in report.suppressed:
             assert finding.suppression_reason.strip(), finding.format_human()
 
-    def test_committed_baseline_is_empty(self):
-        # The goal state after the cleanup sweep: nothing grandfathered.
-        baseline_path = REPO_ROOT / "lint-baseline.json"
-        assert baseline_path.is_file()
-        import json
 
-        data = json.loads(baseline_path.read_text())
-        assert data["findings"] == {}
+@pytest.fixture(scope="module")
+def whole_program_report():
+    """One whole-program run over the checked-in ``contract.json`` — what
+    CI runs as ``repro lint src --whole-program``."""
+    return lint_paths(
+        [SRC], contract=load_contract(REPO_ROOT / "contract.json")
+    )
 
 
 class TestTreeCleanWholeProgram:
-    """The full interprocedural gate — purity, seed lineage, and
-    checkpoint coverage — over the checked-in configs, exactly as CI runs
-    ``repro lint src --whole-program``."""
+    """Every rule family the contract turns on — purity, seed lineage,
+    checkpoint coverage and durability — in one run."""
 
-    def test_src_lints_clean_whole_program(self):
-        from repro.lint.purity import PurityConfig
-        from repro.lint.rules_ckpt import FingerprintExclusions
-
-        config = PurityConfig.load(REPO_ROOT / "purity-roots.json")
-        exclusions = FingerprintExclusions.load(
-            REPO_ROOT / "fingerprint-exclusions.json"
-        )
-        report = lint_paths(
-            [SRC],
-            baseline=None,
-            whole_program=True,
-            purity_config=config,
-            fingerprint_exclusions=exclusions,
-        )
+    def test_src_lints_clean_whole_program(self, whole_program_report):
+        report = whole_program_report
+        assert report.whole_program
         assert not report.parse_errors, report.parse_errors
         assert not report.findings, "\n" + "\n".join(
             f.format_human() for f in report.findings
         )
 
-    def test_seed_and_ckpt_suppressions_carry_reasons(self):
-        from repro.lint.purity import PurityConfig
-        from repro.lint.rules_ckpt import FingerprintExclusions
-
-        config = PurityConfig.load(REPO_ROOT / "purity-roots.json")
-        exclusions = FingerprintExclusions.load(
-            REPO_ROOT / "fingerprint-exclusions.json"
-        )
-        report = lint_paths(
-            [SRC],
-            baseline=None,
-            whole_program=True,
-            purity_config=config,
-            fingerprint_exclusions=exclusions,
-        )
-        waived = [
-            f
-            for f in report.suppressed
-            if f.rule.startswith("SEED") or f.rule.startswith("CKPT")
-        ]
-        assert waived, "expected reasoned SEED/CKPT waivers in the tree"
+    def test_waivers_are_reasoned_and_counted(self, whole_program_report):
+        waived = whole_program_report.suppressed
         for finding in waived:
             assert finding.suppression_reason.strip(), finding.format_human()
-
-
-class TestTreeCleanDurability:
-    """The crash-consistency gate — ``repro lint src --whole-program
-    --durability`` over the checked-in ``durable-roots.json``."""
-
-    def _report(self):
-        from repro.lint.purity import PurityConfig
-        from repro.lint.rules_ckpt import FingerprintExclusions
-        from repro.lint.rules_durability import DurabilityConfig
-
-        return lint_paths(
-            [SRC],
-            baseline=None,
-            whole_program=True,
-            purity_config=PurityConfig.load(REPO_ROOT / "purity-roots.json"),
-            fingerprint_exclusions=FingerprintExclusions.load(
-                REPO_ROOT / "fingerprint-exclusions.json"
-            ),
-            durability=DurabilityConfig.load(
-                REPO_ROOT / "durable-roots.json"
-            ),
-        )
-
-    def test_src_lints_clean_with_durability(self):
-        report = self._report()
-        assert not report.parse_errors, report.parse_errors
-        assert not report.findings, "\n" + "\n".join(
-            f.format_human() for f in report.findings
-        )
-
-    def test_durable_roots_config_is_validated(self):
-        # Every declared root/helper/pair member resolves (no DUR000) and
-        # the declared roots actually cover the tree's durable writers.
-        from repro.lint.rules_durability import DurabilityConfig
-
-        config = DurabilityConfig.load(REPO_ROOT / "durable-roots.json")
-        assert "repro.fleet.checkpoint.CheckpointManager.save" in config.roots
-        assert config.atomic_helpers
-        assert config.commit_order
-        report = self._report()
-        assert not any(f.rule == "DUR000" for f in report.findings)
-
-    def test_dur_suppressions_carry_reasons(self):
-        report = self._report()
-        for finding in report.suppressed:
-            if finding.rule.startswith("DUR"):
-                assert finding.suppression_reason.strip(), (
-                    finding.format_human()
-                )
+        families = {f.rule.rstrip("0123456789") for f in waived}
+        assert {"PURE", "SEED", "CKPT"} <= families
+        # A waiver added or removed is a reviewed change to this number.
+        assert len(waived) == 20
