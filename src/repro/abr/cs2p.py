@@ -26,8 +26,13 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.abr.base import AbrAlgorithm, AbrContext
-from repro.core.controller import TimeDistribution, ValueIterationController
+from repro.core.controller import (
+    TimeDistribution,
+    ValueIterationController,
+    horizon_sizes,
+)
 from repro.core.qoe import DEFAULT_QOE, QoeParams
+from repro.media.chunk import ChunkMenu
 
 _LOG_FLOOR = 1e-12
 _MIN_THROUGHPUT = 1e3
@@ -227,8 +232,8 @@ class Cs2pPredictor:
         self.window = window
 
     def predict(
-        self, context: AbrContext, sizes_per_step: Sequence[np.ndarray]
-    ) -> List[TimeDistribution]:
+        self, context: AbrContext, menus: Sequence[ChunkMenu]
+    ) -> TimeDistribution:
         observations = [
             r.observed_throughput_bps
             for r in context.history[-self.window :]
@@ -238,22 +243,22 @@ class Cs2pPredictor:
             np.exp(self.hmm.means + 0.5 * self.hmm.sigmas**2),
             _MIN_THROUGHPUT,
         )
-        dists = []
-        for step, sizes_bytes in enumerate(sizes_per_step):
-            future = belief @ np.linalg.matrix_power(
-                self.hmm.transition, step + 1
+        if len(belief) == 1:
+            # One hidden state is certain, whatever the floored belief
+            # says: a point mass, whose probability is exactly 1.
+            futures = np.ones((len(menus), 1))
+        else:
+            # Step s's future is the belief s + 1 transitions on.
+            futures = np.array(
+                [
+                    belief @ np.linalg.matrix_power(self.hmm.transition, n)
+                    for n in range(1, len(menus) + 1)
+                ]
             )
-            if len(future) == 1:
-                # One hidden state is certain, whatever the floored belief
-                # says: a point mass, whose probability is exactly 1.
-                future = np.ones(1)
-            else:
-                future = future / (future.sum() + _LOG_FLOOR)
-            sizes = np.asarray(sizes_bytes, float)
-            times = sizes[:, None] * 8.0 / state_rates[None, :]
-            probs = np.tile(future, (len(sizes), 1))
-            dists.append(TimeDistribution(times=times, probs=probs))
-        return dists
+            futures /= futures.sum(axis=1, keepdims=True) + _LOG_FLOOR
+        times = horizon_sizes(menus)[:, None] * 8.0 / state_rates[None, :]
+        probs = np.repeat(futures, [len(menu.sizes) for menu in menus], axis=0)
+        return TimeDistribution(times=times, probs=probs)
 
 
 class Cs2pMpc(AbrAlgorithm):

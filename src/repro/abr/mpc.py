@@ -17,22 +17,21 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import accumulate
-from typing import Deque, List, Optional, Sequence
-
-import numpy as np
+from typing import Deque, Optional, Sequence
 
 from repro.abr.base import (
     AbrAlgorithm,
     AbrContext,
     ChunkRecord,
-    harmonic_mean_throughput,
+    harmonic_mean,
 )
 from repro.core.controller import (
     TimeDistribution,
     ValueIterationController,
+    horizon_sizes,
 )
 from repro.core.qoe import DEFAULT_QOE, QoeParams
+from repro.media.chunk import ChunkMenu
 
 DEFAULT_STARTUP_THROUGHPUT_BPS = 1.3e6
 """Assumed throughput before the first sample — deliberately conservative;
@@ -83,35 +82,47 @@ class HarmonicMeanPredictor:
         self._last_estimate_bps = None
 
     def throughput_estimate(self, context: AbrContext) -> float:
-        estimate = harmonic_mean_throughput(context.history, self.window)
-        if estimate is None:
+        recent = context.history[-self.window :]
+        if recent:
+            estimate = harmonic_mean([_throughput(record) for record in recent])
+        else:
             estimate = self.startup_throughput_bps
         if self.robust and self._errors:
             estimate /= 1.0 + self.conservatism * max(self._errors)
         return estimate
 
     def predict(
-        self, context: AbrContext, sizes_per_step: Sequence[np.ndarray]
-    ) -> List[TimeDistribution]:
+        self, context: AbrContext, menus: Sequence[ChunkMenu]
+    ) -> TimeDistribution:
         estimate = self.throughput_estimate(context)
         self._last_estimate_bps = estimate
-        # One division for the horizon; each step is a view of its rows.
-        times = (np.concatenate(sizes_per_step) * 8.0 / estimate)[:, None]
-        probs = np.ones_like(times)
-        stops = list(accumulate([len(sizes) for sizes in sizes_per_step]))
-        return [
-            TimeDistribution(times=times[start:stop], probs=probs[start:stop])
-            for start, stop in zip([0] + stops, stops)
-        ]
+        # One division for the horizon.
+        return TimeDistribution.point_mass(horizon_sizes(menus) * 8.0 / estimate)
 
     def observe(self, record: ChunkRecord) -> None:
         """Record the relative error of the last prediction (RobustMPC)."""
         if self._last_estimate_bps is None:
             return
-        actual = record.observed_throughput_bps
-        if actual <= 0:
-            return
+        actual = _throughput(record)
         self._errors.append(abs(self._last_estimate_bps - actual) / actual)
+
+
+def _throughput(record: ChunkRecord) -> float:
+    """``record``'s observed throughput, which must be finite and positive:
+    a zero divides the harmonic mean by zero, and a NaN turns every
+    estimate after it — then every score — NaN, after which argmax streams
+    rung 0 without a word."""
+    throughput = record.observed_throughput_bps
+    if 0.0 < throughput < math.inf:
+        return throughput
+    if math.isfinite(record.size_bytes) and record.size_bytes > 0:
+        field, value = "transmission_time", record.transmission_time
+    else:
+        field, value = "size_bytes", record.size_bytes
+    raise ValueError(
+        f"ChunkRecord.{field} of chunk {record.chunk_index} gives no finite "
+        f"positive throughput: {value!r}"
+    )
 
 
 class MpcHm(AbrAlgorithm):

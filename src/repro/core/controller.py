@@ -25,8 +25,9 @@ is the current buffer level, evaluates that bin alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -36,7 +37,6 @@ from typing import (
     Sequence,
     Tuple,
     TypeVar,
-    Union,
 )
 
 import numpy as np
@@ -80,15 +80,17 @@ def _keep(memo: Dict[_K, _V], key: _K, value: _V) -> _V:
 
 @dataclass(frozen=True)
 class TimeDistribution:
-    """Predicted transmission-time distribution for each candidate version.
+    """Predicted transmission-time distributions of a horizon's candidates.
 
-    ``probs[a, j]`` is the probability of the j-th outcome of version ``a``;
-    rows sum to 1. ``times`` holds the outcomes' transmission times, either
-    one row per version, ``(n_versions, n_outcomes)``, or — when every
-    version shares the same outcomes, as the TTP's bin centres do — a single
-    shared row ``(1, n_outcomes)`` that broadcasts against ``probs``. A
-    deterministic predictor uses a single column, whose probabilities are
-    then exactly 1.0 (:meth:`validate` checks it; the planner relies on it).
+    Each row of ``probs`` is one (step, rung) pair, step-major: the rungs of
+    step 0 lowest first, then those of step 1, and so on. ``probs[i, j]``
+    is the probability of the j-th outcome of row ``i``; rows sum to 1.
+    ``times`` holds the outcomes' transmission times, either one row per
+    ``probs`` row, ``(n_rows, n_outcomes)``, or — when every row of every
+    step shares the same outcomes, as the TTP's bin centres do — a single
+    shared row ``(1, n_outcomes)``. A deterministic predictor uses a single
+    column, whose probabilities are then exactly 1.0 (:meth:`validate`
+    checks it; the planner relies on it).
     """
 
     times: np.ndarray
@@ -98,11 +100,12 @@ class TimeDistribution:
         # Only shape checks here: this sits on the per-decision hot path.
         # Full numeric validation is available via validate().
         if self.times.ndim != 2 or self.probs.ndim != 2:
-            raise ValueError("expected (n_versions, n_outcomes) matrices")
-        shared_row = (1, self.probs.shape[1])
-        if self.times.shape not in (self.probs.shape, shared_row):
+            raise ValueError("expected (n_rows, n_outcomes) matrices")
+        if self.times.shape[1] != self.probs.shape[1]:
+            raise ValueError("times and probs must have the same outcome count")
+        if self.times.shape[0] not in (1, self.probs.shape[0]):
             raise ValueError(
-                "times must match probs or be one shared (1, n_outcomes) row"
+                "times must have one row per probs row or one shared row"
             )
 
     def validate(self) -> None:
@@ -123,19 +126,25 @@ class TimeDistribution:
 
     @classmethod
     def point_mass(cls, times: Sequence[float]) -> "TimeDistribution":
-        """Deterministic prediction: one outcome per version."""
+        """Deterministic prediction: one outcome per row."""
         arr = np.asarray(times, dtype=float).reshape(-1, 1)
         return cls(times=arr, probs=np.ones_like(arr))
+
+
+def horizon_sizes(menus: Sequence["ChunkMenu"]) -> np.ndarray:
+    """Every candidate's size in bytes, one per (step, rung) row in
+    :class:`TimeDistribution`'s step-major order."""
+    return np.fromiter(chain.from_iterable([menu.sizes for menu in menus]), float)
 
 
 class TransmissionTimeModel(Protocol):
     """Supplies predicted transmission-time distributions to the planner."""
 
     def predict(
-        self, context: "AbrContext", sizes_per_step: Sequence[np.ndarray]
-    ) -> Sequence[TimeDistribution]:
-        """One distribution per horizon step, in step order:
-        ``sizes_per_step[s]`` holds the candidate sizes of the chunk ``s``
+        self, context: "AbrContext", menus: Sequence["ChunkMenu"]
+    ) -> TimeDistribution:
+        """One distribution for the whole horizon, whose rows are its
+        (step, rung) pairs step-major: ``menus[s]`` is the chunk ``s``
         positions ahead of the current one (step 0 is the chunk being
         decided). The planner calls this once per decision, so whatever
         depends on the context alone is computed once."""
@@ -165,7 +174,7 @@ class ValueIterationController:
         # from here on.
         self._grid = np.arange(0.0, max_buffer_s + buffer_bin_s / 2, buffer_bin_s)
         self._geometry_memo: Dict[
-            Tuple[bytes, float], Tuple[np.ndarray, np.ndarray]
+            Tuple[bytes, Tuple[float, ...]], Tuple[np.ndarray, np.ndarray]
         ] = {}
         self._layout_memo: Dict[
             Tuple[Tuple[int, ...], Tuple[float, ...]],
@@ -178,47 +187,53 @@ class ValueIterationController:
         return np.minimum(idx, len(self._grid) - 1, out=idx)
 
     def _outcome_geometry(
-        self, times: np.ndarray, duration: Union[float, np.ndarray]
+        self, times: np.ndarray, duration: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(stall_cost, next_bin)``, each ``[a, b, j]``: the stall penalty
-        ``stall_weight * seconds stalled``, and the grid bin the buffer
-        lands in, when a chunk of ``duration`` seconds sent from grid bin
-        ``b`` takes ``times[a, j]`` to arrive. ``duration`` is one number or
-        one per row, as an ``(n_rows, 1, 1)`` column. Depends on neither the
-        rung's quality nor the context."""
+        """``(stall_cost, next_bin)``: the stall penalty ``stall_weight *
+        seconds stalled``, ``[a, b, j]``, and the grid bin the buffer lands
+        in, ``[d, b, j]``, when a chunk of ``duration[d]`` seconds sent from
+        grid bin ``b`` takes ``times[a, j]`` to arrive. ``duration`` is an
+        ``(n, 1, 1)`` column: one number per row of ``times``, or one per
+        step for a single shared row. Depends on neither the rung's quality
+        nor the context."""
         t = times[:, None, :]  # (rows, 1, k)
         b = self._grid[None, :, None]  # (1, n_bins, 1)
         stall_cost = np.maximum(t - b, 0.0)
         stall_cost *= self.qoe.stall_weight
-        next_buffer = np.maximum(b - t, 0.0)
-        next_buffer += duration
+        next_buffer = np.maximum(b - t, 0.0) + duration
         np.minimum(next_buffer, self.max_buffer_s, out=next_buffer)
         return stall_cost, self._bin_index(next_buffer)
 
     def _shared_row_geometry(
-        self, times: np.ndarray, duration: float
+        self, times: np.ndarray, durations: Tuple[float, ...]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`_outcome_geometry` of a one-row ``times``, its ``next_bin``
-        as the ``(n_bins, n_outcomes)`` table every rung shares; memoised on
-        the row's contents — not its identity: a TTP that recalibrates its
-        tail centre presents a row with other bytes, and a content key can
-        never serve the old row's geometry for the new one."""
-        key = (times.tobytes(), duration)
+        """:meth:`_outcome_geometry` of a one-row ``times``: a one-row
+        ``stall_cost`` every rung of every step shares, and one
+        ``(n_bins, n_outcomes)`` ``next_bin`` table per step. Memoised on the
+        row's contents — not its identity: a TTP that recalibrates its tail
+        centre presents a row with other bytes, and a content key can never
+        serve the old row's geometry for the new one."""
+        key = (times.tobytes(), durations)
         geometry = self._geometry_memo.get(key)
         if geometry is None:
-            stall_cost, next_bin = self._outcome_geometry(times, duration)
-            geometry = _keep(self._geometry_memo, key, (stall_cost, next_bin[0]))
+            geometry = _keep(
+                self._geometry_memo,
+                key,
+                self._outcome_geometry(
+                    times, np.array(durations)[:, None, None]
+                ),
+            )
         return geometry
 
     def _row_layout(
         self, counts: Tuple[int, ...], durations: Tuple[float, ...]
     ) -> Tuple[np.ndarray, np.ndarray, List[int]]:
-        """What the concatenated per-rung rows of steps with these rung
-        counts and chunk durations need beside their times: each row's
-        duration and its offset into the flattened ``(rungs, bins)`` value
-        table, both as ``(n_rows, 1, 1)`` columns, and where each step's
-        rows stop. One ladder and one chunk duration present one layout per
-        horizon length, so it is memoised like the shared-row geometry."""
+        """What a horizon with these rung counts and chunk durations needs
+        beside its model's output: each (step, rung) row's duration and its
+        offset into the flattened ``(rungs, bins)`` value table, both as
+        ``(n_rows, 1, 1)`` columns, and where each step's rows stop. One
+        ladder and one chunk duration present one layout per horizon
+        length, so it is memoised like the shared-row geometry."""
         key = (counts, durations)
         layout = self._layout_memo.get(key)
         if layout is None:
@@ -233,55 +248,6 @@ class ValueIterationController:
                 ),
             )
         return layout
-
-    def _horizon_geometry(
-        self,
-        dists: Sequence[TimeDistribution],
-        menus: Sequence["ChunkMenu"],
-        b0: int,
-    ) -> Dict[int, Tuple[np.ndarray, np.ndarray, Optional[int]]]:
-        """Each step's ``(stall_cost, next_bin, axis)``: the continuation
-        of a step is ``value.take(next_bin, axis)``. A shared outcome row
-        keeps its memoised one-row geometry — ``stall_cost`` broadcasts over
-        the rungs, ``next_bin`` indexes the value table's bin axis (1).
-        Per-rung rows (point masses, mixtures) are computed for the whole
-        horizon in one pass over the concatenated rows, each with its own
-        step's chunk duration; their ``next_bin`` holds offsets into the
-        flattened value table (axis ``None``), ``rung * n_bins + bin``.
-        Step 0, read at the current bin ``b0`` alone, is cut to that bin."""
-        geometry: Dict[int, Tuple[np.ndarray, np.ndarray, Optional[int]]] = {}
-        # Rows concatenate only at equal width: one pass per outcome count.
-        per_rung: Dict[int, List[int]] = {}
-        for step, (dist, menu) in enumerate(zip(dists, menus)):
-            if dist.probs.shape[0] != len(menu):
-                raise ValueError("model returned wrong number of versions")
-            if dist.times.shape[0] == 1:
-                geometry[step] = (
-                    *self._shared_row_geometry(dist.times, menu.duration),
-                    1,
-                )
-            else:
-                per_rung.setdefault(dist.times.shape[1], []).append(step)
-        for group in per_rung.values():
-            durations, offsets, stops = self._row_layout(
-                tuple([len(menus[step]) for step in group]),
-                tuple([menus[step].duration for step in group]),
-            )
-            stall_cost, next_bin = self._outcome_geometry(
-                np.concatenate([dists[step].times for step in group]),
-                durations,
-            )
-            # Rung r of a step reads row r of that step's value table.
-            next_bin += offsets
-            for step, start, stop in zip(group, [0] + stops, stops):
-                geometry[step] = (
-                    stall_cost[start:stop], next_bin[start:stop], None
-                )
-        stall_cost, next_bin, axis = geometry[0]
-        geometry[0] = (
-            stall_cost[:, b0 : b0 + 1], next_bin[..., b0 : b0 + 1, :], axis
-        )
-        return geometry
 
     def plan(
         self,
@@ -311,67 +277,112 @@ class ValueIterationController:
         steps: int,
     ) -> np.ndarray:
         """Expected cumulative QoE of each rung of ``context.menu``."""
+        buffer_s, last_ssim_db = context.buffer_s, context.last_ssim_db
+        # NaN and ±inf would otherwise fail inside round() with a message
+        # naming neither, or score every rung NaN and stream rung 0.
+        if not math.isfinite(buffer_s):
+            raise ValueError(f"AbrContext.buffer_s must be finite, got {buffer_s}")
+        if last_ssim_db is not None and not math.isfinite(last_ssim_db):
+            raise ValueError(
+                f"AbrContext.last_ssim_db must be finite, got {last_ssim_db}"
+            )
         menus = context.lookahead[:steps]
-        dists = model.predict(
-            context, [np.asarray(menu.sizes) for menu in menus]
-        )
-        if len(dists) != steps:
-            raise ValueError("model returned wrong number of steps")
-        b0 = min(
-            max(round(context.buffer_s / self.buffer_bin_s), 0),
-            len(self._grid) - 1,
-        )
-        geometry = self._horizon_geometry(dists, menus, b0)
+        counts = tuple([len(menu.sizes) for menu in menus])
+        durations = tuple([menu.duration for menu in menus])
+        row_durations, offsets, stops = self._row_layout(counts, durations)
+        dist = model.predict(context, menus)
+        times, probs = dist.times, dist.probs
+        if probs.shape[0] != stops[-1]:
+            raise ValueError(
+                f"model returned the wrong number of rows: {probs.shape[0]} "
+                f"for a horizon of {stops[-1]} (step, rung) pairs"
+            )
+        b0 = min(max(round(buffer_s / self.buffer_bin_s), 0), len(self._grid) - 1)
+        starts = [0] + stops[:-1]
 
-        # What the menus alone determine, once for the horizon: each rung's
-        # weighted quality, and penalty[s - 1][a, p] = λ |q_s[a] - q_{s-1}[p]|
-        # for switching to rung a of step s from rung p of the step before.
-        # One rung count across the horizon (every real ladder) makes each a
-        # single block; otherwise the same operands are built step by step.
+        # Geometry, once for the horizon: the continuation of step s is
+        # value.take(next_bin[s], axis). A shared outcome row keeps its
+        # memoised one-row geometry — stall_cost broadcasts over every row,
+        # next_bin[s] indexes the value table's bin axis (1). Per-rung rows
+        # (point masses, mixtures) are computed in one pass, each with its
+        # own step's chunk duration; their next_bin holds offsets into the
+        # flattened value table (axis None), rung * n_bins + bin. Step 0,
+        # read at the current bin b0 alone, is cut to that bin.
+        if times.shape[0] == 1:
+            stall_cost, tables = self._shared_row_geometry(times, durations)
+            stall_0 = stall_rest = stall_cost
+            next_bin = list(tables)
+            next_bin[0] = next_bin[0][b0 : b0 + 1]
+            axis: Optional[int] = 1
+        else:
+            stall_cost, flat = self._outcome_geometry(times, row_durations)
+            stall_0, stall_rest = stall_cost[: stops[0]], stall_cost[stops[0] :]
+            flat += offsets
+            next_bin = [flat[start:stop] for start, stop in zip(starts, stops)]
+            next_bin[0] = next_bin[0][:, b0 : b0 + 1]
+            axis = None
+
+        # What the menus alone determine: each row's weighted quality, and
+        # penalty[s - 1][a, p] = λ |q_s[a] - q_{s-1}[p]| for switching to
+        # rung a of step s from rung p of the step before, with a trailing
+        # bin axis. One rung count across the horizon (every real ladder)
+        # makes each a single block; otherwise the same operands are built
+        # step by step.
         weight, variation = self.qoe.quality_weight, self.qoe.variation_weight
         quality: Sequence[np.ndarray]
-        if len({len(menu) for menu in menus}) == 1:
+        if len(set(counts)) == 1:
             quality = np.array([menu.ssims_db for menu in menus])
-            reward: Sequence[np.ndarray] = weight * quality
+            reward = weight * quality.reshape(-1)
             penalty: Sequence[np.ndarray] = variation * np.abs(
-                quality[1:, :, None] - quality[:-1, None, :]
+                quality[1:, :, None, None] - quality[:-1, None, :, None]
             )
         else:
             quality = [np.asarray(menu.ssims_db) for menu in menus]
-            reward = [weight * q for q in quality]
+            reward = weight * np.concatenate(quality)
             penalty = [
-                variation * np.abs(q[:, None] - q_prev[None, :])
+                variation * np.abs(q[:, None, None] - q_prev[None, :, None])
                 for q, q_prev in zip(quality[1:], quality)
             ]
+        if probs.shape[1] == 1:
+            # A point mass is certain, so its expectation is its one
+            # outcome, which a length-1 sum returns plus 0.0: -0.0 becomes
+            # 0.0, everything else stays. Added here once, not per step:
+            # (r + 0.0) - s is (r - s) + 0.0, and the continuation added
+            # later — a max of such sums less a penalty — is never -0.0,
+            # while x + c differs from (x + c) + 0.0 only when both are -0.0.
+            reward += 0.0
+        # Expected immediate reward without the variation term: step 0 at
+        # the current bin, the other steps each a view of one block, into
+        # which the continuation is added in place.
+        base_0 = reward[: stops[0], None, None] - stall_0[:, b0 : b0 + 1]
+        base = reward[stops[0] :, None, None] - stall_rest
 
         # Backward pass. V[a_prev, b] = max expected QoE-to-go from buffer
         # bin b when the previous chunk used rung a_prev of the previous
         # step's menu.
         value: Optional[np.ndarray] = None  # shape (n_prev_rungs, n_bins)
         for step in range(steps - 1, -1, -1):
-            stall_cost, next_bin, axis = geometry[step]
-            # Expected immediate reward without the variation term; a shared
-            # row's one-row stall cost broadcasts over the rungs here.
-            block = reward[step][:, None, None] - stall_cost
+            start, stop = starts[step], stops[step]
+            if step:
+                block = base[start - stops[0] : stop - stops[0]]
+            else:
+                block = base_0
             if value is not None:
                 # Continuation indexed by (this rung as a_prev, next bin).
-                block += value.take(next_bin, axis)
-            # Expectation over outcomes j: (n_rungs, n_bins); (n_rungs, 1)
-            # at step 0.  A point mass is certain, so it is its one
-            # outcome; ``+ 0.0`` is what a length-1 sum does to it (-0.0
-            # becomes 0.0, everything else stays).
-            probs = dists[step].probs
+                block += value.take(next_bin[step], axis)
+            # Expectation over outcomes j, as (n_rungs, 1, n_bins); with
+            # one bin at step 0.
             if probs.shape[1] == 1:
-                ev = block[:, :, 0] + 0.0
+                ev = block[:, None, :, 0]
             else:
-                block *= probs[:, None, :]
-                ev = block.sum(axis=2)
+                block *= probs[start:stop, None, :]
+                ev = block.sum(axis=2)[:, None, :]
             if step == 0:
                 break
             # candidate[a, p, b] = ev[a, b] - penalty[a, p]
-            value = (ev[:, None, :] - penalty[step - 1][:, :, None]).max(axis=0)
+            value = (ev - penalty[step - 1]).max(axis=0)
 
-        scores = ev[:, 0]
-        if context.last_ssim_db is not None:
-            scores -= variation * np.abs(quality[0] - context.last_ssim_db)
+        scores = ev[:, 0, 0]
+        if last_ssim_db is not None:
+            scores -= variation * np.abs(quality[0] - last_ssim_db)
         return scores

@@ -25,16 +25,16 @@ The class also implements every ablated variant of §4.6 through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import TYPE_CHECKING, FrozenSet, List, Sequence, Tuple
+from typing import TYPE_CHECKING, FrozenSet, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.core.controller import TimeDistribution
+from repro.core.controller import TimeDistribution, horizon_sizes
 
 if TYPE_CHECKING:  # typing only; avoids circular imports
     from repro.abr.base import AbrContext, ChunkRecord
+    from repro.media.chunk import ChunkMenu
     from repro.streaming.session import StreamResult
 from repro.core.features import (
     FEATURE_DIM,
@@ -233,20 +233,17 @@ class TransmissionTimePredictor:
         self,
         history: Sequence[ChunkRecord],
         info: TcpInfo,
-        sizes_per_step: Sequence[np.ndarray],
+        sizes_bytes: np.ndarray,
+        counts: Sequence[int],
         first_step: int,
-    ) -> List[TimeDistribution]:
-        """Distributions of ``len(sizes_per_step)`` consecutive horizon
-        steps from ``first_step`` on: one feature matrix — one history, one
-        TCP snapshot — and one stacked pass of the step networks."""
-        steps = len(sizes_per_step)
+    ) -> TimeDistribution:
+        """The distribution of ``len(counts)`` consecutive horizon steps
+        from ``first_step`` on, ``counts[s]`` of the ``sizes_bytes`` rows
+        each: one feature matrix — one history, one TCP snapshot — and one
+        stacked pass of the step networks."""
+        steps = len(counts)
         if first_step < 0 or first_step + steps > self.config.horizon:
             raise ValueError(f"step must lie in [0, {self.config.horizon})")
-        sizes_per_step = [
-            np.asarray(sizes, dtype=float) for sizes in sizes_per_step
-        ]
-        counts = [len(sizes) for sizes in sizes_per_step]
-        sizes_bytes = np.concatenate(sizes_per_step)
         features = self.masked_features(history, info, sizes_bytes)
         if obs.ENABLED:
             # Inference *counts* are deterministic (one per planner call per
@@ -269,15 +266,7 @@ class TransmissionTimePredictor:
                 np.arange(len(sizes_bytes)), best
             ][:, None]
             probs = np.ones_like(times)
-        per_rung = self.config.predict_throughput or self.config.point_estimate
-        stops = list(accumulate(counts))
-        return [
-            TimeDistribution(
-                times=times[start:stop] if per_rung else times,
-                probs=probs[start:stop],
-            )
-            for start, stop in zip([0] + stops, stops)
-        ]
+        return TimeDistribution(times=times, probs=probs)
 
     def distribution(
         self,
@@ -288,15 +277,20 @@ class TransmissionTimePredictor:
     ) -> TimeDistribution:
         """Transmission-time distribution per candidate size, for the chunk
         ``step`` positions ahead."""
-        return self._infer(history, info, [sizes_bytes], step)[0]
+        sizes_bytes = np.asarray(sizes_bytes, dtype=float)
+        return self._infer(history, info, sizes_bytes, [len(sizes_bytes)], step)
 
     def predict(
-        self, context: AbrContext, sizes_per_step: Sequence[np.ndarray]
-    ) -> List[TimeDistribution]:
+        self, context: AbrContext, menus: Sequence[ChunkMenu]
+    ) -> TimeDistribution:
         """TransmissionTimeModel protocol entry point for the controller:
         the whole horizon in one inference pass."""
         return self._infer(
-            context.history, context.tcp_info, sizes_per_step, 0
+            context.history,
+            context.tcp_info,
+            horizon_sizes(menus),
+            [len(menu.sizes) for menu in menus],
+            0,
         )
 
     # ------------------------------------------------------------------

@@ -91,10 +91,48 @@ class RegistryError(RuntimeError):
 
 
 def _canonical_bytes(payload: dict) -> bytes:
-    """The registry's canonical serialization (also the hashing surface)."""
-    return (
-        json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    ).encode("utf-8")
+    """The registry's canonical serialization (also the hashing surface):
+    the bytes of ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``.
+
+    ``indent`` turns the C encoder off, and a generation's weights are tens
+    of thousands of numbers, so a list of plain ``int`` / ``float`` (not
+    ``bool``) is encoded by the C encoder on one line and laid out as
+    ``indent=2`` lays it out; everything else is laid out here, each leaf by
+    ``json.dumps``."""
+    return (_indented(payload, "\n") + "\n").encode("utf-8")
+
+
+def _indented(value: object, newline: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes
+    it at the nesting level whose line break and indent is ``newline``."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return (
+            "{"
+            + inner
+            + ("," + inner).join(
+                # json.dumps quotes a str key and writes the others as
+                # their JSON literal, then quotes that.
+                json.dumps(key if isinstance(key, str) else json.dumps(key))
+                + ": "
+                + _indented(item, inner)
+                for key, item in sorted(value.items())
+            )
+            + newline
+            + "}"
+        )
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) <= {int, float}:
+            # No encoded number contains ", ": every one is a separator.
+            items = json.dumps(value)[1:-1].replace(", ", "," + inner)
+        else:
+            items = ("," + inner).join(_indented(item, inner) for item in value)
+        return "[" + inner + items + newline + "]"
+    return json.dumps(value)
 
 
 # ---------------------------------------------------------------------------

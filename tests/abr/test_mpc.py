@@ -1,6 +1,7 @@
 """Tests for repro.abr.mpc — MPC-HM and RobustMPC-HM."""
 
-import numpy as np
+import dataclasses
+
 import pytest
 
 from repro.abr.base import AbrContext, ChunkRecord
@@ -13,6 +14,8 @@ from repro.abr.mpc import (
 from repro.media.encoder import encode_clip
 from repro.media.source import DEFAULT_CHANNELS
 from repro.net.tcp import TcpInfo
+
+from tests.core.test_controller_reference import make_menu
 
 
 def info():
@@ -38,12 +41,16 @@ class TestHarmonicMeanPredictor:
     def test_point_mass_distribution(self):
         predictor = HarmonicMeanPredictor()
         context = ctx(history=[record(0)])
-        (dist,) = predictor.predict(context, [np.array([1_000_000, 2_000_000])])
-        assert dist.times.shape == (2, 1)
-        assert dist.probs.shape == (2, 1)
+        menus = [
+            make_menu(0, [1_000_000, 2_000_000], [10.0, 12.0]),
+            make_menu(1, [500_000], [9.0]),
+        ]
+        dist = predictor.predict(context, menus)
+        # One row per (step, rung), step-major.
+        assert dist.times.shape == (3, 1)
+        assert dist.probs.shape == (3, 1)
         # 8 Mbps HM estimate -> 1 MB takes 1 s.
-        assert dist.times[0, 0] == pytest.approx(1.0)
-        assert dist.times[1, 0] == pytest.approx(2.0)
+        assert dist.times[:, 0] == pytest.approx([1.0, 2.0, 0.5])
 
     def test_startup_default_estimate(self):
         predictor = HarmonicMeanPredictor()
@@ -53,7 +60,7 @@ class TestHarmonicMeanPredictor:
     def test_robust_discount_after_error(self):
         predictor = HarmonicMeanPredictor(robust=True, conservatism=1.0)
         context = ctx(history=[record(0, 1_000_000, 1.0)])  # 8 Mbps
-        predictor.predict(context, [np.array([1_000_000.0])])
+        predictor.predict(context, [make_menu(0, [1_000_000.0], [10.0])])
         # Actual throughput was 4x lower than predicted.
         predictor.observe(record(1, 1_000_000, 4.0))
         discounted = predictor.throughput_estimate(
@@ -68,7 +75,7 @@ class TestHarmonicMeanPredictor:
         def discounted_estimate(conservatism):
             p = HarmonicMeanPredictor(robust=True, conservatism=conservatism)
             c = ctx(history=[record(0, 1_000_000, 1.0)])
-            p.predict(c, [np.array([1_000_000.0])])
+            p.predict(c, [make_menu(0, [1_000_000.0], [10.0])])
             p.observe(record(1, 1_000_000, 2.0))
             return p.throughput_estimate(c)
 
@@ -77,7 +84,7 @@ class TestHarmonicMeanPredictor:
     def test_reset_clears_errors(self):
         predictor = HarmonicMeanPredictor(robust=True)
         context = ctx(history=[record(0)])
-        predictor.predict(context, [np.array([1_000_000.0])])
+        predictor.predict(context, [make_menu(0, [1_000_000.0], [10.0])])
         predictor.observe(record(1, 1_000_000, 10.0))
         predictor.reset()
         assert predictor.throughput_estimate(context) == pytest.approx(
@@ -87,6 +94,32 @@ class TestHarmonicMeanPredictor:
     def test_invalid_conservatism(self):
         with pytest.raises(ValueError):
             HarmonicMeanPredictor(conservatism=0.0)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("size_bytes", 0.0),
+            ("size_bytes", -5.0),
+            ("size_bytes", float("nan")),
+            ("size_bytes", float("inf")),
+            ("transmission_time", float("inf")),
+            ("transmission_time", float("nan")),
+        ],
+    )
+    def test_unusable_history_record_rejected_by_name(self, field, bad):
+        # A zero throughput divided the harmonic mean by zero; a NaN one
+        # turned every score NaN, and argmax streamed rung 0.
+        good = record(0)
+        broken = dataclasses.replace(record(7), **{field: bad})
+        for robust in (False, True):
+            predictor = HarmonicMeanPredictor(robust=robust)
+            with pytest.raises(ValueError, match=f"{field} of chunk 7"):
+                predictor.throughput_estimate(ctx(history=[good, broken]))
+            # RobustMPC's error window would have taken it as a sample.
+            predictor.predict(ctx(history=[good]), [make_menu(0, [1e6], [9.0])])
+            with pytest.raises(ValueError, match=f"{field} of chunk 7"):
+                predictor.observe(broken)
+            assert len(predictor._errors) == 0
 
     @pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan"), float("inf")])
     def test_estimate_parameters_must_be_finite_and_positive(self, bad):

@@ -7,6 +7,7 @@ from repro.abr.base import AbrContext
 from repro.core.controller import (
     TimeDistribution,
     ValueIterationController,
+    horizon_sizes,
 )
 from repro.core.qoe import QoeParams
 from repro.media.encoder import encode_clip
@@ -32,13 +33,10 @@ class ConstantThroughputModel:
     def __init__(self, throughput_bps):
         self.throughput_bps = throughput_bps
 
-    def predict(self, context, sizes_per_step):
-        return [
-            TimeDistribution.point_mass(
-                np.asarray(sizes_bytes) * 8.0 / self.throughput_bps
-            )
-            for sizes_bytes in sizes_per_step
-        ]
+    def predict(self, context, menus):
+        return TimeDistribution.point_mass(
+            horizon_sizes(menus) * 8.0 / self.throughput_bps
+        )
 
 
 class BimodalModel:
@@ -49,11 +47,8 @@ class BimodalModel:
         self.slow_probability = slow_probability
         self.slow_time = slow_time
 
-    def predict(self, context, sizes_per_step):
-        return [self._step(sizes_bytes) for sizes_bytes in sizes_per_step]
-
-    def _step(self, sizes_bytes):
-        sizes = np.asarray(sizes_bytes, dtype=float)
+    def predict(self, context, menus):
+        sizes = horizon_sizes(menus)
         fast = sizes * 8.0 / 50e6
         times = np.stack([fast, np.full_like(fast, self.slow_time)], axis=1)
         probs = np.tile(
@@ -81,11 +76,17 @@ class TestTimeDistribution:
         dist.validate()
 
     @pytest.mark.parametrize(
-        "times_shape, probs_shape",
-        [((2, 3), (4, 3)), ((1, 2), (4, 3)), ((3,), (1, 3)), ((4, 3), (1, 3))],
+        "times_shape, probs_shape, message",
+        [
+            ((2, 3), (4, 3), "one row per probs row or one shared row"),
+            ((4, 3), (1, 3), "one row per probs row or one shared row"),
+            ((1, 2), (4, 3), "same outcome count"),
+            ((4, 3), (4, 2), "same outcome count"),
+            ((3,), (1, 3), "matrices"),
+        ],
     )
-    def test_unbroadcastable_shapes_rejected(self, times_shape, probs_shape):
-        with pytest.raises(ValueError):
+    def test_unbroadcastable_shapes_rejected(self, times_shape, probs_shape, message):
+        with pytest.raises(ValueError, match=message):
             TimeDistribution(
                 times=np.zeros(times_shape), probs=np.zeros(probs_shape)
             )
@@ -193,12 +194,31 @@ class TestPlanning:
         ]
         assert controller.plan(context, model) == int(np.argmax(scores))
 
-    def test_wrong_model_output_shape_rejected(self):
+    @pytest.mark.parametrize("shared_row", [False, True])
+    @pytest.mark.parametrize("missing", [1, -1])
+    def test_wrong_model_output_shape_rejected(self, missing, shared_row):
+        # One row too few or too many for the horizon's (step, rung) pairs,
+        # with per-rung times or one shared row.
         class BadModel:
-            def predict(self, context, sizes_per_step):
-                # wrong n
-                return [TimeDistribution.point_mass([1.0])] * len(sizes_per_step)
+            def predict(self, context, menus):
+                rows = len(horizon_sizes(menus)) - missing
+                times = np.ones((1 if shared_row else rows, 2))
+                return TimeDistribution(times=times, probs=np.ones((rows, 2)) / 2)
 
         controller = ValueIterationController()
-        with pytest.raises(ValueError, match="wrong number"):
+        with pytest.raises(ValueError, match="wrong number of rows"):
             controller.plan(ctx(), BadModel())
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_buffer_rejected_by_name(self, bad):
+        with pytest.raises(ValueError, match="AbrContext.buffer_s"):
+            ValueIterationController().plan(
+                ctx(buffer_s=bad), ConstantThroughputModel(1e7)
+            )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_last_quality_rejected_by_name(self, bad):
+        with pytest.raises(ValueError, match="AbrContext.last_ssim_db"):
+            ValueIterationController().plan(
+                ctx(last_ssim=bad), ConstantThroughputModel(1e7)
+            )

@@ -40,17 +40,16 @@ class TabularModel:
     """Explicit per-(step, rung) outcome tables."""
 
     def __init__(self, tables):
-        # tables[step] = (times (n_rungs, k), probs (n_rungs, k))
+        # tables[step] = (times (n_rungs, k), probs (n_rungs, k)); or every
+        # step's times the same one shared (1, k) row.
         self.tables = tables
 
-    def predict(self, context, sizes_per_step):
-        return [
-            TimeDistribution(
-                times=np.asarray(times, dtype=float),
-                probs=np.asarray(probs, dtype=float),
-            )
-            for times, probs in self.tables[: len(sizes_per_step)]
-        ]
+    def predict(self, context, menus):
+        times, probs = zip(*self.tables[: len(menus)])
+        return TimeDistribution(
+            times=times[0] if len(times[0]) == 1 else np.concatenate(times),
+            probs=np.concatenate(probs),
+        )
 
 
 def brute_force_plan(context, model, qoe, horizon, max_buffer, bin_s):
@@ -115,15 +114,19 @@ def instance(draw):
     n_outcomes = draw(st.integers(1, 3))
     buffer_s = draw(st.floats(0.0, 14.0))
     last_ssim = draw(st.one_of(st.none(), st.floats(5.0, 18.0)))
-    # Outcome times per rung, or one row every rung shares (the TTP's bin
-    # centres): the planner broadcasts the latter and memoises its geometry.
-    time_rows = 1 if draw(st.booleans()) else n_rungs
+    # Outcome times per rung, or one row every rung of every step shares
+    # (the TTP's bin centres): the planner broadcasts the latter and
+    # memoises its geometry.
+    shared = rng.uniform(0.05, 8.0, (1, n_outcomes)) if draw(st.booleans()) else None
     menus, tables = [], []
     for step in range(horizon):
         sizes = np.sort(rng.uniform(5e4, 2e6, n_rungs))
         ssims = np.sort(rng.uniform(6.0, 18.0, n_rungs))
         menus.append(make_menu(step, sizes, ssims))
-        times = rng.uniform(0.05, 8.0, (time_rows, n_outcomes))
+        if shared is None:
+            times = rng.uniform(0.05, 8.0, (n_rungs, n_outcomes))
+        else:
+            times = shared
         raw = rng.uniform(0.1, 1.0, (n_rungs, n_outcomes))
         probs = raw / raw.sum(axis=1, keepdims=True)
         tables.append((times, probs))

@@ -1,16 +1,19 @@
 """The decide step against its frozen predecessor, bit for bit.
 
-One model call per decision, one stacked forward pass across the horizon, a
-shared outcome row, a memoised DP geometry and a step 0 that evaluates one
-bin must change *when* arithmetic happens and never *which*: for every TTP
-variant, the horizon-wide ``predict`` returns the distributions the
-step-wise one did, and the planner scores every rung of the first menu to
-the same float64 bits (``tests/core/decide_reference.py``). No tolerance
-anywhere in this file.
+One model call per decision returning one distribution for the horizon, one
+stacked forward pass, a shared outcome row, a memoised DP geometry built
+once per plan and a step 0 that evaluates one bin must change *when*
+arithmetic happens and never *which*: for every shipped model (each TTP
+variant, the harmonic-mean and RobustMPC predictors, CS2P with one to four
+states) and every rung-count shape, each step's rows of the horizon
+distribution are the distribution the step-wise call returned, and the
+planner scores every rung of the first menu to the same float64 bits
+(``tests/core/decide_reference.py``). No tolerance anywhere in this file.
 """
 
 import copy
 import pickle
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -142,6 +145,36 @@ def sizes_per_step(context):
     return [np.asarray(menu.sizes) for menu in context.lookahead]
 
 
+def step_rows(context):
+    """Each step's slice of the horizon distribution's (step, rung) rows."""
+    stops = list(accumulate(len(menu.sizes) for menu in context.lookahead))
+    return [slice(start, stop) for start, stop in zip([0] + stops, stops)]
+
+
+def step_distributions(dist, context):
+    """The horizon distribution cut into one per step, a shared times row
+    kept as it is."""
+    return [
+        TimeDistribution(
+            times=dist.times if len(dist.times) == 1 else dist.times[rows],
+            probs=dist.probs[rows],
+        )
+        for rows in step_rows(context)
+    ]
+
+
+def assert_rows_are_the_stepwise_ones(dist, context, stepwise):
+    """Every step's rows of ``dist`` equal ``stepwise(context, step,
+    sizes)``'s, bit for bit; a shared times row broadcasts to them."""
+    assert len(dist.probs) == sum(len(menu.sizes) for menu in context.lookahead)
+    assert len(dist.times) in (1, len(dist.probs))
+    steps = step_distributions(dist, context)
+    for step, (got, sizes) in enumerate(zip(steps, sizes_per_step(context))):
+        old = stepwise(context, step, sizes)
+        assert same_bits(got.probs, old.probs)
+        assert same_bits(np.broadcast_to(got.times, old.times.shape), old.times)
+
+
 def ttp_stepwise(ttp):
     """The frozen per-step TTP call, in ``reference_scores``' signature."""
 
@@ -155,35 +188,31 @@ def ttp_stepwise(ttp):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 class TestTtpAgainstStepwiseReference:
-    @given(context=contexts(), seed=st.integers(0, 50))
-    @settings(max_examples=25, deadline=None)
+    @pytest.mark.parametrize("shape", sorted(RUNG_COUNTS))
+    @given(data=st.data(), seed=st.integers(0, 50))
+    @settings(max_examples=5, deadline=None)
     def test_horizon_call_returns_the_stepwise_distributions(
-        self, variant, context, seed
+        self, variant, shape, data, seed
     ):
+        context = data.draw(contexts(shape=shape))
         ttp, _ = make_fugu_variant(variant, seed=seed)
-        dists = ttp.predict(context, sizes_per_step(context))
-        assert len(dists) == len(context.lookahead)
-        for step, (dist, sizes) in enumerate(
-            zip(dists, sizes_per_step(context))
+        dist = ttp.predict(context, context.lookahead)
+        assert_rows_are_the_stepwise_ones(dist, context, ttp_stepwise(ttp))
+        for step, (rows, sizes) in enumerate(
+            zip(step_distributions(dist, context), sizes_per_step(context))
         ):
-            old = reference_distribution(
-                ttp, context.history, context.tcp_info, sizes, step
-            )
-            assert same_bits(dist.probs, old.probs)
-            assert dist.times.shape[0] in (1, len(sizes))
-            assert same_bits(
-                np.broadcast_to(dist.times, old.times.shape), old.times
-            )
             # The single-step public call is the same computation.
             single = ttp.distribution(
                 context.history, context.tcp_info, sizes, step=step
             )
-            assert same_bits(single.probs, dist.probs)
-            assert same_bits(single.times, dist.times)
+            assert same_bits(single.probs, rows.probs)
+            assert same_bits(single.times, rows.times)
 
-    @given(context=contexts(), seed=st.integers(0, 50))
-    @settings(max_examples=25, deadline=None)
-    def test_planner_scores_and_choice(self, variant, context, seed):
+    @pytest.mark.parametrize("shape", sorted(RUNG_COUNTS))
+    @given(data=st.data(), seed=st.integers(0, 50))
+    @settings(max_examples=5, deadline=None)
+    def test_planner_scores_and_choice(self, variant, shape, data, seed):
+        context = data.draw(contexts(shape=shape))
         ttp, _ = make_fugu_variant(variant, seed=seed)
         controller = ValueIterationController()
         steps = len(context.lookahead)
@@ -219,7 +248,7 @@ class TestPointMassModels:
         context = data.draw(contexts(shape=shape, first_chunk=first_chunk))
         predictor = HarmonicMeanPredictor(robust=robust)
         if context.history:
-            predictor.predict(context, sizes_per_step(context))
+            predictor.predict(context, context.lookahead)
             predictor.observe(context.history[-1])
         estimate = predictor.throughput_estimate(context)
 
@@ -228,6 +257,9 @@ class TestPointMassModels:
                 np.asarray(sizes, dtype=float) * 8.0 / estimate
             )
 
+        assert_rows_are_the_stepwise_ones(
+            predictor.predict(context, context.lookahead), context, stepwise
+        )
         controller = ValueIterationController()
         steps = len(context.lookahead)
         old = reference_scores(controller, context, stepwise, steps)
@@ -256,16 +288,15 @@ class TestPointMassModels:
     @given(context=contexts())
     @settings(max_examples=20, deadline=None)
     def test_every_shipped_point_mass_is_exact(self, context):
-        sizes = sizes_per_step(context)
         ttp, _ = make_fugu_variant("point_estimate", seed=1)
         for model in (
             HarmonicMeanPredictor(),
             ttp,
             Cs2pPredictor(DiscreteThroughputHmm(1)),
         ):
-            for dist in model.predict(context, sizes):
-                assert dist.probs.shape[1] == 1
-                dist.validate()
+            dist = model.predict(context, context.lookahead)
+            assert dist.probs.shape[1] == 1
+            dist.validate()
 
     def test_a_negative_zero_outcome_scores_as_the_sum_did(self):
         # A rung of quality -0.0 that cannot stall: its one outcome is
@@ -375,7 +406,8 @@ class TestGeometryMemoCannotGoStale:
 
 def stacked_rows(ttp, context):
     """``predict``'s probabilities, one array per step."""
-    return [d.probs for d in ttp.predict(context, sizes_per_step(context))]
+    probs = ttp.predict(context, context.lookahead).probs
+    return [probs[rows] for rows in step_rows(context)]
 
 
 def member_rows(ttp, context):
@@ -488,7 +520,7 @@ class TestStepRange:
             tcp_info=info,
         )
         with pytest.raises(ValueError, match="step must lie"):
-            ttp.predict(context, sizes_per_step(context))
+            ttp.predict(context, context.lookahead)
 
 
 BUFFER_LEVELS = [-2.5, -0.0, 0.0, 0.25, 0.75, 7.25, 7.5, 14.75, 15.0, 15.2, 90.0]
@@ -536,16 +568,46 @@ class TestStepZeroAtTheCurrentBin:
 
 
 class PerStepModel:
-    """A model that answers the horizon-wide call from a step-wise one."""
+    """A model that answers the horizon-wide call from a step-wise one
+    whose every step has a times row per rung."""
 
     def __init__(self, stepwise):
         self.stepwise = stepwise
 
-    def predict(self, context, sizes_per_step):
-        return [
-            self.stepwise(context, step, sizes)
-            for step, sizes in enumerate(sizes_per_step)
+    def predict(self, context, menus):
+        dists = [
+            self.stepwise(context, step, np.asarray(menu.sizes))
+            for step, menu in enumerate(menus)
         ]
+        return TimeDistribution(
+            times=np.concatenate([dist.times for dist in dists]),
+            probs=np.concatenate([dist.probs for dist in dists]),
+        )
+
+
+def cs2p_stepwise(predictor):
+    """``Cs2pPredictor.predict`` as it was, one step per call: the belief
+    propagated ``step + 1`` transitions, tiled over the step's rungs."""
+    hmm = predictor.hmm
+
+    def step_model(ctx, step, sizes):
+        observations = [
+            r.observed_throughput_bps for r in ctx.history[-predictor.window :]
+        ]
+        belief = hmm.state_belief(observations)
+        rates = np.maximum(np.exp(hmm.means + 0.5 * hmm.sigmas**2), 1e3)
+        future = belief @ np.linalg.matrix_power(hmm.transition, step + 1)
+        if len(future) == 1:
+            future = np.ones(1)
+        else:
+            future = future / (future.sum() + 1e-12)
+        sizes = np.asarray(sizes, float)
+        return TimeDistribution(
+            times=sizes[:, None] * 8.0 / rates[None, :],
+            probs=np.tile(future, (len(sizes), 1)),
+        )
+
+    return step_model
 
 
 class TestPerRungRowsAcrossTheHorizon:
@@ -554,59 +616,21 @@ class TestPerRungRowsAcrossTheHorizon:
     Harmonic-mean point masses and the ``throughput`` / ``point_estimate``
     TTPs are held to the reference above, on the same contexts."""
 
-    @given(
-        context=contexts(),
-        n_states=st.integers(1, 4),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_cs2p_mixtures(self, context, n_states):
+    @pytest.mark.parametrize("n_states", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", sorted(RUNG_COUNTS))
+    @given(data=st.data())
+    @settings(max_examples=4, deadline=None)
+    def test_cs2p_mixtures(self, shape, n_states, data):
+        context = data.draw(contexts(shape=shape))
         predictor = Cs2pPredictor(DiscreteThroughputHmm(n_states, seed=n_states))
-        dists = predictor.predict(context, sizes_per_step(context))
-        controller = ValueIterationController()
-        steps = len(context.lookahead)
-        old = reference_scores(
-            controller, context, lambda ctx, step, sizes: dists[step], steps
+        stepwise = cs2p_stepwise(predictor)
+        assert_rows_are_the_stepwise_ones(
+            predictor.predict(context, context.lookahead), context, stepwise
         )
-        assert same_bits(controller._scores(context, predictor, steps), old)
-
-    @given(
-        context=contexts(),
-        widths=st.lists(st.integers(1, 4), min_size=5, max_size=5),
-        shared=st.lists(st.booleans(), min_size=5, max_size=5),
-        seed=st.integers(0, 2**16),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_outcome_counts_and_row_shapes_mixed_in_one_horizon(
-        self, context, widths, shared, seed
-    ):
-        # Nothing the repo ships does this; the protocol allows it: rows
-        # concatenate per outcome count, shared rows keep the memo.
-        rng = np.random.default_rng(seed)
-        tables = []
-        for menu, k, one_row in zip(context.lookahead, widths, shared):
-            raw = rng.uniform(0.1, 1.0, (len(menu), k))
-            tables.append(
-                (
-                    rng.uniform(0.05, 18.0, (1 if one_row else len(menu), k)),
-                    raw / raw.sum(axis=1, keepdims=True),
-                )
-            )
-
-        def tiled(ctx, step, sizes):
-            times, probs = tables[step]
-            return TimeDistribution(
-                times=np.tile(times, (len(probs) // len(times), 1)),
-                probs=probs,
-            )
-
-        def as_given(ctx, step, sizes):
-            return TimeDistribution(*tables[step])
-
         controller = ValueIterationController()
         steps = len(context.lookahead)
-        old = reference_scores(controller, context, tiled, steps)
-        new = controller._scores(context, PerStepModel(as_given), steps)
-        assert same_bits(new, old)
+        old = reference_scores(controller, context, stepwise, steps)
+        assert same_bits(controller._scores(context, predictor, steps), old)
 
 
 class TestDecideCounters:
