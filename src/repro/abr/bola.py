@@ -15,8 +15,7 @@ competes on the same objective as Puffer's other schemes.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import Sequence
 
 from repro.abr.base import AbrAlgorithm, AbrContext
 from repro.streaming.buffer import MAX_BUFFER_S
@@ -43,32 +42,48 @@ class Bola(AbrAlgorithm):
 
     def choose(self, context: AbrContext) -> int:
         menu = context.menu
-        return self.pick(
-            context.buffer_s,
-            np.asarray(menu.sizes),
-            np.asarray(menu.ssims_db),
-            menu.duration,
-        )
+        return self.pick(context.buffer_s, menu.sizes, menu.ssims_db, menu.duration)
 
     def pick(
-        self, buffer_s: float, sizes: np.ndarray, ssims: np.ndarray, duration: float
+        self,
+        buffer_s: float,
+        sizes: Sequence[float],
+        ssims: Sequence[float],
+        duration: float,
     ) -> int:
-        """The rule on one chunk's ``float64`` rows: the version with the
-        best BOLA score."""
+        """The rule on one chunk's rows: the version with the best BOLA
+        score, the lowest rung among equal scores.
+
+        Each score is ``(v * (utility + gamma_p) - q) / size`` with the
+        utility ``ssim - ssims[0]``, evaluated one double operation at a
+        time in the order numpy evaluates the expression elementwise over
+        ``float64`` rows, so every score is the double the array rule gives
+        (``tests/abr/bola_reference.py`` keeps that rule).  A NaN score (a
+        NaN size or SSIM in the row) raises, naming its rung, where
+        ``argmax`` would stream the first NaN's rung.
+        """
         q_chunks = buffer_s / duration
         q_max = self.max_buffer_s / duration
-        utilities = ssims - ssims[0]
+        base = ssims[0]
         # Choose gamma_p so the score for the lowest rung crosses zero at
         # the target buffer level, and V to match the buffer scale
         # (BOLA-BASIC parameterization adapted to a finite buffer).
         gamma_p = self.target_buffer_fraction * q_max
-        utility_span = max(float(utilities[-1]), 1e-9)
+        utility_span = max(ssims[-1] - base, 1e-9)
         v = (q_max - 1.0) / (utility_span + gamma_p)
-        scores = (v * (utilities + gamma_p) - q_chunks) / sizes
-        if float(scores.max()) <= 0.0:
+        best = 0
+        best_score = -math.inf
+        for k, size in enumerate(sizes):
+            score = (v * ((ssims[k] - base) + gamma_p) - q_chunks) / size
+            if score > best_score:
+                best = k
+                best_score = score
+            elif not score <= best_score:
+                raise ValueError(f"BOLA score is NaN at rung {k}")
+        if best_score <= 0.0:
             # All scores negative means the buffer is past BOLA's operating
             # point and the algorithm would pause downloads. The server
             # paces separately (it waits for buffer room), so the sensible
             # action when asked for a chunk anyway is the highest utility.
             return len(sizes) - 1
-        return int(np.argmax(scores))
+        return best

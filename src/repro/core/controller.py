@@ -26,6 +26,7 @@ is the current buffer level, evaluates that bin alone.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import (
@@ -76,6 +77,30 @@ def _keep(memo: Dict[_K, _V], key: _K, value: _V) -> _V:
         memo.clear()
     memo[key] = value
     return value
+
+
+def _check_times(
+    times: np.ndarray, model: object, stops: Sequence[int]
+) -> None:
+    """Raise unless every predicted transmission time is a non-negative
+    number, naming the model and the first bad row. A NaN time scores
+    every rung NaN (and rung 0 streams); a negative one lands the buffer
+    above where it started. One reduction when all is well: a NaN fails
+    ``>=`` as a negative time does."""
+    if times.min() >= 0.0:
+        return
+    row = int(np.flatnonzero(~(times >= 0.0).all(axis=1))[0])
+    value = float(times[row][~(times[row] >= 0.0)][0])
+    if times.shape[0] == 1:
+        where = "its shared outcome row"
+    else:
+        step = bisect_right(stops, row)
+        rung = row - (stops[step - 1] if step else 0)
+        where = f"row {row} (step {step}, rung {rung})"
+    raise ValueError(
+        f"{type(model).__name__} predicted a transmission time of {value!r} s "
+        f"in {where}; times must be non-negative numbers"
+    )
 
 
 @dataclass(frozen=True)
@@ -205,17 +230,20 @@ class ValueIterationController:
         return stall_cost, self._bin_index(next_buffer)
 
     def _shared_row_geometry(
-        self, times: np.ndarray, durations: Tuple[float, ...]
+        self, times: np.ndarray, durations: Tuple[float, ...], model: object
     ) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`_outcome_geometry` of a one-row ``times``: a one-row
         ``stall_cost`` every rung of every step shares, and one
         ``(n_bins, n_outcomes)`` ``next_bin`` table per step. Memoised on the
         row's contents — not its identity: a TTP that recalibrates its tail
         centre presents a row with other bytes, and a content key can never
-        serve the old row's geometry for the new one."""
+        serve the old row's geometry for the new one. A row is checked
+        (:func:`_check_times`) when it first arrives; a memoised row has
+        passed."""
         key = (times.tobytes(), durations)
         geometry = self._geometry_memo.get(key)
         if geometry is None:
+            _check_times(times, model, ())
             geometry = _keep(
                 self._geometry_memo,
                 key,
@@ -309,12 +337,15 @@ class ValueIterationController:
         # flattened value table (axis None), rung * n_bins + bin. Step 0,
         # read at the current bin b0 alone, is cut to that bin.
         if times.shape[0] == 1:
-            stall_cost, tables = self._shared_row_geometry(times, durations)
+            stall_cost, tables = self._shared_row_geometry(
+                times, durations, model
+            )
             stall_0 = stall_rest = stall_cost
             next_bin = list(tables)
             next_bin[0] = next_bin[0][b0 : b0 + 1]
             axis: Optional[int] = 1
         else:
+            _check_times(times, model, stops)
             stall_cost, flat = self._outcome_geometry(times, row_durations)
             stall_0, stall_rest = stall_cost[: stops[0]], stall_cost[stops[0] :]
             flat += offsets

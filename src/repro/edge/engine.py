@@ -28,13 +28,12 @@ Two execution paths:
 
 The shared path pays per change, not per event.  Every link — the cell's
 shared one and each flow's private one — is read through a capacity
-cursor (:class:`_Cursor`): one ``capacity_at`` and one
-``next_change_after`` per capacity epoch, held while the clock stays
-inside the span ``[t, next_change_after(t))`` over which the
-:class:`~repro.net.link.LinkModel` contract declares the capacity
-constant.  The set of active downloads is rebuilt only when a download
-begins or finishes, the start sweep runs only when the earliest pending
-start is due, and fair shares are re-solved only when the active set
+cursor (:class:`_Cursor`): one ``epoch_at`` read per capacity epoch,
+held while the clock stays inside the span ``[t, next_change_after(t))``
+over which the :class:`~repro.net.link.LinkModel` contract declares the
+capacity constant.  The set of active downloads is rebuilt only when a
+download begins or finishes, the start sweep runs only when the earliest
+pending start is due, and fair shares are re-solved only when the active set
 differs from the last solve's or some cursor has re-read its link since —
 otherwise the solver's inputs, and so its shares, are the last solve's (a
 download that finishes and is followed at once by the next one leaves the
@@ -156,11 +155,12 @@ class _Cursor:
     """One link's capacity, held for as long as the link says it holds.
 
     The link runs on a clock shifted by ``offset`` (session-relative; 0 for
-    the cell's shared link).  :meth:`advance` re-reads the link only when
-    cell time leaves the span the last read covered: capacity is constant
-    on ``[t, next_change_after(t))`` — the :class:`LinkModel` contract
-    :meth:`repro.net.tcp.TcpConnection.transmit` relies on too — so
-    between re-reads ``capacity`` is what ``capacity_at`` would return.
+    the cell's shared link).  :meth:`advance` re-reads the link (one
+    ``epoch_at``) only when cell time leaves the span the last read
+    covered: capacity is constant on ``[t, next_change_after(t))`` — the
+    :class:`LinkModel` contract :meth:`repro.net.tcp.TcpConnection.transmit`
+    relies on too — so between re-reads ``capacity`` is what
+    ``capacity_at`` would return.
     ``boundary`` is the next change point in cell time, strictly after
     the instant of the last read.
     """
@@ -181,8 +181,8 @@ class _Cursor:
         if local < self.change_at and now < self.boundary:
             return False
         link, offset = self.link, self.offset
-        self.capacity = link.capacity_at(local)
-        self.change_at = boundary = link.next_change_after(local)
+        self.capacity, boundary = link.epoch_at(local)
+        self.change_at = boundary
         # Mapping the boundary back to cell time (``offset + boundary``)
         # can land at or before ``now`` through float rounding; the event
         # loop must make strict progress, so re-query past the boundary

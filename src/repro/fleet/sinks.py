@@ -10,12 +10,13 @@ float-accumulator sink would make the dump depend on how sessions were
 grouped into chunks.  Every accumulator here therefore merges *exactly*:
 
 * :class:`ExactSum` — a float accumulator that holds its running total as
-  an **exact rational** (every finite IEEE-754 double is a dyadic rational,
-  via ``float.as_integer_ratio``; so are all products of doubles).
-  Addition is exact rational addition: associative, commutative, no
-  rounding.  ``add_product`` accumulates products of doubles without first
-  rounding them to a double, which keeps second moments exact under the
-  catastrophic cancellation of ``E[x²] - mean²``.  The total converts back
+  an **exact dyadic rational** — an integer times a power of two (every
+  finite IEEE-754 double is one, via ``math.frexp``; so are all products
+  of doubles).  Addition is exact integer addition after aligning the
+  exponents: associative, commutative, no rounding.  ``add_product``
+  accumulates products of doubles without first rounding them to a
+  double, which keeps second moments exact under the catastrophic
+  cancellation of ``E[x²] - mean²``.  The total converts back
   to the nearest double only at report time (correctly rounded).
 * :class:`FleetHistogram` — the fixed log-spaced bin layout of
   :class:`repro.obs.HistogramSpec` with integer bin counts and an
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.bootstrap import ConfidenceInterval
 from repro.analysis.summary import SchemeSummary, StreamAggregator
@@ -61,10 +62,11 @@ SINK_SCHEMA_VERSION = 1
 """Version of the sink-state JSON layout (checkpoints and metrics dumps)."""
 
 _SCALE_BITS = 1074
-"""Every finite double is ``m * 2**e`` with ``e >= -1074``, so scaling by
-``2**1074`` embeds all finite doubles exactly into the integers."""
+"""Every finite double is ``m * 2**e`` with ``e >= -1074``; the legacy
+``ExactSum`` serialization is the total scaled by ``2**1074``."""
 
-_SCALE = 1 << _SCALE_BITS
+_TWO_53 = float(1 << 53)
+
 
 # Histogram layouts for the distributions the fleet tracks.  Reusing the
 # log-binned layout from repro.obs keeps every shard's bins identical by
@@ -82,64 +84,102 @@ SSIM_SPEC = HistogramSpec(lo=1.0, hi=100.0, n_bins=40)
 """Per-stream mean SSIM in dB (log bins; typical values 5–25 dB)."""
 
 
+def _dyadic(value: float) -> Tuple[int, int]:
+    """``(m, e)`` with ``m * 2**e == value`` exactly: ``frexp``'s fraction
+    times ``2**53`` is an integer for every finite double, subnormals
+    included."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"ExactSum cannot absorb {value!r}")
+    fraction, exponent = math.frexp(value)
+    return int(fraction * _TWO_53), exponent - 53
+
+
 class ExactSum:
     """Exact, associative, commutative accumulator of finite doubles.
 
-    The running total is held as an exact rational (every finite double is
-    ``m / 2**e`` with ``e <= 1074``, so the denominator is always a power of
-    two).  ``add``, ``add_product`` and ``merge`` are exact rational
-    additions — no rounding ever happens until :meth:`value` converts back
-    to the nearest double.  :meth:`add_product` exists because forming
-    ``x * y`` in floating point *before* accumulating would round, and that
-    single rounding is catastrophically amplified by the cancellation in
-    second-moment formulas (``E[x²] - mean²``); multiplying exactly keeps
-    the whole moment pipeline exact.  Serialization uses a hex
-    ``numerator/denominator`` string, which round-trips through JSON
-    exactly.
+    Every finite double is ``m * 2**e`` with integers ``m`` and ``e >=
+    -1074``, and so is every product of doubles and every sum of such
+    products.  The running total is held in exactly that form, an integer
+    mantissa and a power-of-two exponent: ``add``, ``add_product`` and
+    ``merge`` align the two exponents by shifting one mantissa left and
+    add integers, so no rounding ever happens — and no gcd is ever
+    taken — until :meth:`value` converts back to the nearest double.
+    :meth:`add_product` exists because forming ``x * y`` in floating point
+    *before* accumulating would round, and that single rounding is
+    catastrophically amplified by the cancellation in second-moment
+    formulas (``E[x²] - mean²``); multiplying exactly keeps the whole
+    moment pipeline exact.  The pair is not normalized while it
+    accumulates (equal totals may hold different pairs); :meth:`fraction`,
+    the hex ``numerator/denominator`` serialization, ``==`` and ``hash``
+    all go through the reduced rational, so each equals what the same
+    total held as a :class:`~fractions.Fraction` gives — dump and
+    checkpoint bytes depend on it.
     """
 
-    __slots__ = ("_total",)
+    __slots__ = ("_mantissa", "_exponent")
 
-    def __init__(self, total: Fraction = Fraction(0)) -> None:
-        self._total = total
+    def __init__(self, mantissa: int = 0, exponent: int = 0) -> None:
+        """The total ``mantissa * 2**exponent`` (zero by default)."""
+        self._mantissa = mantissa
+        self._exponent = exponent
 
-    @staticmethod
-    def _check(value: float) -> float:
-        value = float(value)
-        if math.isnan(value) or math.isinf(value):
-            raise ValueError(f"ExactSum cannot absorb {value!r}")
-        return value
+    def _absorb(self, mantissa: int, exponent: int) -> None:
+        shift = exponent - self._exponent
+        if shift >= 0:
+            self._mantissa += mantissa << shift
+        else:
+            self._mantissa = (self._mantissa << -shift) + mantissa
+            self._exponent = exponent
 
     def add(self, value: float) -> None:
-        self._total += Fraction(self._check(value))
+        self._absorb(*_dyadic(value))
 
     def add_product(self, *factors: float) -> None:
         """Add the *exact* product of the factors (no intermediate
         float rounding — the difference between an exact and a merely
         order-independent second moment)."""
-        product = Fraction(1)
+        mantissa, exponent = 1, 0
         for factor in factors:
-            product *= Fraction(self._check(factor))
-        self._total += product
+            m, e = _dyadic(factor)
+            mantissa *= m
+            exponent += e
+        self._absorb(mantissa, exponent)
 
     def merge(self, other: "ExactSum") -> None:
-        self._total += other._total
+        self._absorb(other._mantissa, other._exponent)
 
     def value(self) -> float:
-        """The total, correctly rounded to the nearest double."""
-        return float(self._total)
+        """The total, correctly rounded to the nearest double (integer
+        true division and ``int.__float__`` both round correctly)."""
+        if self._exponent >= 0:
+            return float(self._mantissa << self._exponent)
+        return self._mantissa / (1 << -self._exponent)
+
+    def _reduced(self) -> Tuple[int, int]:
+        """``(numerator, denominator)`` of the total in lowest terms; the
+        denominator is a power of two."""
+        mantissa, exponent = self._mantissa, self._exponent
+        if mantissa == 0:
+            return 0, 1
+        zeros = (mantissa & -mantissa).bit_length() - 1
+        mantissa >>= zeros
+        exponent += zeros
+        if exponent >= 0:
+            return mantissa << exponent, 1
+        return mantissa, 1 << -exponent
 
     def fraction(self) -> Fraction:
         """The total as an exact rational (for exact downstream algebra)."""
-        return self._total
+        return Fraction(*self._reduced())
 
     def is_zero(self) -> bool:
-        return self._total == 0
+        return self._mantissa == 0
 
     def to_dict(self) -> str:
-        # Compact canonical form: sign + hex numerator, hex denominator.
-        numerator = self._total.numerator
-        denominator = self._total.denominator
+        # Compact canonical form: sign + hex numerator, hex denominator,
+        # in lowest terms.
+        numerator, denominator = self._reduced()
         sign = "-" if numerator < 0 else ""
         return (
             f"{sign}{format(abs(numerator), 'x')}/{format(denominator, 'x')}"
@@ -149,17 +189,23 @@ class ExactSum:
     def from_dict(cls, data: str) -> "ExactSum":
         if "/" in data:
             numerator_hex, denominator_hex = data.split("/", 1)
-            return cls(
-                Fraction(int(numerator_hex, 16), int(denominator_hex, 16))
-            )
+            denominator = int(denominator_hex, 16)
+            if denominator <= 0 or denominator & (denominator - 1):
+                raise ValueError(
+                    "ExactSum denominator must be a power of two, "
+                    f"got {data!r}"
+                )
+            return cls(int(numerator_hex, 16), 1 - denominator.bit_length())
         # Legacy scaled-integer form (multiples of 2**-1074).
-        return cls(Fraction(int(data, 16), _SCALE))
+        return cls(int(data, 16), -_SCALE_BITS)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ExactSum) and other._total == self._total
+        if not isinstance(other, ExactSum):
+            return False
+        return other._reduced() == self._reduced()
 
     def __hash__(self) -> int:
-        return hash(self._total)
+        return hash(self.fraction())
 
     def __repr__(self) -> str:
         return f"ExactSum({self.value()!r})"

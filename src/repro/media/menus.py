@@ -115,35 +115,41 @@ class MenuBlockSource:
         k = self._next_block_chunks
         self._next_block_chunks = self._block_chunks
         rng = self._rng
+        random = rng.random
+        standard_normal = rng.standard_normal
         ch = self._channel
-        u = np.empty(k, dtype=np.float64)
         z = np.empty((k, 2 + self._n_rungs), dtype=np.float64)
+        u = [0.0] * k
         for i in range(k):
             # Per-chunk draw order matches the scalar pipeline exactly; the
-            # standard_normal block equals 2 + rungs scalar normal draws.
-            u[i] = rng.random()
-            z[i] = rng.standard_normal(2 + self._n_rungs)
-        # Scene-complexity recurrence (sequential by construction).
+            # standard_normal row equals 2 + rungs scalar normal draws, and
+            # is drawn straight into its row of the block.
+            u[i] = random()
+            standard_normal(out=z[i])
+        # Scene-complexity recurrence (sequential by construction), on the
+        # Python floats of the draws: each step is the scalar expression
+        # on the same doubles, so the same double.
         log_c = self._log_c
+        cut_rate = ch.scene_cut_rate
+        sigma = ch.complexity_sigma
         one_minus_mr = 1.0 - ch.mean_reversion
-        log_cs = np.empty(k, dtype=np.float64)
+        innovation_sigma = float(self._innovation_sigma)
+        scene = z[:, 0].tolist()
+        log_cs = [0.0] * k
         for i in range(k):
-            if u[i] < ch.scene_cut_rate:
-                log_c = float(ch.complexity_sigma * z[i, 0])
+            if u[i] < cut_rate:
+                log_c = sigma * scene[i]
             else:
-                log_c = float(
-                    one_minus_mr * log_c + self._innovation_sigma * z[i, 0]
-                )
+                log_c = one_minus_mr * log_c + innovation_sigma * scene[i]
             log_cs[i] = log_c
         self._log_c = log_c
-        complexity = np.exp(log_cs)
+        complexity = np.exp(np.array(log_cs, dtype=np.float64))
         # Size noise is lognormal; numpy's lognormal(m, s) equals
         # math.exp(m + s * standard_normal()) bit for bit (np.exp does NOT).
+        noise_mean = self._size_noise_mean
+        noise_sigma = self._size_noise_sigma
         size_noise = np.array(
-            [
-                math.exp(self._size_noise_mean + self._size_noise_sigma * zz)
-                for zz in z[:, 1]
-            ],
+            [math.exp(noise_mean + noise_sigma * zz) for zz in z[:, 1].tolist()],
             dtype=np.float64,
         )
         # ((target_bitrate * duration) * complexity) * size_noise, the

@@ -18,7 +18,7 @@ Two families matter for the paper:
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -88,13 +88,21 @@ class LinkModel:
         The default declares the capacity constant (``inf``) — every
         epoch-based link in this package overrides it; a custom
         continuously-varying subclass should too: the co-simulation and
-        :meth:`repro.net.tcp.TcpConnection.transmit` read ``capacity_at``
-        once and hold the value until the declared change point, so a link
-        that declares none is read once.
+        :meth:`repro.net.tcp.TcpConnection.transmit` read the capacity
+        (:meth:`epoch_at`) once and hold it until the declared change
+        point, so a link that declares none is read once.
         """
         if t < 0:
             raise ValueError("time must be non-negative")
         return math.inf
+
+    def epoch_at(self, t: float) -> Tuple[float, float]:
+        """``(capacity_at(t), next_change_after(t))``: the capacity at
+        ``t`` and the end of the span it holds over.  This is the one
+        capacity read of the TCP round (``TcpConnection.transmit`` and the
+        stream kernel's) and of the co-simulation's cursors; epoch links
+        answer it with one epoch lookup."""
+        return self.capacity_at(t), self.next_change_after(t)
 
     def mean_capacity(self, horizon: float = 300.0, dt: float = 1.0) -> float:
         """Empirical mean capacity over ``[0, horizon)`` (diagnostics)."""
@@ -193,11 +201,14 @@ class _LazyEpochLink(LinkModel):
             self._realized.append(max(self._next_epoch_capacity(), MIN_CAPACITY))
 
     def capacity_at(self, t: float) -> float:
-        if t < 0:
-            raise ValueError("time must be non-negative")
-        index = epoch_index(t, self.epoch)
-        self.realize_through(index)
-        return self._realized[index]
+        return self.epoch_at(t)[0]
+
+    def epoch_at(self, t: float) -> Tuple[float, float]:
+        index = epoch_index(t, self.epoch)  # rejects t < 0
+        realized = self._realized
+        if index >= len(realized):
+            self.realize_through(index)
+        return realized[index], (index + 1) * self.epoch
 
 
 class MarkovLink(_LazyEpochLink):

@@ -181,8 +181,7 @@ class TcpConnection:
         observing = obs.ENABLED
         cc = self.cc
         on_round = cc.on_round
-        capacity_at = self.link.capacity_at
-        next_change_after = self.link.next_change_after
+        epoch_at = self.link.epoch_at
         base_rtt = self.base_rtt
         mss = self.mss
         srtt = self.srtt
@@ -192,7 +191,7 @@ class TcpConnection:
         window = self._in_flight_bytes
         capacity_Bps = 0.0
         # Capacity is constant on [now, next_change_after(now)), so one
-        # lookup serves every round that starts inside that interval.
+        # epoch_at read serves every round that starts inside that interval.
         change_at = -math.inf
         remaining = float(size_bytes)
         elapsed = 0.0
@@ -203,8 +202,8 @@ class TcpConnection:
                 raise RuntimeError("transmission did not terminate")
             now = at_time + elapsed
             if now >= change_at:
-                capacity_Bps = capacity_at(now) / 8.0
-                change_at = next_change_after(now)
+                capacity_bps, change_at = epoch_at(now)
+                capacity_Bps = capacity_bps / 8.0
             cwnd_bytes = cc.cwnd_bytes
             window = min(cwnd_bytes, remaining)
             # App-limited round (Linux `app_limited`): the send was capped

@@ -179,7 +179,9 @@ def _stream(
         if scheme is BBA:
             rung = pick(level, source.rates_lists[row], source.ssims_lists[row])
         elif scheme is Bola:
-            rung = pick(level, *source.row_arrays(row), duration)
+            rung = pick(
+                level, source.sizes_lists[row], source.ssims_lists[row], duration
+            )
         else:
             rung = pick(source.rates_lists[row], tputs)
         # Block lists hold the same float64 values as the ndarray rows.
@@ -298,8 +300,7 @@ def _transmit(connection: TcpConnection, size_bytes: float, at_time: float) -> f
       the same two operands, and ``1.0 - _SRTT_GAIN`` is 0.875 exactly.
     """
     cc = connection.cc
-    capacity_at = connection.link.capacity_at
-    next_change_after = connection.link.next_change_after
+    epoch_at = connection.link.epoch_at
     base_rtt = connection.base_rtt
     srtt = connection.srtt
     min_rtt = connection.min_rtt
@@ -329,9 +330,9 @@ def _transmit(connection: TcpConnection, size_bytes: float, at_time: float) -> f
             raise RuntimeError("transmission did not terminate")
         now = at_time + elapsed
         if now >= change_at:
-            capacity_Bps = capacity_at(now) / 8.0
+            capacity_bps, change_at = epoch_at(now)
+            capacity_Bps = capacity_bps / 8.0
             bdp = capacity_Bps * base_rtt
-            change_at = next_change_after(now)
         app_limited = remaining < cwnd
         window = remaining if app_limited else cwnd
         drain_time = window / capacity_Bps

@@ -222,3 +222,39 @@ class TestPlanning:
             ValueIterationController().plan(
                 ctx(last_ssim=bad), ConstantThroughputModel(1e7)
             )
+
+    @pytest.mark.parametrize("bad", [float("nan"), -5.0])
+    @pytest.mark.parametrize(
+        "row, where",
+        [(3, r"row 3 \(step 0, rung 3\)"), (27, r"row 27 \(step 2, rung 7\)")],
+    )
+    def test_bad_per_rung_time_rejected_by_model_and_row(self, bad, row, where):
+        # Unchecked, a NaN at a step-0 rung streamed that rung (argmax takes
+        # the first NaN) and a negative time raised the landing buffer.
+        class BadRow(ConstantThroughputModel):
+            def predict(self, context, menus):
+                times = horizon_sizes(menus) * 8.0 / self.throughput_bps
+                times[[row, row + 1]] = bad
+                return TimeDistribution.point_mass(times)
+
+        with pytest.raises(ValueError, match=rf"BadRow .* {bad!r} s in {where}"):
+            ValueIterationController().plan(ctx(), BadRow(5e6))
+
+    @pytest.mark.parametrize("bad", [float("nan"), -5.0])
+    def test_bad_shared_row_rejected_by_model(self, bad):
+        # Unchecked, a NaN in the shared row scored every rung NaN and
+        # streamed rung 0.
+        class BadShared:
+            def predict(self, context, menus):
+                n = len(horizon_sizes(menus))
+                return TimeDistribution(
+                    times=np.array([[0.5, bad, 2.0]]),
+                    probs=np.tile([0.3, 0.3, 0.4], (n, 1)),
+                )
+
+        controller = ValueIterationController()
+        for _ in range(2):  # a bad row is never memoised as checked
+            with pytest.raises(
+                ValueError, match=rf"BadShared .* {bad!r} s in its shared"
+            ):
+                controller.plan(ctx(), BadShared())
