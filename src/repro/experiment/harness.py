@@ -311,8 +311,10 @@ class ConnectRequest:
     the classic private-link trial, or a shared-bottleneck fluid flow built
     from the same path in :mod:`repro.edge`.  ``obs_ctx`` is the session's
     observability context (``None`` when collection is off); drivers must
-    activate it around every resume of the machine so instrumentation in
-    the streaming/net layers lands on the right shard.
+    activate it around every resume of the machine so what either stream
+    loop reports at its seams (the stream recorder, the connection's idle
+    handler, the per-chunk ``tcp.*`` totals) lands on the right shard.  The
+    context never chooses the loop.
     """
 
     session_id: int
@@ -397,19 +399,11 @@ def session_machine(
         obs_ctx=obs_ctx,
     )
     assert not isinstance(transport, TransmissionResult)
-    # Which stream kernel serves this session, decided once and only from
-    # what the machine can observe: observability is off, and the scheme and
-    # the transport are ones the kernel reproduces.  Telemetry does not
-    # matter (both loops feed the same StreamRecorder); observability does,
-    # because it counts inside TcpConnection.transmit and BbrLike.on_round
-    # per round (tcp.*, cc.bbr.*), and tcp.loss_events needs the loss draws
-    # the kernel's fused round skips.  A kernel stream never yields, so the
-    # answer cannot go stale between streams.
-    kernel = (
-        obs_ctx is None
-        and not obs.ENABLED
-        and reproduces(algorithm, transport)
-    )
+    # Which stream kernel serves this session, decided once from the scheme
+    # and the transport alone.  Telemetry and observability do not matter:
+    # both loops report them at the same seams (the StreamRecorder, the idle
+    # handler, one tcp.* count per chunk) and neither counts inside a round.
+    kernel = reproduces(algorithm, transport)
     clock = 0.0  # connection time shared across the session's streams
 
     n_streams = 1
@@ -453,11 +447,11 @@ def session_machine(
         stream_id = session_id * config.max_streams_per_session + stream_no
         recorder = StreamRecorder(telemetry, stream_id, session.expt_id, clock)
         if kernel:
-            # Observability is off here, so a recorder without telemetry
-            # would record nothing.
+            # A kernel stream never yields, so whether anything records is
+            # settled for the whole stream here.
             result = fast_stream(
                 source, algorithm, transport, watch, stream_id, hook, clock,
-                None if telemetry is None else recorder,
+                recorder if telemetry is not None or obs.ENABLED else None,
             )
         else:
             result = yield from stream_machine(

@@ -19,10 +19,8 @@ Recognized guard shapes::
         return
     obs.emit(...)                     # guarded (early-exit form)
 
-    observing = obs.ENABLED           # hoisted out of a hot loop: a local
-    while rounds:                     # bound to nothing but obs.ENABLED
-        if observing:                 # in its function counts as the flag
-            obs.counter_inc(...)      # guarded
+A local copy of the flag (``observing = obs.ENABLED``) is no guard: the
+flag is read where the emission is.
 
 ``obs.span`` and ``obs.timed`` are exempt: they are engineered to be
 no-op-cheap unguarded.  The ``repro.obs`` package itself is exempt.
@@ -31,8 +29,7 @@ no-op-cheap unguarded.  The ``repro.obs`` package itself is exempt.
 from __future__ import annotations
 
 import ast
-from collections import Counter
-from typing import Iterator, List, Set, Union
+from typing import Iterator, Set, Union
 
 from repro.lint.base import FileContext, Rule, register
 from repro.lint.findings import Finding
@@ -49,36 +46,15 @@ def _is_enabled_flag(node: ast.AST) -> bool:
     )
 
 
-def _hoisted_flags(func: _Function) -> Set[str]:
-    """Locals of ``func`` whose every binding is ``name = obs.ENABLED``."""
-    bindings: Counter[str] = Counter()
-    hoists: Counter[str] = Counter()
-    for sub in ast.walk(func):
-        if isinstance(sub, ast.arg):
-            bindings[sub.arg] += 1
-        elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
-            bindings[sub.id] += 1
-        elif isinstance(sub, ast.Assign) and len(sub.targets) == 1:
-            target = sub.targets[0]
-            if isinstance(target, ast.Name) and _is_enabled_flag(sub.value):
-                hoists[target.id] += 1
-    return {name for name, count in hoists.items() if bindings[name] == count}
+def _mentions_enabled(node: ast.expr) -> bool:
+    return any(_is_enabled_flag(sub) for sub in ast.walk(node))
 
 
-def _mentions_enabled(node: ast.expr, hoisted: Set[str]) -> bool:
-    for sub in ast.walk(node):
-        if _is_enabled_flag(sub):
-            return True
-        if isinstance(sub, ast.Name) and sub.id in hoisted:
-            return True
-    return False
-
-
-def _is_negated_enabled(node: ast.expr, hoisted: Set[str]) -> bool:
+def _is_negated_enabled(node: ast.expr) -> bool:
     return (
         isinstance(node, ast.UnaryOp)
         and isinstance(node.op, ast.Not)
-        and _mentions_enabled(node.operand, hoisted)
+        and _mentions_enabled(node.operand)
     )
 
 
@@ -91,15 +67,14 @@ class _GuardVisitor(ast.NodeVisitor):
 
     def __init__(self) -> None:
         self.guarded: Set[int] = set()
-        self._hoisted: Set[str] = set()
 
     def _mark(self, node: ast.AST) -> None:
         for sub in ast.walk(node):
             self.guarded.add(id(sub))
 
     def visit_If(self, node: ast.If) -> None:
-        negated = _is_negated_enabled(node.test, self._hoisted)
-        if _mentions_enabled(node.test, self._hoisted) and not negated:
+        negated = _is_negated_enabled(node.test)
+        if _mentions_enabled(node.test) and not negated:
             for stmt in node.body:
                 self._mark(stmt)
         if negated:
@@ -107,12 +82,13 @@ class _GuardVisitor(ast.NodeVisitor):
                 self._mark(stmt)
         self.generic_visit(node)
 
-    def _visit_body(self, body: List[ast.stmt]) -> None:
+    def _visit_function(self, node: _Function) -> None:
         # Early-exit form: everything after `if not obs.ENABLED: return`.
+        body = node.body
         for index, stmt in enumerate(body):
             if (
                 isinstance(stmt, ast.If)
-                and _is_negated_enabled(stmt.test, self._hoisted)
+                and _is_negated_enabled(stmt.test)
                 and stmt.body
                 and _exits(stmt.body[-1])
                 and not stmt.orelse
@@ -120,19 +96,9 @@ class _GuardVisitor(ast.NodeVisitor):
                 for later in body[index + 1:]:
                     self._mark(later)
                 break
-
-    def _visit_function(self, node: _Function) -> None:
-        outer = self._hoisted
-        self._hoisted = _hoisted_flags(node)
-        self._visit_body(node.body)
         self.generic_visit(node)
-        self._hoisted = outer
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_function(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_function(node)
+    visit_FunctionDef = visit_AsyncFunctionDef = _visit_function
 
 
 @register

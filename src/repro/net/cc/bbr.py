@@ -66,7 +66,6 @@ class BbrLike(CongestionControl):
         loss: bool,
         app_limited: bool = False,
     ) -> None:
-        observing = obs.ENABLED
         samples = self._bw_samples
         # As in Linux BBR, app-limited rate samples are ignored unless they
         # exceed the current estimate: a partial final round says nothing
@@ -76,10 +75,6 @@ class BbrLike(CongestionControl):
             max(samples) if samples else 0.0
         ):
             samples.append(delivery_rate_bps)
-            if observing:
-                obs.counter_inc("cc.bbr.bw_samples")
-        elif observing:
-            obs.counter_inc("cc.bbr.bw_samples_app_limited_skipped")
         min_rtt = self._min_rtt
         if rtt < min_rtt:
             self._min_rtt = min_rtt = rtt
@@ -97,8 +92,6 @@ class BbrLike(CongestionControl):
                 self._stale_rounds += 1
                 if self._stale_rounds >= _FULL_PIPE_ROUNDS:
                     self._in_startup = in_startup = False
-                    if observing:
-                        obs.counter_inc("cc.bbr.startup_exits")
             if not app_limited:
                 # Congestion-window validation (RFC 7661): the window does
                 # not grow on rounds the application could not fill —

@@ -73,6 +73,20 @@ class TransmissionResult:
     """Number of RTT rounds the transfer took."""
 
 
+def count_transmission(size_bytes: float, elapsed: float, rounds: int) -> None:
+    """The per-transmission ``tcp.*`` totals of one chunk, counted once after
+    its rounds.  ``TcpConnection.transmit`` and the stream kernel's round
+    both call it, so an observed run reports the same totals whichever loop
+    carried the chunk; nothing is counted inside the round itself."""
+    if not obs.ENABLED:
+        return
+    obs.counter_inc("tcp.transmissions")
+    obs.counter_inc("tcp.rounds", float(rounds))
+    obs.counter_inc("tcp.bytes_sent", float(size_bytes))
+    obs.observe("tcp.transmission_s", elapsed, spec=obs.TIME_SPEC)
+    obs.observe("tcp.chunk_size_bytes", float(size_bytes), spec=obs.SIZE_SPEC)
+
+
 class TcpConnection:
     """A long-lived connection carrying one video session's chunks.
 
@@ -178,7 +192,6 @@ class TcpConnection:
 
         # One RTT round per iteration, ten a chunk: connection state lives
         # in locals for the length of the loop and is written back once.
-        observing = obs.ENABLED
         cc = self.cc
         on_round = cc.on_round
         epoch_at = self.link.epoch_at
@@ -237,21 +250,6 @@ class TcpConnection:
                 loss,
                 app_limited,
             )
-            if observing:
-                # Per-round accounting: the counters Appendix B's tcp_info
-                # telemetry cannot expose (it snapshots state, not flux).
-                obs.counter_inc("tcp.rounds")
-                if app_limited:
-                    obs.counter_inc("tcp.rounds_app_limited")
-                if link_limited:
-                    obs.counter_inc("tcp.rounds_link_limited")
-                if loss:
-                    obs.counter_inc("tcp.loss_events")
-                obs.observe(
-                    "tcp.round_delivery_rate_bps",
-                    delivery_rate,
-                    spec=obs.RATE_SPEC,
-                )
             srtt = (1.0 - _SRTT_GAIN) * srtt + _SRTT_GAIN * rtt_sample
             if rtt_sample < min_rtt:
                 min_rtt = rtt_sample
@@ -270,13 +268,8 @@ class TcpConnection:
         self._in_flight_bytes = window
         self._total_bytes_sent += size_bytes
         self._last_activity_end = at_time + elapsed
-        if observing:
-            obs.counter_inc("tcp.transmissions")
-            obs.counter_inc("tcp.bytes_sent", float(size_bytes))
-            obs.observe("tcp.transmission_s", elapsed, spec=obs.TIME_SPEC)
-            obs.observe(
-                "tcp.chunk_size_bytes", float(size_bytes), spec=obs.SIZE_SPEC
-            )
+        if obs.ENABLED:
+            count_transmission(size_bytes, elapsed, rounds)
         return TransmissionResult(
             transmission_time=elapsed, info_at_send=info_at_send, rounds=rounds
         )

@@ -3,8 +3,8 @@
 Design constraints (they drive every decision here):
 
 * **Zero dependencies.**  The registry is imported by the hottest modules in
-  the simulator (``net/tcp.py`` runs it once per RTT round), so it must not
-  drag numpy — plain ``math`` and dicts only.
+  the simulator (``net/tcp.py`` runs it once per chunk), so it must not drag
+  numpy — plain ``math`` and dicts only.
 
 * **Exact shard merging.**  The parallel trial engine gives every session its
   own registry and folds them back in session-id order.  For the merged
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 
@@ -43,22 +43,44 @@ class HistogramSpec:
     lo: float = 1e-6
     hi: float = 1e6
     n_bins: int = 96
+    _log_lo: float = field(init=False, repr=False, compare=False)
+    _log_span: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # An infinite edge would pass ``0 < lo < hi`` and put every value in
+        # one bin; a float or bool bin count would pass ``>= 1``.
+        for name in ("lo", "hi"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"HistogramSpec.{name} must be finite, got {value!r}"
+                )
         if not (0 < self.lo < self.hi):
             raise ValueError("need 0 < lo < hi")
+        if isinstance(self.n_bins, bool) or not isinstance(self.n_bins, int):
+            raise ValueError(
+                f"HistogramSpec.n_bins must be an int, got {self.n_bins!r}"
+            )
         if self.n_bins < 1:
             raise ValueError("n_bins must be >= 1")
+        # The same doubles bin_index used to take from two logs per call.
+        log_lo = math.log(self.lo)
+        object.__setattr__(self, "_log_lo", log_lo)
+        object.__setattr__(self, "_log_span", math.log(self.hi) - log_lo)
 
     def bin_index(self, value: float) -> int:
         """Bin for ``value``: -1 underflow, ``n_bins`` overflow."""
         if value < self.lo:
             return -1
+        n_bins = self.n_bins
         if value >= self.hi:
-            return self.n_bins
-        span = math.log(self.hi) - math.log(self.lo)
-        idx = int((math.log(value) - math.log(self.lo)) / span * self.n_bins)
-        return min(idx, self.n_bins - 1)
+            return n_bins
+        try:
+            idx = int((math.log(value) - self._log_lo) / self._log_span * n_bins)
+        except ValueError:
+            # Only NaN fails both comparisons above and reaches here.
+            raise ValueError(f"cannot bin {value!r}") from None
+        return idx if idx < n_bins else n_bins - 1
 
     def edges(self) -> List[float]:
         """The ``n_bins + 1`` bin edges (log-spaced)."""
@@ -204,7 +226,8 @@ class MetricsRegistry:
         if hist is None:
             hist = Histogram(spec if spec is not None else HistogramSpec())
             self.histograms[name] = hist
-        elif spec is not None and spec != hist.spec:
+        # Identity first: instrumented sites pass the shared named specs.
+        elif spec is not None and spec is not hist.spec and spec != hist.spec:
             raise ValueError(f"histogram {name!r} already bound to {hist.spec}")
         if wallclock:
             self._wallclock.add(name)

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-from repro import obs
-
 MAX_BUFFER_S = 15.0
 """Puffer's client buffer cap in seconds of video."""
 
@@ -60,9 +58,6 @@ class PlaybackBuffer:
             return 0.0
         shortfall = play_time_s - self.level_s
         self.level_s = 0.0
-        if shortfall > 0 and obs.ENABLED:
-            obs.counter_inc("buffer.underruns")
-            obs.observe("buffer.underrun_s", shortfall, spec=obs.TIME_SPEC)
         return shortfall
 
     def room_for(self, duration_s: float) -> bool:

@@ -2,16 +2,19 @@
 
 :func:`fast_stream` is :func:`repro.streaming.simulator.stream_machine` for
 the streams whose every input it can reproduce without the machine's
-generality: the ABR scheme is exactly BBA, BOLA or rate-based, the
+generality: the ABR scheme is exactly BBA, BOLA or rate-based and the
 transport is a private :class:`~repro.net.tcp.TcpConnection` under
-:class:`~repro.net.cc.bbr.BbrLike`, and observability is off.
+:class:`~repro.net.cc.bbr.BbrLike`.
 :func:`repro.experiment.harness.session_machine` asks :func:`reproduces`
 once per session and then runs each stream through one kernel or the
 other; everything above the stream — assignment, paths, channel changes,
 CONSORT — exists once, there.  So does everything beside it: the decision
-rule is the scheme's own ``pick``, and telemetry is the
-:class:`~repro.streaming.telemetry.StreamRecorder` both loops call at the
-same seams.
+rule is the scheme's own ``pick``, and telemetry and observability are
+reported at seams both loops share — the
+:class:`~repro.streaming.telemetry.StreamRecorder`'s calls,
+``TcpConnection._handle_idle`` and :func:`repro.net.tcp.count_transmission`
+once per chunk.  Nothing is counted inside a round, so an observed run is
+the production run.
 
 What the kernel leaves out of a chunk's life:
 
@@ -51,6 +54,7 @@ import gc
 import math
 from typing import Deque, List, Optional, Tuple
 
+from repro import obs
 from repro.abr.base import AbrAlgorithm, ChunkRecord
 from repro.abr.bba import BBA
 from repro.abr.bola import Bola
@@ -63,7 +67,12 @@ from repro.net.cc.bbr import (
     _FULL_PIPE_ROUNDS,
     BbrLike,
 )
-from repro.net.tcp import _MAX_ROUNDS_PER_CHUNK, _SRTT_GAIN, TcpConnection
+from repro.net.tcp import (
+    _MAX_ROUNDS_PER_CHUNK,
+    _SRTT_GAIN,
+    TcpConnection,
+    count_transmission,
+)
 from repro.streaming.buffer import BUFFER_EPSILON_S, MAX_BUFFER_S
 from repro.streaming.session import StreamResult
 from repro.streaming.simulator import ExtensionHook, Transport
@@ -269,7 +278,7 @@ def _transmit(connection: TcpConnection, size_bytes: float, at_time: float) -> f
     """The round loop of ``TcpConnection.transmit`` with ``BbrLike.on_round``
     inlined; returns the transmission time.  Idle handling and the
     ``tcp_info`` snapshot are the caller's, through the connection's own
-    methods.
+    methods; the per-transmission totals are ``transmit``'s own helper.
 
     Every float operation is the reference's, on the same operands in the
     same order; what a round no longer pays for is a builtin call.
@@ -394,4 +403,6 @@ def _transmit(connection: TcpConnection, size_bytes: float, at_time: float) -> f
     connection._in_flight_bytes = window
     connection._total_bytes_sent += size_bytes
     connection._last_activity_end = at_time + elapsed
+    if obs.ENABLED:
+        count_transmission(size_bytes, elapsed, rounds)
     return elapsed

@@ -1,6 +1,6 @@
 # repro: module=repro.net.fake
-"""BAD: a local that is not only ever obs.ENABLED is no guard — rebound,
-or hoisted in a different function."""
+"""BAD: a local copy of obs.ENABLED is no guard — rebound, hoisted in a
+different function, or passed in."""
 from repro import obs
 
 

@@ -27,7 +27,11 @@ from repro.media.ladder import PUFFER_LADDER
 from repro.media.menus import MAX_BLOCK_CHUNKS, MenuBlockSource
 from repro.media.source import DEFAULT_CHANNELS, VideoSource
 
-from tests.streaming.test_fastpath_equivalence import TAIL_VIEWER, spec
+from tests.streaming.test_fastpath_equivalence import (
+    TAIL_VIEWER,
+    reference_loop,
+    spec,
+)
 
 FIRST_BLOCKS = (0, 1, 31, 33, MAX_BLOCK_CHUNKS + 500)
 
@@ -171,21 +175,17 @@ class _EncoderMenus:
 class TestSessionsCannotSeeBlockSizing:
     SPECS = [spec("mpc_hm", MpcHm), spec("bba", BBA)]
     # The tail viewer extends nearly every stream, so streams outrun
-    # whatever first block their intended watch time sized.  Observability
-    # keeps every session on stream_machine, the one loop that can take
-    # the per-chunk pipeline's menus.
+    # whatever first block their intended watch time sized.
     CONFIG = TrialConfig(
         n_sessions=50,
         seed=13,
         viewer=TAIL_VIEWER,
         extra_stream_prob=0.5,
         collect_telemetry=True,
-        observability=True,
     )
     SESSIONS = range(8)
 
     def shards(self):
-        # Not the obs shard: it carries a wall-clock metric.
         return [
             (shard.session, shard.consort, shard.telemetry)
             for shard in (
@@ -213,6 +213,9 @@ class TestSessionsCannotSeeBlockSizing:
         assert self.shards() == stock
 
     def test_shard_identical_to_the_per_chunk_pipeline(self, monkeypatch):
-        stock = self.shards()
-        monkeypatch.setattr(harness, "MenuBlockSource", _EncoderMenus)
-        assert self.shards() == stock
+        # stream_machine is the one loop that can take the per-chunk
+        # pipeline's menus.
+        with reference_loop():
+            stock = self.shards()
+            monkeypatch.setattr(harness, "MenuBlockSource", _EncoderMenus)
+            assert self.shards() == stock

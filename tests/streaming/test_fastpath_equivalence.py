@@ -1,21 +1,24 @@
 """Differential oracle: the stream kernel equals ``stream_machine`` bit for bit.
 
 ``session_machine`` picks :func:`repro.streaming.fastpath.fast_stream` for a
-session with observability off whose scheme and transport the kernel
-reproduces, and ``stream_machine`` for every other.  The input that selects
-the reference path is an ordinary one — ``observability=True`` — so every
-case runs the same seeds both ways and asserts dataclass equality of the
+session whose scheme and transport the kernel reproduces, and
+``stream_machine`` for every other; telemetry and observability ride along
+on either.  Every case runs the same seeds both ways — the reference way by
+making the kernel predicate answer no (:func:`reference_loop`, test-only:
+production has no such switch) — and asserts dataclass equality of the
 session and its CONSORT flow (every chunk record, every float, every
-counter) and, with telemetry on in both, equality of the
-``TelemetryLog.to_json()`` bytes.  There is no tolerance.
+counter), equality of the ``TelemetryLog.to_json()`` bytes and, observed,
+equality of the deterministic observability dump.  There is no tolerance.
 """
 
 import ast
 import gc
 import inspect
 import json
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from textwrap import dedent
 
 from repro.core.ttp import TtpConfig
 
@@ -59,16 +62,17 @@ from repro.streaming.simulator import TransmitRequest, simulate_stream
 from repro.streaming.telemetry import StreamRecorder, TelemetryLog
 
 
-@pytest.fixture(autouse=True)
-def nobody_watching():
-    """The ``REPRO_OBS=1`` CI leg installs a process-global context, which
-    (rightly) keeps every session off the kernel; these tests are about the
-    kernel, so they run with it off and put it back."""
-    context = obs.active() if obs.ENABLED else None
-    obs.disable()
-    yield
-    if context is not None:
-        obs.enable(context)
+@contextmanager
+def reference_loop():
+    """Every session inside streams through ``stream_machine``: the kernel
+    predicate answers no (forked pool workers inherit the patch)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "reproduces", lambda algorithm, transport: False)
+        yield
+
+
+def obs_dump(context):
+    return json.dumps(context.to_dict(include_wallclock=False), sort_keys=True)
 
 
 def spec(name, factory):
@@ -123,9 +127,11 @@ def spy(monkeypatch):
 
 
 def assert_equivalent(specs, config, session_ids):
-    """Every session, with and without telemetry, equals its observed run;
-    the telemetry it collects is the observed run's to the byte."""
+    """Every session — plain, with telemetry, and observed with telemetry —
+    equals the observed run forced onto the reference loop; the telemetry
+    and the observability dump it collects are that run's to the byte."""
     algorithms = {s.name: s.build() for s in specs}
+    recorded = replace(config, observability=True, collect_telemetry=True)
     shards = []
     for sid in session_ids:
         shard = run_session(specs, config, sid, algorithms=algorithms)
@@ -135,19 +141,19 @@ def assert_equivalent(specs, config, session_ids):
             algorithms=algorithms,
         )
         assert logged.telemetry is not None and logged.obs is None
-        observed = run_session(
-            specs,
-            replace(config, observability=True, collect_telemetry=True),
-            sid,
-        )
-        assert observed.obs is not None and observed.telemetry is not None
-        for candidate in (shard, logged):
-            assert candidate.session == observed.session, (
+        observed = run_session(specs, recorded, sid, algorithms=algorithms)
+        with reference_loop():
+            reference = run_session(specs, recorded, sid)
+        assert reference.obs is not None and reference.telemetry is not None
+        for candidate in (shard, logged, observed):
+            assert candidate.session == reference.session, (
                 f"kernel diverged from stream_machine for session {sid}"
             )
-            assert candidate.consort == observed.consort
+            assert candidate.consort == reference.consort
         assert len(logged.telemetry) > 0
-        assert logged.telemetry.to_json() == observed.telemetry.to_json()
+        for candidate in (logged, observed):
+            assert candidate.telemetry.to_json() == reference.telemetry.to_json()
+        assert obs_dump(observed.obs) == obs_dump(reference.obs)
         shards.append(shard)
     return shards
 
@@ -180,8 +186,9 @@ class TestSchemeEquivalence:
         config = smoke_trial_config(seed=2)
         shards = assert_equivalent(specs, config, range(12))
         assert {shard.session.scheme for shard in shards} == {"bba", "mpc_hm"}
-        # Every bba stream took the kernel twice: without and with telemetry.
-        assert spy.kernel_streams == 2 * sum(
+        # Every bba stream took the kernel three times: plain, with
+        # telemetry, and observed.
+        assert spy.kernel_streams == 3 * sum(
             len(shard.session.streams)
             for shard in shards
             if shard.session.scheme == "bba"
@@ -233,9 +240,18 @@ class TestSelection:
         shard = run_session(specs, config, 0)
         assert spy.transmits == 0
         assert spy.kernel_streams == len(shard.session.streams) > 0
-        run_session(specs, replace(config, observability=True), 0)
+        with reference_loop():
+            run_session(specs, config, 0)
         assert spy.transmits > 0
         assert spy.kernel_streams == len(shard.session.streams)
+
+    def test_observability_does_not_keep_sessions_off_the_kernel(self, spy):
+        config = replace(smoke_trial_config(seed=9), observability=True)
+        shard = run_session([spec("bba", BBA)], config, 0)
+        assert spy.transmits == 0
+        assert spy.kernel_streams == len(shard.session.streams) > 0
+        counters = shard.obs.metrics.counters
+        assert counters["tcp.transmissions"] == counters["stream.chunks_sent"] > 0
 
     def test_telemetry_does_not_keep_sessions_off_the_kernel(self, spy):
         config = replace(smoke_trial_config(seed=9), collect_telemetry=True)
@@ -247,13 +263,15 @@ class TestSelection:
             len(stream.records) for stream in shard.session.streams
         )
 
-    def test_a_process_global_context_keeps_sessions_off_the_kernel(self, spy):
-        obs.enable()
-        try:
-            run_session([spec("bba", BBA)], smoke_trial_config(seed=9), 0)
-        finally:
-            obs.disable()
-        assert spy.kernel_streams == 0 and spy.transmits > 0
+    def test_a_process_global_context_keeps_sessions_on_the_kernel(self, spy):
+        with obs.activate(obs.ObsContext()) as context:
+            shard = run_session([spec("bba", BBA)], smoke_trial_config(seed=9), 0)
+        assert spy.transmits == 0
+        assert spy.kernel_streams == len(shard.session.streams) > 0
+        # What the kernel streams reported reached the global context.
+        counters = context.metrics.counters
+        assert counters["stream.streams"] == len(shard.session.streams)
+        assert counters["tcp.transmissions"] == counters["stream.chunks_sent"] > 0
 
     def test_exact_types_only(self):
         class TunedBBA(BBA):
@@ -326,7 +344,8 @@ class TestConnectionEndState:
         for sid in range(6):
             _, fast = drive(specs, config, sid)
             assert spy.transmits == 0
-            _, slow = drive(specs, replace(config, observability=True), sid)
+            with reference_loop():
+                _, slow = drive(specs, config, sid)
             assert spy.transmits > 0
             spy.transmits = 0
 
@@ -423,6 +442,24 @@ class TestStructure:
             p.name for p in (self.SRC / "batch").glob("*.py")
         ) == ["__init__.py", "engine.py", "menus.py"]
 
+    def test_nothing_is_counted_inside_a_round(self):
+        # Observability reports at seams both loops share; a counter inside
+        # either round loop would make the kernel and the reference loop
+        # count differently again.
+        rounds = [
+            node
+            for function in (TcpConnection.transmit, fastpath._transmit)
+            for node in ast.walk(ast.parse(dedent(inspect.getsource(function))))
+            if isinstance(node, ast.While)
+        ]
+        rounds.append(ast.parse(dedent(inspect.getsource(BbrLike.on_round))))
+        assert len(rounds) == 3
+        for loop in rounds:
+            assert not any(
+                isinstance(node, ast.Name) and node.id == "obs"
+                for node in ast.walk(loop)
+            )
+
     def test_kernel_signature_has_no_options(self):
         # No width, no mode, no hook: the session machine passes what
         # stream_machine would have been passed, positionally, and the
@@ -439,16 +476,33 @@ class TestDrivers:
 
     @pytest.mark.parallel_smoke
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_randomized_trial_equals_its_observed_run(self, workers):
-        specs = [spec("bba", BBA), spec("mpc_hm", MpcHm)]
+    @pytest.mark.parametrize(
+        "arms",
+        [[name] for name, _ in KERNEL_SCHEMES] + [["bba", "mpc_hm"]],
+        ids=lambda arms: "+".join(arms),
+    )
+    def test_observed_trial_on_the_kernel_equals_the_reference_loop(
+        self, arms, workers, spy
+    ):
+        factories = dict(KERNEL_SCHEMES, mpc_hm=MpcHm)
+        specs = [spec(name, factories[name]) for name in arms]
         config = replace(smoke_trial_config(seed=3), n_sessions=8)
+        observed_config = replace(config, observability=True)
         trial = RandomizedTrial(specs, config).run(workers=workers)
-        observed = RandomizedTrial(
-            specs, replace(config, observability=True)
-        ).run(workers=workers)
+        unobserved_streams = spy.kernel_streams
+        observed = RandomizedTrial(specs, observed_config).run(workers=workers)
+        if workers == 1:
+            # The premise: observing kept every kernel stream on the kernel
+            # (a forked worker's spy counts where the parent cannot see).
+            assert spy.kernel_streams == 2 * unobserved_streams > 0
+        with reference_loop():
+            reference = RandomizedTrial(specs, observed_config).run(
+                workers=workers
+            )
         assert trial.obs is None and observed.obs is not None
-        assert trial.sessions == observed.sessions
-        assert trial.consort == observed.consort
+        assert trial.sessions == observed.sessions == reference.sessions
+        assert trial.consort == observed.consort == reference.consort
+        assert obs_dump(observed.obs) == obs_dump(reference.obs)
 
     def test_randomized_trial_reaches_the_kernel(self, spy):
         config = replace(smoke_trial_config(seed=3), n_sessions=4)
@@ -490,16 +544,19 @@ class TestFleetByteIdentity:
 
     def test_dump_identical_across_kernels_and_workers(self, tmp_path, spy):
         specs = [spec("bba", BBA), spec("mpc_hm", MpcHm)]
-        reference = _dump(
-            specs, observability=True, archive_dir=tmp_path / "observed"
-        )
+        with reference_loop():
+            reference = _dump(
+                specs, observability=True, archive_dir=tmp_path / "reference"
+            )
         assert spy.kernel_streams == 0
-        # An archiving fleet collects telemetry, and still takes the kernel.
+        # An archiving fleet collects telemetry, and still takes the kernel;
+        # so does an observed one.
         assert _dump(specs, archive_dir=tmp_path / "archive") == reference
         assert spy.kernel_streams > 0
-        assert _tree(tmp_path / "archive") == _tree(tmp_path / "observed")
+        assert _tree(tmp_path / "archive") == _tree(tmp_path / "reference")
         assert _dump(specs) == reference
         assert _dump(specs, workers=2) == reference
+        assert _dump(specs, observability=True) == reference
 
     def test_singleton_cells_reach_the_kernel(self, spy):
         # "Cell mode forces scalar" is gone: a singleton cell is a
@@ -512,7 +569,7 @@ class TestFleetByteIdentity:
         assert _dump(specs, edge=singleton) == private
         assert spy.kernel_streams == 2 * streams and spy.transmits == 0
         assert _dump(specs, observability=True, edge=singleton) == private
-        assert spy.kernel_streams == 2 * streams and spy.transmits > 0
+        assert spy.kernel_streams == 3 * streams and spy.transmits == 0
 
     def test_shared_cells_take_the_reference_path(self, spy):
         # A FluidFlow is not a TcpConnection: sessions that contend stream
@@ -579,7 +636,7 @@ class TestRecorderSeams:
 class TestRetrainReachesTheKernel:
     """A continual-retraining deployment archives every session's telemetry;
     its bba arm streams through the kernel, and the registry, the archive
-    and the dump are the observed run's to the byte."""
+    and the dump are the reference loop's to the byte."""
 
     def _retrain(self, root, observability):
         specs = [spec("bba", BBA), spec("mpc_hm", MpcHm)]
@@ -601,12 +658,15 @@ class TestRetrainReachesTheKernel:
         assert result.completed
         return json.dumps(result.to_dump_dict(), sort_keys=True)
 
-    def test_registry_and_archive_equal_the_observed_run(self, tmp_path, spy):
-        observed = self._retrain(tmp_path / "observed", observability=True)
+    def test_registry_and_archive_equal_the_reference_run(self, tmp_path, spy):
+        with reference_loop():
+            reference = self._retrain(
+                tmp_path / "reference", observability=True
+            )
         assert spy.kernel_streams == 0
-        assert self._retrain(tmp_path / "kernel", observability=False) == observed
+        assert self._retrain(tmp_path / "kernel", observability=False) == reference
         assert spy.kernel_streams > 0
         for part in ("registry", "archive"):
             assert _tree(tmp_path / "kernel" / part) == _tree(
-                tmp_path / "observed" / part
+                tmp_path / "reference" / part
             )
