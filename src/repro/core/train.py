@@ -27,7 +27,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.features import FEATURE_DIM
+from repro.core.features import FEATURE_DIM, HISTORY_LEN
 from repro.core.ttp import TransmissionTimePredictor
 from repro.learn.losses import SoftmaxCrossEntropy
 from repro.learn.optim import Adam
@@ -85,7 +85,9 @@ def build_ttp_datasets(
     for stream in streams:
         records = stream.records
         for i in range(len(records)):
-            history = records[:i]
+            # The features read the last HISTORY_LEN records only: slicing
+            # the whole prefix would copy O(n^2) records over a long stream.
+            history = records[max(i - HISTORY_LEN, 0) : i]
             info = records[i].info_at_send
             max_k = min(horizon, len(records) - i)
             if max_k <= 0:

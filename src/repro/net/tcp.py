@@ -14,6 +14,12 @@ non-linear function of chunk size*:
 * **idle restart** — when the client's playback buffer is full the server
   pauses, the kernel decays the window, and the next chunk ramps up again;
 * **RTT quantization** — a chunk smaller than one window still costs ~1 RTT.
+
+The rounds themselves are the congestion controller's
+(:meth:`~repro.net.cc.base.CongestionControl.run_rounds`): ``transmit``
+checks its arguments, handles the idle gap, snapshots ``tcp_info`` and
+counts the chunk, and the controller runs its round loop in between — the
+same loop the stream kernel calls directly.
 """
 
 from __future__ import annotations
@@ -25,13 +31,9 @@ from typing import Optional
 import numpy as np
 
 from repro import obs
-from repro.net.cc.base import CongestionControl, DEFAULT_MSS
+from repro.net.cc.base import CongestionControl
 from repro.net.cc.bbr import BbrLike
 from repro.net.link import LinkModel
-
-_MAX_ROUNDS_PER_CHUNK = 100_000
-_SRTT_GAIN = 0.125  # RFC 6298 smoothing
-_QUEUE_LOSS_THRESHOLD = 1.5  # queue > 1.5 BDP-equivalents risks drops
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,10 @@ class TransmissionResult:
 
 def count_transmission(size_bytes: float, elapsed: float, rounds: int) -> None:
     """The per-transmission ``tcp.*`` totals of one chunk, counted once after
-    its rounds.  ``TcpConnection.transmit`` and the stream kernel's round
-    both call it, so an observed run reports the same totals whichever loop
-    carried the chunk; nothing is counted inside the round itself."""
+    its rounds.  ``TcpConnection.transmit`` and the stream kernel both call
+    it after the controller's ``run_rounds``, so an observed run reports the
+    same totals whichever loop carried the chunk; nothing is counted inside
+    the round itself."""
     if not obs.ENABLED:
         return
     obs.counter_inc("tcp.transmissions")
@@ -98,9 +101,11 @@ class TcpConnection:
         Two-way propagation delay in seconds (no queueing).
     cc:
         Congestion controller; defaults to a fresh :class:`BbrLike`, matching
-        the primary experiment (§3.2).
+        the primary experiment (§3.2).  It runs the rounds, and its MSS is
+        the connection's.
     loss_rng:
-        Generator for stochastic loss events (used by loss-based CC).
+        Generator for stochastic loss events (drawn by the generic round
+        CUBIC runs; BBR's round never draws it).
     """
 
     def __init__(
@@ -108,7 +113,6 @@ class TcpConnection:
         link: LinkModel,
         base_rtt: float,
         cc: Optional[CongestionControl] = None,
-        mss: int = DEFAULT_MSS,
         loss_rng: Optional[np.random.Generator] = None,
     ) -> None:
         if not math.isfinite(base_rtt):
@@ -117,8 +121,8 @@ class TcpConnection:
             raise ValueError("base RTT must be positive")
         self.link = link
         self.base_rtt = float(base_rtt)
-        self.cc = cc if cc is not None else BbrLike(mss=mss)
-        self.mss = mss
+        self.cc = cc if cc is not None else BbrLike()
+        self.mss = self.cc.mss
         self.loss_rng = loss_rng if loss_rng is not None else np.random.default_rng(0)
         self.srtt = self.base_rtt
         self.min_rtt = self.base_rtt
@@ -189,85 +193,7 @@ class TcpConnection:
             )
         self._handle_idle(at_time)
         info_at_send = self.tcp_info()
-
-        # One RTT round per iteration, ten a chunk: connection state lives
-        # in locals for the length of the loop and is written back once.
-        cc = self.cc
-        on_round = cc.on_round
-        epoch_at = self.link.epoch_at
-        base_rtt = self.base_rtt
-        mss = self.mss
-        srtt = self.srtt
-        min_rtt = self.min_rtt
-        delivery_rate_bps = self.delivery_rate_bps
-        queue_bytes = self._queue_bytes
-        window = self._in_flight_bytes
-        capacity_Bps = 0.0
-        # Capacity is constant on [now, next_change_after(now)), so one
-        # epoch_at read serves every round that starts inside that interval.
-        change_at = -math.inf
-        remaining = float(size_bytes)
-        elapsed = 0.0
-        rounds = 0
-        while remaining > 0:
-            rounds += 1
-            if rounds > _MAX_ROUNDS_PER_CHUNK:
-                raise RuntimeError("transmission did not terminate")
-            now = at_time + elapsed
-            if now >= change_at:
-                capacity_bps, change_at = epoch_at(now)
-                capacity_Bps = capacity_bps / 8.0
-            cwnd_bytes = cc.cwnd_bytes
-            window = min(cwnd_bytes, remaining)
-            # App-limited round (Linux `app_limited`): the send was capped
-            # by remaining application data, not the congestion window, so
-            # the delivery-rate sample understates what the path can carry.
-            app_limited = remaining < cwnd_bytes
-            drain_time = window / capacity_Bps
-            # Queueing delay from data the bottleneck hasn't drained yet.
-            rtt_sample = base_rtt + queue_bytes / capacity_Bps
-            link_limited = drain_time > rtt_sample
-            loss = False
-            if link_limited:
-                duration = drain_time
-                # The excess of window over one BDP sits in the queue.
-                bdp = capacity_Bps * base_rtt
-                queue_bytes = max(window - bdp, 0.0)
-                bdp = max(bdp, mss)
-                if queue_bytes > _QUEUE_LOSS_THRESHOLD * bdp:
-                    overflow = queue_bytes / bdp - _QUEUE_LOSS_THRESHOLD
-                    loss = bool(self.loss_rng.random() < min(0.8, 0.3 * overflow))
-            else:
-                duration = rtt_sample
-                queue_bytes = 0.0
-            delivery_rate = window * 8.0 / duration
-            on_round(
-                window,
-                duration,
-                rtt_sample,
-                delivery_rate,
-                link_limited,
-                loss,
-                app_limited,
-            )
-            srtt = (1.0 - _SRTT_GAIN) * srtt + _SRTT_GAIN * rtt_sample
-            if rtt_sample < min_rtt:
-                min_rtt = rtt_sample
-            # Linux semantics: app-limited samples may only *raise* the
-            # estimate — a short final round must not make the TTP's
-            # `delivery_rate` feature claim the path got slower.
-            if not app_limited or delivery_rate > delivery_rate_bps:
-                delivery_rate_bps = delivery_rate
-            remaining -= window
-            elapsed += duration
-
-        self.srtt = srtt
-        self.min_rtt = min_rtt
-        self.delivery_rate_bps = delivery_rate_bps
-        self._queue_bytes = queue_bytes
-        self._in_flight_bytes = window
-        self._total_bytes_sent += size_bytes
-        self._last_activity_end = at_time + elapsed
+        elapsed, rounds = self.cc.run_rounds(self, size_bytes, at_time)
         if obs.ENABLED:
             count_transmission(size_bytes, elapsed, rounds)
         return TransmissionResult(

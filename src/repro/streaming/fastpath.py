@@ -1,15 +1,17 @@
-"""Stream kernel for the buffer- and rate-based schemes on BBR connections.
+"""Stream kernel for the buffer- and rate-based schemes.
 
 :func:`fast_stream` is :func:`repro.streaming.simulator.stream_machine` for
 the streams whose every input it can reproduce without the machine's
 generality: the ABR scheme is exactly BBA, BOLA or rate-based and the
-transport is a private :class:`~repro.net.tcp.TcpConnection` under
-:class:`~repro.net.cc.bbr.BbrLike`.
+transport is a private :class:`~repro.net.tcp.TcpConnection`, under any
+congestion controller.
 :func:`repro.experiment.harness.session_machine` asks :func:`reproduces`
 once per session and then runs each stream through one kernel or the
 other; everything above the stream — assignment, paths, channel changes,
 CONSORT — exists once, there.  So does everything beside it: the decision
-rule is the scheme's own ``pick``, and telemetry and observability are
+rule is the scheme's own ``pick``, the TCP round is the controller's own
+:meth:`~repro.net.cc.base.CongestionControl.run_rounds` (the loop
+``TcpConnection.transmit`` runs), and telemetry and observability are
 reported at seams both loops share — the
 :class:`~repro.streaming.telemetry.StreamRecorder`'s calls,
 ``TcpConnection._handle_idle`` and :func:`repro.net.tcp.count_transmission`
@@ -21,38 +23,24 @@ What the kernel leaves out of a chunk's life:
 * the menu *rows* are read directly, with no ``ChunkMenu``, lookahead
   window or ``AbrContext`` per chunk, and the scheme's ``pick`` runs on
   those rows;
-* ``BbrLike.on_round`` is inlined into the round loop of
-  ``TcpConnection.transmit`` and the loss draw is skipped: BBR ignores a
-  round's ``loss`` flag and the loss generator feeds nothing else, so the
-  only trace is the generator's own unread state;
-* the round calls no builtin: the bandwidth filter's maximum is kept as a
-  running value with an age instead of ``max(samples)`` twice a round
-  (equal to it after every append — the age says when the maximum has
-  left the deque), and ``min``/``max`` clamps are comparisons that keep
-  the operand the builtin keeps, ties and ``-0.0`` included (the argument
-  is ``_transmit``'s docstring);
+* ``transmit``'s argument checks and ``TransmissionResult``: menu sizes
+  are positive and finite by construction, and the session machine never
+  starts a stream before ``busy_until``;
 * playback buffer, stream clock and watch limit live in locals, and the
   stream never yields — which is also why it may suspend the garbage
   collector around itself (a million small acyclic records a run; the
   suspension cannot leak into a driver).
 
-Connection and controller state are the *real* objects' attributes, read
-into locals before a chunk's rounds and written back after them, so
-``tcp_info()``, ``busy_until``, ``total_bytes_sent`` and the idle handler
-stay true between chunks and after the stream.  Every arithmetic operation
-keeps the reference's IEEE evaluation order; the results are bit-identical
-(``tests/streaming/test_fastpath_equivalence.py``, and for the round alone
-``tests/streaming/test_round_differential.py``).  ``transmit``'s
-argument checks have no mirror: menu sizes are positive and finite by
-construction and the session machine never starts a stream before
-``busy_until``.
+The results are bit-identical to ``stream_machine``'s
+(``tests/streaming/test_fastpath_equivalence.py``); the round both loops
+run is held to its frozen reference in
+``tests/net/test_transmit_differential.py``.
 """
 
 from __future__ import annotations
 
 import gc
-import math
-from typing import Deque, List, Optional, Tuple
+from typing import List, Optional
 
 from repro import obs
 from repro.abr.base import AbrAlgorithm, ChunkRecord
@@ -60,25 +48,11 @@ from repro.abr.bba import BBA
 from repro.abr.bola import Bola
 from repro.abr.rate_based import RateBased
 from repro.media.menus import MenuBlockSource
-from repro.net.cc.base import MAX_CWND_BYTES
-from repro.net.cc.bbr import (
-    _BW_FILTER_ROUNDS,
-    _FULL_PIPE_GROWTH,
-    _FULL_PIPE_ROUNDS,
-    BbrLike,
-)
-from repro.net.tcp import (
-    _MAX_ROUNDS_PER_CHUNK,
-    _SRTT_GAIN,
-    TcpConnection,
-    count_transmission,
-)
+from repro.net.tcp import TcpConnection, count_transmission
 from repro.streaming.buffer import BUFFER_EPSILON_S, MAX_BUFFER_S
 from repro.streaming.session import StreamResult
 from repro.streaming.simulator import ExtensionHook, Transport
 from repro.streaming.telemetry import StreamRecorder
-
-_MAX_CWND = float(MAX_CWND_BYTES)
 
 _SCHEMES = (BBA, Bola, RateBased)
 """The schemes whose ``pick`` the kernel feeds from menu rows, by exact
@@ -87,13 +61,11 @@ type: a subclass may override ``choose`` arbitrarily."""
 
 def reproduces(abr: AbrAlgorithm, transport: Transport) -> bool:
     """Whether :func:`fast_stream` reproduces ``stream_machine`` for this
-    scheme instance over this transport.  Exact types throughout — a
-    subclass of any of them may change what the kernel inlines."""
-    return (
-        type(abr) in _SCHEMES
-        and type(transport) is TcpConnection
-        and type(transport.cc) is BbrLike
-    )
+    scheme instance over this transport.  Exact types: a subclass of a
+    scheme may override ``choose`` and one of the connection ``transmit``,
+    neither of which the kernel calls.  The controller is not asked: both
+    loops run its own ``run_rounds``."""
+    return type(abr) in _SCHEMES and type(transport) is TcpConnection
 
 
 def fast_stream(
@@ -152,6 +124,7 @@ def _stream(
     next_row = source.next_row
     handle_idle = connection._handle_idle
     tcp_info = connection.tcp_info
+    run_rounds = connection.cc.run_rounds
     duration = source.chunk_duration
     level = 0.0  # PlaybackBuffer.level_s
     t = 0.0
@@ -199,7 +172,9 @@ def _stream(
         send_at = start_time + t
         handle_idle(send_at)
         info = tcp_info()
-        ttime = _transmit(connection, size, send_at)
+        ttime, rounds = run_rounds(connection, size, send_at)
+        if obs.ENABLED:
+            count_transmission(size, ttime, rounds)
         if recorder is not None:
             recorder.sent(t, chunk_index, size, ssim, ttime, info)
         t_end = t + ttime
@@ -261,148 +236,3 @@ def _stream(
     if recorder is not None:
         recorder.end(result)
     return result
-
-
-def _filter_max(samples: Deque[float]) -> Tuple[float, int]:
-    """``BbrLike``'s bandwidth estimate off its filter, and the age of the
-    copy of it ``max`` returns: how many appends ago that copy arrived.
-    ``max`` returns the first (oldest) of equal maxima, so a younger copy
-    may exist; ``_transmit`` only needs the age not to understate it."""
-    if not samples:
-        return 0.0, 0
-    bw = max(samples)
-    return bw, len(samples) - 1 - samples.index(bw)
-
-
-def _transmit(connection: TcpConnection, size_bytes: float, at_time: float) -> float:
-    """The round loop of ``TcpConnection.transmit`` with ``BbrLike.on_round``
-    inlined; returns the transmission time.  Idle handling and the
-    ``tcp_info`` snapshot are the caller's, through the connection's own
-    methods; the per-transmission totals are ``transmit``'s own helper.
-
-    Every float operation is the reference's, on the same operands in the
-    same order; what a round no longer pays for is a builtin call.
-
-    * *The filter's maximum is kept as it changes.*  ``on_round`` reads
-      ``max(samples)`` twice a round; here ``bw`` holds it, with ``age``, a
-      number of appends no smaller than the age of some copy of ``bw`` in
-      the deque (``_filter_max`` seeds both from the deque on every call,
-      because ``on_idle`` rewrites it between chunks).  Appending ``s``
-      keeps ``bw == max(samples)``: if ``s >= bw`` then ``s`` is at least
-      every element, so it is the maximum, at age 0 (a tie is the same
-      double: a rate is a positive window over at least the base RTT,
-      never ``-0.0`` or NaN).  Otherwise the copy of ``bw`` is one append
-      older and, while that age is below the deque's ``maxlen``
-      (``_BW_FILTER_ROUNDS``), still inside it; every element is at most
-      ``bw`` and ``s`` is below it, so the maximum is still ``bw``.  Only
-      when the age reaches ``maxlen`` has that copy been evicted, and the
-      deque is scanned again.  An overstated age only rescans early.
-    * *Clamps are comparisons.*  ``min(a, b)`` is ``b if b < a else a`` and
-      ``max(a, b)`` is ``b if b > a else a`` — the first operand wins ties
-      and a NaN in the second — and each comparison below is written to
-      keep exactly that operand: ``window`` is ``remaining`` only when
-      ``remaining < cwnd``; a queue of ``-0.0`` stays ``-0.0`` because
-      ``-0.0 < 0.0`` is false; the window is raised to its floor only when
-      below it and lowered to the ceiling only when above it.
-    * *Constants are hoisted only as the same double*: the round's BDP
-      ``capacity_Bps * base_rtt`` is computed once per capacity read from
-      the same two operands, and ``1.0 - _SRTT_GAIN`` is 0.875 exactly.
-    """
-    cc = connection.cc
-    epoch_at = connection.link.epoch_at
-    base_rtt = connection.base_rtt
-    srtt = connection.srtt
-    min_rtt = connection.min_rtt
-    delivery_rate_bps = connection.delivery_rate_bps
-    queue_bytes = connection._queue_bytes
-    window = connection._in_flight_bytes
-    cwnd = cc.cwnd_bytes
-    cwnd_gain = cc.cwnd_gain
-    cwnd_floor = 2.0 * cc.mss
-    samples = cc._bw_samples
-    append = samples.append
-    bw, age = _filter_max(samples)
-    cc_min_rtt = cc._min_rtt
-    in_startup = cc._in_startup
-    baseline = cc._full_pipe_baseline
-    stale = cc._stale_rounds
-    srtt_keep = 1.0 - _SRTT_GAIN
-    capacity_Bps = 0.0
-    bdp = 0.0
-    change_at = -math.inf
-    remaining = float(size_bytes)
-    elapsed = 0.0
-    rounds = 0
-    while remaining > 0:
-        rounds += 1
-        if rounds > _MAX_ROUNDS_PER_CHUNK:
-            raise RuntimeError("transmission did not terminate")
-        now = at_time + elapsed
-        if now >= change_at:
-            capacity_bps, change_at = epoch_at(now)
-            capacity_Bps = capacity_bps / 8.0
-            bdp = capacity_Bps * base_rtt
-        app_limited = remaining < cwnd
-        window = remaining if app_limited else cwnd
-        drain_time = window / capacity_Bps
-        rtt_sample = base_rtt + queue_bytes / capacity_Bps
-        if drain_time > rtt_sample:  # link limited
-            duration = drain_time
-            queue_bytes = window - bdp
-            if queue_bytes < 0.0:
-                queue_bytes = 0.0
-        else:
-            duration = rtt_sample
-            queue_bytes = 0.0
-        delivery_rate = window * 8.0 / duration
-        # --- BbrLike.on_round ---------------------------------------------
-        if not app_limited or delivery_rate > bw:
-            append(delivery_rate)
-            if delivery_rate >= bw:
-                bw = delivery_rate
-                age = 0
-            else:
-                age += 1
-                if age >= _BW_FILTER_ROUNDS:
-                    bw, age = _filter_max(samples)
-        if rtt_sample < cc_min_rtt:
-            cc_min_rtt = rtt_sample
-        if in_startup:
-            if bw > baseline * _FULL_PIPE_GROWTH:
-                baseline = bw
-                stale = 0
-            elif not app_limited:
-                stale += 1
-                if stale >= _FULL_PIPE_ROUNDS:
-                    in_startup = False
-            if not app_limited:
-                cwnd *= 2.0
-        if not in_startup and bw > 0 and cc_min_rtt < math.inf:
-            cwnd = cwnd_gain * (bw / 8.0 * cc_min_rtt)
-        if cwnd < cwnd_floor:
-            cwnd = cwnd_floor
-        if cwnd > _MAX_CWND:
-            cwnd = _MAX_CWND
-        # --- the connection's own updates ---------------------------------
-        srtt = srtt_keep * srtt + _SRTT_GAIN * rtt_sample
-        if rtt_sample < min_rtt:
-            min_rtt = rtt_sample
-        if not app_limited or delivery_rate > delivery_rate_bps:
-            delivery_rate_bps = delivery_rate
-        remaining -= window
-        elapsed += duration
-    cc.cwnd_bytes = cwnd
-    cc._min_rtt = cc_min_rtt
-    cc._in_startup = in_startup
-    cc._full_pipe_baseline = baseline
-    cc._stale_rounds = stale
-    connection.srtt = srtt
-    connection.min_rtt = min_rtt
-    connection.delivery_rate_bps = delivery_rate_bps
-    connection._queue_bytes = queue_bytes
-    connection._in_flight_bytes = window
-    connection._total_bytes_sent += size_bytes
-    connection._last_activity_end = at_time + elapsed
-    if obs.ENABLED:
-        count_transmission(size_bytes, elapsed, rounds)
-    return elapsed

@@ -54,6 +54,44 @@ class TestBuildDatasets:
         datasets = build_ttp_datasets([make_stream(5, tx=2.0)], ttp)
         assert all(t == time_bin_index(2.0) for t in datasets[0].targets)
 
+    def test_a_long_stream_equals_full_prefix_datasets(self):
+        # The features read the last HISTORY_LEN records only, so each
+        # example is built from that window: the datasets are those the
+        # full prefixes give, bit for bit, and the records read grow
+        # linearly with the stream instead of quadratically.
+        from repro.core.features import HISTORY_LEN
+
+        rng = np.random.default_rng(4)
+        n, horizon = 2000, 5
+        records = [
+            ChunkRecord(
+                chunk_index=i, rung=int(rng.integers(10)),
+                size_bytes=float(rng.uniform(5e4, 2e6)), ssim_db=15.0,
+                transmission_time=float(rng.lognormal(0.0, 1.0)),
+                info_at_send=info(float(rng.uniform(1e5, 5e7))),
+                send_time=2.0 * i,
+            )
+            for i in range(n)
+        ]
+        ttp = TransmissionTimePredictor(TtpConfig(horizon=horizon), seed=0)
+        stream = StreamResult(0, "x", records=CountingSequence(records))
+        got = build_ttp_datasets([stream], ttp, sample_weight=0.5)
+        assert stream.records.touched <= (HISTORY_LEN + 1 + 2 * horizon) * n
+
+        features = [[] for _ in range(horizon)]
+        labels = [[] for _ in range(horizon)]
+        for i in range(n):
+            steps = min(horizon, n - i)
+            sizes = np.array([records[i + k].size_bytes for k in range(steps)])
+            rows = ttp.masked_features(records[:i], records[i].info_at_send, sizes)
+            for k in range(steps):
+                features[k].append(rows[k])
+                labels[k].append(ttp.label_for(records[i + k]))
+        for k in range(horizon):
+            assert np.array_equal(got[k].features, np.vstack(features[k]))
+            assert np.array_equal(got[k].targets, np.asarray(labels[k]))
+            assert np.array_equal(got[k].weights, np.full(n - k, 0.5))
+
     def test_sample_weight_applied(self):
         ttp = TransmissionTimePredictor(TtpConfig(horizon=1), seed=0)
         datasets = build_ttp_datasets([make_stream(5)], ttp, sample_weight=0.25)

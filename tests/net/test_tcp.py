@@ -6,13 +6,20 @@ snapshot semantics of the ``video_sent`` record.
 """
 
 import copy
+import math
+import re
 
 import numpy as np
 import pytest
 
+from repro.abr.bba import BBA
+from repro.media.menus import MenuBlockSource
+from repro.media.source import DEFAULT_CHANNELS
+from repro.net.cc.bbr import BbrLike
 from repro.net.cc.cubic import CubicLike
-from repro.net.link import ConstantLink, TraceLink
+from repro.net.link import ConstantLink, LinkModel, TraceLink
 from repro.net.tcp import TcpConnection
+from repro.streaming.fastpath import fast_stream
 
 
 def fresh_connection(rate=8e6, rtt=0.05, **kwargs):
@@ -171,18 +178,16 @@ class TestAppLimited:
         conn.transmit(5_000, 0.0)
         assert conn.tcp_info().delivery_rate > 0.0
 
-    def test_round_default_not_app_limited(self):
-        # A round reported without the flag counts as window-limited: in
-        # STARTUP it doubles the window, which an app-limited one may not.
-        from repro.net.cc.bbr import BbrLike
-
-        cc = BbrLike()
-        before = cc.cwnd_bytes
-        cc.on_round(
-            delivered_bytes=1e4, duration=0.05, rtt=0.05,
-            delivery_rate_bps=1e6, link_limited=False, loss=False,
-        )
-        assert cc.cwnd_bytes == 2.0 * before
+    def test_a_round_that_fills_the_window_is_not_app_limited(self):
+        # In STARTUP a window-limited round doubles the window; a round the
+        # application could not fill, even by one byte, may not.
+        full = fresh_connection(rate=1e9)
+        window = full.cc.cwnd_bytes
+        full.transmit(window, 0.0)
+        assert full.cc.cwnd_bytes == 2.0 * window
+        short = fresh_connection(rate=1e9)
+        short.transmit(window - 1.0, 0.0)
+        assert short.cc.cwnd_bytes == window
 
 
 class TestTcpInfo:
@@ -248,3 +253,57 @@ class TestCubicConnection:
         res = conn.transmit(size, 0.0)
         throughput = size * 8 / res.transmission_time
         assert 2e6 < throughput <= 8.1e6
+
+
+class TestOneMss:
+    def test_the_window_is_reported_in_the_controllers_segments(self):
+        conn = TcpConnection(ConstantLink(8e6), 0.05, cc=BbrLike(mss=1000))
+        assert conn.mss == 1000
+        conn.transmit(2_000_000, 0.0)
+        info = conn.tcp_info()
+        assert info.cwnd == conn.cc.cwnd_segments
+        assert info.in_flight == conn._in_flight_bytes / 1000
+
+    def test_the_connection_takes_no_mss_of_its_own(self):
+        with pytest.raises(TypeError, match="mss"):
+            TcpConnection(
+                ConstantLink(8e6), 0.05, cc=BbrLike(mss=1000), mss=1460
+            )
+
+
+class BadCapacityLink(LinkModel):
+    """5 Mbit/s until ``t = 0.1``, then ``bad``."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def capacity_at(self, t):
+        return 5e6 if t < 0.1 else self.bad
+
+    def next_change_after(self, t):
+        return 0.1 if t < 0.1 else math.inf
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [float("nan"), -1e6, 0.0, -0.0, float("inf"), float("-inf")],
+    ids=repr,
+)
+@pytest.mark.parametrize("cc", [BbrLike, CubicLike])
+@pytest.mark.parametrize("loop", ["transmit", "kernel_stream"])
+def test_a_bad_capacity_read_raises_by_name(bad, cc, loop):
+    # Unchecked, NaN gave a NaN transmission time (and NaN rtt and delivery
+    # rate), -1e6 and inf a chunk "delivered" in one round, and 0 a bare
+    # ZeroDivisionError — in whichever round loop read it.
+    conn = TcpConnection(BadCapacityLink(bad), 0.05, cc=cc())
+    message = rf"BadCapacityLink reported capacity {re.escape(repr(bad))} b/s at t="
+    with pytest.raises(ValueError, match=message) as raised:
+        if loop == "transmit":
+            conn.transmit(200_000, 0.0)
+        else:
+            fast_stream(
+                MenuBlockSource(DEFAULT_CHANNELS[0], np.random.default_rng(0)),
+                BBA(), conn, 30.0, 0, None, 0.0, None,
+            )
+    at = float(str(raised.value).split("at t=")[1].split(";")[0])
+    assert at >= 0.1

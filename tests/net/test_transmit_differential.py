@@ -1,15 +1,21 @@
 """The TCP round against its frozen predecessor, bit for bit.
 
-Moving the round loop onto local variables, looking capacity up once per
-capacity epoch and handing ``on_round`` seven plain values may change *when*
-state is written and never *what*: for every link model, both congestion
-controllers and any schedule of sends and idle gaps, the live
-``TcpConnection`` returns the results and ends in the state
-``tests/net/transmit_reference.py`` does — same float64 bits, same
-loss-generator position, same epochs realized on the link, and with
-observability on the same counters and histograms, less the per-round ones
-the reference still counts and the live round no longer does.  No tolerance
-anywhere in this file.
+Each congestion controller owns its round loop: the generic one behind
+``CongestionControl.run_rounds`` (CUBIC's, which calls ``on_round`` and
+draws the loss generator) and ``BbrLike.run_rounds``, with BBR's update
+written into the round — its filter maximum kept as a running value with an
+age, clamps written as comparisons, the BDP computed once per capacity
+read.  ``TcpConnection.transmit`` and the stream kernel both run them.  For
+every link model, both controllers and any schedule of sends and idle gaps,
+the live ``TcpConnection`` returns the results and ends in the state
+``tests/net/transmit_reference.py`` does — same float64 bits, same epochs
+realized on the link, and with observability on the same counters and
+histograms, less the per-round ones the reference still counts and the live
+round no longer does.  CUBIC's loss generator ends in the reference's
+position; BBR's round computes no loss flag, so its generator is never
+drawn (the live BBR connection's raises if it is).  The forced cases put
+BBR's filter where a running maximum can go wrong.  No tolerance anywhere
+in this file.
 """
 
 import math
@@ -94,7 +100,9 @@ def canonical(value):
     """A value with its type and, for floats, its exact bit pattern."""
     if isinstance(value, float):
         return ("float", struct.pack("<d", value))
-    if isinstance(value, (deque, list, tuple)):
+    if isinstance(value, deque):
+        return ("deque", value.maxlen, [canonical(v) for v in value])
+    if isinstance(value, (list, tuple)):
         return (type(value).__name__, [canonical(v) for v in value])
     if isinstance(value, np.random.Generator):
         return ("rng", value.bit_generator.state)
@@ -109,13 +117,23 @@ def state_of(obj, skip=()):
     }
 
 
+class NeverDrawn:
+    """The live BBR connection's loss generator: BBR ignores loss, so its
+    round computes no loss flag and any draw is a defect."""
+
+    def random(self):
+        raise AssertionError("BBR's round drew from the loss generator")
+
+
 def make_pair(link_kind, cc_kind, rate, rtt, seed):
     live_cc, reference_cc = CONTROLLERS[cc_kind]
     live = TcpConnection(
         LINKS[link_kind](rate, seed),
         base_rtt=rtt,
         cc=live_cc(),
-        loss_rng=np.random.default_rng(seed + 1),
+        loss_rng=(
+            NeverDrawn() if cc_kind == "bbr" else np.random.default_rng(seed + 1)
+        ),
     )
     reference = ReferenceTcpConnection(
         LINKS[link_kind](rate, seed),
@@ -140,6 +158,8 @@ def assert_same_step(live, reference, got, want):
     assert got.rounds == want.rounds
     assert state_of(got.info_at_send) == state_of(want.info_at_send)
     skip = ("link", "cc")
+    if isinstance(live.loss_rng, NeverDrawn):
+        skip += ("loss_rng",)
     assert state_of(live, skip) == state_of(reference, skip)
     assert state_of(live.cc) == state_of(reference.cc)
     # The link realizes the same epochs from the same generator position.
@@ -231,7 +251,8 @@ def test_long_session_matches_reference_with_obs_on_and_off(link_kind, cc_kind):
 def test_merged_registry_equals_the_references():
     """Per-connection contexts fold into the registry the reference's do —
     the shape a trial merges session shards in."""
-    live_shards, reference_shards, total_rounds, drawn = [], [], 0, 0
+    live_shards, reference_shards, total_rounds = [], [], 0
+    drawn = dict.fromkeys(CONTROLLERS, 0)
     for seed, (link_kind, cc_kind) in enumerate(
         (kind, cc) for kind in sorted(LINKS) for cc in sorted(CONTROLLERS)
     ):
@@ -244,14 +265,93 @@ def test_merged_registry_equals_the_references():
         live_shards.append(live_ctx)
         reference_shards.append(reference_ctx)
         fresh = np.random.default_rng(seed + 1).bit_generator.state
-        drawn += live.loss_rng.bit_generator.state != fresh
+        drawn[cc_kind] += reference.loss_rng.bit_generator.state != fresh
     merged = obs.merge_contexts(live_shards)
     expected = obs.merge_contexts(reference_shards)
     assert_same_metrics(merged.metrics, expected.metrics)
     assert merged.metrics.counters["tcp.rounds"] == total_rounds
-    # The schedule reaches the stochastic-loss branch (the loss generator
-    # has advanced), or the comparison of its positions above proves nothing.
-    assert drawn > 0
+    # The schedules reach the stochastic-loss branch under both controllers
+    # (the reference's generator has advanced), or neither the comparison of
+    # CUBIC's positions nor BBR's undrawn generator proves anything.
+    assert all(drawn.values())
+
+
+def send(live, reference, size, at):
+    """One chunk down both connections, compared after it."""
+    got = live.transmit(size, at)
+    assert_same_step(live, reference, got, reference.transmit(size, at))
+    return got
+
+
+def preload(live, reference, samples, min_rtt, cwnd):
+    """Put both BBR controllers in one filter state, out of STARTUP."""
+    for cc in (live.cc, reference.cc):
+        cc._bw_samples.clear()
+        cc._bw_samples.extend(samples)
+        cc._in_startup = False
+        cc._min_rtt = min_rtt
+        cc.cwnd_bytes = cwnd
+    assert state_of(live.cc) == state_of(reference.cc)
+
+
+def test_bbr_maximum_in_the_oldest_slot_of_a_full_filter():
+    """The first sample evicts the maximum: the estimate must fall to the
+    largest sample left, at once."""
+    live, reference = make_pair("constant", "bbr", 8e6, 0.04, 0)
+    older = [5e7] + [1e6 + 1e5 * k for k in range(9)]
+    preload(live, reference, older, min_rtt=0.04, cwnd=5e5)
+    send(live, reference, 4e6, 0.0)
+    # The evicted maximum would have pinned the window at 2 BDP of 50 Mbit/s.
+    assert max(live.cc._bw_samples) < 5e7
+    assert live.cc.cwnd_bytes < 2.0 * 5e7 / 8.0 * 0.04
+
+
+@pytest.mark.parametrize("copies", [1, 2, 5, 10])
+def test_bbr_runs_of_equal_rates(copies):
+    """Several copies of the maximum, then rounds below it: the estimate
+    holds while any copy is in the deque and falls once the last one is
+    evicted."""
+    live, reference = make_pair("constant", "bbr", 8e6, 0.04, 0)
+    top = 4e7
+    older = [top] * copies + [2e6] * (10 - copies)
+    preload(live, reference, older, min_rtt=0.04, cwnd=4e5)
+    send(live, reference, 2e6, 0.0)
+    send(live, reference, 6e6, live.busy_until)
+    assert top not in live.cc._bw_samples
+
+
+def test_bbr_fixed_point_rounds_append_equal_rates():
+    """A long transfer on a constant link settles on one window whose
+    rounds deliver the same rate again and again, so the filter fills with
+    copies of its maximum and every append is a tie."""
+    live, reference = make_pair("constant", "bbr", 8e6, 0.04, 0)
+    for _ in range(4):
+        send(live, reference, 8e6, live.busy_until)
+    samples = list(live.cc._bw_samples)
+    assert len(set(samples)) < len(samples)  # the filter holds ties
+
+
+@pytest.mark.parametrize(
+    "estimate, appended", [(1e5, True), (1e9, False)], ids=["above", "below"]
+)
+def test_bbr_app_limited_final_round(estimate, appended):
+    """A chunk smaller than the window is one app-limited round: its rate
+    joins the filter only above the estimate."""
+    live, reference = make_pair("constant", "bbr", 3e7, 0.02, 0)
+    preload(live, reference, [3e6, estimate], min_rtt=0.02, cwnd=2e5)
+    assert send(live, reference, 5e4, 0.0).rounds == 1
+    assert (len(live.cc._bw_samples) == 3) is appended
+
+
+def test_bbr_idle_restart_reseeds_the_filter():
+    """``on_idle`` rewrites the deque between chunks (one discounted
+    sample); the next call must start from the rewritten deque, not from a
+    maximum carried over from the last call."""
+    live, reference = make_pair("constant", "bbr", 8e6, 0.04, 0)
+    send(live, reference, 4e6, 0.0)
+    assert len(live.cc._bw_samples) > 1
+    send(live, reference, 4e6, live.busy_until + 30.0)
+    send(live, reference, 4e6, live.busy_until)
 
 
 @given(

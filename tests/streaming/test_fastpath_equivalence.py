@@ -15,7 +15,7 @@ import ast
 import gc
 import inspect
 import json
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
 from textwrap import dedent
@@ -53,12 +53,14 @@ from repro.fleet import (
 )
 from repro.media.menus import MenuBlockSource
 from repro.media.source import DEFAULT_CHANNELS
+from repro.net.cc.base import CongestionControl
 from repro.net.cc.bbr import BbrLike
+from repro.net.cc.cubic import CubicLike
 from repro.net.link import ConstantLink
 from repro.net.path import PopulationModel
 from repro.net.tcp import TcpConnection
 from repro.streaming import fastpath
-from repro.streaming.simulator import TransmitRequest, simulate_stream
+from repro.streaming.simulator import simulate_stream
 from repro.streaming.telemetry import StreamRecorder, TelemetryLog
 
 
@@ -194,14 +196,15 @@ class TestSchemeEquivalence:
             if shard.session.scheme == "bba"
         )
 
-    def test_all_cubic_population_takes_the_reference_path(self, spy):
-        # The kernel inlines BBR; every CUBIC session is stream_machine's.
+    def test_all_cubic_population_streams_on_the_kernel(self, spy):
+        # The kernel runs the controller's own round: CUBIC's draws its loss
+        # generator there exactly as stream_machine's transmit does.
         config = replace(
             smoke_trial_config(seed=4),
             population=PopulationModel(cubic_fraction=1.0),
         )
         assert_equivalent([spec("bba", BBA)], config, range(6))
-        assert spy.kernel_streams == 0
+        assert spy.kernel_streams > 0
 
     def test_unordered_ids_through_one_algorithm_cache(self):
         # A kernel stream leaves nothing on the shared scheme instance that
@@ -277,9 +280,6 @@ class TestSelection:
         class TunedBBA(BBA):
             pass
 
-        class TunedBbr(BbrLike):
-            pass
-
         class TunedConnection(TcpConnection):
             pass
 
@@ -289,10 +289,9 @@ class TestSelection:
             assert fastpath.reproduces(algorithm, plain)
         assert not fastpath.reproduces(MpcHm(), plain)
         assert not fastpath.reproduces(TunedBBA(), plain)
-        assert not fastpath.reproduces(
-            BBA(), TcpConnection(link, 0.05, cc=TunedBbr())
-        )
         assert not fastpath.reproduces(BBA(), TunedConnection(link, 0.05))
+        # The controller is not asked, whatever its type.
+        assert fastpath.reproduces(BBA(), TcpConnection(link, 0.05, cc=CubicLike()))
 
     def test_a_bba_subclass_streams_through_the_reference_path(self, spy):
         class TunedBBA(BBA):
@@ -303,24 +302,50 @@ class TestSelection:
         assert spy.kernel_streams == 0 and spy.transmits > 0
         assert tuned.session == run_session([spec("bba", BBA)], config, 0).session
 
-    def test_a_bbr_subclass_streams_through_the_reference_path(self, spy):
+    def test_a_bbr_subclass_streams_on_the_kernel(self, spy):
+        # Both loops hand every chunk to the controller's run_rounds, so a
+        # subclass — here one that narrows the gain and counts its chunks —
+        # is the kernel's and the reference loop's alike.
         class TunedBbr(BbrLike):
-            pass
+            chunks = 0
 
-        machine = session_machine([spec("bba", BBA)], smoke_trial_config(seed=9), 0)
-        connect = machine.send(None)
-        connection = TcpConnection(
-            connect.path.link, connect.path.base_rtt, cc=TunedBbr()
-        )
-        assert isinstance(machine.send(connection), TransmitRequest)
-        assert spy.kernel_streams == 0
+            def __init__(self):
+                super().__init__(cwnd_gain=1.5)
+
+            def run_rounds(self, connection, size_bytes, at_time):
+                TunedBbr.chunks += 1
+                return super().run_rounds(connection, size_bytes, at_time)
+
+        specs = [spec("bba", BBA)]
+        config = smoke_trial_config(seed=9)
+        runs = []
+        for loop in (nullcontext, reference_loop):
+            TunedBbr.chunks = 0
+            with loop():
+                shard, _ = drive(specs, config, 0, cc=TunedBbr)
+            runs.append((shard.session, TunedBbr.chunks))
+        kernel, reference = runs
+        assert kernel == reference
+        # Every chunk sent went through it (a departure mid-chunk is sent
+        # but not recorded).
+        assert kernel[1] >= sum(len(s.records) for s in kernel[0].streams) > 0
+        assert spy.kernel_streams == len(kernel[0].streams)
+        assert spy.transmits >= kernel[1]
+        # The subclass's gain took effect: the session is not plain BBR's.
+        assert kernel[0] != drive(specs, config, 0)[0].session
 
 
-def drive(specs, config, session_id):
-    """``run_session`` by hand, keeping the connection."""
+def drive(specs, config, session_id, cc=None):
+    """``run_session`` by hand, keeping the connection; ``cc``, when given,
+    builds the connection's controller in place of the path's."""
     machine = session_machine(specs, config, session_id)
     connect = machine.send(None)
     connection = connect.path.connect(seed=connect.seed)
+    if cc is not None:
+        connection = TcpConnection(
+            connect.path.link, connect.path.base_rtt, cc=cc(),
+            loss_rng=connection.loss_rng,
+        )
     with obs.activate(connect.obs_ctx):
         response = connection
         while True:
@@ -336,9 +361,9 @@ class TestConnectionEndState:
     def test_the_real_connection_ends_in_the_reference_state(
         self, name, factory, spy
     ):
-        # The kernel works on locals and writes back: after the last stream
-        # the connection and its controller must be what transmit() would
-        # have left — only the loss generator's unread state may differ.
+        # The kernel runs the controller's round, as transmit() does: after
+        # the last stream the connection, its controller and its loss
+        # generator must be what transmit() would have left.
         specs = [spec(name, factory)]
         config = smoke_trial_config(seed=9)
         for sid in range(6):
@@ -357,6 +382,10 @@ class TestConnectionEndState:
 
             assert state(fast) == state(slow)
             assert vars(fast.cc) == vars(slow.cc)
+            assert (
+                fast.loss_rng.bit_generator.state
+                == slow.loss_rng.bit_generator.state
+            )
             assert fast.tcp_info() == slow.tcp_info()
             assert fast.total_bytes_sent == slow.total_bytes_sent > 0
             assert fast.busy_until == slow.busy_until
@@ -444,21 +473,38 @@ class TestStructure:
 
     def test_nothing_is_counted_inside_a_round(self):
         # Observability reports at seams both loops share; a counter inside
-        # either round loop would make the kernel and the reference loop
-        # count differently again.
+        # a controller's round loop would cost every round of every run.
         rounds = [
             node
-            for function in (TcpConnection.transmit, fastpath._transmit)
+            for function in (CongestionControl.run_rounds, BbrLike.run_rounds)
             for node in ast.walk(ast.parse(dedent(inspect.getsource(function))))
             if isinstance(node, ast.While)
         ]
-        rounds.append(ast.parse(dedent(inspect.getsource(BbrLike.on_round))))
-        assert len(rounds) == 3
+        assert len(rounds) == 2
         for loop in rounds:
             assert not any(
                 isinstance(node, ast.Name) and node.id == "obs"
                 for node in ast.walk(loop)
             )
+
+    def test_one_bbr_round(self):
+        # BBR's update lives in its round loop and nowhere else; the kernel
+        # has no round of its own.
+        assert "on_round" not in vars(BbrLike)
+        path = self.SRC / "streaming" / "fastpath.py"
+        assert not any(
+            module.startswith("repro.net.cc") for module in self._imports(path)
+        )
+        source = path.read_text()
+        assert "run_rounds" in source
+        assert not any(
+            isinstance(node, ast.While)
+            and any(
+                isinstance(n, ast.Name) and n.id == "remaining"
+                for n in ast.walk(node)
+            )
+            for node in ast.walk(ast.parse(source))
+        )
 
     def test_kernel_signature_has_no_options(self):
         # No width, no mode, no hook: the session machine passes what
@@ -476,25 +522,42 @@ class TestDrivers:
 
     @pytest.mark.parallel_smoke
     @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cubic_fraction", [0.0, 0.3])
     @pytest.mark.parametrize(
         "arms",
         [[name] for name, _ in KERNEL_SCHEMES] + [["bba", "mpc_hm"]],
         ids=lambda arms: "+".join(arms),
     )
     def test_observed_trial_on_the_kernel_equals_the_reference_loop(
-        self, arms, workers, spy
+        self, arms, cubic_fraction, workers, spy, monkeypatch
     ):
+        cubic_chunks = []
+        run_rounds = CubicLike.run_rounds
+
+        def counting_run_rounds(cc, connection, size_bytes, at_time):
+            cubic_chunks.append(size_bytes)
+            return run_rounds(cc, connection, size_bytes, at_time)
+
+        monkeypatch.setattr(CubicLike, "run_rounds", counting_run_rounds)
         factories = dict(KERNEL_SCHEMES, mpc_hm=MpcHm)
         specs = [spec(name, factories[name]) for name in arms]
-        config = replace(smoke_trial_config(seed=3), n_sessions=8)
+        base = smoke_trial_config(seed=3)
+        config = replace(
+            base,
+            n_sessions=8,
+            population=replace(base.population, cubic_fraction=cubic_fraction),
+        )
         observed_config = replace(config, observability=True)
         trial = RandomizedTrial(specs, config).run(workers=workers)
         unobserved_streams = spy.kernel_streams
         observed = RandomizedTrial(specs, observed_config).run(workers=workers)
         if workers == 1:
             # The premise: observing kept every kernel stream on the kernel
-            # (a forked worker's spy counts where the parent cannot see).
+            # (a forked worker's spy counts where the parent cannot see),
+            # and CUBIC paths, when drawn, streamed there too.
             assert spy.kernel_streams == 2 * unobserved_streams > 0
+            assert bool(cubic_chunks) == (cubic_fraction > 0)
+            assert spy.transmits == 0 or "mpc_hm" in arms
         with reference_loop():
             reference = RandomizedTrial(specs, observed_config).run(
                 workers=workers
