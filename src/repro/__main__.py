@@ -164,21 +164,7 @@ def _cmd_detectability(args: argparse.Namespace) -> int:
 
 def _obs_collect_specs():
     """Cheap classical schemes for the ``obs collect`` mini-trial."""
-    from repro.abr import BBA, MpcHm
-    from repro.experiment.schemes import SchemeSpec
-
-    return [
-        SchemeSpec(
-            name="bba", control="classical", predictor="n/a",
-            optimization_goal="+SSIM s.t. bitrate < limit",
-            how_trained="n/a", factory=BBA,
-        ),
-        SchemeSpec(
-            name="mpc_hm", control="classical", predictor="classical (HM)",
-            optimization_goal="+SSIM, -stalls, -dSSIM",
-            how_trained="n/a", factory=MpcHm,
-        ),
-    ]
+    return _fleet_specs(["bba", "mpc_hm"])
 
 
 def _cmd_obs_collect(args: argparse.Namespace) -> int:
@@ -305,51 +291,22 @@ def _cmd_sanitize_run(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # fleet: open-ended deployment simulation (repro.fleet)
 # ---------------------------------------------------------------------------
-_FLEET_SCHEME_REGISTRY = ("bba", "mpc_hm", "robust_mpc_hm", "bola")
-
-
 def _fleet_specs(names):
-    """Classical (untrained) scheme registry for fleet runs.
+    """The named classical (untrained) schemes for fleet runs.
 
     Fleet runs measure the *deployment machinery* — arrivals, streaming
     aggregation, checkpoint/resume — so they use cheap classical schemes
     rather than paying to train learned models first.
     """
-    from repro.abr import BBA, Bola, MpcHm, RobustMpcHm
-    from repro.experiment.schemes import SchemeSpec
+    from repro.experiment.schemes import CLASSICAL_SCHEMES
 
-    registry = {
-        "bba": SchemeSpec(
-            name="bba", control="classical", predictor="n/a",
-            optimization_goal="+SSIM s.t. bitrate < limit",
-            how_trained="n/a", factory=BBA,
-        ),
-        "mpc_hm": SchemeSpec(
-            name="mpc_hm", control="classical", predictor="classical (HM)",
-            optimization_goal="+SSIM, -stalls, -dSSIM",
-            how_trained="n/a", factory=MpcHm,
-        ),
-        "robust_mpc_hm": SchemeSpec(
-            name="robust_mpc_hm", control="classical",
-            predictor="classical (HM, conservative)",
-            optimization_goal="+SSIM, -stalls, -dSSIM",
-            how_trained="n/a", factory=RobustMpcHm,
-        ),
-        "bola": SchemeSpec(
-            name="bola", control="classical", predictor="n/a",
-            optimization_goal="+utility (Lyapunov)",
-            how_trained="n/a", factory=Bola,
-        ),
-    }
-    specs = []
-    for name in names:
-        if name not in registry:
-            raise SystemExit(
-                f"unknown scheme {name!r}; choose from "
-                f"{', '.join(sorted(registry))}"
-            )
-        specs.append(registry[name])
-    return specs
+    unknown = [name for name in names if name not in CLASSICAL_SCHEMES]
+    if unknown:
+        raise SystemExit(
+            f"unknown scheme {unknown[0]!r}; choose from "
+            f"{', '.join(sorted(CLASSICAL_SCHEMES))}"
+        )
+    return [CLASSICAL_SCHEMES[name] for name in names]
 
 
 def _parse_flash_crowd(text: str):
@@ -765,8 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--schemes", nargs="+", default=["bba", "mpc_hm"],
-            choices=list(_FLEET_SCHEME_REGISTRY),
-            help="classical schemes to randomize between",
+            help="classical schemes to randomize between (the names of "
+            "repro.experiment.schemes.CLASSICAL_SCHEMES)",
         )
         p.add_argument(
             "--workers", type=int, default=1,

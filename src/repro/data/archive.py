@@ -1,19 +1,28 @@
 """Writing and reading the daily open-data archive (Appendix B).
 
-Each archive day is a directory of three CSV files:
+Each archive day is a directory of three CSV files, ``video_sent.csv``,
+``video_acked.csv`` and ``client_buffer.csv``.  A table's columns are its
+record type's dataclass fields, in field order
+(:class:`~repro.streaming.telemetry.VideoSentRecord`,
+:class:`~repro.streaming.telemetry.VideoAckedRecord`,
+:class:`~repro.streaming.telemetry.ClientBufferRecord`): the record types
+are the one definition of the format, for the writer, the reader and the
+JSON round trip alike.  The column sets match the fields the paper
+describes for the public data (IP addresses and user ids are redacted in
+the real archive; the simulator never produces them).
 
-* ``video_sent.csv`` — time, stream_id, expt_id, chunk_index, size,
-  ssim_index, cwnd, in_flight, min_rtt, rtt, delivery_rate;
-* ``video_acked.csv`` — time, stream_id, expt_id, chunk_index;
-* ``client_buffer.csv`` — time, stream_id, expt_id, event, buffer,
-  cum_rebuf.
+One reader, :func:`_read_rows`, parses one table's rows between two byte
+offsets: :func:`load_archive_day` reads from the end of the header to the
+end of the file, :func:`read_telemetry_slice` between two
+:meth:`ArchiveAppender.offsets` snapshots.  A torn row (the last row
+without its line terminator, a row with the wrong number of fields, a
+field that does not parse) raises :class:`ArchiveError` naming the file and
+the row's byte offset; it never decodes to a wrong value.
 
-The column sets match the fields the paper describes for the public data
-(IP addresses and user ids are redacted in the real archive; the simulator
-never produces them). :func:`reconstruct_streams` performs the join a
-downstream analyst performs: sent ⋈ acked on (stream_id, chunk_index)
-recovers per-chunk transmission times, and ``client_buffer`` yields stall
-accounting.
+One join, :func:`_deliveries`, is the sent ⋈ acked join on (stream_id,
+chunk_index) that recovers per-chunk transmission times.  The analyst's
+:func:`reconstruct_streams` (plus stall totals from ``client_buffer``) and
+the trainer's :func:`reconstruct_training_streams` both read from it.
 """
 
 from __future__ import annotations
@@ -24,12 +33,13 @@ import os
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Type, Union
 
 from repro.atomio import atomic_write_bytes
 from repro.streaming.telemetry import (
-    BufferEvent,
+    TABLES,
     ClientBufferRecord,
+    TableRecord,
     TelemetryLog,
     VideoAckedRecord,
     VideoSentRecord,
@@ -38,21 +48,20 @@ from repro.streaming.telemetry import (
 if TYPE_CHECKING:  # typing only; avoids importing the simulator eagerly
     from repro.streaming.session import StreamResult
 
-_SENT_COLUMNS = [
-    "time", "stream_id", "expt_id", "chunk_index", "size", "ssim_index",
-    "cwnd", "in_flight", "min_rtt", "rtt", "delivery_rate",
-]
-_ACKED_COLUMNS = ["time", "stream_id", "expt_id", "chunk_index"]
-_BUFFER_COLUMNS = [
-    "time", "stream_id", "expt_id", "event", "buffer", "cum_rebuf",
-]
+
+class ArchiveError(ValueError):
+    """An archive table that cannot be read as written, or an archive a
+    fresh run may not append to; the message names the file or directory
+    and the remedy."""
+
 
 # A record's CSV row, positionally: its fields in column order (the event
 # as its string value) — what ``csv.DictWriter`` made of ``to_dict()``.
-_SENT_ROW = attrgetter(*_SENT_COLUMNS)
-_ACKED_ROW = attrgetter(*_ACKED_COLUMNS)
+_SENT_ROW = attrgetter(*VideoSentRecord.columns)
+_ACKED_ROW = attrgetter(*VideoAckedRecord.columns)
 _BUFFER_ROW = attrgetter(
-    *("event.value" if name == "event" else name for name in _BUFFER_COLUMNS)
+    *("event.value" if name == "event" else name
+      for name in ClientBufferRecord.columns)
 )
 
 
@@ -84,13 +93,10 @@ class ArchiveDay:
             client_buffer=directory / "client_buffer.csv",
         )
 
-    def tables(self) -> List[Tuple[str, Path, List[str]]]:
-        """``(name, path, columns)`` of the three tables, in write order."""
-        return [
-            ("video_sent", self.video_sent, _SENT_COLUMNS),
-            ("video_acked", self.video_acked, _ACKED_COLUMNS),
-            ("client_buffer", self.client_buffer, _BUFFER_COLUMNS),
-        ]
+    def tables(self) -> List[Tuple[str, Path, Type[TableRecord]]]:
+        """``(name, path, record type)`` of the three tables, in write
+        order."""
+        return [(name, getattr(self, name), record) for name, record in TABLES]
 
 
 def write_archive_day(
@@ -110,8 +116,8 @@ def write_archive_day(
     tables = day.tables()
     buffers = {name: io.StringIO(newline="") for name, _, _ in tables}
     writers = {name: csv.writer(buffers[name]) for name in buffers}
-    for name, _, columns in tables:
-        writers[name].writerow(columns)
+    for name, _, record in tables:
+        writers[name].writerow(record.columns)
     _write_rows(writers, telemetry)
     for name, path, _ in tables:
         atomic_write_bytes(path, buffers[name].getvalue().encode("utf-8"))
@@ -140,7 +146,7 @@ class ArchiveAppender:
         self.day.directory.mkdir(parents=True, exist_ok=True)
         self._files = {}
         self._writers = {}
-        for name, path, columns in self.day.tables():
+        for name, path, record in self.day.tables():
             fresh = not path.exists() or path.stat().st_size == 0
             f = open(path, "a", newline="")
             # Append mode leaves the reported position implementation-
@@ -151,7 +157,7 @@ class ArchiveAppender:
             writer = csv.writer(f)
             self._writers[name] = writer
             if fresh:
-                writer.writerow(columns)
+                writer.writerow(record.columns)
         self.flush()
 
     # ------------------------------------------------------------------
@@ -199,13 +205,21 @@ class ArchiveAppender:
         so every appended row is uncommitted.  The result is
         byte-identical to a freshly created archive.
         """
-        for name, _path, columns in self.day.tables():
+        for name, _path, record in self.day.tables():
             f = self._files[name]
             f.flush()
             f.truncate(0)
             f.seek(0)
-            self._writers[name].writerow(columns)
+            self._writers[name].writerow(record.columns)
         self.flush()
+
+    def holds_rows(self) -> bool:
+        """Whether any table holds rows past its header (flushes first)."""
+        offsets = self.offsets()
+        return any(
+            offsets[name] > _header_end(path, record)
+            for name, path, record in self.day.tables()
+        )
 
     # ------------------------------------------------------------------
     # Streaming reads (the continual-retraining consumer)
@@ -255,69 +269,147 @@ class ArchiveAppender:
         self.close()
 
 
-def _require_columns(path: Path, header: List[str], expected: List[str]) -> None:
+def _torn(path: Path, offset: int, why: str) -> ArchiveError:
+    return ArchiveError(
+        f"{path}: torn row at byte {offset}: {why}; truncate the table to "
+        f"byte {offset}, or resume the run that wrote it (`repro fleet "
+        "resume`), which rolls the archive back to its last checkpoint"
+    )
+
+
+def _header_end(path: Path, record: Type[TableRecord]) -> int:
+    """Byte offset just past the header of table ``path``, which must name
+    ``record``'s columns."""
+    with open(path, "rb") as f:
+        line = f.readline()
+    header = line.decode("utf-8", "replace").rstrip("\r\n").split(",")
+    expected = list(record.columns)
     if header != expected:
-        raise ValueError(
+        raise ArchiveError(
             f"{path}: unexpected columns {header}; expected {expected}"
         )
+    if not line.endswith(b"\n"):
+        raise _torn(path, 0, "the header has no line terminator")
+    return len(line)
+
+
+def _read_rows(
+    path: Path, record: Type[TableRecord], start: int, end: Optional[int]
+) -> List[Any]:
+    """The records of table ``path`` in bytes ``[start, end)``; ``end=None``
+    reads to the end of the file.
+
+    ``start`` must lie on a row boundary: just past the header, or an
+    offset :meth:`ArchiveAppender.offsets` recorded (always after a flush).
+    The range must lie within the file, and every row in it must end with
+    its line terminator and hold one field per column that parses as the
+    column's type; otherwise :class:`ArchiveError` names the byte offset.
+    """
+    with open(path, "rb") as f:
+        size = f.seek(0, os.SEEK_END)
+        stop = size if end is None else end
+        if not 0 <= start <= stop <= size:
+            raise ArchiveError(
+                f"{path}: bytes [{start}, {stop}) are not within the table's "
+                f"{size} bytes; use offsets recorded on this archive (a "
+                "checkpoint written with it)"
+            )
+        f.seek(start)
+        data = f.read(stop - start)
+    if data and not data.endswith(b"\n"):
+        raise _torn(
+            path, start + data.rfind(b"\n") + 1,
+            "the last row has no line terminator",
+        )
+    n_columns = len(record.columns)
+    decode = record.from_values
+    records = []
+    reader = csv.reader(
+        io.StringIO(data.decode("utf-8", "replace"), newline="")
+    )
+    try:
+        for row in reader:
+            if len(row) != n_columns:
+                raise ValueError(f"{len(row)} fields, expected {n_columns}")
+            records.append(decode(row))
+    except (ValueError, csv.Error) as exc:
+        lines = data.splitlines(keepends=True)[: reader.line_num - 1]
+        raise _torn(path, start + sum(map(len, lines)), str(exc)) from None
+    return records
 
 
 def load_archive_day(directory: Union[str, Path]) -> TelemetryLog:
     """Load one day's archive back into a :class:`TelemetryLog`."""
-    day = ArchiveDay.in_directory(directory)
-    for path in (day.video_sent, day.video_acked, day.client_buffer):
-        if not path.exists():
-            raise FileNotFoundError(f"missing archive table: {path}")
     telemetry = TelemetryLog()
-
-    with open(day.video_sent, newline="") as f:
-        reader = csv.DictReader(f)
-        _require_columns(day.video_sent, reader.fieldnames, _SENT_COLUMNS)
-        for row in reader:
-            telemetry.video_sent.append(
-                VideoSentRecord(
-                    time=float(row["time"]),
-                    stream_id=int(row["stream_id"]),
-                    expt_id=int(row["expt_id"]),
-                    chunk_index=int(row["chunk_index"]),
-                    size=float(row["size"]),
-                    ssim_index=float(row["ssim_index"]),
-                    cwnd=float(row["cwnd"]),
-                    in_flight=float(row["in_flight"]),
-                    min_rtt=float(row["min_rtt"]),
-                    rtt=float(row["rtt"]),
-                    delivery_rate=float(row["delivery_rate"]),
-                )
-            )
-
-    with open(day.video_acked, newline="") as f:
-        reader = csv.DictReader(f)
-        _require_columns(day.video_acked, reader.fieldnames, _ACKED_COLUMNS)
-        for row in reader:
-            telemetry.video_acked.append(
-                VideoAckedRecord(
-                    time=float(row["time"]),
-                    stream_id=int(row["stream_id"]),
-                    expt_id=int(row["expt_id"]),
-                    chunk_index=int(row["chunk_index"]),
-                )
-            )
-
-    with open(day.client_buffer, newline="") as f:
-        reader = csv.DictReader(f)
-        _require_columns(day.client_buffer, reader.fieldnames, _BUFFER_COLUMNS)
-        for row in reader:
-            telemetry.client_buffer.append(
-                ClientBufferRecord(
-                    time=float(row["time"]),
-                    stream_id=int(row["stream_id"]),
-                    expt_id=int(row["expt_id"]),
-                    event=BufferEvent(row["event"]),
-                    buffer=float(row["buffer"]),
-                    cum_rebuf=float(row["cum_rebuf"]),
-                )
-            )
+    for name, path, record in ArchiveDay.in_directory(directory).tables():
+        rows = _read_rows(path, record, _header_end(path, record), None)
+        setattr(telemetry, name, rows)
     return telemetry
+
+
+def read_telemetry_slice(
+    directory: Union[str, Path],
+    start_offsets: Dict[str, int],
+    end_offsets: Optional[Dict[str, int]] = None,
+) -> TelemetryLog:
+    """Load the archive rows appended between two byte-offset snapshots.
+
+    This is what lets a consumer (the continual TTP retrainer) process the
+    archive *as it is written* at constant memory: the fleet checkpoint
+    records :meth:`ArchiveAppender.offsets` at each simulated-day boundary,
+    and the day's telemetry is exactly the rows between consecutive
+    snapshots — no timestamps needed (telemetry times are session-relative)
+    and no re-reading of earlier days.  ``end_offsets=None`` reads through
+    the end of each table.
+    """
+    telemetry = TelemetryLog()
+    for name, path, record in ArchiveDay.in_directory(directory).tables():
+        if name not in start_offsets:
+            raise ValueError(f"no start offset for table {name!r}")
+        end = None if end_offsets is None else int(end_offsets[name])
+        rows = _read_rows(path, record, int(start_offsets[name]), end)
+        setattr(telemetry, name, rows)
+    return telemetry
+
+
+# ---------------------------------------------------------------------------
+# The sent ⋈ acked join (archive rows -> per-chunk deliveries)
+# ---------------------------------------------------------------------------
+def _deliveries(
+    telemetry: TelemetryLog,
+) -> Dict[Tuple[int, int], Tuple[VideoSentRecord, float]]:
+    """The accepted deliveries: ``(stream_id, chunk_index) -> (sent record,
+    earliest ack time)``, in first-accepted order.
+
+    Robust to the row-ordering hazards of a streamed (or sharded) archive,
+    where tables are appended per committed session and a real deployment's
+    collectors may interleave or drop rows, so the result is a pure function
+    of the archive's row *set*:
+
+    * ``video_acked`` rows may arrive in any order — the join keys on
+      ``(stream_id, chunk_index)``;
+    * duplicate acks for one chunk keep the **earliest** ack time (the
+      first complete delivery; retransmitted acks don't shrink the
+      measured transmission time);
+    * acks whose matching ``video_sent`` row is missing (the chunk was
+      never fully delivered before the viewer left), or which are
+      timestamped *before* their send (clock skew / corruption), are
+      dropped rather than producing negative transmission times.
+    """
+    sent_by_key = {
+        (record.stream_id, record.chunk_index): record
+        for record in telemetry.video_sent
+    }
+    deliveries: Dict[Tuple[int, int], Tuple[VideoSentRecord, float]] = {}
+    for acked in telemetry.video_acked:
+        key = (acked.stream_id, acked.chunk_index)
+        sent = sent_by_key.get(key)
+        if sent is None or acked.time - sent.time < 0:
+            continue
+        previous = deliveries.get(key)
+        if previous is None or acked.time < previous[1]:
+            deliveries[key] = (sent, acked.time)
+    return deliveries
 
 
 @dataclass
@@ -344,28 +436,10 @@ class ArchivedStream:
 
 
 def reconstruct_streams(telemetry: TelemetryLog) -> Dict[int, ArchivedStream]:
-    """The analyst's join: sent ⋈ acked per stream, plus stall totals.
-
-    Robust to the row-ordering hazards of a streamed (or sharded) archive,
-    where tables are appended per committed session and a real deployment's
-    collectors may interleave or drop rows:
-
-    * ``video_acked`` rows may arrive in any order — the join keys on
-      ``(stream_id, chunk_index)``, and the result is independent of row
-      order;
-    * duplicate acks for one chunk keep the **earliest** ack time (the
-      first complete delivery; retransmitted acks don't shrink the
-      measured transmission time);
-    * acks whose matching ``video_sent`` row is missing, or which are
-      timestamped *before* their send (clock skew / corruption), are
-      dropped rather than producing negative transmission times.
-    """
-    sent_by_key: Dict[Tuple[int, int], VideoSentRecord] = {}
-    expt_by_stream: Dict[int, int] = {}
-    for record in telemetry.video_sent:
-        sent_by_key[(record.stream_id, record.chunk_index)] = record
-        expt_by_stream[record.stream_id] = record.expt_id
-
+    """The analyst's join: :func:`_deliveries` per stream, plus stall
+    totals (the largest ``cum_rebuf`` a stream's ``client_buffer`` rows
+    report)."""
+    expt_by_stream = {r.stream_id: r.expt_id for r in telemetry.video_sent}
     streams: Dict[int, ArchivedStream] = {}
 
     def stream_for(stream_id: int) -> ArchivedStream:
@@ -380,20 +454,11 @@ def reconstruct_streams(telemetry: TelemetryLog) -> Dict[int, ArchivedStream]:
             )
         return streams[stream_id]
 
-    for acked in telemetry.video_acked:
-        sent = sent_by_key.get((acked.stream_id, acked.chunk_index))
-        if sent is None:
-            continue  # chunk never fully delivered before the viewer left
-        transmission = acked.time - sent.time
-        if transmission < 0:
-            continue  # misordered/corrupt row: acked before it was sent
-        stream = stream_for(acked.stream_id)
-        previous = stream.chunk_transmission_times.get(acked.chunk_index)
-        if previous is not None and previous <= transmission:
-            continue  # duplicate ack: keep the earliest complete delivery
-        stream.chunk_transmission_times[acked.chunk_index] = transmission
-        stream.chunk_sizes[acked.chunk_index] = sent.size
-        stream.chunk_ssim_indices[acked.chunk_index] = sent.ssim_index
+    for (stream_id, chunk), (sent, ack_time) in _deliveries(telemetry).items():
+        stream = stream_for(stream_id)
+        stream.chunk_transmission_times[chunk] = ack_time - sent.time
+        stream.chunk_sizes[chunk] = sent.size
+        stream.chunk_ssim_indices[chunk] = sent.ssim_index
 
     for record in telemetry.client_buffer:
         stream = stream_for(record.stream_id)
@@ -402,105 +467,6 @@ def reconstruct_streams(telemetry: TelemetryLog) -> Dict[int, ArchivedStream]:
     return streams
 
 
-# ---------------------------------------------------------------------------
-# Byte-range reads (crash-safe streaming consumers)
-# ---------------------------------------------------------------------------
-def _parse_slice_rows(
-    path: Path, start: int, end: Optional[int], n_columns: int
-) -> List[List[str]]:
-    """CSV rows in ``[start, end)`` of one table file.
-
-    Offsets must come from :meth:`ArchiveAppender.offsets` (recorded after a
-    flush), which always land on row boundaries; a slice that starts at 0
-    would include the header, so callers record their first offset right
-    after the appender writes it.
-    """
-    if not path.exists():
-        raise FileNotFoundError(f"missing archive table: {path}")
-    with open(path, "rb") as f:
-        f.seek(int(start))
-        data = f.read() if end is None else f.read(max(int(end) - int(start), 0))
-    rows: List[List[str]] = []
-    for row in csv.reader(io.StringIO(data.decode("utf-8"), newline="")):
-        if not row:
-            continue
-        if len(row) != n_columns:
-            raise ValueError(
-                f"{path}: slice [{start}, {end}) is not row-aligned "
-                f"(got {len(row)} fields, expected {n_columns})"
-            )
-        rows.append(row)
-    return rows
-
-
-def read_telemetry_slice(
-    directory: Union[str, Path],
-    start_offsets: Dict[str, int],
-    end_offsets: Optional[Dict[str, int]] = None,
-) -> TelemetryLog:
-    """Load the archive rows appended between two byte-offset snapshots.
-
-    This is what lets a consumer (the continual TTP retrainer) process the
-    archive *as it is written* at constant memory: the fleet checkpoint
-    records :meth:`ArchiveAppender.offsets` at each simulated-day boundary,
-    and the day's telemetry is exactly the rows between consecutive
-    snapshots — no timestamps needed (telemetry times are session-relative)
-    and no re-reading of earlier days.
-    """
-    day = ArchiveDay.in_directory(directory)
-    tables = {name: (path, columns) for name, path, columns in day.tables()}
-    telemetry = TelemetryLog()
-    for name in sorted(tables):
-        path, columns = tables[name]
-        if name not in start_offsets:
-            raise ValueError(f"no start offset for table {name!r}")
-        end = None if end_offsets is None else int(end_offsets[name])
-        rows = _parse_slice_rows(path, start_offsets[name], end, len(columns))
-        if name == "video_sent":
-            for row in rows:
-                telemetry.video_sent.append(
-                    VideoSentRecord(
-                        time=float(row[0]),
-                        stream_id=int(row[1]),
-                        expt_id=int(row[2]),
-                        chunk_index=int(row[3]),
-                        size=float(row[4]),
-                        ssim_index=float(row[5]),
-                        cwnd=float(row[6]),
-                        in_flight=float(row[7]),
-                        min_rtt=float(row[8]),
-                        rtt=float(row[9]),
-                        delivery_rate=float(row[10]),
-                    )
-                )
-        elif name == "video_acked":
-            for row in rows:
-                telemetry.video_acked.append(
-                    VideoAckedRecord(
-                        time=float(row[0]),
-                        stream_id=int(row[1]),
-                        expt_id=int(row[2]),
-                        chunk_index=int(row[3]),
-                    )
-                )
-        else:
-            for row in rows:
-                telemetry.client_buffer.append(
-                    ClientBufferRecord(
-                        time=float(row[0]),
-                        stream_id=int(row[1]),
-                        expt_id=int(row[2]),
-                        event=BufferEvent(row[3]),
-                        buffer=float(row[4]),
-                        cum_rebuf=float(row[5]),
-                    )
-                )
-    return telemetry
-
-
-# ---------------------------------------------------------------------------
-# Training-stream reconstruction (archive rows -> StreamResult)
-# ---------------------------------------------------------------------------
 def reconstruct_training_streams(
     telemetry: TelemetryLog,
 ) -> "List[StreamResult]":
@@ -509,42 +475,24 @@ def reconstruct_training_streams(
     archive tables, ready for :func:`repro.core.train.build_ttp_datasets`.
 
     This is the in-situ training data path of §4.3: the TTP learns from
-    what the *deployment logged*, not from simulator internals.  The join
-    follows the same tolerance rules as :func:`reconstruct_streams` (any
-    row order, earliest duplicate ack wins, orphan and time-travelling acks
-    dropped), so the reconstructed training set is a pure function of the
-    archive's row *set*.  Fields the archive cannot recover are left
-    neutral: ``rung`` is -1 (the ladder index never reaches the archive)
-    and per-stream playback accounting stays at its defaults — neither is
-    consumed by feature extraction, labeling, or tail calibration.
+    what the *deployment logged*, not from simulator internals.  The chunks
+    are :func:`_deliveries`, the join :func:`reconstruct_streams` reads, so
+    the reconstructed training set is a pure function of the archive's row
+    *set*.  Fields the archive cannot recover are left neutral: ``rung`` is
+    -1 (the ladder index never reaches the archive) and per-stream playback
+    accounting stays at its defaults — neither is consumed by feature
+    extraction, labeling, or tail calibration.
     """
+    from repro.abr.base import ChunkRecord
     from repro.media import ssim_index_to_db
     from repro.net.tcp import TcpInfo
     from repro.streaming.session import StreamResult
 
-    sent_by_key: Dict[Tuple[int, int], VideoSentRecord] = {}
-    for record in telemetry.video_sent:
-        sent_by_key[(record.stream_id, record.chunk_index)] = record
-
-    ack_times: Dict[Tuple[int, int], float] = {}
-    for acked in telemetry.video_acked:
-        key = (acked.stream_id, acked.chunk_index)
-        sent = sent_by_key.get(key)
-        if sent is None:
-            continue  # chunk never fully delivered before the viewer left
-        if acked.time - sent.time < 0:
-            continue  # misordered/corrupt row: acked before it was sent
-        previous = ack_times.get(key)
-        if previous is not None and previous <= acked.time:
-            continue  # duplicate ack: keep the earliest complete delivery
-        ack_times[key] = acked.time
-
-    from repro.abr.base import ChunkRecord
-
     records_by_stream: Dict[int, List[ChunkRecord]] = {}
     expt_by_stream: Dict[int, int] = {}
-    for (stream_id, chunk_index), ack_time in sorted(ack_times.items()):
-        sent = sent_by_key[(stream_id, chunk_index)]
+    for (stream_id, chunk_index), (sent, ack_time) in sorted(
+        _deliveries(telemetry).items()
+    ):
         expt_by_stream[stream_id] = sent.expt_id
         records_by_stream.setdefault(stream_id, []).append(
             ChunkRecord(

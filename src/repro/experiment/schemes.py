@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.abr.base import AbrAlgorithm
 from repro.abr.bba import BBA
+from repro.abr.bola import Bola
 from repro.abr.mpc import MpcHm, RobustMpcHm
 from repro.abr.pensieve import ActorCritic, Pensieve
 from repro.core.fugu import Fugu
@@ -40,14 +41,9 @@ class SchemeSpec:
         return algorithm
 
 
-def primary_experiment_schemes(
-    fugu_predictor: TransmissionTimePredictor,
-    pensieve_model: ActorCritic,
-    emulation_fugu_predictor: Optional[TransmissionTimePredictor] = None,
-) -> List[SchemeSpec]:
-    """The five primary-experiment schemes (plus, optionally, the
-    emulation-trained Fugu arm of Fig. 11), as specified in Fig. 5."""
-    specs = [
+CLASSICAL_SCHEMES: Dict[str, SchemeSpec] = {
+    spec.name: spec
+    for spec in (
         SchemeSpec(
             name="bba",
             control="classical (prop. control)",
@@ -72,6 +68,32 @@ def primary_experiment_schemes(
             how_trained="n/a",
             factory=RobustMpcHm,
         ),
+        SchemeSpec(
+            name="bola",
+            control="classical (Lyapunov)",
+            predictor="n/a",
+            optimization_goal="+utility (Lyapunov)",
+            how_trained="n/a",
+            factory=Bola,
+        ),
+    )
+}
+"""The untrained arms, by name: Fig. 5's three classical schemes and BOLA.
+They need no model, so fleet runs and mini-trials measure the deployment
+machinery with them."""
+
+
+def primary_experiment_schemes(
+    fugu_predictor: TransmissionTimePredictor,
+    pensieve_model: ActorCritic,
+    emulation_fugu_predictor: Optional[TransmissionTimePredictor] = None,
+) -> List[SchemeSpec]:
+    """The five primary-experiment schemes (plus, optionally, the
+    emulation-trained Fugu arm of Fig. 11), as specified in Fig. 5."""
+    specs = [
+        CLASSICAL_SCHEMES["bba"],
+        CLASSICAL_SCHEMES["mpc_hm"],
+        CLASSICAL_SCHEMES["robust_mpc_hm"],
         SchemeSpec(
             name="pensieve",
             control="learned (DNN)",

@@ -47,7 +47,7 @@ from repro.atomio import atomic_write_text
 from repro.crashpoints import crashpoint
 from repro.analysis.bootstrap import ConfidenceInterval
 from repro.analysis.summary import SchemeSummary
-from repro.data.archive import ArchiveAppender
+from repro.data.archive import ArchiveAppender, ArchiveError
 from repro.edge.cells import Cell, EdgeConfig, iter_cells
 from repro.edge.engine import run_cell
 from repro.experiment import parallel
@@ -546,6 +546,15 @@ def _drive_fleet(
                 # appended is uncommitted — clear them, or the restart would
                 # append after leftovers and diverge from a clean run.
                 appender.reset()
+            elif not resume and appender.holds_rows():
+                # A fresh run numbers its streams from session 0: appended to
+                # another run's rows, the join would pair one run's acks with
+                # the other's sends.
+                raise ArchiveError(
+                    f"archive {archive_dir} already holds rows; resume the "
+                    "run that wrote them (--resume with its --checkpoint, or "
+                    "resume=True), or use an empty directory"
+                )
 
         def save_checkpoint(completed: bool) -> None:
             if manager is None:

@@ -8,6 +8,11 @@ and (hypothetically) real data:
 * ``video_acked`` — one row per chunk acknowledgement;
 * ``client_buffer`` — buffer level and rebuffer state, sampled every quarter
   second and on events.
+
+The record types are the one definition of each table: its columns are
+the record's dataclass fields in order (``columns``), and ``from_values``
+decodes a row in that order, for the CSV archive
+(:mod:`repro.data.archive`) and parsed JSON (``from_dict``) alike.
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
-from typing import List, Optional
+from typing import (
+    Any, Callable, ClassVar, Iterable, List, Optional, Tuple, Type, TypeVar,
+)
 
 from repro import obs
 from repro.media.ssim import ssim_db_to_index
@@ -32,31 +39,46 @@ class BufferEvent(str, Enum):
     REBUFFER = "rebuffer"
 
 
-def _coerced(cls, data: dict):
-    """Build a record from a parsed-JSON dict, coercing every field back to
-    its declared type (``int`` columns arrive as ints, ``float`` columns may
-    arrive as ints from JSON, ``event`` arrives as a plain string).
-
-    This is what makes the ``to_dict -> json -> from_dict`` round trip
-    *exact*: the reconstructed record equals the original field-for-field,
-    including types — so downstream code (``.event.value``, integer stream
-    ids used as dict keys) behaves identically on parsed data.
-    """
-    kwargs = {}
-    for f in fields(cls):
-        value = data[f.name]
-        if f.type in ("float", float):
-            value = float(value)
-        elif f.type in ("int", int):
-            value = int(value)
-        elif f.type in ("BufferEvent", BufferEvent):
-            value = BufferEvent(value)
-        kwargs[f.name] = value
-    return cls(**kwargs)
+_R = TypeVar("_R", bound="TableRecord")
 
 
+class TableRecord:
+    """One row of an archive table: a frozen dataclass whose fields, as
+    :func:`_table` records them once per class, are the table's columns."""
+
+    columns: ClassVar[Tuple[str, ...]]
+    _casts: ClassVar[Tuple[Callable[[Any], Any], ...]]
+
+    @classmethod
+    def from_values(cls: Type[_R], values: Iterable[Any]) -> _R:
+        """The record whose fields, in column order, are ``values`` (one
+        per column: callers check the count), each coerced to its declared
+        type — from a CSV string, or a JSON number of either kind."""
+        return cls(*[cast(value) for cast, value in zip(cls._casts, values)])
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls: Type[_R], data: dict) -> _R:
+        """Inverse of :meth:`to_dict`: the ``to_dict -> json -> from_dict``
+        round trip is *exact*, types included, so downstream code
+        (``.event.value``, integer stream ids used as dict keys) behaves
+        identically on parsed data."""
+        return cls.from_values([data[name] for name in cls.columns])
+
+
+def _table(cls: Type[_R]) -> Type[_R]:
+    """Record ``cls``'s columns and per-column decoders, once per class."""
+    casts = {"float": float, "int": int, "BufferEvent": BufferEvent}
+    cls.columns = tuple(f.name for f in fields(cls))
+    cls._casts = tuple(casts[str(f.type)] for f in fields(cls))
+    return cls
+
+
+@_table
 @dataclass(frozen=True)
-class VideoSentRecord:
+class VideoSentRecord(TableRecord):
     """One row of the ``video_sent`` table."""
 
     time: float
@@ -85,30 +107,16 @@ class VideoSentRecord:
         # Builtin coercion at the source: numpy scalars sneaking in from the
         # simulator would serialize (np.float64 subclasses float) but break
         # round-trip *type* equality and, for np integers, json.dumps itself.
-        return cls(
-            time=float(time),
-            stream_id=int(stream_id),
-            expt_id=int(expt_id),
-            chunk_index=int(chunk_index),
-            size=float(size),
-            ssim_index=float(ssim_index),
-            cwnd=float(info.cwnd),
-            in_flight=float(info.in_flight),
-            min_rtt=float(info.min_rtt),
-            rtt=float(info.rtt),
-            delivery_rate=float(info.delivery_rate),
-        )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VideoSentRecord":
-        return _coerced(cls, data)
+        return cls.from_values((
+            time, stream_id, expt_id, chunk_index, size, ssim_index,
+            info.cwnd, info.in_flight, info.min_rtt, info.rtt,
+            info.delivery_rate,
+        ))
 
 
+@_table
 @dataclass(frozen=True)
-class VideoAckedRecord:
+class VideoAckedRecord(TableRecord):
     """One row of the ``video_acked`` table; joined with ``video_sent`` on
     (stream_id, chunk_index) it yields the chunk's transmission time."""
 
@@ -117,16 +125,10 @@ class VideoAckedRecord:
     expt_id: int
     chunk_index: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "VideoAckedRecord":
-        return _coerced(cls, data)
-
-
+@_table
 @dataclass(frozen=True)
-class ClientBufferRecord:
+class ClientBufferRecord(TableRecord):
     """One row of the ``client_buffer`` table."""
 
     time: float
@@ -137,10 +139,9 @@ class ClientBufferRecord:
     cum_rebuf: float
 
     def __post_init__(self) -> None:
-        # A record built from parsed JSON carries a plain string event; a
-        # string-typed ``event`` compared equal (str Enum) but broke
-        # ``to_dict`` (``str`` has no ``.value``).  Coerce on construction so
-        # round-tripped records are exactly equivalent to originals.
+        # A record built with a plain string event compared equal (str
+        # Enum) but broke ``to_dict`` (``str`` has no ``.value``).  Coerce
+        # on construction so such records equal the originals exactly.
         if not isinstance(self.event, BufferEvent):
             object.__setattr__(self, "event", BufferEvent(self.event))
 
@@ -149,9 +150,13 @@ class ClientBufferRecord:
         data["event"] = self.event.value
         return data
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClientBufferRecord":
-        return _coerced(cls, data)
+
+TABLES: Tuple[Tuple[str, Type[TableRecord]], ...] = (
+    ("video_sent", VideoSentRecord),
+    ("video_acked", VideoAckedRecord),
+    ("client_buffer", ClientBufferRecord),
+)
+"""``(name, record type)`` of the three archive tables, in write order."""
 
 
 @dataclass
@@ -182,23 +187,15 @@ class TelemetryLog:
     def to_dict(self) -> dict:
         """The three tables as JSON-ready lists of row dicts."""
         return {
-            "video_sent": [r.to_dict() for r in self.video_sent],
-            "video_acked": [r.to_dict() for r in self.video_acked],
-            "client_buffer": [r.to_dict() for r in self.client_buffer],
+            name: [r.to_dict() for r in getattr(self, name)]
+            for name, _ in TABLES
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "TelemetryLog":
         log = cls()
-        log.video_sent = [
-            VideoSentRecord.from_dict(r) for r in data["video_sent"]
-        ]
-        log.video_acked = [
-            VideoAckedRecord.from_dict(r) for r in data["video_acked"]
-        ]
-        log.client_buffer = [
-            ClientBufferRecord.from_dict(r) for r in data["client_buffer"]
-        ]
+        for name, record in TABLES:
+            setattr(log, name, [record.from_dict(r) for r in data[name]])
         return log
 
     def to_json(self) -> str:

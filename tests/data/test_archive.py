@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.abr.bba import BBA
-from repro.data import load_archive_day, reconstruct_streams, write_archive_day
+from repro.data import (
+    ArchiveError,
+    load_archive_day,
+    read_telemetry_slice,
+    reconstruct_streams,
+    write_archive_day,
+)
 from repro.data.archive import ArchiveDay
 from repro.media.encoder import encode_clip
 from repro.media.source import DEFAULT_CHANNELS
@@ -282,3 +288,97 @@ class TestTolerantReconstruction:
             assert stream.n_chunks_acked == 0
         # …without corrupting a clean reconstruction run afterwards.
         assert reconstruct_streams(telemetry) == reference
+
+
+def _cut_mid_field(row):
+    # Inside the row's last field, as a crash mid-append leaves it: the
+    # field loses its last character (the rest would parse) and the row its
+    # terminator.
+    assert len(row.rstrip(b"\r\n").rsplit(b",", 1)[1]) >= 2
+    return row.rstrip(b"\r\n")[:-1]
+
+
+TEARS = {
+    "cut mid-field": _cut_mid_field,
+    "terminator dropped": lambda row: row.rstrip(b"\r\n"),
+    "field missing": lambda row: row.rstrip(b"\r\n").rsplit(b",", 1)[0]
+    + b"\r\n",
+    "extra field": lambda row: row.rstrip(b"\r\n") + b",1\r\n",
+}
+
+
+def _header_offsets(day):
+    return {
+        name: len(path.read_bytes().split(b"\n", 1)[0]) + 1
+        for name, path, _ in day.tables()
+    }
+
+
+READERS = {
+    "load_archive_day": lambda day: load_archive_day(day.directory),
+    "read_telemetry_slice": lambda day: read_telemetry_slice(
+        day.directory, _header_offsets(day)
+    ),
+}
+
+
+class TestTornRows:
+    """A table whose last row was torn raises ArchiveError naming the file,
+    the row's byte offset and the remedy; it never loads a wrong value."""
+
+    def test_archive_error_is_a_value_error(self):
+        assert issubclass(ArchiveError, ValueError)
+
+    @pytest.mark.parametrize("table", ["video_sent", "video_acked",
+                                       "client_buffer"])
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize("tear", sorted(TEARS))
+    def test_torn_last_row_raises(self, telemetry, tmp_path, table, reader,
+                                  tear):
+        day = write_archive_day(telemetry, tmp_path)
+        path = getattr(day, table)
+        data = path.read_bytes()
+        row_start = data.rstrip(b"\r\n").rfind(b"\n") + 1
+        path.write_bytes(data[:row_start] + TEARS[tear](data[row_start:]))
+        with pytest.raises(ArchiveError) as raised:
+            READERS[reader](day)
+        message = str(raised.value)
+        assert str(path) in message
+        assert f"torn row at byte {row_start}:" in message
+        assert f"truncate the table to byte {row_start}" in message
+        # The remedy works: cut back to the last whole row, the table loads
+        # every row before the torn one.
+        path.write_bytes(data[:row_start])
+        assert getattr(READERS[reader](day), table) == getattr(
+            telemetry, table
+        )[:-1]
+
+    def test_an_unparseable_field_names_its_row(self, telemetry, tmp_path):
+        day = write_archive_day(telemetry, tmp_path)
+        lines = day.video_acked.read_bytes().split(b"\r\n")
+        lines[2] = b"nan?" + lines[2][lines[2].index(b","):]
+        day.video_acked.write_bytes(b"\r\n".join(lines))
+        offset = len(lines[0]) + len(lines[1]) + 4
+        with pytest.raises(ArchiveError, match=f"torn row at byte {offset}:"):
+            load_archive_day(tmp_path)
+
+    def test_a_slice_outside_the_table_raises(self, telemetry, tmp_path):
+        day = write_archive_day(telemetry, tmp_path)
+        end = {name: path.stat().st_size for name, path, _ in day.tables()}
+        start = _header_offsets(day)
+        assert read_telemetry_slice(tmp_path, start, end).video_sent == (
+            telemetry.video_sent
+        )
+        size = end["video_acked"]
+        # Past the end, reversed, before the start of the file.
+        for bad in ((start["video_acked"], size + 1), (size, size - 1),
+                    (-1, size)):
+            with pytest.raises(ArchiveError, match="not within the table"):
+                read_telemetry_slice(
+                    tmp_path, {**start, "video_acked": bad[0]},
+                    {**end, "video_acked": bad[1]},
+                )
+        # A start past the end of the file, read to the end, is no day.
+        past = {**start, "video_sent": end["video_sent"] + 1}
+        with pytest.raises(ArchiveError, match="not within the table"):
+            read_telemetry_slice(tmp_path, past)

@@ -26,10 +26,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.data.archive import (
-    _ACKED_COLUMNS,
-    _BUFFER_COLUMNS,
-    _SENT_COLUMNS,
     ArchiveAppender,
+    load_archive_day,
     read_telemetry_slice,
     reconstruct_streams,
     reconstruct_training_streams,
@@ -42,6 +40,17 @@ from repro.streaming.telemetry import (
     VideoAckedRecord,
     VideoSentRecord,
 )
+
+# The published header of each table, spelled out: the record types define
+# the archive's columns, and these pin what they must come to on disk.
+_SENT_COLUMNS = [
+    "time", "stream_id", "expt_id", "chunk_index", "size", "ssim_index",
+    "cwnd", "in_flight", "min_rtt", "rtt", "delivery_rate",
+]
+_ACKED_COLUMNS = ["time", "stream_id", "expt_id", "chunk_index"]
+_BUFFER_COLUMNS = [
+    "time", "stream_id", "expt_id", "event", "buffer", "cum_rebuf",
+]
 
 # Floats with awkward reprs included; no NaN (CSV round-trip of NaN is not
 # part of the contract — the simulator never emits it).
@@ -174,6 +183,23 @@ class TestRowSetInvariance:
             reconstruct_training_streams(scrambled(log, seed, duplicate))
         )
         assert mutated == reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(log=telemetry_logs(), seed=st.integers(0, 2**32 - 1),
+           duplicate=st.booleans())
+    def test_analyst_and_trainer_share_one_join(self, log, seed, duplicate):
+        log = scrambled(log, seed, duplicate)
+        analyst = {
+            (stream.stream_id, chunk): time
+            for stream in reconstruct_streams(log).values()
+            for chunk, time in stream.chunk_transmission_times.items()
+        }
+        trainer = {
+            (stream.stream_id, record.chunk_index): record.transmission_time
+            for stream in reconstruct_training_streams(log)
+            for record in stream.records
+        }
+        assert analyst == trainer
 
     @settings(max_examples=40, deadline=None)
     @given(log=telemetry_logs())
@@ -327,3 +353,24 @@ class TestRendering:
                 appender.append(whole)
             for name, data in expected.items():
                 assert (streamed / name).read_bytes() == data
+
+
+class TestOneReader:
+    @settings(max_examples=40, deadline=None)
+    @given(log=st.one_of(telemetry_logs(), awkward_logs()))
+    def test_a_whole_day_is_the_slice_past_its_headers(self, log):
+        with tempfile.TemporaryDirectory() as directory:
+            write_archive_day(log, directory)
+            past_headers = {
+                name: len(",".join(columns)) + 2
+                for name, columns in (
+                    ("video_sent", _SENT_COLUMNS),
+                    ("video_acked", _ACKED_COLUMNS),
+                    ("client_buffer", _BUFFER_COLUMNS),
+                )
+            }
+            whole = load_archive_day(directory)
+            assert whole == read_telemetry_slice(directory, past_headers)
+            assert (whole.video_sent, whole.video_acked,
+                    whole.client_buffer) == (
+                log.video_sent, log.video_acked, log.client_buffer)

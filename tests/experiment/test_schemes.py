@@ -6,6 +6,7 @@ from repro.abr.pensieve import ActorCritic
 from repro.core.ttp import TransmissionTimePredictor
 from repro.emulation import train_fugu_in_emulation
 from repro.experiment.schemes import (
+    CLASSICAL_SCHEMES,
     SchemeSpec,
     primary_experiment_schemes,
     scheme_table,
@@ -48,6 +49,24 @@ class TestRegistry:
         assert table["fugu"]["optimization_goal"] == goal
         # Pensieve optimizes bitrate, not SSIM (§3.3).
         assert "bitrate" in table["pensieve"]["optimization_goal"]
+
+    def test_classical_arms_are_defined_once(self, specs):
+        # Fig. 5's classical rows, the fleet CLI's schemes and the mini-trial
+        # the obs and sanitize commands run are the same definitions.
+        from repro.__main__ import _fleet_specs, _obs_collect_specs
+
+        assert specs[:3] == [
+            CLASSICAL_SCHEMES[name]
+            for name in ("bba", "mpc_hm", "robust_mpc_hm")
+        ]
+        assert _fleet_specs(list(CLASSICAL_SCHEMES)) == list(
+            CLASSICAL_SCHEMES.values()
+        )
+        assert _obs_collect_specs() == specs[:2]
+        for name, spec in CLASSICAL_SCHEMES.items():
+            assert spec.build().name == name
+        with pytest.raises(SystemExit, match="unknown scheme 'nope'"):
+            _fleet_specs(["bba", "nope"])
 
     def test_emulation_arm_optional(self):
         specs = primary_experiment_schemes(

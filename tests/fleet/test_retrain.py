@@ -22,6 +22,9 @@ import pytest
 from repro.core.train import DailyRetrainer
 from repro.core.ttp import TransmissionTimePredictor, TtpConfig
 from repro.data.archive import (
+    ArchiveAppender,
+    ArchiveError,
+    load_archive_day,
     read_telemetry_slice,
     reconstruct_training_streams,
 )
@@ -33,6 +36,7 @@ from repro.fleet import (
     RegistryError,
     RetrainConfig,
     WorkloadConfig,
+    run_fleet,
     run_fleet_retrain,
 )
 from repro.fleet.checkpoint import (
@@ -40,6 +44,8 @@ from repro.fleet.checkpoint import (
     FleetCheckpoint,
     config_fingerprint,
 )
+
+from repro.streaming.telemetry import TelemetryLog, VideoAckedRecord
 
 from .conftest import classical_specs
 
@@ -426,6 +432,49 @@ class TestGuards:
                 archive_dir=tmp_path / "archive",
                 registry_dir=tmp_path / "registry",
             )
+
+    @pytest.mark.parametrize("driver", ["run_fleet", "run_fleet_retrain"])
+    def test_nonempty_archive_requires_resume(self, tmp_path, driver):
+        # Every run numbers its streams from session 0: a fresh run appended
+        # after another run's rows would have the join pair one run's acks
+        # with the other's sends.
+        archive = tmp_path / "archive"
+        leftover = TelemetryLog()
+        leftover.video_acked.append(VideoAckedRecord(1.0, 0, 0, 0))
+        with ArchiveAppender(archive) as appender:
+            appender.append(leftover)
+        before = {p.name: p.read_bytes() for p in archive.iterdir()}
+        run = {
+            "run_fleet": lambda: run_fleet(
+                classical_specs(), fleet_config(), archive_dir=str(archive)
+            ),
+            "run_fleet_retrain": lambda: run_fleet_retrain(
+                classical_specs(), fleet_config(), retrain_config(),
+                archive_dir=archive, registry_dir=tmp_path / "registry",
+            ),
+        }[driver]
+        with pytest.raises(ArchiveError, match=f"archive {archive} already "
+                           "holds rows.*--resume.*empty directory"):
+            run()
+        assert {p.name: p.read_bytes() for p in archive.iterdir()} == before
+
+    def test_header_only_archive_starts_fresh(self, tmp_path):
+        # Headers and nothing else is an empty archive: a fresh run may use
+        # it, and writes what it writes into a new directory.
+        ArchiveAppender(tmp_path / "reused").close()
+        config = replace(
+            fleet_config(),
+            workload=replace(fleet_config().workload, days=0.2),
+        )
+        for name in ("reused", "new"):
+            run_fleet(
+                classical_specs(), config, archive_dir=str(tmp_path / name)
+            )
+        assert load_archive_day(tmp_path / "new").video_sent
+        for table in ("video_sent", "video_acked", "client_buffer"):
+            assert (tmp_path / "reused" / f"{table}.csv").read_bytes() == (
+                tmp_path / "new" / f"{table}.csv"
+            ).read_bytes()
 
     def test_resume_without_checkpoint_wipes_crash_leftovers(
         self, tmp_path
