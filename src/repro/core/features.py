@@ -82,17 +82,48 @@ def time_bin_centers() -> np.ndarray:
     return centers
 
 
+_TCP_SCALES = np.array(
+    [CWND_LOG_SCALE, CWND_LOG_SCALE, RTT_LOG_SCALE, RTT_LOG_SCALE,
+     DELIVERY_RATE_LOG_SCALE]
+)
+
+
 def tcp_features(info: TcpInfo) -> np.ndarray:
     """Scaled ``tcp_info`` feature block."""
     return np.log1p(
-        [
-            info.cwnd / CWND_LOG_SCALE,
-            info.in_flight / CWND_LOG_SCALE,
-            info.min_rtt / RTT_LOG_SCALE,
-            info.rtt / RTT_LOG_SCALE,
-            info.delivery_rate / DELIVERY_RATE_LOG_SCALE,
-        ]
+        np.array(
+            [info.cwnd, info.in_flight, info.min_rtt, info.rtt, info.delivery_rate]
+        )
+        / _TCP_SCALES
     )
+
+
+def chunk_feature_rows(
+    sizes_bytes: np.ndarray,
+    seconds: np.ndarray,
+    tcp: np.ndarray,
+    position: np.ndarray,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Feature rows of many chunks at once: chunk ``j`` was sent with
+    ``tcp[j]`` (the five ``tcp_info`` fields in :func:`tcp_features`'
+    order) and is chunk ``position[j]`` of its stream, whose earlier chunks
+    are rows ``j - position[j]`` to ``j - 1``. Returns the ``(N,
+    FEATURE_DIM)`` matrix with each row's history and TCP blocks — as
+    :func:`make_feature_matrix` builds them for that chunk's decision — and
+    a zero proposed-size column, and the scaled sizes that column takes.
+
+    Each scaling runs once per chunk, over one contiguous array, with the
+    same elementwise operations as the per-decision blocks; a row's history
+    is then copied from its predecessors' values."""
+    size_scaled = _scale_size(sizes_bytes)
+    time_scaled = _scale_time(seconds)
+    matrix = np.zeros((len(position), FEATURE_DIM))
+    for lag in range(1, HISTORY_LEN + 1):
+        rows = np.flatnonzero(position >= lag)
+        matrix[rows, HISTORY_LEN - lag] = size_scaled[rows - lag]
+        matrix[rows, 2 * HISTORY_LEN - lag] = time_scaled[rows - lag]
+    matrix[:, TCP_SLICE] = np.log1p(tcp / _TCP_SCALES)
+    return matrix, size_scaled
 
 
 def history_features(history: Sequence[ChunkRecord]) -> np.ndarray:

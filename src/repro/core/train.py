@@ -27,7 +27,11 @@ from typing import (
 
 import numpy as np
 
-from repro.core.features import FEATURE_DIM, HISTORY_LEN
+from repro.core.features import (
+    FEATURE_DIM,
+    PROPOSED_SIZE_INDEX,
+    chunk_feature_rows,
+)
 from repro.core.ttp import TransmissionTimePredictor
 from repro.learn.losses import SoftmaxCrossEntropy
 from repro.learn.optim import Adam
@@ -80,36 +84,54 @@ def build_ttp_datasets(
     still be pooled across a retraining window.
     """
     horizon = predictor.config.horizon
-    features: List[List[np.ndarray]] = [[] for _ in range(horizon)]
-    labels: List[List[int]] = [[] for _ in range(horizon)]
+    # One pass over the records: per chunk its size, transmission time and
+    # tcp_info fields, its label and its place in its stream.
+    values: List[Tuple[float, ...]] = []
+    labels: List[int] = []
+    lengths: List[int] = []
     for stream in streams:
-        records = stream.records
-        for i in range(len(records)):
-            # The features read the last HISTORY_LEN records only: slicing
-            # the whole prefix would copy O(n^2) records over a long stream.
-            history = records[max(i - HISTORY_LEN, 0) : i]
-            info = records[i].info_at_send
-            max_k = min(horizon, len(records) - i)
-            if max_k <= 0:
-                continue
-            sizes = np.array(
-                [records[i + k].size_bytes for k in range(max_k)]
+        records = list(stream.records)
+        lengths.append(len(records))
+        for record in records:
+            info = record.info_at_send
+            values.append(
+                (
+                    record.size_bytes, record.transmission_time, info.cwnd,
+                    info.in_flight, info.min_rtt, info.rtt,
+                    info.delivery_rate,
+                )
             )
-            rows = predictor.masked_features(history, info, sizes)
-            for k in range(max_k):
-                features[k].append(rows[k])
-                labels[k].append(predictor.label_for(records[i + k]))
+            labels.append(predictor.label_for(record))
+    # Contiguous columns, as each decision's blocks were.
+    table = np.array(values, dtype=float).reshape(-1, 7)
+    sizes, seconds, tcp = (
+        table[:, 0].copy(), table[:, 1].copy(), table[:, 2:].copy()
+    )
+    if (sizes <= 0).any():
+        raise ValueError("proposed sizes must be positive")
+    counts = np.array(lengths, dtype=int)
+    position = np.arange(len(values)) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    left = np.repeat(counts, counts) - position  # this chunk and later ones
+    matrix, size_scaled = chunk_feature_rows(sizes, seconds, tcp, position)
+    targets = np.array(labels, dtype=int)
+    mask = predictor.config.feature_mask()
     datasets: List[Dataset] = []
     for k in range(horizon):
-        if not features[k]:
+        # Step k pairs chunk i's decision with chunk i + k of its stream.
+        rows = np.flatnonzero(left > k)
+        if not len(rows):
             if allow_empty:
                 datasets.append(_empty_dataset())
                 continue
             raise ValueError(
                 f"no training examples for horizon step {k}; need longer streams"
             )
-        x = np.vstack(features[k])
-        y = np.asarray(labels[k], dtype=int)
+        x = matrix[rows]
+        x[:, PROPOSED_SIZE_INDEX] = size_scaled[rows + k]
+        x *= mask
+        y = targets[rows + k]
         w = np.full(len(y), float(sample_weight))
         datasets.append(Dataset(x, y, w))
     return datasets

@@ -24,6 +24,7 @@ The class also implements every ablated variant of §4.6 through
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, FrozenSet, Sequence, Tuple
 
@@ -322,8 +323,11 @@ class TransmissionTimePredictor:
             self._set_tail_center(float(tail))
 
     def copy(self) -> "TransmissionTimePredictor":
-        clone = TransmissionTimePredictor(self.config)
-        clone.load_state_dict(self.state_dict())
+        """An independent predictor with this one's parameter bytes and tail
+        calibration (the read-only bin centres are shared, and replaced,
+        never written, by a later calibration)."""
+        clone = copy.copy(self)
+        clone._stack = copy.deepcopy(self._stack)
         return clone
 
     @classmethod

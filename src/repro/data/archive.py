@@ -39,6 +39,7 @@ from repro.atomio import atomic_write_bytes
 from repro.streaming.telemetry import (
     TABLES,
     ClientBufferRecord,
+    RowError,
     TableRecord,
     TelemetryLog,
     VideoAckedRecord,
@@ -249,10 +250,15 @@ class ArchiveAppender:
         The incremental counterpart of
         :func:`reconstruct_training_streams`: the continual retrainer records
         :meth:`offsets` at each simulated-day boundary and consumes exactly
-        the rows committed during that day.
+        the rows committed during that day. It reads the two tables the
+        join reads; ``client_buffer`` rows are never decoded.
         """
+        self.flush()
         return reconstruct_training_streams(
-            self.read_slice(start_offsets, end_offsets)
+            _read_tables(
+                self.day.directory, start_offsets, end_offsets,
+                ("video_sent", "video_acked"),
+            )
         )
 
     def close(self) -> None:
@@ -302,8 +308,9 @@ def _read_rows(
     ``start`` must lie on a row boundary: just past the header, or an
     offset :meth:`ArchiveAppender.offsets` recorded (always after a flush).
     The range must lie within the file, and every row in it must end with
-    its line terminator and hold one field per column that parses as the
-    column's type; otherwise :class:`ArchiveError` names the byte offset.
+    its line terminator and decode (:meth:`TableRecord.from_rows`: one
+    field per column, finite floats, integral ints); otherwise
+    :class:`ArchiveError` names the row's byte offset and the column.
     """
     with open(path, "rb") as f:
         size = f.seek(0, os.SEEK_END)
@@ -321,21 +328,18 @@ def _read_rows(
             path, start + data.rfind(b"\n") + 1,
             "the last row has no line terminator",
         )
-    n_columns = len(record.columns)
-    decode = record.from_values
-    records = []
     reader = csv.reader(
         io.StringIO(data.decode("utf-8", "replace"), newline="")
     )
     try:
-        for row in reader:
-            if len(row) != n_columns:
-                raise ValueError(f"{len(row)} fields, expected {n_columns}")
-            records.append(decode(row))
-    except (ValueError, csv.Error) as exc:
-        lines = data.splitlines(keepends=True)[: reader.line_num - 1]
-        raise _torn(path, start + sum(map(len, lines)), str(exc)) from None
-    return records
+        return record.from_rows(list(reader))
+    except RowError as exc:
+        row, why = exc.row, str(exc)
+    except csv.Error as exc:
+        row, why = reader.line_num - 1, str(exc)
+    # Rows are single lines: the writer quotes no field.
+    lines = data.splitlines(keepends=True)[:row]
+    raise _torn(path, start + sum(map(len, lines)), why)
 
 
 def load_archive_day(directory: Union[str, Path]) -> TelemetryLog:
@@ -362,8 +366,21 @@ def read_telemetry_slice(
     and no re-reading of earlier days.  ``end_offsets=None`` reads through
     the end of each table.
     """
+    return _read_tables(directory, start_offsets, end_offsets)
+
+
+def _read_tables(
+    directory: Union[str, Path],
+    start_offsets: Dict[str, int],
+    end_offsets: Optional[Dict[str, int]],
+    names: Tuple[str, ...] = tuple(name for name, _ in TABLES),
+) -> TelemetryLog:
+    """:func:`read_telemetry_slice` of the tables ``names``; the others
+    stay empty."""
     telemetry = TelemetryLog()
     for name, path, record in ArchiveDay.in_directory(directory).tables():
+        if name not in names:
+            continue
         if name not in start_offsets:
             raise ValueError(f"no start offset for table {name!r}")
         end = None if end_offsets is None else int(end_offsets[name])

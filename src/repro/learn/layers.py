@@ -140,8 +140,7 @@ class ReLU(Layer):
         # All-ones where the unit was active, zero elsewhere; ANDed with
         # the gradient's bit pattern that keeps it or leaves +0.0, also
         # for a NaN or infinite gradient (which a 0/1 product would keep).
-        keep = self._mask.view(np.int8).astype(np.int64)
-        np.negative(keep, out=keep)
+        keep = np.negative(self._mask.view(np.int8), dtype=np.int64)
         grad_in: Array = (keep & grad_out.view(np.int64)).view(np.float64)
         return grad_in
 

@@ -8,7 +8,7 @@ procedure weights recent days more heavily (§4.3 of the paper).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -56,6 +56,16 @@ class Loss:
     ) -> Tuple[float, Array]:
         raise NotImplementedError
 
+    def validate(
+        self, target: Array, weights: Optional[Array], width: int
+    ) -> None:
+        """Raise ``ValueError`` unless a whole dataset's ``target`` and
+        ``weights`` suit an output ``width`` wide. The trainer asks once
+        per fit, before its first step: a bad row found in a late batch
+        would otherwise leave the model stepped on the earlier ones."""
+        if weights is not None and np.any(np.asarray(weights) < 0):
+            raise ValueError("sample weights must be non-negative")
+
     def stacked(
         self, output: Array, target: Array, weights: Array
     ) -> Tuple[Array, Array]:
@@ -79,6 +89,11 @@ class SoftmaxCrossEntropy(Loss):
     against that bin index.
     """
 
+    def __init__(self) -> None:
+        # Flat position of each row's bin 0, per (members, rows, bins):
+        # the same few batch shapes recur every epoch.
+        self._row_starts: Dict[Tuple[int, int, int], Array] = {}
+
     def __call__(
         self, output: Array, target: Array, weights: Optional[Array] = None
     ) -> Tuple[float, Array]:
@@ -92,6 +107,14 @@ class SoftmaxCrossEntropy(Loss):
         )
         return float(values[0]), grad[0]
 
+    def validate(
+        self, target: Array, weights: Optional[Array], width: int
+    ) -> None:
+        super().validate(target, weights, width)
+        target = np.asarray(target, dtype=int)
+        if target.size and (target.min() < 0 or target.max() >= width):
+            raise ValueError(f"targets must lie in [0, {width})")
+
     def stacked(
         self, output: Array, target: Array, weights: Array
     ) -> Tuple[Array, Array]:
@@ -104,7 +127,11 @@ class SoftmaxCrossEntropy(Loss):
         w = _normalize_weights(weights, members, n)
         logp = log_softmax(output)
         # Flat positions of each row's target bin.
-        at_target = np.arange(0, members * n * k, k) + target.ravel()
+        row_starts = self._row_starts.get(output.shape)
+        if row_starts is None:
+            row_starts = np.arange(0, members * n * k, k)
+            self._row_starts[output.shape] = row_starts
+        at_target = row_starts + target.ravel()
         picked = logp.ravel()[at_target].reshape(members, n)
         losses: Array = -(w * picked).mean(axis=1)
         # softmax(logits) is exp(log_softmax(logits)): the value the loss

@@ -204,19 +204,33 @@ class Trainer:
             validation is not None and len(validation) != len(members)
         ):
             raise ValueError("need one dataset per stacked model")
+        width = self._members[0].out_features
+        for kind, sets in (("training", datasets), ("validation", validation)):
+            for k, dataset in enumerate(sets or ()):
+                try:
+                    self.loss.validate(dataset.targets, dataset.weights, width)
+                except ValueError as exc:
+                    raise ValueError(f"{kind} dataset {k}: {exc}") from None
         blocks = self.model.blocks
-        # Per member, the arrays a batch is gathered from. Absent weights
-        # are ones: normalized, they are ones again, bit for bit.
+        # The members' rows one after another, one array per column, so a
+        # batch of several members is one gather per column. Absent
+        # weights are ones: normalized, they are ones again, bit for bit.
         columns = [
-            (
-                dataset.features,
-                dataset.targets,
-                dataset.weights
-                if dataset.weights is not None
-                else np.ones(len(dataset)),
+            np.concatenate(column)
+            for column in zip(
+                *(
+                    (
+                        dataset.features,
+                        dataset.targets,
+                        dataset.weights
+                        if dataset.weights is not None
+                        else np.ones(len(dataset)),
+                    )
+                    for dataset in datasets
+                )
             )
-            for dataset in datasets
         ]
+        offsets = np.cumsum([0] + [len(dataset) for dataset in datasets])
         reports = [TrainingReport() for _ in members]
         best_val = [float("inf") for _ in members]
         best_state: List[Optional[dict]] = [None for _ in members]
@@ -225,9 +239,10 @@ class Trainer:
         for _ in range(self.epochs):
             if not any(running):
                 break
-            # A stopped member draws no further shuffle and has no batch.
+            # A stopped member draws no further shuffle and has no batch;
+            # a running one's permutation indexes its rows of ``columns``.
             perms = [
-                self.rngs[k].permutation(len(datasets[k]))
+                self.rngs[k].permutation(len(datasets[k])) + offsets[k]
                 if running[k]
                 else np.empty(0, dtype=int)
                 for k in members
@@ -244,16 +259,17 @@ class Trainer:
                     first = span.stop
                     if not rows:
                         continue
-                    # One gather per member and column, then members
-                    # along axis 0: (members, rows, ...) each.
+                    index = np.concatenate(
+                        [perm[start:stop] for perm in perms[span]]
+                    )
+                    lead = (span.stop - span.start, rows)
+                    # One gather per column, then members along axis 0:
+                    # (members, rows, ...) each.
                     features, targets, weights = (
-                        np.stack(rows_of_members)
-                        for rows_of_members in zip(
-                            *(
-                                [c[perms[k][start:stop]] for c in columns[k]]
-                                for k in members[span]
-                            )
+                        np.take(column, index, axis=0).reshape(
+                            lead + column.shape[1:]
                         )
+                        for column in columns
                     )
                     output, inputs = _forward(blocks, features, span)
                     values, grad = self.loss.stacked(output, targets, weights)

@@ -10,9 +10,11 @@ and (hypothetically) real data:
   second and on events.
 
 The record types are the one definition of each table: its columns are
-the record's dataclass fields in order (``columns``), and ``from_values``
-decodes a row in that order, for the CSV archive
-(:mod:`repro.data.archive`) and parsed JSON (``from_dict``) alike.
+the record's dataclass fields in order (``columns``), and ``from_rows``
+decodes rows in that order — strictly: finite floats, integral ints, no
+bools — for the CSV archive (:mod:`repro.data.archive`); ``from_values``
+decodes one row by the same rules, for parsed JSON (``from_dict``) and
+records being written.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import (
-    Any, Callable, ClassVar, Iterable, List, Optional, Tuple, Type, TypeVar,
+    Any, ClassVar, Iterable, List, Optional, Sequence, Tuple, Type, TypeVar,
 )
 
 from repro import obs
@@ -42,19 +44,116 @@ class BufferEvent(str, Enum):
 _R = TypeVar("_R", bound="TableRecord")
 
 
+class RowError(ValueError):
+    """A row that does not decode; ``row`` is its index among the rows
+    given, and the message names the column and the value."""
+
+    def __init__(self, row: int, message: str) -> None:
+        super().__init__(message)
+        self.row = row
+
+
+def _strict(kind: str, value: Any) -> Any:
+    """``value`` as a field of type ``kind``, or ``ValueError``: a float
+    must be finite, an int integral (``7.5`` is not truncated to 7), and a
+    bool is neither."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    if kind == "float":
+        number = float(value)
+        if not math.isfinite(number):
+            raise ValueError(f"{value!r} is not finite")
+        return number
+    if kind == "int":
+        if isinstance(value, str):
+            return int(value)
+        integer = int(value)
+        if integer != value:
+            raise ValueError(f"{value!r} is not an integer")
+        return integer
+    return BufferEvent(value)
+
+
+def _column(kind: str, values: Tuple[Any, ...]) -> Optional[List[Any]]:
+    """The fast path of :func:`_strict` over a whole column: the decoded
+    values, or ``None`` when some value needs the per-value check (which
+    then names it, or — a float sum that overflowed — passes them all)."""
+    try:
+        if kind == "float":
+            if bool in set(map(type, values)):
+                return None
+            floats = list(map(float, values))
+            total = sum(floats)
+            # A NaN or an infinity makes the sum one, and nothing else
+            # does but an overflow.
+            return floats if total - total == 0 else None
+        if kind == "int":
+            if not set(map(type, values)) <= {str, int}:
+                return None
+            return list(map(int, values))
+        return list(map(BufferEvent, values))
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 class TableRecord:
     """One row of an archive table: a frozen dataclass whose fields, as
     :func:`_table` records them once per class, are the table's columns."""
 
     columns: ClassVar[Tuple[str, ...]]
-    _casts: ClassVar[Tuple[Callable[[Any], Any], ...]]
+    _kinds: ClassVar[Tuple[str, ...]]
+
+    @classmethod
+    def from_rows(cls: Type[_R], rows: Sequence[Sequence[Any]]) -> List[_R]:
+        """The records whose fields, in column order, are each row's values
+        — CSV strings, or JSON numbers of either kind — each coerced to its
+        declared type. The one decoder: a row with the wrong number of
+        fields, a float that is not finite, an int that is not integral,
+        or a bool raises :class:`RowError` naming the first such row, the
+        column and the value. It decodes column by column, so the checks
+        cost a few passes over each column, not a call per field; when a
+        count or a column fails them, the rows are decoded again one by
+        one (:meth:`_row`), which names the first bad row."""
+        if not set(map(len, rows)) - {len(cls.columns)}:
+            decoded = [
+                _column(kind, values)
+                for kind, values in zip(cls._kinds, zip(*rows))
+            ]
+            if None not in decoded:
+                return [cls._record(fields) for fields in zip(*decoded)]
+        return [
+            cls._record(cls._row(row, values)) for row, values in enumerate(rows)
+        ]
 
     @classmethod
     def from_values(cls: Type[_R], values: Iterable[Any]) -> _R:
-        """The record whose fields, in column order, are ``values`` (one
-        per column: callers check the count), each coerced to its declared
-        type — from a CSV string, or a JSON number of either kind."""
-        return cls(*[cast(value) for cast, value in zip(cls._casts, values)])
+        """The record of one row, decoded by :meth:`from_rows`' rules."""
+        return cls._record(cls._row(0, tuple(values)))
+
+    @classmethod
+    def _row(cls, row: int, values: Sequence[Any]) -> List[Any]:
+        """Row ``row``'s fields, each checked by :func:`_strict`, or
+        :class:`RowError` naming the row, the column and the value."""
+        if len(values) != len(cls.columns):
+            raise RowError(
+                row, f"{len(values)} fields, expected {len(cls.columns)}"
+            )
+        fields = []
+        for name, kind, value in zip(cls.columns, cls._kinds, values):
+            try:
+                fields.append(_strict(kind, value))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise RowError(row, f"column {name!r}: {exc}") from None
+        return fields
+
+    @classmethod
+    def _record(cls: Type[_R], fields: Iterable[Any]) -> _R:
+        """The record of coerced and checked ``fields``, set as the frozen
+        dataclass's ``__init__`` would set them, without its per-field
+        ``__setattr__``."""
+        record = object.__new__(cls)
+        record.__dict__.update(zip(cls.columns, fields))
+        return record
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -69,10 +168,9 @@ class TableRecord:
 
 
 def _table(cls: Type[_R]) -> Type[_R]:
-    """Record ``cls``'s columns and per-column decoders, once per class."""
-    casts = {"float": float, "int": int, "BufferEvent": BufferEvent}
+    """Record ``cls``'s columns and their types, once per class."""
     cls.columns = tuple(f.name for f in fields(cls))
-    cls._casts = tuple(casts[str(f.type)] for f in fields(cls))
+    cls._kinds = tuple(str(f.type) for f in fields(cls))
     return cls
 
 

@@ -154,6 +154,31 @@ class TestPredictor:
             ttp.distribution([], info(), sizes).probs,
         )
 
+    def test_copy_holds_the_parameter_bytes_and_is_detached(self):
+        from repro.core.train import TtpTrainer, build_ttp_datasets
+        from repro.streaming.session import StreamResult
+        from repro.abr.base import ChunkRecord
+
+        ttp = TransmissionTimePredictor(TtpConfig(horizon=2), seed=4)
+        ttp._set_tail_center(12.5)
+        clone = ttp.copy()
+        assert clone.stack.params.tobytes() == ttp.stack.params.tobytes()
+        assert clone.state_dict() == ttp.state_dict()
+        before = ttp.stack.params.tobytes()
+        stream = StreamResult(0, "x", records=[
+            ChunkRecord(i, 0, 4e5 + 1e3 * i, 15.0,
+                        15.0 if i == 7 else 0.3 * (i % 5), info(),
+                        2.0 * i)
+            for i in range(40)
+        ])
+        TtpTrainer(clone, epochs=2, seed=0).train(
+            build_ttp_datasets([stream], clone)
+        )
+        assert clone.stack.params.tobytes() != before
+        assert ttp.stack.params.tobytes() == before
+        assert clone.calibrate_tail([stream]) == 15.0
+        assert ttp.tail_center_s == 12.5
+
     def test_horizon_mismatch_on_load(self):
         a = TransmissionTimePredictor(TtpConfig(horizon=3), seed=0)
         b = TransmissionTimePredictor(TtpConfig(horizon=5), seed=0)

@@ -212,6 +212,37 @@ class TestArchiveAppender:
         assert all(after[k] >= before[k] for k in before)
 
 
+class TestWhatTheDayCloseReads:
+    """``ArchiveAppender.reconstruct_streams`` — the retrain service's
+    per-day read — decodes ``video_sent`` and ``video_acked`` only: the
+    trainer's join never looks at ``client_buffer``."""
+
+    def test_garbage_client_buffer_rows_change_nothing(
+        self, telemetry, tmp_path
+    ):
+        from repro.data import ArchiveAppender
+
+        with ArchiveAppender(tmp_path) as appender:
+            start = appender.offsets()
+            appender.append(telemetry)
+            end = appender.offsets()
+            streams = appender.reconstruct_streams(start, end)
+        path = ArchiveDay.in_directory(tmp_path).client_buffer
+        data = bytearray(path.read_bytes())
+        lo, hi = start["client_buffer"], end["client_buffer"]
+        assert hi - lo > 100
+        data[lo:hi] = (b"\x00garbage,\xff\r\n" * (hi - lo))[: hi - lo]
+        path.write_bytes(bytes(data))
+        with ArchiveAppender(tmp_path) as appender:
+            assert appender.reconstruct_streams(start, end) == streams
+            with pytest.raises(ArchiveError, match="client_buffer"):
+                appender.read_slice(start, end)
+        assert [s.stream_id for s in streams] == [1, 2]
+        assert sum(len(s.records) for s in streams) == len(
+            telemetry.video_acked
+        )
+
+
 class TestTolerantReconstruction:
     """reconstruct_streams must survive the row-ordering hazards of a
     streamed archive: shuffled acks, duplicates, orphans, clock skew."""

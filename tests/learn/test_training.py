@@ -159,3 +159,49 @@ class TestTrainer:
             return net.predict(np.ones((1, 2)))
 
         np.testing.assert_array_equal(train_once(), train_once())
+
+
+class TestBadDatasetLeavesTheModelUntouched:
+    """Targets and weights are checked once per fit, before the first step:
+    a bad row in a late batch must not leave the earlier batches' steps in
+    the model."""
+
+    def data(self, rng, n=300):
+        return rng.normal(size=(n, 4)), rng.integers(0, 3, n)
+
+    def test_a_late_label_out_of_range(self):
+        rng = np.random.default_rng(0)
+        net = MLP(4, [8], 3, rng=rng)
+        x, y = self.data(rng)
+        y[-1] = 7
+        before = net.state_dict()
+        with pytest.raises(ValueError, match=r"training dataset 0: targets "
+                           r"must lie in \[0, 3\)"):
+            Trainer(net, SoftmaxCrossEntropy(), batch_size=32).fit(
+                Dataset(x, y)
+            )
+        assert net.state_dict() == before
+
+    @pytest.mark.parametrize("fault", ["label", "weight", "validation"])
+    def test_a_stack_keeps_its_parameter_bytes(self, fault):
+        from repro.learn.network import MLPStack
+
+        rng = np.random.default_rng(1)
+        stack = MLPStack([MLP(4, [8], 3, rng=rng) for _ in range(3)])
+        datasets = [Dataset(*self.data(rng), np.ones(300)) for _ in range(3)]
+        validation = [Dataset(*self.data(rng, 40)) for _ in range(3)]
+        if fault == "label":
+            datasets[2].targets[-1] = -1
+            match = "training dataset 2: targets must lie"
+        elif fault == "weight":
+            datasets[1].weights[-1] = -0.5
+            match = "training dataset 1: sample weights must be non-negative"
+        else:
+            validation[0].targets[0] = 3
+            match = "validation dataset 0: targets must lie"
+        before = stack.params.tobytes()
+        trainer = Trainer(stack, SoftmaxCrossEntropy(), batch_size=32,
+                          seed=[0, 1, 2])
+        with pytest.raises(ValueError, match=match):
+            trainer.fit(datasets, validation=validation)
+        assert stack.params.tobytes() == before
