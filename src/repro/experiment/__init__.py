@@ -16,15 +16,12 @@ from repro.experiment.harness import (
     RandomizedTrial,
     SessionResult,
     SessionShard,
-    ThroughputReport,
     TrialConfig,
     TrialResult,
-    WorkerTiming,
     assign_expt_ids,
     merge_shards,
     run_session,
 )
-from repro.experiment.parallel import run_trial_parallel
 from repro.experiment.insitu import (
     InSituTrainingConfig,
     deploy_and_collect,
@@ -49,12 +46,9 @@ __all__ = [
     "TrialResult",
     "SessionResult",
     "SessionShard",
-    "ThroughputReport",
-    "WorkerTiming",
     "assign_expt_ids",
     "merge_shards",
     "run_session",
-    "run_trial_parallel",
     "SchemeSpec",
     "primary_experiment_schemes",
     "scheme_table",

@@ -23,6 +23,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Generator,
@@ -61,6 +62,9 @@ from repro.streaming.simulator import (
     stream_machine,
 )
 from repro.streaming.telemetry import StreamRecorder, TelemetryLog
+
+if TYPE_CHECKING:  # parallel imports this module
+    from repro.experiment.parallel import Throughput
 
 __all__ = [
     "ConnectRequest",
@@ -131,67 +135,6 @@ class SessionResult:
         return sum(stream.total_time for stream in self.streams)
 
 
-@dataclass(frozen=True)
-class WorkerTiming:
-    """How much work one worker process did during a trial."""
-
-    worker: int
-    """Worker identity: the OS pid of the process that ran the chunks."""
-
-    sessions: int
-    streams: int
-    busy_s: float
-    """Seconds the worker spent simulating (excludes pool overhead)."""
-
-    chunks: int = 1
-    """Number of session chunks this worker executed (load-balance grain)."""
-
-
-@dataclass(frozen=True)
-class ThroughputReport:
-    """Lightweight throughput accounting for one trial run."""
-
-    mode: str
-    """``"serial"`` (in-process) or ``"fork"`` (process pool)."""
-
-    workers: int
-    n_sessions: int
-    n_streams: int
-    wall_s: float
-    chunk_size: int
-    per_worker: List[WorkerTiming] = field(default_factory=list)
-
-    merge_s: float = 0.0
-    """Seconds spent merging session shards back into the trial result
-    (serialization + fold; the non-parallelizable tail of Amdahl's law)."""
-
-    @property
-    def sessions_per_s(self) -> float:
-        return self.n_sessions / self.wall_s if self.wall_s > 0 else float("inf")
-
-    @property
-    def streams_per_s(self) -> float:
-        return self.n_streams / self.wall_s if self.wall_s > 0 else float("inf")
-
-    def format(self) -> str:
-        """Human-readable multi-line summary (for the CLI's stderr)."""
-        lines = [
-            f"trial throughput: {self.n_sessions} sessions "
-            f"({self.n_streams} streams) in {self.wall_s:.2f}s "
-            f"= {self.sessions_per_s:.1f} sessions/s, "
-            f"{self.streams_per_s:.1f} streams/s "
-            f"[{self.mode}, workers={self.workers}, chunk={self.chunk_size}, "
-            f"merge {self.merge_s * 1e3:.0f}ms]"
-        ]
-        for w in self.per_worker:
-            lines.append(
-                f"  worker {w.worker}: {w.sessions} sessions "
-                f"({w.chunks} chunks), {w.streams} streams, "
-                f"busy {w.busy_s:.2f}s"
-            )
-        return "\n".join(lines)
-
-
 @dataclass
 class TrialResult:
     """Outcome of a randomized trial."""
@@ -201,7 +144,7 @@ class TrialResult:
     scheme_names: List[str]
     expt_ids: Dict[str, int]
     telemetry: Optional[TelemetryLog] = None
-    throughput: Optional[ThroughputReport] = None
+    throughput: Optional["Throughput"] = None
     """Populated by :meth:`RandomizedTrial.run`; not part of the scientific
     result (excluded from serial/parallel equivalence comparisons)."""
 
@@ -630,23 +573,13 @@ class RandomizedTrial:
         self.specs = list(specs)
         self.config = config
 
-    def run(
-        self, workers: int = 1, chunk_size: Optional[int] = None
-    ) -> TrialResult:
+    def run(self, workers: int = 1) -> TrialResult:
         """Run the trial.
 
-        Parameters
-        ----------
-        workers:
-            Number of worker processes.  ``1`` (the default) runs the
-            sessions in this process; ``N > 1`` shards them across ``N``
-            processes.  The result is bit-identical either way.
-        chunk_size:
-            Sessions per parallel task (``workers > 1`` only); defaults to
-            a value that gives each worker several chunks for load balance.
+        ``workers`` is the number of worker processes: ``1`` (the default)
+        runs the sessions in this process, ``N > 1`` shards them across
+        ``N`` processes.  The result is bit-identical either way.
         """
-        from repro.experiment.parallel import run_trial_parallel
+        from repro.experiment.parallel import _run_trial
 
-        return run_trial_parallel(
-            self.specs, self.config, workers=workers, chunk_size=chunk_size
-        )
+        return _run_trial(self.specs, self.config, workers)

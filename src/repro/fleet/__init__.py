@@ -52,7 +52,6 @@ from repro.fleet.retrain import (
 from repro.fleet.runner import (
     FleetConfig,
     FleetResult,
-    FleetThroughput,
     format_sink_table,
     run_fleet,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "FleetHistogram",
     "FleetResult",
     "FleetSink",
-    "FleetThroughput",
     "GenerationEntry",
     "ModelRegistry",
     "REGISTRY_SCHEMA_VERSION",

@@ -584,17 +584,20 @@ def run_fleet_retrain(
                     for stream in streams
                 ]
                 predictor.calibrate_tail(window_streams)
-                retrainer.retrain(datasets)
-                if not np.isfinite(predictor.stack.params).all():
-                    # All-NaN scores argmax to rung 0: the arm would stream
-                    # the lowest quality and report it as Fugu's.
+                try:
+                    # The fit refuses a non-finite feature or weight up
+                    # front; a step can still overflow.  All-NaN scores
+                    # argmax to rung 0: the arm would stream the lowest
+                    # quality and report it as Fugu's.
+                    retrainer.retrain(datasets)
+                    if not np.isfinite(predictor.stack.params).all():
+                        raise ValueError("retraining left non-finite parameters")
+                except ValueError as exc:
                     raise RegistryError(
-                        f"day {retrainer.current_day}: retraining left "
-                        f"generation {len(registry) + 1} with non-finite "
-                        "parameters (a non-finite value in the day's "
-                        "telemetry?); it is not published — repair the "
-                        "archive rows of that day and resume"
-                    )
+                        f"day {retrainer.current_day}: generation "
+                        f"{len(registry) + 1} is not published ({exc}); "
+                        "repair the archive rows of that day and resume"
+                    ) from exc
                 evaluator = TtpTrainer(predictor)
                 evaluation = []
                 for k, dataset in enumerate(datasets):

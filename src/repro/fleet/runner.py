@@ -4,9 +4,10 @@ Composes the other three fleet pieces with the existing trial machinery:
 
 * sessions come from the :mod:`repro.fleet.workload` arrival process;
 * each session is simulated by the **pure**
-  :func:`repro.experiment.harness.run_session` of PR 1 (every draw keyed on
-  ``(seed, session_id)``), so the fleet inherits the trial's independence
-  and embarrassing parallelism;
+  :func:`repro.experiment.harness.run_session` (every draw keyed on
+  ``(seed, session_id)``), through the trial's own session chunk
+  :func:`repro.experiment.parallel.run_sessions`, so the fleet inherits the
+  trial's independence and embarrassing parallelism;
 * per-chunk results are folded into :class:`repro.fleet.sinks.FleetSink`
   deltas *in the worker* and discarded — only O(chunk) state ever exists;
 * the driver commits chunks in session-id order, streams telemetry to the
@@ -15,9 +16,9 @@ Composes the other three fleet pieces with the existing trial machinery:
 
 Execution is :func:`repro.experiment.parallel.fork_map` — the one process
 pool — over :func:`_simulate_chunk`: chunks are contiguous session-id ranges
-(per-process scheme instances, fork-inherited payload) whose deltas come
-back in order, lazily, so commits stream instead of materializing every
-result.  Because sink merging is exact (integer arithmetic), the final dump
+cut by :func:`repro.experiment.parallel.chunked` (per-process scheme
+instances, fork-inherited payload) whose deltas come back in order, lazily,
+so commits stream instead of materializing every result.  Because sink merging is exact (integer arithmetic), the final dump
 is byte-identical at any worker count, any chunk size, and across
 kill/resume at any point.  :func:`_drive_fleet` is the only commit loop:
 :func:`run_fleet` runs it over one segment, the continual-retraining service
@@ -57,7 +58,6 @@ from repro.experiment.harness import (
     TrialConfig,
     assign_expt_ids,
     checked_scheme_names,
-    run_session,
 )
 from repro.experiment.schemes import SchemeSpec
 from repro.fleet.checkpoint import (
@@ -138,32 +138,6 @@ class FleetConfig:
         return config_fingerprint(*parts)
 
 
-@dataclass(frozen=True)
-class FleetThroughput:
-    """Wall-clock accounting for one fleet run (never enters the dump)."""
-
-    mode: str
-    workers: int
-    sessions: int
-    streams: int
-    wall_s: float
-    commits: int
-    checkpoints: int
-
-    @property
-    def sessions_per_s(self) -> float:
-        return self.sessions / self.wall_s if self.wall_s > 0 else float("inf")
-
-    def format(self) -> str:
-        return (
-            f"fleet throughput: {self.sessions} sessions "
-            f"({self.streams} streams) in {self.wall_s:.2f}s "
-            f"= {self.sessions_per_s:.1f} sessions/s "
-            f"[{self.mode}, workers={self.workers}, "
-            f"commits={self.commits}, checkpoints={self.checkpoints}]"
-        )
-
-
 @dataclass
 class FleetResult:
     """Outcome of a fleet run (possibly a paused partial run)."""
@@ -173,7 +147,7 @@ class FleetResult:
     scheme_names: List[str]
     next_session_id: int
     completed: bool
-    throughput: Optional[FleetThroughput] = None
+    throughput: Optional[parallel.Throughput] = None
     checkpoint_path: Optional[str] = None
     archive_dir: Optional[str] = None
     dump_path: Optional[str] = None
@@ -341,12 +315,11 @@ def _simulate_chunk(payload: _ChunkPayload, items: Sequence) -> _FleetChunk:
 
     The chunk function of every fleet run, in a pool worker or in-process.
     ``items`` is ``[(session_id, time_s), ...]``, or in cell mode a list of
-    whole cells (:data:`_CellItems`).  The shards come from ``run_session``
-    per arrival or ``run_cell`` per cell, which agree where they overlap (a
-    singleton cell *is* a ``run_session`` call).
+    whole cells (:data:`_CellItems`).  The shards come from the trial's
+    session chunk (:func:`~repro.experiment.parallel.run_sessions`) or from
+    ``run_cell`` per cell, which agree where they overlap (a singleton cell
+    *is* a ``run_session`` call).
     """
-    specs, config, expt_ids = payload.specs, payload.config, payload.expt_ids
-    algorithms = payload.algorithms
     edge_stats = dict.fromkeys(_EDGE_STATS, 0)
     if payload.edge is not None:
         # Each cell runs with offsets measured from its first arrival
@@ -359,8 +332,8 @@ def _simulate_chunk(payload: _ChunkPayload, items: Sequence) -> _FleetChunk:
         for cell_id, cell_items in items:
             first_session_id, first_time_s = cell_items[0]
             result = run_cell(
-                specs,
-                config,
+                payload.specs,
+                payload.config,
                 Cell(
                     cell_id=cell_id,
                     start_session_id=first_session_id,
@@ -368,8 +341,8 @@ def _simulate_chunk(payload: _ChunkPayload, items: Sequence) -> _FleetChunk:
                 ),
                 payload.edge,
                 offsets=[time_s - first_time_s for _, time_s in cell_items],
-                expt_ids=expt_ids,
-                algorithms=algorithms,
+                expt_ids=payload.expt_ids,
+                algorithms=payload.algorithms,
             )
             edge_stats["cells"] += 1
             edge_stats["shared_cells"] += 1 if result.shared else 0
@@ -378,12 +351,11 @@ def _simulate_chunk(payload: _ChunkPayload, items: Sequence) -> _FleetChunk:
             shards.extend(result.shards)
     else:
         arrivals = items
-        shards = [
-            run_session(specs, config, session_id, expt_ids, algorithms)
-            for session_id, _ in items
-        ]
+        shards = parallel.run_sessions(
+            payload, [session_id for session_id, _ in items]
+        )
     delta = FleetSink()
-    telemetry = TelemetryLog() if config.collect_telemetry else None
+    telemetry = TelemetryLog() if payload.config.collect_telemetry else None
     for (session_id, time_s), shard in zip(arrivals, shards):
         _fold_session(
             delta, shard, SessionArrival(session_id=session_id, time_s=time_s)
@@ -396,14 +368,6 @@ def _simulate_chunk(payload: _ChunkPayload, items: Sequence) -> _FleetChunk:
         telemetry=telemetry,
         edge_stats=edge_stats,
     )
-
-
-def _chunked(
-    arrivals: Iterator[SessionArrival], size: int
-) -> Iterator[List[Tuple[int, float]]]:
-    """Group consecutive arrivals into commit-sized chunks."""
-    while chunk := [(a.session_id, a.time_s) for a in islice(arrivals, size)]:
-        yield chunk
 
 
 def _chunked_cells(
@@ -626,7 +590,10 @@ def _drive_fleet(
                         start_session_id=next_session_id,
                     )
                 else:
-                    chunks = _chunked(segment_arrivals, config.chunk_sessions)
+                    chunks = parallel.chunked(
+                        ((a.session_id, a.time_s) for a in segment_arrivals),
+                        config.chunk_sessions,
+                    )
                 with closing(
                     parallel.fork_map(_simulate_chunk, payload, chunks, workers)
                 ) as chunk_results:
@@ -652,7 +619,7 @@ def _drive_fleet(
         scheme_names=names,
         next_session_id=next_session_id,
         completed=completed,
-        throughput=FleetThroughput(
+        throughput=parallel.Throughput(
             mode=parallel.pool_mode(workers),
             workers=workers,
             sessions=sink.sessions - resumed_sessions,

@@ -36,6 +36,13 @@ def _normalize_weights(weights: Optional[Array], *shape: int) -> Array:
     return scaled
 
 
+def first_bad_row(bad: Array, rule: str) -> None:
+    """Raise ``ValueError`` naming the first row ``bad`` flags, if any."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        raise ValueError(f"{rule} (row {rows[0]})")
+
+
 def log_softmax(logits: Array) -> Array:
     """Numerically stable log-softmax along the last axis."""
     logits = np.asarray(logits, dtype=float)
@@ -63,8 +70,10 @@ class Loss:
         ``weights`` suit an output ``width`` wide. The trainer asks once
         per fit, before its first step: a bad row found in a late batch
         would otherwise leave the model stepped on the earlier ones."""
-        if weights is not None and np.any(np.asarray(weights) < 0):
-            raise ValueError("sample weights must be non-negative")
+        if weights is not None:
+            weights = np.asarray(weights, dtype=float)
+            first_bad_row(~np.isfinite(weights), "sample weights must be finite")
+            first_bad_row(weights < 0, "sample weights must be non-negative")
 
     def stacked(
         self, output: Array, target: Array, weights: Array

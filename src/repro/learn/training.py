@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.learn.layers import Layer
-from repro.learn.losses import Loss
+from repro.learn.losses import Loss, first_bad_row
 from repro.learn.network import MLP, Block, MLPStack
 from repro.learn.optim import Adam, Optimizer
 
@@ -208,6 +208,8 @@ class Trainer:
         for kind, sets in (("training", datasets), ("validation", validation)):
             for k, dataset in enumerate(sets or ()):
                 try:
+                    finite = np.isfinite(dataset.features).all(axis=1)
+                    first_bad_row(~finite, "features must be finite")
                     self.loss.validate(dataset.targets, dataset.weights, width)
                 except ValueError as exc:
                     raise ValueError(f"{kind} dataset {k}: {exc}") from None

@@ -4,7 +4,7 @@ The *purity roots* are the functions the experiment's statistics assume to
 be pure: :func:`repro.experiment.harness.run_session` (the unit of work the
 paper's confidence intervals are built on), the chunk functions that
 ``repro.experiment.parallel.fork_map`` runs over it
-(`repro.experiment.parallel._run_chunk`,
+(`repro.experiment.parallel.run_sessions`,
 `repro.fleet.runner._simulate_chunk`), the shared-cell engine
 (`repro.edge.engine.run_cell`), and every ``AbrAlgorithm.choose``
 implementation.  They are declared in the ``purity`` section of the

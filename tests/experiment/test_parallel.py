@@ -16,10 +16,10 @@ from repro.experiment.harness import (
     RandomizedTrial,
     TrialConfig,
     assign_expt_ids,
+    merge_shards,
     run_session,
 )
 from repro.experiment.insitu import deploy_and_collect
-from repro.experiment.parallel import plan_chunks, run_trial_parallel
 from repro.experiment.schemes import SchemeSpec
 
 
@@ -87,6 +87,35 @@ def serial_trial():
     return RandomizedTrial(classical_specs(), config).run()
 
 
+def ragged_config(n_sessions):
+    return TrialConfig(
+        n_sessions=n_sessions, seed=7, collect_telemetry=True,
+        observability=True,
+    )
+
+
+@pytest.fixture(scope="module")
+def unchunked():
+    """The reference of the ragged-chunk cases: every session in id order
+    through one scheme-instance cache and one merge — no chunks, no pool."""
+    trials = {}
+
+    def reference(n_sessions):
+        if n_sessions not in trials:
+            specs = classical_specs()
+            config = ragged_config(n_sessions)
+            expt_ids = assign_expt_ids(specs, config.seed)
+            algorithms = {spec.name: spec.build() for spec in specs}
+            shards = [
+                run_session(specs, config, session_id, expt_ids, algorithms)
+                for session_id in range(n_sessions)
+            ]
+            trials[n_sessions] = merge_shards(specs, config, expt_ids, shards)
+        return trials[n_sessions]
+
+    return reference
+
+
 class TestSerialParallelEquivalence:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_bit_identical_across_worker_counts(self, serial_trial, workers):
@@ -94,12 +123,22 @@ class TestSerialParallelEquivalence:
         trial = RandomizedTrial(classical_specs(), config).run(workers=workers)
         assert_trials_bit_identical(serial_trial, trial)
 
-    def test_chunk_size_does_not_change_result(self, serial_trial):
-        config = TrialConfig(n_sessions=24, seed=7, collect_telemetry=True)
-        trial = RandomizedTrial(classical_specs(), config).run(
-            workers=2, chunk_size=5
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_sessions", [1, 5, 37])
+    def test_ragged_chunks_do_not_change_result(
+        self, unchunked, n_sessions, workers
+    ):
+        # 37 sessions cut into chunks of 10, 5 and 4 leave a short last
+        # chunk at every worker count; 5 sessions at 3 workers are chunks
+        # of one.
+        trial = RandomizedTrial(
+            classical_specs(), ragged_config(n_sessions)
+        ).run(workers=workers)
+        reference = unchunked(n_sessions)
+        assert_trials_bit_identical(reference, trial)
+        assert trial.obs.to_dict(include_wallclock=False) == (
+            reference.obs.to_dict(include_wallclock=False)
         )
-        assert_trials_bit_identical(serial_trial, trial)
 
     def test_unpicklable_factories_survive_fork(self):
         # The real registry closes over model objects via lambdas.
@@ -148,13 +187,11 @@ class TestThroughputReport:
         assert report is not None
         assert report.mode == "serial"
         assert report.workers == 1
-        assert report.n_sessions == 24
-        assert report.n_streams == sum(
+        assert report.sessions == 24
+        assert report.streams == sum(
             len(s.streams) for s in serial_trial.sessions
         )
         assert report.sessions_per_s > 0
-        assert report.streams_per_s > 0
-        assert len(report.per_worker) == 1
         assert "sessions/s" in report.format()
 
     def test_parallel_report_accounts_all_work(self):
@@ -163,33 +200,8 @@ class TestThroughputReport:
         report = trial.throughput
         assert report is not None
         assert report.workers == 2
-        assert sum(w.sessions for w in report.per_worker) == 12
-        assert report.n_streams == sum(len(s.streams) for s in trial.sessions)
-        assert all(w.busy_s >= 0 for w in report.per_worker)
-
-
-class TestChunkPlanning:
-    def test_covers_all_sessions_exactly_once(self):
-        chunks = plan_chunks(103, workers=4)
-        ids = [i for chunk in chunks for i in chunk]
-        assert ids == list(range(103))
-
-    def test_explicit_chunk_size(self):
-        chunks = plan_chunks(10, workers=2, chunk_size=4)
-        assert [len(c) for c in chunks] == [4, 4, 2]
-
-    def test_load_balance_grain(self):
-        # Several chunks per worker so stragglers even out.
-        chunks = plan_chunks(400, workers=4)
-        assert len(chunks) >= 4 * 4 - 1
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            plan_chunks(0, 2)
-        with pytest.raises(ValueError):
-            plan_chunks(10, 0)
-        with pytest.raises(ValueError):
-            plan_chunks(10, 2, chunk_size=0)
+        assert report.sessions == 12
+        assert report.streams == sum(len(s.streams) for s in trial.sessions)
 
 
 class TestRunSessionPurity:
@@ -218,12 +230,12 @@ class TestRunSessionPurity:
         for ra, rb in zip(reordered.session.streams, fresh.session.streams):
             assert ra.records == rb.records
 
-    def test_run_trial_parallel_validates_specs(self):
+    def test_trial_validates_specs(self):
         with pytest.raises(ValueError, match="at least one"):
-            run_trial_parallel([], TrialConfig(n_sessions=2), workers=2)
+            RandomizedTrial([], TrialConfig(n_sessions=2)).run(workers=2)
         dup = classical_specs() + [classical_specs()[0]]
         with pytest.raises(ValueError, match="unique"):
-            run_trial_parallel(dup, TrialConfig(n_sessions=2), workers=2)
+            RandomizedTrial(dup, TrialConfig(n_sessions=2)).run(workers=2)
 
 
 class TestSeedFolding:

@@ -182,7 +182,11 @@ class TestBadDatasetLeavesTheModelUntouched:
             )
         assert net.state_dict() == before
 
-    @pytest.mark.parametrize("fault", ["label", "weight", "validation"])
+    @pytest.mark.parametrize(
+        "fault",
+        ["label", "weight", "validation", "nan weight", "inf weight",
+         "nan feature"],
+    )
     def test_a_stack_keeps_its_parameter_bytes(self, fault):
         from repro.learn.network import MLPStack
 
@@ -196,6 +200,15 @@ class TestBadDatasetLeavesTheModelUntouched:
         elif fault == "weight":
             datasets[1].weights[-1] = -0.5
             match = "training dataset 1: sample weights must be non-negative"
+        elif fault == "nan weight":
+            datasets[2].weights[-1] = np.nan
+            match = r"training dataset 2: sample weights must be finite \(row 299\)"
+        elif fault == "inf weight":
+            datasets[0].weights[17] = np.inf
+            match = r"training dataset 0: sample weights must be finite \(row 17\)"
+        elif fault == "nan feature":
+            datasets[1].features[42, 3] = np.nan
+            match = r"training dataset 1: features must be finite \(row 42\)"
         else:
             validation[0].targets[0] = 3
             match = "validation dataset 0: targets must lie"

@@ -59,4 +59,4 @@ class TestTreeCleanWholeProgram:
         families = {f.rule.rstrip("0123456789") for f in waived}
         assert {"PURE", "SEED", "CKPT"} <= families
         # A waiver added or removed is a reviewed change to this number.
-        assert len(waived) == 20
+        assert len(waived) == 14

@@ -14,7 +14,6 @@ import pytest
 from repro.abr.bba import BBA
 from repro.abr.mpc import MpcHm
 from repro.experiment.harness import RandomizedTrial, TrialConfig
-from repro.experiment.parallel import run_trial_parallel
 from repro.experiment.schemes import SchemeSpec
 
 
@@ -92,7 +91,7 @@ class TestParallelObsEquivalence:
         serial = RandomizedTrial(specs, config).run()
         reference = deterministic_dump(serial)
         for workers in (1, 2, 4):
-            parallel = run_trial_parallel(specs, config, workers=workers)
+            parallel = RandomizedTrial(specs, config).run(workers=workers)
             assert deterministic_dump(parallel) == reference, (
                 f"metrics dump diverged at workers={workers}"
             )
@@ -101,7 +100,7 @@ class TestParallelObsEquivalence:
         specs = classical_specs()
         config = obs_config(n_sessions=8, seed=5)
         serial = RandomizedTrial(specs, config).run()
-        parallel = run_trial_parallel(specs, config, workers=4)
+        parallel = RandomizedTrial(specs, config).run(workers=4)
         assert (
             serial.obs.metrics.counters == parallel.obs.metrics.counters
         )
@@ -120,14 +119,14 @@ class TestParallelObsEquivalence:
         specs = classical_specs()
         config = obs_config(n_sessions=8, seed=5)
         serial = RandomizedTrial(specs, config).run()
-        parallel = run_trial_parallel(specs, config, workers=2)
+        parallel = RandomizedTrial(specs, config).run(workers=2)
         assert parallel.obs.tracer.events() == serial.obs.tracer.events()
         assert parallel.obs.tracer.dropped == serial.obs.tracer.dropped
 
     def test_dump_metrics_roundtrip(self, tmp_path):
         specs = classical_specs()
         config = obs_config(n_sessions=6, seed=7)
-        trial = run_trial_parallel(specs, config, workers=2)
+        trial = RandomizedTrial(specs, config).run(workers=2)
         path = tmp_path / "metrics.json"
         returned = trial.dump_metrics(str(path), include_wallclock=False)
         assert returned == str(path)
