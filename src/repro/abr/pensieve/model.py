@@ -14,7 +14,7 @@ over a flat state vector:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -127,8 +127,3 @@ class ActorCritic:
         )
         clone.load_state_dict(self.state_dict())
         return clone
-
-
-def ladder_average_bitrates(ladder_bitrates_bps: Sequence[float]) -> List[float]:
-    """Average bitrates per rung — the only size signal Pensieve receives."""
-    return [float(b) for b in ladder_bitrates_bps]

@@ -10,9 +10,10 @@ is "run many pure sessions in id order and fold them":
 
 1. work is cut into contiguous chunks by :func:`chunked` (several per
    worker, for load balance — sessions vary a lot in length, Fig. 10);
-2. :func:`fork_map` runs a chunk function over them — on a forked process
-   pool, or in this process when ``workers <= 1`` or the platform cannot
-   fork — and hands the results back **in order, lazily**;
+2. :func:`fork_map` runs a chunk function over them — on worker processes
+   it forks itself, one pipe each, or in this process when ``workers <= 1``
+   or the platform cannot fork — and hands the results back **in order,
+   lazily**;
 3. the caller folds them: the trial
    (:meth:`~repro.experiment.harness.RandomizedTrial.run`) merges the
    :class:`~repro.experiment.harness.SessionShard` lists of
@@ -27,29 +28,36 @@ Pensieve policy) as lambdas, which do not pickle.  The pool therefore
 never pickles its payload: workers inherit it by copy-on-write ``fork``,
 and each builds its **own** scheme instances from it
 (:class:`SessionPayload`) — instances are never shared across processes.
+
+The pool has no helper thread.  A worker blocks on its pipe and a parent
+that reads end-of-file from it knows the worker is gone; a worker that
+reads end-of-file knows its parent is.  Whatever ends the map — the last
+result, an exception, an early close — closes every pipe, kills every
+worker and reaps it before :func:`fork_map` returns.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-import threading
+import pickle
+import signal
+import sys
 import time
-from collections import deque
+import traceback
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
+from multiprocessing.connection import Connection, Pipe, wait
 from typing import (
     Any,
     Callable,
-    Deque,
     Dict,
     Generator,
     Iterable,
     Iterator,
     List,
-    Optional,
     Sequence,
     Tuple,
     TypeVar,
@@ -86,47 +94,87 @@ class WorkerError(RuntimeError):
     chunk function): the pool is broken and the run cannot go on."""
 
 
-_WORKER_CALL: Optional[Tuple[Callable[[Any, Any], Any], Any]] = None
-"""``(fn, payload)`` of the pool this process is a worker of.  Written once,
-by :func:`_adopt` as a worker is born; every parent's copy stays ``None``.
-Pool tasks are pickled by name, so a worker needs one fixed place to find
-the (unpicklable) function and payload it inherited."""
-
-
-def _adopt(fn: Callable[[Any, Any], Any], payload: Any) -> None:
-    """Pool initializer: its arguments reach the worker by fork, unpickled.
-
-    Also starts the worker's watchdog.  A worker whose parent was killed
-    (``kill -9`` of a run) has nobody to send it work or read its results,
-    yet its siblings hold the task queue open, so it would wait on it
-    forever."""
-    global _WORKER_CALL
-    _WORKER_CALL = (fn, payload)
-    threading.Thread(
-        target=_exit_with_parent, args=(os.getppid(),), daemon=True
-    ).start()
-
-
-def _exit_with_parent(parent: int) -> None:
-    while os.getppid() == parent:
-        time.sleep(0.5)
-    os._exit(1)
-
-
-def _call(item: Any) -> Any:
-    if _WORKER_CALL is None:
-        raise RuntimeError("fork_map worker state missing (pool misconfigured)")
-    fn, payload = _WORKER_CALL
-    return fn(payload, item)
-
-
 def pool_mode(workers: int) -> str:
     """How :func:`fork_map` will run at this worker count: ``"fork"`` on a
     process pool, or ``"serial"`` in the calling process (a single worker,
-    or a platform without the ``fork`` start method)."""
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        return "fork"
-    return "serial"
+    or a platform without ``os.fork``)."""
+    return "fork" if workers > 1 and hasattr(os, "fork") else "serial"
+
+
+def _flush_output() -> None:
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        stream.flush()
+
+
+def _fork_worker(fn: Callable, payload: Any, pool: Dict[Connection, int]) -> None:
+    """Fork one more worker into ``pool``, which maps the parent's end of
+    each worker's pipe to the worker's pid.
+
+    Output is flushed first, so the child does not inherit and repeat the
+    parent's pending output.  The child keeps only its own end, so the
+    parent's end closing — the parent finishing, closing the map, or dying
+    — reaches it as end-of-file, and its own death reaches the parent the
+    same way.  It answers each item with ``(True, result)`` or ``(False,
+    exception)``; a reply that does not pickle is answered by its pickling
+    error.  Output is flushed before each reply, so the ``SIGKILL`` that
+    ends the map loses none of it."""
+    parent_end, child_end = Pipe()
+    _flush_output()
+    try:
+        pid = os.fork()
+    except OSError:
+        parent_end.close()
+        child_end.close()
+        raise
+    if pid:
+        child_end.close()
+        pool[parent_end] = pid
+        return
+    # The worker: this is its top level, and it never returns into its
+    # parent's frames.
+    try:
+        for conn in (parent_end, *pool):
+            conn.close()
+        while True:
+            item = child_end.recv()
+            try:
+                reply = (True, fn(payload, item))
+            except BaseException as exc:  # re-raised by the parent
+                reply = (False, exc)
+            _flush_output()
+            try:
+                child_end.send(reply)
+            except Exception as exc:  # the reply does not pickle
+                child_end.send((False, exc))
+    except (EOFError, ConnectionError):
+        os._exit(0)  # the parent's end closed
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(1)
+
+
+def _collect(pool: Dict[Connection, int], busy: Dict[Connection, int]) -> Iterator:
+    """Wait for the busy workers (``busy`` maps each one's end to its
+    item's index) until one replies; yield ``(index, reply bytes)`` for
+    each reply that is ready, which frees its worker.  End-of-file (or a
+    reset pipe) means the worker died: it is reaped and dropped from
+    ``pool``, and its reply is the :class:`WorkerError` naming it."""
+    for conn in wait(list(busy)):
+        index = busy.pop(conn)
+        try:
+            yield index, conn.recv_bytes()
+        except (EOFError, OSError):
+            pid = pool.pop(conn)
+            conn.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            ending = f"signal {-code}" if code < 0 else f"exit status {code}"
+            error = WorkerError(
+                f"pool worker {pid} ended ({ending}) before item {index} "
+                "returned a result; rerun with workers=1 to see why, or with "
+                "more memory"
+            )
+            yield index, pickle.dumps((False, error))
 
 
 def fork_map(
@@ -137,51 +185,62 @@ def fork_map(
     ``payload`` travels to the workers by fork inheritance (copy-on-write),
     so it may hold unpicklable objects such as scheme factories or live
     algorithm instances; each worker mutates only its own copy.  Items and
-    results must pickle.  ``items`` is read lazily, at most
-    :data:`DEFAULT_CHUNKS_PER_WORKER` per worker ahead of the consumer, and
-    results are yielded in item order, so a consumer can fold and discard
-    them one at a time; closing the generator early (a paused fleet run)
-    cancels the items not yet started and shuts the pool down at that point
-    instead of at GC time.  A worker that dies raises :class:`WorkerError`
-    instead of leaving the consumer waiting for its result.
+    results must pickle; an exception raised by ``fn`` is re-raised here.
+    The ``workers`` workers are forked when the first result is asked
+    for, and each item goes to a free one over its own pipe, one item at
+    a time: an item is never queued behind a long one, and the parent
+    never blocks sending to a worker that is itself blocked sending a
+    result, so items and results may be any size.  ``items`` is read
+    lazily, at most :data:`DEFAULT_CHUNKS_PER_WORKER` per worker ahead of
+    the consumer, and results are yielded in item order, so a consumer
+    can fold and discard them one at a time.  Finishing, raising or
+    closing the generator early (a paused fleet run) closes every pipe,
+    kills every worker and reaps it, there and then.  A worker that dies
+    raises :class:`WorkerError` in the place of the item it was on,
+    instead of leaving the consumer waiting for its result; no item is
+    handed out after that, so the error names the first item that kills
+    its worker.
 
     Runs in the calling process when :func:`pool_mode` says ``"serial"`` —
     then ``fn`` sees the caller's own ``payload`` object.
     """
     if pool_mode(workers) == "serial":
-        for item in items:
-            yield fn(payload, item)
+        yield from (fn(payload, item) for item in items)
         return
-    # Imported here: a serial run never pays for the executor's imports.
-    from concurrent.futures import Future, ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    pool = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt,
-        initargs=(fn, payload),
-    )
-    in_flight: Deque["Future[_R]"] = deque()
-    returned = 0
+    pool: Dict[Connection, int] = {}
+    busy: Dict[Connection, int] = {}
+    replies: Dict[int, bytes] = {}  # by item: answered, not yet yielded
+    returned, end = 0, object()
     try:
-        for item in items:
-            in_flight.append(pool.submit(_call, item))
-            if len(in_flight) == workers * DEFAULT_CHUNKS_PER_WORKER:
-                yield in_flight.popleft().result()
+        while len(pool) < workers:
+            _fork_worker(fn, payload, pool)
+        for index, item in enumerate(chain(items, [end])):
+            # Yield results until this item may go out — a worker is free,
+            # none has died, and the consumer is not too far behind — or,
+            # past the last item, until every result is out.
+            while returned < index and (
+                item is end
+                or index - returned == workers * DEFAULT_CHUNKS_PER_WORKER
+                or not len(busy) < len(pool) == workers
+            ):
+                if returned not in replies:
+                    replies.update(_collect(pool, busy))
+                    continue
+                ok, value = pickle.loads(replies.pop(returned))
+                if not ok:
+                    raise value
+                yield value
                 returned += 1
-        while in_flight:
-            yield in_flight.popleft().result()
-            returned += 1
-    except BrokenProcessPool as exc:
-        raise WorkerError(
-            f"a pool worker died before item {returned} returned a result "
-            "(killed by a signal or out of memory, or os._exit in the chunk "
-            "function); rerun with workers=1 to see the failure in this "
-            "process, or give the run more memory"
-        ) from exc
+            if item is not end:
+                conn = next(conn for conn in pool if conn not in busy)
+                with suppress(OSError):  # a dead worker: _collect says so
+                    conn.send(item)
+                busy[conn] = index
     finally:
-        pool.shutdown(cancel_futures=True)
+        for conn, pid in pool.items():
+            os.kill(pid, signal.SIGKILL)
+            conn.close()
+            os.waitpid(pid, 0)
 
 
 def chunked(items: Iterable[_T], size: int) -> Iterator[List[_T]]:

@@ -92,16 +92,6 @@ class TrainingReport:
     epochs_run: int = 0
     stopped_early: bool = False
 
-    @property
-    def final_train_loss(self) -> float:
-        return self.train_losses[-1] if self.train_losses else float("nan")
-
-    @property
-    def final_validation_loss(self) -> float:
-        if not self.validation_losses:
-            return float("nan")
-        return self.validation_losses[-1]
-
 
 class Trainer:
     """Minibatch trainer for an :class:`MLP` or, in lockstep, for every

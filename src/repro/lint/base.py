@@ -22,7 +22,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Type
+from typing import Dict, Iterator, List, Optional, Sequence, Type
 
 from repro.lint.findings import Finding
 
@@ -232,11 +232,3 @@ def walk_condition_expressions(tree: ast.Module) -> Iterator[ast.expr]:
         elif isinstance(node, ast.comprehension):
             for cond in node.ifs:
                 yield cond
-
-
-def iter_calls(
-    tree: ast.Module, predicate: Callable[[ast.Call], bool]
-) -> Iterator[ast.Call]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and predicate(node):
-            yield node

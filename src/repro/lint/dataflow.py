@@ -169,10 +169,6 @@ class SeedFlow:
 
     events: List[SeedEvent] = field(default_factory=list)
 
-    def consumptions(self) -> List[SeedEvent]:
-        """Sink + handoff events (everything that materializes a stream)."""
-        return [e for e in self.events if e.kind in ("sink", "handoff")]
-
 
 def analyze_seed_flow(graph: CallGraph) -> SeedFlow:
     """Run the lineage analysis over every function in *graph*."""

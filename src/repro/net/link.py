@@ -104,11 +104,6 @@ class LinkModel:
         answer it with one epoch lookup."""
         return self.capacity_at(t), self.next_change_after(t)
 
-    def mean_capacity(self, horizon: float = 300.0, dt: float = 1.0) -> float:
-        """Empirical mean capacity over ``[0, horizon)`` (diagnostics)."""
-        times = np.arange(0.0, horizon, dt)
-        return float(np.mean([self.capacity_at(t) for t in times]))
-
     def sample_epochs(self, n_epochs: int, epoch: float = 6.0) -> List[float]:
         """Capacity sampled every ``epoch`` seconds — the 6-second epochs of
         Fig. 2."""

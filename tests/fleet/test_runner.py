@@ -222,15 +222,15 @@ def test_trial_and_fleet_share_one_core(
 
 def test_src_has_exactly_one_process_pool():
     """Structural guard: every driver runs on ``fork_map``'s pool; a second
-    ``Pool(...)``/``ProcessPoolExecutor(...)`` call site anywhere in
-    ``src/repro`` is a second driver."""
+    ``os.fork()``/``Pool(...)``/``ProcessPoolExecutor(...)``/``Process(...)``
+    call site anywhere in ``src/repro`` is a second driver."""
     root = Path(__file__).resolve().parents[2]
     sites = []
     for path in sorted((root / "src" / "repro").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 callee = getattr(node.func, "attr", getattr(node.func, "id", ""))
-                if callee in ("Pool", "ProcessPoolExecutor"):
+                if callee in ("fork", "Pool", "ProcessPoolExecutor", "Process"):
                     sites.append(path.relative_to(root).as_posix())
     assert sites == ["src/repro/experiment/parallel.py"]
 

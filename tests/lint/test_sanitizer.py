@@ -140,12 +140,12 @@ class TestSnapshots:
         import repro.experiment.parallel as parallel
 
         before = sanitizer.snapshot_digest("repro.experiment.parallel")
-        parallel._WORKER_CALL = (len, ("sentinel",))
+        parallel._digest_probe = (len, ("sentinel",))
         try:
             assert (
                 sanitizer.snapshot_digest("repro.experiment.parallel")
                 != before
             )
         finally:
-            parallel._WORKER_CALL = None
+            del parallel._digest_probe
         assert sanitizer.snapshot_digest("repro.experiment.parallel") == before
