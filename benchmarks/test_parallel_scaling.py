@@ -14,9 +14,10 @@ Scale knobs (environment variables):
 * ``REPRO_KERNEL_SESSIONS`` — sessions in the stream-kernel check
   (default 512).
 
-The >= 2x-at-4-workers assertion only engages when the machine actually has
-the cores; on smaller CI boxes the bench still validates correctness and
-prints the measured throughput.  The stream kernel is only checked for
+The >= 2x bar applies at 4 or more workers, and only when the machine has a
+core for each of them; at fewer workers (where the serial tail — pool
+start-up, the in-order merge — is a larger share) or on smaller CI boxes the
+bench still validates correctness and prints the measured speed-up.  The stream kernel is only checked for
 bit-identity here, at a scale the tier-1 suite cannot afford; its speed is
 measured by the ``bba_batch`` workload of ``perf/run.py``.
 """
@@ -84,15 +85,16 @@ class TestParallelScaling:
             f"-> speedup {speedup:.2f}x on {os.cpu_count()} cpus"
         )
         print(parallel.throughput.format())
-        if (os.cpu_count() or 1) >= WORKERS:
+        if WORKERS >= 4 and (os.cpu_count() or 1) >= WORKERS:
             assert speedup >= 2.0, (
                 f"{WORKERS}-worker trial only {speedup:.2f}x faster than "
                 f"serial on a {os.cpu_count()}-cpu machine"
             )
         else:
             pytest.skip(
-                f"only {os.cpu_count()} cpu(s): recorded speedup "
-                f"{speedup:.2f}x without asserting the >=2x bar"
+                f"{WORKERS} worker(s) on {os.cpu_count()} cpu(s): recorded "
+                f"speedup {speedup:.2f}x without asserting the >=2x bar "
+                "(it applies at >= 4 workers with a core each)"
             )
 
     def test_bit_identical_at_scale(self, scaling_runs):

@@ -523,47 +523,27 @@ def _cmd_fleet_resume(args: argparse.Namespace) -> int:
             "parameters); resume it with `repro fleet run --resume` and the "
             "original flags, or via repro.fleet.run_fleet(resume=True)"
         )
-    run_args = argparse.Namespace(
-        days=float(stored["days"]),
-        rate=float(stored["rate"]),
-        diurnal_amplitude=float(stored["diurnal_amplitude"]),
-        peak_hour=float(stored["peak_hour"]),
-        flash_crowd=[
-            FlashCrowd(
-                start_day=float(c[0]),
-                duration_hours=float(c[1]),
-                multiplier=float(c[2]),
-            )
-            for c in stored["flash_crowds"]
-        ],
-        seed=int(stored["seed"]),
-        trial_seed=int(stored["trial_seed"]),
-        schemes=list(stored["schemes"]),
-        chunk_size=int(stored["chunk_size"]),
-        archive_dir=stored["archive_dir"],
-        cells=(
-            float(stored["cells"])
-            if stored.get("cells") is not None
-            else None
-        ),
-        cell_dist=str(stored.get("cell_dist", "geometric")),
-        cell_capacity_bps=float(stored.get("cell_capacity_bps", 60e6)),
-        cache_chunks=int(stored.get("cache_chunks", 256)),
-        zipf_alpha=float(stored.get("zipf_alpha", 1.1)),
-        edge_seed=int(stored.get("edge_seed", 0)),
-        checkpoint=args.checkpoint,
-        workers=args.workers,
-        stop_after=args.stop_after,
-        out=args.out,
-    )
-    if stored.get("mode") == "retrain":
-        run_args.registry = str(stored["registry_dir"])
-        run_args.window_days = int(stored["window_days"])
-        run_args.recency_decay = float(stored["recency_decay"])
-        run_args.epochs_per_day = int(stored["epochs_per_day"])
-        run_args.retrain_seed = int(stored["retrain_seed"])
-        run_args.ttp_horizon = int(stored["ttp_horizon"])
-        run_args.arm_prefix = str(stored["arm_prefix"])
+    # The parser supplies every default (flags a checkpoint predates
+    # included); the stored values of the flags it knows override them,
+    # and keys it no longer knows are ignored.
+    retrain = stored.get("mode") == "retrain"
+    argv = ["fleet", "retrain" if retrain else "run"]
+    if retrain:
+        argv += [
+            "--archive-dir", str(stored["archive_dir"]),
+            "--registry", str(stored["registry_dir"]),
+        ]
+    run_args = build_parser().parse_args(argv)
+    for key, value in stored.items():
+        name = "registry" if key == "registry_dir" else key
+        if hasattr(run_args, name):
+            setattr(run_args, name, value)
+    run_args.flash_crowd = [FlashCrowd(*c) for c in stored["flash_crowds"]]
+    run_args.checkpoint = args.checkpoint
+    run_args.workers = args.workers
+    run_args.stop_after = args.stop_after
+    run_args.out = args.out
+    if retrain:
         return _run_fleet_retrain_from_args(run_args, resume=True)
     return _run_fleet_from_args(run_args, resume=True)
 

@@ -2,10 +2,8 @@
 
 One implementation of the full atomic-publish protocol — tmp file in
 the same directory, write, flush, ``fsync`` the file, ``os.replace``
-over the target, ``fsync`` the parent directory — replacing the three
-hand-rolled copies that previously lived in ``fleet/checkpoint.py``,
-``fleet/retrain.py`` and ``lint/cache.py`` (the last of which skipped
-the fsyncs entirely).
+over the target, ``fsync`` the parent directory.  There is no
+non-durable variant: every write fsyncs.
 
 Every durable writer in the tree (fleet checkpoint, model registry
 generation + manifest, metrics dump, archive day tables, trained-model
@@ -15,7 +13,7 @@ reachable from the durable roots declared in the ``durability`` section
 of ``contract.json`` (rule DUR001), and this module's two public
 functions are the only writers that section blesses.
 
-Crash points: each ``durable=True`` write passes three numbered
+Crash points: every write passes three numbered
 :func:`repro.crashpoints.crashpoint` markers — ``begin`` (nothing
 written), ``pre-rename`` (tmp durable, target untouched) and
 ``post-rename`` (new content durable) — so the ``repro crash-matrix``
@@ -48,46 +46,31 @@ def _fsync_directory(directory: str) -> None:
         os.close(dir_fd)
 
 
-def atomic_write_bytes(
-    path: PathLike, data: bytes, durable: bool = True
-) -> None:
+def atomic_write_bytes(path: PathLike, data: bytes) -> None:
     """Atomically publish *data* at *path*: readers see old or new, never torn.
 
-    With ``durable=True`` (the default) the new content also survives
-    power loss the moment this returns: the tmp file is fsynced before
-    the rename and the parent directory after it.  ``durable=False``
-    keeps the atomicity (tmp + rename) but skips both fsyncs and the
-    crash points — for best-effort artifacts like the lint findings
-    cache where losing a write on power cut is acceptable and the sync
-    cost is not.
+    The new content also survives power loss the moment this returns: the
+    tmp file is fsynced before the rename and the parent directory after
+    it.
     """
     target = os.fspath(path)
     directory = os.path.dirname(target)
-    # Pid-suffixed tmp name: concurrent writers (pool workers, parallel
-    # lint invocations) never collide, and a crash-orphaned tmp never
-    # shadows the real artifact globs (*.json, *.csv).
+    # Pid-suffixed tmp name: concurrent writers (pool workers) never
+    # collide, and a crash-orphaned tmp never shadows the real artifact
+    # globs (*.json, *.csv).
     tmp_path = f"{target}.tmp.{os.getpid()}"
     name = os.path.basename(target)
-    if durable:
-        crashpoint(f"atomio.begin:{name}")
+    crashpoint(f"atomio.begin:{name}")
     with open(tmp_path, "wb") as f:
         f.write(data)
-        if durable:
-            f.flush()
-            os.fsync(f.fileno())
-    if durable:
-        crashpoint(f"atomio.pre-rename:{name}")
+        f.flush()
+        os.fsync(f.fileno())
+    crashpoint(f"atomio.pre-rename:{name}")
     os.replace(tmp_path, target)
-    if durable:
-        _fsync_directory(directory)
-        crashpoint(f"atomio.post-rename:{name}")
+    _fsync_directory(directory)
+    crashpoint(f"atomio.post-rename:{name}")
 
 
-def atomic_write_text(
-    path: PathLike,
-    text: str,
-    encoding: str = "utf-8",
-    durable: bool = True,
-) -> None:
-    """:func:`atomic_write_bytes` for text (encoded, no newline translation)."""
-    atomic_write_bytes(path, text.encode(encoding), durable=durable)
+def atomic_write_text(path: PathLike, text: str) -> None:
+    """:func:`atomic_write_bytes` for UTF-8 text (no newline translation)."""
+    atomic_write_bytes(path, text.encode("utf-8"))

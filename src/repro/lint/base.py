@@ -6,9 +6,11 @@ yields :class:`~repro.lint.findings.Finding` objects.  Rules register
 themselves with the :func:`register` decorator; the engine instantiates the
 registry fresh per run so rules may keep per-file state.
 
-Rules never read the filesystem — the engine hands them a
-:class:`FileContext` carrying the parsed tree, the source lines, and the
-*effective dotted module name*, which is how path-scoped rules (e.g. the
+Rules never read the filesystem — the engine reads each module once into
+a :class:`ParsedModule` (the tree, its node list, its import map, the
+source lines and the *effective dotted module name*) and hands that same
+object to every per-file rule, as :class:`FileContext`, and to the
+whole-program phase.  The module name is how path-scoped rules (e.g. the
 ``repro.obs`` wall-clock quarantine) decide applicability.  Fixture files
 outside the package tree can opt into a scope with a pragma comment::
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Type
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Type
 
 from repro.lint.findings import Finding
 
@@ -30,19 +32,42 @@ _MODULE_PRAGMA = re.compile(r"#\s*repro:\s*module=([A-Za-z_][\w.]*)")
 
 
 @dataclass
-class FileContext:
-    """Everything a rule may inspect about one file."""
+class ImportMap:
+    """Aliases under which interesting modules/names are visible in a file."""
+
+    modules: Dict[str, str] = field(default_factory=dict)
+    """local alias -> real dotted module (``np`` -> ``numpy``)."""
+
+    names: Dict[str, str] = field(default_factory=dict)
+    """local name -> real dotted origin (``default_rng`` ->
+    ``numpy.random.default_rng``)."""
+
+
+@dataclass
+class ParsedModule:
+    """One module, read once: everything either lint phase inspects.
+
+    Built by :func:`repro.lint.engine.parse_module` — one parse, one
+    ``ast.walk`` (kept as :attr:`nodes`) and one import map per file.  The
+    per-file rules iterate :attr:`nodes`; the call graph and every
+    whole-program rule read :attr:`imports`.
+    """
 
     path: str
     """Path as reported in findings (relative to the lint root)."""
+
+    module: str
+    """Effective dotted module name (e.g. ``repro.net.tcp``); empty when the
+    file is outside a recognizable package and carries no pragma."""
 
     tree: ast.Module
     lines: Sequence[str]
     """Physical source lines, 0-indexed (``lines[lineno - 1]``)."""
 
-    module: str = ""
-    """Effective dotted module name (e.g. ``repro.net.tcp``); empty when the
-    file is outside a recognizable package and carries no pragma."""
+    nodes: Sequence[ast.AST]
+    """Every node of :attr:`tree`, in ``ast.walk`` order."""
+
+    imports: ImportMap
 
     def source_line(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):
@@ -55,6 +80,10 @@ class FileContext:
             if self.module == prefix or self.module.startswith(prefix + "."):
                 return True
         return False
+
+
+#: What a per-file rule's ``check`` receives: the module's one reading.
+FileContext = ParsedModule
 
 
 def derive_module(path: str, pragma_lines: Sequence[str]) -> str:
@@ -167,21 +196,10 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-@dataclass
-class ImportMap:
-    """Aliases under which interesting modules/names are visible in a file."""
-
-    modules: Dict[str, str] = field(default_factory=dict)
-    """local alias -> real dotted module (``np`` -> ``numpy``)."""
-
-    names: Dict[str, str] = field(default_factory=dict)
-    """local name -> real dotted origin (``default_rng`` ->
-    ``numpy.random.default_rng``)."""
-
-
-def collect_imports(tree: ast.Module) -> ImportMap:
+def collect_imports(nodes: Iterable[ast.AST]) -> ImportMap:
+    """The import map of a module, from its nodes (``ast.walk`` order)."""
     imports = ImportMap()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 imports.modules[alias.asname or alias.name.split(".")[0]] = (
@@ -222,9 +240,9 @@ def resolve_call_target(
     return dotted
 
 
-def walk_condition_expressions(tree: ast.Module) -> Iterator[ast.expr]:
+def walk_condition_expressions(nodes: Iterable[ast.AST]) -> Iterator[ast.expr]:
     """Yield every expression used as a control-flow condition."""
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, (ast.If, ast.While, ast.IfExp)):
             yield node.test
         elif isinstance(node, ast.Assert):

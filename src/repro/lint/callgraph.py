@@ -37,7 +37,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from repro.lint.base import ImportMap, collect_imports, dotted_name
+from repro.lint.base import ImportMap, ParsedModule, dotted_name
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -72,16 +72,6 @@ MUTATING_METHODS = frozenset(
 
 
 @dataclass
-class ParsedModule:
-    """One parsed file, as the graph builder consumes it."""
-
-    path: str
-    module: str
-    tree: ast.Module
-    lines: Sequence[str]
-
-
-@dataclass
 class FunctionInfo:
     """One module-level function or class method."""
 
@@ -91,6 +81,9 @@ class FunctionInfo:
     module: str
     path: str
     node: FunctionNode
+    imports: ImportMap
+    """The import map of the module the function is defined in."""
+
     class_name: Optional[str] = None
 
     @property
@@ -131,7 +124,6 @@ class CallGraph:
         self.classes: Dict[str, ClassInfo] = {}
         self.modules: Dict[str, ParsedModule] = {}
         self.edges: Dict[str, Tuple[str, ...]] = {}
-        self._imports: Dict[str, ImportMap] = {}
         self._methods_by_name: Dict[str, List[str]] = {}
         self._parent: Dict[str, Optional[str]] = {}
 
@@ -144,7 +136,6 @@ class CallGraph:
             if not parsed.module:
                 continue
             graph.modules[parsed.module] = parsed
-            graph._imports[parsed.module] = collect_imports(parsed.tree)
             graph._collect_definitions(parsed)
         graph._index_methods()
         for qualname in sorted(graph.functions):
@@ -160,19 +151,21 @@ class CallGraph:
                     module=parsed.module,
                     path=parsed.path,
                     node=node,
+                    imports=parsed.imports,
                 )
             elif isinstance(node, ast.ClassDef):
                 self._collect_class(parsed, node)
 
     def _collect_class(self, parsed: ParsedModule, node: ast.ClassDef) -> None:
-        imports = self._imports[parsed.module]
         qualname = f"{parsed.module}.{node.name}"
         bases: List[str] = []
         for base in node.bases:
             dotted = dotted_name(base)
             if dotted is None:
                 continue
-            bases.append(_resolve_dotted(dotted, imports, parsed.module))
+            bases.append(
+                _resolve_dotted(dotted, parsed.imports, parsed.module)
+            )
         info = ClassInfo(
             qualname=qualname,
             module=parsed.module,
@@ -189,6 +182,7 @@ class CallGraph:
                     module=parsed.module,
                     path=parsed.path,
                     node=item,
+                    imports=parsed.imports,
                     class_name=node.name,
                 )
                 info.methods[item.name] = method_qual
@@ -254,7 +248,6 @@ class CallGraph:
     # -- edge resolution ----------------------------------------------------
     def _resolve_edges(self, qualname: str) -> Tuple[str, ...]:
         fn = self.functions[qualname]
-        imports = self._imports[fn.module]
         targets: Set[str] = set()
         class_qual = (
             f"{fn.module}.{fn.class_name}" if fn.class_name else None
@@ -263,7 +256,7 @@ class CallGraph:
             if not isinstance(node, ast.Call):
                 continue
             targets.update(
-                self._resolve_call(node, fn.module, imports, class_qual)
+                self._resolve_call(node, fn.module, fn.imports, class_qual)
             )
         targets.discard(qualname)
         return tuple(sorted(targets))

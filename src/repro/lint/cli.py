@@ -56,11 +56,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
             "current directory)"
         ),
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the per-file findings cache for this run",
-    )
 
 
 def run_lint(args: argparse.Namespace) -> int:
@@ -77,12 +72,7 @@ def run_lint(args: argparse.Namespace) -> int:
             if args.whole_program or args.contract is not None
             else None
         )
-        report = lint_paths(
-            args.paths,
-            select=select,
-            contract=contract,
-            use_cache=False if args.no_cache else None,
-        )
+        report = lint_paths(args.paths, select=select, contract=contract)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

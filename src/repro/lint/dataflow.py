@@ -53,12 +53,7 @@ import ast
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.base import (
-    ImportMap,
-    collect_imports,
-    dotted_name,
-    resolve_call_target,
-)
+from repro.lint.base import dotted_name, resolve_call_target
 from repro.lint.callgraph import (
     CallGraph,
     FunctionInfo,
@@ -187,7 +182,6 @@ class _Analyzer:
         self._event_keys: Set[SeedEvent] = set()
         self._module_consts: Dict[str, Set[str]] = {}
         self._rng_consuming: Dict[str, bool] = {}
-        self._imports: Dict[str, ImportMap] = {}
         self._muted = 0
 
     def run(self) -> SeedFlow:
@@ -204,17 +198,6 @@ class _Analyzer:
         if event not in self._event_keys:
             self._event_keys.add(event)
             self._events.append(event)
-
-    def imports_for(self, module: str) -> ImportMap:
-        cached = self._imports.get(module)
-        if cached is None:
-            parsed = self.graph.modules.get(module)
-            if parsed is None:
-                cached = ImportMap()
-            else:
-                cached = collect_imports(parsed.tree)
-            self._imports[module] = cached
-        return cached
 
     def module_consts(self, module: str) -> Set[str]:
         """Module-level names bound to an int literal (stream constants)."""
@@ -250,14 +233,13 @@ class _Analyzer:
         result = False
         info = self.graph.classes.get(class_qual)
         if info is not None:
-            imports = self.imports_for(info.module)
             for method_qual in info.methods.values():
                 method = self.graph.functions.get(method_qual)
                 if method is None:
                     continue
                 for node in ast.walk(method.node):
                     if isinstance(node, ast.Call):
-                        target = resolve_call_target(node, imports)
+                        target = resolve_call_target(node, method.imports)
                         if target in RNG_SINKS:
                             result = True
                             break
@@ -301,7 +283,7 @@ class _FunctionScan:
         self.fn = fn
         self.env = env
         self.chain = chain
-        self.imports = analyzer.imports_for(fn.module)
+        self.imports = fn.imports
         self.consts = analyzer.module_consts(fn.module)
         self.returns: Set[Lineage] = set()
 

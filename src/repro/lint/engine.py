@@ -1,21 +1,22 @@
-"""Lint engine: file discovery, per-file rule execution, reporting.
+"""Lint engine: file discovery, one read per module, both phases, reporting.
 
 The engine is pure stdlib (``ast`` + ``re``) and deterministic: files are
 visited in sorted order and findings are sorted by ``(path, line, col,
 rule)``, so two runs over the same tree produce byte-identical reports.
 
-Two phases:
+Each file is read once by :func:`parse_module`: one parse, one
+``ast.walk`` and one import map, kept on a
+:class:`~repro.lint.base.ParsedModule` that both phases read.
 
 * **per-file** — every registered rule (DET/SIM/OBS/API) runs over each
-  file in isolation.  Results are cached by content hash
-  (:mod:`repro.lint.cache`) because they depend only on the rule set and
-  the file bytes.
+  module's node list in isolation.
 * **whole-program** (a ``contract`` given / ``repro lint
   --whole-program``) — the interprocedural pass: a call graph over the
-  whole tree and every rule family the contract's sections turn on
-  (:mod:`repro.lint.contract`, :mod:`repro.lint.purity`).  Never cached;
-  suppressed by the same inline ``# repro: allow-RULE(reason)`` comments
-  as the per-file phase.
+  same parsed modules and every rule family the contract's sections turn
+  on (:mod:`repro.lint.contract`, :mod:`repro.lint.purity`).
+
+Both phases are suppressed by the same inline ``# repro:
+allow-RULE(reason)`` comments, read from the module's lines.
 """
 
 from __future__ import annotations
@@ -26,9 +27,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.lint.base import FileContext, Rule, derive_module, make_rules
-from repro.lint.cache import FindingsCache, cache_enabled
-from repro.lint.callgraph import ParsedModule
+from repro.lint.base import (
+    ParsedModule,
+    Rule,
+    collect_imports,
+    derive_module,
+    make_rules,
+)
 from repro.lint.contract import Contract
 from repro.lint.findings import Finding
 from repro.lint.purity import analyze_program
@@ -45,8 +50,6 @@ class LintReport:
     suppressed: List[Finding] = field(default_factory=list)
     files_checked: int = 0
     parse_errors: List[str] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
     whole_program: bool = False
 
     @property
@@ -98,13 +101,17 @@ def discover_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
 
 
 def parse_module(source: str, path: str) -> ParsedModule:
-    """Parse one file into the shape both phases consume."""
+    """Read one file the only time it is read: parse, walk, map imports."""
     lines = source.splitlines()
+    tree = ast.parse(source, filename=path)
+    nodes = list(ast.walk(tree))
     return ParsedModule(
         path=path,
         module=derive_module(path, lines),
-        tree=ast.parse(source, filename=path),
+        tree=tree,
         lines=lines,
+        nodes=nodes,
+        imports=collect_imports(nodes),
     )
 
 
@@ -122,15 +129,9 @@ def lint_source(
 def _run_file_rules(
     parsed: ParsedModule, rules: Sequence[Rule]
 ) -> List[Finding]:
-    ctx = FileContext(
-        path=parsed.path,
-        tree=parsed.tree,
-        lines=parsed.lines,
-        module=parsed.module,
-    )
     raw: List[Finding] = []
     for rule in rules:
-        raw.extend(rule.check(ctx))
+        raw.extend(rule.check(parsed))
     effective, malformed = parse_suppressions(parsed.lines, parsed.path)
     processed = apply_suppressions(raw, effective)
     processed.extend(malformed)
@@ -138,54 +139,36 @@ def _run_file_rules(
     return processed
 
 
-def _apply_program_suppressions(
-    findings: Sequence[Finding], sources: Dict[str, str]
+def lint_whole_program(
+    files: Iterable[ParsedModule], contract: Contract
 ) -> List[Finding]:
-    """Run whole-program findings through each file's inline suppressions.
+    """Run only the whole-program phase over parsed modules.
 
-    Malformed-suppression findings are *not* re-emitted here — the
-    per-file phase already reports them once.
+    Findings pass through each file's inline suppressions.  Malformed
+    suppressions are *not* re-reported here — the per-file phase reports
+    them once.  Used directly by the purity/seed fixture tests; production
+    runs go through :func:`lint_paths` with a ``contract``.
     """
+    parsed_map = {parsed.path: parsed for parsed in files}
     by_path: Dict[str, List[Finding]] = {}
-    for finding in findings:
+    for finding in analyze_program(parsed_map, contract):
         by_path.setdefault(finding.path, []).append(finding)
     out: List[Finding] = []
     for path in sorted(by_path):
-        source = sources.get(path)
-        if source is None:
+        parsed = parsed_map.get(path)
+        if parsed is None:
             out.extend(by_path[path])
             continue
-        effective, _ = parse_suppressions(source.splitlines(), path)
+        effective, _ = parse_suppressions(parsed.lines, path)
         out.extend(apply_suppressions(by_path[path], effective))
     out.sort(key=Finding.sort_key)
     return out
-
-
-def lint_whole_program(
-    files: Iterable[ParsedModule],
-    contract: Contract,
-    sources: Optional[Dict[str, str]] = None,
-) -> List[Finding]:
-    """Run only the whole-program phase over pre-parsed modules.
-
-    Used directly by the purity/seed fixture tests; production runs go
-    through :func:`lint_paths` with a ``contract``.
-    """
-    parsed_map = {parsed.path: parsed for parsed in files}
-    findings = analyze_program(parsed_map, contract)
-    if sources is None:
-        sources = {
-            path: "\n".join(parsed.lines)
-            for path, parsed in parsed_map.items()
-        }
-    return _apply_program_suppressions(findings, sources)
 
 
 def lint_paths(
     paths: Sequence[Union[str, Path]],
     select: Optional[Sequence[str]] = None,
     contract: Optional[Contract] = None,
-    use_cache: Optional[bool] = None,
 ) -> LintReport:
     """Lint files/directories, returning a :class:`LintReport`.
 
@@ -197,66 +180,35 @@ def lint_paths(
         always, CKPT001 when the contract has a ``fingerprint`` section,
         the crash-consistency rules (DUR000–DUR004) when it has a
         ``durability`` section.
-    use_cache:
-        Force the per-file findings cache on/off; default follows
-        :func:`repro.lint.cache.cache_enabled` (on, except in CI or under
-        ``REPRO_LINT_CACHE=0``).
     """
-    whole_program = contract is not None
-    report = LintReport(whole_program=whole_program)
+    report = LintReport(whole_program=contract is not None)
     rules = make_rules(select)
-    cache: Optional[FindingsCache] = None
-    if use_cache if use_cache is not None else cache_enabled():
-        cache = FindingsCache(select=select)
-
     all_findings: List[Finding] = []
-    parsed_files: Dict[str, ParsedModule] = {}
-    sources: Dict[str, str] = {}
+    parsed_files: List[ParsedModule] = []
     for path in discover_files(paths):
         report.files_checked += 1
         path_key = path.as_posix()
         try:
-            source = path.read_text(encoding="utf-8")
+            parsed = parse_module(path.read_text(encoding="utf-8"), path_key)
         except OSError as exc:
             report.parse_errors.append(f"{path_key}:0:0: PARSE {exc}")
             continue
-        cached = cache.get(path_key, source) if cache is not None else None
-        needs_parse = whole_program or cached is None
-        parsed: Optional[ParsedModule] = None
-        if needs_parse:
-            try:
-                parsed = parse_module(source, path_key)
-            except SyntaxError as exc:
-                report.parse_errors.append(
-                    f"{path_key}:{exc.lineno or 0}:0: PARSE {exc.msg}"
-                )
-                continue
-        if cached is not None:
-            findings = cached
-        else:
-            assert parsed is not None
-            findings = _run_file_rules(parsed, rules)
-            if cache is not None:
-                cache.put(path_key, source, findings)
-        if parsed is not None:
-            parsed_files[path_key] = parsed
-            sources[path_key] = source
-        all_findings.extend(findings)
+        except SyntaxError as exc:
+            report.parse_errors.append(
+                f"{path_key}:{exc.lineno or 0}:0: PARSE {exc.msg}"
+            )
+            continue
+        parsed_files.append(parsed)
+        all_findings.extend(_run_file_rules(parsed, rules))
 
     if contract is not None:
-        program_findings = analyze_program(parsed_files, contract)
-        all_findings.extend(
-            _apply_program_suppressions(program_findings, sources)
-        )
+        all_findings.extend(lint_whole_program(parsed_files, contract))
 
     for finding in sorted(all_findings, key=Finding.sort_key):
         if finding.suppressed:
             report.suppressed.append(finding)
         else:
             report.findings.append(finding)
-    if cache is not None:
-        report.cache_hits = cache.hits
-        report.cache_misses = cache.misses
     return report
 
 

@@ -43,7 +43,7 @@ class MutableDefaultRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
             ):

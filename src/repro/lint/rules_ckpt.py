@@ -233,7 +233,7 @@ class CheckpointStateRule(CkptRule):
             fn = graph.functions[qualname]
             if fn.class_name is not None:
                 continue
-            checkpoint_calls = self._checkpoint_calls(program, fn)
+            checkpoint_calls = self._checkpoint_calls(fn)
             if not checkpoint_calls:
                 continue
             covered = self._covered_names(program, fn, checkpoint_calls)
@@ -262,21 +262,13 @@ class CheckpointStateRule(CkptRule):
                         )
 
     @staticmethod
-    def _checkpoint_calls(
-        program: ProgramContext, fn: FunctionInfo
-    ) -> List[ast.Call]:
-        parsed = program.graph.modules.get(fn.module)
-        if parsed is None:
-            return []
-        from repro.lint.base import collect_imports
-
-        imports = collect_imports(parsed.tree)
-        calls: List[ast.Call] = []
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Call):
-                if resolve_call_target(node, imports) == _CHECKPOINT_CLASS:
-                    calls.append(node)
-        return calls
+    def _checkpoint_calls(fn: FunctionInfo) -> List[ast.Call]:
+        return [
+            node
+            for node in ast.walk(fn.node)
+            if isinstance(node, ast.Call)
+            and resolve_call_target(node, fn.imports) == _CHECKPOINT_CLASS
+        ]
 
     def _covered_names(
         self,

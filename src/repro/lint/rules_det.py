@@ -15,7 +15,6 @@ from typing import Iterator, Optional, Set, Tuple
 from repro.lint.base import (
     FileContext,
     Rule,
-    collect_imports,
     register,
     resolve_call_target,
 )
@@ -59,11 +58,10 @@ class UnseededRngRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = collect_imports(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
-            target = resolve_call_target(node, imports)
+            target = resolve_call_target(node, ctx.imports)
             if target is None:
                 continue
             message = self._diagnose(node, target)
@@ -132,11 +130,10 @@ class WallClockRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.in_package(*_DET002_QUARANTINE):
             return
-        imports = collect_imports(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
-            target = resolve_call_target(node, imports)
+            target = resolve_call_target(node, ctx.imports)
             if target in _WALL_CLOCK_TARGETS:
                 yield self.finding(
                     ctx,
@@ -200,7 +197,7 @@ class UnorderedIterationRule(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         sorted_args: Set[int] = set()
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
@@ -211,7 +208,7 @@ class UnorderedIterationRule(Rule):
                 for arg in ast.walk(node):
                     if arg is not node:
                         sorted_args.add(id(arg))
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             iterables = []
             if isinstance(node, ast.For):
                 iterables.append(node.iter)

@@ -206,8 +206,7 @@ class DurabilityRule(PurityRule):
                 continue
             if qualname in helpers or cls._exempt(config, fn):
                 continue
-            imports = cls._imports_for(program, fn)
-            yield fn, function_effects(fn, imports, helpers)
+            yield fn, function_effects(fn, fn.imports, helpers)
 
 
 class RawDurableWriteRule(DurabilityRule):
@@ -325,8 +324,7 @@ class CommitOrderRule(DurabilityRule):
             fn = graph.functions[qualname]
             if self._exempt(config, fn):
                 continue
-            imports = self._imports_for(program, fn)
-            sites = function_calls(fn, imports)
+            sites = function_calls(fn, fn.imports)
             for pair in config.commit_order:
                 first_lines = [
                     s.line for s in sites if self._matches(s, pair.first)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Set, Union
 
-from repro.lint.base import FileContext, Rule, register
+from repro.lint.base import FileContext, Rule, dotted_name, register
 from repro.lint.findings import Finding
 
 _EMISSION_ATTRS = {"counter_inc", "gauge_set", "observe", "emit"}
@@ -55,6 +55,16 @@ def _is_negated_enabled(node: ast.expr) -> bool:
         isinstance(node, ast.UnaryOp)
         and isinstance(node.op, ast.Not)
         and _mentions_enabled(node.operand)
+    )
+
+
+def _is_emission(func: ast.expr) -> bool:
+    """Is *func* ``obs.counter_inc`` / ``obs.observe`` / …?"""
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr in _EMISSION_ATTRS
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "obs"
     )
 
 
@@ -114,25 +124,22 @@ class UnguardedEmissionRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.in_package("repro.obs"):
             return
+        emissions = [
+            node
+            for node in ctx.nodes
+            if isinstance(node, ast.Call) and _is_emission(node.func)
+        ]
+        if not emissions:
+            return
         guards = _GuardVisitor()
         guards.visit(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (
-                isinstance(func, ast.Attribute)
-                and func.attr in _EMISSION_ATTRS
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "obs"
-            ):
-                continue
+        for node in emissions:
             if id(node) in guards.guarded:
                 continue
             yield self.finding(
                 ctx,
                 node,
-                f"obs.{func.attr}(...) is not behind `if obs.ENABLED:` — "
-                "guard it so disabled runs pay one branch, not argument "
-                "construction",
+                f"{dotted_name(node.func)}(...) is not behind `if "
+                "obs.ENABLED:` — guard it so disabled runs pay one branch, "
+                "not argument construction",
             )

@@ -38,7 +38,7 @@ from __future__ import annotations
 import ast
 from typing import Callable, Iterator, List, Optional, Set
 
-from repro.lint.base import ImportMap, collect_imports, resolve_call_target
+from repro.lint.base import ImportMap, resolve_call_target
 from repro.lint.callgraph import (
     MUTATING_METHODS,
     FunctionInfo,
@@ -119,13 +119,6 @@ class PurityRule:
     ) -> Iterator[FunctionInfo]:
         for qualname in program.pure_functions():
             yield program.graph.functions[qualname]
-
-    @staticmethod
-    def _imports_for(program: ProgramContext, fn: FunctionInfo) -> ImportMap:
-        parsed = program.graph.modules.get(fn.module)
-        if parsed is None:
-            return ImportMap()
-        return collect_imports(parsed.tree)
 
 
 def _local_names(node: ast.AST) -> Set[str]:
@@ -228,11 +221,10 @@ class PureGlobalWriteRule(PurityRule):
             return
         module_names = _module_level_bindings(parsed.tree)
         class_names = _module_level_classes(parsed.tree)
-        imports = self._imports_for(program, fn)
         # Class names visible via `from x import Cls` count too.
         imported_classes = {
             alias
-            for alias, origin in imports.names.items()
+            for alias, origin in fn.imports.names.items()
             if origin.rsplit(".", 1)[-1][:1].isupper()
         }
         local = _local_names(fn.node)
@@ -373,7 +365,7 @@ class PureImpureCallRule(PurityRule):
 
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
         for fn in self._iter_pure_functions(program):
-            imports = self._imports_for(program, fn)
+            imports = fn.imports
             for node in ast.walk(fn.node):
                 if isinstance(node, ast.Call):
                     message = self._diagnose_call(node, imports)
@@ -475,12 +467,11 @@ class PureRngDualityRule(PurityRule):
             rng_params = _rng_parameters(fn.node)
             if not rng_params:
                 continue
-            imports = self._imports_for(program, fn)
             exempt = _none_fallback_nodes(fn.node, rng_params)
             for node in ast.walk(fn.node):
                 if not isinstance(node, ast.Call) or id(node) in exempt:
                     continue
-                target = resolve_call_target(node, imports)
+                target = resolve_call_target(node, fn.imports)
                 if target in _RNG_CONSTRUCTORS:
                     yield self.finding(
                         fn, node,

@@ -61,7 +61,7 @@ class FloatEqualityRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.in_package(*_SIM001_SCOPE):
             return
-        for condition in walk_condition_expressions(ctx.tree):
+        for condition in walk_condition_expressions(ctx.nodes):
             for node in ast.walk(condition):
                 if not isinstance(node, ast.Compare):
                     continue

@@ -385,31 +385,31 @@ class TestSigkillResume:
 
 class TestResumeOfOlderCheckpoint:
     """``repro fleet resume`` rebuilds the run from the checkpoint's stored
-    ``cli_args``; a key a later version no longer has must be ignored."""
+    ``cli_args`` over the parser's defaults: a key a later version no
+    longer has is ignored, and a flag added after the checkpoint was
+    written takes its default."""
 
     CLI = [
         "--days", "0.02", "--rate", "80", "--seed", "5",
         "--trial-seed", "11", "--chunk-size", "4",
     ]
 
-    def test_stored_batch_lanes_and_executor_are_ignored(self, tmp_path):
+    def _resume_edited(self, tmp_path, edit, cli=CLI):
+        """An uninterrupted run's dump and the dump of the same run
+        paused, its stored ``cli_args`` edited, and resumed."""
         from repro.__main__ import main
 
         reference = tmp_path / "reference.json"
-        assert main(["fleet", "run", *self.CLI, "--out", str(reference)]) == 0
+        assert main(["fleet", "run", *cli, "--out", str(reference)]) == 0
 
         ckpt = tmp_path / "ckpt.json"
         assert main([
-            "fleet", "run", *self.CLI,
+            "fleet", "run", *cli,
             "--checkpoint", str(ckpt), "--stop-after", "12",
         ]) == 0
-        # Every checkpoint written while the fleet had an executor knob
-        # (and, before that, a lockstep width) carries them in cli_args.
         stored = json.loads(ckpt.read_text())
         assert not stored["completed"]
-        assert not {"batch_lanes", "executor"} & set(stored["cli_args"])
-        stored["cli_args"]["batch_lanes"] = 64
-        stored["cli_args"]["executor"] = "batch"
+        edit(stored["cli_args"])
         ckpt.write_text(json.dumps(stored, sort_keys=True) + "\n")
 
         resumed = tmp_path / "resumed.json"
@@ -417,4 +417,35 @@ class TestResumeOfOlderCheckpoint:
             "fleet", "resume", "--checkpoint", str(ckpt),
             "--out", str(resumed),
         ]) == 0
-        assert resumed.read_bytes() == reference.read_bytes()
+        return reference.read_bytes(), resumed.read_bytes()
+
+    def test_stored_batch_lanes_and_executor_are_ignored(self, tmp_path):
+        def add_retired_keys(cli_args):
+            # Every checkpoint written while the fleet had an executor
+            # knob (and, before that, a lockstep width) carries them.
+            assert not {"batch_lanes", "executor"} & set(cli_args)
+            cli_args["batch_lanes"] = 64
+            cli_args["executor"] = "batch"
+
+        reference, resumed = self._resume_edited(tmp_path, add_retired_keys)
+        assert resumed == reference
+
+    def test_checkpoint_without_edge_flags_resumes_with_parser_defaults(
+        self, tmp_path
+    ):
+        edge_keys = {
+            "cell_dist", "cell_capacity_bps", "cache_chunks", "zipf_alpha",
+            "edge_seed",
+        }
+
+        def drop_edge_keys(cli_args):
+            # A checkpoint written before the edge-tier flags existed.
+            assert edge_keys <= set(cli_args)
+            for key in edge_keys:
+                del cli_args[key]
+
+        # With cells on, the five defaults shape every session.
+        reference, resumed = self._resume_edited(
+            tmp_path, drop_edge_keys, cli=[*self.CLI, "--cells", "3"]
+        )
+        assert resumed == reference

@@ -8,12 +8,6 @@ from repro.__main__ import main as repro_main
 from repro.lint.cli import main as lint_main
 
 
-@pytest.fixture(autouse=True)
-def _no_cache(monkeypatch):
-    """CLI tests exercise the lint path, not the findings cache."""
-    monkeypatch.setenv("REPRO_LINT_CACHE", "0")
-
-
 @pytest.fixture
 def dirty_dir(tmp_path):
     (tmp_path / "m.py").write_text("import time\nt = time.time()\n")

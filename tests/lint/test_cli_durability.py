@@ -13,10 +13,6 @@ import pytest
 
 from repro.lint.cli import main as lint_main
 
-@pytest.fixture(autouse=True)
-def _no_cache(monkeypatch):
-    monkeypatch.setenv("REPRO_LINT_CACHE", "0")
-
 
 @pytest.fixture
 def durable_tree(tmp_path):

@@ -49,11 +49,6 @@ def _wrong_version(data):
     data["version"] = 1
 
 
-@pytest.fixture(autouse=True)
-def _no_cache(monkeypatch):
-    monkeypatch.setenv("REPRO_LINT_CACHE", "0")
-
-
 @pytest.fixture
 def tree(tmp_path):
     (tmp_path / "app.py").write_text(

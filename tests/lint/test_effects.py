@@ -24,7 +24,7 @@ HELPERS = frozenset({"repro.atomio.atomic_write_text"})
 
 def _effects(source, helpers=HELPERS):
     tree = ast.parse(source)
-    imports = collect_imports(tree)
+    imports = collect_imports(ast.walk(tree))
     fn_node = next(
         n
         for n in tree.body
@@ -35,6 +35,7 @@ def _effects(source, helpers=HELPERS):
         module="m",
         path="m.py",
         node=fn_node,
+        imports=imports,
     )
     return fn, function_effects(fn, imports, helpers), imports
 
@@ -114,12 +115,13 @@ class TestFunctionCalls:
             "    other.save()\n"
         )
         tree = ast.parse(source)
-        imports = collect_imports(tree)
+        imports = collect_imports(ast.walk(tree))
         fn = FunctionInfo(
             qualname="m.Reg.f",
             module="m",
             path="m.py",
             node=tree.body[0],
+            imports=imports,
             class_name="Reg",
         )
         sites = function_calls(fn, imports)

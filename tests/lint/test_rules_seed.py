@@ -199,7 +199,6 @@ class TestCli:
             [
                 "seed001_bad_mul_add.py",
                 "--whole-program",
-                "--no-cache",
                 "--format",
                 "json",
             ],
@@ -220,7 +219,6 @@ class TestCli:
             [
                 "seed001_good_tuple.py",
                 "--whole-program",
-                "--no-cache",
                 "--format",
                 "json",
             ],
@@ -235,7 +233,6 @@ class TestCli:
             [
                 "seed001_good_tuple.py",
                 "--whole-program",
-                "--no-cache",
                 "--contract",
                 "does-not-exist.json",
             ],

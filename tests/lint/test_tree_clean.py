@@ -16,28 +16,42 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src" / "repro"
 
 
+@pytest.fixture(scope="module")
+def per_file_report():
+    """One per-file run over the tree, shared by the two tests below."""
+    return lint_paths([SRC])
+
+
 class TestTreeClean:
-    def test_src_lints_clean(self):
-        report = lint_paths([SRC])
+    def test_src_lints_clean(self, per_file_report):
+        report = per_file_report
         assert report.files_checked > 50
         assert not report.parse_errors, report.parse_errors
         assert not report.findings, "\n" + "\n".join(
             f.format_human() for f in report.findings
         )
 
-    def test_all_suppressions_carry_reasons(self):
-        report = lint_paths([SRC])
-        for finding in report.suppressed:
+    def test_all_suppressions_carry_reasons(self, per_file_report):
+        for finding in per_file_report.suppressed:
             assert finding.suppression_reason.strip(), finding.format_human()
 
 
 @pytest.fixture(scope="module")
-def whole_program_report():
+def lint_cwd(tmp_path_factory):
+    return tmp_path_factory.mktemp("lint-cwd")
+
+
+@pytest.fixture(scope="module")
+def whole_program_report(lint_cwd):
     """One whole-program run over the checked-in ``contract.json`` — what
-    CI runs as ``repro lint src --whole-program``."""
-    return lint_paths(
-        [SRC], contract=load_contract(REPO_ROOT / "contract.json")
-    )
+    CI runs as ``repro lint src --whole-program`` — from an empty working
+    directory, with ``CI`` unset."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("CI", raising=False)
+        patch.chdir(lint_cwd)
+        return lint_paths(
+            [SRC], contract=load_contract(REPO_ROOT / "contract.json")
+        )
 
 
 class TestTreeCleanWholeProgram:
@@ -60,3 +74,11 @@ class TestTreeCleanWholeProgram:
         assert {"PURE", "SEED", "CKPT"} <= families
         # A waiver added or removed is a reviewed change to this number.
         assert len(waived) == 14
+
+    def test_lint_writes_nothing_into_the_working_directory(
+        self, whole_program_report, lint_cwd
+    ):
+        """Both phases only read: the run leaves the directory it ran in
+        as empty as it found it."""
+        assert whole_program_report.files_checked > 50
+        assert list(lint_cwd.iterdir()) == []
