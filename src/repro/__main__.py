@@ -350,36 +350,58 @@ def _fleet_cli_args(args: argparse.Namespace) -> dict:
     }
 
 
+class _UsageError(Exception):
+    """A flag value its config rejected: ``main`` reports it the way
+    argparse reports a malformed flag (exit 2)."""
+
+
+def _artifact_errors() -> tuple:
+    """The typed errors naming a bad checkpoint, registry or archive."""
+    from repro.data import ArchiveError
+    from repro.fleet import CheckpointError, RegistryError
+
+    return (ArchiveError, CheckpointError, RegistryError)
+
+
+def _error(message: str) -> int:
+    print(f"repro: error: {message}", file=sys.stderr)
+    return 1
+
+
 def _fleet_config_from_args(args: argparse.Namespace):
     from repro.edge import EdgeConfig
     from repro.experiment.presets import smoke_trial_config
     from repro.fleet import FleetConfig, WorkloadConfig
 
-    workload = WorkloadConfig(
-        days=args.days,
-        sessions_per_hour=args.rate,
-        diurnal_amplitude=args.diurnal_amplitude,
-        peak_hour=args.peak_hour,
-        flash_crowds=tuple(args.flash_crowd),
-        seed=args.seed,
-    )
-    trial = smoke_trial_config(seed=args.trial_seed)
-    edge = None
-    if args.cells is not None:
-        edge = EdgeConfig(
-            mean_cell_sessions=args.cells,
-            cell_size_dist=args.cell_dist,
-            cell_capacity_bps=args.cell_capacity_bps,
-            cache_chunks=args.cache_chunks,
-            zipf_alpha=args.zipf_alpha,
-            seed=args.edge_seed,
+    try:
+        workload = WorkloadConfig(
+            days=args.days,
+            sessions_per_hour=args.rate,
+            diurnal_amplitude=args.diurnal_amplitude,
+            peak_hour=args.peak_hour,
+            flash_crowds=tuple(args.flash_crowd),
+            seed=args.seed,
         )
-    return _fleet_specs(args.schemes), FleetConfig(
-        workload=workload,
-        trial=trial,
-        chunk_sessions=args.chunk_size,
-        edge=edge,
-    )
+        trial = smoke_trial_config(seed=args.trial_seed)
+        edge = None
+        if args.cells is not None:
+            edge = EdgeConfig(
+                mean_cell_sessions=args.cells,
+                cell_size_dist=args.cell_dist,
+                cell_capacity_bps=args.cell_capacity_bps,
+                cache_chunks=args.cache_chunks,
+                zipf_alpha=args.zipf_alpha,
+                seed=args.edge_seed,
+            )
+        config = FleetConfig(
+            workload=workload,
+            trial=trial,
+            chunk_sessions=args.chunk_size,
+            edge=edge,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+    return _fleet_specs(args.schemes), config
 
 
 def _print_fleet_result(result, args: argparse.Namespace) -> int:
@@ -429,14 +451,17 @@ def _retrain_config_from_args(args: argparse.Namespace):
     from repro.core.ttp import TtpConfig
     from repro.fleet import RetrainConfig
 
-    return RetrainConfig(
-        ttp=TtpConfig(horizon=args.ttp_horizon),
-        window_days=args.window_days,
-        recency_decay=args.recency_decay,
-        epochs_per_day=args.epochs_per_day,
-        seed=args.retrain_seed,
-        arm_prefix=args.arm_prefix,
-    )
+    try:
+        return RetrainConfig(
+            ttp=TtpConfig(horizon=args.ttp_horizon),
+            window_days=args.window_days,
+            recency_decay=args.recency_decay,
+            epochs_per_day=args.epochs_per_day,
+            seed=args.retrain_seed,
+            arm_prefix=args.arm_prefix,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _fleet_retrain_cli_args(args: argparse.Namespace) -> dict:
@@ -551,8 +576,11 @@ def _cmd_fleet_resume(args: argparse.Namespace) -> int:
 def _cmd_fleet_report(args: argparse.Namespace) -> int:
     from repro.fleet import FleetSink, format_sink_table
 
-    with open(args.file) as f:
-        data = json.load(f)
+    try:
+        with open(args.file) as f:
+            data = json.load(f)
+    except (OSError, ValueError) as exc:
+        return _error(f"cannot read {args.file}: {exc}")
     if "sink" not in data:
         raise SystemExit(
             f"{args.file}: neither a fleet checkpoint nor a metrics dump "
@@ -936,7 +964,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
+    except _artifact_errors() as exc:  # evaluated only once one is raised
+        return _error(str(exc))
 
 
 if __name__ == "__main__":

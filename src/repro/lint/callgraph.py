@@ -26,6 +26,13 @@ checked *more* often than strictly necessary); the name blocklist is the
 one deliberate precision trade-off and is documented in EXPERIMENTS.md.
 Properties and attribute reads are not traversed.
 
+The build derives each fact once: every function body is walked once,
+when it is collected (:attr:`FunctionInfo.nodes` and
+:attr:`FunctionInfo.calls`, which every whole-program reader iterates),
+each module's top-level names once (:attr:`CallGraph.names`), and each
+class's direct subclasses once, so :meth:`CallGraph.subclasses` is a
+lookup.
+
 Everything here is pure stdlib ``ast`` and deterministic: modules are
 processed in sorted path order and edge lists are sorted, so reachability
 (and therefore the whole-program findings) is byte-stable across runs.
@@ -35,11 +42,17 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional,
+    Sequence, Set, Tuple, Union,
+)
 
-from repro.lint.base import ImportMap, ParsedModule, dotted_name
+from repro.lint.base import (
+    ImportMap, ParsedModule, dotted_name, resolve_call_target,
+)
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+FUNCTION_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: Method names never resolved by bare-name matching: they collide with
 #: builtin list/dict/set/str/file methods, so a name match would connect
@@ -86,6 +99,23 @@ class FunctionInfo:
 
     class_name: Optional[str] = None
 
+    nodes: List[ast.AST] = field(init=False, repr=False)
+    """Every node of the body (nested defs included), in ``ast.walk``
+    order: the function's one walk, which every whole-program reader
+    iterates."""
+
+    calls: Dict[ast.Call, Optional[str]] = field(init=False, repr=False)
+    """Each call in :attr:`nodes` (same order) with its
+    :func:`~repro.lint.base.resolve_call_target` value."""
+
+    def __post_init__(self) -> None:
+        self.nodes = list(ast.walk(self.node))
+        self.calls = {
+            node: resolve_call_target(node, self.imports)
+            for node in self.nodes
+            if isinstance(node, ast.Call)
+        }
+
     @property
     def name(self) -> str:
         return self.node.name
@@ -116,6 +146,18 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+class ModuleNames(NamedTuple):
+    """One module's top-level names, built once per module per graph."""
+
+    bindings: FrozenSet[str]
+    """Names assigned at top level: the mutable module state."""
+
+    classes: FrozenSet[str]
+
+    int_consts: FrozenSet[str]
+    """Names bound to an int literal: seed stream constants."""
+
+
 class CallGraph:
     """Static call graph over a set of parsed modules."""
 
@@ -124,7 +166,10 @@ class CallGraph:
         self.classes: Dict[str, ClassInfo] = {}
         self.modules: Dict[str, ParsedModule] = {}
         self.edges: Dict[str, Tuple[str, ...]] = {}
+        self.names: Dict[str, ModuleNames] = {}
         self._methods_by_name: Dict[str, List[str]] = {}
+        self._subclasses: Dict[str, List[str]] = {}
+        """class -> the known classes naming it as a direct base."""
         self._parent: Dict[str, Optional[str]] = {}
 
     # -- construction -------------------------------------------------------
@@ -137,14 +182,20 @@ class CallGraph:
                 continue
             graph.modules[parsed.module] = parsed
             graph._collect_definitions(parsed)
+        for module, parsed in graph.modules.items():
+            graph.names[module] = _module_names(parsed.tree)
         graph._index_methods()
+        for qualname, info in graph.classes.items():
+            for base in info.bases:
+                if base in graph.classes:
+                    graph._subclasses.setdefault(base, []).append(qualname)
         for qualname in sorted(graph.functions):
             graph.edges[qualname] = graph._resolve_edges(qualname)
         return graph
 
     def _collect_definitions(self, parsed: ParsedModule) -> None:
         for node in parsed.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, FUNCTION_TYPES):
                 qualname = f"{parsed.module}.{node.name}"
                 self.functions[qualname] = FunctionInfo(
                     qualname=qualname,
@@ -175,7 +226,7 @@ class CallGraph:
             is_dataclass=_is_dataclass(node),
         )
         for item in node.body:
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(item, FUNCTION_TYPES):
                 method_qual = f"{qualname}.{item.name}"
                 self.functions[method_qual] = FunctionInfo(
                     qualname=method_qual,
@@ -215,12 +266,15 @@ class CallGraph:
         return out
 
     def subclasses(self, class_qualname: str) -> List[str]:
-        """Every known class with *class_qualname* among its ancestors."""
-        out = [
-            qualname
-            for qualname in self.classes
-            if class_qualname in self.ancestors(qualname)
-        ]
+        """Every known class with *class_qualname* among its ancestors
+        (cycle-safe: a class on a base cycle is its own subclass)."""
+        out: Set[str] = set()
+        queue = list(self._subclasses.get(class_qualname, ()))
+        while queue:
+            sub = queue.pop()
+            if sub not in out:
+                out.add(sub)
+                queue.extend(self._subclasses.get(sub, ()))
         return sorted(out)
 
     def lookup_method(self, class_qualname: str, name: str) -> Optional[str]:
@@ -252,9 +306,7 @@ class CallGraph:
         class_qual = (
             f"{fn.module}.{fn.class_name}" if fn.class_name else None
         )
-        for node in ast.walk(fn.node):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in fn.calls:
             targets.update(
                 self._resolve_call(node, fn.module, fn.imports, class_qual)
             )
@@ -337,6 +389,37 @@ class CallGraph:
             cursor = self._parent.get(cursor)
         chain.reverse()
         return chain
+
+
+def _module_names(tree: ast.Module) -> ModuleNames:
+    """A module's top-level names, from one pass over its body."""
+    bindings: Set[str] = set()
+    classes: Set[str] = set()
+    int_consts: Set[str] = set()
+    for node in tree.body:
+        targets: List[ast.expr] = []
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.ClassDef):
+            classes.add(node.name)
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Name):
+                    bindings.add(sub.id)
+        if (
+            len(targets) == 1
+            and isinstance(targets[0], ast.Name)
+            and isinstance(node, (ast.Assign, ast.AnnAssign))
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, int)
+            and not isinstance(node.value.value, bool)
+        ):
+            int_consts.add(targets[0].id)
+    return ModuleNames(
+        frozenset(bindings), frozenset(classes), frozenset(int_consts)
+    )
 
 
 def _resolve_dotted(dotted: str, imports: ImportMap, module: str) -> str:

@@ -180,7 +180,6 @@ class _Analyzer:
         self.graph = graph
         self._events: List[SeedEvent] = []
         self._event_keys: Set[SeedEvent] = set()
-        self._module_consts: Dict[str, Set[str]] = {}
         self._rng_consuming: Dict[str, bool] = {}
         self._muted = 0
 
@@ -199,30 +198,6 @@ class _Analyzer:
             self._event_keys.add(event)
             self._events.append(event)
 
-    def module_consts(self, module: str) -> Set[str]:
-        """Module-level names bound to an int literal (stream constants)."""
-        cached = self._module_consts.get(module)
-        if cached is None:
-            cached = set()
-            parsed = self.graph.modules.get(module)
-            if parsed is not None:
-                for node in parsed.tree.body:
-                    target: Optional[ast.expr] = None
-                    value: Optional[ast.expr] = None
-                    if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                        target, value = node.targets[0], node.value
-                    elif isinstance(node, ast.AnnAssign):
-                        target, value = node.target, node.value
-                    if (
-                        isinstance(target, ast.Name)
-                        and isinstance(value, ast.Constant)
-                        and isinstance(value.value, int)
-                        and not isinstance(value.value, bool)
-                    ):
-                        cached.add(target.id)
-            self._module_consts[module] = cached
-        return cached
-
     def rng_consuming(self, class_qual: str) -> bool:
         """Does any method of the class construct an RNG?  A class that
         does is an independent seed consumer; a plain config dataclass
@@ -233,18 +208,11 @@ class _Analyzer:
         result = False
         info = self.graph.classes.get(class_qual)
         if info is not None:
-            for method_qual in info.methods.values():
-                method = self.graph.functions.get(method_qual)
-                if method is None:
-                    continue
-                for node in ast.walk(method.node):
-                    if isinstance(node, ast.Call):
-                        target = resolve_call_target(node, method.imports)
-                        if target in RNG_SINKS:
-                            result = True
-                            break
-                if result:
-                    break
+            result = any(
+                target in RNG_SINKS
+                for method_qual in info.methods.values()
+                for target in self.graph.functions[method_qual].calls.values()
+            )
             if not result:
                 for base in self.graph.ancestors(class_qual):
                     if self.rng_consuming(base):
@@ -284,7 +252,7 @@ class _FunctionScan:
         self.env = env
         self.chain = chain
         self.imports = fn.imports
-        self.consts = analyzer.module_consts(fn.module)
+        self.consts = analyzer.graph.names[fn.module].int_consts
         self.returns: Set[Lineage] = set()
 
     def run(self) -> Set[Lineage]:

@@ -20,7 +20,7 @@ import ast
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional
 
-from repro.lint.base import ImportMap, dotted_name, resolve_call_target
+from repro.lint.base import dotted_name
 from repro.lint.callgraph import FunctionInfo
 
 #: Effect kinds.
@@ -120,19 +120,14 @@ def _is_fileno_call(node: ast.expr) -> bool:
 
 
 def function_effects(
-    fn: FunctionInfo,
-    imports: ImportMap,
-    atomic_helpers: FrozenSet[str],
+    fn: FunctionInfo, atomic_helpers: FrozenSet[str]
 ) -> List[WriteEffect]:
     """Every write effect in *fn*'s body (nested defs included), in
     source order."""
     effects: List[WriteEffect] = []
-    for node in ast.walk(fn.node):
-        if not isinstance(node, ast.Call):
-            continue
+    for node, resolved in fn.calls.items():
         line = int(node.lineno)
         col = int(node.col_offset)
-        resolved = resolve_call_target(node, imports)
         if resolved is not None and resolved in atomic_helpers:
             effects.append(
                 WriteEffect(
@@ -191,14 +186,11 @@ def function_effects(
     return effects
 
 
-def function_calls(fn: FunctionInfo, imports: ImportMap) -> List[CallSite]:
+def function_calls(fn: FunctionInfo) -> List[CallSite]:
     """Every call in *fn*'s body, named for commit-order matching."""
     sites: List[CallSite] = []
-    for node in ast.walk(fn.node):
-        if not isinstance(node, ast.Call):
-            continue
+    for node, resolved in fn.calls.items():
         dotted = dotted_name(node.func)
-        resolved = resolve_call_target(node, imports)
         if (
             dotted is not None
             and dotted.startswith("self.")

@@ -22,15 +22,18 @@ not read files at import.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple
 
-from repro.lint.callgraph import CallGraph, ParsedModule, build_graph
+from repro.lint.callgraph import (
+    CallGraph, FunctionInfo, ParsedModule, build_graph,
+)
 from repro.lint.findings import Finding
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid cycles
     from repro.lint.contract import Contract
     from repro.lint.dataflow import SeedFlow
+    from repro.lint.effects import WriteEffect
     from repro.lint.rules_ckpt import FingerprintExclusions
     from repro.lint.rules_durability import DurabilityConfig
 
@@ -70,9 +73,11 @@ class ProgramContext:
     """The contract's ``durability`` section; ``None`` disables the DUR
     rule family."""
 
-    durable: "frozenset[str]" = frozenset()
-    """Qualnames of every function in the durable region (reachable from
-    the declared durable roots)."""
+    durable: List[Tuple[FunctionInfo, List["WriteEffect"]]] = field(
+        default_factory=list
+    )
+    """Every checked function in the durable region (reachable from the
+    declared durable roots), with its write effects."""
 
     def pure_functions(self) -> List[str]:
         return sorted(self.pure)
@@ -188,6 +193,7 @@ def analyze_program(
         # computed only after every purity-rooted rule has produced its
         # witnesses.
         from repro.lint.rules_durability import (
+            durable_effects,
             expand_durable_roots,
             make_durability_rules,
         )
@@ -197,7 +203,9 @@ def analyze_program(
         )
         findings.extend(durable_problems)
         program.durability = durability
-        program.durable = frozenset(graph.reachable(durable_roots))
+        program.durable = durable_effects(
+            graph, durability, graph.reachable(durable_roots)
+        )
         for dur_rule in make_durability_rules():
             findings.extend(dur_rule.check_program(program))
     findings.sort(key=Finding.sort_key)

@@ -42,13 +42,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Set, Tuple
 
-from repro.lint.base import resolve_call_target
-from repro.lint.callgraph import CallGraph, FunctionInfo, FunctionNode
+from repro.lint.callgraph import FUNCTION_TYPES, CallGraph, FunctionInfo
 from repro.lint.findings import Finding
 from repro.lint.purity import ProgramContext
-from repro.lint.rules_purity import PurityRule, _iter_scopes, _scope_nodes
+from repro.lint.rules_purity import _scope_nodes
 from repro.lint.rules_seed import SeedRule
 
 #: Rule id for exclusion-config problems (parallel to ``PURE000``).
@@ -111,7 +110,7 @@ def _coverage_names(fns: Iterator[FunctionInfo]) -> Set[str]:
     every string constant (dict keys in ``to_dict``-style serializers)."""
     covered: Set[str] = set()
     for fn in fns:
-        for node in ast.walk(fn.node):
+        for node in fn.nodes:
             if isinstance(node, ast.Attribute):
                 covered.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(
@@ -233,12 +232,16 @@ class CheckpointStateRule(CkptRule):
             fn = graph.functions[qualname]
             if fn.class_name is not None:
                 continue
-            checkpoint_calls = self._checkpoint_calls(fn)
+            checkpoint_calls = [
+                node
+                for node, target in fn.calls.items()
+                if target == _CHECKPOINT_CLASS
+            ]
             if not checkpoint_calls:
                 continue
             covered = self._covered_names(program, fn, checkpoint_calls)
-            for scope in _iter_scopes(fn.node):
-                if scope is fn.node:
+            for scope in fn.nodes[1:]:
+                if not isinstance(scope, FUNCTION_TYPES):
                     continue
                 for node in _scope_nodes(scope):
                     if not isinstance(node, ast.Nonlocal):
@@ -261,14 +264,6 @@ class CheckpointStateRule(CkptRule):
                             "or waive it with a reasoned allow comment",
                         )
 
-    @staticmethod
-    def _checkpoint_calls(fn: FunctionInfo) -> List[ast.Call]:
-        return [
-            node
-            for node in ast.walk(fn.node)
-            if isinstance(node, ast.Call)
-            and resolve_call_target(node, fn.imports) == _CHECKPOINT_CLASS
-        ]
 
     def _covered_names(
         self,
@@ -276,14 +271,14 @@ class CheckpointStateRule(CkptRule):
         fn: FunctionInfo,
         calls: List[ast.Call],
     ) -> Set[str]:
-        helpers: Dict[str, FunctionNode] = {}
-        for node in ast.walk(fn.node):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node is not fn.node:
-                    helpers[node.name] = node
-        for qualname, other in program.graph.functions.items():
+        helpers: Dict[str, Sequence[ast.AST]] = {
+            node.name: list(ast.walk(node))
+            for node in fn.nodes[1:]
+            if isinstance(node, FUNCTION_TYPES)
+        }
+        for other in program.graph.functions.values():
             if other.module == fn.module and other.class_name is None:
-                helpers.setdefault(other.name, other.node)
+                helpers.setdefault(other.name, other.nodes)
 
         covered: Set[str] = set()
         arg_nodes: List[ast.expr] = []
@@ -297,11 +292,9 @@ class CheckpointStateRule(CkptRule):
                 elif isinstance(sub, ast.Call) and isinstance(
                     sub.func, ast.Name
                 ):
-                    helper = helpers.get(sub.func.id)
-                    if helper is not None:
-                        for inner in ast.walk(helper):
-                            if isinstance(inner, ast.Name):
-                                covered.add(inner.id)
+                    for inner in helpers.get(sub.func.id, ()):
+                        if isinstance(inner, ast.Name):
+                            covered.add(inner.id)
         return covered
 
 

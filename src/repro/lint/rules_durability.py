@@ -47,7 +47,7 @@ function (the callers that sequence two durable commits usually sit
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from repro.lint.callgraph import CallGraph, FunctionInfo
 from repro.lint.effects import (
@@ -153,60 +153,28 @@ def expand_durable_roots(
 class DurabilityRule(PurityRule):
     """Base for durability rules: runs only with a durability config."""
 
-    def durable_finding(
-        self,
-        fn: FunctionInfo,
-        effect_line: int,
-        effect_col: int,
-        message: str,
-        program: ProgramContext,
-    ) -> Finding:
-        """A finding with the ``durable via root -> ... -> fn`` witness."""
-        chain = program.graph.witness_path(fn.qualname)
-        if len(chain) > 1:
-            short = [part.rsplit(".", 2)[-1] for part in chain[:4]]
-            if len(chain) > 4:
-                short.append("…")
-            via = " (durable via " + " -> ".join(short) + ")"
-        else:
-            via = ""
-        parsed = program.graph.modules.get(fn.module)
-        source_line = ""
-        if parsed is not None and 1 <= effect_line <= len(parsed.lines):
-            source_line = parsed.lines[effect_line - 1]
-        return Finding(
-            rule=self.id,
-            path=fn.path,
-            line=effect_line,
-            col=effect_col,
-            message=message + via,
-            source_line=source_line,
-        )
+    region = "durable"
 
-    @staticmethod
-    def _exempt(config: DurabilityConfig, fn: FunctionInfo) -> bool:
-        return any(
-            fn.module == prefix or fn.module.startswith(prefix + ".")
-            for prefix in config.exempt
-        )
 
-    @classmethod
-    def _durable_functions(
-        cls, program: ProgramContext
-    ) -> Iterator[Tuple[FunctionInfo, List[WriteEffect]]]:
-        """Durable-region functions (exempt modules and the helpers
-        themselves skipped), with their write effects."""
-        config = program.durability
-        if config is None:
-            return
-        helpers = frozenset(config.atomic_helpers)
-        for qualname in sorted(program.durable):
-            fn = program.graph.functions.get(qualname)
-            if fn is None:
-                continue
-            if qualname in helpers or cls._exempt(config, fn):
-                continue
-            yield fn, function_effects(fn, fn.imports, helpers)
+def _exempt(config: DurabilityConfig, fn: FunctionInfo) -> bool:
+    return any(
+        fn.module == prefix or fn.module.startswith(prefix + ".")
+        for prefix in config.exempt
+    )
+
+
+def durable_effects(
+    graph: CallGraph, config: DurabilityConfig, region: Iterable[str]
+) -> List[Tuple[FunctionInfo, List[WriteEffect]]]:
+    """Durable-region functions (exempt modules and the helpers
+    themselves skipped), each with its write effects: computed once per
+    run and read by DUR001, DUR002 and DUR004."""
+    helpers = frozenset(config.atomic_helpers)
+    return [
+        (fn, function_effects(fn, helpers))
+        for fn in (graph.functions[qualname] for qualname in sorted(region))
+        if fn.qualname not in helpers and not _exempt(config, fn)
+    ]
 
 
 class RawDurableWriteRule(DurabilityRule):
@@ -219,7 +187,7 @@ class RawDurableWriteRule(DurabilityRule):
     )
 
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
-        for fn, effects in self._durable_functions(program):
+        for fn, effects in program.durable:
             if any(e.kind == RENAME for e in effects):
                 # The function implements a publish protocol inline
                 # (write-tmp-then-rename); DUR002 judges that protocol,
@@ -227,7 +195,7 @@ class RawDurableWriteRule(DurabilityRule):
                 continue
             for effect in effects:
                 if effect.kind == OPEN_WRITE:
-                    yield self.durable_finding(
+                    yield self.finding_at(
                         fn,
                         effect.line,
                         effect.col,
@@ -238,7 +206,7 @@ class RawDurableWriteRule(DurabilityRule):
                         program,
                     )
                 elif effect.kind == PATH_WRITE:
-                    yield self.durable_finding(
+                    yield self.finding_at(
                         fn,
                         effect.line,
                         effect.col,
@@ -260,7 +228,7 @@ class RenameFsyncRule(DurabilityRule):
     )
 
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
-        for fn, effects in self._durable_functions(program):
+        for fn, effects in program.durable:
             renames = [e for e in effects if e.kind == RENAME]
             if not renames:
                 continue
@@ -268,7 +236,7 @@ class RenameFsyncRule(DurabilityRule):
             dir_syncs = [e for e in effects if e.kind == FSYNC_OTHER]
             for rename in renames:
                 if not any(s.line <= rename.line for s in file_syncs):
-                    yield self.durable_finding(
+                    yield self.finding_at(
                         fn,
                         rename.line,
                         rename.col,
@@ -280,7 +248,7 @@ class RenameFsyncRule(DurabilityRule):
                         program,
                     )
                 elif not any(s.line >= rename.line for s in dir_syncs):
-                    yield self.durable_finding(
+                    yield self.finding_at(
                         fn,
                         rename.line,
                         rename.col,
@@ -322,9 +290,9 @@ class CommitOrderRule(DurabilityRule):
         graph = program.graph
         for qualname in sorted(graph.functions):
             fn = graph.functions[qualname]
-            if self._exempt(config, fn):
+            if _exempt(config, fn):
                 continue
-            sites = function_calls(fn, fn.imports)
+            sites = function_calls(fn)
             for pair in config.commit_order:
                 first_lines = [
                     s.line for s in sites if self._matches(s, pair.first)
@@ -339,7 +307,7 @@ class CommitOrderRule(DurabilityRule):
                 )
                 if offender.line < min(first_lines):
                     reason = f" ({pair.reason})" if pair.reason else ""
-                    yield self.durable_finding(
+                    yield self.finding_at(
                         fn,
                         offender.line,
                         offender.col,
@@ -361,10 +329,10 @@ class ReadModifyWriteRule(DurabilityRule):
     )
 
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
-        for fn, effects in self._durable_functions(program):
+        for fn, effects in program.durable:
             for effect in effects:
                 if effect.kind == OPEN_UPDATE:
-                    yield self.durable_finding(
+                    yield self.finding_at(
                         fn,
                         effect.line,
                         effect.col,
@@ -384,7 +352,7 @@ class ReadModifyWriteRule(DurabilityRule):
                     effect.kind in (OPEN_WRITE, PATH_WRITE)
                     and effect.target in read_targets
                 ):
-                    yield self.durable_finding(
+                    yield self.finding_at(
                         fn,
                         effect.line,
                         effect.col,

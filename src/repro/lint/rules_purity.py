@@ -36,10 +36,11 @@ engine invokes them through :func:`make_purity_rules`.
 from __future__ import annotations
 
 import ast
-from typing import Callable, Iterator, List, Optional, Set
+from typing import Callable, FrozenSet, Iterator, List, Optional, Set
 
-from repro.lint.base import ImportMap, resolve_call_target
+from repro.lint.base import ImportMap
 from repro.lint.callgraph import (
+    FUNCTION_TYPES,
     MUTATING_METHODS,
     FunctionInfo,
     FunctionNode,
@@ -81,6 +82,8 @@ class PurityRule:
 
     id: str = ""
     summary: str = ""
+    region: str = "pure"
+    """Names the region in the witness chain (``pure via root -> fn``)."""
 
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -89,27 +92,34 @@ class PurityRule:
         self, fn: FunctionInfo, node: ast.AST, message: str,
         program: ProgramContext,
     ) -> Finding:
-        lineno = int(getattr(node, "lineno", fn.node.lineno))
-        col = int(getattr(node, "col_offset", 0))
+        return self.finding_at(
+            fn,
+            int(getattr(node, "lineno", fn.node.lineno)),
+            int(getattr(node, "col_offset", 0)),
+            message,
+            program,
+        )
+
+    def finding_at(
+        self, fn: FunctionInfo, lineno: int, col: int, message: str,
+        program: ProgramContext,
+    ) -> Finding:
+        """A finding in *fn* carrying its witness chain from a root."""
         chain = program.graph.witness_path(fn.qualname)
         if len(chain) > 1:
             short = [part.rsplit(".", 2)[-1] for part in chain[:4]]
             if len(chain) > 4:
                 short.append("…")
-            via = " (pure via " + " -> ".join(short) + ")"
+            via = f" ({self.region} via " + " -> ".join(short) + ")"
         else:
             via = ""
-        parsed = program.graph.modules.get(fn.module)
-        source_line = ""
-        if parsed is not None and 1 <= lineno <= len(parsed.lines):
-            source_line = parsed.lines[lineno - 1]
         return Finding(
             rule=self.id,
             path=fn.path,
             line=lineno,
             col=col,
             message=message + via,
-            source_line=source_line,
+            source_line=program.graph.modules[fn.module].source_line(lineno),
         )
 
     # -- shared helpers ----------------------------------------------------
@@ -121,11 +131,11 @@ class PurityRule:
             yield program.graph.functions[qualname]
 
 
-def _local_names(node: ast.AST) -> Set[str]:
+def _local_names(fn: FunctionInfo) -> Set[str]:
     """Names bound locally inside a function (params + stores + targets)."""
     out: Set[str] = set()
-    assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    args = node.args
+    declared_global: Set[str] = set()
+    args = fn.node.args
     for arg in (
         list(args.posonlyargs)
         + list(args.args)
@@ -134,7 +144,7 @@ def _local_names(node: ast.AST) -> Set[str]:
         + ([args.kwarg] if args.kwarg else [])
     ):
         out.add(arg.arg)
-    for sub in ast.walk(node):
+    for sub in fn.nodes:
         if isinstance(sub, ast.Name) and isinstance(
             sub.ctx, (ast.Store, ast.Del)
         ):
@@ -147,18 +157,10 @@ def _local_names(node: ast.AST) -> Set[str]:
             for target in ast.walk(sub.optional_vars):
                 if isinstance(target, ast.Name):
                     out.add(target.id)
+        elif isinstance(sub, ast.Global):
+            declared_global.update(sub.names)
     # A `global` declaration un-localizes the name again.
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Global):
-            out.difference_update(sub.names)
-    return out
-
-
-def _iter_scopes(root: FunctionNode) -> Iterator[FunctionNode]:
-    """The function itself plus every def nested anywhere inside it."""
-    for node in ast.walk(root):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
+    return out - declared_global
 
 
 def _scope_nodes(scope: FunctionNode) -> Iterator[ast.AST]:
@@ -178,28 +180,6 @@ def _scope_nodes(scope: FunctionNode) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def _module_level_bindings(tree: ast.Module) -> Set[str]:
-    """Names assigned at module top level (the mutable module state)."""
-    names: Set[str] = set()
-    for node in tree.body:
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            targets = [node.target]
-        for target in targets:
-            for sub in ast.walk(target):
-                if isinstance(sub, ast.Name):
-                    names.add(sub.id)
-    return names
-
-
-def _module_level_classes(tree: ast.Module) -> Set[str]:
-    return {
-        node.name for node in tree.body if isinstance(node, ast.ClassDef)
-    }
-
-
 class PureGlobalWriteRule(PurityRule):
     """PURE001 — no writes to module globals from inside the pure region."""
 
@@ -216,22 +196,18 @@ class PureGlobalWriteRule(PurityRule):
     def _check_function(
         self, program: ProgramContext, fn: FunctionInfo
     ) -> Iterator[Finding]:
-        parsed = program.graph.modules.get(fn.module)
-        if parsed is None:
-            return
-        module_names = _module_level_bindings(parsed.tree)
-        class_names = _module_level_classes(parsed.tree)
+        names = program.graph.names[fn.module]
         # Class names visible via `from x import Cls` count too.
         imported_classes = {
             alias
             for alias, origin in fn.imports.names.items()
             if origin.rsplit(".", 1)[-1][:1].isupper()
         }
-        local = _local_names(fn.node)
+        local = _local_names(fn)
 
         def module_binding(name: str) -> bool:
             return (
-                name in module_names
+                name in names.bindings
                 and name not in local
                 and name not in {"self", "cls"}
             )
@@ -241,7 +217,9 @@ class PureGlobalWriteRule(PurityRule):
         # the subtree is analysed as its own scope — an outer function that
         # merely *binds* a name some nested closure later declares nonlocal
         # is not itself writing a cell.
-        for scope in _iter_scopes(fn.node):
+        for scope in fn.nodes:
+            if not isinstance(scope, FUNCTION_TYPES):
+                continue
             declared_global: Set[str] = set()
             declared_nonlocal: Set[str] = set()
             scope_nodes = list(_scope_nodes(scope))
@@ -275,7 +253,7 @@ class PureGlobalWriteRule(PurityRule):
                         program,
                     )
 
-        for node in ast.walk(fn.node):
+        for node in fn.nodes:
             # (b) mutating a module-level container: X[k] = v / X.attr = v.
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 targets = (
@@ -285,13 +263,13 @@ class PureGlobalWriteRule(PurityRule):
                 )
                 for target in targets:
                     yield from self._check_store_target(
-                        fn, target, module_binding, class_names,
+                        fn, target, module_binding, names.classes,
                         imported_classes, program,
                     )
             elif isinstance(node, ast.Delete):
                 for target in node.targets:
                     yield from self._check_store_target(
-                        fn, target, module_binding, class_names,
+                        fn, target, module_binding, names.classes,
                         imported_classes, program,
                     )
             # (c) mutating method call on a module-level binding.
@@ -317,7 +295,7 @@ class PureGlobalWriteRule(PurityRule):
         fn: FunctionInfo,
         target: ast.expr,
         module_binding: "Callable[[str], bool]",
-        class_names: Set[str],
+        class_names: FrozenSet[str],
         imported_classes: Set[str],
         program: ProgramContext,
     ) -> Iterator[Finding]:
@@ -365,10 +343,9 @@ class PureImpureCallRule(PurityRule):
 
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
         for fn in self._iter_pure_functions(program):
-            imports = fn.imports
-            for node in ast.walk(fn.node):
+            for node in fn.nodes:
                 if isinstance(node, ast.Call):
-                    message = self._diagnose_call(node, imports)
+                    message = self._diagnose_call(node, fn.calls[node])
                     if message is not None:
                         yield self.finding(fn, node, message, program)
                 elif isinstance(node, (ast.Assign, ast.AugAssign)):
@@ -378,7 +355,7 @@ class PureImpureCallRule(PurityRule):
                         else [node.target]
                     )
                     for target in targets:
-                        if self._is_environ_store(target, imports):
+                        if self._is_environ_store(target, fn.imports):
                             yield self.finding(
                                 fn, node,
                                 "writes os.environ from the pure region — "
@@ -388,9 +365,8 @@ class PureImpureCallRule(PurityRule):
                             )
 
     def _diagnose_call(
-        self, node: ast.Call, imports: ImportMap
+        self, node: ast.Call, target: Optional[str]
     ) -> Optional[str]:
-        target = resolve_call_target(node, imports)
         if target is None:
             return None
         if target in _WALL_CLOCK_TARGETS:
@@ -467,11 +443,10 @@ class PureRngDualityRule(PurityRule):
             rng_params = _rng_parameters(fn.node)
             if not rng_params:
                 continue
-            exempt = _none_fallback_nodes(fn.node, rng_params)
-            for node in ast.walk(fn.node):
-                if not isinstance(node, ast.Call) or id(node) in exempt:
+            exempt = _none_fallback_nodes(fn.nodes, rng_params)
+            for node, target in fn.calls.items():
+                if id(node) in exempt:
                     continue
-                target = resolve_call_target(node, fn.imports)
                 if target in _RNG_CONSTRUCTORS:
                     yield self.finding(
                         fn, node,
@@ -497,7 +472,9 @@ def _rng_parameters(node: FunctionNode) -> Set[str]:
     return names
 
 
-def _none_fallback_nodes(fn: FunctionNode, rng_params: Set[str]) -> Set[int]:
+def _none_fallback_nodes(
+    nodes: List[ast.AST], rng_params: Set[str]
+) -> Set[int]:
     """Node ids exempt from PURE003: the ``rng if rng is not None else
     default_rng(seed)`` fallback idiom (conditional expression or ``if``
     statement testing the RNG parameter against ``None``)."""
@@ -514,7 +491,7 @@ def _none_fallback_nodes(fn: FunctionNode, rng_params: Set[str]) -> Set[int]:
         return has_param and has_none
 
     exempt: Set[int] = set()
-    for node in ast.walk(fn):
+    for node in nodes:
         if isinstance(node, ast.IfExp) and mentions_param_and_none(node.test):
             for branch in (node.body, node.orelse):
                 exempt.update(id(sub) for sub in ast.walk(branch))

@@ -37,7 +37,7 @@ def _effects(source, helpers=HELPERS):
         node=fn_node,
         imports=imports,
     )
-    return fn, function_effects(fn, imports, helpers), imports
+    return fn, function_effects(fn, helpers), imports
 
 
 class TestOpenClassification:
@@ -124,7 +124,7 @@ class TestFunctionCalls:
             imports=imports,
             class_name="Reg",
         )
-        sites = function_calls(fn, imports)
+        sites = function_calls(fn)
         assert sites[0].resolved == "m.Reg._write_manifest"
         assert sites[0].name == "_write_manifest"
         assert sites[1].name == "save"

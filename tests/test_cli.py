@@ -191,3 +191,62 @@ class TestObsCommands:
     def test_trial_parser_metrics_out_default(self):
         args = build_parser().parse_args(["trial"])
         assert args.metrics_out is None
+
+
+class TestBadInput:
+    """A bad flag or a bad artifact names itself on one stderr line: a
+    config the flags cannot build exits 2 as argparse does, and a corrupt
+    checkpoint or an unreadable report file exits 1."""
+
+    @pytest.mark.parametrize(
+        "argv, status, message",
+        [
+            (["fleet", "run", "--days", "-1"], 2, "days must be positive"),
+            (
+                ["fleet", "run", "--rate", "nan"],
+                2,
+                "sessions_per_hour must be finite",
+            ),
+            (
+                ["fleet", "run", "--chunk-size", "0"],
+                2,
+                "chunk_sessions must be >= 1",
+            ),
+            (
+                [
+                    "fleet", "retrain", "--archive-dir", "a",
+                    "--registry", "r", "--window-days", "0",
+                ],
+                2,
+                "window_days must be positive",
+            ),
+            (
+                ["fleet", "resume", "--checkpoint", "corrupt.ckpt"],
+                1,
+                "corrupt checkpoint corrupt.ckpt",
+            ),
+            (
+                ["fleet", "report", "not-json.txt"],
+                1,
+                "cannot read not-json.txt",
+            ),
+        ],
+    )
+    def test_bad_input_is_one_error_line(
+        self, argv, status, message, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "corrupt.ckpt").write_text("{not a checkpoint")
+        (tmp_path / "not-json.txt").write_text("sessions: 3\n")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == status
+        assert f"repro: error: {message}" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "corrupt.ckpt",
+            "not-json.txt",
+        ]
