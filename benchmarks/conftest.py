@@ -42,7 +42,10 @@ def fugu_predictor():
     """Fugu's TTP, trained in situ (bootstrap on BBA/MPC, then on-policy)."""
 
     def build():
-        from repro.experiment import InSituTrainingConfig, train_fugu_in_situ
+        from repro.experiment.insitu import (
+            InSituTrainingConfig,
+            train_fugu_in_situ,
+        )
 
         return train_fugu_in_situ(
             InSituTrainingConfig(
@@ -62,7 +65,7 @@ def pensieve_model():
     """Pensieve policy trained with RL in the chunk simulator."""
 
     def build():
-        from repro.experiment import train_pensieve_in_simulation
+        from repro.experiment.insitu import train_pensieve_in_simulation
 
         return train_pensieve_in_simulation(episodes=800, seed=11)
 
@@ -71,7 +74,7 @@ def pensieve_model():
 
 @pytest.fixture(scope="session")
 def emulation_environment():
-    from repro.emulation import EmulationEnvironment
+    from repro.emulation.env import EmulationEnvironment
 
     return EmulationEnvironment(n_traces=25, seed=9)
 
@@ -81,7 +84,7 @@ def emulation_fugu_predictor(emulation_environment):
     """Emulation-trained Fugu's TTP (Fig. 11)."""
 
     def build():
-        from repro.emulation import train_fugu_in_emulation
+        from repro.emulation.env import train_fugu_in_emulation
 
         return train_fugu_in_emulation(emulation_environment, epochs=12, seed=5)
 
@@ -93,11 +96,8 @@ def primary_trial(fugu_predictor, pensieve_model):
     """The primary randomized experiment (Fig. 1/4/8/9/10/A1)."""
 
     def build():
-        from repro.experiment import (
-            RandomizedTrial,
-            TrialConfig,
-            primary_experiment_schemes,
-        )
+        from repro.experiment.harness import RandomizedTrial, TrialConfig
+        from repro.experiment.schemes import primary_experiment_schemes
 
         specs = primary_experiment_schemes(fugu_predictor, pensieve_model)
         config = TrialConfig(n_sessions=BENCH_SESSIONS, seed=42)
@@ -109,7 +109,7 @@ def primary_trial(fugu_predictor, pensieve_model):
 @pytest.fixture(scope="session")
 def scheme_summaries(primary_trial):
     """Fig. 1 rows for every scheme in the primary trial."""
-    from repro.analysis import summarize_scheme
+    from repro.analysis.summary import summarize_scheme
 
     summaries = {}
     for name in primary_trial.scheme_names:

@@ -16,7 +16,7 @@ import pytest
 from repro.core.fugu import Fugu
 from repro.core.train import TtpTrainer, build_ttp_datasets
 from repro.core.ttp import TransmissionTimePredictor, TtpConfig
-from repro.experiment import deploy_and_collect
+from repro.experiment.insitu import deploy_and_collect
 
 N_EVAL_STREAMS = 220
 EVAL_SEED = 4242
@@ -38,7 +38,8 @@ def deploy(abr, seed=EVAL_SEED):
 @pytest.fixture(scope="module")
 def ablated_deployments(fugu_predictor):
     """Deploy full Fugu plus ablated variants trained on the same data."""
-    from repro.abr import BBA, MpcHm
+    from repro.abr.bba import BBA
+    from repro.abr.mpc import MpcHm
 
     train_streams = deploy_and_collect(
         [BBA(), MpcHm()], 150, seed=31, watch_time_s=240.0
@@ -96,7 +97,8 @@ def test_staleness_ablation(benchmark):
     for several simulated days; the day-2 snapshot ("February") and the
     final model ("live") are deployed on identical traffic.
     """
-    from repro.abr import BBA, MpcHm
+    from repro.abr.bba import BBA
+    from repro.abr.mpc import MpcHm
     from repro.core.train import DailyRetrainer
 
     def run():

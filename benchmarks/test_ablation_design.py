@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.fugu import Fugu
-from repro.experiment import (
+from repro.experiment.insitu import (
     InSituTrainingConfig,
     deploy_and_collect,
     train_fugu_in_situ,
@@ -90,9 +90,9 @@ def test_on_policy_iteration_ablation(benchmark, fugu_predictor):
 
 def test_congestion_control_comparison(benchmark):
     """BBR vs CUBIC service daemons (Fig. A1's CUBIC arm)."""
-    from repro.abr import BBA
+    from repro.abr.bba import BBA
     from repro.net.path import PopulationModel
-    from repro.experiment import TrialConfig
+    from repro.experiment.harness import TrialConfig
 
     def run():
         results = {}

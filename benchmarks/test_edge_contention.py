@@ -27,7 +27,7 @@ from dataclasses import replace
 
 from repro.abr.bba import BBA
 from repro.abr.mpc import MpcHm
-from repro.edge import EdgeConfig
+from repro.edge.cells import EdgeConfig
 from repro.experiment.presets import smoke_trial_config
 from repro.experiment.schemes import SchemeSpec
 from repro.fleet import FleetConfig, WorkloadConfig, run_fleet

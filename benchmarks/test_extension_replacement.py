@@ -10,15 +10,13 @@ re-downloaded (wasted) bytes — without adding stalls.
 import numpy as np
 import pytest
 
-from repro.abr import BBA
+from repro.abr.bba import BBA
 from repro.experiment.harness import TrialConfig
 from repro.media.encoder import VbrEncoder
 from repro.media.source import DEFAULT_CHANNELS, VideoSource
 from repro.net.path import PathSampler
-from repro.streaming import (
-    simulate_stream,
-    simulate_stream_with_replacement,
-)
+from repro.streaming.replacement import simulate_stream_with_replacement
+from repro.streaming.simulator import simulate_stream
 
 N_STREAMS = 80
 

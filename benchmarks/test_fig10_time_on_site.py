@@ -17,8 +17,11 @@ Two parts:
 import numpy as np
 import pytest
 
-from repro.abr import BBA, MpcHm, Pensieve, RobustMpcHm
-from repro.analysis import bootstrap_mean_ci, ccdf
+from repro.abr.bba import BBA
+from repro.abr.mpc import MpcHm, RobustMpcHm
+from repro.abr.pensieve.policy import Pensieve
+from repro.analysis.bootstrap import bootstrap_mean_ci
+from repro.analysis.stats import ccdf
 from repro.core.fugu import Fugu
 from repro.experiment.watch import ViewerModel
 from repro.media.encoder import VbrEncoder

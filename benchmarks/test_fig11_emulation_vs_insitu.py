@@ -19,9 +19,11 @@ Shape targets:
 import numpy as np
 import pytest
 
-from repro.abr import BBA, MpcHm, Pensieve, RobustMpcHm
+from repro.abr.bba import BBA
+from repro.abr.mpc import MpcHm, RobustMpcHm
+from repro.abr.pensieve.policy import Pensieve
 from repro.core.fugu import Fugu
-from repro.experiment import deploy_and_collect
+from repro.experiment.insitu import deploy_and_collect
 from repro.traces.stats import summarize_trace
 
 

@@ -22,11 +22,12 @@ transmission time — on two views:
 import numpy as np
 import pytest
 
-from repro.abr import BBA, MpcHm
+from repro.abr.bba import BBA
+from repro.abr.mpc import MpcHm
 from repro.core.fugu import make_fugu_variant
 from repro.core.train import TtpTrainer, build_ttp_datasets
 from repro.core.ttp import TransmissionTimePredictor, TtpConfig
-from repro.experiment import deploy_and_collect
+from repro.experiment.insitu import deploy_and_collect
 
 VARIANTS = [
     "full",

@@ -9,8 +9,7 @@ intervals (bootstrap on stall ratio, weighted SE on SSIM).
 
 import numpy as np
 
-from repro.analysis import summarize_scheme
-from repro.analysis.summary import split_slow_paths
+from repro.analysis.summary import split_slow_paths, summarize_scheme
 
 
 def build_panels(primary_trial):

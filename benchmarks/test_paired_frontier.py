@@ -16,8 +16,10 @@ must hold here deterministically:
 import pytest
 
 from repro.core.fugu import Fugu
-from repro.abr import BBA, MpcHm, Pensieve, RobustMpcHm
-from repro.experiment import deploy_and_collect
+from repro.abr.bba import BBA
+from repro.abr.mpc import MpcHm, RobustMpcHm
+from repro.abr.pensieve.policy import Pensieve
+from repro.experiment.insitu import deploy_and_collect
 
 N_STREAMS = 250
 SEED = 777

@@ -15,14 +15,15 @@ quantifies the model mismatch and its control consequence:
 import numpy as np
 import pytest
 
-from repro.abr import BBA, MpcHm
+from repro.abr.bba import BBA
+from repro.abr.mpc import MpcHm
 from repro.abr.cs2p import (
     Cs2pMpc,
     DiscreteThroughputHmm,
     throughput_series_from_streams,
 )
 from repro.core.fugu import Fugu
-from repro.experiment import deploy_and_collect
+from repro.experiment.insitu import deploy_and_collect
 from repro.experiment.harness import TrialConfig
 from repro.media.encoder import VbrEncoder
 from repro.media.source import DEFAULT_CHANNELS, VideoSource

@@ -13,7 +13,8 @@ Run:  python examples/daily_operations.py     (~15 seconds)
 import tempfile
 from pathlib import Path
 
-from repro.abr import BBA, MpcHm
+from repro.abr.bba import BBA
+from repro.abr.mpc import MpcHm
 from repro.experiment.presets import smoke_trial_config
 from repro.experiment.schemes import SchemeSpec
 from repro.fleet import (

@@ -20,8 +20,9 @@ Run:  python examples/edge_flash_crowd.py     (~1 minute; scale with --rate)
 
 import argparse
 
-from repro.abr import BBA, MpcHm
-from repro.edge import EdgeConfig
+from repro.abr.bba import BBA
+from repro.abr.mpc import MpcHm
+from repro.edge.cells import EdgeConfig
 from repro.experiment.presets import smoke_trial_config
 from repro.experiment.schemes import SchemeSpec
 from repro.fleet import (

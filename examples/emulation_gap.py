@@ -13,9 +13,9 @@ import time
 
 import numpy as np
 
-from repro.core import Fugu
-from repro.emulation import EmulationEnvironment, train_fugu_in_emulation
-from repro.experiment import (
+from repro.core.fugu import Fugu
+from repro.emulation.env import EmulationEnvironment, train_fugu_in_emulation
+from repro.experiment.insitu import (
     InSituTrainingConfig,
     deploy_and_collect,
     train_fugu_in_situ,

@@ -15,7 +15,8 @@ import json
 import tempfile
 from pathlib import Path
 
-from repro.abr import BBA, MpcHm
+from repro.abr.bba import BBA
+from repro.abr.mpc import MpcHm
 from repro.experiment.presets import smoke_trial_config
 from repro.experiment.schemes import SchemeSpec
 from repro.fleet import (

@@ -10,15 +10,15 @@ Run:  python examples/make_figures.py      (~3–4 minutes)
 import json
 from pathlib import Path
 
-from repro.analysis import all_figures, ccdf_plot, scatter_plot
-from repro.experiment import (
+from repro.analysis.figures import all_figures
+from repro.analysis.plotting import ccdf_plot, scatter_plot
+from repro.experiment.harness import RandomizedTrial, TrialConfig
+from repro.experiment.insitu import (
     InSituTrainingConfig,
-    RandomizedTrial,
-    TrialConfig,
-    primary_experiment_schemes,
     train_fugu_in_situ,
     train_pensieve_in_simulation,
 )
+from repro.experiment.schemes import primary_experiment_schemes
 
 
 def main():

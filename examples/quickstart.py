@@ -6,11 +6,13 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.abr import BBA, MpcHm
-from repro.media import VbrEncoder, VideoSource
-from repro.media.source import DEFAULT_CHANNELS
-from repro.net import HeavyTailLink, TcpConnection
-from repro.streaming import simulate_stream
+from repro.abr.bba import BBA
+from repro.abr.mpc import MpcHm
+from repro.media.encoder import VbrEncoder
+from repro.media.source import DEFAULT_CHANNELS, VideoSource
+from repro.net.link import HeavyTailLink
+from repro.net.tcp import TcpConnection
+from repro.streaming.simulator import simulate_stream
 
 
 def stream_once(abr, seed=1, watch_minutes=5.0):

@@ -12,15 +12,14 @@ Run:  python examples/randomized_trial.py      (~3–5 minutes)
 
 import time
 
-from repro.analysis import summarize_scheme
-from repro.experiment import (
+from repro.analysis.summary import summarize_scheme
+from repro.experiment.harness import RandomizedTrial, TrialConfig
+from repro.experiment.insitu import (
     InSituTrainingConfig,
-    RandomizedTrial,
-    TrialConfig,
-    primary_experiment_schemes,
     train_fugu_in_situ,
     train_pensieve_in_simulation,
 )
+from repro.experiment.schemes import primary_experiment_schemes
 
 N_SESSIONS = 300
 

@@ -10,11 +10,13 @@ Run:  python examples/telemetry_analysis.py
 
 import numpy as np
 
-from repro.abr import MpcHm
-from repro.media import VbrEncoder, VideoSource
-from repro.media.source import DEFAULT_CHANNELS
-from repro.net import HeavyTailLink, TcpConnection
-from repro.streaming import BufferEvent, TelemetryLog, simulate_stream
+from repro.abr.mpc import MpcHm
+from repro.media.encoder import VbrEncoder
+from repro.media.source import DEFAULT_CHANNELS, VideoSource
+from repro.net.link import HeavyTailLink
+from repro.net.tcp import TcpConnection
+from repro.streaming.simulator import simulate_stream
+from repro.streaming.telemetry import BufferEvent, TelemetryLog
 
 
 def main():

@@ -12,9 +12,10 @@ import time
 
 import numpy as np
 
-from repro.abr import BBA, MpcHm, RobustMpcHm
-from repro.core import Fugu
-from repro.experiment import (
+from repro.abr.bba import BBA
+from repro.abr.mpc import MpcHm, RobustMpcHm
+from repro.core.fugu import Fugu
+from repro.experiment.insitu import (
     InSituTrainingConfig,
     deploy_and_collect,
     train_fugu_in_situ,

@@ -37,8 +37,8 @@ Subpackages
 
 Quick start
 -----------
->>> from repro.experiment import train_fugu_in_situ, InSituTrainingConfig
->>> from repro.core import Fugu
+>>> from repro.core.fugu import Fugu
+>>> from repro.experiment.insitu import InSituTrainingConfig, train_fugu_in_situ
 >>> predictor = train_fugu_in_situ(InSituTrainingConfig(
 ...     bootstrap_streams=12, iteration_streams=12, iterations=1, epochs=3))
 >>> fugu = Fugu(predictor)

@@ -43,11 +43,13 @@ from repro.atomio import atomic_write_text
 def _cmd_quickstart(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.abr import BBA, MpcHm
-    from repro.media import VbrEncoder, VideoSource
-    from repro.media.source import DEFAULT_CHANNELS
-    from repro.net import HeavyTailLink, TcpConnection
-    from repro.streaming import simulate_stream
+    from repro.abr.bba import BBA
+    from repro.abr.mpc import MpcHm
+    from repro.media.encoder import VbrEncoder
+    from repro.media.source import DEFAULT_CHANNELS, VideoSource
+    from repro.net.link import HeavyTailLink
+    from repro.net.tcp import TcpConnection
+    from repro.streaming.simulator import simulate_stream
 
     print(f"{'Scheme':<10}{'SSIM dB':>9}{'Stall %':>9}{'Chunks':>8}")
     for abr in (BBA(), MpcHm()):
@@ -70,15 +72,14 @@ def _cmd_quickstart(args: argparse.Namespace) -> int:
 
 
 def _cmd_trial(args: argparse.Namespace) -> int:
-    from repro.analysis import summarize_scheme
-    from repro.experiment import (
+    from repro.analysis.summary import summarize_scheme
+    from repro.experiment.harness import RandomizedTrial, TrialConfig
+    from repro.experiment.insitu import (
         InSituTrainingConfig,
-        RandomizedTrial,
-        TrialConfig,
-        primary_experiment_schemes,
         train_fugu_in_situ,
         train_pensieve_in_simulation,
     )
+    from repro.experiment.schemes import primary_experiment_schemes
 
     print("training learned schemes…", file=sys.stderr)
     fugu_predictor = train_fugu_in_situ(
@@ -123,7 +124,10 @@ def _cmd_trial(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_fugu(args: argparse.Namespace) -> int:
-    from repro.experiment import InSituTrainingConfig, train_fugu_in_situ
+    from repro.experiment.insitu import (
+        InSituTrainingConfig,
+        train_fugu_in_situ,
+    )
 
     predictor = train_fugu_in_situ(
         InSituTrainingConfig(
@@ -141,7 +145,7 @@ def _cmd_train_fugu(args: argparse.Namespace) -> int:
 
 
 def _cmd_detectability(args: argparse.Namespace) -> int:
-    from repro.analysis import detectability_curve
+    from repro.analysis.power import detectability_curve
 
     points = detectability_curve(
         improvement=args.improvement,
@@ -168,7 +172,7 @@ def _obs_collect_specs():
 
 
 def _cmd_obs_collect(args: argparse.Namespace) -> int:
-    from repro.experiment import RandomizedTrial, TrialConfig
+    from repro.experiment.harness import RandomizedTrial, TrialConfig
     from repro.obs import format_summary
 
     trial = RandomizedTrial(
@@ -249,7 +253,7 @@ def _cmd_sanitize_run(args: argparse.Namespace) -> int:
     import os
 
     from repro import sanitizer
-    from repro.experiment import RandomizedTrial, TrialConfig
+    from repro.experiment.harness import RandomizedTrial, TrialConfig
 
     # Arm this process; forked pool workers inherit the armed state.
     os.environ[sanitizer.ENV_FLAG] = "1"
@@ -357,7 +361,7 @@ class _UsageError(Exception):
 
 def _artifact_errors() -> tuple:
     """The typed errors naming a bad checkpoint, registry or archive."""
-    from repro.data import ArchiveError
+    from repro.data.archive import ArchiveError
     from repro.fleet import CheckpointError, RegistryError
 
     return (ArchiveError, CheckpointError, RegistryError)
@@ -368,8 +372,19 @@ def _error(message: str) -> int:
     return 1
 
 
+def _check_output_paths(args: argparse.Namespace) -> None:
+    """Refuse an output file whose directory is missing before any work:
+    ``--out``, ``--metrics-out`` and ``--output`` are written at the end."""
+    for flag in ("out", "metrics_out", "output"):
+        path = getattr(args, flag, None)
+        if path is not None and not Path(path).parent.is_dir():
+            raise _UsageError(
+                f"cannot write {path}: no directory {Path(path).parent}"
+            )
+
+
 def _fleet_config_from_args(args: argparse.Namespace):
-    from repro.edge import EdgeConfig
+    from repro.edge.cells import EdgeConfig
     from repro.experiment.presets import smoke_trial_config
     from repro.fleet import FleetConfig, WorkloadConfig
 
@@ -600,8 +615,11 @@ def _cmd_fleet_report(args: argparse.Namespace) -> int:
 def _cmd_obs_summary(args: argparse.Namespace) -> int:
     from repro.obs import format_summary
 
-    with open(args.file) as f:
-        dump = json.load(f)
+    try:
+        with open(args.file) as f:
+            dump = json.load(f)
+    except (OSError, ValueError) as exc:
+        return _error(f"cannot read {args.file}: {exc}")
     print(format_summary(dump, max_events=args.events))
     return 0
 
@@ -965,6 +983,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_paths(args)
         return args.func(args)
     except _UsageError as exc:
         parser.error(str(exc))

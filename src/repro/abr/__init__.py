@@ -14,39 +14,3 @@
 
 Fugu itself lives in :mod:`repro.core` since it is the paper's contribution.
 """
-
-from repro.abr.base import (
-    AbrAlgorithm,
-    AbrContext,
-    ChunkRecord,
-    harmonic_mean_throughput,
-)
-from repro.abr.bba import BBA
-from repro.abr.cs2p import Cs2pMpc, DiscreteThroughputHmm
-from repro.abr.bola import Bola
-from repro.abr.mpc import HarmonicMeanPredictor, MpcHm, RobustMpcHm
-from repro.abr.oboe import OboeConfigMap, OboeRobustMpc, build_config_map
-from repro.abr.pensieve import ActorCritic, Pensieve, PensieveTrainer, SimpleChunkEnv
-from repro.abr.rate_based import RateBased
-
-__all__ = [
-    "AbrAlgorithm",
-    "AbrContext",
-    "ChunkRecord",
-    "harmonic_mean_throughput",
-    "BBA",
-    "Bola",
-    "Cs2pMpc",
-    "DiscreteThroughputHmm",
-    "OboeRobustMpc",
-    "OboeConfigMap",
-    "build_config_map",
-    "MpcHm",
-    "RobustMpcHm",
-    "HarmonicMeanPredictor",
-    "RateBased",
-    "Pensieve",
-    "ActorCritic",
-    "PensieveTrainer",
-    "SimpleChunkEnv",
-]

@@ -15,20 +15,3 @@ The actor-critic (A2C) trainer lives in :mod:`repro.abr.pensieve.train`;
 the deployable :class:`Pensieve` ABR wrapper in
 :mod:`repro.abr.pensieve.policy`.
 """
-
-from repro.abr.pensieve.model import ActorCritic, PENSIEVE_STATE_DIM
-from repro.abr.pensieve.policy import Pensieve
-from repro.abr.pensieve.train import (
-    PensieveTrainer,
-    PensieveTrainingConfig,
-    SimpleChunkEnv,
-)
-
-__all__ = [
-    "ActorCritic",
-    "PENSIEVE_STATE_DIM",
-    "Pensieve",
-    "PensieveTrainer",
-    "PensieveTrainingConfig",
-    "SimpleChunkEnv",
-]

@@ -6,63 +6,3 @@ CCDFs of watch time, and the detectability analysis behind "it takes about
 2 stream-years of data to reliably distinguish two ABR schemes whose innate
 'true' performance differs by 15%".
 """
-
-from repro.analysis.bootstrap import (
-    ConfidenceInterval,
-    aggregate_stall_ratio,
-    bootstrap_mean_ci,
-    bootstrap_stall_ratio_ci,
-)
-from repro.analysis.power import (
-    DetectabilityPoint,
-    StreamPopulation,
-    detectability_curve,
-    stall_ratio_ci_width,
-)
-from repro.analysis.stats import (
-    ccdf,
-    stream_years,
-    weighted_mean,
-    weighted_mean_ci,
-    weighted_standard_error,
-)
-from repro.analysis.figures import all_figures
-from repro.analysis.plotting import ccdf_plot, scatter_plot
-from repro.analysis.qoe_metrics import mean_qoe, qoe_lin, ssim_qoe, stream_qoe
-from repro.analysis.summary import (
-    ListAggregator,
-    SchemeSummary,
-    StreamAggregator,
-    results_table,
-    split_slow_paths,
-    summarize_scheme,
-)
-
-__all__ = [
-    "ConfidenceInterval",
-    "aggregate_stall_ratio",
-    "bootstrap_stall_ratio_ci",
-    "bootstrap_mean_ci",
-    "weighted_mean",
-    "weighted_standard_error",
-    "weighted_mean_ci",
-    "ccdf",
-    "stream_years",
-    "SchemeSummary",
-    "StreamAggregator",
-    "ListAggregator",
-    "summarize_scheme",
-    "split_slow_paths",
-    "results_table",
-    "all_figures",
-    "scatter_plot",
-    "ccdf_plot",
-    "ssim_qoe",
-    "qoe_lin",
-    "stream_qoe",
-    "mean_qoe",
-    "StreamPopulation",
-    "DetectabilityPoint",
-    "detectability_curve",
-    "stall_ratio_ci_width",
-]

@@ -6,52 +6,3 @@ Predictor (:mod:`repro.core.ttp`), its in-situ training pipeline
 (:mod:`repro.core.train`), and the assembled ABR scheme with its ablations
 (:mod:`repro.core.fugu`).
 """
-
-from repro.core.controller import (
-    TimeDistribution,
-    TransmissionTimeModel,
-    ValueIterationController,
-)
-from repro.core.features import (
-    FEATURE_DIM,
-    HISTORY_LEN,
-    N_TIME_BINS,
-    make_feature_matrix,
-    make_features,
-    time_bin_centers,
-    time_bin_index,
-)
-from repro.core.fugu import Fugu, make_fugu, make_fugu_variant
-from repro.core.qoe import DEFAULT_QOE, QoeParams, chunk_qoe
-from repro.core.train import (
-    DailyRetrainer,
-    TtpEvaluation,
-    TtpTrainer,
-    build_ttp_datasets,
-)
-from repro.core.ttp import TransmissionTimePredictor, TtpConfig
-
-__all__ = [
-    "Fugu",
-    "make_fugu",
-    "make_fugu_variant",
-    "TransmissionTimePredictor",
-    "TtpConfig",
-    "TtpTrainer",
-    "TtpEvaluation",
-    "DailyRetrainer",
-    "build_ttp_datasets",
-    "ValueIterationController",
-    "TimeDistribution",
-    "TransmissionTimeModel",
-    "QoeParams",
-    "DEFAULT_QOE",
-    "chunk_qoe",
-    "FEATURE_DIM",
-    "HISTORY_LEN",
-    "N_TIME_BINS",
-    "make_features",
-    "make_feature_matrix",
-    "time_bin_index",
-    "time_bin_centers",
-]

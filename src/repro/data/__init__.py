@@ -9,25 +9,3 @@ The record types of :mod:`repro.streaming.telemetry` define the columns;
 one reader serves whole days and byte-range slices, and a table it cannot
 read as written raises :class:`ArchiveError`.
 """
-
-from repro.data.archive import (
-    ArchiveAppender,
-    ArchiveDay,
-    ArchiveError,
-    load_archive_day,
-    read_telemetry_slice,
-    reconstruct_streams,
-    reconstruct_training_streams,
-    write_archive_day,
-)
-
-__all__ = [
-    "ArchiveAppender",
-    "ArchiveDay",
-    "ArchiveError",
-    "write_archive_day",
-    "load_archive_day",
-    "read_telemetry_slice",
-    "reconstruct_streams",
-    "reconstruct_training_streams",
-]

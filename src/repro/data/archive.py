@@ -501,7 +501,7 @@ def reconstruct_training_streams(
     extraction, labeling, or tail calibration.
     """
     from repro.abr.base import ChunkRecord
-    from repro.media import ssim_index_to_db
+    from repro.media.ssim import ssim_index_to_db
     from repro.net.tcp import TcpInfo
     from repro.streaming.session import StreamResult
 

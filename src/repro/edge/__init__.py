@@ -29,24 +29,3 @@ correlated network events.  :mod:`repro.edge` closes that gap:
   dispatch to the private-link :func:`repro.experiment.harness.run_session`
   and are bit-identical to it.
 """
-
-from repro.edge.cache import EdgeCache
-from repro.edge.cells import Cell, EdgeConfig, cell_covering, cells_for
-from repro.edge.engine import CellResult, run_cell
-from repro.edge.fairshare import max_min_shares
-from repro.edge.transport import FluidFlow
-from repro.edge.zipf import ZipfChannelPopularity, zipf_weights
-
-__all__ = [
-    "Cell",
-    "CellResult",
-    "EdgeCache",
-    "EdgeConfig",
-    "FluidFlow",
-    "ZipfChannelPopularity",
-    "cell_covering",
-    "cells_for",
-    "max_min_shares",
-    "run_cell",
-    "zipf_weights",
-]

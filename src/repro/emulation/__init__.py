@@ -1,15 +1,1 @@
 """Emulation environment (mahimahi + FCC traces), for the Fig. 11 study."""
-
-from repro.emulation.env import (
-    CLIP_MINUTES,
-    EMULATION_DELAY_S,
-    EmulationEnvironment,
-    train_fugu_in_emulation,
-)
-
-__all__ = [
-    "EmulationEnvironment",
-    "train_fugu_in_emulation",
-    "EMULATION_DELAY_S",
-    "CLIP_MINUTES",
-]

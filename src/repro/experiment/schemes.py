@@ -16,7 +16,8 @@ from repro.abr.base import AbrAlgorithm
 from repro.abr.bba import BBA
 from repro.abr.bola import Bola
 from repro.abr.mpc import MpcHm, RobustMpcHm
-from repro.abr.pensieve import ActorCritic, Pensieve
+from repro.abr.pensieve.model import ActorCritic
+from repro.abr.pensieve.policy import Pensieve
 from repro.core.fugu import Fugu
 from repro.core.ttp import TransmissionTimePredictor
 

@@ -27,8 +27,9 @@ one deliberate precision trade-off and is documented in EXPERIMENTS.md.
 Properties and attribute reads are not traversed.
 
 The build derives each fact once: every function body is walked once,
-when it is collected (:attr:`FunctionInfo.nodes` and
-:attr:`FunctionInfo.calls`, which every whole-program reader iterates),
+when it is collected (:attr:`FunctionInfo.nodes`,
+:attr:`FunctionInfo.calls` and :attr:`FunctionInfo.declaring_defs`,
+which every whole-program reader iterates),
 each module's top-level names once (:attr:`CallGraph.names`), and each
 class's direct subclasses once, so :meth:`CallGraph.subclasses` is a
 lookup.
@@ -41,9 +42,10 @@ processed in sorted path order and edge lists are sorted, so reachability
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 from typing import (
-    Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional,
+    Deque, Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional,
     Sequence, Set, Tuple, Union,
 )
 
@@ -53,6 +55,7 @@ from repro.lint.base import (
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 FUNCTION_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
+SCOPE_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 #: Method names never resolved by bare-name matching: they collide with
 #: builtin list/dict/set/str/file methods, so a name match would connect
@@ -84,6 +87,36 @@ MUTATING_METHODS = frozenset(
 )
 
 
+def _walk_scopes(
+    root: FunctionNode,
+) -> Tuple[List[ast.AST], List[FunctionNode]]:
+    """``ast.walk(root)`` as a list, and the defs in it whose own body
+    declares ``global`` or ``nonlocal``.
+
+    The queue is ``ast.walk``'s, carrying each node's scope — the nearest
+    enclosing def or class, the one a ``global``/``nonlocal`` statement
+    binds in — so one walk yields both.
+    """
+    nodes: List[ast.AST] = []
+    declaring: Set[ast.AST] = set()
+    queue: Deque[Tuple[ast.AST, ast.AST]] = deque([(root, root)])
+    while queue:
+        node, scope = queue.popleft()
+        nodes.append(node)
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            declaring.add(scope)
+        if isinstance(node, SCOPE_TYPES):
+            scope = node
+        queue.extend((child, scope) for child in ast.iter_child_nodes(node))
+    if not declaring:
+        return nodes, []
+    return nodes, [
+        node
+        for node in nodes
+        if node in declaring and isinstance(node, FUNCTION_TYPES)
+    ]
+
+
 @dataclass
 class FunctionInfo:
     """One module-level function or class method."""
@@ -108,8 +141,13 @@ class FunctionInfo:
     """Each call in :attr:`nodes` (same order) with its
     :func:`~repro.lint.base.resolve_call_target` value."""
 
+    declaring_defs: List[FunctionNode] = field(init=False, repr=False)
+    """The defs in :attr:`nodes` (same order, this one included) whose own
+    body declares ``global`` or ``nonlocal``: the only scopes the
+    per-scope passes of PURE001 and CKPT002 need to look at."""
+
     def __post_init__(self) -> None:
-        self.nodes = list(ast.walk(self.node))
+        self.nodes, self.declaring_defs = _walk_scopes(self.node)
         self.calls = {
             node: resolve_call_target(node, self.imports)
             for node in self.nodes

@@ -240,8 +240,8 @@ class CheckpointStateRule(CkptRule):
             if not checkpoint_calls:
                 continue
             covered = self._covered_names(program, fn, checkpoint_calls)
-            for scope in fn.nodes[1:]:
-                if not isinstance(scope, FUNCTION_TYPES):
+            for scope in fn.declaring_defs:
+                if scope is fn.node:
                     continue
                 for node in _scope_nodes(scope):
                     if not isinstance(node, ast.Nonlocal):

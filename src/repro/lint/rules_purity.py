@@ -39,12 +39,7 @@ import ast
 from typing import Callable, FrozenSet, Iterator, List, Optional, Set
 
 from repro.lint.base import ImportMap
-from repro.lint.callgraph import (
-    FUNCTION_TYPES,
-    MUTATING_METHODS,
-    FunctionInfo,
-    FunctionNode,
-)
+from repro.lint.callgraph import MUTATING_METHODS, FunctionInfo, FunctionNode
 from repro.lint.findings import Finding
 from repro.lint.purity import ProgramContext
 from repro.lint.rules_det import _STDLIB_RANDOM_GLOBALS, _WALL_CLOCK_TARGETS
@@ -217,9 +212,7 @@ class PureGlobalWriteRule(PurityRule):
         # the subtree is analysed as its own scope — an outer function that
         # merely *binds* a name some nested closure later declares nonlocal
         # is not itself writing a cell.
-        for scope in fn.nodes:
-            if not isinstance(scope, FUNCTION_TYPES):
-                continue
+        for scope in fn.declaring_defs:
             declared_global: Set[str] = set()
             declared_nonlocal: Set[str] = set()
             scope_nodes = list(_scope_nodes(scope))
@@ -228,8 +221,6 @@ class PureGlobalWriteRule(PurityRule):
                     declared_global.update(node.names)
                 elif isinstance(node, ast.Nonlocal):
                     declared_nonlocal.update(node.names)
-            if not declared_global and not declared_nonlocal:
-                continue
             for node in scope_nodes:
                 if not (
                     isinstance(node, ast.Name)

@@ -12,30 +12,3 @@ algorithms actually observe:
 * the bitrate/quality relationship differs per chunk, so maximizing bitrate
   is not the same as maximizing SSIM (Fig. 4).
 """
-
-from repro.media.chunk import ChunkMenu, EncodedChunk
-from repro.media.ladder import EncodingLadder, EncodingProfile, PUFFER_LADDER
-from repro.media.source import Channel, SceneComplexityProcess, VideoSource
-from repro.media.encoder import VbrEncoder, encode_clip
-from repro.media.menus import MenuBlockSource
-from repro.media.ssim import ssim_db_to_index, ssim_index_to_db
-
-CHUNK_DURATION = 2.002
-"""Video chunk length in seconds (NTSC 2.002 s, §3.1)."""
-
-__all__ = [
-    "CHUNK_DURATION",
-    "EncodedChunk",
-    "ChunkMenu",
-    "EncodingProfile",
-    "EncodingLadder",
-    "PUFFER_LADDER",
-    "SceneComplexityProcess",
-    "Channel",
-    "VideoSource",
-    "VbrEncoder",
-    "MenuBlockSource",
-    "encode_clip",
-    "ssim_index_to_db",
-    "ssim_db_to_index",
-]

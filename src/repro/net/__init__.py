@@ -17,30 +17,3 @@ replaces the real Internet with:
   telemetry record (Appendix B): cwnd, in-flight, RTT, min-RTT,
   delivery-rate.
 """
-
-from repro.net.link import (
-    ConstantLink,
-    HeavyTailLink,
-    LinkModel,
-    MarkovLink,
-    TraceLink,
-)
-from repro.net.tcp import TcpConnection, TcpInfo
-from repro.net.cc import BbrLike, CongestionControl, CubicLike
-from repro.net.path import NetworkPath, PathSampler, PopulationModel
-
-__all__ = [
-    "LinkModel",
-    "ConstantLink",
-    "TraceLink",
-    "MarkovLink",
-    "HeavyTailLink",
-    "TcpConnection",
-    "TcpInfo",
-    "CongestionControl",
-    "BbrLike",
-    "CubicLike",
-    "NetworkPath",
-    "PathSampler",
-    "PopulationModel",
-]

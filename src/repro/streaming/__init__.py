@@ -5,35 +5,3 @@ discrete-event model at chunk granularity. The ABR control loop — observe
 buffer and TCP state, pick a version, transmit, account stalls — is
 identical in shape to the real system's.
 """
-
-from repro.streaming.buffer import MAX_BUFFER_S, PlaybackBuffer
-from repro.streaming.replacement import (
-    ReplacementPolicy,
-    ReplacementStreamResult,
-    simulate_stream_with_replacement,
-)
-from repro.streaming.session import StreamResult
-from repro.streaming.simulator import DEFAULT_LOOKAHEAD, simulate_stream
-from repro.streaming.telemetry import (
-    BufferEvent,
-    ClientBufferRecord,
-    TelemetryLog,
-    VideoAckedRecord,
-    VideoSentRecord,
-)
-
-__all__ = [
-    "MAX_BUFFER_S",
-    "PlaybackBuffer",
-    "StreamResult",
-    "simulate_stream",
-    "ReplacementPolicy",
-    "ReplacementStreamResult",
-    "simulate_stream_with_replacement",
-    "DEFAULT_LOOKAHEAD",
-    "TelemetryLog",
-    "VideoSentRecord",
-    "VideoAckedRecord",
-    "ClientBufferRecord",
-    "BufferEvent",
-]

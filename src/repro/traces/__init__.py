@@ -9,24 +9,3 @@ preprocessing, modest within-trace variability, and *no* deep heavy-tailed
 fades — the very mismatch versus real deployment traffic that Fig. 11
 exposes (right panel: throughput distributions of FCC vs. Puffer).
 """
-
-from repro.traces.fcc import FccTraceConfig, generate_fcc_trace, generate_fcc_dataset
-from repro.traces.mahimahi import (
-    link_from_mahimahi,
-    read_mahimahi_trace,
-    trace_to_rates,
-    write_mahimahi_trace,
-)
-from repro.traces.stats import TraceStats, summarize_trace
-
-__all__ = [
-    "FccTraceConfig",
-    "generate_fcc_trace",
-    "generate_fcc_dataset",
-    "read_mahimahi_trace",
-    "write_mahimahi_trace",
-    "trace_to_rates",
-    "link_from_mahimahi",
-    "TraceStats",
-    "summarize_trace",
-]

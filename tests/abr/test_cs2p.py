@@ -145,7 +145,7 @@ class TestCs2pMpc:
     def test_streams_end_to_end(self):
         from repro.net.link import ConstantLink
         from repro.net.tcp import TcpConnection
-        from repro.streaming import simulate_stream
+        from repro.streaming.simulator import simulate_stream
 
         hmm = DiscreteThroughputHmm(n_states=2, seed=6)
         hmm.fit(make_markov_series(seed=6), max_iterations=20)

@@ -117,7 +117,7 @@ class TestOboeRobustMpc:
     def test_streams_end_to_end(self):
         from repro.net.link import ConstantLink
         from repro.net.tcp import TcpConnection
-        from repro.streaming import simulate_stream
+        from repro.streaming.simulator import simulate_stream
 
         result = simulate_stream(
             iter(encode_clip(DEFAULT_CHANNELS[0], 60, seed=1)),

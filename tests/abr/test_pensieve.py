@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from repro.abr.base import AbrContext, ChunkRecord
-from repro.abr.pensieve import (
-    ActorCritic,
-    PENSIEVE_STATE_DIM,
-    Pensieve,
+from repro.abr.pensieve.model import ActorCritic, PENSIEVE_STATE_DIM
+from repro.abr.pensieve.policy import Pensieve
+from repro.abr.pensieve.train import (
     PensieveTrainer,
     PensieveTrainingConfig,
     SimpleChunkEnv,
@@ -17,7 +16,7 @@ from repro.media.encoder import encode_clip
 from repro.media.ladder import PUFFER_LADDER
 from repro.media.source import DEFAULT_CHANNELS
 from repro.net.tcp import TcpInfo
-from repro.traces import generate_fcc_dataset
+from repro.traces.fcc import generate_fcc_dataset
 
 
 def info():

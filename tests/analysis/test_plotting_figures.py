@@ -63,13 +63,10 @@ class TestCcdfPlot:
 class TestFigureBuilders:
     @pytest.fixture(scope="class")
     def trial(self):
-        from repro.abr.pensieve import ActorCritic
+        from repro.abr.pensieve.model import ActorCritic
         from repro.core.ttp import TransmissionTimePredictor
-        from repro.experiment import (
-            RandomizedTrial,
-            TrialConfig,
-            primary_experiment_schemes,
-        )
+        from repro.experiment.harness import RandomizedTrial, TrialConfig
+        from repro.experiment.schemes import primary_experiment_schemes
 
         specs = primary_experiment_schemes(
             TransmissionTimePredictor(seed=0), ActorCritic(seed=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.abr.bba import BBA
-from repro.data import (
+from repro.data.archive import (
     ArchiveError,
     load_archive_day,
     read_telemetry_slice,
@@ -16,7 +16,8 @@ from repro.media.encoder import encode_clip
 from repro.media.source import DEFAULT_CHANNELS
 from repro.net.link import ConstantLink, HeavyTailLink
 from repro.net.tcp import TcpConnection
-from repro.streaming import TelemetryLog, simulate_stream
+from repro.streaming.simulator import simulate_stream
+from repro.streaming.telemetry import TelemetryLog
 
 
 @pytest.fixture()
@@ -142,7 +143,7 @@ class TestArchiveAppender:
         return first, second
 
     def test_appending_matches_batch_writer(self, telemetry, tmp_path):
-        from repro.data import ArchiveAppender
+        from repro.data.archive import ArchiveAppender
 
         batch_dir = tmp_path / "batch"
         stream_dir = tmp_path / "stream"
@@ -165,7 +166,7 @@ class TestArchiveAppender:
     def test_reopen_appends_without_duplicate_header(
         self, telemetry, tmp_path
     ):
-        from repro.data import ArchiveAppender
+        from repro.data.archive import ArchiveAppender
 
         first, second = self._halves(telemetry)
         with ArchiveAppender(tmp_path) as appender:
@@ -178,7 +179,7 @@ class TestArchiveAppender:
         assert header.count("time,stream_id") == 1
 
     def test_truncate_to_discards_uncommitted_rows(self, telemetry, tmp_path):
-        from repro.data import ArchiveAppender
+        from repro.data.archive import ArchiveAppender
 
         first, second = self._halves(telemetry)
         with ArchiveAppender(tmp_path) as appender:
@@ -194,14 +195,14 @@ class TestArchiveAppender:
         assert len(loaded.client_buffer) == len(first.client_buffer)
 
     def test_truncate_requires_every_table(self, tmp_path):
-        from repro.data import ArchiveAppender
+        from repro.data.archive import ArchiveAppender
 
         with ArchiveAppender(tmp_path) as appender:
             with pytest.raises(ValueError, match="no stored offset"):
                 appender.truncate_to({"video_sent": 0})
 
     def test_offsets_reflect_flushed_bytes(self, telemetry, tmp_path):
-        from repro.data import ArchiveAppender
+        from repro.data.archive import ArchiveAppender
 
         with ArchiveAppender(tmp_path) as appender:
             before = appender.offsets()
@@ -220,7 +221,7 @@ class TestWhatTheDayCloseReads:
     def test_garbage_client_buffer_rows_change_nothing(
         self, telemetry, tmp_path
     ):
-        from repro.data import ArchiveAppender
+        from repro.data.archive import ArchiveAppender
 
         with ArchiveAppender(tmp_path) as appender:
             start = appender.offsets()

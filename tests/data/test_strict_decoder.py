@@ -11,7 +11,11 @@ column.
 import numpy as np
 import pytest
 
-from repro.data import ArchiveError, load_archive_day, write_archive_day
+from repro.data.archive import (
+    ArchiveError,
+    load_archive_day,
+    write_archive_day,
+)
 from repro.net.tcp import TcpInfo
 from repro.streaming.telemetry import (
     TABLES,

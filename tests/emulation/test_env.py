@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.abr.bba import BBA
-from repro.emulation import (
+from repro.emulation.env import (
     CLIP_MINUTES,
     EMULATION_DELAY_S,
     EmulationEnvironment,

@@ -7,7 +7,7 @@ blinding, CONSORT accounting, and telemetry, not statistical power.
 import numpy as np
 import pytest
 
-from repro.abr.pensieve import ActorCritic
+from repro.abr.pensieve.model import ActorCritic
 from repro.core.ttp import TransmissionTimePredictor
 from repro.experiment.harness import RandomizedTrial, TrialConfig
 from repro.experiment.schemes import primary_experiment_schemes

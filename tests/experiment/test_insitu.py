@@ -69,7 +69,7 @@ class TestTrainPensieve:
         model = train_pensieve_in_simulation(
             episodes=10, n_traces=4, seed=0, chunks_per_episode=15
         )
-        from repro.abr.pensieve import PENSIEVE_STATE_DIM
+        from repro.abr.pensieve.model import PENSIEVE_STATE_DIM
 
         p = model.action_probabilities(np.zeros(PENSIEVE_STATE_DIM))
         assert p.shape[1] == 10

@@ -43,7 +43,7 @@ def learned_specs():
     """The full primary-experiment registry with untrained models — its
     factories are lambdas closing over model objects, which exercises the
     fork-inheritance path (they do not pickle)."""
-    from repro.abr.pensieve import ActorCritic
+    from repro.abr.pensieve.model import ActorCritic
     from repro.core.ttp import TransmissionTimePredictor
     from repro.experiment.schemes import primary_experiment_schemes
 

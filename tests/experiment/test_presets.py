@@ -26,9 +26,10 @@ class TestPresets:
         assert config.viewer.tail_threshold_s == 2.5 * 3600.0
 
     def test_smoke_trial_runs_quickly(self):
-        from repro.abr.pensieve import ActorCritic
+        from repro.abr.pensieve.model import ActorCritic
         from repro.core.ttp import TransmissionTimePredictor
-        from repro.experiment import RandomizedTrial, primary_experiment_schemes
+        from repro.experiment.harness import RandomizedTrial
+        from repro.experiment.schemes import primary_experiment_schemes
 
         specs = primary_experiment_schemes(
             TransmissionTimePredictor(seed=0), ActorCritic(seed=0)

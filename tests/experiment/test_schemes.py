@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.abr.pensieve import ActorCritic
+from repro.abr.pensieve.model import ActorCritic
 from repro.core.ttp import TransmissionTimePredictor
-from repro.emulation import train_fugu_in_emulation
+from repro.emulation.env import train_fugu_in_emulation
 from repro.experiment.schemes import (
     CLASSICAL_SCHEMES,
     SchemeSpec,

@@ -7,15 +7,12 @@ harness across repeated invocations within a process.
 
 import numpy as np
 
-from repro.abr import BBA
+from repro.abr.bba import BBA
 from repro.core.train import TtpTrainer, build_ttp_datasets
 from repro.core.ttp import TransmissionTimePredictor, TtpConfig
-from repro.experiment import (
-    RandomizedTrial,
-    TrialConfig,
-    deploy_and_collect,
-    primary_experiment_schemes,
-)
+from repro.experiment.harness import RandomizedTrial, TrialConfig
+from repro.experiment.insitu import deploy_and_collect
+from repro.experiment.schemes import primary_experiment_schemes
 
 
 def _stream_fingerprint(results):
@@ -51,7 +48,7 @@ class TestDeterminism:
             np.testing.assert_array_equal(a["weights"][name], b["weights"][name])
 
     def test_trial_fingerprint_stable(self):
-        from repro.abr.pensieve import ActorCritic
+        from repro.abr.pensieve.model import ActorCritic
 
         def run_once():
             specs = primary_experiment_schemes(
@@ -68,7 +65,7 @@ class TestDeterminism:
         assert run_once() == run_once()
 
     def test_emulation_fingerprint_stable(self):
-        from repro.emulation import EmulationEnvironment
+        from repro.emulation.env import EmulationEnvironment
 
         env_a = EmulationEnvironment(n_traces=2, seed=3)
         env_b = EmulationEnvironment(n_traces=2, seed=3)
@@ -77,13 +74,13 @@ class TestDeterminism:
         assert _stream_fingerprint(a) == _stream_fingerprint(b)
 
     def test_pensieve_training_deterministic(self):
-        from repro.abr.pensieve import (
-            ActorCritic,
+        from repro.abr.pensieve.model import ActorCritic
+        from repro.abr.pensieve.train import (
             PensieveTrainer,
             PensieveTrainingConfig,
             SimpleChunkEnv,
         )
-        from repro.traces import generate_fcc_dataset
+        from repro.traces.fcc import generate_fcc_dataset
 
         def train_once():
             traces = generate_fcc_dataset(3, seed=4)

@@ -3,22 +3,27 @@
 import numpy as np
 import pytest
 
-from repro.abr import BBA, Bola, MpcHm, Pensieve, RateBased, RobustMpcHm
-from repro.abr.pensieve import ActorCritic
-from repro.core import Fugu, TransmissionTimePredictor, TtpConfig
+from repro.abr.bba import BBA
+from repro.abr.bola import Bola
+from repro.abr.mpc import MpcHm, RobustMpcHm
+from repro.abr.pensieve.model import ActorCritic
+from repro.abr.pensieve.policy import Pensieve
+from repro.abr.rate_based import RateBased
+from repro.core.fugu import Fugu
 from repro.core.train import TtpTrainer, build_ttp_datasets
-from repro.experiment import (
+from repro.core.ttp import TransmissionTimePredictor, TtpConfig
+from repro.experiment.harness import RandomizedTrial, TrialConfig
+from repro.experiment.insitu import (
     InSituTrainingConfig,
-    RandomizedTrial,
-    TrialConfig,
     deploy_and_collect,
-    primary_experiment_schemes,
     train_fugu_in_situ,
 )
+from repro.experiment.schemes import primary_experiment_schemes
 from repro.media.encoder import VbrEncoder
 from repro.media.source import DEFAULT_CHANNELS, VideoSource
-from repro.net import HeavyTailLink, TcpConnection
-from repro.streaming import simulate_stream
+from repro.net.link import HeavyTailLink
+from repro.net.tcp import TcpConnection
+from repro.streaming.simulator import simulate_stream
 
 
 def run_one(abr, seed=0, base_bps=8e6, watch=60.0):
@@ -87,7 +92,7 @@ class TestTrainedFuguQuality:
 
 class TestSmallTrialPipeline:
     def test_trial_to_summary_pipeline(self):
-        from repro.analysis import results_table, summarize_scheme
+        from repro.analysis.summary import results_table, summarize_scheme
 
         specs = primary_experiment_schemes(
             TransmissionTimePredictor(seed=0), ActorCritic(seed=0)

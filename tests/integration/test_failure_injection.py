@@ -5,15 +5,17 @@ near-zero watch times — without crashes or accounting violations."""
 import numpy as np
 import pytest
 
-from repro.abr import BBA, MpcHm
-from repro.core import Fugu, TransmissionTimePredictor
+from repro.abr.bba import BBA
+from repro.abr.mpc import MpcHm
+from repro.core.fugu import Fugu
+from repro.core.ttp import TransmissionTimePredictor
 from repro.media.chunk import ChunkMenu, EncodedChunk
 from repro.media.encoder import VbrEncoder, encode_clip
 from repro.media.ladder import PUFFER_LADDER, EncodingLadder
 from repro.media.source import DEFAULT_CHANNELS, VideoSource
 from repro.net.link import MIN_CAPACITY, ConstantLink, TraceLink
 from repro.net.tcp import TcpConnection
-from repro.streaming import simulate_stream
+from repro.streaming.simulator import simulate_stream
 
 
 def check_accounting(result, watch):

@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.abr import BBA, MpcHm
-from repro.core import Fugu, TransmissionTimePredictor
+from repro.abr.bba import BBA
+from repro.abr.mpc import MpcHm
+from repro.core.fugu import Fugu
+from repro.core.ttp import TransmissionTimePredictor
 from repro.media.encoder import VbrEncoder
 from repro.media.source import DEFAULT_CHANNELS, VideoSource
-from repro.net import HeavyTailLink, TcpConnection
-from repro.streaming import TelemetryLog, simulate_stream
+from repro.net.link import HeavyTailLink
+from repro.net.tcp import TcpConnection
+from repro.streaming.simulator import simulate_stream
+from repro.streaming.telemetry import TelemetryLog
 
 
 def run(abr, seed, base_bps, watch, telemetry=None):

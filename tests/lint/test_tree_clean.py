@@ -73,7 +73,7 @@ class TestTreeCleanWholeProgram:
         families = {f.rule.rstrip("0123456789") for f in waived}
         assert {"PURE", "SEED", "CKPT"} <= families
         # A waiver added or removed is a reviewed change to this number.
-        assert len(waived) == 14
+        assert len(waived) == 15
 
     def test_lint_writes_nothing_into_the_working_directory(
         self, whole_program_report, lint_cwd

@@ -3,9 +3,11 @@
 ``CallGraph.build`` walks each function body once as it collects it
 (``FunctionInfo.nodes`` and ``FunctionInfo.calls``), builds each module's
 top-level name table once (``CallGraph.names``) and indexes every class's
-direct subclasses once.  These tests pin the counts over the real tree
-and the checked-in contract, and pin the subclass index against the
-scan-every-class definition it replaced.
+direct subclasses once.  The same walk records which defs declare
+``global``/``nonlocal`` (``FunctionInfo.declaring_defs``), so PURE001 and
+CKPT002 make their per-scope pass over those defs alone.  These tests pin
+the counts over the real tree and the checked-in contract, and pin the
+subclass index and the declaring defs against the scans they replaced.
 """
 
 import ast
@@ -17,9 +19,11 @@ import pytest
 
 import repro.lint.callgraph as callgraph_mod
 import repro.lint.purity as purity_mod
+import repro.lint.rules_ckpt as ckpt_mod
 import repro.lint.rules_durability as durability_mod
+import repro.lint.rules_purity as purity_rules_mod
 from repro.lint import lint_paths, load_contract
-from repro.lint.callgraph import CallGraph
+from repro.lint.callgraph import FUNCTION_TYPES, CallGraph
 from repro.lint.engine import parse_module
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -261,3 +265,121 @@ class TestSubclassIndex:
         monkeypatch.setattr(CallGraph, "ancestors", no_ancestors)
         for qualname, subs in sorted(expected.items()):
             assert graph.subclasses(qualname) == subs
+
+
+# -- the per-scope pass ------------------------------------------------------
+def declares(scope):
+    """The scan ``declaring_defs`` replaced: *scope*'s own body (nested
+    defs and classes pruned) holds a ``global`` or ``nonlocal``."""
+    return any(
+        isinstance(node, (ast.Global, ast.Nonlocal))
+        for node in purity_rules_mod._scope_nodes(scope)
+    )
+
+
+def scanned_declaring_defs(fn):
+    return [
+        node
+        for node in fn.nodes
+        if isinstance(node, FUNCTION_TYPES) and declares(node)
+    ]
+
+
+SCOPES = _mod(
+    "pkg.scopes",
+    """
+    COUNT = 0
+
+    def plain():
+        def inner():
+            return 1
+        return inner
+
+    def rebinds():
+        global COUNT
+        COUNT += 1
+
+    def declares_in_a_branch(flag):
+        if flag:
+            for _ in range(2):
+                global COUNT
+                COUNT = 2
+
+    def closure():
+        total = 0
+        def bump():
+            nonlocal total
+            total += 1
+        def read():
+            return total
+        return bump, read
+
+    def class_in_a_def():
+        class Holder:
+            global COUNT
+            def method(self):
+                return COUNT
+        def one(): global COUNT; COUNT = 3
+        return Holder, one
+
+    def outer_declares_too():
+        global COUNT
+        def nested():
+            def deeper():
+                nonlocal_free = 1
+                return nonlocal_free
+            return deeper
+        COUNT = 4
+        return nested
+    """,
+)
+
+
+@pytest.fixture(scope="module")
+def scope_passes(tmp_path_factory):
+    """One whole-program run with each per-scope pass of PURE001 and
+    CKPT002 recorded."""
+    passes = []
+    real = purity_rules_mod._scope_nodes
+
+    def scope_nodes(scope):
+        passes.append(scope)
+        return real(scope)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp_path_factory.mktemp("lint-cwd"))
+        patch.setattr(purity_rules_mod, "_scope_nodes", scope_nodes)
+        patch.setattr(ckpt_mod, "_scope_nodes", scope_nodes)
+        report = lint_paths(
+            [SRC], contract=load_contract(REPO_ROOT / "contract.json")
+        )
+    assert report.ok
+    return passes
+
+
+class TestDeclaringDefs:
+    def test_declaring_defs_equal_the_per_scope_scan(self):
+        graph = CallGraph.build([SCOPES])
+        declaring = {
+            fn.name: [node.name for node in fn.declaring_defs]
+            for fn in graph.functions.values()
+        }
+        assert declaring == {
+            "plain": [],
+            "rebinds": ["rebinds"],
+            "declares_in_a_branch": ["declares_in_a_branch"],
+            "closure": ["bump"],
+            "class_in_a_def": ["one"],
+            "outer_declares_too": ["outer_declares_too"],
+        }
+        for qualname, fn in graph.functions.items():
+            assert fn.declaring_defs == scanned_declaring_defs(fn), qualname
+
+    def test_declaring_defs_over_the_real_tree(self, counted_run):
+        graph, _, _, _ = counted_run
+        for qualname, fn in sorted(graph.functions.items()):
+            assert fn.declaring_defs == scanned_declaring_defs(fn), qualname
+
+    def test_only_declaring_defs_get_a_scope_pass(self, scope_passes):
+        assert scope_passes
+        assert all(declares(scope) for scope in scope_passes)

@@ -8,7 +8,8 @@ from repro.media.encoder import encode_clip
 from repro.media.source import DEFAULT_CHANNELS
 from repro.net.link import ConstantLink
 from repro.net.tcp import TcpConnection
-from repro.streaming import BufferEvent, TelemetryLog, simulate_stream
+from repro.streaming.simulator import simulate_stream
+from repro.streaming.telemetry import BufferEvent, TelemetryLog
 
 
 def run(interval, watch=30.0, rate=2e7):

@@ -172,7 +172,7 @@ class TestObsCommands:
     def test_trial_metrics_out(self, tmp_path, capsys):
         from repro import obs
         from repro.__main__ import _obs_collect_specs
-        from repro.experiment import RandomizedTrial, TrialConfig
+        from repro.experiment.harness import RandomizedTrial, TrialConfig
 
         # Exercise the plumbing `repro trial --metrics-out` uses without
         # paying for scheme training: an instrumented mini-trial dumped via
@@ -195,8 +195,9 @@ class TestObsCommands:
 
 class TestBadInput:
     """A bad flag or a bad artifact names itself on one stderr line: a
-    config the flags cannot build exits 2 as argparse does, and a corrupt
-    checkpoint or an unreadable report file exits 1."""
+    config the flags cannot build or an output it cannot write exits 2 as
+    argparse does, and a corrupt checkpoint or an unreadable report or
+    metrics file exits 1."""
 
     @pytest.mark.parametrize(
         "argv, status, message",
@@ -229,6 +230,54 @@ class TestBadInput:
                 ["fleet", "report", "not-json.txt"],
                 1,
                 "cannot read not-json.txt",
+            ),
+            (
+                ["obs", "summary", "not-json.txt"],
+                1,
+                "cannot read not-json.txt",
+            ),
+            (
+                ["obs", "summary", "no-such.json"],
+                1,
+                "cannot read no-such.json",
+            ),
+            # An output whose directory is missing is refused before any
+            # session or training runs.
+            (
+                ["fleet", "run", "--days", "0.01", "--out", "gone/d.json"],
+                2,
+                "cannot write gone/d.json: no directory gone",
+            ),
+            (
+                [
+                    "fleet", "retrain", "--archive-dir", "a",
+                    "--registry", "r", "--out", "gone/d.json",
+                ],
+                2,
+                "cannot write gone/d.json: no directory gone",
+            ),
+            (
+                [
+                    "fleet", "resume", "--checkpoint", "corrupt.ckpt",
+                    "--out", "gone/r.json",
+                ],
+                2,
+                "cannot write gone/r.json: no directory gone",
+            ),
+            (
+                ["obs", "collect", "--sessions", "1", "--out", "gone/m.json"],
+                2,
+                "cannot write gone/m.json: no directory gone",
+            ),
+            (
+                ["trial", "--sessions", "1", "--metrics-out", "gone/m.json"],
+                2,
+                "cannot write gone/m.json: no directory gone",
+            ),
+            (
+                ["train-fugu", "--streams", "1", "--output", "gone/t.json"],
+                2,
+                "cannot write gone/t.json: no directory gone",
             ),
         ],
     )

@@ -1,4 +1,4 @@
-"""Guard: the way to a session imports numpy and the standard library.
+"""Guard: the way to a session imports only what it runs.
 
 DESIGN.md, "Imports at the use site": a module on the fleet's import path
 imports numpy and the standard library at module scope and nothing else —
@@ -8,6 +8,11 @@ packages, runs a small fleet to its dump (the sinks' intervals at their
 default level) and summarises a list-based trial's streams; ``scipy`` must
 not have been loaded by then, and must appear once a non-default level asks
 ``normal_z`` for it.
+
+A package ``__init__`` imports nothing, so the fleet path loads none of the
+modules it never runs, and every name has one import path: the examples
+and the figure benchmarks import each name from its defining module, and
+a stale package-level import fails here at import or collection time.
 """
 
 import json
@@ -16,7 +21,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+SRC = REPO_ROOT / "src"
 
 _SCRIPT = r"""
 import json
@@ -111,3 +117,75 @@ def test_a_fleet_run_to_its_dump_imports_numpy_and_nothing_else():
     asked = json.loads(lines[1])
     assert asked["scipy_stats"] is True
     assert 1.64 < asked["z_90"] < 1.65
+
+
+#: Modules no workload and no in-situ loop runs: Pensieve's trainer, CS2P,
+#: Oboe, the figure, plot, power and QoE-metric code, the in-situ training
+#: driver, chunk replacement and the FCC/mahimahi trace tooling.
+NEVER_ON_THE_FLEET_PATH = (
+    "repro.abr.cs2p",
+    "repro.abr.oboe",
+    "repro.abr.pensieve.train",
+    "repro.analysis.figures",
+    "repro.analysis.plotting",
+    "repro.analysis.power",
+    "repro.analysis.qoe_metrics",
+    "repro.experiment.insitu",
+    "repro.streaming.replacement",
+    "repro.traces",
+    "repro.traces.fcc",
+    "repro.traces.mahimahi",
+    "repro.traces.stats",
+)
+
+
+def _run(args, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, *args],
+        env=env, cwd=cwd, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_the_fleet_path_loads_none_of_the_modules_it_never_runs():
+    done = _run([
+        "-c",
+        "import json, sys\n"
+        "import repro.fleet, repro.abr.bba, repro.core.fugu, repro.edge.cells\n"
+        "print(json.dumps(sorted(sys.modules)))",
+    ])
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert "repro.fleet.runner" in loaded
+    assert sorted(loaded & set(NEVER_ON_THE_FLEET_PATH)) == []
+
+
+def test_every_example_imports_and_runs_only_as_a_script(tmp_path):
+    examples = sorted((REPO_ROOT / "examples").glob("*.py"))
+    assert len(examples) > 5
+    done = _run(
+        [
+            "-c",
+            "import importlib.util, sys\n"
+            "for i, path in enumerate(sys.argv[1:]):\n"
+            "    spec = importlib.util.spec_from_file_location(f'ex{i}', path)\n"
+            "    spec.loader.exec_module(importlib.util.module_from_spec(spec))\n",
+            *map(str, examples),
+        ],
+        cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    # Imported, not run: nothing printed and nothing written.
+    assert done.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_benchmarks_collect():
+    done = _run(
+        ["-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         "benchmarks"],
+        cwd=REPO_ROOT,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert " tests collected" in done.stdout
