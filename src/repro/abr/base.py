@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+from repro import slotted
 from repro.media.chunk import ChunkMenu
 from repro.net.tcp import TcpInfo
 
@@ -19,7 +20,18 @@ from repro.net.tcp import TcpInfo
 @dataclass(frozen=True)
 class ChunkRecord:
     """What the server learns after one chunk is sent and acknowledged —
-    the join of a ``video_sent`` and ``video_acked`` record."""
+    the join of a ``video_sent`` and ``video_acked`` record.  Slotted and
+    built by :data:`make_chunk_record` (see :mod:`repro.slotted`)."""
+
+    __slots__ = (
+        "chunk_index",
+        "rung",
+        "size_bytes",
+        "ssim_db",
+        "transmission_time",
+        "info_at_send",
+        "send_time",
+    )
 
     chunk_index: int
     rung: int
@@ -29,10 +41,17 @@ class ChunkRecord:
     info_at_send: TcpInfo
     send_time: float
 
+    __reduce__ = slotted.reduce
+
     @property
     def observed_throughput_bps(self) -> float:
         """Throughput implied by this chunk's transfer."""
         return self.size_bytes * 8.0 / max(self.transmission_time, 1e-9)
+
+
+make_chunk_record = slotted.builder(ChunkRecord)
+"""``ChunkRecord(chunk_index, rung, size_bytes, ssim_db, transmission_time,
+info_at_send, send_time)`` in one step."""
 
 
 @dataclass

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from repro.net.cc.base import DEFAULT_MSS
 from repro.net.path import NetworkPath
-from repro.net.tcp import TcpInfo
+from repro.net.tcp import TcpInfo, make_tcp_info
 
 _INITIAL_WINDOW_SEGMENTS = 10.0
 """TCP's IW10: what ``cwnd`` reads before any download completes."""
@@ -56,12 +56,12 @@ class FluidFlow:
             self.delivery_rate_bps / 8.0 * self.srtt
         ) / self.mss
         cwnd = max(bdp_segments, _INITIAL_WINDOW_SEGMENTS)
-        return TcpInfo(
-            cwnd=cwnd,
-            in_flight=cwnd if self.downloading else 0.0,
-            min_rtt=self.min_rtt,
-            rtt=self.srtt,
-            delivery_rate=self.delivery_rate_bps,
+        return make_tcp_info(
+            cwnd,
+            cwnd if self.downloading else 0.0,
+            self.min_rtt,
+            self.srtt,
+            self.delivery_rate_bps,
         )
 
     def record_download(

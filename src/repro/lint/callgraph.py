@@ -139,7 +139,9 @@ class FunctionInfo:
 
     calls: Dict[ast.Call, Optional[str]] = field(init=False, repr=False)
     """Each call in :attr:`nodes` (same order) with its
-    :func:`~repro.lint.base.resolve_call_target` value."""
+    :func:`~repro.lint.base.resolve_call_target` value, which
+    :meth:`CallGraph.build` follows through package re-exports
+    (:meth:`CallGraph.origin`)."""
 
     declaring_defs: List[FunctionNode] = field(init=False, repr=False)
     """The defs in :attr:`nodes` (same order, this one included) whose own
@@ -222,6 +224,13 @@ class CallGraph:
             graph._collect_definitions(parsed)
         for module, parsed in graph.modules.items():
             graph.names[module] = _module_names(parsed.tree)
+        for info in graph.classes.values():
+            info.bases = tuple(graph.origin(base) for base in info.bases)
+        for fn in graph.functions.values():
+            fn.calls = {
+                node: target if target is None else graph.origin(target)
+                for node, target in fn.calls.items()
+            }
         graph._index_methods()
         for qualname, info in graph.classes.items():
             for base in info.bases:
@@ -230,6 +239,38 @@ class CallGraph:
         for qualname in sorted(graph.functions):
             graph.edges[qualname] = graph._resolve_edges(qualname)
         return graph
+
+    def origin(self, qualname: str) -> str:
+        """``qualname`` with each package re-export followed to the module
+        it names: ``repro.fleet.run_fleet`` is ``repro.fleet.runner.run_fleet``
+        when the linted ``repro.fleet`` imports ``run_fleet`` from there.
+        Names the graph defines, and names no linted module imports, are
+        returned as they are; an import cycle stops the chase."""
+        seen: Set[str] = set()
+        while (
+            qualname not in self.functions
+            and qualname not in self.classes
+            and qualname not in seen
+        ):
+            seen.add(qualname)
+            reexported = self._reexport(qualname)
+            if reexported is None:
+                break
+            qualname = reexported
+        return qualname
+
+    def _reexport(self, qualname: str) -> Optional[str]:
+        """Where the innermost linted module that ``qualname`` names
+        imports the next name from, or ``None``."""
+        parts = qualname.split(".")
+        for i in range(len(parts) - 1, 0, -1):
+            parsed = self.modules.get(".".join(parts[:i]))
+            if parsed is not None:
+                imported = parsed.imports.names.get(parts[i])
+                if imported is None:
+                    return None
+                return ".".join([imported, *parts[i + 1 :]])
+        return None
 
     def _collect_definitions(self, parsed: ParsedModule) -> None:
         for node in parsed.tree.body:
@@ -378,7 +419,7 @@ class CallGraph:
 
         dotted = dotted_name(func)
         if dotted is not None:
-            resolved = _resolve_dotted(dotted, imports, module)
+            resolved = self.origin(_resolve_dotted(dotted, imports, module))
             if resolved in self.functions:
                 out.add(resolved)
                 return out

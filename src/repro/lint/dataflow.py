@@ -542,7 +542,9 @@ class _FunctionScan:
         dotted = dotted_name(node.func)
         target = resolve_call_target(node, self.imports)
         graph_target = (
-            _resolve_dotted(dotted, self.imports, self.fn.module)
+            self.graph.origin(
+                _resolve_dotted(dotted, self.imports, self.fn.module)
+            )
             if dotted is not None
             else None
         )

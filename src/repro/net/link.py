@@ -2,9 +2,17 @@
 
 A link model is a capacity process: ``capacity_at(t)`` returns the bottleneck
 rate in bits per second at absolute time ``t``. All stochastic links generate
-their capacity lazily, epoch by epoch, from a seeded generator, so a link is
-deterministic given its construction arguments and can be queried at
-arbitrary (non-decreasing or random-access) times.
+their capacity lazily from a seeded generator, so a link is deterministic
+given its construction arguments and can be queried at arbitrary
+(non-decreasing or random-access) times.
+
+They realize capacity in blocks of epochs: a Python loop makes each epoch's
+draws in the order one epoch at a time would make them (a fade can start in
+any epoch), then one ``np.exp`` and the floors run over the whole block.
+The generator is private to the link, so how far ahead it has realized
+cannot be observed, and the capacities are the per-epoch ones to the bit
+(``tests/net/test_link_blocks.py`` holds them to the frozen per-epoch
+realization).
 
 Two families matter for the paper:
 
@@ -24,6 +32,10 @@ import numpy as np
 
 MIN_CAPACITY = 1_000.0
 """Floor on link capacity (bits/s) so transmissions always terminate."""
+
+_MIN_BLOCK = 8
+_MAX_BLOCK = 64
+"""Bounds on how many epochs a lazy link realizes past the one asked for."""
 
 
 def _finite(name: str, value: float) -> float:
@@ -48,6 +60,15 @@ def _non_negative(name: str, value: float) -> float:
     if value < 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return value
+
+
+def _count(name: str, value: float) -> int:
+    """``value`` as a non-negative int, or a ``ValueError`` naming the
+    field: ``int()`` alone would truncate 2.7 to 2 without a word."""
+    number = _non_negative(name, value)
+    if not number.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(number)
 
 
 def epoch_index(t: float, epoch: float) -> int:
@@ -170,7 +191,12 @@ class TraceLink(LinkModel):
 
 
 class _LazyEpochLink(LinkModel):
-    """Base for stochastic links that realize capacity one epoch at a time."""
+    """Base for stochastic links that realize capacity in blocks of epochs.
+
+    A subclass supplies :meth:`_block`: the next ``k`` epochs' capacities,
+    drawn from its generator in the order one epoch at a time would draw
+    them.
+    """
 
     def __init__(self, epoch: float, seed: "int | tuple") -> None:
         _positive("epoch", epoch)
@@ -183,17 +209,24 @@ class _LazyEpochLink(LinkModel):
             raise ValueError("time must be non-negative")
         return (epoch_index(t, self.epoch) + 1) * self.epoch
 
-    def _next_epoch_capacity(self) -> float:
+    def _block(self, k: int) -> List[float]:
         raise NotImplementedError
 
     def realize_through(self, index: int) -> None:
         """Materialize epochs up to and including ``index``.
 
-        Realizing ahead is unobservable: the per-epoch generator is consumed
-        in the same order regardless of when epochs are materialized.
+        Epochs are realized in a block that grows with the link's realized
+        length (from ``_MIN_BLOCK`` to ``_MAX_BLOCK`` epochs past what was
+        asked), so a long stream pays the block's vector operations once
+        per many epochs and a short one reads few epochs ahead.  Realizing
+        ahead is unobservable: the generator is private to the link and is
+        consumed in the same order however epochs are materialized.
         """
-        while len(self._realized) <= index:
-            self._realized.append(max(self._next_epoch_capacity(), MIN_CAPACITY))
+        realized = self._realized
+        n = len(realized)
+        if index >= n:
+            ahead = min(max(n, _MIN_BLOCK), _MAX_BLOCK)
+            realized.extend(self._block(max(index + 1 - n, ahead)))
 
     def capacity_at(self, t: float) -> float:
         return self.epoch_at(t)[0]
@@ -244,14 +277,25 @@ class MarkovLink(_LazyEpochLink):
         self.jitter_sigma = jitter_sigma
         self._state = int(self.rng.integers(len(self.states_bps)))
 
-    def _next_epoch_capacity(self) -> float:
-        if len(self.states_bps) > 1 and self.rng.random() < self.switch_probability:
-            choices = [
-                i for i in range(len(self.states_bps)) if i != self._state
-            ]
-            self._state = int(self.rng.choice(choices))
-        base = self.states_bps[self._state]
-        return base * float(np.exp(self.rng.normal(0.0, self.jitter_sigma)))
+    def _block(self, k: int) -> List[float]:
+        rng = self.rng
+        random, standard_normal = rng.random, rng.standard_normal
+        states = self.states_bps
+        switching = len(states) > 1
+        p = self.switch_probability
+        jitter = float(self.jitter_sigma)
+        state = self._state
+        bases: List[float] = []
+        noise: List[float] = []
+        for _ in range(k):
+            if switching and random() < p:
+                state = int(rng.choice([i for i in range(len(states)) if i != state]))
+            bases.append(states[state])
+            # numpy's normal(0, s) is 0.0 + s * standard_normal(), bit for bit.
+            noise.append(0.0 + jitter * standard_normal())
+        self._state = state
+        capacity = np.array(bases) * np.exp(np.array(noise))
+        return np.maximum(capacity, MIN_CAPACITY).tolist()
 
 
 class HeavyTailLink(_LazyEpochLink):
@@ -310,7 +354,6 @@ class HeavyTailLink(_LazyEpochLink):
         _non_negative("fade_depth_log", fade_depth_log)
         _positive("fade_floor_median_bps", fade_floor_median_bps)
         _non_negative("fade_floor_sigma", fade_floor_sigma)
-        _finite("fade_onset_epochs", fade_onset_epochs)
         self.sigma = sigma
         self.reversion = reversion
         self.fade_rate = fade_rate
@@ -318,7 +361,7 @@ class HeavyTailLink(_LazyEpochLink):
         self.fade_duration_epochs = fade_duration_epochs
         self.fade_floor_median_bps = fade_floor_median_bps
         self.fade_floor_sigma = fade_floor_sigma
-        self.fade_onset_epochs = int(fade_onset_epochs)
+        self.fade_onset_epochs = _count("fade_onset_epochs", fade_onset_epochs)
         # Innovation scaled so the stationary std of log-capacity is sigma.
         self._innovation_sigma = sigma * np.sqrt(1.0 - (1.0 - reversion) ** 2)
         self._log_dev = float(self.rng.normal(0.0, sigma))
@@ -349,18 +392,40 @@ class HeavyTailLink(_LazyEpochLink):
         schedule.append(float(np.sqrt(attenuation)))
         self._fade_schedule = schedule
 
-    def _next_epoch_capacity(self) -> float:
-        self._log_dev = float(
-            (1.0 - self.reversion) * self._log_dev
-            + self.rng.normal(0.0, self._innovation_sigma)
-        )
-        if self._fade_schedule:
-            attenuation = self._fade_schedule.pop(0)
-        else:
-            attenuation = 1.0
-            if self.rng.random() < self.fade_rate:
+    def _block(self, k: int) -> List[float]:
+        """``k`` epochs: the Ornstein–Uhlenbeck step and the fade schedule
+        over Python floats, one epoch at a time (a fade can start in any
+        of them), then one ``np.exp`` over the block and the attenuation
+        and fade floor over its faded epochs."""
+        rng = self.rng
+        random, standard_normal = rng.random, rng.standard_normal
+        keep = float(1.0 - self.reversion)
+        innovation = float(self._innovation_sigma)
+        fade_rate = self.fade_rate
+        log_dev = self._log_dev
+        schedule = self._fade_schedule
+        floor = min(self._fade_floor_bps, self.base_bps)
+        logs: List[float] = []
+        faded: List[int] = []
+        attenuations: List[float] = []
+        floors: List[float] = []
+        for i in range(k):
+            # numpy's normal(0, s) is 0.0 + s * standard_normal(), bit for bit.
+            log_dev = keep * log_dev + (0.0 + innovation * standard_normal())
+            logs.append(log_dev)
+            if schedule:
+                attenuation = schedule.pop(0)
+                if attenuation < 1.0:
+                    faded.append(i)
+                    attenuations.append(attenuation)
+                    floors.append(floor)
+            elif random() < fade_rate:
                 self._start_fade()
-        capacity = self.base_bps * float(np.exp(self._log_dev)) * attenuation
-        if attenuation < 1.0:
-            capacity = max(capacity, min(self._fade_floor_bps, self.base_bps))
-        return capacity
+                schedule = self._fade_schedule
+                floor = min(self._fade_floor_bps, self.base_bps)
+        self._log_dev = log_dev
+        capacity = np.exp(logs)
+        capacity *= self.base_bps
+        if faded:
+            capacity[faded] = np.maximum(capacity[faded] * attenuations, floors)
+        return np.maximum(capacity, MIN_CAPACITY, out=capacity).tolist()

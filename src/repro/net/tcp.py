@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro import obs
+from repro import obs, slotted
 from repro.net.cc.base import CongestionControl
 from repro.net.cc.bbr import BbrLike
 from repro.net.link import LinkModel
@@ -40,8 +40,11 @@ from repro.net.link import LinkModel
 class TcpInfo:
     """Snapshot of sender-side TCP statistics (subset of Linux ``tcp_info``).
 
-    Field names follow the open-data description in Appendix B.
+    Field names follow the open-data description in Appendix B.  Slotted
+    and built by :data:`make_tcp_info` (see :mod:`repro.slotted`).
     """
+
+    __slots__ = ("cwnd", "in_flight", "min_rtt", "rtt", "delivery_rate")
 
     cwnd: float
     """Congestion window in segments (``tcpi_snd_cwnd``)."""
@@ -58,6 +61,12 @@ class TcpInfo:
     delivery_rate: float
     """Most recent delivery-rate estimate in bits/s
     (``tcpi_delivery_rate``)."""
+
+    __reduce__ = slotted.reduce
+
+
+make_tcp_info = slotted.builder(TcpInfo)
+"""``TcpInfo(cwnd, in_flight, min_rtt, rtt, delivery_rate)`` in one step."""
 
 
 @dataclass(frozen=True)
@@ -137,12 +146,12 @@ class TcpConnection:
     # ------------------------------------------------------------------
     def tcp_info(self) -> TcpInfo:
         """Current sender statistics (the ``video_sent`` fields)."""
-        return TcpInfo(
-            cwnd=self.cc.cwnd_bytes / self.mss,
-            in_flight=self._in_flight_bytes / self.mss,
-            min_rtt=self.min_rtt,
-            rtt=self.srtt,
-            delivery_rate=self.delivery_rate_bps,
+        return make_tcp_info(
+            self.cc.cwnd_bytes / self.mss,
+            self._in_flight_bytes / self.mss,
+            self.min_rtt,
+            self.srtt,
+            self.delivery_rate_bps,
         )
 
     @property

@@ -43,7 +43,7 @@ import gc
 from typing import List, Optional
 
 from repro import obs
-from repro.abr.base import AbrAlgorithm, ChunkRecord
+from repro.abr.base import AbrAlgorithm, make_chunk_record
 from repro.abr.bba import BBA
 from repro.abr.bola import Bola
 from repro.abr.rate_based import RateBased
@@ -215,14 +215,8 @@ def _stream(
             result.startup_delay = t
             if recorder is not None:
                 recorder.startup(t, level, result.stall_time)
-        record = ChunkRecord(
-            chunk_index=chunk_index,
-            rung=rung,
-            size_bytes=size,
-            ssim_db=ssim,
-            transmission_time=ttime,
-            info_at_send=info,
-            send_time=send_at,
+        record = make_chunk_record(
+            chunk_index, rung, size, ssim, ttime, info, send_at
         )
         records.append(record)
         abr.on_chunk_complete(record)

@@ -32,7 +32,7 @@ from typing import (
     Protocol,
 )
 
-from repro.abr.base import AbrAlgorithm, AbrContext, ChunkRecord
+from repro.abr.base import AbrAlgorithm, AbrContext, make_chunk_record
 from repro.media.chunk import ChunkMenu
 from repro.net.tcp import TcpConnection, TcpInfo, TransmissionResult
 from repro.streaming.buffer import MAX_BUFFER_S, PlaybackBuffer
@@ -319,14 +319,14 @@ def stream_machine(
             playing = True
             result.startup_delay = t
             recorder.startup(t, buffer.level_s, result.stall_time)
-        record = ChunkRecord(
-            chunk_index=menu.chunk_index,
-            rung=rung,
-            size_bytes=size_bytes,
-            ssim_db=ssim_db,
-            transmission_time=tx.transmission_time,
-            info_at_send=tx.info_at_send,
-            send_time=send_at,
+        record = make_chunk_record(
+            menu.chunk_index,
+            rung,
+            size_bytes,
+            ssim_db,
+            tx.transmission_time,
+            tx.info_at_send,
+            send_at,
         )
         result.records.append(record)
         abr.on_chunk_complete(record)

@@ -226,12 +226,21 @@ class TestHeavyTailLink:
             ("fade_floor_median_bps", 0.0),
             ("fade_floor_sigma", -0.5),
             ("epoch", 0.0),
+            # Both used to run: -3 as fades with no onset ramp, 2.7 as 2.
+            ("fade_onset_epochs", -3),
+            ("fade_onset_epochs", 2.7),
         ],
     )
     def test_out_of_range_parameter_rejected_by_name(self, field, value):
         kwargs = {"base_bps": 1e6, field: value}
         with pytest.raises(ValueError, match=field):
             HeavyTailLink(**kwargs)
+
+    @pytest.mark.parametrize("onset", [0, 3, 3.0, np.int64(5)])
+    def test_whole_onset_counts_accepted(self, onset):
+        link = HeavyTailLink(base_bps=1e6, fade_onset_epochs=onset)
+        assert link.fade_onset_epochs == int(onset)
+        assert type(link.fade_onset_epochs) is int
 
     @given(st.integers(0, 1000), st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)

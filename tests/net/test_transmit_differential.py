@@ -110,9 +110,15 @@ def canonical(value):
 
 
 def state_of(obj, skip=()):
+    """``obj``'s attributes, canonical: its ``__dict__``, or the slots of a
+    slotted record (``TcpInfo`` has no ``__dict__``)."""
+    if hasattr(obj, "__dict__"):
+        attributes = vars(obj)
+    else:
+        attributes = {name: getattr(obj, name) for name in type(obj).__slots__}
     return {
         name: canonical(value)
-        for name, value in vars(obj).items()
+        for name, value in attributes.items()
         if name not in skip
     }
 
