@@ -28,6 +28,7 @@ from repro.abr.base import (
 from repro.core.controller import (
     TimeDistribution,
     ValueIterationController,
+    certain,
     horizon_sizes,
 )
 from repro.core.qoe import DEFAULT_QOE, QoeParams
@@ -96,8 +97,12 @@ class HarmonicMeanPredictor:
     ) -> TimeDistribution:
         estimate = self.throughput_estimate(context)
         self._last_estimate_bps = estimate
-        # One division for the horizon.
-        return TimeDistribution.point_mass(horizon_sizes(menus) * 8.0 / estimate)
+        # One division for the horizon, in place, viewed as the point
+        # mass's one column.
+        times = horizon_sizes(menus)
+        times *= 8.0
+        times /= estimate
+        return TimeDistribution(times=times[:, None], probs=certain(len(times)))
 
     def observe(self, record: ChunkRecord) -> None:
         """Record the relative error of the last prediction (RobustMPC)."""

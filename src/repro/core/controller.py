@@ -65,6 +65,12 @@ geometry is live at a time; a point-mass model on one ladder presents one
 layout per horizon length, five in all. The bound only stops a caller that
 keeps changing rows or ladders from growing a memo."""
 
+_ONES = np.ones((1024, 1))
+_ONES.flags.writeable = False
+"""The read-only column of ones whose leading rows are the probabilities of
+every point mass of up to 1024 rows (:func:`certain`); a horizon of five
+steps on the default ladder has 50."""
+
 _K = TypeVar("_K")
 _V = TypeVar("_V")
 
@@ -77,6 +83,17 @@ def _keep(memo: Dict[_K, _V], key: _K, value: _V) -> _V:
         memo.clear()
     memo[key] = value
     return value
+
+
+def certain(rows: int) -> np.ndarray:
+    """The probabilities of a ``rows``-row point mass: a read-only ``(rows,
+    1)`` column of ones, a view of one shared column when it is long
+    enough. Read-only, since the planner only reads it."""
+    if rows <= len(_ONES):
+        return _ONES[:rows]
+    probs = np.ones((rows, 1))
+    probs.flags.writeable = False
+    return probs
 
 
 def _check_times(
@@ -153,7 +170,7 @@ class TimeDistribution:
     def point_mass(cls, times: Sequence[float]) -> "TimeDistribution":
         """Deterministic prediction: one outcome per row."""
         arr = np.asarray(times, dtype=float).reshape(-1, 1)
-        return cls(times=arr, probs=np.ones_like(arr))
+        return cls(times=arr, probs=certain(len(arr)))
 
 
 def horizon_sizes(menus: Sequence["ChunkMenu"]) -> np.ndarray:
@@ -198,6 +215,16 @@ class ValueIterationController:
         # parameters above (the stall weight among them), which are fixed
         # from here on.
         self._grid = np.arange(0.0, max_buffer_s + buffer_bin_s / 2, buffer_bin_s)
+        # Where a landing buffer is clipped: the bin of ``b`` is ``rint(b /
+        # buffer_bin_s)`` with ``b`` at most max_buffer_s and the bin at
+        # most the grid's top. Both maps are monotone, so the second clip
+        # is a clip of the buffer too, at the top bin's own level when
+        # max_buffer_s rounds past it (max_buffer_s / buffer_bin_s at a
+        # half, or the grid's ``arange`` ending a bin short).
+        top = len(self._grid) - 1
+        self._ceiling = float(max_buffer_s)
+        if np.rint(self._ceiling / buffer_bin_s) > top:
+            self._ceiling = float(self._grid[top])
         self._geometry_memo: Dict[
             Tuple[bytes, Tuple[float, ...]], Tuple[np.ndarray, np.ndarray]
         ] = {}
@@ -205,11 +232,6 @@ class ValueIterationController:
             Tuple[Tuple[int, ...], Tuple[float, ...]],
             Tuple[np.ndarray, np.ndarray, List[int]],
         ] = {}
-
-    def _bin_index(self, buffer_s: np.ndarray) -> np.ndarray:
-        idx = np.rint(buffer_s / self.buffer_bin_s).astype(int)
-        np.maximum(idx, 0, out=idx)
-        return np.minimum(idx, len(self._grid) - 1, out=idx)
 
     def _outcome_geometry(
         self, times: np.ndarray, duration: np.ndarray
@@ -220,14 +242,22 @@ class ValueIterationController:
         grid bin ``b`` takes ``times[a, j]`` to arrive. ``duration`` is an
         ``(n, 1, 1)`` column: one number per row of ``times``, or one per
         step for a single shared row. Depends on neither the rung's quality
-        nor the context."""
-        t = times[:, None, :]  # (rows, 1, k)
-        b = self._grid[None, :, None]  # (1, n_bins, 1)
-        stall_cost = np.maximum(t - b, 0.0)
+        nor the context.
+
+        Both come from the one ``gap = t - b``. The landing buffer
+        ``max(b - t, 0) + duration`` is ``duration - min(t - b, 0)``: ``b -
+        t`` is ``-(t - b)`` exactly, and the two differ only in the sign of
+        a zero, which the bin index drops. Durations are positive
+        (:meth:`_row_layout`), so the buffer is too, and the bin needs no
+        floor at 0; its two ceilings are one clip at ``self._ceiling``.
+        """
+        gap = times[:, None, :] - self._grid[None, :, None]  # (rows, n_bins, k)
+        stall_cost = np.maximum(gap, 0.0)
         stall_cost *= self.qoe.stall_weight
-        next_buffer = np.maximum(b - t, 0.0) + duration
-        np.minimum(next_buffer, self.max_buffer_s, out=next_buffer)
-        return stall_cost, self._bin_index(next_buffer)
+        next_buffer = np.subtract(duration, np.minimum(gap, 0.0, out=gap))
+        np.minimum(next_buffer, self._ceiling, out=next_buffer)
+        next_buffer /= self.buffer_bin_s
+        return stall_cost, np.rint(next_buffer, out=next_buffer).astype(int)
 
     def _shared_row_geometry(
         self, times: np.ndarray, durations: Tuple[float, ...], model: object
@@ -265,6 +295,14 @@ class ValueIterationController:
         key = (counts, durations)
         layout = self._layout_memo.get(key)
         if layout is None:
+            # What the outcome geometry's clips rest on; a NaN would pass
+            # EncodedChunk's own ``duration <= 0`` test.
+            for duration in durations:
+                if not 0.0 < duration < math.inf:
+                    raise ValueError(
+                        "chunk durations must be positive and finite, got "
+                        f"{duration!r}"
+                    )
             rows = np.arange(max(counts)) * len(self._grid)
             layout = _keep(
                 self._layout_memo,

@@ -18,13 +18,14 @@ cells are independent — which is what makes
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, List
 
 import numpy as np
 
 from repro.edge.zipf import ZipfChannelPopularity
-from repro.net.link import HeavyTailLink, LinkModel
+from repro.net.link import HeavyTailLink, LinkModel, _count
 
 _CELL_SIZE_STREAM = 0xCE11
 """Domain separation for per-cell size draws."""
@@ -104,8 +105,19 @@ class EdgeConfig:
             raise ValueError("capacity_fade_rate must lie in [0, 1]")
         if self.zipf_alpha < 0:
             raise ValueError("zipf_alpha must be non-negative")
-        if self.cache_chunks < 0:
-            raise ValueError("cache_chunks must be non-negative")
+        # A whole number, by the rule of a link's fade_onset_epochs:
+        # EdgeCache would truncate 2.7 to 2 (and True to 1) without a word,
+        # and NaN would fail there naming no field.  Stored as the int, so
+        # 3.0 fingerprints as 3 does.
+        if isinstance(self.cache_chunks, bool) or not isinstance(
+            self.cache_chunks, numbers.Real
+        ):
+            raise ValueError(
+                f"cache_chunks must be a whole number, got {self.cache_chunks!r}"
+            )
+        object.__setattr__(
+            self, "cache_chunks", _count("cache_chunks", self.cache_chunks)
+        )
         if self.cubic_weight <= 0:
             raise ValueError("cubic_weight must be positive")
 
@@ -180,7 +192,7 @@ class EdgeConfig:
             capacity_sigma=float(data["capacity_sigma"]),
             capacity_fade_rate=float(data["capacity_fade_rate"]),
             zipf_alpha=float(data["zipf_alpha"]),
-            cache_chunks=int(data["cache_chunks"]),
+            cache_chunks=data["cache_chunks"],
             cubic_weight=float(data["cubic_weight"]),
             seed=int(data["seed"]),
         )

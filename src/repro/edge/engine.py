@@ -176,7 +176,13 @@ class _Cursor:
         self.boundary = -math.inf
 
     def advance(self, now: float) -> bool:
-        """Bring the cursor to cell time ``now``; whether it re-read."""
+        """Bring the cursor to cell time ``now``; whether it re-read.
+
+        :func:`run_cell` runs the no-reread test itself and calls this only
+        when it fails.  It drops the floor at 0 there: a downloading flow
+        has arrived, ``now >= offset``, so ``now - offset`` is never
+        negative.
+        """
         local = max(now - self.offset, 0.0)
         if local < self.change_at and now < self.boundary:
             return False
@@ -207,21 +213,37 @@ def _popularity_chooser(
     return choose
 
 
+def _count(flow: _Flow, name: str, amount: float = 1.0) -> None:
+    """``obs.counter_inc`` under the flow's obs context, as
+    ``with obs.activate(flow.obs_ctx): if obs.ENABLED: ...`` would count it:
+    into the flow's own context, or — with none — into whatever is active."""
+    ctx = flow.obs_ctx
+    if ctx is not None:
+        ctx.metrics.inc(name, amount)
+    elif obs.ENABLED:
+        obs.counter_inc(name, amount)
+
+
 def _resume(flow: _Flow, value: "FluidFlow | TransmissionResult") -> None:
     """Advance a session machine one step under its obs context.
 
     Stores the next pending transmit request on the flow, or the final
-    shard when the machine finishes.
+    shard when the machine finishes.  A flow without a context resumes
+    without entering ``obs.activate``, whose ``None`` branch is a no-op.
     """
-    with obs.activate(flow.obs_ctx):
-        try:
+    ctx = flow.obs_ctx
+    try:
+        if ctx is None:
             request = flow.machine.send(value)
-        except StopIteration as stop:
-            flow.shard = stop.value
-            flow.done = True
-            flow.request = None
-            flow.start_at = math.inf
-            return
+        else:
+            with obs.activate(ctx):
+                request = flow.machine.send(value)
+    except StopIteration as stop:
+        flow.shard = stop.value
+        flow.done = True
+        flow.request = None
+        flow.start_at = math.inf
+        return
     assert isinstance(request, TransmitRequest)
     flow.request = request
     flow.start_at = flow.offset + request.send_at
@@ -334,12 +356,8 @@ def run_cell(
             # Edge hit: served from the cell cache in one RTT, never
             # touching the shared bottleneck or the origin path.
             transmission_time = flow.transport.base_rtt
-            with obs.activate(flow.obs_ctx):
-                if obs.ENABLED:
-                    obs.counter_inc("edge.cache_hits")
-                    obs.counter_inc(
-                        "edge.cache_hit_bytes", float(request.size_bytes)
-                    )
+            _count(flow, "edge.cache_hits")
+            _count(flow, "edge.cache_hit_bytes", float(request.size_bytes))
             info = flow.transport.tcp_info()
             flow.transport.record_download(
                 request.size_bytes,
@@ -357,9 +375,7 @@ def run_cell(
                 ),
             )
             return
-        with obs.activate(flow.obs_ctx):
-            if obs.ENABLED:
-                obs.counter_inc("edge.cache_misses")
+        _count(flow, "edge.cache_misses")
         flow.remaining_bytes = float(request.size_bytes)
         flow.download_start = now
         flow.info_at_send = flow.transport.tcp_info()
@@ -437,12 +453,23 @@ def run_cell(
         #    after ``now`` and so are pending starts, so only completion
         #    candidates can land at (or, by underflow, before) the current
         #    instant.
-        if shared.advance(now):
+        #
+        #    A cursor is advanced only past the span its last read covers
+        #    (:meth:`_Cursor.advance`'s own test, run here first; the
+        #    shared link's offset is 0).
+        if not (now < shared.change_at and now < shared.boundary):
+            shared.advance(now)
             resolve = True
-        horizon = min(shared.boundary, next_start)
+        horizon = shared.boundary
+        if next_start < horizon:
+            horizon = next_start
         for f in active:
             cursor = f.cursor
-            if cursor.advance(now):
+            if not (
+                now - cursor.offset < cursor.change_at
+                and now < cursor.boundary
+            ):
+                cursor.advance(now)
                 resolve = True
             if cursor.boundary < horizon:
                 horizon = cursor.boundary
@@ -457,7 +484,9 @@ def run_cell(
         t_next = horizon
         for f, share in zip(active, shares):
             if share > 0:
-                t_next = min(t_next, now + f.remaining_bytes * 8.0 / share)
+                done_at = now + f.remaining_bytes * 8.0 / share
+                if done_at < t_next:
+                    t_next = done_at
 
         if not math.isfinite(t_next):
             raise RuntimeError(
@@ -479,7 +508,10 @@ def run_cell(
 
         # 4. Advance the fluid state to t_next and complete what finished
         #    (a completion changes no other flow's fluid state, so each flow
-        #    can advance and finish in one step, in session-id order).
+        #    can advance and finish in one step, in session-id order).  A
+        #    finish changes only its own flow's ``active`` and ``start_at``:
+        #    the active list keeps the rest, in order, and the earliest
+        #    pending start can only move down to the new request's.
         dt = t_next - now
         now = t_next
         finished = False
@@ -488,10 +520,11 @@ def run_cell(
                 f.remaining_bytes -= share * dt / 8.0
             if f.remaining_bytes <= _COMPLETION_TOL_BYTES:
                 finish_download(f, now)
+                if f.start_at < next_start:
+                    next_start = f.start_at
                 finished = True
         if finished:
-            active = [f for f in flows if f.active]
-            next_start = min([f.start_at for f in flows])
+            active = [f for f in active if f.active]
 
     shards = [f.shard for f in flows]
     assert all(shard is not None for shard in shards)

@@ -17,7 +17,7 @@ capped flow gets its own input back, an uncapped one the single ``int / int``
 of its exact share, which Python rounds correctly.  That rounding is a
 per-flow function of exact rationals, hence permutation invariant.
 
-Two cases need no water-filling, and the solver answers them first (after
+Three cases need no water-filling, and the solver answers them first (after
 the same validation, with the same messages):
 
 * **One flow** gets ``min(capacity, cap)``: it is capped exactly when its
@@ -30,9 +30,26 @@ the same validation, with the same messages):
   its cap (were none capped, the caps would sum past the capacity) and the
   remainder stays above the caps still to come.  A rounded sum that lands
   on the capacity proves nothing, and takes the exact path.
+* **Equal weights, no flow capped** — every weight the same and
+  ``min(caps) * n > capacity`` — give every flow ``capacity / n``.  With
+  equal weights the water-filling's first round caps flow ``i`` exactly
+  when ``cap_i * n <= capacity`` (its test ``cap * total_weight <=
+  remaining * weight`` with the common weight cancelled), and a flow with
+  the smallest cap is capped if any is.  The product is rounded, but
+  rounding is monotone and the capacity is a float: were the exact product
+  at most the capacity, the rounded one would be too, so a rounded product
+  strictly above the capacity proves the exact one is, and no flow is
+  capped.  The round then hands each flow ``remaining * weight /
+  (den * total_weight)``, the exact rational ``capacity / n``, rounded
+  once; ``capacity / n`` is that rational correctly rounded, since ``n``
+  converts to a float exactly.  (A zero capacity skips the round and
+  leaves every share at ``0.0``, which is ``0.0 / n``.)  A rounded product
+  that lands on the capacity proves nothing, and takes the exact path.
 
-Either way the exact solve would have returned the same inputs, converted
-to floats; ``+ 0.0`` maps a ``-0.0`` input to the ``0.0`` it returns.
+Each time the exact solve would have returned the same floats.  ``+ 0.0``
+maps a ``-0.0`` input, or the ``-0.0`` quotient of a ``-0.0`` capacity, to
+the ``0.0`` it returns: the exact path rounds only positive rationals and
+otherwise leaves a share at ``0.0``.
 """
 
 from __future__ import annotations
@@ -58,7 +75,7 @@ def _numerators(values: Sequence[float]) -> Tuple[List[int], int]:
     """Finite ``values`` as integer numerators over one power-of-two
     denominator, which is returned beside them."""
     ratios = [value.as_integer_ratio() for value in values]
-    den = max(d for _, d in ratios)
+    den = max([d for _, d in ratios])
     return [m * (den // d) for m, d in ratios], den
 
 
@@ -108,16 +125,24 @@ def max_min_shares(
         if min(weight_f) <= 0:
             raise ValueError("weights must be positive")
     caps = _floats(caps_bps, "caps_bps")
-    if min(caps) < 0:
+    low = min(caps)
+    if low < 0:
         raise ValueError("caps must be non-negative")
 
-    # The two short cuts the module docstring proves exact.
+    # The three short cuts the module docstring proves exact.
     if n == 1:
         return [min(capacity, caps[0]) + 0.0]
+    equal = weight_f is None or weight_f.count(weight_f[0]) == n
+    if equal and low * n > capacity:
+        return [capacity / n + 0.0] * n
     if math.fsum(caps) < capacity:
         return [cap + 0.0 for cap in caps]
 
-    weight_n = [1] * n if weight_f is None else _numerators(weight_f)[0]
+    # Equal weights cancel from every comparison and every share.
+    if weight_f is None or equal:
+        weight_n = [1] * n
+    else:
+        weight_n = _numerators(weight_f)[0]
     # Capacity rides along with the caps: one denominator for every rate.
     (remaining, *cap_n), den = _numerators((capacity, *caps))
     shares = [0.0] * n
@@ -134,9 +159,9 @@ def max_min_shares(
         frozen = 0
         for i in active:
             if cap_n[i] * total_weight <= remaining * weight_n[i]:
-                # Exactly the flow's own cap: int / int is correctly
-                # rounded and the quotient is a float already.
-                shares[i] = cap_n[i] / den
+                # Exactly the flow's own cap, a float already (``+ 0.0``
+                # as the short cuts: ``cap_n[i] / den`` is 0.0 for -0.0).
+                shares[i] = caps[i] + 0.0
                 frozen += cap_n[i]
             else:
                 uncapped.append(i)

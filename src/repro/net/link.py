@@ -37,6 +37,12 @@ _MIN_BLOCK = 8
 _MAX_BLOCK = 64
 """Bounds on how many epochs a lazy link realizes past the one asked for."""
 
+_MAX_EPOCHS = 10_000_000
+"""Runaway guard on a lazy link's realized epochs: 116 days of the default
+1 s epochs, far above any session (hours).  A time in a later epoch is an
+error, raised before any epoch is realized, instead of minutes of
+realizing them."""
+
 
 def _finite(name: str, value: float) -> float:
     """``value`` as a float, or a ``ValueError`` naming the field: a NaN
@@ -205,9 +211,34 @@ class _LazyEpochLink(LinkModel):
         self._realized: List[float] = []
 
     def next_change_after(self, t: float) -> float:
-        if t < 0:
-            raise ValueError("time must be non-negative")
-        return (epoch_index(t, self.epoch) + 1) * self.epoch
+        try:
+            index = epoch_index(t, self.epoch)
+        except (ValueError, OverflowError):
+            self._check_finite(t)
+            raise  # a negative time
+        # Past the guard a boundary (index + 1) * epoch can also round
+        # back onto ``t``.
+        self._check_guard(t, index)
+        return (index + 1) * self.epoch
+
+    def _check_finite(self, t: float) -> None:
+        """Raise, naming the link, unless ``t`` is finite: ``epoch_index``
+        says only ``cannot convert float NaN to integer`` (``infinity``, an
+        ``OverflowError``) or, for ``-inf``, that time must be
+        non-negative."""
+        if not math.isfinite(t):
+            raise ValueError(
+                f"{type(self).__name__}: time must be finite, got {t!r}"
+            ) from None
+
+    def _check_guard(self, t: float, index: int) -> None:
+        """Raise, naming the link, if ``t``'s epoch ``index`` lies past the
+        runaway guard."""
+        if index >= _MAX_EPOCHS:
+            raise ValueError(
+                f"{type(self).__name__}: time {t!r} lies past the runaway "
+                f"guard of {_MAX_EPOCHS} epochs of {self.epoch!r} s"
+            )
 
     def _block(self, k: int) -> List[float]:
         raise NotImplementedError
@@ -232,9 +263,14 @@ class _LazyEpochLink(LinkModel):
         return self.epoch_at(t)[0]
 
     def epoch_at(self, t: float) -> Tuple[float, float]:
-        index = epoch_index(t, self.epoch)  # rejects t < 0
+        try:
+            index = epoch_index(t, self.epoch)
+        except (ValueError, OverflowError):
+            self._check_finite(t)
+            raise  # a negative time
         realized = self._realized
         if index >= len(realized):
+            self._check_guard(t, index)
             self.realize_through(index)
         return realized[index], (index + 1) * self.epoch
 

@@ -258,3 +258,41 @@ class TestPlanning:
                 ValueError, match=rf"BadShared .* {bad!r} s in its shared"
             ):
                 controller.plan(ctx(), BadShared())
+
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0, -2.0, float("inf")])
+    @pytest.mark.parametrize("shared_row", [False, True])
+    def test_a_chunk_duration_that_is_not_positive_is_rejected(
+        self, bad, shared_row
+    ):
+        # The landing-buffer clips are proved for positive durations; a NaN
+        # passes EncodedChunk's own ``duration <= 0`` test.
+        context = ctx()
+        context.lookahead[2].duration = bad
+
+        class SharedRow:
+            def predict(self, context, menus):
+                n = len(horizon_sizes(menus))
+                return TimeDistribution(
+                    times=np.array([[0.5, 2.0]]),
+                    probs=np.tile([0.5, 0.5], (n, 1)),
+                )
+
+        model = SharedRow() if shared_row else ConstantThroughputModel(5e6)
+        with pytest.raises(ValueError, match="chunk durations must be positive"):
+            ValueIterationController().plan(context, model)
+
+
+class TestPointMass:
+    @pytest.mark.parametrize("rows", [1, 3, 50, 1024, 1025])
+    def test_probabilities_are_a_read_only_column_of_ones(self, rows):
+        a = TimeDistribution.point_mass(np.arange(rows, dtype=float))
+        b = TimeDistribution.point_mass(np.arange(rows, dtype=float) + 1.0)
+        assert a.probs.shape == b.probs.shape == (rows, 1)
+        assert a.probs.dtype == np.float64
+        np.testing.assert_array_equal(a.probs, 1.0)
+        for probs in (a.probs, b.probs):
+            assert not probs.flags.writeable
+            with pytest.raises(ValueError):
+                probs[0, 0] = 0.5
+        # Up to 1024 rows, every point mass reads the same ones.
+        assert np.shares_memory(a.probs, b.probs) == (rows <= 1024)

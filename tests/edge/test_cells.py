@@ -1,5 +1,6 @@
 """The cell partition: pure, seeded, resumable."""
 
+import numpy as np
 import pytest
 
 from repro.edge.cells import (
@@ -131,6 +132,27 @@ class TestValidationAndSerialization:
         # later, inside the solver, on as_integer_ratio's own message.
         with pytest.raises(ValueError, match=field):
             EdgeConfig(**{field: bad})
+
+    @pytest.mark.parametrize("whole", [3, 3.0, np.int64(3), np.float64(3.0)])
+    def test_whole_cache_sizes_are_ints(self, whole):
+        config = EdgeConfig(cache_chunks=whole)
+        assert config.cache_chunks == 3 and type(config.cache_chunks) is int
+        assert config.to_dict() == EdgeConfig(cache_chunks=3).to_dict()
+
+    @pytest.mark.parametrize(
+        "bad", [2.7, float("nan"), float("inf"), True, "3", None, -1]
+    )
+    def test_a_cache_size_that_is_not_whole_is_rejected_by_name(self, bad):
+        # EdgeCache used to truncate 2.7 to 2 and True to 1, and NaN failed
+        # inside it, naming no field.
+        with pytest.raises(ValueError, match="^cache_chunks must be"):
+            EdgeConfig(cache_chunks=bad)
+
+    def test_a_checkpointed_cache_size_is_not_truncated(self):
+        data = EdgeConfig().to_dict()
+        data["cache_chunks"] = 2.7
+        with pytest.raises(ValueError, match="^cache_chunks must be"):
+            EdgeConfig.from_dict(data)
 
     def test_cell_validation(self):
         with pytest.raises(ValueError):

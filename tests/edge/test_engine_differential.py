@@ -13,9 +13,11 @@ counter a session carries.
 import dataclasses
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.edge import engine
 from repro.edge.cells import Cell, EdgeConfig
 from repro.edge.engine import run_cell
@@ -98,6 +100,94 @@ def test_a_cell_matches_the_per_event_loop(
     frozen = reference_run_cell(SPECS, trial, cell, edge, offsets)
     assert live.shared
     assert _outcome(live) == _outcome(frozen)
+
+
+CACHE_COUNTERS = ("edge.cache_hits", "edge.cache_misses", "edge.cache_hit_bytes")
+
+
+def _observed_cell(seed, observability):
+    """A contended four-session cell whose viewers arrive together, so
+    their requests meet in the cache."""
+    trial = dataclasses.replace(
+        smoke_trial_config(seed=seed), observability=observability
+    )
+    edge = EdgeConfig(
+        mean_cell_sessions=4,
+        cell_capacity_bps=6e6,
+        cache_chunks=64,
+        zipf_alpha=3.0,
+        seed=seed,
+    )
+    cell = Cell(cell_id=seed, start_session_id=4 * seed, size=4)
+    return trial, cell, edge, [0.0, 0.0, 0.5, 2.0]
+
+
+def _global_run(runner, *args):
+    """``runner(*args)`` under a fresh process-global obs context, and the
+    counters that context collected. Whatever was global before (under
+    ``REPRO_OBS=1``, a context) is global again after."""
+    before = obs.active()
+    context = obs.enable()
+    try:
+        result = runner(*args)
+    finally:
+        if before is None:
+            obs.disable()
+        else:
+            obs.enable(before)
+    return result, dict(context.metrics.counters)
+
+
+SEEDS = range(4)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sessions_with_their_own_context_count_what_the_reference_counts(seed):
+    # A flow with a context must still resume and count inside it: every
+    # counter a session carries — the cache's, and those its machine
+    # counts while it runs — is the reference's.
+    args = (SPECS, *_observed_cell(seed, observability=True))
+    live, frozen = run_cell(*args), reference_run_cell(*args)
+    assert len(live.shards) == len(frozen.shards)
+    for mine, theirs in zip(live.shards, frozen.shards):
+        assert _session_fingerprint(mine) == _session_fingerprint(theirs)
+        assert mine.obs.metrics.counters == theirs.obs.metrics.counters
+        assert "stream.chunks_sent" in mine.obs.metrics.counters
+    assert (live.cache_hits, live.cache_misses) == (
+        frozen.cache_hits,
+        frozen.cache_misses,
+    )
+
+
+def test_the_observed_cells_hit_the_cache():
+    hits = [run_cell(SPECS, *_observed_cell(s, True)).cache_hits for s in SEEDS]
+    assert sum(hits) > 0, hits
+
+
+@pytest.mark.parametrize("observability", [False, True])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_process_global_context_counts_what_the_reference_counts(
+    seed, observability
+):
+    # Flows without a context resume outside obs.activate and count into
+    # the global context; flows with one count into their own and leave
+    # the global context as the reference leaves it.
+    args = (SPECS, *_observed_cell(seed, observability))
+    live, live_global = _global_run(run_cell, *args)
+    frozen, frozen_global = _global_run(reference_run_cell, *args)
+    assert live_global == frozen_global
+    counted = {name for name in CACHE_COUNTERS if name in live_global}
+    if observability:
+        assert not counted  # each session counted its own
+    else:
+        assert "edge.cache_misses" in counted
+    assert [_session_fingerprint(s) for s in live.shards] == [
+        _session_fingerprint(s) for s in frozen.shards
+    ]
+    if observability:
+        assert [s.obs.metrics.counters for s in live.shards] == [
+            s.obs.metrics.counters for s in frozen.shards
+        ]
 
 
 class TestCursor:

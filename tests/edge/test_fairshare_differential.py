@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,6 +186,51 @@ def test_every_permutation_of_a_four_flow_case(capacity):
             capacity, [c for c, _ in flows], [w for _, w in flows]
         )
         assert bits(live) == bits([home[i] for i in order])
+
+
+def uint64_bits(shares):
+    return np.array(shares, dtype=np.float64).view(np.uint64).tolist()
+
+
+EQUAL_SHARE_CAPACITIES = [
+    0.0,
+    -0.0,
+    5e-324,
+    1.5e-323,  # three subnormal units: a half-unit share rounds to even
+    0.1,
+    0.6,
+    1.0,
+    1.9999999999999998,
+    3.3e6,
+    12_345_678.9,
+    20e6,
+    2.0**53 + 2,
+    1e300,
+]
+
+
+@pytest.mark.parametrize("weight", [None, 1.0, 1.3])
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("capacity", EQUAL_SHARE_CAPACITIES)
+def test_the_equal_share_boundary_has_the_reference_bits(weight, n, capacity):
+    # The equal-share short cut decides on min(caps) * n > capacity, a
+    # rounded product: the smallest cap at capacity / n and one ulp to
+    # either side, alone or with every other flow at the same cap or with
+    # room to spare, under default, unit and non-unit common weights.
+    weights = None if weight is None else [weight] * n
+    share = capacity / n
+    for low in (math.nextafter(share, -math.inf), share, math.nextafter(share, math.inf)):
+        if low < 0:
+            continue
+        roomy = max(2.0 * low, 1.0)
+        for caps in (
+            [low] * n,
+            [low] + [roomy] * (n - 1),
+            [roomy] * (n - 1) + [low],
+        ):
+            assert uint64_bits(max_min_shares(capacity, caps, weights)) == (
+                uint64_bits(reference_max_min_shares(capacity, caps, weights))
+            ), (capacity, caps, weights)
 
 
 def _dump_bytes(result) -> bytes:

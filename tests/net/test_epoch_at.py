@@ -131,3 +131,41 @@ def test_lazy_links_realize_the_same_epochs():
         fused.rng.bit_generator.state["state"]["state"],
         split.rng.bit_generator.state["state"]["state"],
     )
+
+
+LAZY = ("MarkovLink", "HeavyTailLink")
+
+
+@pytest.mark.parametrize("name", LAZY)
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("method", ["epoch_at", "next_change_after"])
+def test_a_time_that_is_not_finite_is_named(name, t, method):
+    link = FACTORIES[name](1.0)
+    with pytest.raises(ValueError, match=rf"^{name}: time must be finite, got"):
+        getattr(link, method)(t)
+    assert link._realized == []
+
+
+@pytest.mark.parametrize("name", LAZY)
+@pytest.mark.parametrize("epoch", [1.0, 0.3])
+def test_a_time_past_the_runaway_guard_realizes_nothing(name, epoch):
+    # The first epoch past the guard, and a time ~1e300 epochs out.
+    first = link_module._MAX_EPOCHS * epoch
+    for t in (math.nextafter(first, math.inf), first * 2.0, 1e300):
+        link = FACTORIES[name](epoch)
+        with pytest.raises(ValueError, match=rf"^{name}: time .* runaway guard"):
+            link.epoch_at(t)
+        with pytest.raises(ValueError, match="runaway guard"):
+            link.capacity_at(t)
+        # Out there a boundary (index + 1) * epoch can round back onto t.
+        with pytest.raises(ValueError, match=rf"^{name}: time .* runaway guard"):
+            link.next_change_after(t)
+        assert link._realized == []
+
+
+@pytest.mark.parametrize("name", LAZY)
+def test_the_last_epoch_before_the_guard_is_answered(name):
+    link = FACTORIES[name](1.0)
+    last = float(link_module._MAX_EPOCHS - 1)
+    assert link.next_change_after(last) == last + 1.0
+    assert link._realized == []
