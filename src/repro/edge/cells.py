@@ -105,19 +105,18 @@ class EdgeConfig:
             raise ValueError("capacity_fade_rate must lie in [0, 1]")
         if self.zipf_alpha < 0:
             raise ValueError("zipf_alpha must be non-negative")
-        # A whole number, by the rule of a link's fade_onset_epochs:
-        # EdgeCache would truncate 2.7 to 2 (and True to 1) without a word,
-        # and NaN would fail there naming no field.  Stored as the int, so
-        # 3.0 fingerprints as 3 does.
-        if isinstance(self.cache_chunks, bool) or not isinstance(
-            self.cache_chunks, numbers.Real
-        ):
-            raise ValueError(
-                f"cache_chunks must be a whole number, got {self.cache_chunks!r}"
-            )
-        object.__setattr__(
-            self, "cache_chunks", _count("cache_chunks", self.cache_chunks)
-        )
+        # Whole numbers, by the rule of a link's fade_onset_epochs:
+        # EdgeCache would truncate a cache of 2.7 to 2 (and True to 1)
+        # without a word, and NaN would fail there naming no field; a seed
+        # of 2.7 would fail inside numpy's SeedSequence.  Stored as ints,
+        # so 3.0 fingerprints as 3 does.
+        for name in ("cache_chunks", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(
+                    f"{name} must be a whole number, got {value!r}"
+                )
+            object.__setattr__(self, name, _count(name, value))
         if self.cubic_weight <= 0:
             raise ValueError("cubic_weight must be positive")
 
@@ -166,7 +165,7 @@ class EdgeConfig:
         )
 
     # ------------------------------------------------------------------
-    # Serialization (checkpoint fingerprinting and CLI resume)
+    # Serialization (checkpoint fingerprinting)
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         return {
@@ -181,21 +180,6 @@ class EdgeConfig:
             "cubic_weight": self.cubic_weight,
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EdgeConfig":
-        return cls(
-            mean_cell_sessions=float(data["mean_cell_sessions"]),
-            cell_size_dist=str(data["cell_size_dist"]),
-            cell_capacity_bps=float(data["cell_capacity_bps"]),
-            capacity_log_sigma=float(data["capacity_log_sigma"]),
-            capacity_sigma=float(data["capacity_sigma"]),
-            capacity_fade_rate=float(data["capacity_fade_rate"]),
-            zipf_alpha=float(data["zipf_alpha"]),
-            cache_chunks=data["cache_chunks"],
-            cubic_weight=float(data["cubic_weight"]),
-            seed=int(data["seed"]),
-        )
 
 
 @dataclass(frozen=True)

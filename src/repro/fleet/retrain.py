@@ -181,17 +181,6 @@ class RetrainConfig:
             "arm_prefix": self.arm_prefix,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RetrainConfig":
-        return cls(
-            ttp=TtpConfig.from_dict(data["ttp"]),
-            window_days=int(data["window_days"]),
-            recency_decay=float(data["recency_decay"]),
-            epochs_per_day=int(data["epochs_per_day"]),
-            seed=int(data["seed"]),
-            arm_prefix=str(data["arm_prefix"]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # The versioned on-disk model registry

@@ -88,14 +88,6 @@ class FlashCrowd:
             "multiplier": self.multiplier,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FlashCrowd":
-        return cls(
-            start_day=float(data["start_day"]),
-            duration_hours=float(data["duration_hours"]),
-            multiplier=float(data["multiplier"]),
-        )
-
 
 @dataclass(frozen=True)
 class WorkloadConfig:
@@ -200,19 +192,6 @@ class WorkloadConfig:
             "flash_crowds": [c.to_dict() for c in self.flash_crowds],
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkloadConfig":
-        return cls(
-            days=float(data["days"]),
-            sessions_per_hour=float(data["sessions_per_hour"]),
-            diurnal_amplitude=float(data["diurnal_amplitude"]),
-            peak_hour=float(data["peak_hour"]),
-            flash_crowds=tuple(
-                FlashCrowd.from_dict(c) for c in data.get("flash_crowds", [])
-            ),
-            seed=int(data["seed"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,14 @@ Findings are waived only inline, with a reasoned suppression comment::
     t0 = time.perf_counter()  # repro: allow-DET002(throughput report only)
 
 Run it as ``repro lint [paths]``; ``--whole-program`` adds the
-interprocedural rules declared in ``contract.json``
-(:mod:`repro.lint.contract`).  The tier-1 suite gates on the tree linting
-clean (``tests/lint/test_tree_clean.py``).
+interprocedural families the sections of ``contract.json`` turn on
+(:mod:`repro.lint.contract`): PURE, SEED, CKPT and DUR.  They register with
+the same :func:`register`, as :class:`~repro.lint.base.ProgramRule`
+subclasses, and share one :class:`~repro.lint.purity.ProgramContext`: one
+call graph, one finding constructor, one contract resolver (a declared
+name is checked only when its module was linted, so partial lints stay
+quiet) and regions held as values.  The tier-1 suite gates on the tree
+linting clean (``tests/lint/test_tree_clean.py``).
 """
 
 from __future__ import annotations
@@ -55,12 +60,6 @@ from repro.lint.suppressions import (
     Suppression,
     parse_suppressions,
 )
-
-# Importing the rule modules registers the rules.
-from repro.lint import rules_api as _rules_api  # noqa: F401
-from repro.lint import rules_det as _rules_det  # noqa: F401
-from repro.lint import rules_obs as _rules_obs  # noqa: F401
-from repro.lint import rules_sim as _rules_sim  # noqa: F401
 
 __all__ = [
     "Contract",

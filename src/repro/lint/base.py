@@ -24,9 +24,15 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Type
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Type,
+    TypeVar,
+)
 
 from repro.lint.findings import Finding
+
+if TYPE_CHECKING:
+    from repro.lint.purity import ProgramContext
 
 _MODULE_PRAGMA = re.compile(r"#\s*repro:\s*module=([A-Za-z_][\w.]*)")
 
@@ -74,13 +80,6 @@ class ParsedModule:
             return self.lines[lineno - 1]
         return ""
 
-    def in_package(self, *prefixes: str) -> bool:
-        """True when the effective module sits under any dotted prefix."""
-        for prefix in prefixes:
-            if self.module == prefix or self.module.startswith(prefix + "."):
-                return True
-        return False
-
 
 #: What a per-file rule's ``check`` receives: the module's one reading.
 FileContext = ParsedModule
@@ -121,10 +120,7 @@ class Rule:
         raise NotImplementedError
 
     def finding(
-        self,
-        ctx: FileContext,
-        node: ast.AST,
-        message: str,
+        self, ctx: FileContext, node: ast.AST, message: str
     ) -> Finding:
         lineno = int(getattr(node, "lineno", 1))
         col = int(getattr(node, "col_offset", 0))
@@ -138,16 +134,39 @@ class Rule:
         )
 
 
+class ProgramRule:
+    """Base class for whole-program rules (PURE, SEED, CKPT, DUR): they
+    read the run's one :class:`~repro.lint.purity.ProgramContext`, not a
+    file, and build every finding with its ``finding``."""
+
+    id: str = ""
+    summary: str = ""
+
+    def check_program(self, program: "ProgramContext") -> Iterator[Finding]:
+        raise NotImplementedError
+
+
 _REGISTRY: Dict[str, Type[Rule]] = {}
+_PROGRAM_REGISTRY: Dict[str, Type[ProgramRule]] = {}
+
+#: The whole-program families, in the order ``repro lint --rules`` lists
+#: them (after the per-file rules).
+_FAMILIES = ("PURE", "SEED", "CKPT", "DUR")
+
+_RuleClass = TypeVar("_RuleClass", Type[Rule], Type[ProgramRule])
 
 
-def register(rule_cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding *rule_cls* to the global registry."""
+def register(rule_cls: _RuleClass) -> _RuleClass:
+    """Class decorator adding *rule_cls* to the registry: a per-file
+    :class:`Rule` or a whole-program :class:`ProgramRule`."""
     if not rule_cls.id:
         raise ValueError(f"rule {rule_cls.__name__} has no id")
-    if rule_cls.id in _REGISTRY:
+    if rule_cls.id in _REGISTRY or rule_cls.id in _PROGRAM_REGISTRY:
         raise ValueError(f"duplicate rule id {rule_cls.id}")
-    _REGISTRY[rule_cls.id] = rule_cls
+    if issubclass(rule_cls, ProgramRule):
+        _PROGRAM_REGISTRY[rule_cls.id] = rule_cls
+    else:
+        _REGISTRY[rule_cls.id] = rule_cls
     return rule_cls
 
 
@@ -156,31 +175,45 @@ def _load_builtin_rules() -> None:
     cycles): each module registers its rules on import."""
     from repro.lint import (  # noqa: F401
         rules_api,
+        rules_ckpt,
         rules_det,
+        rules_durability,
         rules_obs,
+        rules_purity,
+        rules_seed,
         rules_sim,
     )
 
 
 def registered_rules() -> Dict[str, Type[Rule]]:
-    """Snapshot of the registry (id -> rule class), sorted by id."""
+    """Snapshot of the per-file registry (id -> rule class), sorted by id."""
     _load_builtin_rules()
     return dict(sorted(_REGISTRY.items()))
 
 
-def make_rules(select: Optional[Sequence[str]] = None) -> List[Rule]:
-    """Instantiate registered rules, optionally restricted to ``select``."""
+def program_rules() -> List[ProgramRule]:
+    """Fresh instances of every whole-program rule, family by family."""
     _load_builtin_rules()
-    rules: List[Rule] = []
-    for rule_id, rule_cls in sorted(_REGISTRY.items()):
-        if select is not None and rule_id not in select:
-            continue
-        rules.append(rule_cls())
-    if select is not None:
-        unknown = sorted(set(select) - set(_REGISTRY))
-        if unknown:
-            raise ValueError(f"unknown rule id(s): {', '.join(unknown)}")
-    return rules
+    return [
+        _PROGRAM_REGISTRY[rule_id]()
+        for rule_id in sorted(
+            _PROGRAM_REGISTRY, key=lambda i: (_FAMILIES.index(i[:-3]), i)
+        )
+    ]
+
+
+def make_rules(select: Optional[Sequence[str]] = None) -> List[Rule]:
+    """Instantiate the per-file rules, optionally restricted to ``select``
+    (whole-program ids are not selectable)."""
+    _load_builtin_rules()
+    unknown = sorted(set(select or ()) - set(_REGISTRY))
+    if unknown:
+        raise ValueError(f"unknown rule id(s): {', '.join(unknown)}")
+    return [
+        rule_cls()
+        for rule_id, rule_cls in sorted(_REGISTRY.items())
+        if select is None or rule_id in select
+    ]
 
 
 # -- shared AST helpers ------------------------------------------------------
@@ -205,8 +238,6 @@ def collect_imports(nodes: Iterable[ast.AST]) -> ImportMap:
                 imports.modules[alias.asname or alias.name.split(".")[0]] = (
                     alias.name if alias.asname else alias.name.split(".")[0]
                 )
-                if alias.asname:
-                    imports.modules[alias.asname] = alias.name
         elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
             for alias in node.names:
                 if alias.name == "*":
@@ -217,27 +248,41 @@ def collect_imports(nodes: Iterable[ast.AST]) -> ImportMap:
     return imports
 
 
+def in_package(module: str, prefixes: Iterable[str]) -> bool:
+    """True when dotted *module* sits under any dotted prefix."""
+    return any(
+        module == prefix or module.startswith(prefix + ".")
+        for prefix in prefixes
+    )
+
+
+def resolve_dotted(
+    dotted: str, imports: ImportMap, module: str = ""
+) -> str:
+    """Fully qualify a dotted reference through the file's import map.
+
+    ``np.random.default_rng`` with ``import numpy as np`` resolves to
+    ``numpy.random.default_rng``; ``default_rng`` after
+    ``from numpy.random import default_rng`` resolves the same.  A name
+    the file does not import qualifies against *module* when one is given
+    (``helper`` in ``pkg.mod`` is ``pkg.mod.helper``).
+    """
+    head, _, rest = dotted.partition(".")
+    if head in imports.names:
+        origin = imports.names[head]
+    elif head in imports.modules:
+        origin = imports.modules[head]
+    else:
+        return f"{module}.{dotted}" if module else dotted
+    return f"{origin}.{rest}" if rest else origin
+
+
 def resolve_call_target(
     node: ast.Call, imports: ImportMap
 ) -> Optional[str]:
-    """Best-effort fully-qualified dotted target of a call.
-
-    ``np.random.default_rng()`` with ``import numpy as np`` resolves to
-    ``numpy.random.default_rng``; ``default_rng()`` after
-    ``from numpy.random import default_rng`` resolves the same.
-    """
+    """Best-effort fully-qualified dotted target of a call."""
     dotted = dotted_name(node.func)
-    if dotted is None:
-        return None
-    head, _, rest = dotted.partition(".")
-    if head in imports.names and not rest:
-        return imports.names[head]
-    if head in imports.names and rest:
-        return f"{imports.names[head]}.{rest}"
-    if head in imports.modules:
-        real = imports.modules[head]
-        return f"{real}.{rest}" if rest else real
-    return dotted
+    return None if dotted is None else resolve_dotted(dotted, imports)
 
 
 def walk_condition_expressions(nodes: Iterable[ast.AST]) -> Iterator[ast.expr]:

@@ -50,10 +50,13 @@ from typing import (
 )
 
 from repro.lint.base import (
-    ImportMap, ParsedModule, dotted_name, resolve_call_target,
+    ImportMap, ParsedModule, dotted_name, in_package, resolve_call_target,
+    resolve_dotted,
 )
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+#: (path, line, col) — the unit of attribution for events and findings.
+Site = Tuple[str, int, int]
 FUNCTION_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
 SCOPE_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -160,6 +163,14 @@ class FunctionInfo:
     def name(self) -> str:
         return self.node.name
 
+    def site(self, node: ast.AST) -> Site:
+        """Where *node*, a node of this function, sits."""
+        return (
+            self.path,
+            int(getattr(node, "lineno", self.node.lineno)),
+            int(getattr(node, "col_offset", 0)),
+        )
+
 
 @dataclass
 class ClassInfo:
@@ -210,7 +221,6 @@ class CallGraph:
         self._methods_by_name: Dict[str, List[str]] = {}
         self._subclasses: Dict[str, List[str]] = {}
         """class -> the known classes naming it as a direct base."""
-        self._parent: Dict[str, Optional[str]] = {}
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -294,7 +304,7 @@ class CallGraph:
             if dotted is None:
                 continue
             bases.append(
-                _resolve_dotted(dotted, parsed.imports, parsed.module)
+                resolve_dotted(dotted, parsed.imports, parsed.module)
             )
         info = ClassInfo(
             qualname=qualname,
@@ -419,7 +429,7 @@ class CallGraph:
 
         dotted = dotted_name(func)
         if dotted is not None:
-            resolved = self.origin(_resolve_dotted(dotted, imports, module))
+            resolved = self.origin(resolve_dotted(dotted, imports, module))
             if resolved in self.functions:
                 out.add(resolved)
                 return out
@@ -435,29 +445,45 @@ class CallGraph:
         return out
 
     # -- reachability -------------------------------------------------------
-    def reachable(self, roots: Sequence[str]) -> Set[str]:
-        """Transitive closure of *roots* over the call edges.
-
-        Also records a parent map so :meth:`witness_path` can explain *why*
-        a function is in the region.
-        """
-        self._parent = {}
-        seen: Set[str] = set()
-        queue: List[str] = []
+    def reachable(self, roots: Sequence[str], name: str) -> "Region":
+        """The region *name*: the transitive closure of *roots* over the
+        call edges, with the parent map that explains each member."""
+        parent: Dict[str, Optional[str]] = {}
+        queue: Deque[str] = deque()
         for root in sorted(set(roots)):
-            if root in self.functions and root not in seen:
-                seen.add(root)
-                self._parent[root] = None
+            if root in self.functions:
+                parent[root] = None
                 queue.append(root)
         while queue:
-            current = queue.pop(0)
+            current = queue.popleft()
             for target in self.edges.get(current, ()):
-                if target in seen:
-                    continue
-                seen.add(target)
-                self._parent[target] = current
-                queue.append(target)
-        return seen
+                if target not in parent:
+                    parent[target] = current
+                    queue.append(target)
+        return Region(name, parent)
+
+
+class Region(FrozenSet[str]):
+    """The qualnames reachable from a set of roots, held as a value.
+
+    Each region carries its own breadth-first parent map, so the witness
+    chain of a member is read from the region it belongs to, and no
+    region's reachability can disturb another's.
+    """
+
+    name: str
+    """Names the region in a witness chain (``pure via root -> fn``)."""
+
+    parent: Mapping[str, Optional[str]]
+    """member -> the caller it was first reached from (``None``: a root)."""
+
+    def __new__(
+        cls, name: str, parent: Mapping[str, Optional[str]]
+    ) -> "Region":
+        region = super().__new__(cls, parent)
+        region.name = name
+        region.parent = parent
+        return region
 
     def witness_path(self, qualname: str, limit: int = 6) -> List[str]:
         """Shortest known chain root → … → *qualname* (root first)."""
@@ -465,9 +491,20 @@ class CallGraph:
         cursor: Optional[str] = qualname
         while cursor is not None and len(chain) < limit:
             chain.append(cursor)
-            cursor = self._parent.get(cursor)
+            cursor = self.parent.get(cursor)
         chain.reverse()
         return chain
+
+    def via(self, qualname: str) -> str:
+        """`` (pure via root -> fn)``: why *qualname* is in the region, as
+        a message suffix; empty for a root or a function outside it."""
+        chain = self.witness_path(qualname)
+        if len(chain) < 2:
+            return ""
+        short = [part.rsplit(".", 2)[-1] for part in chain[:4]]
+        if len(chain) > 4:
+            short.append("…")
+        return f" ({self.name} via " + " -> ".join(short) + ")"
 
 
 def _module_names(tree: ast.Module) -> ModuleNames:
@@ -501,23 +538,6 @@ def _module_names(tree: ast.Module) -> ModuleNames:
     )
 
 
-def _resolve_dotted(dotted: str, imports: ImportMap, module: str) -> str:
-    """Fully qualify a dotted reference using the file's import map.
-
-    Local module-level names qualify against the containing module; aliased
-    imports resolve through :class:`~repro.lint.base.ImportMap`.
-    """
-    head, _, rest = dotted.partition(".")
-    if head in imports.names:
-        origin = imports.names[head]
-        return f"{origin}.{rest}" if rest else origin
-    if head in imports.modules:
-        real = imports.modules[head]
-        return f"{real}.{rest}" if rest else real
-    # Unqualified local reference: ``helper()`` / ``LocalClass()``.
-    return f"{module}.{dotted}"
-
-
 def build_graph(
     files: Mapping[str, ParsedModule],
     exclude_prefixes: Sequence[str] = (),
@@ -529,15 +549,8 @@ def build_graph(
     the graph boundary instead of dragging its internals into the pure
     region.
     """
-
-    def quarantined(module: str) -> bool:
-        return any(
-            module == prefix or module.startswith(prefix + ".")
-            for prefix in exclude_prefixes
-        )
-
     return CallGraph.build(
         parsed
         for parsed in files.values()
-        if parsed.module and not quarantined(parsed.module)
+        if parsed.module and not in_package(parsed.module, exclude_prefixes)
     )

@@ -39,7 +39,8 @@ The loader is strict.  An unknown key, a wrong type or a missing required
 field raises :class:`ContractError` naming the file and the key path
 (``durability.commit_order[0].first``): a typo must never silently shrink
 a checked region.  Whether the declared names exist in the linted tree is
-the rules' job (PURE000 / CKPT000 / DUR000).
+:func:`repro.lint.purity.resolve_contract`'s to check (PURE000 / CKPT000
+/ DUR000).
 """
 
 from __future__ import annotations

@@ -53,15 +53,8 @@ import ast
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.base import dotted_name, resolve_call_target
-from repro.lint.callgraph import (
-    CallGraph,
-    FunctionInfo,
-    _resolve_dotted,
-)
-
-#: (path, line, col) — the unit of attribution for events and findings.
-Site = Tuple[str, int, int]
+from repro.lint.base import dotted_name, resolve_call_target, resolve_dotted
+from repro.lint.callgraph import CallGraph, FunctionInfo, Site
 
 #: RNG constructors: materializing one of these from a seed is a *sink*.
 RNG_SINKS = frozenset(
@@ -258,13 +251,6 @@ class _FunctionScan:
     def run(self) -> Set[Lineage]:
         self._stmts(self.fn.node.body)
         return self.returns
-
-    def _site(self, node: ast.AST) -> Site:
-        return (
-            self.fn.path,
-            int(getattr(node, "lineno", self.fn.node.lineno)),
-            int(getattr(node, "col_offset", 0)),
-        )
 
     # -- statements ----------------------------------------------------------
     def _stmts(self, body: Sequence[ast.stmt]) -> None:
@@ -472,7 +458,7 @@ class _FunctionScan:
         free = self._free_vars(node)
         out: Set[Lineage] = set()
         for lin in tracked:
-            site = lin.derive_site or self._site(node)
+            site = lin.derive_site or self.fn.site(node)
             out.add(
                 replace(
                     lin,
@@ -520,7 +506,7 @@ class _FunctionScan:
                 out.add(replace(lin, domain_separated=True, fold_site=None))
             else:
                 out.add(
-                    replace(lin, fold_site=lin.fold_site or self._site(node))
+                    replace(lin, fold_site=lin.fold_site or self.fn.site(node))
                 )
         return out
 
@@ -543,7 +529,7 @@ class _FunctionScan:
         target = resolve_call_target(node, self.imports)
         graph_target = (
             self.graph.origin(
-                _resolve_dotted(dotted, self.imports, self.fn.module)
+                resolve_dotted(dotted, self.imports, self.fn.module)
             )
             if dotted is not None
             else None
@@ -578,12 +564,12 @@ class _FunctionScan:
                     SeedEvent(
                         kind="sink",
                         lineage=lin,
-                        site=self._site(node),
+                        site=self.fn.site(node),
                         fn=self.fn.qualname,
                         target=target,
                     )
                 )
-            site = self._site(node)
+            site = self.fn.site(node)
             return {
                 Lineage(
                     root=f"{target}@{site[1]}",
@@ -620,7 +606,7 @@ class _FunctionScan:
                     SeedEvent(
                         kind="boundary",
                         lineage=lin,
-                        site=self._site(node),
+                        site=self.fn.site(node),
                         fn=self.fn.qualname,
                         target=target
                         or (
@@ -648,7 +634,7 @@ class _FunctionScan:
                         SeedEvent(
                             kind="handoff",
                             lineage=lin,
-                            site=self._site(node),
+                            site=self.fn.site(node),
                             fn=self.fn.qualname,
                             target=graph_target,
                         )
@@ -675,7 +661,7 @@ class _FunctionScan:
                         SeedEvent(
                             kind="handoff",
                             lineage=lin,
-                            site=self._site(node),
+                            site=self.fn.site(node),
                             fn=self.fn.qualname,
                             target=f"{described}({name}=...)",
                         )

@@ -24,8 +24,10 @@ from __future__ import annotations
 import ast
 import json
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 from repro.lint.base import (
     ParsedModule,
@@ -33,6 +35,7 @@ from repro.lint.base import (
     collect_imports,
     derive_module,
     make_rules,
+    program_rules,
 )
 from repro.lint.contract import Contract
 from repro.lint.findings import Finding
@@ -150,18 +153,17 @@ def lint_whole_program(
     runs go through :func:`lint_paths` with a ``contract``.
     """
     parsed_map = {parsed.path: parsed for parsed in files}
-    by_path: Dict[str, List[Finding]] = {}
-    for finding in analyze_program(parsed_map, contract):
-        by_path.setdefault(finding.path, []).append(finding)
     out: List[Finding] = []
-    for path in sorted(by_path):
+    # analyze_program sorts by path first: one group per file.
+    for path, group in groupby(
+        analyze_program(parsed_map, contract), key=attrgetter("path")
+    ):
+        findings = list(group)
         parsed = parsed_map.get(path)
-        if parsed is None:
-            out.extend(by_path[path])
-            continue
-        effective, _ = parse_suppressions(parsed.lines, path)
-        out.extend(apply_suppressions(by_path[path], effective))
-    out.sort(key=Finding.sort_key)
+        if parsed is not None:
+            effective, _ = parse_suppressions(parsed.lines, path)
+            findings = apply_suppressions(findings, effective)
+        out.extend(findings)
     return out
 
 
@@ -170,17 +172,9 @@ def lint_paths(
     select: Optional[Sequence[str]] = None,
     contract: Optional[Contract] = None,
 ) -> LintReport:
-    """Lint files/directories, returning a :class:`LintReport`.
-
-    Parameters
-    ----------
-    contract:
-        Also run the interprocedural phase over the full file set — purity
-        (PURE001–PURE003), seed lineage (SEED001–SEED004) and CKPT002
-        always, CKPT001 when the contract has a ``fingerprint`` section,
-        the crash-consistency rules (DUR000–DUR004) when it has a
-        ``durability`` section.
-    """
+    """Lint files/directories, returning a :class:`LintReport`; with a
+    *contract*, also run the whole-program phase over the full file set
+    (:func:`repro.lint.purity.analyze_program`)."""
     report = LintReport(whole_program=contract is not None)
     rules = make_rules(select)
     all_findings: List[Finding] = []
@@ -216,17 +210,5 @@ def iter_rule_docs() -> Iterable[str]:
     """Human-readable one-liners for ``repro lint --rules``."""
     for rule in make_rules():
         yield f"{rule.id}: {rule.summary}"
-    from repro.lint.rules_ckpt import make_ckpt_rules
-    from repro.lint.rules_purity import make_purity_rules
-    from repro.lint.rules_seed import make_seed_rules
-
-    for purity_rule in make_purity_rules():
-        yield f"{purity_rule.id} (whole-program): {purity_rule.summary}"
-    for seed_rule in make_seed_rules():
-        yield f"{seed_rule.id} (whole-program): {seed_rule.summary}"
-    for ckpt_rule in make_ckpt_rules():
-        yield f"{ckpt_rule.id} (whole-program): {ckpt_rule.summary}"
-    from repro.lint.rules_durability import make_durability_rules
-
-    for dur_rule in make_durability_rules():
-        yield f"{dur_rule.id} (whole-program): {dur_rule.summary}"
+    for program_rule in program_rules():
+        yield f"{program_rule.id} (whole-program): {program_rule.summary}"

@@ -56,20 +56,5 @@ class Finding:
             "suppression_reason": self.suppression_reason,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Finding":
-        """Inverse of :meth:`to_dict` (the ``fingerprint`` key is derived
-        state and is ignored on input)."""
-        return cls(
-            rule=str(data["rule"]),
-            path=str(data["path"]),
-            line=int(data["line"]),
-            col=int(data["col"]),
-            message=str(data["message"]),
-            source_line=str(data.get("source_line", "")),
-            suppressed=bool(data.get("suppressed", False)),
-            suppression_reason=str(data.get("suppression_reason", "")),
-        )
-
     def sort_key(self) -> "tuple[str, int, int, str]":
         return (self.path, self.line, self.col, self.rule)

@@ -18,195 +18,205 @@ designed nondeterminism surface).  The runtime sanitizer digests the
 roots' host modules around every guarded session; that list lives in code
 (:data:`repro.sanitizer.SNAPSHOT_MODULES`), because the session path may
 not read files at import.
+
+Every whole-program rule family runs through the same three pieces here:
+:class:`ProgramContext` (the graph, the contract and the regions, each
+computed once), :meth:`ProgramContext.finding` (the one finding
+constructor) and :func:`resolve_contract` (the one check that every name
+a contract section declares exists).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple
-
-from repro.lint.callgraph import (
-    CallGraph, FunctionInfo, ParsedModule, build_graph,
+from typing import (
+    TYPE_CHECKING, ClassVar, Iterator, List, Mapping, Optional, Sequence,
+    Tuple, Union,
 )
+
+from repro.lint.base import program_rules
+from repro.lint.callgraph import (
+    CallGraph, FunctionInfo, ParsedModule, Region, Site, build_graph,
+)
+from repro.lint.dataflow import SeedFlow, analyze_seed_flow
+from repro.lint.effects import WriteEffect
 from repro.lint.findings import Finding
+from repro.lint.rules_ckpt import FingerprintExclusions
+from repro.lint.rules_durability import DurabilityConfig, durable_effects
 
-if TYPE_CHECKING:  # imported lazily at runtime to avoid cycles
+if TYPE_CHECKING:  # the contract module imports this one
     from repro.lint.contract import Contract
-    from repro.lint.dataflow import SeedFlow
-    from repro.lint.effects import WriteEffect
-    from repro.lint.rules_ckpt import FingerprintExclusions
-    from repro.lint.rules_durability import DurabilityConfig
-
-#: Rule id for configuration-level problems (a declared root that does not
-#: exist must fail the run loudly, not silently shrink the pure region).
-CONFIG_RULE_ID = "PURE000"
 
 
 @dataclass(frozen=True)
 class PurityConfig:
     """The ``purity`` section of the contract: the pure entrypoints."""
 
+    rule_id: ClassVar[str] = "PURE000"
+    """Reports the section's names that do not resolve."""
+
     roots: Tuple[str, ...] = ()
     method_roots: Tuple[str, ...] = ()
     quarantine: Tuple[str, ...] = ()
     source_path: str = "<inline>"
 
+    def declared(self, graph: CallGraph) -> Iterator[Tuple[str, bool, str]]:
+        """Each declared name, whether *graph* resolves it, and the
+        message when it does not (see :func:`resolve_contract`)."""
+        for root in self.roots:
+            yield root, root in graph.functions, (
+                f"declared purity root {root!r} was not found in the "
+                "linted tree — fix purity.roots in the contract or "
+                "restore the function"
+            )
+        for method_root in self.method_roots:
+            yield method_root, bool(_implementations(graph, method_root)), (
+                f"method root {method_root!r} has no implementation "
+                "anywhere in the hierarchy"
+                if method_root.rpartition(".")[0] in graph.classes
+                else f"declared method root {method_root!r} names an "
+                "unknown class"
+            )
+
+
+#: A contract section whose names :func:`resolve_contract` checks.
+Section = Union[PurityConfig, FingerprintExclusions, DurabilityConfig]
+
+
+def _implementations(graph: CallGraph, method_root: str) -> List[str]:
+    """The base method (when implemented) plus every subclass override."""
+    class_qual, _, method = method_root.rpartition(".")
+    if class_qual not in graph.classes:
+        return []
+    hierarchy = [class_qual, *graph.subclasses(class_qual)]
+    return [
+        graph.classes[qualname].methods[method]
+        for qualname in hierarchy
+        if method in graph.classes[qualname].methods
+    ]
+
+
+def expand_roots(graph: CallGraph, config: PurityConfig) -> List[str]:
+    """The pure region's roots: every declared root the graph defines,
+    and every method root expanded over the class hierarchy.  A name that
+    resolves to nothing is :func:`resolve_contract`'s to report."""
+    roots = [root for root in config.roots if root in graph.functions]
+    for method_root in config.method_roots:
+        roots.extend(_implementations(graph, method_root))
+    return sorted(set(roots))
+
 
 @dataclass
 class ProgramContext:
-    """Everything a whole-program rule may inspect."""
+    """Everything a whole-program rule may inspect, computed once per run.
+
+    The pure and durable regions are values (:class:`Region`), each with
+    its own witness chains, so the rule families may run in any order.
+    """
 
     graph: CallGraph
-    config: PurityConfig
-    pure: "frozenset[str]"
-    """Qualnames of every function in the pure region."""
+    contract: "Contract"
+    files: Mapping[str, ParsedModule]
+    """Every linted module by path: where a finding's source line is."""
 
-    seed_flow: Optional["SeedFlow"] = None
-    """Seed-lineage events (:mod:`repro.lint.dataflow`), computed once per
-    run and interpreted by the SEED rules."""
+    pure: Region = field(init=False)
+    """Every function reachable from the purity roots."""
 
-    exclusions: Optional["FingerprintExclusions"] = None
-    """The contract's ``fingerprint`` section; ``None`` disables CKPT001
-    (CKPT002 needs no configuration)."""
+    durable: Region = field(init=False)
+    """Every function reachable from the durable roots (empty without a
+    ``durability`` section)."""
 
-    durability: Optional["DurabilityConfig"] = None
-    """The contract's ``durability`` section; ``None`` disables the DUR
-    rule family."""
-
-    durable: List[Tuple[FunctionInfo, List["WriteEffect"]]] = field(
-        default_factory=list
+    durable_effects: List[Tuple[FunctionInfo, List[WriteEffect]]] = field(
+        init=False
     )
-    """Every checked function in the durable region (reachable from the
-    declared durable roots), with its write effects."""
+    """Every checked function of the durable region with its write
+    effects, read by DUR001, DUR002 and DUR004."""
 
-    def pure_functions(self) -> List[str]:
-        return sorted(self.pure)
+    seed_flow: SeedFlow = field(init=False)
+    """Seed-lineage events (:mod:`repro.lint.dataflow`), interpreted by
+    the SEED rules."""
 
+    def __post_init__(self) -> None:
+        graph = self.graph
+        # No durability section: no roots, so an empty region.
+        durability = self.contract.durability or DurabilityConfig()
+        self.pure = graph.reachable(
+            expand_roots(graph, self.contract.purity), "pure"
+        )
+        self.durable = graph.reachable(durability.roots, "durable")
+        self.durable_effects = durable_effects(graph, durability, self.durable)
+        self.seed_flow = analyze_seed_flow(graph)
 
-def expand_roots(
-    graph: CallGraph, config: PurityConfig
-) -> Tuple[List[str], List[Finding]]:
-    """Resolve the configured roots against the graph.
-
-    Exact roots must exist.  Method roots expand to the base method (when
-    implemented) plus every subclass override; the base *class* must exist.
-    Missing declarations surface as ``PURE000`` findings against the
-    contract file, which fail the run — a typo must never silently shrink the
-    checked region.
-    """
-    roots: List[str] = []
-    problems: List[Finding] = []
-
-    def config_error(message: str) -> Finding:
+    def finding(
+        self,
+        rule: str,
+        site: Site,
+        message: str,
+        region: Optional[Region] = None,
+        qualname: str = "",
+    ) -> Finding:
+        """The one whole-program finding constructor: *message* at *site*,
+        with the witness chain that puts *qualname* in *region* when a
+        region is given, and the source line read from the module at the
+        site's path (none for the contract file)."""
+        path, line, col = site
+        if region is not None:
+            message += region.via(qualname)
+        parsed = self.files.get(path)
         return Finding(
-            rule=CONFIG_RULE_ID,
-            path=config.source_path,
-            line=1,
-            col=0,
+            rule=rule,
+            path=path,
+            line=line,
+            col=col,
             message=message,
-            source_line="",
+            source_line="" if parsed is None else parsed.source_line(line),
         )
 
-    for root in config.roots:
-        if root in graph.functions:
-            roots.append(root)
-        else:
-            problems.append(
-                config_error(
-                    f"declared purity root {root!r} was not found in the "
-                    "linted tree — fix purity.roots in the contract or "
-                    "restore the function"
-                )
-            )
-    for method_root in config.method_roots:
-        class_qual, _, method = method_root.rpartition(".")
-        if not class_qual or class_qual not in graph.classes:
-            problems.append(
-                config_error(
-                    f"declared method root {method_root!r} names an unknown "
-                    "class"
-                )
-            )
-            continue
-        expanded: List[str] = []
-        base_impl = graph.classes[class_qual].methods.get(method)
-        if base_impl is not None:
-            expanded.append(base_impl)
-        for sub in graph.subclasses(class_qual):
-            override = graph.classes[sub].methods.get(method)
-            if override is not None:
-                expanded.append(override)
-        if not expanded:
-            problems.append(
-                config_error(
-                    f"method root {method_root!r} has no implementation "
-                    "anywhere in the hierarchy"
-                )
-            )
-        roots.extend(expanded)
-    return sorted(set(roots)), problems
+
+def _in_lint_scope(graph: CallGraph, qualname: str) -> bool:
+    """Is the module owning *qualname* part of the linted file set?"""
+    parts = qualname.split(".")
+    return any(
+        ".".join(parts[:i]) in graph.modules for i in range(1, len(parts))
+    )
+
+
+def resolve_contract(program: ProgramContext) -> List[Finding]:
+    """Resolve every name the contract's sections declare against the
+    graph: each one missing is a finding against the contract file under
+    its section's id (``PURE000``, ``CKPT000``, ``DUR000``), which fails
+    the run — a typo must never silently shrink a checked region.
+
+    A name whose module was not linted is skipped: a partial lint (one
+    file, one package) must not demand the whole tree, so only a name its
+    linted module lacks is an error.
+    """
+    contract = program.contract
+    sections: Sequence[Optional[Section]] = (
+        contract.purity, contract.fingerprint, contract.durability,
+    )
+    return [
+        program.finding(section.rule_id, (section.source_path, 1, 0), text)
+        for section in sections
+        if section is not None
+        for qualname, found, text in section.declared(program.graph)
+        if not found and _in_lint_scope(program.graph, qualname)
+    ]
 
 
 def analyze_program(
     files: Mapping[str, ParsedModule], contract: "Contract"
 ) -> List[Finding]:
-    """Run every whole-program rule family; returns raw findings.
-
-    Four rule families share the one call graph built here: the purity
-    rules (over the pure region), the seed-lineage rules (over every
-    function — seed discipline is a tree-wide contract), the
-    checkpoint-coverage rules (CKPT001 only when the contract has a
-    ``fingerprint`` section), and the durability rules (only when it has
-    a ``durability`` section).
-    Suppression handling is the caller's job (the engine applies the same
-    per-file ``# repro: allow-RULE(reason)`` machinery the per-file phase
-    uses, so one waiver syntax covers both phases).
-    """
-    # Imported lazily to avoid a cycle (the rule modules import this
-    # module's ProgramContext).
-    from repro.lint.dataflow import analyze_seed_flow
-    from repro.lint.rules_ckpt import make_ckpt_rules
-    from repro.lint.rules_purity import make_purity_rules
-    from repro.lint.rules_seed import make_seed_rules
-
-    config = contract.purity
-    durability = contract.durability
-    graph = build_graph(files, exclude_prefixes=config.quarantine)
-    roots, findings = expand_roots(graph, config)
-    pure = graph.reachable(roots)
-    program = ProgramContext(
-        graph=graph,
-        config=config,
-        pure=frozenset(pure),
-        seed_flow=analyze_seed_flow(graph),
-        exclusions=contract.fingerprint,
-    )
-    for rule in make_purity_rules():
+    """Run every whole-program rule over one call graph; returns raw
+    findings, sorted.  CKPT001 runs only when the contract has a
+    ``fingerprint`` section, the DUR rules only when it has a
+    ``durability`` section.  Suppressions are the caller's to apply (the
+    engine reads the same ``# repro: allow-RULE(reason)`` comments the
+    per-file phase does, so one waiver syntax covers both phases)."""
+    graph = build_graph(files, exclude_prefixes=contract.purity.quarantine)
+    program = ProgramContext(graph, contract, files)
+    findings = resolve_contract(program)
+    for rule in program_rules():
         findings.extend(rule.check_program(program))
-    for seed_rule in make_seed_rules():
-        findings.extend(seed_rule.check_program(program))
-    for ckpt_rule in make_ckpt_rules():
-        findings.extend(ckpt_rule.check_program(program))
-    if durability is not None:
-        # The durability family runs LAST: graph.reachable() re-roots
-        # the shared witness-path parent map, so the durable region is
-        # computed only after every purity-rooted rule has produced its
-        # witnesses.
-        from repro.lint.rules_durability import (
-            durable_effects,
-            expand_durable_roots,
-            make_durability_rules,
-        )
-
-        durable_roots, durable_problems = expand_durable_roots(
-            graph, durability
-        )
-        findings.extend(durable_problems)
-        program.durability = durability
-        program.durable = durable_effects(
-            graph, durability, graph.reachable(durable_roots)
-        )
-        for dur_rule in make_durability_rules():
-            findings.extend(dur_rule.check_program(program))
     findings.sort(key=Finding.sort_key)
     return findings

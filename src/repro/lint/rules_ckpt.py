@@ -42,16 +42,18 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, ClassVar, Dict, Iterator, List, Mapping,
+    Optional, Sequence, Set, Tuple,
+)
 
+from repro.lint.base import ProgramRule, register
 from repro.lint.callgraph import FUNCTION_TYPES, CallGraph, FunctionInfo
 from repro.lint.findings import Finding
-from repro.lint.purity import ProgramContext
 from repro.lint.rules_purity import _scope_nodes
-from repro.lint.rules_seed import SeedRule
 
-#: Rule id for exclusion-config problems (parallel to ``PURE000``).
-CKPT_CONFIG_RULE_ID = "CKPT000"
+if TYPE_CHECKING:
+    from repro.lint.purity import ProgramContext
 
 #: The checkpoint container CKPT002 keys off.
 _CHECKPOINT_CLASS = "repro.fleet.checkpoint.FleetCheckpoint"
@@ -72,45 +74,74 @@ class ClassCoverage:
 class FingerprintExclusions:
     """The contract's ``fingerprint`` section: config-fingerprint coverage."""
 
+    rule_id: ClassVar[str] = "CKPT000"
+    """Reports the section's names that do not resolve."""
+
     classes: Mapping[str, ClassCoverage] = field(default_factory=dict)
     source_path: str = "<inline>"
 
-
-def _in_lint_scope(graph: "CallGraph", qualname: str) -> bool:
-    """Is the module owning *qualname* part of the linted file set?
-
-    Exclusion entries for modules outside the file set are not errors —
-    a partial lint (one file, one package) must not demand the whole
-    tree.  Only a qualname whose module WAS linted but lacks the named
-    class/function is a genuine config error.
-    """
-    parts = qualname.split(".")
-    return any(
-        ".".join(parts[:i]) in graph.modules for i in range(1, len(parts))
-    )
+    def declared(self, graph: CallGraph) -> Iterator[Tuple[str, bool, str]]:
+        """Each declared class, fingerprint function and exclusion, whether
+        *graph* resolves it, and the message when it does not (see
+        :func:`repro.lint.purity.resolve_contract`).  An exclusion resolves
+        to a declared field its fingerprint does not cover."""
+        for class_qual in sorted(self.classes):
+            coverage = self.classes[class_qual]
+            info = graph.classes.get(class_qual)
+            yield class_qual, info is not None, (
+                f"declared config class {class_qual!r} was not found in the "
+                "linted tree — fix fingerprint.classes in the contract or "
+                "restore the class"
+            )
+            if info is None:
+                continue
+            for fn_qual in coverage.fingerprint:
+                yield fn_qual, fn_qual in graph.functions, (
+                    f"fingerprint function {fn_qual!r} declared for "
+                    f"{class_qual!r} was not found in the linted tree"
+                )
+            covered = _covered(graph, class_qual, coverage)
+            if covered is None:
+                continue
+            fields = {name for name, _ in _dataclass_fields(info.node)}
+            for excluded in sorted(coverage.exclude):
+                yield class_qual, excluded in fields, (
+                    f"excluded field {excluded!r} does not exist on "
+                    f"{class_qual!r} — remove the stale exclusion"
+                )
+                if excluded in fields:
+                    yield class_qual, excluded not in covered, (
+                        f"excluded field {excluded!r} of {class_qual!r} is "
+                        "actually covered by the fingerprint — remove the "
+                        "stale exclusion"
+                    )
 
 
 def _dataclass_fields(node: ast.ClassDef) -> List[Tuple[str, ast.AnnAssign]]:
     """Declared dataclass fields, skipping ``ClassVar`` annotations."""
-    out: List[Tuple[str, ast.AnnAssign]] = []
-    for item in node.body:
-        if not isinstance(item, ast.AnnAssign) or not isinstance(
-            item.target, ast.Name
-        ):
-            continue
-        annotation = ast.dump(item.annotation)
-        if "ClassVar" in annotation:
-            continue
-        out.append((item.target.id, item))
-    return out
+    return [
+        (item.target.id, item)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign)
+        and isinstance(item.target, ast.Name)
+        and "ClassVar" not in ast.dump(item.annotation)
+    ]
 
 
-def _coverage_names(fns: Iterator[FunctionInfo]) -> Set[str]:
-    """Names a fingerprint function *covers*: every attribute read plus
-    every string constant (dict keys in ``to_dict``-style serializers)."""
+def _covered(
+    graph: CallGraph, class_qual: str, coverage: ClassCoverage
+) -> Optional[Set[str]]:
+    """The names *class_qual*'s fingerprint functions cover — every
+    attribute read plus every string constant (dict keys in
+    ``to_dict``-style serializers) — or ``None`` when the class or one of
+    the functions is not in *graph*."""
+    if class_qual not in graph.classes or any(
+        qualname not in graph.functions for qualname in coverage.fingerprint
+    ):
+        return None
     covered: Set[str] = set()
-    for fn in fns:
-        for node in fn.nodes:
+    for qualname in coverage.fingerprint:
+        for node in graph.functions[qualname].nodes:
             if isinstance(node, ast.Attribute):
                 covered.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(
@@ -120,29 +151,12 @@ def _coverage_names(fns: Iterator[FunctionInfo]) -> Set[str]:
     return covered
 
 
-class CkptRule(SeedRule):
-    """Base for checkpoint rules: skipped without the contract's
-    ``fingerprint`` section (CKPT002 runs regardless — it needs no
-    configuration)."""
-
-    def config_finding(
-        self, exclusions: FingerprintExclusions, message: str
-    ) -> Finding:
-        return Finding(
-            rule=CKPT_CONFIG_RULE_ID,
-            path=exclusions.source_path,
-            line=1,
-            col=0,
-            message=message,
-            source_line="",
-        )
-
-
-class FingerprintCoverageRule(CkptRule):
+@register
+class FingerprintCoverageRule(ProgramRule):
     """CKPT001 — every config field fingerprinted or excluded with reason.
 
-    Also emits the CKPT000 config errors, so one pass over the
-    ``fingerprint`` section validates it completely.
+    Skipped without the contract's ``fingerprint`` section; the section's
+    own errors (CKPT000) are :func:`repro.lint.purity.resolve_contract`'s.
     """
 
     id = "CKPT001"
@@ -153,62 +167,21 @@ class FingerprintCoverageRule(CkptRule):
     )
 
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
-        exclusions = program.exclusions
+        exclusions = program.contract.fingerprint
         if exclusions is None:
             return
         graph = program.graph
         for class_qual in sorted(exclusions.classes):
             coverage = exclusions.classes[class_qual]
-            info = graph.classes.get(class_qual)
-            if info is None:
-                if _in_lint_scope(graph, class_qual):
-                    yield self.config_finding(
-                        exclusions,
-                        f"declared config class {class_qual!r} was not "
-                        "found in the linted tree — fix "
-                        "fingerprint.classes in the contract or restore the "
-                        "class",
-                    )
+            covered = _covered(graph, class_qual, coverage)
+            if covered is None:
                 continue
-            fingerprint_fns: List[FunctionInfo] = []
-            skip_class = False
-            for fn_qual in coverage.fingerprint:
-                fn = graph.functions.get(fn_qual)
-                if fn is None:
-                    skip_class = True
-                    if _in_lint_scope(graph, fn_qual):
-                        yield self.config_finding(
-                            exclusions,
-                            f"fingerprint function {fn_qual!r} declared "
-                            f"for {class_qual!r} was not found in the "
-                            "linted tree",
-                        )
-                else:
-                    fingerprint_fns.append(fn)
-            if skip_class:
-                continue
-            covered = _coverage_names(iter(fingerprint_fns))
-            fields = _dataclass_fields(info.node)
-            field_names = {name for name, _ in fields}
-            for excluded in sorted(coverage.exclude):
-                if excluded not in field_names:
-                    yield self.config_finding(
-                        exclusions,
-                        f"excluded field {excluded!r} does not exist on "
-                        f"{class_qual!r} — remove the stale exclusion",
-                    )
-                elif excluded in covered:
-                    yield self.config_finding(
-                        exclusions,
-                        f"excluded field {excluded!r} of {class_qual!r} is "
-                        "actually covered by the fingerprint — remove the "
-                        "stale exclusion",
-                    )
-            for name, node in fields:
+            info = graph.classes[class_qual]
+            for name, node in _dataclass_fields(info.node):
                 if name in covered or name in coverage.exclude:
                     continue
-                yield self.site_finding(
-                    program,
+                yield program.finding(
+                    self.id,
                     (info.path, int(node.lineno), int(node.col_offset)),
                     f"field {name!r} of {class_qual} is neither folded "
                     "into the checkpoint fingerprint nor excluded in "
@@ -217,7 +190,8 @@ class FingerprintCoverageRule(CkptRule):
                 )
 
 
-class CheckpointStateRule(CkptRule):
+@register
+class CheckpointStateRule(ProgramRule):
     """CKPT002 — nonlocal driver state missing from the checkpoint."""
 
     id = "CKPT002"
@@ -249,13 +223,9 @@ class CheckpointStateRule(CkptRule):
                     for name in node.names:
                         if name in covered:
                             continue
-                        yield self.site_finding(
-                            program,
-                            (
-                                fn.path,
-                                int(node.lineno),
-                                int(node.col_offset),
-                            ),
+                        yield program.finding(
+                            self.id,
+                            fn.site(node),
                             f"driver state {name!r} is written via "
                             f"nonlocal in {fn.qualname} but never flows "
                             "into the FleetCheckpoint constructed there — "
@@ -263,7 +233,6 @@ class CheckpointStateRule(CkptRule):
                             "thread it into the checkpoint (extra={...}) "
                             "or waive it with a reasoned allow comment",
                         )
-
 
     def _covered_names(
         self,
@@ -296,8 +265,3 @@ class CheckpointStateRule(CkptRule):
                         if isinstance(inner, ast.Name):
                             covered.add(inner.id)
         return covered
-
-
-def make_ckpt_rules() -> List[CkptRule]:
-    """Fresh instances of every checkpoint rule, in id order."""
-    return [FingerprintCoverageRule(), CheckpointStateRule()]

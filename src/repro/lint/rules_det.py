@@ -15,6 +15,7 @@ from typing import Iterator, Optional, Set, Tuple
 from repro.lint.base import (
     FileContext,
     Rule,
+    in_package,
     register,
     resolve_call_target,
 )
@@ -128,7 +129,7 @@ class WallClockRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.in_package(*_DET002_QUARANTINE):
+        if in_package(ctx.module, _DET002_QUARANTINE):
             return
         for node in ctx.nodes:
             if not isinstance(node, ast.Call):

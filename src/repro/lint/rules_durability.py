@@ -47,13 +47,15 @@ function (the callers that sequence two durable commits usually sit
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, ClassVar, Iterable, Iterator, List, Tuple,
+)
 
+from repro.lint.base import ProgramRule, in_package, register
 from repro.lint.callgraph import CallGraph, FunctionInfo
 from repro.lint.effects import (
     FSYNC_FILE,
     FSYNC_OTHER,
-    HELPER,
     OPEN_READ,
     OPEN_UPDATE,
     OPEN_WRITE,
@@ -66,12 +68,9 @@ from repro.lint.effects import (
     function_effects,
 )
 from repro.lint.findings import Finding
-from repro.lint.purity import ProgramContext
-from repro.lint.rules_ckpt import _in_lint_scope
-from repro.lint.rules_purity import PurityRule
 
-#: Rule id for durability-config problems (parallel to ``PURE000``).
-DUR_CONFIG_RULE_ID = "DUR000"
+if TYPE_CHECKING:
+    from repro.lint.purity import ProgramContext
 
 
 @dataclass(frozen=True)
@@ -89,78 +88,36 @@ class CommitOrderPair:
 class DurabilityConfig:
     """The contract's ``durability`` section: durable roots and helpers."""
 
+    rule_id: ClassVar[str] = "DUR000"
+    """Reports the section's names that do not resolve."""
+
     roots: Tuple[str, ...] = ()
     atomic_helpers: Tuple[str, ...] = ()
     exempt: Tuple[str, ...] = ()
     commit_order: Tuple[CommitOrderPair, ...] = ()
     source_path: str = "<inline>"
 
-
-def expand_durable_roots(
-    graph: CallGraph, config: DurabilityConfig
-) -> Tuple[List[str], List[Finding]]:
-    """Resolve declared roots against the graph; missing ones are DUR000.
-
-    Also validates the atomic helpers and commit-order members, so one
-    pass over the ``durability`` section checks it completely.
-    """
-    roots: List[str] = []
-    problems: List[Finding] = []
-
-    def config_error(message: str) -> Finding:
-        return Finding(
-            rule=DUR_CONFIG_RULE_ID,
-            path=config.source_path,
-            line=1,
-            col=0,
-            message=message,
-            source_line="",
-        )
-
-    for root in config.roots:
-        if root in graph.functions:
-            roots.append(root)
-        elif _in_lint_scope(graph, root):
-            problems.append(
-                config_error(
-                    f"declared durable root {root!r} was not found in the "
-                    "linted tree — fix durability.roots in the contract or "
-                    "restore the function"
-                )
+    def declared(self, graph: CallGraph) -> Iterator[Tuple[str, bool, str]]:
+        """Each declared root, atomic helper and commit-order member,
+        whether *graph* resolves it, and the message when it does not (see
+        :func:`repro.lint.purity.resolve_contract`)."""
+        for root in self.roots:
+            yield root, root in graph.functions, (
+                f"declared durable root {root!r} was not found in the "
+                "linted tree — fix durability.roots in the contract or "
+                "restore the function"
             )
-    for helper in config.atomic_helpers:
-        if helper not in graph.functions and _in_lint_scope(graph, helper):
-            problems.append(
-                config_error(
-                    f"declared atomic helper {helper!r} was not found in "
+        for helper in self.atomic_helpers:
+            yield helper, helper in graph.functions, (
+                f"declared atomic helper {helper!r} was not found in "
+                "the linted tree"
+            )
+        for pair in self.commit_order:
+            for member in (pair.first, pair.then):
+                yield member, member in graph.functions, (
+                    f"commit-order member {member!r} was not found in "
                     "the linted tree"
                 )
-            )
-    for pair in config.commit_order:
-        for member in (pair.first, pair.then):
-            if member not in graph.functions and _in_lint_scope(
-                graph, member
-            ):
-                problems.append(
-                    config_error(
-                        f"commit-order member {member!r} was not found in "
-                        "the linted tree"
-                    )
-                )
-    return sorted(set(roots)), problems
-
-
-class DurabilityRule(PurityRule):
-    """Base for durability rules: runs only with a durability config."""
-
-    region = "durable"
-
-
-def _exempt(config: DurabilityConfig, fn: FunctionInfo) -> bool:
-    return any(
-        fn.module == prefix or fn.module.startswith(prefix + ".")
-        for prefix in config.exempt
-    )
 
 
 def durable_effects(
@@ -173,11 +130,32 @@ def durable_effects(
     return [
         (fn, function_effects(fn, helpers))
         for fn in (graph.functions[qualname] for qualname in sorted(region))
-        if fn.qualname not in helpers and not _exempt(config, fn)
+        if fn.qualname not in helpers
+        and not in_package(fn.module, config.exempt)
     ]
 
 
-class RawDurableWriteRule(DurabilityRule):
+#: What DUR001/002/004 report in one function: the effect and why.
+_Violations = Iterator[Tuple[WriteEffect, str]]
+
+
+def _durable_findings(
+    rule: ProgramRule,
+    program: ProgramContext,
+    check: Callable[[List[WriteEffect]], _Violations],
+) -> Iterator[Finding]:
+    """*check* run over the durable region's write effects: each
+    violation it reports is a finding carrying the witness chain."""
+    for fn, effects in program.durable_effects:
+        for effect, message in check(effects):
+            yield program.finding(
+                rule.id, (fn.path, effect.line, effect.col), message,
+                program.durable, fn.qualname,
+            )
+
+
+@register
+class RawDurableWriteRule(ProgramRule):
     """DUR001 — raw writes on durable paths bypass the atomic helper."""
 
     id = "DUR001"
@@ -187,37 +165,33 @@ class RawDurableWriteRule(DurabilityRule):
     )
 
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
-        for fn, effects in program.durable:
-            if any(e.kind == RENAME for e in effects):
-                # The function implements a publish protocol inline
-                # (write-tmp-then-rename); DUR002 judges that protocol,
-                # so the tmp write is not a raw in-place write.
-                continue
-            for effect in effects:
-                if effect.kind == OPEN_WRITE:
-                    yield self.finding_at(
-                        fn,
-                        effect.line,
-                        effect.col,
-                        f"raw open(..., {effect.detail!r}) of "
-                        f"{effect.target or 'a durable path'} in the "
-                        "durable region — route the write through "
-                        "repro.atomio.atomic_write_bytes/atomic_write_text",
-                        program,
-                    )
-                elif effect.kind == PATH_WRITE:
-                    yield self.finding_at(
-                        fn,
-                        effect.line,
-                        effect.col,
-                        f"raw {effect.target}.{effect.detail}(...) in the "
-                        "durable region — route the write through "
-                        "repro.atomio.atomic_write_bytes/atomic_write_text",
-                        program,
-                    )
+        return _durable_findings(self, program, self._violations)
+
+    @staticmethod
+    def _violations(effects: List[WriteEffect]) -> _Violations:
+        if any(e.kind == RENAME for e in effects):
+            # The function implements a publish protocol inline
+            # (write-tmp-then-rename); DUR002 judges that protocol,
+            # so the tmp write is not a raw in-place write.
+            return
+        for effect in effects:
+            if effect.kind == OPEN_WRITE:
+                yield effect, (
+                    f"raw open(..., {effect.detail!r}) of "
+                    f"{effect.target or 'a durable path'} in the "
+                    "durable region — route the write through "
+                    "repro.atomio.atomic_write_bytes/atomic_write_text"
+                )
+            elif effect.kind == PATH_WRITE:
+                yield effect, (
+                    f"raw {effect.target}.{effect.detail}(...) in the "
+                    "durable region — route the write through "
+                    "repro.atomio.atomic_write_bytes/atomic_write_text"
+                )
 
 
-class RenameFsyncRule(DurabilityRule):
+@register
+class RenameFsyncRule(ProgramRule):
     """DUR002 — tmp+rename published without the fsync bracket."""
 
     id = "DUR002"
@@ -228,39 +202,32 @@ class RenameFsyncRule(DurabilityRule):
     )
 
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
-        for fn, effects in program.durable:
-            renames = [e for e in effects if e.kind == RENAME]
-            if not renames:
-                continue
-            file_syncs = [e for e in effects if e.kind == FSYNC_FILE]
-            dir_syncs = [e for e in effects if e.kind == FSYNC_OTHER]
-            for rename in renames:
-                if not any(s.line <= rename.line for s in file_syncs):
-                    yield self.finding_at(
-                        fn,
-                        rename.line,
-                        rename.col,
-                        f"{rename.detail} publishes "
-                        f"{rename.target or 'a durable file'} without an "
-                        "os.fsync of the written file first — a crash "
-                        "just after the rename can publish an empty or "
-                        "torn file",
-                        program,
-                    )
-                elif not any(s.line >= rename.line for s in dir_syncs):
-                    yield self.finding_at(
-                        fn,
-                        rename.line,
-                        rename.col,
-                        f"{rename.detail} publishes "
-                        f"{rename.target or 'a durable file'} without a "
-                        "directory fsync after it — the rename itself "
-                        "may not survive power loss",
-                        program,
-                    )
+        return _durable_findings(self, program, self._violations)
+
+    @staticmethod
+    def _violations(effects: List[WriteEffect]) -> _Violations:
+        file_syncs = [e for e in effects if e.kind == FSYNC_FILE]
+        dir_syncs = [e for e in effects if e.kind == FSYNC_OTHER]
+        for rename in (e for e in effects if e.kind == RENAME):
+            if not any(s.line <= rename.line for s in file_syncs):
+                yield rename, (
+                    f"{rename.detail} publishes "
+                    f"{rename.target or 'a durable file'} without an "
+                    "os.fsync of the written file first — a crash "
+                    "just after the rename can publish an empty or "
+                    "torn file"
+                )
+            elif not any(s.line >= rename.line for s in dir_syncs):
+                yield rename, (
+                    f"{rename.detail} publishes "
+                    f"{rename.target or 'a durable file'} without a "
+                    "directory fsync after it — the rename itself "
+                    "may not survive power loss"
+                )
 
 
-class CommitOrderRule(DurabilityRule):
+@register
+class CommitOrderRule(ProgramRule):
     """DUR003 — pointer durably written before the data it references.
 
     Scans every linted function (not just the durable region: the
@@ -284,13 +251,13 @@ class CommitOrderRule(DurabilityRule):
         return site.name == member.rsplit(".", 1)[-1]
 
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
-        config = program.durability
+        config = program.contract.durability
         if config is None or not config.commit_order:
             return
         graph = program.graph
         for qualname in sorted(graph.functions):
             fn = graph.functions[qualname]
-            if _exempt(config, fn):
+            if in_package(fn.module, config.exempt):
                 continue
             sites = function_calls(fn)
             for pair in config.commit_order:
@@ -307,19 +274,20 @@ class CommitOrderRule(DurabilityRule):
                 )
                 if offender.line < min(first_lines):
                     reason = f" ({pair.reason})" if pair.reason else ""
-                    yield self.finding_at(
-                        fn,
-                        offender.line,
-                        offender.col,
+                    yield program.finding(
+                        self.id,
+                        (fn.path, offender.line, offender.col),
                         f"{pair.then} is issued before {pair.first} in "
                         f"{fn.qualname} — the pointer would durably "
                         "reference data that a crash can still lose"
                         + reason,
-                        program,
+                        program.durable,
+                        qualname,
                     )
 
 
-class ReadModifyWriteRule(DurabilityRule):
+@register
+class ReadModifyWriteRule(ProgramRule):
     """DUR004 — in-place read-modify-write of a durable file."""
 
     id = "DUR004"
@@ -329,47 +297,32 @@ class ReadModifyWriteRule(DurabilityRule):
     )
 
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
-        for fn, effects in program.durable:
-            for effect in effects:
-                if effect.kind == OPEN_UPDATE:
-                    yield self.finding_at(
-                        fn,
-                        effect.line,
-                        effect.col,
-                        f"opens {effect.target or 'a durable file'} in "
-                        f"update mode {effect.detail!r} — in-place "
-                        "mutation of a durable file; rewrite it through "
-                        "the atomic helper instead",
-                        program,
-                    )
-            read_targets = {
-                e.target
-                for e in effects
-                if e.kind in (OPEN_READ, PATH_READ) and e.target
-            }
-            for effect in effects:
-                if (
-                    effect.kind in (OPEN_WRITE, PATH_WRITE)
-                    and effect.target in read_targets
-                ):
-                    yield self.finding_at(
-                        fn,
-                        effect.line,
-                        effect.col,
-                        f"reads and raw-rewrites {effect.target} in "
-                        "place — a crash between truncate and rewrite "
-                        "loses both the old and the new version; "
-                        "publish the new version through the atomic "
-                        "helper",
-                        program,
-                    )
+        return _durable_findings(self, program, self._violations)
 
-
-def make_durability_rules() -> List[DurabilityRule]:
-    """Fresh instances of every durability rule, in id order."""
-    return [
-        RawDurableWriteRule(),
-        RenameFsyncRule(),
-        CommitOrderRule(),
-        ReadModifyWriteRule(),
-    ]
+    @staticmethod
+    def _violations(effects: List[WriteEffect]) -> _Violations:
+        for effect in effects:
+            if effect.kind == OPEN_UPDATE:
+                yield effect, (
+                    f"opens {effect.target or 'a durable file'} in "
+                    f"update mode {effect.detail!r} — in-place "
+                    "mutation of a durable file; rewrite it through "
+                    "the atomic helper instead"
+                )
+        read_targets = {
+            e.target
+            for e in effects
+            if e.kind in (OPEN_READ, PATH_READ) and e.target
+        }
+        for effect in effects:
+            if (
+                effect.kind in (OPEN_WRITE, PATH_WRITE)
+                and effect.target in read_targets
+            ):
+                yield effect, (
+                    f"reads and raw-rewrites {effect.target} in "
+                    "place — a crash between truncate and rewrite "
+                    "loses both the old and the new version; "
+                    "publish the new version through the atomic "
+                    "helper"
+                )

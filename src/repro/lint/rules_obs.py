@@ -31,7 +31,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Set, Union
 
-from repro.lint.base import FileContext, Rule, dotted_name, register
+from repro.lint.base import (
+    FileContext, Rule, dotted_name, in_package, register,
+)
 from repro.lint.findings import Finding
 
 _EMISSION_ATTRS = {"counter_inc", "gauge_set", "observe", "emit"}
@@ -122,7 +124,7 @@ class UnguardedEmissionRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.in_package("repro.obs"):
+        if in_package(ctx.module, ("repro.obs",)):
             return
         emissions = [
             node

@@ -28,21 +28,27 @@ Waivers use the ordinary inline suppression syntax
 scheme-instance cache lives on the fork-inherited
 ``repro.experiment.parallel.SessionPayload``, not in a module global.
 
-Unlike the per-file rules these are **not** in the :func:`repro.lint.base
-.register` registry (they cannot run on a single file in isolation); the
-engine invokes them through :func:`make_purity_rules`.
+They register with :func:`repro.lint.base.register` as
+:class:`~repro.lint.base.ProgramRule` subclasses: they cannot run on a
+single file in isolation, so only the whole-program phase invokes them.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Callable, FrozenSet, Iterator, List, Optional, Set
+from typing import (
+    TYPE_CHECKING, Callable, FrozenSet, Iterator, List, Optional, Set, Tuple,
+)
 
-from repro.lint.base import ImportMap
-from repro.lint.callgraph import MUTATING_METHODS, FunctionInfo, FunctionNode
+from repro.lint.base import ImportMap, ProgramRule, register
+from repro.lint.callgraph import (
+    MUTATING_METHODS, FunctionInfo, FunctionNode, ModuleNames,
+)
 from repro.lint.findings import Finding
-from repro.lint.purity import ProgramContext
 from repro.lint.rules_det import _STDLIB_RANDOM_GLOBALS, _WALL_CLOCK_TARGETS
+
+if TYPE_CHECKING:
+    from repro.lint.purity import ProgramContext
 
 #: RNG constructors for PURE003.
 _RNG_CONSTRUCTORS = frozenset(
@@ -72,58 +78,23 @@ _EXTRA_IMPURE_TARGETS = frozenset(
 )
 
 
-class PurityRule:
-    """Base class for whole-program rules (parallel to per-file ``Rule``)."""
+#: What a PURE rule reports in one function: the offending node and why.
+_Violations = Iterator[Tuple[ast.AST, str]]
 
-    id: str = ""
-    summary: str = ""
-    region: str = "pure"
-    """Names the region in the witness chain (``pure via root -> fn``)."""
 
-    def check_program(self, program: ProgramContext) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def finding(
-        self, fn: FunctionInfo, node: ast.AST, message: str,
-        program: ProgramContext,
-    ) -> Finding:
-        return self.finding_at(
-            fn,
-            int(getattr(node, "lineno", fn.node.lineno)),
-            int(getattr(node, "col_offset", 0)),
-            message,
-            program,
-        )
-
-    def finding_at(
-        self, fn: FunctionInfo, lineno: int, col: int, message: str,
-        program: ProgramContext,
-    ) -> Finding:
-        """A finding in *fn* carrying its witness chain from a root."""
-        chain = program.graph.witness_path(fn.qualname)
-        if len(chain) > 1:
-            short = [part.rsplit(".", 2)[-1] for part in chain[:4]]
-            if len(chain) > 4:
-                short.append("…")
-            via = f" ({self.region} via " + " -> ".join(short) + ")"
-        else:
-            via = ""
-        return Finding(
-            rule=self.id,
-            path=fn.path,
-            line=lineno,
-            col=col,
-            message=message + via,
-            source_line=program.graph.modules[fn.module].source_line(lineno),
-        )
-
-    # -- shared helpers ----------------------------------------------------
-    @staticmethod
-    def _iter_pure_functions(
-        program: ProgramContext,
-    ) -> Iterator[FunctionInfo]:
-        for qualname in program.pure_functions():
-            yield program.graph.functions[qualname]
+def _pure_findings(
+    rule: ProgramRule,
+    program: ProgramContext,
+    check: Callable[[FunctionInfo], _Violations],
+) -> Iterator[Finding]:
+    """*check* run over the pure region: each violation it reports is a
+    finding carrying the function's witness chain."""
+    for qualname in sorted(program.pure):
+        fn = program.graph.functions[qualname]
+        for node, message in check(fn):
+            yield program.finding(
+                rule.id, fn.site(node), message, program.pure, qualname
+            )
 
 
 def _local_names(fn: FunctionInfo) -> Set[str]:
@@ -175,7 +146,8 @@ def _scope_nodes(scope: FunctionNode) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-class PureGlobalWriteRule(PurityRule):
+@register
+class PureGlobalWriteRule(ProgramRule):
     """PURE001 — no writes to module globals from inside the pure region."""
 
     id = "PURE001"
@@ -185,13 +157,12 @@ class PureGlobalWriteRule(PurityRule):
     )
 
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
-        for fn in self._iter_pure_functions(program):
-            yield from self._check_function(program, fn)
+        names = program.graph.names
+        return _pure_findings(
+            self, program, lambda fn: self._violations(fn, names[fn.module])
+        )
 
-    def _check_function(
-        self, program: ProgramContext, fn: FunctionInfo
-    ) -> Iterator[Finding]:
-        names = program.graph.names[fn.module]
+    def _violations(self, fn: FunctionInfo, names: ModuleNames) -> _Violations:
         # Class names visible via `from x import Cls` count too.
         imported_classes = {
             alias
@@ -228,20 +199,16 @@ class PureGlobalWriteRule(PurityRule):
                 ):
                     continue
                 if node.id in declared_global:
-                    yield self.finding(
-                        fn, node,
+                    yield node, (
                         f"writes module global {node.id!r} from the pure "
                         "region — session results must not depend on or "
-                        "mutate cross-session process state",
-                        program,
+                        "mutate cross-session process state"
                     )
                 elif node.id in declared_nonlocal:
-                    yield self.finding(
-                        fn, node,
+                    yield node, (
                         f"writes enclosing-scope cell {node.id!r} from the "
                         "pure region — closures over mutable cells leak "
-                        "state between sessions",
-                        program,
+                        "state between sessions"
                     )
 
         for node in fn.nodes:
@@ -253,15 +220,15 @@ class PureGlobalWriteRule(PurityRule):
                     else [node.target]
                 )
                 for target in targets:
-                    yield from self._check_store_target(
-                        fn, target, module_binding, names.classes,
-                        imported_classes, program,
+                    yield from self._store_violations(
+                        target, module_binding, names.classes,
+                        imported_classes,
                     )
             elif isinstance(node, ast.Delete):
                 for target in node.targets:
-                    yield from self._check_store_target(
-                        fn, target, module_binding, names.classes,
-                        imported_classes, program,
+                    yield from self._store_violations(
+                        target, module_binding, names.classes,
+                        imported_classes,
                     )
             # (c) mutating method call on a module-level binding.
             elif isinstance(node, ast.Call):
@@ -272,58 +239,49 @@ class PureGlobalWriteRule(PurityRule):
                     and func.attr in MUTATING_METHODS
                     and module_binding(func.value.id)
                 ):
-                    yield self.finding(
-                        fn, node,
+                    yield node, (
                         f"mutates module-level {func.value.id!r} via "
                         f".{func.attr}() from the pure region — "
                         "per-session state must live on the session, not "
-                        "the module",
-                        program,
+                        "the module"
                     )
 
-    def _check_store_target(
-        self,
-        fn: FunctionInfo,
+    @staticmethod
+    def _store_violations(
         target: ast.expr,
-        module_binding: "Callable[[str], bool]",
+        module_binding: Callable[[str], bool],
         class_names: FrozenSet[str],
         imported_classes: Set[str],
-        program: ProgramContext,
-    ) -> Iterator[Finding]:
+    ) -> _Violations:
         if isinstance(target, ast.Subscript) and isinstance(
             target.value, ast.Name
         ):
             if module_binding(target.value.id):
-                yield self.finding(
-                    fn, target,
+                yield target, (
                     f"assigns into module-level {target.value.id!r} from "
                     "the pure region — a cross-session cache breaks "
-                    "session independence",
-                    program,
+                    "session independence"
                 )
         elif isinstance(target, ast.Attribute) and isinstance(
             target.value, ast.Name
         ):
             base = target.value.id
             if base in class_names or base in imported_classes:
-                yield self.finding(
-                    fn, target,
+                yield target, (
                     f"writes class-level attribute {base}.{target.attr} "
                     "from the pure region — class attributes are shared "
-                    "across every session in the process",
-                    program,
+                    "across every session in the process"
                 )
             elif module_binding(base):
-                yield self.finding(
-                    fn, target,
+                yield target, (
                     f"writes attribute .{target.attr} of module-level "
                     f"{base!r} from the pure region — shared singleton "
-                    "state leaks between sessions",
-                    program,
+                    "state leaks between sessions"
                 )
 
 
-class PureImpureCallRule(PurityRule):
+@register
+class PureImpureCallRule(ProgramRule):
     """PURE002 — no known-impure stdlib calls inside the pure region."""
 
     id = "PURE002"
@@ -333,27 +291,27 @@ class PureImpureCallRule(PurityRule):
     )
 
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
-        for fn in self._iter_pure_functions(program):
-            for node in fn.nodes:
-                if isinstance(node, ast.Call):
-                    message = self._diagnose_call(node, fn.calls[node])
-                    if message is not None:
-                        yield self.finding(fn, node, message, program)
-                elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                    targets = (
-                        list(node.targets)
-                        if isinstance(node, ast.Assign)
-                        else [node.target]
-                    )
-                    for target in targets:
-                        if self._is_environ_store(target, fn.imports):
-                            yield self.finding(
-                                fn, node,
-                                "writes os.environ from the pure region — "
-                                "environment mutations are process-global "
-                                "and survive the session",
-                                program,
-                            )
+        return _pure_findings(self, program, self._violations)
+
+    def _violations(self, fn: FunctionInfo) -> _Violations:
+        for node in fn.nodes:
+            if isinstance(node, ast.Call):
+                message = self._diagnose_call(node, fn.calls[node])
+                if message is not None:
+                    yield node, message
+            elif isinstance(node, (ast.Assign, ast.AugAssign)):
+                targets = (
+                    list(node.targets)
+                    if isinstance(node, ast.Assign)
+                    else [node.target]
+                )
+                for target in targets:
+                    if self._is_environ_store(target, fn.imports):
+                        yield node, (
+                            "writes os.environ from the pure region — "
+                            "environment mutations are process-global "
+                            "and survive the session"
+                        )
 
     def _diagnose_call(
         self, node: ast.Call, target: Optional[str]
@@ -420,7 +378,8 @@ class PureImpureCallRule(PurityRule):
         return resolved == "os"
 
 
-class PureRngDualityRule(PurityRule):
+@register
+class PureRngDualityRule(ProgramRule):
     """PURE003 — a function given an RNG must not construct another one."""
 
     id = "PURE003"
@@ -430,24 +389,23 @@ class PureRngDualityRule(PurityRule):
     )
 
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
-        for fn in self._iter_pure_functions(program):
-            rng_params = _rng_parameters(fn.node)
-            if not rng_params:
-                continue
-            exempt = _none_fallback_nodes(fn.nodes, rng_params)
-            for node, target in fn.calls.items():
-                if id(node) in exempt:
-                    continue
-                if target in _RNG_CONSTRUCTORS:
-                    yield self.finding(
-                        fn, node,
-                        f"constructs {target}(...) although the function "
-                        f"already receives {sorted(rng_params)[0]!r} — "
-                        "derive sub-streams from the passed generator (or "
-                        "an explicit seed parameter) instead of creating "
-                        "an independent one",
-                        program,
-                    )
+        return _pure_findings(self, program, self._violations)
+
+    @staticmethod
+    def _violations(fn: FunctionInfo) -> _Violations:
+        rng_params = _rng_parameters(fn.node)
+        if not rng_params:
+            return
+        exempt = _none_fallback_nodes(fn.nodes, rng_params)
+        for node, target in fn.calls.items():
+            if id(node) not in exempt and target in _RNG_CONSTRUCTORS:
+                yield node, (
+                    f"constructs {target}(...) although the function "
+                    f"already receives {sorted(rng_params)[0]!r} — "
+                    "derive sub-streams from the passed generator (or "
+                    "an explicit seed parameter) instead of creating "
+                    "an independent one"
+                )
 
 
 def _rng_parameters(node: FunctionNode) -> Set[str]:
@@ -497,8 +455,3 @@ def _none_fallback_nodes(
             ):
                 exempt.update(id(sub) for sub in ast.walk(node))
     return exempt
-
-
-def make_purity_rules() -> List[PurityRule]:
-    """Fresh instances of every whole-program rule, in id order."""
-    return [PureGlobalWriteRule(), PureImpureCallRule(), PureRngDualityRule()]

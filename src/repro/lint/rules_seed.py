@@ -32,54 +32,23 @@ inline suppression comments (``allow-SEED001(reason)`` and friends).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Set, Tuple
 
-from repro.lint.dataflow import SeedEvent, Site
+from repro.lint.base import ProgramRule, register
+from repro.lint.callgraph import Site
+from repro.lint.dataflow import SeedEvent
 from repro.lint.findings import Finding
-from repro.lint.purity import ProgramContext
-from repro.lint.rules_purity import PurityRule
 
-
-class SeedRule(PurityRule):
-    """Base for seed-lineage rules: site-attributed findings."""
-
-    def check_program(self, program: ProgramContext) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    @staticmethod
-    def _events(program: ProgramContext) -> List[SeedEvent]:
-        if program.seed_flow is None:
-            return []
-        return program.seed_flow.events
-
-    def site_finding(
-        self,
-        program: ProgramContext,
-        site: Site,
-        message: str,
-    ) -> Finding:
-        path, line, col = site
-        source_line = ""
-        for parsed in program.graph.modules.values():
-            if parsed.path == path:
-                if 1 <= line <= len(parsed.lines):
-                    source_line = parsed.lines[line - 1]
-                break
-        return Finding(
-            rule=self.id,
-            path=path,
-            line=line,
-            col=col,
-            message=message,
-            source_line=source_line,
-        )
+if TYPE_CHECKING:
+    from repro.lint.purity import ProgramContext
 
 
 def _describe_site(site: Site) -> str:
     return f"{site[0]}:{site[1]}"
 
 
-class SeedArithmeticDerivationRule(SeedRule):
+@register
+class SeedArithmeticDerivationRule(ProgramRule):
     """SEED001 — arithmetic seed derivation over a free variable."""
 
     id = "SEED001"
@@ -91,7 +60,7 @@ class SeedArithmeticDerivationRule(SeedRule):
 
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
         seen: Set[Tuple[Site, Tuple[str, ...]]] = set()
-        for event in self._events(program):
+        for event in program.seed_flow.events:
             if event.kind not in ("sink", "handoff"):
                 continue
             lin = event.lineage
@@ -107,8 +76,8 @@ class SeedArithmeticDerivationRule(SeedRule):
                 continue
             seen.add(key)
             free = ", ".join(repr(v) for v in lin.free_vars)
-            yield self.site_finding(
-                program,
+            yield program.finding(
+                self.id,
                 lin.derive_site,
                 f"seed {lin.root!r} is derived arithmetically over free "
                 f"variable(s) {free} and reaches {event.target} at "
@@ -118,7 +87,8 @@ class SeedArithmeticDerivationRule(SeedRule):
             )
 
 
-class SeedSharedConsumerRule(SeedRule):
+@register
+class SeedSharedConsumerRule(ProgramRule):
     """SEED002 — one derived seed feeding ≥2 independent sinks."""
 
     id = "SEED002"
@@ -132,7 +102,7 @@ class SeedSharedConsumerRule(SeedRule):
         by_derivation: Dict[
             Tuple[Site, str], Dict[Tuple[str, int], SeedEvent]
         ] = {}
-        for event in self._events(program):
+        for event in program.seed_flow.events:
             if event.kind not in ("sink", "handoff"):
                 continue
             lin = event.lineage
@@ -153,8 +123,8 @@ class SeedSharedConsumerRule(SeedRule):
             described = "; ".join(
                 f"{e.target} at {_describe_site(e.site)}" for e in ordered
             )
-            yield self.site_finding(
-                program,
+            yield program.finding(
+                self.id,
                 derive_site,
                 f"seed {root!r} derived here feeds {len(ordered)} "
                 f"independent RNG consumers ({described}) — they draw "
@@ -163,7 +133,8 @@ class SeedSharedConsumerRule(SeedRule):
             )
 
 
-class SeedTupleFoldRule(SeedRule):
+@register
+class SeedTupleFoldRule(ProgramRule):
     """SEED003 — tuple fold without a domain-separation constant."""
 
     id = "SEED003"
@@ -175,7 +146,7 @@ class SeedTupleFoldRule(SeedRule):
 
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
         seen: Set[Site] = set()
-        for event in self._events(program):
+        for event in program.seed_flow.events:
             if event.kind not in ("sink", "handoff"):
                 continue
             lin = event.lineage
@@ -184,8 +155,8 @@ class SeedTupleFoldRule(SeedRule):
             if lin.fold_site in seen:
                 continue
             seen.add(lin.fold_site)
-            yield self.site_finding(
-                program,
+            yield program.finding(
+                self.id,
                 lin.fold_site,
                 f"seed {lin.root!r} is folded into a tuple without a "
                 f"domain-separation constant and reaches {event.target} at "
@@ -195,7 +166,8 @@ class SeedTupleFoldRule(SeedRule):
             )
 
 
-class GeneratorBoundaryRule(SeedRule):
+@register
+class GeneratorBoundaryRule(ProgramRule):
     """SEED004 — a Generator crossing a process boundary."""
 
     id = "SEED004"
@@ -206,28 +178,18 @@ class GeneratorBoundaryRule(SeedRule):
 
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
         seen: Set[Tuple[Site, str]] = set()
-        for event in self._events(program):
+        for event in program.seed_flow.events:
             if event.kind != "boundary":
                 continue
             key = (event.site, event.lineage.root)
             if key in seen:
                 continue
             seen.add(key)
-            yield self.site_finding(
-                program,
+            yield program.finding(
+                self.id,
                 event.site,
                 f"RNG {event.lineage.root!r} crosses a process boundary via "
                 f"{event.target} — a Generator cannot reproduce its stream "
                 "identity across processes; pass a domain-separated seed "
                 "tuple and construct the generator in the worker",
             )
-
-
-def make_seed_rules() -> List[SeedRule]:
-    """Fresh instances of every seed-lineage rule, in id order."""
-    return [
-        SeedArithmeticDerivationRule(),
-        SeedSharedConsumerRule(),
-        SeedTupleFoldRule(),
-        GeneratorBoundaryRule(),
-    ]

@@ -21,6 +21,7 @@ from typing import Iterator, Tuple
 from repro.lint.base import (
     FileContext,
     Rule,
+    in_package,
     register,
     walk_condition_expressions,
 )
@@ -59,7 +60,7 @@ class FloatEqualityRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_package(*_SIM001_SCOPE):
+        if not in_package(ctx.module, _SIM001_SCOPE):
             return
         for condition in walk_condition_expressions(ctx.nodes):
             for node in ast.walk(condition):

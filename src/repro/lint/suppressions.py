@@ -14,7 +14,7 @@ one is itself reported as ``LINT000`` so the waiver trail stays auditable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.findings import Finding
@@ -103,24 +103,14 @@ def apply_suppressions(
     """Return findings with matching ones marked ``suppressed``."""
     out: List[Finding] = []
     for finding in findings:
-        matched = None
-        for supp in effective.get(finding.line, []):
-            if supp.rule == finding.rule:
-                matched = supp
-                break
-        if matched is None:
-            out.append(finding)
-        else:
-            out.append(
-                Finding(
-                    rule=finding.rule,
-                    path=finding.path,
-                    line=finding.line,
-                    col=finding.col,
-                    message=finding.message,
-                    source_line=finding.source_line,
-                    suppressed=True,
-                    suppression_reason=matched.reason,
-                )
-            )
+        reasons = [
+            supp.reason
+            for supp in effective.get(finding.line, [])
+            if supp.rule == finding.rule
+        ]
+        out.append(
+            replace(finding, suppressed=True, suppression_reason=reasons[0])
+            if reasons
+            else finding
+        )
     return out

@@ -131,6 +131,16 @@ class LinkModel:
         answer it with one epoch lookup."""
         return self.capacity_at(t), self.next_change_after(t)
 
+    def _check_finite(self, t: float) -> None:
+        """Raise, naming the link, unless ``t`` is finite: ``epoch_index``
+        says only ``cannot convert float NaN to integer`` (``infinity``, an
+        ``OverflowError``) or, for ``-inf``, that time must be
+        non-negative."""
+        if not math.isfinite(t):
+            raise ValueError(
+                f"{type(self).__name__}: time must be finite, got {t!r}"
+            ) from None
+
     def sample_epochs(self, n_epochs: int, epoch: float = 6.0) -> List[float]:
         """Capacity sampled every ``epoch`` seconds — the 6-second epochs of
         Fig. 2."""
@@ -175,17 +185,30 @@ class TraceLink(LinkModel):
     def duration(self) -> float:
         return len(self.rates_bps) * self.epoch
 
+    def _index(self, t: float) -> int:
+        try:
+            return epoch_index(t, self.epoch)
+        except (ValueError, OverflowError):
+            self._check_finite(t)
+            raise  # a negative time
+
     def next_change_after(self, t: float) -> float:
-        if t < 0:
-            raise ValueError("time must be non-negative")
+        index = self._index(t)
         if not self.loop and t >= self.duration:
             return math.inf  # holds its last rate forever
-        return (epoch_index(t, self.epoch) + 1) * self.epoch
+        boundary = (index + 1) * self.epoch
+        if boundary <= t:
+            # Once float spacing outgrows the epoch the next boundary
+            # rounds back onto ``t``: a caller re-querying there would
+            # never advance.
+            raise ValueError(
+                f"TraceLink: time {t!r} has no epoch boundary after it "
+                f"at epoch {self.epoch!r} s"
+            )
+        return boundary
 
     def capacity_at(self, t: float) -> float:
-        if t < 0:
-            raise ValueError("time must be non-negative")
-        index = epoch_index(t, self.epoch)
+        index = self._index(t)
         if self.loop:
             index %= len(self.rates_bps)
         else:
@@ -220,16 +243,6 @@ class _LazyEpochLink(LinkModel):
         # back onto ``t``.
         self._check_guard(t, index)
         return (index + 1) * self.epoch
-
-    def _check_finite(self, t: float) -> None:
-        """Raise, naming the link, unless ``t`` is finite: ``epoch_index``
-        says only ``cannot convert float NaN to integer`` (``infinity``, an
-        ``OverflowError``) or, for ``-inf``, that time must be
-        non-negative."""
-        if not math.isfinite(t):
-            raise ValueError(
-                f"{type(self).__name__}: time must be finite, got {t!r}"
-            ) from None
 
     def _check_guard(self, t: float, index: int) -> None:
         """Raise, naming the link, if ``t``'s epoch ``index`` lies past the

@@ -87,21 +87,6 @@ class TestSeededQuantities:
 
 
 class TestValidationAndSerialization:
-    def test_config_round_trips(self):
-        config = EdgeConfig(
-            mean_cell_sessions=2.5,
-            cell_size_dist="geometric",
-            cell_capacity_bps=45e6,
-            capacity_log_sigma=0.3,
-            capacity_sigma=0.2,
-            capacity_fade_rate=0.01,
-            zipf_alpha=0.9,
-            cache_chunks=128,
-            cubic_weight=1.5,
-            seed=9,
-        )
-        assert EdgeConfig.from_dict(config.to_dict()) == config
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EdgeConfig(mean_cell_sessions=0.5)
@@ -148,11 +133,22 @@ class TestValidationAndSerialization:
         with pytest.raises(ValueError, match="^cache_chunks must be"):
             EdgeConfig(cache_chunks=bad)
 
-    def test_a_checkpointed_cache_size_is_not_truncated(self):
-        data = EdgeConfig().to_dict()
-        data["cache_chunks"] = 2.7
-        with pytest.raises(ValueError, match="^cache_chunks must be"):
-            EdgeConfig.from_dict(data)
+    @pytest.mark.parametrize("whole", [7, 7.0, np.int64(7), np.float64(7.0)])
+    def test_whole_seeds_are_ints_with_the_int_fingerprint(self, whole):
+        config = EdgeConfig(seed=whole)
+        assert config.seed == 7 and type(config.seed) is int
+        assert config.to_dict() == EdgeConfig(seed=7).to_dict()
+        assert config.shared_link(3).capacity_at(5.0) == EdgeConfig(
+            seed=7
+        ).shared_link(3).capacity_at(5.0)
+
+    @pytest.mark.parametrize(
+        "bad", [2.7, float("nan"), float("inf"), True, "3", None, -1]
+    )
+    def test_a_seed_that_is_not_whole_is_rejected_by_name(self, bad):
+        # A seed of 2.7 was accepted here and truncated to 2 on resume.
+        with pytest.raises(ValueError, match="^seed must be"):
+            EdgeConfig(seed=bad)
 
     def test_cell_validation(self):
         with pytest.raises(ValueError):

@@ -89,13 +89,6 @@ def canonical(state_dict):
 
 
 class TestRetrainConfig:
-    def test_round_trip(self):
-        config = RetrainConfig(
-            ttp=TtpConfig(horizon=3), window_days=5, recency_decay=0.8,
-            epochs_per_day=4, seed=9, arm_prefix="ttp",
-        )
-        assert RetrainConfig.from_dict(config.to_dict()) == config
-
     def test_arm_naming(self):
         assert retrain_config().arm_name(7) == "fugu@g007"
         assert RetrainConfig(arm_prefix="ttp").arm_name(12) == "ttp@g012"

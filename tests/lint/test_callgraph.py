@@ -178,13 +178,13 @@ class TestReachability:
 
     def test_reachable_is_transitive_and_excludes_orphans(self):
         graph = self._chain_graph()
-        region = graph.reachable(["pkg.chain.a"])
+        region = graph.reachable(["pkg.chain.a"], "pure")
         assert region == {"pkg.chain.a", "pkg.chain.b", "pkg.chain.c"}
 
     def test_witness_path_runs_root_first(self):
         graph = self._chain_graph()
-        graph.reachable(["pkg.chain.a"])
-        assert graph.witness_path("pkg.chain.c") == [
+        region = graph.reachable(["pkg.chain.a"], "pure")
+        assert region.witness_path("pkg.chain.c") == [
             "pkg.chain.a",
             "pkg.chain.b",
             "pkg.chain.c",
@@ -192,7 +192,7 @@ class TestReachability:
 
     def test_unknown_root_is_ignored(self):
         graph = self._chain_graph()
-        assert graph.reachable(["pkg.chain.missing"]) == set()
+        assert graph.reachable(["pkg.chain.missing"], "pure") == set()
 
 
 class TestQuarantine:

@@ -16,9 +16,11 @@ import pytest
 from repro.lint.contract import Contract, load_contract
 from repro.lint.engine import lint_whole_program, parse_module
 from repro.lint.purity import (
+    ProgramContext,
     PurityConfig,
     analyze_program,
     expand_roots,
+    resolve_contract,
 )
 from repro.lint.callgraph import build_graph
 
@@ -133,7 +135,10 @@ class TestConfig:
             quarantine=(),
             source_path="contract.json",
         )
-        roots, findings = expand_roots(graph, config)
+        roots = expand_roots(graph, config)
+        findings = resolve_contract(
+            ProgramContext(graph, Contract(config), parsed)
+        )
         assert roots == []
         assert [f.rule for f in findings] == ["PURE000"]
         assert findings[0].path == "contract.json"
@@ -164,7 +169,10 @@ class TestConfig:
             quarantine=(),
             source_path="<test>",
         )
-        roots, findings = expand_roots(graph, config)
+        roots = expand_roots(graph, config)
+        findings = resolve_contract(
+            ProgramContext(graph, Contract(config), parsed)
+        )
         assert findings == []
         assert set(roots) == {"pkg.abr.Base.choose", "pkg.abr.Sub.choose"}
 
@@ -181,7 +189,10 @@ class TestConfig:
             pm = parse_module(text, path.as_posix())
             parsed[pm.path] = pm
         graph = build_graph(parsed, exclude_prefixes=config.quarantine)
-        roots, findings = expand_roots(graph, config)
+        roots = expand_roots(graph, config)
+        findings = resolve_contract(
+            ProgramContext(graph, Contract(config), parsed)
+        )
         assert findings == [], [f.format_human() for f in findings]
         assert "repro.experiment.harness.run_session" in roots
         # The ABR method root expands over every scheme implementation.

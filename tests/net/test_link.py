@@ -77,6 +77,45 @@ class TestTraceLink:
     def test_duration(self):
         assert TraceLink([1e6] * 5, epoch=2.0).duration == 10.0
 
+    @pytest.mark.parametrize("loop", [True, False])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "method", ["capacity_at", "next_change_after", "epoch_at"]
+    )
+    def test_a_time_that_is_not_finite_is_named(self, loop, t, method):
+        link = TraceLink([1e6, 2e6], loop=loop)
+        with pytest.raises(
+            ValueError, match=r"^TraceLink: time must be finite, got"
+        ):
+            getattr(link, method)(t)
+
+    @pytest.mark.parametrize("loop", [True, False])
+    def test_a_negative_time_is_still_rejected(self, loop):
+        link = TraceLink([1e6, 2e6], loop=loop)
+        for method in (link.capacity_at, link.next_change_after):
+            with pytest.raises(ValueError, match="^time must be non-negative"):
+                method(-1.0)
+
+    @pytest.mark.parametrize("epoch", [1.0, 0.3])
+    def test_the_next_change_is_strictly_later_or_refused(self, epoch):
+        # A looping trace changes after any finite time, but once float
+        # spacing outgrows the epoch (index + 1) * epoch rounds back onto
+        # t: the cell cursor's re-query loop (``while offset + boundary
+        # <= now``) would never advance, so the link refuses the time.
+        link = TraceLink([1e6, 2e6], epoch=epoch, loop=True)
+        near = 2.0**40 * epoch
+        assert link.next_change_after(near) > near
+        for t in (2.0**60 * epoch, 1e300):
+            with pytest.raises(
+                ValueError, match=r"^TraceLink: time .* no epoch boundary"
+            ):
+                link.next_change_after(t)
+            assert link.capacity_at(t) in (1e6, 2e6)
+
+    def test_a_finished_trace_holds_past_any_finite_time(self):
+        link = TraceLink([1e6, 2e6], loop=False)
+        assert link.epoch_at(1e300) == (2e6, math.inf)
+
 
 class TestMarkovLink:
     def test_visits_multiple_states(self):
