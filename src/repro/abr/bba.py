@@ -11,10 +11,10 @@ pick the highest-SSIM version whose bitrate fits under the rate map
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from repro.abr.base import AbrAlgorithm, AbrContext
+from repro.fields import positive
 from repro.streaming.buffer import MAX_BUFFER_S
 
 
@@ -40,10 +40,7 @@ class BBA(AbrAlgorithm):
         reservoir_fraction: float = 0.25,
         upper_reservoir_fraction: float = 0.75,
     ) -> None:
-        if not 0.0 < max_buffer_s < math.inf:
-            raise ValueError(
-                f"max_buffer_s must be finite and positive, got {max_buffer_s!r}"
-            )
+        positive("BBA", "max_buffer_s", max_buffer_s)
         if not 0.0 < reservoir_fraction < upper_reservoir_fraction <= 1.0:
             raise ValueError("need 0 < reservoir < upper reservoir <= 1")
         self.max_buffer_s = max_buffer_s

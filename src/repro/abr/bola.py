@@ -18,6 +18,7 @@ import math
 from typing import Sequence
 
 from repro.abr.base import AbrAlgorithm, AbrContext
+from repro.fields import positive
 from repro.streaming.buffer import MAX_BUFFER_S
 
 
@@ -31,10 +32,7 @@ class Bola(AbrAlgorithm):
         max_buffer_s: float = MAX_BUFFER_S,
         target_buffer_fraction: float = 0.6,
     ) -> None:
-        if not 0.0 < max_buffer_s < math.inf:
-            raise ValueError(
-                f"max_buffer_s must be finite and positive, got {max_buffer_s!r}"
-            )
+        positive("Bola", "max_buffer_s", max_buffer_s)
         if not 0.0 < target_buffer_fraction <= 1.0:
             raise ValueError("target buffer fraction must lie in (0, 1]")
         self.max_buffer_s = max_buffer_s

@@ -32,6 +32,7 @@ from repro.core.controller import (
     horizon_sizes,
 )
 from repro.core.qoe import DEFAULT_QOE, QoeParams
+from repro.fields import positive
 from repro.media.chunk import ChunkMenu
 
 DEFAULT_STARTUP_THROUGHPUT_BPS = 1.3e6
@@ -56,18 +57,9 @@ class HarmonicMeanPredictor:
         startup_throughput_bps: float = DEFAULT_STARTUP_THROUGHPUT_BPS,
         conservatism: float = 1.0,
     ) -> None:
-        # A NaN passes every ordered comparison, and either value below
-        # turns the estimate — then every score — negative or NaN, after
-        # which argmax streams rung 0 without a word.
-        if not (math.isfinite(conservatism) and conservatism > 0):
-            raise ValueError("conservatism must be finite and positive")
-        if not (
-            math.isfinite(startup_throughput_bps)
-            and startup_throughput_bps > 0
-        ):
-            raise ValueError(
-                "startup_throughput_bps must be finite and positive"
-            )
+        owner = "HarmonicMeanPredictor"
+        positive(owner, "conservatism", conservatism)
+        positive(owner, "startup_throughput_bps", startup_throughput_bps)
         if window <= 0:
             # A deque(maxlen=0) would also silently drop every error sample.
             raise ValueError("window must be positive")

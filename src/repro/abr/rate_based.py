@@ -9,10 +9,10 @@ but a useful reference point and regression anchor for the test suite.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from repro.abr.base import AbrAlgorithm, AbrContext, harmonic_mean
+from repro.fields import positive
 
 DEFAULT_STARTUP_THROUGHPUT_BPS = 1.3e6
 """Conservative assumption before any throughput sample exists."""
@@ -33,11 +33,7 @@ class RateBased(AbrAlgorithm):
             raise ValueError("safety factor must lie in (0, 1]")
         if window <= 0:
             raise ValueError("window must be positive")
-        if not 0.0 < startup_throughput_bps < math.inf:
-            raise ValueError(
-                "startup_throughput_bps must be finite and positive, "
-                f"got {startup_throughput_bps!r}"
-            )
+        positive("RateBased", "startup_throughput_bps", startup_throughput_bps)
         self.safety_factor = safety_factor
         self.window = window
         self.startup_throughput_bps = startup_throughput_bps

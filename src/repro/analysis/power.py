@@ -23,6 +23,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.analysis.bootstrap import aggregate_stall_ratio
+from repro.fields import check, finite, non_negative, positive, probability
 
 
 @dataclass(frozen=True)
@@ -36,11 +37,16 @@ class StreamPopulation:
     watch_log_mean: float = np.log(300.0)
     watch_log_sigma: float = 1.3
 
+    KINDS = {
+        "stall_probability": probability,
+        "mean_stall_ratio_when_stalled": positive, "watch_log_mean": finite,
+        "watch_log_sigma": non_negative,
+    }
+
     def __post_init__(self) -> None:
-        if not 0.0 < self.stall_probability <= 1.0:
+        check(self)
+        if self.stall_probability <= 0.0:
             raise ValueError("stall probability must lie in (0, 1]")
-        if self.mean_stall_ratio_when_stalled <= 0:
-            raise ValueError("stall magnitude must be positive")
 
     @property
     def true_stall_ratio(self) -> float:

@@ -44,6 +44,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.qoe import DEFAULT_QOE, QoeParams
+from repro.fields import positive, whole_positive
 
 if TYPE_CHECKING:  # typing only; avoids a circular import with repro.abr
     from repro.abr.base import AbrContext
@@ -203,12 +204,11 @@ class ValueIterationController:
         max_buffer_s: float = 15.0,
         buffer_bin_s: float = DEFAULT_BUFFER_BIN_S,
     ) -> None:
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if max_buffer_s <= 0 or buffer_bin_s <= 0:
-            raise ValueError("buffer parameters must be positive")
+        owner = "ValueIterationController"
+        positive(owner, "max_buffer_s", max_buffer_s)
+        positive(owner, "buffer_bin_s", buffer_bin_s)
         self.qoe = qoe
-        self.horizon = horizon
+        self.horizon = whole_positive(owner, "horizon", horizon)
         self.max_buffer_s = max_buffer_s
         self.buffer_bin_s = buffer_bin_s
         # The grid and the memoised geometries are derived from the

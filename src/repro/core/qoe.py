@@ -11,9 +11,10 @@ objective for MPC-HM, RobustMPC-HM, and Fugu (§4.1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
+
+from repro.fields import check, finite, non_negative
 
 
 @dataclass(frozen=True)
@@ -24,14 +25,13 @@ class QoeParams:
     variation_weight: float = 1.0  # λ
     stall_weight: float = 100.0  # µ
 
+    KINDS = {
+        "quality_weight": finite, "variation_weight": non_negative,
+        "stall_weight": non_negative,
+    }
+
     def __post_init__(self) -> None:
-        weights = (self.quality_weight, self.variation_weight, self.stall_weight)
-        if not all(math.isfinite(weight) for weight in weights):
-            # A NaN weight makes every score NaN, and argmax then picks
-            # rung 0 without a word.
-            raise ValueError("QoE weights must be finite")
-        if self.variation_weight < 0 or self.stall_weight < 0:
-            raise ValueError("QoE weights must be non-negative")
+        check(self)
 
 
 DEFAULT_QOE = QoeParams()

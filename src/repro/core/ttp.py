@@ -49,6 +49,7 @@ from repro.core.features import (
     time_bin_centers,
     time_bin_index,
 )
+from repro.fields import check, whole_positive
 from repro.learn.network import MLP, MLPStack
 from repro.net.tcp import TcpInfo
 
@@ -80,9 +81,10 @@ class TtpConfig:
     predict_throughput: bool = False
     ablated_features: FrozenSet[str] = field(default_factory=frozenset)
 
+    KINDS = {"horizon": whole_positive}
+
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        check(self)
         valid = set(TCP_FEATURE_INDEX) | {"tcp", "history_sizes", "history_times"}
         unknown = set(self.ablated_features) - valid
         if unknown:

@@ -17,15 +17,14 @@ cells are independent — which is what makes
 
 from __future__ import annotations
 
-import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, List
 
 import numpy as np
 
 from repro.edge.zipf import ZipfChannelPopularity
-from repro.net.link import HeavyTailLink, LinkModel, _count
+from repro.fields import check, non_negative, positive, probability, whole
+from repro.net.link import HeavyTailLink, LinkModel
 
 _CELL_SIZE_STREAM = 0xCE11
 """Domain separation for per-cell size draws."""
@@ -77,48 +76,21 @@ class EdgeConfig:
     seed: int = 0
     """Seed of the edge tier (independent of trial and workload seeds)."""
 
+    KINDS = {
+        "mean_cell_sessions": positive, "cell_capacity_bps": positive,
+        "capacity_log_sigma": non_negative, "capacity_sigma": non_negative,
+        "capacity_fade_rate": probability, "zipf_alpha": non_negative,
+        "cache_chunks": whole, "cubic_weight": positive, "seed": whole,
+    }
+
     def __post_init__(self) -> None:
-        # First, because a NaN passes every ordered check below and the run
-        # would die much later, inside the fair-share solver.
-        for name in (
-            "mean_cell_sessions",
-            "cell_capacity_bps",
-            "capacity_log_sigma",
-            "capacity_sigma",
-            "capacity_fade_rate",
-            "zipf_alpha",
-            "cubic_weight",
-        ):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        check(self)
         if self.mean_cell_sessions < 1.0:
             raise ValueError("mean cell size must be >= 1")
         if self.cell_size_dist not in _CELL_SIZE_DISTS:
             raise ValueError(
                 f"cell_size_dist must be one of {_CELL_SIZE_DISTS}"
             )
-        if self.cell_capacity_bps <= 0:
-            raise ValueError("cell capacity must be positive")
-        if self.capacity_log_sigma < 0 or self.capacity_sigma < 0:
-            raise ValueError("capacity spreads must be non-negative")
-        if not 0.0 <= self.capacity_fade_rate <= 1.0:
-            raise ValueError("capacity_fade_rate must lie in [0, 1]")
-        if self.zipf_alpha < 0:
-            raise ValueError("zipf_alpha must be non-negative")
-        # Whole numbers, by the rule of a link's fade_onset_epochs:
-        # EdgeCache would truncate a cache of 2.7 to 2 (and True to 1)
-        # without a word, and NaN would fail there naming no field; a seed
-        # of 2.7 would fail inside numpy's SeedSequence.  Stored as ints,
-        # so 3.0 fingerprints as 3 does.
-        for name in ("cache_chunks", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(
-                    f"{name} must be a whole number, got {value!r}"
-                )
-            object.__setattr__(self, name, _count(name, value))
-        if self.cubic_weight <= 0:
-            raise ValueError("cubic_weight must be positive")
 
     # ------------------------------------------------------------------
     # Per-cell seeded quantities
@@ -168,18 +140,7 @@ class EdgeConfig:
     # Serialization (checkpoint fingerprinting)
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "mean_cell_sessions": self.mean_cell_sessions,
-            "cell_size_dist": self.cell_size_dist,
-            "cell_capacity_bps": self.cell_capacity_bps,
-            "capacity_log_sigma": self.capacity_log_sigma,
-            "capacity_sigma": self.capacity_sigma,
-            "capacity_fade_rate": self.capacity_fade_rate,
-            "zipf_alpha": self.zipf_alpha,
-            "cache_chunks": self.cache_chunks,
-            "cubic_weight": self.cubic_weight,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ from repro.experiment.consort import (
 )
 from repro.experiment.schemes import SchemeSpec
 from repro.experiment.watch import ViewerModel
+from repro.fields import check, probability, whole, whole_positive
 from repro.media.encoder import CHUNK_DURATION
 from repro.media.menus import DEFAULT_BLOCK_CHUNKS, MenuBlockSource
 from repro.media.source import DEFAULT_CHANNELS, Channel
@@ -104,18 +105,17 @@ class TrialConfig:
     Instrumentation never perturbs the simulation — stream records are
     bit-identical with this on or off."""
 
+    KINDS = {
+        "n_sessions": whole_positive, "seed": whole,
+        "extra_stream_prob": probability,
+        "max_streams_per_session": whole_positive,
+        "slow_decoder_prob": probability, "loss_of_contact_prob": probability,
+    }
+
     def __post_init__(self) -> None:
-        if self.n_sessions <= 0:
-            raise ValueError("n_sessions must be positive")
-        if not 0.0 <= self.extra_stream_prob < 1.0:
+        check(self)
+        if self.extra_stream_prob >= 1.0:
             raise ValueError("extra_stream_prob must lie in [0, 1)")
-        if self.max_streams_per_session < 1:
-            raise ValueError("sessions contain at least one stream")
-        # Written so that NaN fails too (every comparison with it is false).
-        if not 0.0 <= self.slow_decoder_prob <= 1.0:
-            raise ValueError("slow_decoder_prob must lie in [0, 1]")
-        if not 0.0 <= self.loss_of_contact_prob <= 1.0:
-            raise ValueError("loss_of_contact_prob must lie in [0, 1]")
         if len(self.channels) == 0:
             raise ValueError("channels must name at least one channel")
 

@@ -59,7 +59,6 @@ from typing import (
     Iterator,
     List,
     Sequence,
-    Tuple,
     TypeVar,
 )
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
 import numpy as np
 
+from repro.fields import check, finite, non_negative, positive, probability
 from repro.streaming.session import StreamResult
 
 
@@ -49,15 +49,19 @@ class ViewerModel:
     ssim_reference_db: float = 15.0
     max_session_s: float = 4.0 * 3600.0
 
+    KINDS = {
+        "zap_fraction": probability, "zap_max_s": positive,
+        "abort_fraction": probability, "view_log_mean_s": finite,
+        "view_log_sigma": non_negative, "tail_threshold_s": positive,
+        "tail_block_s": positive, "tail_continue_base": probability,
+        "qoe_stall_sensitivity": finite, "qoe_ssim_sensitivity": finite,
+        "ssim_reference_db": finite, "max_session_s": positive,
+    }
+
     def __post_init__(self) -> None:
-        if not 0.0 <= self.zap_fraction <= 1.0:
-            raise ValueError("zap fraction must lie in [0, 1]")
-        if not 0.0 <= self.abort_fraction <= 1.0:
-            raise ValueError("abort fraction must lie in [0, 1]")
-        if not 0.0 <= self.tail_continue_base < 1.0:
+        check(self)
+        if self.tail_continue_base >= 1.0:
             raise ValueError("tail continuation must lie in [0, 1)")
-        if self.tail_threshold_s <= 0 or self.tail_block_s <= 0:
-            raise ValueError("tail parameters must be positive")
 
     # ------------------------------------------------------------------
     # Stream-type sampling

@@ -74,6 +74,7 @@ from repro.core.train import (
 from repro.core.ttp import TransmissionTimePredictor, TtpConfig
 from repro.data.archive import ArchiveAppender
 from repro.experiment.schemes import SchemeSpec, generation_scheme_spec
+from repro.fields import check, probability, whole, whole_positive
 from repro.fleet.checkpoint import FleetCheckpoint, config_fingerprint
 from repro.fleet.runner import FleetConfig, FleetResult, _drive_fleet, _Segment
 from repro.fleet.sinks import FleetSink
@@ -157,13 +158,15 @@ class RetrainConfig:
     arm_prefix: str = "fugu"
     """Generation ``g`` enrolls as arm ``f"{arm_prefix}@g{g:03d}"``."""
 
+    KINDS = {
+        "window_days": whole_positive, "recency_decay": probability,
+        "epochs_per_day": whole_positive, "seed": whole,
+    }
+
     def __post_init__(self) -> None:
-        if self.window_days <= 0:
-            raise ValueError("window_days must be positive")
-        if not 0.0 < self.recency_decay <= 1.0:
+        check(self)
+        if self.recency_decay <= 0.0:
             raise ValueError("recency_decay must lie in (0, 1]")
-        if self.epochs_per_day < 1:
-            raise ValueError("epochs_per_day must be >= 1")
         if not self.arm_prefix:
             raise ValueError("arm_prefix must be non-empty")
 

@@ -60,6 +60,7 @@ from repro.experiment.harness import (
     checked_scheme_names,
 )
 from repro.experiment.schemes import SchemeSpec
+from repro.fields import check, whole_positive
 from repro.fleet.checkpoint import (
     CheckpointManager,
     FleetCheckpoint,
@@ -103,9 +104,10 @@ class FleetConfig:
     keeps the classic fleet of one private link per session.  Part of the
     fingerprint — cell mode changes the science."""
 
+    KINDS = {"chunk_sessions": whole_positive}
+
     def __post_init__(self) -> None:
-        if self.chunk_sessions < 1:
-            raise ValueError("chunk_sessions must be >= 1")
+        check(self)
 
     def fingerprint(self, specs: Sequence[SchemeSpec]) -> str:
         """Configuration identity for checkpoint compatibility.

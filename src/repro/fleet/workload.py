@@ -25,10 +25,12 @@ independent and the fleet embarrassingly parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, List, Tuple
 
 import numpy as np
+
+from repro.fields import check, non_negative, positive, whole
 
 SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_DAY = 86400.0
@@ -36,14 +38,6 @@ SECONDS_PER_DAY = 86400.0
 _ARRIVAL_STREAM = 0xF1EE7
 """Domain-separation constant folded into the arrival RNG seed so the
 arrival process never replays draws any session makes."""
-
-
-def _require_finite(**fields: float) -> None:
-    """NaN slips through every ordered comparison below, and a non-finite
-    horizon or intensity is a run whose arrival loop never ends."""
-    for name, value in fields.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,16 +51,13 @@ class FlashCrowd:
     multiplier: float
     """Intensity multiplier inside the window (``>= 1``)."""
 
+    KINDS = {
+        "start_day": non_negative, "duration_hours": positive,
+        "multiplier": positive,
+    }
+
     def __post_init__(self) -> None:
-        _require_finite(
-            start_day=self.start_day,
-            duration_hours=self.duration_hours,
-            multiplier=self.multiplier,
-        )
-        if self.start_day < 0:
-            raise ValueError("flash crowd must start at or after day 0")
-        if self.duration_hours <= 0:
-            raise ValueError("flash crowd duration must be positive")
+        check(self)
         if self.multiplier < 1.0:
             raise ValueError("flash crowd multiplier must be >= 1")
 
@@ -82,11 +73,7 @@ class FlashCrowd:
         return self.start_s <= t_s < self.end_s
 
     def to_dict(self) -> dict:
-        return {
-            "start_day": self.start_day,
-            "duration_hours": self.duration_hours,
-            "multiplier": self.multiplier,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -110,17 +97,17 @@ class WorkloadConfig:
     seed: int = 0
     """Seed of the arrival process (independent of the trial seed)."""
 
+    KINDS = {
+        "days": positive, "sessions_per_hour": positive,
+        "diurnal_amplitude": non_negative, "peak_hour": non_negative,
+        "seed": whole,
+    }
+
     def __post_init__(self) -> None:
-        _require_finite(
-            days=self.days, sessions_per_hour=self.sessions_per_hour
-        )
-        if self.days <= 0:
-            raise ValueError("days must be positive")
-        if self.sessions_per_hour <= 0:
-            raise ValueError("sessions_per_hour must be positive")
-        if not 0.0 <= self.diurnal_amplitude < 1.0:
+        check(self)
+        if self.diurnal_amplitude >= 1.0:
             raise ValueError("diurnal_amplitude must lie in [0, 1)")
-        if not 0.0 <= self.peak_hour < 24.0:
+        if self.peak_hour >= 24.0:
             raise ValueError("peak_hour must lie in [0, 24)")
         # Tuple-coercion so configs built with lists still hash/compare.
         object.__setattr__(self, "flash_crowds", tuple(self.flash_crowds))

@@ -30,6 +30,7 @@ from typing import (
 )
 
 from repro.lint.findings import Finding
+from repro.lint.suppressions import Suppression
 
 if TYPE_CHECKING:
     from repro.lint.purity import ProgramContext
@@ -54,9 +55,10 @@ class ParsedModule:
     """One module, read once: everything either lint phase inspects.
 
     Built by :func:`repro.lint.engine.parse_module` — one parse, one
-    ``ast.walk`` (kept as :attr:`nodes`) and one import map per file.  The
-    per-file rules iterate :attr:`nodes`; the call graph and every
-    whole-program rule read :attr:`imports`.
+    ``ast.walk`` (kept as :attr:`nodes`), one import map and one reading of
+    the inline suppressions per file.  The per-file rules iterate
+    :attr:`nodes`; the call graph and every whole-program rule read
+    :attr:`imports`; both phases apply :attr:`suppressions`.
     """
 
     path: str
@@ -74,6 +76,9 @@ class ParsedModule:
     """Every node of :attr:`tree`, in ``ast.walk`` order."""
 
     imports: ImportMap
+    suppressions: Dict[int, List[Suppression]]
+    malformed: List[Finding]
+    """``LINT000`` findings: suppressions missing their reason."""
 
     def source_line(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):

@@ -5,8 +5,8 @@ visited in sorted order and findings are sorted by ``(path, line, col,
 rule)``, so two runs over the same tree produce byte-identical reports.
 
 Each file is read once by :func:`parse_module`: one parse, one
-``ast.walk`` and one import map, kept on a
-:class:`~repro.lint.base.ParsedModule` that both phases read.
+``ast.walk``, one import map and one reading of its suppressions, kept on
+a :class:`~repro.lint.base.ParsedModule` that both phases read.
 
 * **per-file** — every registered rule (DET/SIM/OBS/API) runs over each
   module's node list in isolation.
@@ -16,7 +16,7 @@ Each file is read once by :func:`parse_module`: one parse, one
   on (:mod:`repro.lint.contract`, :mod:`repro.lint.purity`).
 
 Both phases are suppressed by the same inline ``# repro:
-allow-RULE(reason)`` comments, read from the module's lines.
+allow-RULE(reason)`` comments.
 """
 
 from __future__ import annotations
@@ -108,6 +108,7 @@ def parse_module(source: str, path: str) -> ParsedModule:
     lines = source.splitlines()
     tree = ast.parse(source, filename=path)
     nodes = list(ast.walk(tree))
+    suppressions, malformed = parse_suppressions(lines, path)
     return ParsedModule(
         path=path,
         module=derive_module(path, lines),
@@ -115,6 +116,8 @@ def parse_module(source: str, path: str) -> ParsedModule:
         lines=lines,
         nodes=nodes,
         imports=collect_imports(nodes),
+        suppressions=suppressions,
+        malformed=malformed,
     )
 
 
@@ -135,9 +138,8 @@ def _run_file_rules(
     raw: List[Finding] = []
     for rule in rules:
         raw.extend(rule.check(parsed))
-    effective, malformed = parse_suppressions(parsed.lines, parsed.path)
-    processed = apply_suppressions(raw, effective)
-    processed.extend(malformed)
+    processed = apply_suppressions(raw, parsed.suppressions)
+    processed.extend(parsed.malformed)
     processed.sort(key=Finding.sort_key)
     return processed
 
@@ -147,10 +149,11 @@ def lint_whole_program(
 ) -> List[Finding]:
     """Run only the whole-program phase over parsed modules.
 
-    Findings pass through each file's inline suppressions.  Malformed
-    suppressions are *not* re-reported here — the per-file phase reports
-    them once.  Used directly by the purity/seed fixture tests; production
-    runs go through :func:`lint_paths` with a ``contract``.
+    Findings pass through each file's inline suppressions, read when the
+    file was parsed.  Malformed suppressions are *not* re-reported here —
+    the per-file phase reports them once.  Used directly by the
+    purity/seed fixture tests; production runs go through
+    :func:`lint_paths` with a ``contract``.
     """
     parsed_map = {parsed.path: parsed for parsed in files}
     out: List[Finding] = []
@@ -161,8 +164,7 @@ def lint_whole_program(
         findings = list(group)
         parsed = parsed_map.get(path)
         if parsed is not None:
-            effective, _ = parse_suppressions(parsed.lines, path)
-            findings = apply_suppressions(findings, effective)
+            findings = apply_suppressions(findings, parsed.suppressions)
         out.extend(findings)
     return out
 

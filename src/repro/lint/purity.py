@@ -29,6 +29,7 @@ a contract section declares exists).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import (
     TYPE_CHECKING, ClassVar, Iterator, List, Mapping, Optional, Sequence,
     Tuple, Union,
@@ -174,11 +175,19 @@ class ProgramContext:
 
 
 def _in_lint_scope(graph: CallGraph, qualname: str) -> bool:
-    """Is the module owning *qualname* part of the linted file set?"""
+    """Is the module owning *qualname* linted?  A linted package does not
+    own a name under one of its submodules on disk (that submodule does);
+    a name whose module exists nowhere (a typo) is in scope."""
     parts = qualname.split(".")
-    return any(
-        ".".join(parts[:i]) in graph.modules for i in range(1, len(parts))
-    )
+    for i in range(len(parts) - 1, 0, -1):
+        parsed = graph.modules.get(".".join(parts[:i]))
+        if parsed is not None:
+            path = Path(parsed.path)
+            if path.name != "__init__.py":
+                return True
+            sub = path.parent / parts[i]
+            return not (sub.is_dir() or sub.with_suffix(".py").is_file())
+    return False
 
 
 def resolve_contract(program: ProgramContext) -> List[Finding]:

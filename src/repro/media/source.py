@@ -16,6 +16,8 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
+from repro.fields import check, non_negative, probability
+
 
 @dataclass(frozen=True)
 class Channel:
@@ -39,12 +41,14 @@ class Channel:
     scene_cut_rate: float = 0.08
     mean_reversion: float = 0.10
 
+    KINDS = {
+        "complexity_sigma": non_negative, "scene_cut_rate": probability,
+        "mean_reversion": probability,
+    }
+
     def __post_init__(self) -> None:
-        if self.complexity_sigma < 0:
-            raise ValueError("complexity_sigma must be non-negative")
-        if not 0.0 <= self.scene_cut_rate <= 1.0:
-            raise ValueError("scene_cut_rate must lie in [0, 1]")
-        if not 0.0 < self.mean_reversion <= 1.0:
+        check(self)
+        if self.mean_reversion <= 0.0:
             raise ValueError("mean_reversion must lie in (0, 1]")
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Tuple
 
+from repro.fields import positive
+
 if TYPE_CHECKING:  # the connection holds its controller: a cycle at runtime
     from repro.net.link import LinkModel
     from repro.net.tcp import TcpConnection
@@ -47,8 +49,7 @@ class CongestionControl:
     name = "base"
 
     def __init__(self, mss: int = DEFAULT_MSS) -> None:
-        if not (math.isfinite(mss) and mss > 0):
-            raise ValueError(f"mss must be finite and positive, got {mss!r}")
+        positive(type(self).__name__, "mss", mss)
         self.mss = mss
         self.cwnd_bytes = float(INITIAL_CWND_SEGMENTS * mss)
 

@@ -22,6 +22,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Tuple
 
 from repro import obs
+from repro.fields import positive
 from repro.net.cc.base import (
     _MAX_ROUNDS_PER_CHUNK,
     _SRTT_GAIN,
@@ -60,13 +61,7 @@ class BbrLike(CongestionControl):
 
     def __init__(self, mss: int = DEFAULT_MSS, cwnd_gain: float = 2.0) -> None:
         super().__init__(mss)
-        # A NaN gain would pass ``<= 0``; the steady-state window would be
-        # NaN, which the clamps pass through and which ends a transmission
-        # after one round: every chunk "arriving" in one RTT on any link.
-        if not (math.isfinite(cwnd_gain) and cwnd_gain > 0):
-            raise ValueError(
-                f"cwnd_gain must be finite and positive, got {cwnd_gain!r}"
-            )
+        positive("BbrLike", "cwnd_gain", cwnd_gain)
         self.cwnd_gain = cwnd_gain
         self._bw_samples: Deque[float] = deque(maxlen=_BW_FILTER_ROUNDS)
         self._min_rtt = float("inf")

@@ -30,6 +30,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.fields import finite, non_negative, positive, probability, whole
+
 MIN_CAPACITY = 1_000.0
 """Floor on link capacity (bits/s) so transmissions always terminate."""
 
@@ -42,39 +44,6 @@ _MAX_EPOCHS = 10_000_000
 1 s epochs, far above any session (hours).  A time in a later epoch is an
 error, raised before any epoch is realized, instead of minutes of
 realizing them."""
-
-
-def _finite(name: str, value: float) -> float:
-    """``value`` as a float, or a ``ValueError`` naming the field: a NaN
-    passes every ``<``/``>`` range check below and would come out of the
-    link as a NaN transmission time."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def _positive(name: str, value: float) -> float:
-    value = _finite(name, value)
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
-    return value
-
-
-def _non_negative(name: str, value: float) -> float:
-    value = _finite(name, value)
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value!r}")
-    return value
-
-
-def _count(name: str, value: float) -> int:
-    """``value`` as a non-negative int, or a ``ValueError`` naming the
-    field: ``int()`` alone would truncate 2.7 to 2 without a word."""
-    number = _non_negative(name, value)
-    if not number.is_integer():
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(number)
 
 
 def epoch_index(t: float, epoch: float) -> int:
@@ -151,7 +120,7 @@ class ConstantLink(LinkModel):
     """Fixed-rate link, mostly for tests and calibration."""
 
     def __init__(self, rate_bps: float) -> None:
-        self.rate_bps = _positive("rate_bps", rate_bps)
+        self.rate_bps = float(positive("ConstantLink", "rate_bps", rate_bps))
 
     def capacity_at(self, t: float) -> float:
         if t < 0:
@@ -172,10 +141,11 @@ class TraceLink(LinkModel):
     ) -> None:
         if not rates_bps:
             raise ValueError("trace must contain at least one epoch")
-        _positive("epoch", epoch)
+        owner = "TraceLink"
+        positive(owner, "epoch", epoch)
         # Finite entries, however low, are floored as capacity always is.
         self.rates_bps = [
-            max(_finite(f"rates_bps[{i}]", r), MIN_CAPACITY)
+            max(float(finite(owner, f"rates_bps[{i}]", r)), MIN_CAPACITY)
             for i, r in enumerate(rates_bps)
         ]
         self.epoch = epoch
@@ -228,7 +198,7 @@ class _LazyEpochLink(LinkModel):
     """
 
     def __init__(self, epoch: float, seed: "int | tuple") -> None:
-        _positive("epoch", epoch)
+        positive(type(self).__name__, "epoch", epoch)
         self.epoch = epoch
         self.rng = np.random.default_rng(seed)
         self._realized: List[float] = []
@@ -314,15 +284,16 @@ class MarkovLink(_LazyEpochLink):
         super().__init__(epoch, seed)
         if not states_bps:
             raise ValueError("need at least one state")
-        if not 0.0 <= switch_probability <= 1.0:
-            raise ValueError("switch_probability must lie in [0, 1]")
+        owner = "MarkovLink"
         # A state at or below zero would be floored to MIN_CAPACITY: a
         # link that takes hours per megabyte, not the level asked for.
         self.states_bps = [
-            _positive(f"states_bps[{i}]", s) for i, s in enumerate(states_bps)
+            float(positive(owner, f"states_bps[{i}]", s))
+            for i, s in enumerate(states_bps)
         ]
+        probability(owner, "switch_probability", switch_probability)
+        non_negative(owner, "jitter_sigma", jitter_sigma)
         self.switch_probability = switch_probability
-        _non_negative("jitter_sigma", jitter_sigma)
         self.jitter_sigma = jitter_sigma
         self._state = int(self.rng.integers(len(self.states_bps)))
 
@@ -392,17 +363,17 @@ class HeavyTailLink(_LazyEpochLink):
         seed: "int | tuple" = 0,
     ) -> None:
         super().__init__(epoch, seed)
-        self.base_bps = _positive("base_bps", base_bps)
-        if not 0.0 < reversion <= 1.0:
+        owner = "HeavyTailLink"
+        self.base_bps = float(positive(owner, "base_bps", base_bps))
+        if probability(owner, "reversion", reversion) <= 0.0:
             raise ValueError("reversion must lie in (0, 1]")
-        if not 0.0 <= fade_rate <= 1.0:
-            raise ValueError("fade_rate must lie in [0, 1]")
-        if _finite("fade_duration_epochs", fade_duration_epochs) < 1.0:
+        probability(owner, "fade_rate", fade_rate)
+        if finite(owner, "fade_duration_epochs", fade_duration_epochs) < 1.0:
             raise ValueError("fade duration must be at least one epoch")
-        _non_negative("sigma", sigma)
-        _non_negative("fade_depth_log", fade_depth_log)
-        _positive("fade_floor_median_bps", fade_floor_median_bps)
-        _non_negative("fade_floor_sigma", fade_floor_sigma)
+        non_negative(owner, "sigma", sigma)
+        non_negative(owner, "fade_depth_log", fade_depth_log)
+        positive(owner, "fade_floor_median_bps", fade_floor_median_bps)
+        non_negative(owner, "fade_floor_sigma", fade_floor_sigma)
         self.sigma = sigma
         self.reversion = reversion
         self.fade_rate = fade_rate
@@ -410,7 +381,9 @@ class HeavyTailLink(_LazyEpochLink):
         self.fade_duration_epochs = fade_duration_epochs
         self.fade_floor_median_bps = fade_floor_median_bps
         self.fade_floor_sigma = fade_floor_sigma
-        self.fade_onset_epochs = _count("fade_onset_epochs", fade_onset_epochs)
+        self.fade_onset_epochs = whole(
+            owner, "fade_onset_epochs", fade_onset_epochs
+        )
         # Innovation scaled so the stationary std of log-capacity is sigma.
         self._innovation_sigma = sigma * np.sqrt(1.0 - (1.0 - reversion) ** 2)
         self._log_dev = float(self.rng.normal(0.0, sigma))

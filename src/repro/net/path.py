@@ -16,12 +16,12 @@ statistics depend on:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from repro.fields import check, finite, non_negative, positive, probability
 from repro.net.cc.base import CongestionControl
 from repro.net.cc.bbr import BbrLike
 from repro.net.cc.cubic import CubicLike
@@ -40,9 +40,10 @@ class NetworkPath:
     base_rtt: float
     cc_name: str = "bbr"
 
+    KINDS = {"base_rtt": positive}
+
     def __post_init__(self) -> None:
-        if self.base_rtt <= 0:
-            raise ValueError("base RTT must be positive")
+        check(self)
         if self.cc_name not in ("bbr", "cubic"):
             raise ValueError(f"unknown congestion control {self.cc_name!r}")
 
@@ -99,31 +100,15 @@ class PopulationModel:
     link_sigma: float = 0.35
     fade_rate: float = 0.004
 
+    KINDS = {
+        "median_throughput_bps": positive, "log_sigma": non_negative,
+        "median_rtt": positive, "rtt_log_sigma": non_negative,
+        "rtt_throughput_exponent": finite, "cubic_fraction": probability,
+        "link_sigma": non_negative, "fade_rate": probability,
+    }
+
     def __post_init__(self) -> None:
-        # First, because a NaN passes every ordered check below and
-        # ``sample_path`` clips an infinite draw back into range silently.
-        for name in (
-            "median_throughput_bps",
-            "log_sigma",
-            "median_rtt",
-            "rtt_log_sigma",
-            "rtt_throughput_exponent",
-            "cubic_fraction",
-            "link_sigma",
-            "fade_rate",
-        ):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in ("median_throughput_bps", "median_rtt"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("log_sigma", "rtt_log_sigma", "link_sigma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        for name in ("cubic_fraction", "fade_rate"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+        check(self)
 
     def sample_path(self, rng: np.random.Generator, seed: int = 0) -> NetworkPath:
         """Draw one client path."""

@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from repro import obs, slotted
+from repro.fields import positive
 from repro.net.cc.base import CongestionControl
 from repro.net.cc.bbr import BbrLike
 from repro.net.link import LinkModel
@@ -124,12 +125,8 @@ class TcpConnection:
         cc: Optional[CongestionControl] = None,
         loss_rng: Optional[np.random.Generator] = None,
     ) -> None:
-        if not math.isfinite(base_rtt):
-            raise ValueError(f"base_rtt must be finite, got {base_rtt!r}")
-        if base_rtt <= 0:
-            raise ValueError("base RTT must be positive")
         self.link = link
-        self.base_rtt = float(base_rtt)
+        self.base_rtt = float(positive("TcpConnection", "base_rtt", base_rtt))
         self.cc = cc if cc is not None else BbrLike()
         self.mss = self.cc.mss
         self.loss_rng = loss_rng if loss_rng is not None else np.random.default_rng(0)

@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
+from repro.fields import check, positive, whole_positive
+
 
 @dataclass(frozen=True)
 class HistogramSpec:
@@ -46,23 +48,12 @@ class HistogramSpec:
     _log_lo: float = field(init=False, repr=False, compare=False)
     _log_span: float = field(init=False, repr=False, compare=False)
 
+    KINDS = {"lo": positive, "hi": positive, "n_bins": whole_positive}
+
     def __post_init__(self) -> None:
-        # An infinite edge would pass ``0 < lo < hi`` and put every value in
-        # one bin; a float or bool bin count would pass ``>= 1``.
-        for name in ("lo", "hi"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"HistogramSpec.{name} must be finite, got {value!r}"
-                )
-        if not (0 < self.lo < self.hi):
+        check(self)
+        if not self.lo < self.hi:
             raise ValueError("need 0 < lo < hi")
-        if isinstance(self.n_bins, bool) or not isinstance(self.n_bins, int):
-            raise ValueError(
-                f"HistogramSpec.n_bins must be an int, got {self.n_bins!r}"
-            )
-        if self.n_bins < 1:
-            raise ValueError("n_bins must be >= 1")
         # The same doubles bin_index used to take from two logs per call.
         log_lo = math.log(self.lo)
         object.__setattr__(self, "_log_lo", log_lo)

@@ -7,7 +7,7 @@ the cap is reached the server pauses until there is room for another chunk.
 
 from __future__ import annotations
 
-import math
+from repro.fields import positive
 
 MAX_BUFFER_S = 15.0
 """Puffer's client buffer cap in seconds of video."""
@@ -31,10 +31,7 @@ class PlaybackBuffer:
     """
 
     def __init__(self, max_buffer_s: float = MAX_BUFFER_S) -> None:
-        if not 0.0 < max_buffer_s < math.inf:
-            raise ValueError(
-                f"max_buffer_s must be finite and positive, got {max_buffer_s!r}"
-            )
+        positive("PlaybackBuffer", "max_buffer_s", max_buffer_s)
         self.max_buffer_s = max_buffer_s
         self.level_s = 0.0
 

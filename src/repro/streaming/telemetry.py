@@ -27,6 +27,7 @@ from typing import (
 )
 
 from repro import obs
+from repro.fields import positive
 from repro.media.ssim import ssim_db_to_index
 from repro.net.tcp import TcpInfo
 from repro.streaming.session import StreamResult
@@ -334,15 +335,9 @@ class StreamRecorder:
         start_time: float,
         buffer_report_interval: Optional[float] = None,
     ) -> None:
-        # Zero or negative never passes the clock (the report loop would not
-        # end); NaN never compares true (no report would ever be made).
-        if buffer_report_interval is not None and not (
-            0.0 < buffer_report_interval < math.inf
-        ):
-            raise ValueError(
-                "buffer_report_interval must be finite and positive, "
-                f"got {buffer_report_interval!r}"
-            )
+        if buffer_report_interval is not None:
+            owner = "StreamRecorder"
+            positive(owner, "buffer_report_interval", buffer_report_interval)
         self._log = telemetry
         self._stream_id = stream_id
         self._expt_id = expt_id

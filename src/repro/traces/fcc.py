@@ -20,6 +20,7 @@ from typing import List
 
 import numpy as np
 
+from repro.fields import check, non_negative, positive, probability
 from repro.net.link import TraceLink
 
 
@@ -41,12 +42,17 @@ class FccTraceConfig:
     within_trace_sigma: float = 0.22
     reversion: float = 0.25
 
+    KINDS = {
+        "duration_s": positive, "epoch_s": positive, "min_mean_bps": positive,
+        "max_mean_bps": positive, "cap_bps": positive,
+        "within_trace_sigma": non_negative, "reversion": probability,
+    }
+
     def __post_init__(self) -> None:
-        if self.duration_s <= 0 or self.epoch_s <= 0:
-            raise ValueError("duration and epoch must be positive")
-        if not 0 < self.min_mean_bps <= self.max_mean_bps <= self.cap_bps:
+        check(self)
+        if not self.min_mean_bps <= self.max_mean_bps <= self.cap_bps:
             raise ValueError("need 0 < min_mean <= max_mean <= cap")
-        if not 0.0 < self.reversion <= 1.0:
+        if self.reversion <= 0.0:
             raise ValueError("reversion must lie in (0, 1]")
 
 

@@ -130,7 +130,7 @@ class TestValidationAndSerialization:
     def test_a_cache_size_that_is_not_whole_is_rejected_by_name(self, bad):
         # EdgeCache used to truncate 2.7 to 2 and True to 1, and NaN failed
         # inside it, naming no field.
-        with pytest.raises(ValueError, match="^cache_chunks must be"):
+        with pytest.raises(ValueError, match=r"^EdgeConfig\.cache_chunks must be"):
             EdgeConfig(cache_chunks=bad)
 
     @pytest.mark.parametrize("whole", [7, 7.0, np.int64(7), np.float64(7.0)])
@@ -147,7 +147,7 @@ class TestValidationAndSerialization:
     )
     def test_a_seed_that_is_not_whole_is_rejected_by_name(self, bad):
         # A seed of 2.7 was accepted here and truncated to 2 on resume.
-        with pytest.raises(ValueError, match="^seed must be"):
+        with pytest.raises(ValueError, match=r"^EdgeConfig\.seed must be"):
             EdgeConfig(seed=bad)
 
     def test_cell_validation(self):

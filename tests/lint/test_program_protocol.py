@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.lint.engine as engine_mod
 import repro.lint.purity as purity_mod
 from repro.lint.base import make_rules, program_rules
 from repro.lint.cli import main as lint_main
@@ -68,6 +69,58 @@ class TestPartialLintsStayQuiet:
         assert not [
             f for f in payload["suppressed"] if f["rule"].endswith("000")
         ]
+
+    @pytest.mark.parametrize(
+        "paths",
+        [
+            ["src/repro/__init__.py", "src/repro/fleet"],
+            ["src/repro/fleet/__init__.py"],
+        ],
+    )
+    def test_a_package_init_does_not_own_its_submodules_names(
+        self, paths, monkeypatch, capsys
+    ):
+        # The linted ``repro`` package only prefixes ``repro.core.ttp.*``:
+        # the unlinted ``repro.core`` owns those names.
+        monkeypatch.chdir(REPO_ROOT)
+        code = lint_main([*paths, "--whole-program", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0, payload["findings"]
+        assert payload["findings"] == []
+
+    def test_a_module_that_exists_nowhere_is_still_a_finding(
+        self, tmp_path, monkeypatch
+    ):
+        data = json.loads((REPO_ROOT / "contract.json").read_text())
+        data["purity"]["roots"].append("repro.flet.runner.run_fleet")
+        path = tmp_path / "contract.json"
+        path.write_text(json.dumps(data))
+        monkeypatch.chdir(REPO_ROOT)
+        report = lint_paths(
+            ["src/repro/__init__.py", "src/repro/fleet"],
+            contract=load_contract(path),
+        )
+        assert [(f.rule, f.message.split("'")[1]) for f in report.findings] == [
+            ("PURE000", "repro.flet.runner.run_fleet")
+        ]
+
+    def test_each_file_s_suppressions_are_read_once(self, monkeypatch):
+        calls = []
+        parse = engine_mod.parse_suppressions
+
+        def counting(lines, path):
+            calls.append(path)
+            return parse(lines, path)
+
+        monkeypatch.setattr(engine_mod, "parse_suppressions", counting)
+        report = lint_paths(
+            [REPO_ROOT / "src"],
+            contract=load_contract(REPO_ROOT / "contract.json"),
+        )
+        whole_program = {rule.id for rule in program_rules()}
+        assert any(f.rule in whole_program for f in report.suppressed)
+        assert sorted(calls) == sorted(set(calls))
+        assert len(calls) == report.files_checked
 
     @pytest.mark.parametrize("package", PACKAGES)
     def test_every_package_lints_without_a_config_finding(self, package):

@@ -99,11 +99,11 @@ class TestBadSpecsByName:
             FleetHistogram.from_dict(json.loads(json.dumps(data)))
 
     def test_float_n_bins(self):
-        with pytest.raises(ValueError, match=r"HistogramSpec\.n_bins must be an int"):
+        with pytest.raises(ValueError, match=r"HistogramSpec\.n_bins must be a whole number"):
             HistogramSpec(n_bins=2.5)
 
     def test_bool_n_bins(self):
-        with pytest.raises(ValueError, match=r"HistogramSpec\.n_bins must be an int"):
+        with pytest.raises(ValueError, match=r"HistogramSpec\.n_bins must be a whole number"):
             HistogramSpec(n_bins=True)
 
     def test_nan_value(self):

@@ -200,18 +200,41 @@ class TestBadInput:
     metrics file exits 1."""
 
     @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--seed", "-1"], "WorkloadConfig.seed"),
+            (["--trial-seed", "-1"], "TrialConfig.seed"),
+            (["--cells", "2", "--edge-seed", "-1"], "EdgeConfig.seed"),
+        ],
+    )
+    def test_a_negative_seed_is_refused_by_name_before_any_work(
+        self, flags, field, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["fleet", "run", "--days", "0.01", *flags, "--out", "d.json"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [
+            line for line in err.splitlines() if line.startswith("repro:")
+        ] == [f"repro: error: {field} must be a whole number ≥ 0, got -1"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "argv, status, message",
         [
-            (["fleet", "run", "--days", "-1"], 2, "days must be positive"),
+            (["fleet", "run", "--days", "-1"], 2, "WorkloadConfig.days must be finite and positive"),
             (
                 ["fleet", "run", "--rate", "nan"],
                 2,
-                "sessions_per_hour must be finite",
+                "WorkloadConfig.sessions_per_hour must be finite",
             ),
             (
                 ["fleet", "run", "--chunk-size", "0"],
                 2,
-                "chunk_sessions must be >= 1",
+                "FleetConfig.chunk_sessions must be a whole number ≥ 1",
             ),
             (
                 [
@@ -219,7 +242,7 @@ class TestBadInput:
                     "--registry", "r", "--window-days", "0",
                 ],
                 2,
-                "window_days must be positive",
+                "RetrainConfig.window_days must be a whole number ≥ 1",
             ),
             (
                 ["fleet", "resume", "--checkpoint", "corrupt.ckpt"],
