@@ -32,6 +32,7 @@ from repro.core.controller import (
     horizon_sizes,
 )
 from repro.core.qoe import DEFAULT_QOE, QoeParams
+from repro.fields import whole_positive
 from repro.media.chunk import ChunkMenu
 
 _LOG_FLOOR = 1e-12
@@ -226,10 +227,8 @@ class Cs2pPredictor:
     """
 
     def __init__(self, hmm: DiscreteThroughputHmm, window: int = 20) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
         self.hmm = hmm
-        self.window = window
+        self.window = whole_positive("Cs2pPredictor", "window", window)
 
     def predict(
         self, context: AbrContext, menus: Sequence[ChunkMenu]

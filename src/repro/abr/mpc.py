@@ -32,7 +32,7 @@ from repro.core.controller import (
     horizon_sizes,
 )
 from repro.core.qoe import DEFAULT_QOE, QoeParams
-from repro.fields import positive
+from repro.fields import positive, whole_positive
 from repro.media.chunk import ChunkMenu
 
 DEFAULT_STARTUP_THROUGHPUT_BPS = 1.3e6
@@ -60,9 +60,8 @@ class HarmonicMeanPredictor:
         owner = "HarmonicMeanPredictor"
         positive(owner, "conservatism", conservatism)
         positive(owner, "startup_throughput_bps", startup_throughput_bps)
-        if window <= 0:
-            # A deque(maxlen=0) would also silently drop every error sample.
-            raise ValueError("window must be positive")
+        # A deque(maxlen=0) would silently drop every error sample.
+        window = whole_positive(owner, "window", window)
         self.robust = robust
         self.window = window
         self.startup_throughput_bps = startup_throughput_bps

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.abr.base import AbrAlgorithm, AbrContext, harmonic_mean
-from repro.fields import positive
+from repro.fields import positive, whole_positive
 
 DEFAULT_STARTUP_THROUGHPUT_BPS = 1.3e6
 """Conservative assumption before any throughput sample exists."""
@@ -31,11 +31,9 @@ class RateBased(AbrAlgorithm):
     ) -> None:
         if not 0.0 < safety_factor <= 1.0:
             raise ValueError("safety factor must lie in (0, 1]")
-        if window <= 0:
-            raise ValueError("window must be positive")
         positive("RateBased", "startup_throughput_bps", startup_throughput_bps)
         self.safety_factor = safety_factor
-        self.window = window
+        self.window = whole_positive("RateBased", "window", window)
         self.startup_throughput_bps = startup_throughput_bps
 
     def choose(self, context: AbrContext) -> int:

@@ -62,16 +62,25 @@ class TestWindowMustBePositive:
 
     @pytest.mark.parametrize("window", [0, -1])
     @pytest.mark.parametrize(
-        "build",
+        "build, message",
         [
-            lambda window: harmonic_mean_throughput([record(0)], window),
-            lambda window: HarmonicMeanPredictor(window=window),
-            lambda window: Cs2pPredictor(DiscreteThroughputHmm(), window),
+            (
+                lambda window: harmonic_mean_throughput([record(0)], window),
+                "window must be positive",
+            ),
+            (
+                lambda window: HarmonicMeanPredictor(window=window),
+                r"HarmonicMeanPredictor\.window must be a whole number ≥ 1",
+            ),
+            (
+                lambda window: Cs2pPredictor(DiscreteThroughputHmm(), window),
+                r"Cs2pPredictor\.window must be a whole number ≥ 1",
+            ),
         ],
         ids=["harmonic_mean_throughput", "HarmonicMeanPredictor", "Cs2pPredictor"],
     )
-    def test_rejected(self, build, window):
-        with pytest.raises(ValueError, match="window must be positive"):
+    def test_rejected(self, build, message, window):
+        with pytest.raises(ValueError, match=message):
             build(window)
 
 
