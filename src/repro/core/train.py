@@ -33,6 +33,7 @@ from repro.core.features import (
     chunk_feature_rows,
 )
 from repro.core.ttp import TransmissionTimePredictor
+from repro.fields import positive, probability, whole, whole_positive
 from repro.learn.losses import SoftmaxCrossEntropy
 from repro.learn.optim import Adam
 from repro.learn.training import Dataset, Trainer, TrainingReport
@@ -158,11 +159,12 @@ class TtpTrainer:
         learning_rate: float = 1e-3,
         seed: int = 0,
     ) -> None:
+        owner = "TtpTrainer"
         self.predictor = predictor
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.learning_rate = learning_rate
-        self.seed = seed
+        self.epochs = whole_positive(owner, "epochs", epochs)
+        self.batch_size = whole_positive(owner, "batch_size", batch_size)
+        self.learning_rate = positive(owner, "learning_rate", learning_rate)
+        self.seed = whole(owner, "seed", seed)
 
     def train(
         self,
@@ -273,17 +275,21 @@ class DailyRetrainer:
         epochs_per_day: int = 8,
         seed: int = 0,
     ) -> None:
-        if window_days <= 0:
-            raise ValueError("window must be positive")
-        if not 0.0 < recency_decay <= 1.0:
-            raise ValueError("recency decay must lie in (0, 1]")
+        owner = "DailyRetrainer"
         self.predictor = predictor
-        self.window_days = window_days
+        self.window_days = whole_positive(owner, "window_days", window_days)
+        if probability(owner, "recency_decay", recency_decay) <= 0.0:
+            raise ValueError(
+                f"{owner}.recency_decay must lie in (0, 1], "
+                f"got {recency_decay!r}"
+            )
         self.recency_decay = recency_decay
-        self.epochs_per_day = epochs_per_day
-        self.seed = seed
+        self.epochs_per_day = whole_positive(
+            owner, "epochs_per_day", epochs_per_day
+        )
+        self.seed = whole(owner, "seed", seed)
         self._days: Deque[Tuple[int, List[StreamResult]]] = deque(
-            maxlen=window_days
+            maxlen=self.window_days
         )
         # Per retained day, its unweighted per-step datasets: a function of
         # the day's streams (and the predictor's fixed feature mask and

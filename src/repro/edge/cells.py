@@ -23,7 +23,9 @@ from typing import Iterator, List
 import numpy as np
 
 from repro.edge.zipf import ZipfChannelPopularity
-from repro.fields import check, non_negative, positive, probability, whole
+from repro.fields import (
+    check, non_negative, positive, probability, whole, whole_positive,
+)
 from repro.net.link import HeavyTailLink, LinkModel
 
 _CELL_SIZE_STREAM = 0xCE11
@@ -151,11 +153,12 @@ class Cell:
     start_session_id: int
     size: int
 
+    KINDS = {
+        "cell_id": whole, "start_session_id": whole, "size": whole_positive,
+    }
+
     def __post_init__(self) -> None:
-        if self.cell_id < 0 or self.start_session_id < 0:
-            raise ValueError("cell ids and session ids are non-negative")
-        if self.size < 1:
-            raise ValueError("a cell holds at least one session")
+        check(self)
 
     @property
     def end_session_id(self) -> int:

@@ -59,7 +59,6 @@ from repro.streaming.simulator import (
     DEFAULT_LOOKAHEAD,
     TransmitRequest,
     Transport,
-    simulate_stream,
     stream_machine,
 )
 from repro.streaming.telemetry import StreamRecorder, TelemetryLog
@@ -81,7 +80,6 @@ __all__ = [
     "merge_shards",
     "run_session",
     "session_machine",
-    "simulate_stream",
 ]
 
 

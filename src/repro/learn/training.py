@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.fields import whole_positive
 from repro.learn.layers import Layer
 from repro.learn.losses import Loss, first_bad_row
 from repro.learn.network import MLP, Block, MLPStack
@@ -138,8 +139,8 @@ class Trainer:
         patience: Optional[int] = 5,
         seed: Union[int, Sequence[int]] = 0,
     ) -> None:
-        if batch_size <= 0 or epochs <= 0:
-            raise ValueError("batch_size and epochs must be positive")
+        self.batch_size = whole_positive("Trainer", "batch_size", batch_size)
+        self.epochs = whole_positive("Trainer", "epochs", epochs)
         self.model = model
         self._members: Tuple[MLP, ...] = (
             model.models if isinstance(model, MLPStack) else (model,)
@@ -153,8 +154,6 @@ class Trainer:
             raise ValueError("the optimizer must be bound to the trained model")
         self.loss = loss
         self.optimizer = optimizer if optimizer is not None else Adam(model)
-        self.batch_size = batch_size
-        self.epochs = epochs
         self.patience = patience
         self.rngs = [np.random.default_rng(s) for s in seeds]
 

@@ -14,6 +14,30 @@ from repro.lint.contract import DEFAULT_CONTRACT_PATH, load_contract
 from repro.lint.engine import iter_rule_docs, lint_paths
 
 
+_DESCRIPTION = (
+    "Statically enforce the determinism contract: seeded RNG only "
+    "(DET001), no wall-clock in simulation paths (DET002), no "
+    "hash-order iteration (DET003), no float equality in simulator "
+    "branches (SIM001), guarded metric emission (OBS001), no "
+    "mutable default arguments (API001).  With --whole-program, "
+    "also run the interprocedural rules (purity, seed lineage, "
+    "checkpoint coverage, durability) declared in contract.json."
+)
+
+
+def add_subcommand(
+    commands: "argparse._SubParsersAction[argparse.ArgumentParser]",
+) -> None:
+    """Add ``lint`` to ``repro``'s parser."""
+    parser = commands.add_parser(
+        "lint",
+        help="AST-based determinism & correctness linter",
+        description=_DESCRIPTION,
+    )
+    add_lint_arguments(parser)
+    parser.set_defaults(func=run_lint)
+
+
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "paths",
@@ -85,8 +109,7 @@ def run_lint(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="AST-based determinism & correctness linter",
+        prog="repro lint", description=_DESCRIPTION
     )
     add_lint_arguments(parser)
     args = parser.parse_args(argv)

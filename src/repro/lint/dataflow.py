@@ -56,7 +56,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.lint.base import dotted_name, resolve_call_target, resolve_dotted
 from repro.lint.callgraph import CallGraph, FunctionInfo, Site
 
-#: RNG constructors: materializing one of these from a seed is a *sink*.
+#: RNG constructors: materializing one of these from a seed is a *sink*;
+#: PURE003 flags building one beside an RNG parameter.
 RNG_SINKS = frozenset(
     {
         "numpy.random.default_rng",

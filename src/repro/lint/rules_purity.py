@@ -44,21 +44,12 @@ from repro.lint.base import ImportMap, ProgramRule, register
 from repro.lint.callgraph import (
     MUTATING_METHODS, FunctionInfo, FunctionNode, ModuleNames,
 )
+from repro.lint.dataflow import RNG_SINKS
 from repro.lint.findings import Finding
 from repro.lint.rules_det import _STDLIB_RANDOM_GLOBALS, _WALL_CLOCK_TARGETS
 
 if TYPE_CHECKING:
     from repro.lint.purity import ProgramContext
-
-#: RNG constructors for PURE003.
-_RNG_CONSTRUCTORS = frozenset(
-    {
-        "numpy.random.default_rng",
-        "numpy.random.Generator",
-        "numpy.random.RandomState",
-        "random.Random",
-    }
-)
 
 #: Known-impure call targets beyond the wall clock (PURE002).
 _EXTRA_IMPURE_TARGETS = frozenset(
@@ -398,7 +389,7 @@ class PureRngDualityRule(ProgramRule):
             return
         exempt = _none_fallback_nodes(fn.nodes, rng_params)
         for node, target in fn.calls.items():
-            if id(node) not in exempt and target in _RNG_CONSTRUCTORS:
+            if id(node) not in exempt and target in RNG_SINKS:
                 yield node, (
                     f"constructs {target}(...) although the function "
                     f"already receives {sorted(rng_params)[0]!r} — "

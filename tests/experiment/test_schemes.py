@@ -53,20 +53,21 @@ class TestRegistry:
     def test_classical_arms_are_defined_once(self, specs):
         # Fig. 5's classical rows, the fleet CLI's schemes and the mini-trial
         # the obs and sanitize commands run are the same definitions.
-        from repro.__main__ import _fleet_specs, _obs_collect_specs
+        from repro.__main__ import _obs_collect_specs
+        from repro.fleet.cli import fleet_specs
 
         assert specs[:3] == [
             CLASSICAL_SCHEMES[name]
             for name in ("bba", "mpc_hm", "robust_mpc_hm")
         ]
-        assert _fleet_specs(list(CLASSICAL_SCHEMES)) == list(
+        assert fleet_specs(list(CLASSICAL_SCHEMES)) == list(
             CLASSICAL_SCHEMES.values()
         )
         assert _obs_collect_specs() == specs[:2]
         for name, spec in CLASSICAL_SCHEMES.items():
             assert spec.build().name == name
         with pytest.raises(SystemExit, match="unknown scheme 'nope'"):
-            _fleet_specs(["bba", "nope"])
+            fleet_specs(["bba", "nope"])
 
     def test_emulation_arm_optional(self):
         specs = primary_experiment_schemes(

@@ -394,18 +394,26 @@ class TestResumeOfOlderCheckpoint:
         "--trial-seed", "11", "--chunk-size", "4",
     ]
 
-    def _resume_edited(self, tmp_path, edit, cli=CLI):
+    def _resume_edited(self, tmp_path, edit, cli=CLI, command="run"):
         """An uninterrupted run's dump and the dump of the same run
         paused, its stored ``cli_args`` edited, and resumed."""
         from repro.__main__ import main
 
+        def argv(name):
+            if command == "run":
+                return ["fleet", "run", *cli]
+            return [
+                "fleet", "retrain", *cli,
+                "--archive-dir", str(tmp_path / f"{name}-archive"),
+                "--registry", str(tmp_path / f"{name}-registry"),
+            ]
+
         reference = tmp_path / "reference.json"
-        assert main(["fleet", "run", *cli, "--out", str(reference)]) == 0
+        assert main([*argv("reference"), "--out", str(reference)]) == 0
 
         ckpt = tmp_path / "ckpt.json"
         assert main([
-            "fleet", "run", *cli,
-            "--checkpoint", str(ckpt), "--stop-after", "12",
+            *argv("paused"), "--checkpoint", str(ckpt), "--stop-after", "12",
         ]) == 0
         stored = json.loads(ckpt.read_text())
         assert not stored["completed"]
@@ -447,5 +455,22 @@ class TestResumeOfOlderCheckpoint:
         # With cells on, the five defaults shape every session.
         reference, resumed = self._resume_edited(
             tmp_path, drop_edge_keys, cli=[*self.CLI, "--cells", "3"]
+        )
+        assert resumed == reference
+
+    def test_retrain_checkpoint_with_the_edge_flags_resumes(self, tmp_path):
+        # ``fleet retrain`` once took the six edge-tier flags and ignored
+        # them, so its checkpoints recorded them (here as
+        # ``--zipf-alpha 9 --cell-dist fixed --edge-seed 3`` would have).
+        def add_edge_keys(cli_args):
+            assert cli_args["mode"] == "retrain"
+            assert "cells" not in cli_args
+            cli_args.update(
+                cells=None, cell_dist="fixed", cell_capacity_bps=60e6,
+                cache_chunks=256, zipf_alpha=9.0, edge_seed=3,
+            )
+
+        reference, resumed = self._resume_edited(
+            tmp_path, add_edge_keys, command="retrain"
         )
         assert resumed == reference

@@ -1,10 +1,16 @@
 """Tests for the command-line interface (python -m repro)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParser:
@@ -322,3 +328,109 @@ class TestBadInput:
             "corrupt.ckpt",
             "not-json.txt",
         ]
+
+
+class TestFleetCommands:
+    """``repro fleet``: one declaration of a run's flags, one recorder of
+    them, one handler for ``run`` and ``retrain``."""
+
+    #: What ``fleet run`` recorded in its checkpoint before the fleet
+    #: commands moved to ``repro.fleet.cli``, for the flags given below.
+    RECORDED_RUN = {
+        "archive_dir": None, "cache_chunks": 256,
+        "cell_capacity_bps": 60000000.0, "cell_dist": "geometric",
+        "cells": None, "chunk_size": 4, "days": 0.02,
+        "diurnal_amplitude": 0.6, "edge_seed": 0, "flash_crowds": [],
+        "peak_hour": 20.0, "rate": 80.0, "schemes": ["bba", "mpc_hm"],
+        "seed": 5, "trial_seed": 0, "zipf_alpha": 1.1,
+    }
+    EDGE_KEYS = {
+        "cells", "cell_dist", "cell_capacity_bps", "cache_chunks",
+        "zipf_alpha", "edge_seed",
+    }
+    RUN = [
+        "--days", "0.02", "--rate", "80", "--seed", "5", "--chunk-size", "4",
+    ]
+
+    def _recorded(self, tmp_path, argv):
+        ckpt = tmp_path / "fleet.ckpt"
+        assert main([
+            *argv, *self.RUN, "--workers", "1",
+            "--checkpoint", str(ckpt), "--stop-after", "4",
+        ]) == 0
+        return json.loads(ckpt.read_text())["cli_args"]
+
+    def test_a_fresh_run_records_what_it_always_did(self, tmp_path):
+        assert self._recorded(tmp_path, ["fleet", "run"]) == self.RECORDED_RUN
+
+    def test_a_fresh_retrain_records_the_same_minus_the_edge_flags(
+        self, tmp_path
+    ):
+        archive, registry = str(tmp_path / "a"), str(tmp_path / "r")
+        recorded = self._recorded(tmp_path, [
+            "fleet", "retrain", "--archive-dir", archive,
+            "--registry", registry,
+        ])
+        expected = {
+            key: value for key, value in self.RECORDED_RUN.items()
+            if key not in self.EDGE_KEYS
+        }
+        expected.update(
+            archive_dir=archive, registry_dir=registry, mode="retrain",
+            window_days=14, recency_decay=0.9, epochs_per_day=8,
+            retrain_seed=0, ttp_horizon=5, arm_prefix="fugu",
+        )
+        assert recorded == expected
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--cells", "3"], ["--cell-dist", "fixed"],
+            ["--cell-capacity-bps", "1e6"], ["--cache-chunks", "4"],
+            ["--zipf-alpha", "2"], ["--edge-seed", "3"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_retrain_refuses_every_edge_flag_as_a_usage_error(
+        self, flag, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "fleet", "retrain", "--archive-dir", "a", "--registry", "r",
+                *flag,
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [
+            line for line in err.splitlines() if line.startswith("repro:")
+        ] == [f"repro: error: unrecognized arguments: {' '.join(flag)}"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["run", "retrain"])
+    def test_resume_without_a_checkpoint_is_a_usage_error(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["fleet", command, "--resume"]
+        if command == "retrain":
+            argv += ["--archive-dir", "a", "--registry", "r"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro: error: --resume requires --checkpoint" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["fleet", "lint"])
+    def test_the_subsystems_add_their_commands_to_repro(self, command):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", command, "--help"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith(f"usage: repro {command}")

@@ -38,6 +38,7 @@ CLASSES = _declaring_classes()
 
 #: What a class with required fields needs besides the field under test.
 REQUIRED = {
+    "Cell": {"cell_id": 0, "start_session_id": 0, "size": 1},
     "Channel": {"name": "abc"},
     "FlashCrowd": {"start_day": 0.0, "duration_hours": 1.0, "multiplier": 2.0},
     "NetworkPath": {"link": ConstantLink(1e6), "base_rtt": 0.05},
@@ -73,6 +74,7 @@ ONCE_ACCEPTED = [
     ("FccTraceConfig", "duration_s", math.nan),
     ("TtpConfig", "horizon", 2.5),
     ("StreamPopulation", "mean_stall_ratio_when_stalled", math.nan),
+    ("Cell", "size", math.nan),
 ]
 
 BY_NAME = {cls.__name__: cls for cls in CLASSES}
@@ -97,7 +99,7 @@ def test_the_classes_in_scope_declare_their_fields():
         "WorkloadConfig", "FlashCrowd", "TrialConfig", "FleetConfig",
         "RetrainConfig", "EdgeConfig", "TtpConfig", "PopulationModel",
         "NetworkPath", "ViewerModel", "Channel", "FccTraceConfig",
-        "StreamPopulation", "HistogramSpec",
+        "StreamPopulation", "HistogramSpec", "Cell",
     } <= set(BY_NAME)
 
 
@@ -143,3 +145,54 @@ def test_a_non_dataclass_constructor_names_its_class():
         r"got 2\.5$",
     ):
         HeavyTailLink(5e6, fade_onset_epochs=2.5)
+
+
+def _trainer(name, **kwargs):
+    from repro.core.train import DailyRetrainer, TtpTrainer
+    from repro.core.ttp import TransmissionTimePredictor
+    from repro.learn.losses import SoftmaxCrossEntropy
+    from repro.learn.network import MLP
+    from repro.learn.training import Trainer
+
+    if name == "Trainer":
+        return Trainer(MLP(2, [], 2), SoftmaxCrossEntropy(), **kwargs)
+    cls = {"TtpTrainer": TtpTrainer, "DailyRetrainer": DailyRetrainer}[name]
+    return cls(TransmissionTimePredictor(), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "owner, name, value",
+    [
+        ("TtpTrainer", "epochs", 2.5),
+        ("TtpTrainer", "epochs", -1),
+        ("TtpTrainer", "epochs", math.nan),
+        ("TtpTrainer", "batch_size", 0),
+        ("TtpTrainer", "learning_rate", math.nan),
+        ("TtpTrainer", "seed", 2.5),
+        ("DailyRetrainer", "epochs_per_day", 2.5),
+        ("DailyRetrainer", "epochs_per_day", -1),
+        ("DailyRetrainer", "epochs_per_day", math.nan),
+        ("DailyRetrainer", "window_days", 2.5),
+        ("DailyRetrainer", "window_days", math.nan),
+        ("DailyRetrainer", "recency_decay", 0.0),
+        ("DailyRetrainer", "recency_decay", math.nan),
+        ("DailyRetrainer", "seed", -1),
+        ("Trainer", "batch_size", 0),
+        ("Trainer", "epochs", 2.5),
+    ],
+    ids=lambda part: part if isinstance(part, str) else repr(part),
+)
+def test_the_trainers_refuse_a_bad_number_by_name(owner, name, value):
+    # Each of these constructed, or died with a bare TypeError, before the
+    # trainers checked their numbers through repro.fields.
+    with pytest.raises(
+        ValueError, match=rf"^{owner}\.{name} must .*, got {value!r}$"
+    ):
+        _trainer(owner, **{name: value})
+
+
+def test_the_trainers_store_whole_numbers_as_ints():
+    trainer = _trainer("TtpTrainer", epochs=3.0, batch_size=np.int64(16))
+    assert (type(trainer.epochs), type(trainer.batch_size)) == (int, int)
+    retrainer = _trainer("DailyRetrainer", window_days=3.0)
+    assert type(retrainer.window_days) is int
