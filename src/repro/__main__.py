@@ -2,7 +2,7 @@
 
 This module builds the top-level parser, holds the paper's demo commands,
 ``obs``, ``sanitize-run`` and ``crash-matrix``, and maps errors to exit
-codes; ``repro.fleet.cli`` and ``repro.lint.cli`` add their own commands.
+codes; ``repro.fleet_cli`` and ``repro.lint.cli`` add their own commands.
 README.md lists every command.
 """
 
@@ -143,7 +143,7 @@ def _cmd_detectability(args: argparse.Namespace) -> int:
 
 def _obs_collect_specs():
     """Cheap classical schemes for the ``obs collect`` mini-trial."""
-    from repro.fleet.cli import fleet_specs
+    from repro.fleet_cli import fleet_specs
 
     return fleet_specs(["bba", "mpc_hm"])
 
@@ -300,7 +300,7 @@ def _cmd_obs_summary(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.fleet.cli import add_subcommand as add_fleet
+    from repro.fleet_cli import add_subcommand as add_fleet
     from repro.lint.cli import add_subcommand as add_lint
 
     parser = argparse.ArgumentParser(

@@ -166,7 +166,10 @@ class RetrainConfig:
     def __post_init__(self) -> None:
         check(self)
         if self.recency_decay <= 0.0:
-            raise ValueError("recency_decay must lie in (0, 1]")
+            raise ValueError(
+                "RetrainConfig.recency_decay must lie in (0, 1], "
+                f"got {self.recency_decay!r}"
+            )
         if not self.arm_prefix:
             raise ValueError("arm_prefix must be non-empty")
 

@@ -7,8 +7,10 @@ the per-invocation ones (:data:`PER_INVOCATION`), and ``resume`` rebuilds
 the run over the parser's defaults, so a flag added later takes its default
 and a stored key the parser no longer knows is ignored.
 
-Imported by ``repro.__main__`` when it builds its parser, never by
-``repro.fleet`` itself: beyond the standard library, each name is imported
+Imported by ``repro.__main__`` when it builds its parser.  It sits beside
+the ``repro.fleet`` package, not in it: importing a submodule runs the
+package's ``__init__``, which loads the runner and numpy, and every command
+builds this parser.  Beyond the standard library, each name is imported
 inside the function that uses it.
 """
 
@@ -41,7 +43,7 @@ def fleet_specs(names: Sequence[str]) -> List["SchemeSpec"]:
 
     unknown = [name for name in names if name not in CLASSICAL_SCHEMES]
     if unknown:
-        raise SystemExit(
+        raise argparse.ArgumentTypeError(
             f"unknown scheme {unknown[0]!r}; choose from "
             f"{', '.join(sorted(CLASSICAL_SCHEMES))}"
         )
@@ -173,18 +175,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
-    from repro.fleet.checkpoint import CheckpointManager
+    from repro.fleet.checkpoint import CheckpointError, CheckpointManager
     from repro.fleet.workload import FlashCrowd
 
     manager = CheckpointManager(args.checkpoint)
     if not manager.exists():
-        raise SystemExit(f"no checkpoint at {args.checkpoint}")
+        raise CheckpointError(f"no checkpoint at {args.checkpoint}")
     checkpoint = manager.load()
     if checkpoint.completed and args.out is None:
         print("checkpointed run is already complete", file=sys.stderr)
     stored = checkpoint.cli_args
     if stored is None:
-        raise SystemExit(
+        raise CheckpointError(
             "checkpoint was written by an API run (no recorded CLI "
             "parameters); resume it with `repro fleet run --resume` and the "
             "original flags, or via repro.fleet.run_fleet(resume=True)"
@@ -225,14 +227,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     try:
         with open(args.file) as f:
             data = json.load(f)
+        if not isinstance(data, dict) or "sink" not in data:
+            raise ValueError(
+                "neither a fleet checkpoint nor a metrics dump (no 'sink' key)"
+            )
     except (OSError, ValueError) as exc:
         print(f"repro: error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 1
-    if "sink" not in data:
-        raise SystemExit(
-            f"{args.file}: neither a fleet checkpoint nor a metrics dump "
-            "(no 'sink' key)"
-        )
     kind = "checkpoint" if "fingerprint" in data else "dump"
     state = "complete" if data.get("completed") else "in progress"
     print(

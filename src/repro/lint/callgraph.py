@@ -28,8 +28,9 @@ Properties and attribute reads are not traversed.
 
 The build derives each fact once: every function body is walked once,
 when it is collected (:attr:`FunctionInfo.nodes`,
-:attr:`FunctionInfo.calls` and :attr:`FunctionInfo.declaring_defs`,
-which every whole-program reader iterates),
+:attr:`FunctionInfo.calls`, which every whole-program reader iterates,
+and the scope facts :attr:`FunctionInfo.scopes` and
+:attr:`FunctionInfo.local_names`),
 each module's top-level names once (:attr:`CallGraph.names`), and each
 class's direct subclasses once, so :meth:`CallGraph.subclasses` is a
 lookup.
@@ -90,34 +91,83 @@ MUTATING_METHODS = frozenset(
 )
 
 
+class ScopeFacts(NamedTuple):
+    """A def whose own body declares ``global`` or ``nonlocal``.
+
+    Its own body leaves out nested defs and classes but holds their
+    decorators and defaults, which run in this scope."""
+
+    node: ast.AST
+    declarations: List[Union[ast.Global, ast.Nonlocal]]
+    stores: List[ast.Name]
+    """The ``Name`` stores of its own body: each may write a declared name."""
+
+    def declared(self, kind: type) -> Set[str]:
+        """The names its ``kind`` (``ast.Global``/``ast.Nonlocal``)
+        statements declare."""
+        return {
+            name
+            for node in self.declarations
+            if isinstance(node, kind)
+            for name in node.names
+        }
+
+
+#: The scope around a walked function: its decorators and defaults.
+_OUTSIDE = ast.Module(body=[], type_ignores=[])
+
+
 def _walk_scopes(
     root: FunctionNode,
-) -> Tuple[List[ast.AST], List[FunctionNode]]:
-    """``ast.walk(root)`` as a list, and the defs in it whose own body
-    declares ``global`` or ``nonlocal``.
+) -> Tuple[List[ast.AST], List[ScopeFacts], FrozenSet[str]]:
+    """``ast.walk(root)`` as a list, the :class:`ScopeFacts` of its defs
+    that declare ``global`` or ``nonlocal`` (in that order), and the names
+    *root* binds locally: its parameters and every ``Name`` it stores or
+    deletes, less the names a ``global`` anywhere in it declares.
 
     The queue is ``ast.walk``'s, carrying each node's scope — the nearest
-    enclosing def or class, the one a ``global``/``nonlocal`` statement
-    binds in — so one walk yields both.
+    enclosing def or class whose body holds it, the one a
+    ``global``/``nonlocal`` statement binds in — so one walk yields all
+    three.
     """
     nodes: List[ast.AST] = []
-    declaring: Set[ast.AST] = set()
-    queue: Deque[Tuple[ast.AST, ast.AST]] = deque([(root, root)])
+    stores: List[Tuple[ast.Name, ast.AST]] = []
+    facts: Dict[ast.AST, ScopeFacts] = {}
+    queue: Deque[Tuple[ast.AST, ast.AST]] = deque([(root, _OUTSIDE)])
     while queue:
         node, scope = queue.popleft()
         nodes.append(node)
-        if isinstance(node, (ast.Global, ast.Nonlocal)):
-            declaring.add(scope)
-        if isinstance(node, SCOPE_TYPES):
-            scope = node
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            stores.append((node, scope))
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            facts.setdefault(scope, ScopeFacts(scope, [], []))
+            facts[scope].declarations.append(node)
+        elif isinstance(node, SCOPE_TYPES):
+            queue.extend(
+                (child, node if isinstance(child, ast.stmt) else scope)
+                for child in ast.iter_child_nodes(node)
+            )
+            continue
         queue.extend((child, scope) for child in ast.iter_child_nodes(node))
-    if not declaring:
-        return nodes, []
-    return nodes, [
-        node
-        for node in nodes
-        if node in declaring and isinstance(node, FUNCTION_TYPES)
+    args = root.args
+    local = {name.id for name, _ in stores}
+    local.update(
+        arg.arg
+        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                    args.vararg, args.kwarg]
+        if arg is not None
+    )
+    for name, scope in stores:
+        if scope in facts and isinstance(name.ctx, ast.Store):
+            facts[scope].stores.append(name)
+    for scope_facts in facts.values():
+        local -= scope_facts.declared(ast.Global)
+    declaring = [
+        facts[node]
+        for node in (nodes if facts else ())
+        if node in facts and isinstance(node, FUNCTION_TYPES)
     ]
+    return nodes, declaring, frozenset(local)
 
 
 @dataclass
@@ -146,13 +196,16 @@ class FunctionInfo:
     :meth:`CallGraph.build` follows through package re-exports
     (:meth:`CallGraph.origin`)."""
 
-    declaring_defs: List[FunctionNode] = field(init=False, repr=False)
+    scopes: List[ScopeFacts] = field(init=False, repr=False)
     """The defs in :attr:`nodes` (same order, this one included) whose own
-    body declares ``global`` or ``nonlocal``: the only scopes the
-    per-scope passes of PURE001 and CKPT002 need to look at."""
+    body declares ``global`` or ``nonlocal``, with what they declare and
+    store: PURE001's and CKPT002's scope facts."""
+
+    local_names: FrozenSet[str] = field(init=False, repr=False)
+    """The names this function binds locally (see :func:`_walk_scopes`)."""
 
     def __post_init__(self) -> None:
-        self.nodes, self.declaring_defs = _walk_scopes(self.node)
+        self.nodes, self.scopes, self.local_names = _walk_scopes(self.node)
         self.calls = {
             node: resolve_call_target(node, self.imports)
             for node in self.nodes

@@ -103,8 +103,18 @@ def _seedish(name: str) -> bool:
     return name == "seed" or name.endswith("_seed")
 
 
-def _rngish(name: str) -> bool:
+def rngish(name: str) -> bool:
     return name == "rng" or name.endswith("_rng")
+
+
+def _named_root(owner: str, name: str) -> Optional[Set[Lineage]]:
+    """The lineage a seed- or RNG-named variable of *owner* starts with
+    when nothing tracked reached it, else ``None``."""
+    if _seedish(name):
+        return {Lineage(root=f"{owner}.{name}")}
+    if rngish(name):
+        return {Lineage(root=f"{owner}.{name}", is_generator=True)}
+    return None
 
 
 @dataclass(frozen=True)
@@ -221,12 +231,9 @@ class _Analyzer:
         for arg in (
             list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
         ):
-            if _seedish(arg.arg):
-                env[arg.arg] = {Lineage(root=f"{fn.qualname}.{arg.arg}")}
-            elif _rngish(arg.arg):
-                env[arg.arg] = {
-                    Lineage(root=f"{fn.qualname}.{arg.arg}", is_generator=True)
-                }
+            root = _named_root(fn.qualname, arg.arg)
+            if root is not None:
+                env[arg.arg] = root
         return env
 
 
@@ -353,17 +360,9 @@ class _FunctionScan:
     def _bind_fresh(self, target: ast.expr) -> None:
         for node in ast.walk(target):
             if isinstance(node, ast.Name):
-                if _seedish(node.id):
-                    self.env[node.id] = {
-                        Lineage(root=f"{self.fn.qualname}.{node.id}")
-                    }
-                elif _rngish(node.id):
-                    self.env[node.id] = {
-                        Lineage(
-                            root=f"{self.fn.qualname}.{node.id}",
-                            is_generator=True,
-                        )
-                    }
+                root = _named_root(self.fn.qualname, node.id)
+                if root is not None:
+                    self.env[node.id] = root
                 else:
                     self.env.pop(node.id, None)
 
@@ -383,7 +382,7 @@ class _FunctionScan:
             if _seedish(node.attr):
                 root = dotted_name(node) or f"<expr>.{node.attr}"
                 return {Lineage(root=root)}
-            if _rngish(node.attr):
+            if rngish(node.attr):
                 root = dotted_name(node) or f"<expr>.{node.attr}"
                 return {Lineage(root=root, is_generator=True)}
             if not isinstance(node.value, ast.Name):
@@ -695,16 +694,9 @@ class _FunctionScan:
                 env[name] = set(group)
         # Parameters that received nothing tracked fall back to roots.
         for name in params + kwonly:
-            if name not in env:
-                if _seedish(name):
-                    env[name] = {Lineage(root=f"{callee.qualname}.{name}")}
-                elif _rngish(name):
-                    env[name] = {
-                        Lineage(
-                            root=f"{callee.qualname}.{name}",
-                            is_generator=True,
-                        )
-                    }
+            root = None if name in env else _named_root(callee.qualname, name)
+            if root is not None:
+                env[name] = root
         scan = _FunctionScan(
             self.analyzer,
             callee,

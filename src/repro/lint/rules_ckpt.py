@@ -50,7 +50,6 @@ from typing import (
 from repro.lint.base import ProgramRule, register
 from repro.lint.callgraph import FUNCTION_TYPES, CallGraph, FunctionInfo
 from repro.lint.findings import Finding
-from repro.lint.rules_purity import _scope_nodes
 
 if TYPE_CHECKING:
     from repro.lint.purity import ProgramContext
@@ -214,10 +213,10 @@ class CheckpointStateRule(ProgramRule):
             if not checkpoint_calls:
                 continue
             covered = self._covered_names(program, fn, checkpoint_calls)
-            for scope in fn.declaring_defs:
-                if scope is fn.node:
+            for scope in fn.scopes:
+                if scope.node is fn.node:
                     continue
-                for node in _scope_nodes(scope):
+                for node in scope.declarations:
                     if not isinstance(node, ast.Nonlocal):
                         continue
                     for name in node.names:

@@ -20,32 +20,9 @@ from repro.lint.base import (
     resolve_call_target,
 )
 from repro.lint.findings import Finding
-
-# The numpy.random attributes that are legitimate *constructors* of seeded
-# state (flagged only when called without arguments — an unseeded draw from
-# OS entropy).  Everything else on numpy.random is the legacy module-global
-# RNG and is flagged unconditionally.
-_NP_SEEDABLE_CONSTRUCTORS = {
-    "default_rng",
-    "Generator",
-    "RandomState",
-    "SeedSequence",
-    "PCG64",
-    "PCG64DXSM",
-    "Philox",
-    "SFC64",
-    "MT19937",
-}
-
-# stdlib ``random`` module functions whose module-level form uses the hidden
-# global Mersenne Twister.  ``random.Random(seed)`` is fine.
-_STDLIB_RANDOM_GLOBALS = {
-    "random", "uniform", "randint", "randrange", "choice", "choices",
-    "shuffle", "sample", "seed", "getrandbits", "normalvariate", "gauss",
-    "expovariate", "betavariate", "gammavariate", "lognormvariate",
-    "paretovariate", "weibullvariate", "triangular", "vonmisesvariate",
-    "binomialvariate", "setstate", "getstate",
-}
+from repro.sanitizer import (
+    GLOBAL_RNG, RNG_CONSTRUCTOR, WALL_CLOCK, impure_call,
+)
 
 
 @register
@@ -70,48 +47,31 @@ class UnseededRngRule(Rule):
                 yield self.finding(ctx, node, message)
 
     def _diagnose(self, node: ast.Call, target: str) -> Optional[str]:
-        if target.startswith("numpy.random."):
-            attr = target[len("numpy.random."):]
-            if attr in _NP_SEEDABLE_CONSTRUCTORS:
-                if not node.args and not node.keywords:
-                    return (
-                        f"numpy.random.{attr}() called without a seed — "
-                        "derive the generator from TrialConfig.seed (or an "
-                        "explicit seed parameter)"
-                    )
-                return None
-            if "." not in attr and attr[:1].islower():
-                return (
-                    f"numpy.random.{attr}() draws from numpy's module-global "
-                    "RNG — use a seeded numpy.random.Generator instead"
-                )
-            return None
-        if target == "random.Random":
-            if not node.args and not node.keywords:
+        kind = impure_call(target)
+        unseeded = not node.args and not node.keywords
+        if kind == RNG_CONSTRUCTOR and unseeded:
+            if target == "random.Random":
                 return (
                     "random.Random() without a seed is nondeterministic — "
                     "pass an explicit seed"
                 )
+            return (
+                f"{target}() called without a seed — "
+                "derive the generator from TrialConfig.seed (or an "
+                "explicit seed parameter)"
+            )
+        if kind != GLOBAL_RNG:
             return None
-        if target.startswith("random."):
-            attr = target[len("random."):]
-            if "." not in attr and attr in _STDLIB_RANDOM_GLOBALS:
-                return (
-                    f"random.{attr}() uses the stdlib's hidden global RNG — "
-                    "use a seeded random.Random or numpy Generator"
-                )
-        return None
+        if target.startswith("numpy."):
+            return (
+                f"{target}() draws from numpy's module-global "
+                "RNG — use a seeded numpy.random.Generator instead"
+            )
+        return (
+            f"{target}() uses the stdlib's hidden global RNG — "
+            "use a seeded random.Random or numpy Generator"
+        )
 
-
-# Wall-clock call targets (after import resolution).
-_WALL_CLOCK_TARGETS = {
-    "time.time", "time.time_ns",
-    "time.perf_counter", "time.perf_counter_ns",
-    "time.monotonic", "time.monotonic_ns",
-    "time.process_time", "time.process_time_ns",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-}
 
 # Modules whose wall-clock use is quarantined by design: profiling output is
 # tagged nondeterministic and excluded from bit-identical dumps.
@@ -135,7 +95,7 @@ class WallClockRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             target = resolve_call_target(node, ctx.imports)
-            if target in _WALL_CLOCK_TARGETS:
+            if impure_call(target) == WALL_CLOCK:
                 yield self.finding(
                     ctx,
                     node,

@@ -41,12 +41,10 @@ from typing import (
 )
 
 from repro.lint.base import ImportMap, ProgramRule, register
-from repro.lint.callgraph import (
-    MUTATING_METHODS, FunctionInfo, FunctionNode, ModuleNames,
-)
-from repro.lint.dataflow import RNG_SINKS
+from repro.lint.callgraph import MUTATING_METHODS, FunctionInfo, ModuleNames
+from repro.lint.dataflow import RNG_SINKS, rngish
 from repro.lint.findings import Finding
-from repro.lint.rules_det import _STDLIB_RANDOM_GLOBALS, _WALL_CLOCK_TARGETS
+from repro.sanitizer import GLOBAL_RNG, WALL_CLOCK, impure_call
 
 if TYPE_CHECKING:
     from repro.lint.purity import ProgramContext
@@ -88,55 +86,6 @@ def _pure_findings(
             )
 
 
-def _local_names(fn: FunctionInfo) -> Set[str]:
-    """Names bound locally inside a function (params + stores + targets)."""
-    out: Set[str] = set()
-    declared_global: Set[str] = set()
-    args = fn.node.args
-    for arg in (
-        list(args.posonlyargs)
-        + list(args.args)
-        + list(args.kwonlyargs)
-        + ([args.vararg] if args.vararg else [])
-        + ([args.kwarg] if args.kwarg else [])
-    ):
-        out.add(arg.arg)
-    for sub in fn.nodes:
-        if isinstance(sub, ast.Name) and isinstance(
-            sub.ctx, (ast.Store, ast.Del)
-        ):
-            out.add(sub.id)
-        elif isinstance(sub, (ast.For, ast.AsyncFor)):
-            for target in ast.walk(sub.target):
-                if isinstance(target, ast.Name):
-                    out.add(target.id)
-        elif isinstance(sub, ast.withitem) and sub.optional_vars is not None:
-            for target in ast.walk(sub.optional_vars):
-                if isinstance(target, ast.Name):
-                    out.add(target.id)
-        elif isinstance(sub, ast.Global):
-            declared_global.update(sub.names)
-    # A `global` declaration un-localizes the name again.
-    return out - declared_global
-
-
-def _scope_nodes(scope: FunctionNode) -> Iterator[ast.AST]:
-    """Nodes belonging to *scope*'s own body, pruning nested defs/classes.
-
-    ``global``/``nonlocal`` declarations are scope-local, so rules that
-    care about them must not mix statements across nesting levels.
-    """
-    stack: List[ast.AST] = list(scope.body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
 @register
 class PureGlobalWriteRule(ProgramRule):
     """PURE001 — no writes to module globals from inside the pure region."""
@@ -160,7 +109,7 @@ class PureGlobalWriteRule(ProgramRule):
             for alias, origin in fn.imports.names.items()
             if origin.rsplit(".", 1)[-1][:1].isupper()
         }
-        local = _local_names(fn)
+        local = fn.local_names
 
         def module_binding(name: str) -> bool:
             return (
@@ -170,25 +119,14 @@ class PureGlobalWriteRule(ProgramRule):
             )
 
         # (a) rebinding a declared global / nonlocal.  ``global``/``nonlocal``
-        # declarations only affect the scope they appear in, so each def in
-        # the subtree is analysed as its own scope — an outer function that
-        # merely *binds* a name some nested closure later declares nonlocal
-        # is not itself writing a cell.
-        for scope in fn.declaring_defs:
-            declared_global: Set[str] = set()
-            declared_nonlocal: Set[str] = set()
-            scope_nodes = list(_scope_nodes(scope))
-            for node in scope_nodes:
-                if isinstance(node, ast.Global):
-                    declared_global.update(node.names)
-                elif isinstance(node, ast.Nonlocal):
-                    declared_nonlocal.update(node.names)
-            for node in scope_nodes:
-                if not (
-                    isinstance(node, ast.Name)
-                    and isinstance(node.ctx, ast.Store)
-                ):
-                    continue
+        # declarations only affect the scope they appear in, so each def's
+        # own stores are checked against its own declarations — an outer
+        # function that merely *binds* a name some nested closure later
+        # declares nonlocal is not itself writing a cell.
+        for scope in fn.scopes:
+            declared_global = scope.declared(ast.Global)
+            declared_nonlocal = scope.declared(ast.Nonlocal)
+            for node in scope.stores:
                 if node.id in declared_global:
                     yield node, (
                         f"writes module global {node.id!r} from the pure "
@@ -309,7 +247,8 @@ class PureImpureCallRule(ProgramRule):
     ) -> Optional[str]:
         if target is None:
             return None
-        if target in _WALL_CLOCK_TARGETS:
+        kind = impure_call(target)
+        if kind == WALL_CLOCK:
             return (
                 f"{target}() reads the wall clock inside the pure region — "
                 "nothing reachable from a purity root may observe real time"
@@ -319,29 +258,27 @@ class PureImpureCallRule(ProgramRule):
                 f"{target}() is impure (ambient process state or OS "
                 "entropy) — forbidden inside the pure region"
             )
-        if target.startswith("random."):
-            attr = target[len("random."):]
-            if "." not in attr and attr in _STDLIB_RANDOM_GLOBALS:
-                return (
-                    f"random.{attr}() draws from the stdlib's hidden global "
-                    "RNG inside the pure region — every draw must flow from "
-                    "an explicitly passed generator"
-                )
-        if target.startswith("numpy.random."):
-            attr = target[len("numpy.random."):]
-            if "." not in attr and attr[:1].islower() and attr not in {
-                "default_rng",
-            }:
-                return (
-                    f"numpy.random.{attr}() draws from numpy's module-"
-                    "global RNG inside the pure region — use a seeded "
-                    "Generator passed in from the session"
-                )
-            if attr == "default_rng" and not node.args and not node.keywords:
-                return (
-                    "numpy.random.default_rng() without a seed pulls OS "
-                    "entropy inside the pure region"
-                )
+        if kind == GLOBAL_RNG and target.startswith("random."):
+            return (
+                f"{target}() draws from the stdlib's hidden global "
+                "RNG inside the pure region — every draw must flow from "
+                "an explicitly passed generator"
+            )
+        if kind == GLOBAL_RNG:
+            return (
+                f"{target}() draws from numpy's module-"
+                "global RNG inside the pure region — use a seeded "
+                "Generator passed in from the session"
+            )
+        if (
+            target == "numpy.random.default_rng"
+            and not node.args
+            and not node.keywords
+        ):
+            return (
+                "numpy.random.default_rng() without a seed pulls OS "
+                "entropy inside the pure region"
+            )
         if target.startswith("os.environ."):
             method = target[len("os.environ."):]
             if method in {"update", "setdefault", "pop", "clear",
@@ -384,7 +321,12 @@ class PureRngDualityRule(ProgramRule):
 
     @staticmethod
     def _violations(fn: FunctionInfo) -> _Violations:
-        rng_params = _rng_parameters(fn.node)
+        args = fn.node.args
+        rng_params = {
+            arg.arg
+            for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            if rngish(arg.arg)
+        }
         if not rng_params:
             return
         exempt = _none_fallback_nodes(fn.nodes, rng_params)
@@ -397,19 +339,6 @@ class PureRngDualityRule(ProgramRule):
                     "an explicit seed parameter) instead of creating "
                     "an independent one"
                 )
-
-
-def _rng_parameters(node: FunctionNode) -> Set[str]:
-    names: Set[str] = set()
-    args = node.args
-    for arg in (
-        list(args.posonlyargs)
-        + list(args.args)
-        + list(args.kwonlyargs)
-    ):
-        if arg.arg == "rng" or arg.arg.endswith("_rng"):
-            names.add(arg.arg)
-    return names
 
 
 def _none_fallback_nodes(

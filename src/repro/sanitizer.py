@@ -13,14 +13,16 @@ holds the two halves together.
 Tripwires (armed only *inside* a :func:`guard` scope, so pytest, hypothesis
 and the import machinery are untouched):
 
-* **wall clock** — ``time.time``/``perf_counter``/``monotonic``/
-  ``process_time`` (and their ``_ns`` twins) are wrapped; a read inside the
+* **wall clock** — the ``time`` functions of :data:`IMPURE_SURFACE`, the
+  table DET002 and PURE002 read too, are wrapped; a read inside the
   guard raises unless the calling line (or the line above it) carries a
   ``# repro: allow-...(reason)`` comment — the same inline allowances the
   static pass honours — or the caller lives in the quarantined
   :mod:`repro.obs` package.
-* **hidden global RNGs** — module-level draws on :mod:`random` and
-  ``numpy.random`` (the shared ``RandomState``) are wrapped the same way.
+* **hidden global RNGs** — module-level draws on :mod:`random` (the
+  table's) and on ``numpy.random`` (each lowercase name but the seedable
+  constructors: the shared ``RandomState``) are wrapped the same way, so
+  every call DET001 flags as a global draw trips here.
   Seeded ``random.Random`` / ``numpy`` ``Generator`` instances are
   untouched: per-session RNGs are the *contract*, not a violation.
 * **seed registry** — every *materialized* seed (int or flat int tuple)
@@ -56,14 +58,15 @@ and the import machinery are untouched):
   shared a seed, and the cross-check test asserts it *differs* across
   subprocesses with different seeds.
 
-``datetime.datetime.now`` and friends are static-only: wrapping methods of
-C-implemented types is not supported, and DET002 already rejects them at
-lint time.
+``datetime.datetime.now`` and friends are static-only (:data:`STATIC_ONLY`):
+wrapping methods of C-implemented types is not supported, and DET002
+already rejects them at lint time.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import linecache
 import os
 import sys
@@ -140,52 +143,73 @@ class _SanitizerState:
 _STATE = _SanitizerState()
 _AUDIT_HOOK_ADDED = False
 
-# Wall-clock functions wrapped on the ``time`` module — mirrors the static
-# DET002/PURE002 target list (minus datetime, see module docstring).
-_TIME_FUNCTIONS = (
-    "time",
-    "time_ns",
-    "perf_counter",
-    "perf_counter_ns",
-    "monotonic",
-    "monotonic_ns",
-    "process_time",
-    "process_time_ns",
-)
+# ---------------------------------------------------------------------------
+# The impure standard-library surface: the one table both halves read.
+# ---------------------------------------------------------------------------
 
-# Module-level draws on the stdlib's hidden global RNG (subset of the
-# static ``_STDLIB_RANDOM_GLOBALS`` list that exists as module functions).
-_RANDOM_FUNCTIONS = (
-    "random",
-    "uniform",
-    "randint",
-    "randrange",
-    "choice",
-    "choices",
-    "shuffle",
-    "sample",
-    "seed",
-    "getrandbits",
-    "gauss",
-    "normalvariate",
-    "expovariate",
-    "setstate",
-)
+WALL_CLOCK = "wall-clock read"
+GLOBAL_RNG = "global-RNG draw"
+RNG_CONSTRUCTOR = "RNG construction"
+"""What a call does, as :func:`impure_call` classifies it: a constructor
+is impure only when called without a seed."""
 
-# Module-level draws on numpy's shared legacy RandomState.
-_NUMPY_RANDOM_FUNCTIONS = (
-    "random",
-    "rand",
-    "randn",
-    "randint",
-    "random_sample",
-    "uniform",
-    "normal",
-    "choice",
-    "shuffle",
-    "permutation",
-    "seed",
+IMPURE_SURFACE: Tuple[Tuple[str, str, Tuple[str, ...]], ...] = (
+    ("time", WALL_CLOCK, (
+        "time", "time_ns", "perf_counter", "perf_counter_ns",
+        "monotonic", "monotonic_ns", "process_time", "process_time_ns",
+    )),
+    ("datetime.datetime", WALL_CLOCK, ("now", "utcnow", "today")),
+    ("datetime.date", WALL_CLOCK, ("today",)),
+    ("random", GLOBAL_RNG, (
+        "random", "uniform", "randint", "randrange", "choice", "choices",
+        "shuffle", "sample", "seed", "getrandbits", "normalvariate",
+        "gauss", "expovariate", "betavariate", "gammavariate",
+        "lognormvariate", "paretovariate", "weibullvariate", "triangular",
+        "vonmisesvariate", "binomialvariate", "setstate", "getstate",
+    )),
 )
+"""(module, what calling it does, its functions that do it): the wall clock
+and the stdlib's hidden global Mersenne Twister.  DET001, DET002 and
+PURE002 read it through :func:`impure_call`; :func:`install` wraps each
+function that exists on the running module.  It lives here, not in
+:mod:`repro.lint`, because the session path imports this module and may
+neither load the linter nor read a file."""
+
+STATIC_ONLY = ("datetime.datetime", "datetime.date")
+"""Modules of :data:`IMPURE_SURFACE` only the lint checks: methods of C
+types cannot be patched."""
+
+NUMPY_RNG_CONSTRUCTORS = frozenset({
+    "default_rng", "Generator", "RandomState", "SeedSequence", "PCG64",
+    "PCG64DXSM", "Philox", "SFC64", "MT19937",
+})
+"""``numpy.random``'s seedable constructors.  Every other lowercase name on
+``numpy.random`` draws from (or steers) its shared legacy ``RandomState``."""
+
+_IMPURE = {
+    f"{module}.{name}": kind
+    for module, kind, names in IMPURE_SURFACE
+    for name in names
+}
+
+
+def impure_call(target: Optional[str]) -> Optional[str]:
+    """What calling *target*, a dotted name after import resolution, does to
+    a session's purity: :data:`WALL_CLOCK`, :data:`GLOBAL_RNG`,
+    :data:`RNG_CONSTRUCTOR`, or ``None`` when it is none of these."""
+    if target is None:
+        return None
+    kind = _IMPURE.get(target)
+    if kind is not None:
+        return kind
+    if target == "random.Random":
+        return RNG_CONSTRUCTOR
+    module, _, name = target.rpartition(".")
+    if module != "numpy.random":
+        return None
+    if name in NUMPY_RNG_CONSTRUCTORS:
+        return RNG_CONSTRUCTOR
+    return GLOBAL_RNG if name[:1].islower() else None
 
 
 def enabled() -> bool:
@@ -244,15 +268,20 @@ def _trip(kind: str, name: str, frame: Optional[types.FrameType]) -> None:
 
 
 def _wrap(
-    module: Any, attr: str, kind: str, registry_key: str
+    module: Any,
+    attr: str,
+    registry_key: str,
+    check: Callable[..., None],
 ) -> None:
+    """Replace ``module.attr`` with a tripwire that, inside a guard, calls
+    ``check(frame, *args, **kwargs)`` with the caller's frame first."""
     original = getattr(module, attr, None)
-    if original is None or registry_key in _STATE.originals:
+    if not callable(original) or registry_key in _STATE.originals:
         return
 
     def tripwire(*args: Any, **kwargs: Any) -> Any:
         if _STATE.installed and _STATE.depth > 0:
-            _trip(kind, registry_key, sys._getframe(1))
+            check(sys._getframe(1), *args, **kwargs)
         return original(*args, **kwargs)
 
     tripwire.__name__ = getattr(original, "__name__", attr)
@@ -260,6 +289,11 @@ def _wrap(
     tripwire.__doc__ = getattr(original, "__doc__", None)
     _STATE.originals[registry_key] = (module, attr, original)
     setattr(module, attr, tripwire)
+
+
+def _always(kind: str, registry_key: str) -> Callable[..., None]:
+    """The check of a table entry: any call trips."""
+    return lambda frame, *args, **kwargs: _trip(kind, registry_key, frame)
 
 
 def install(snapshot_modules: Sequence[str] = ()) -> None:
@@ -273,29 +307,28 @@ def install(snapshot_modules: Sequence[str] = ()) -> None:
         if snapshot_modules:
             _STATE.snapshot_modules = tuple(snapshot_modules)
         return
-    import random as _random
-    import time as _time
+    import numpy.random as _np_random
 
-    for name in _TIME_FUNCTIONS:
-        _wrap(_time, name, "wall-clock read", f"time.{name}")
-    for name in _RANDOM_FUNCTIONS:
-        _wrap(_random, name, "global-RNG draw", f"random.{name}")
-    try:
-        import numpy.random as _np_random
-    except ImportError:  # pragma: no cover - numpy is a baked-in dep
-        _np_random = None
-    if _np_random is not None:
-        for name in _NUMPY_RANDOM_FUNCTIONS:
-            _wrap(
-                _np_random, name, "global-RNG draw", f"numpy.random.{name}"
-            )
-        _wrap_unseeded_default_rng(_np_random)
-    try:
-        from repro.experiment import parallel as _parallel
-    except ImportError:  # pragma: no cover - core package
-        _parallel = None  # type: ignore[assignment]
-    if _parallel is not None:
-        _wrap_fork_map(_parallel)
+    from repro.experiment import parallel as _parallel
+
+    for module_name, kind, names in IMPURE_SURFACE:
+        if module_name not in STATIC_ONLY:
+            module = importlib.import_module(module_name)
+            for name in names:
+                key = f"{module_name}.{name}"
+                _wrap(module, name, key, _always(kind, key))
+    for name in dir(_np_random):
+        key = f"numpy.random.{name}"
+        if impure_call(key) == GLOBAL_RNG:
+            _wrap(_np_random, name, key, _always(GLOBAL_RNG, key))
+    _wrap(
+        _np_random, "default_rng", "numpy.random.default_rng",
+        _check_default_rng,
+    )
+    _wrap(
+        _parallel, "fork_map", "repro.experiment.parallel.fork_map",
+        _check_fork_map,
+    )
     if not _AUDIT_HOOK_ADDED:
         sys.addaudithook(_audit_hook)
         _AUDIT_HOOK_ADDED = True
@@ -362,7 +395,9 @@ def seed_records() -> List[Tuple[Tuple[Any, ...], str]]:
     return list(_STATE.seed_log)
 
 
-def _wrap_unseeded_default_rng(np_random: Any) -> None:
+def _check_default_rng(
+    frame: types.FrameType, seed: Any = None, *args: Any, **kwargs: Any
+) -> None:
     """Trip *unseeded* ``numpy.random.default_rng()`` construction, and
     feed seeded constructions into the duplicate-seed registry.
 
@@ -372,28 +407,10 @@ def _wrap_unseeded_default_rng(np_random: Any) -> None:
     materialized at two distinct sites means two independent consumers
     draw identical streams.
     """
-    registry_key = "numpy.random.default_rng"
-    original = getattr(np_random, "default_rng", None)
-    if original is None or registry_key in _STATE.originals:
-        return
-
-    def tripwire(seed: Any = None, *args: Any, **kwargs: Any) -> Any:
-        if _STATE.installed and _STATE.depth > 0:
-            if seed is None:
-                _trip(
-                    "unseeded RNG construction",
-                    "numpy.random.default_rng()",
-                    sys._getframe(1),
-                )
-            else:
-                _record_seed(seed, sys._getframe(1))
-        return original(seed, *args, **kwargs)
-
-    tripwire.__name__ = "default_rng"
-    tripwire.__qualname__ = "default_rng"
-    tripwire.__doc__ = getattr(original, "__doc__", None)
-    _STATE.originals[registry_key] = (np_random, "default_rng", original)
-    np_random.default_rng = tripwire
+    if seed is None:
+        _trip("unseeded RNG construction", "numpy.random.default_rng()", frame)
+    else:
+        _record_seed(seed, frame)
 
 
 def _contains_generator(value: Any, depth: int = 3) -> bool:
@@ -420,32 +437,18 @@ def _contains_generator(value: Any, depth: int = 3) -> bool:
     return False
 
 
-def _wrap_fork_map(parallel: Any) -> None:
+def _check_fork_map(
+    frame: types.FrameType, *args: Any, **kwargs: Any
+) -> None:
     """Trip when a numpy Generator crosses the fork boundary (SEED004's
     dynamic half).  The check precedes the call, so it fires even on the
     serial (``workers<=1``) fallback path."""
-    registry_key = "repro.experiment.parallel.fork_map"
-    original = getattr(parallel, "fork_map", None)
-    if original is None or registry_key in _STATE.originals:
-        return
-
-    def tripwire(*args: Any, **kwargs: Any) -> Any:
-        if _STATE.installed and _STATE.depth > 0:
-            for value in list(args) + list(kwargs.values()):
-                if _contains_generator(value):
-                    _trip(
-                        "generator crossed a process boundary",
-                        "repro.experiment.parallel.fork_map(...)",
-                        sys._getframe(1),
-                    )
-                    break
-        return original(*args, **kwargs)
-
-    tripwire.__name__ = "fork_map"
-    tripwire.__qualname__ = "fork_map"
-    tripwire.__doc__ = getattr(original, "__doc__", None)
-    _STATE.originals[registry_key] = (parallel, "fork_map", original)
-    parallel.fork_map = tripwire
+    if any(_contains_generator(value) for value in [*args, *kwargs.values()]):
+        _trip(
+            "generator crossed a process boundary",
+            "repro.experiment.parallel.fork_map(...)",
+            frame,
+        )
 
 
 def uninstall() -> None:

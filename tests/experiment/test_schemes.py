@@ -1,5 +1,7 @@
 """Tests for repro.experiment.schemes — the Fig. 5 registry."""
 
+import argparse
+
 import pytest
 
 from repro.abr.pensieve.model import ActorCritic
@@ -54,7 +56,7 @@ class TestRegistry:
         # Fig. 5's classical rows, the fleet CLI's schemes and the mini-trial
         # the obs and sanitize commands run are the same definitions.
         from repro.__main__ import _obs_collect_specs
-        from repro.fleet.cli import fleet_specs
+        from repro.fleet_cli import fleet_specs
 
         assert specs[:3] == [
             CLASSICAL_SCHEMES[name]
@@ -66,7 +68,9 @@ class TestRegistry:
         assert _obs_collect_specs() == specs[:2]
         for name, spec in CLASSICAL_SCHEMES.items():
             assert spec.build().name == name
-        with pytest.raises(SystemExit, match="unknown scheme 'nope'"):
+        with pytest.raises(
+            argparse.ArgumentTypeError, match="unknown scheme 'nope'"
+        ):
             fleet_specs(["bba", "nope"])
 
     def test_emulation_arm_optional(self):

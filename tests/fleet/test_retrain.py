@@ -107,6 +107,13 @@ class TestRetrainConfig:
         with pytest.raises(ValueError):
             RetrainConfig(**kwargs)
 
+    def test_a_zero_decay_is_refused_by_name(self):
+        with pytest.raises(ValueError) as refused:
+            RetrainConfig(recency_decay=0.0)
+        assert str(refused.value) == (
+            "RetrainConfig.recency_decay must lie in (0, 1], got 0.0"
+        )
+
 
 class TestModelRegistry:
     def _state(self, seed=0):

@@ -3,11 +3,13 @@
 ``CallGraph.build`` walks each function body once as it collects it
 (``FunctionInfo.nodes`` and ``FunctionInfo.calls``), builds each module's
 top-level name table once (``CallGraph.names``) and indexes every class's
-direct subclasses once.  The same walk records which defs declare
-``global``/``nonlocal`` (``FunctionInfo.declaring_defs``), so PURE001 and
-CKPT002 make their per-scope pass over those defs alone.  These tests pin
-the counts over the real tree and the checked-in contract, and pin the
-subclass index and the declaring defs against the scans they replaced.
+direct subclasses once.  The same walk records each function's scope
+facts (``FunctionInfo.scopes``: the defs that declare ``global`` or
+``nonlocal``, what they declare and the names their own body stores; and
+``FunctionInfo.local_names``), which PURE001 and CKPT002 read instead of
+re-walking a scope.  These tests pin the counts over the real tree and the
+checked-in contract, and pin the subclass index and the scope facts
+against the scans they replaced.
 """
 
 import ast
@@ -19,9 +21,7 @@ import pytest
 
 import repro.lint.callgraph as callgraph_mod
 import repro.lint.purity as purity_mod
-import repro.lint.rules_ckpt as ckpt_mod
 import repro.lint.rules_durability as durability_mod
-import repro.lint.rules_purity as purity_rules_mod
 from repro.lint import lint_paths, load_contract
 from repro.lint.callgraph import FUNCTION_TYPES, CallGraph
 from repro.lint.engine import parse_module
@@ -267,21 +267,78 @@ class TestSubclassIndex:
             assert graph.subclasses(qualname) == subs
 
 
-# -- the per-scope pass ------------------------------------------------------
-def declares(scope):
-    """The scan ``declaring_defs`` replaced: *scope*'s own body (nested
-    defs and classes pruned) holds a ``global`` or ``nonlocal``."""
-    return any(
-        isinstance(node, (ast.Global, ast.Nonlocal))
-        for node in purity_rules_mod._scope_nodes(scope)
-    )
+# -- the scope facts ---------------------------------------------------------
+def scope_nodes(scope):
+    """The per-scope scan the scope facts replaced, kept frozen as the
+    reference: *scope*'s own body, nested defs and classes pruned."""
+    stack = list(scope.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (*FUNCTION_TYPES, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
 
 
-def scanned_declaring_defs(fn):
+def scanned_scopes(fn):
+    """Each def of *fn* whose own body declares ``global``/``nonlocal``,
+    with the ids of its declarations and of its own ``Name`` stores."""
+    out = []
+    for node in fn.nodes:
+        if not isinstance(node, FUNCTION_TYPES):
+            continue
+        own = list(scope_nodes(node))
+        declarations = {
+            id(sub) for sub in own
+            if isinstance(sub, (ast.Global, ast.Nonlocal))
+        }
+        if declarations:
+            stores = {
+                id(sub) for sub in own
+                if isinstance(sub, ast.Name)
+                and isinstance(sub.ctx, ast.Store)
+            }
+            out.append((node, declarations, stores))
+    return out
+
+
+def scanned_local_names(fn):
+    """The local-name scan the walk replaced, kept frozen as the reference
+    (its ``for`` and ``with`` targets included)."""
+    args = fn.node.args
+    out = {
+        arg.arg
+        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                    args.vararg, args.kwarg]
+        if arg is not None
+    }
+    declared_global = set()
+    for sub in fn.nodes:
+        if isinstance(sub, ast.Name) and isinstance(
+            sub.ctx, (ast.Store, ast.Del)
+        ):
+            out.add(sub.id)
+        elif isinstance(sub, (ast.For, ast.AsyncFor)):
+            out.update(
+                t.id for t in ast.walk(sub.target) if isinstance(t, ast.Name)
+            )
+        elif isinstance(sub, ast.withitem) and sub.optional_vars is not None:
+            out.update(
+                t.id for t in ast.walk(sub.optional_vars)
+                if isinstance(t, ast.Name)
+            )
+        elif isinstance(sub, ast.Global):
+            declared_global.update(sub.names)
+    return out - declared_global
+
+
+def facts_of(fn):
     return [
-        node
-        for node in fn.nodes
-        if isinstance(node, FUNCTION_TYPES) and declares(node)
+        (
+            scope.node,
+            {id(node) for node in scope.declarations},
+            {id(node) for node in scope.stores},
+        )
+        for scope in fn.scopes
     ]
 
 
@@ -331,55 +388,85 @@ SCOPES = _mod(
             return deeper
         COUNT = 4
         return nested
+
+    def defaults_run_outside(seed):
+        global COUNT
+        @wraps(hook := seed)
+        def inner(x=(COUNT := 5)):
+            del x
+        with open(seed) as handle, lock as (a, b):
+            pass
+        return inner, hook
     """,
 )
 
 
-@pytest.fixture(scope="module")
-def scope_passes(tmp_path_factory):
-    """One whole-program run with each per-scope pass of PURE001 and
-    CKPT002 recorded."""
-    passes = []
-    real = purity_rules_mod._scope_nodes
-
-    def scope_nodes(scope):
-        passes.append(scope)
-        return real(scope)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.chdir(tmp_path_factory.mktemp("lint-cwd"))
-        patch.setattr(purity_rules_mod, "_scope_nodes", scope_nodes)
-        patch.setattr(ckpt_mod, "_scope_nodes", scope_nodes)
-        report = lint_paths(
-            [SRC], contract=load_contract(REPO_ROOT / "contract.json")
-        )
-    assert report.ok
-    return passes
-
-
-class TestDeclaringDefs:
-    def test_declaring_defs_equal_the_per_scope_scan(self):
+class TestScopeFacts:
+    def test_scope_facts_name_each_declaration_and_store(self):
         graph = CallGraph.build([SCOPES])
-        declaring = {
-            fn.name: [node.name for node in fn.declaring_defs]
+        facts = {
+            fn.name: [
+                (
+                    scope.node.name,
+                    sorted(scope.declared(ast.Global)),
+                    sorted(scope.declared(ast.Nonlocal)),
+                    sorted(node.id for node in scope.stores),
+                )
+                for scope in fn.scopes
+            ]
             for fn in graph.functions.values()
         }
-        assert declaring == {
+        assert facts == {
             "plain": [],
-            "rebinds": ["rebinds"],
-            "declares_in_a_branch": ["declares_in_a_branch"],
-            "closure": ["bump"],
-            "class_in_a_def": ["one"],
-            "outer_declares_too": ["outer_declares_too"],
+            "rebinds": [("rebinds", ["COUNT"], [], ["COUNT"])],
+            "declares_in_a_branch": [
+                ("declares_in_a_branch", ["COUNT"], [], ["COUNT", "_"])
+            ],
+            "closure": [("bump", [], ["total"], ["total"])],
+            "class_in_a_def": [("one", ["COUNT"], [], ["COUNT"])],
+            "outer_declares_too": [
+                ("outer_declares_too", ["COUNT"], [], ["COUNT"])
+            ],
+            # A nested def's decorators and defaults run in this scope.
+            "defaults_run_outside": [
+                (
+                    "defaults_run_outside", ["COUNT"], [],
+                    ["COUNT", "a", "b", "handle", "hook"],
+                )
+            ],
         }
-        for qualname, fn in graph.functions.items():
-            assert fn.declaring_defs == scanned_declaring_defs(fn), qualname
 
-    def test_declaring_defs_over_the_real_tree(self, counted_run):
-        graph, _, _, _ = counted_run
+    def test_local_names_are_the_stored_names_less_globals(self):
+        # Parameters and ``Name`` stores and deletes, nested defs' included;
+        # a ``def`` or ``class`` statement's own name is not a ``Name``.
+        graph = CallGraph.build([SCOPES])
+        local = {
+            fn.name: sorted(fn.local_names)
+            for fn in graph.functions.values()
+        }
+        assert local == {
+            "plain": [],
+            "rebinds": [],
+            "declares_in_a_branch": ["_", "flag"],
+            "closure": ["total"],
+            "class_in_a_def": [],
+            "outer_declares_too": ["nonlocal_free"],
+            "defaults_run_outside": ["a", "b", "handle", "hook", "seed", "x"],
+        }
+
+    def test_scope_facts_equal_the_per_scope_scan(self):
+        graph = CallGraph.build([SCOPES])
         for qualname, fn in sorted(graph.functions.items()):
-            assert fn.declaring_defs == scanned_declaring_defs(fn), qualname
+            if fn.name == "defaults_run_outside":
+                continue  # the scan left nested defaults in no scope
+            assert facts_of(fn) == scanned_scopes(fn), qualname
+            assert fn.local_names == scanned_local_names(fn), qualname
 
-    def test_only_declaring_defs_get_a_scope_pass(self, scope_passes):
-        assert scope_passes
-        assert all(declares(scope) for scope in scope_passes)
+    def test_scope_facts_over_the_real_tree(self, counted_run):
+        graph, _, _, _ = counted_run
+        declaring = 0
+        for qualname, fn in sorted(graph.functions.items()):
+            assert facts_of(fn) == scanned_scopes(fn), qualname
+            assert fn.local_names == scanned_local_names(fn), qualname
+            declaring += len(fn.scopes)
+        assert declaring > 0

@@ -329,13 +329,79 @@ class TestBadInput:
             "not-json.txt",
         ]
 
+    @staticmethod
+    def _api_checkpoint(path):
+        """A paused fleet run's checkpoint written through the API, so it
+        records no CLI parameters."""
+        from repro.experiment.presets import smoke_trial_config
+        from repro.fleet.runner import FleetConfig, run_fleet
+        from repro.fleet.workload import WorkloadConfig
+        from repro.fleet_cli import fleet_specs
+
+        config = FleetConfig(
+            workload=WorkloadConfig(days=0.01, sessions_per_hour=40.0, seed=5),
+            trial=smoke_trial_config(seed=11),
+            chunk_sessions=4,
+        )
+        run_fleet(
+            fleet_specs(["bba"]), config, checkpoint_path=str(path),
+            stop_after_sessions=4,
+        )
+
+    @pytest.mark.parametrize(
+        "argv, status, message",
+        [
+            (
+                ["fleet", "run", "--days", "0.01", "--schemes", "nope"],
+                2,
+                "unknown scheme 'nope'; choose from ",
+            ),
+            (
+                ["fleet", "resume", "--checkpoint", "missing.ckpt"],
+                1,
+                "no checkpoint at missing.ckpt",
+            ),
+            (
+                ["fleet", "resume", "--checkpoint", "api.ckpt"],
+                1,
+                "checkpoint was written by an API run",
+            ),
+            (
+                ["fleet", "report", "no-sink.json"],
+                1,
+                "cannot read no-sink.json: neither a fleet checkpoint nor a "
+                "metrics dump (no 'sink' key)",
+            ),
+        ],
+    )
+    def test_a_fleet_command_refuses_on_one_error_line(
+        self, argv, status, message, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "no-sink.json").write_text('{"next_session_id": 3}')
+        self._api_checkpoint(tmp_path / "api.ckpt")
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == status
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert len(errors) == 1 and errors[0].startswith(
+            f"repro: error: {message}"
+        )
+        assert "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == before
+
 
 class TestFleetCommands:
     """``repro fleet``: one declaration of a run's flags, one recorder of
     them, one handler for ``run`` and ``retrain``."""
 
     #: What ``fleet run`` recorded in its checkpoint before the fleet
-    #: commands moved to ``repro.fleet.cli``, for the flags given below.
+    #: commands left ``repro.__main__``, for the flags given below.
     RECORDED_RUN = {
         "archive_dir": None, "cache_chunks": 256,
         "cell_capacity_bps": 60000000.0, "cell_dist": "geometric",

@@ -121,7 +121,9 @@ def test_a_fleet_run_to_its_dump_imports_numpy_and_nothing_else():
 
 #: Modules no workload and no in-situ loop runs: Pensieve's trainer, CS2P,
 #: Oboe, the figure, plot, power and QoE-metric code, the in-situ training
-#: driver, chunk replacement and the FCC/mahimahi trace tooling.
+#: driver, chunk replacement, the FCC/mahimahi trace tooling and the
+#: linter (the sanitizer on the session path holds the impure-call table
+#: both read).
 NEVER_ON_THE_FLEET_PATH = (
     "repro.abr.cs2p",
     "repro.abr.oboe",
@@ -131,6 +133,7 @@ NEVER_ON_THE_FLEET_PATH = (
     "repro.analysis.power",
     "repro.analysis.qoe_metrics",
     "repro.experiment.insitu",
+    "repro.lint",
     "repro.streaming.replacement",
     "repro.traces",
     "repro.traces.fcc",
@@ -189,3 +192,18 @@ def test_the_benchmarks_collect():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert " tests collected" in done.stdout
+
+
+def test_the_lint_command_loads_no_simulation():
+    # Every command builds the whole parser, the fleet group's included:
+    # declaring the fleet's flags must not load the fleet.
+    done = _run(["-X", "importtime", "-m", "repro", "lint", "--rules"])
+    assert done.returncode == 0, done.stderr
+    assert "DET001" in done.stdout
+    loaded = {
+        line.rpartition("|")[2].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert {"repro.fleet_cli", "repro.lint.cli"} <= loaded
+    assert sorted(loaded & {"numpy", "repro.fleet", "repro.fleet.runner"}) == []
