@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.analysis.stats import ccdf
 from repro.analysis.summary import split_slow_paths, summarize_scheme
+from repro.experiment.consort import EXCLUDED
 
 if TYPE_CHECKING:
     from repro.experiment.harness import TrialResult
@@ -131,9 +132,7 @@ def consort_flow_data(trial: "TrialResult") -> Dict:
             name: {
                 "sessions": arm.sessions_assigned,
                 "streams": arm.streams_assigned,
-                "did_not_begin": arm.did_not_begin,
-                "watch_time_under_4s": arm.watch_time_under_4s,
-                "slow_video_decoder": arm.slow_video_decoder,
+                **{category: getattr(arm, category) for category in EXCLUDED},
                 "truncated": arm.truncated_loss_of_contact,
                 "considered": arm.considered,
             }

@@ -8,13 +8,17 @@ by loss of contact, and streams considered for the primary analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Sequence
 
 from repro.streaming.session import StreamResult
 
 MIN_WATCH_TIME_S = 4.0
 """Primary-analysis eligibility: streams that played at least 4 s (§5)."""
+
+EXCLUDED = ("did_not_begin", "watch_time_under_4s", "slow_video_decoder")
+"""Fig. A1's exclusion categories, as :func:`classify_stream` names them;
+each is a :class:`ConsortArm` tally of the same name."""
 
 
 @dataclass
@@ -33,7 +37,7 @@ class ConsortArm:
 
     @property
     def excluded(self) -> int:
-        return self.did_not_begin + self.watch_time_under_4s + self.slow_video_decoder
+        return sum(getattr(self, category) for category in EXCLUDED)
 
     def check(self) -> None:
         """Internal consistency: every stream is excluded or considered."""
@@ -49,14 +53,10 @@ class ConsortArm:
             raise ValueError(
                 f"cannot merge arm {other.scheme!r} into {self.scheme!r}"
             )
-        self.sessions_assigned += other.sessions_assigned
-        self.streams_assigned += other.streams_assigned
-        self.did_not_begin += other.did_not_begin
-        self.watch_time_under_4s += other.watch_time_under_4s
-        self.slow_video_decoder += other.slow_video_decoder
-        self.truncated_loss_of_contact += other.truncated_loss_of_contact
-        self.considered += other.considered
-        self.considered_watch_time_s += other.considered_watch_time_s
+        for tally in fields(self):
+            name = tally.name
+            if name != "scheme":
+                setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
 @dataclass
@@ -103,8 +103,8 @@ class ConsortFlow:
 
 
 def classify_stream(result: StreamResult) -> str:
-    """CONSORT category of one stream: 'did_not_begin',
-    'watch_time_under_4s', 'slow_video_decoder', or 'considered'."""
+    """CONSORT category of one stream: one of :data:`EXCLUDED`, or
+    'considered'."""
     if result.never_began or result.startup_delay is None:
         return "did_not_begin"
     if result.watch_time < MIN_WATCH_TIME_S:

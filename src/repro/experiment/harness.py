@@ -422,14 +422,9 @@ def session_machine(
         ):
             result.excluded = True
             category = "slow_video_decoder"
-        if category == "did_not_begin":
-            arm.did_not_begin += 1
-        elif category == "watch_time_under_4s":
-            arm.watch_time_under_4s += 1
-        elif category == "slow_video_decoder":
-            arm.slow_video_decoder += 1
-        else:
-            arm.considered += 1
+        # Every category is a ConsortArm tally of the same name.
+        setattr(arm, category, getattr(arm, category) + 1)
+        if category == "considered":
             arm.considered_watch_time_s += result.watch_time
             if rng.random() < config.loss_of_contact_prob:
                 arm.truncated_loss_of_contact += 1

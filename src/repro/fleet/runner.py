@@ -283,14 +283,7 @@ def _fold_session(
     delta.sessions_by_day[day] = delta.sessions_by_day.get(day, 0) + 1
     delta.arrivals_by_hour[int(arrival.hour_of_day) % 24] += 1
     scheme_sink = delta.scheme(session.scheme)
-    arm = shard.consort.arms[session.scheme]
-    scheme_sink.observe_exclusions(
-        streams_assigned=arm.streams_assigned,
-        did_not_begin=arm.did_not_begin,
-        watch_time_under_4s=arm.watch_time_under_4s,
-        slow_video_decoder=arm.slow_video_decoder,
-        truncated_loss_of_contact=arm.truncated_loss_of_contact,
-    )
+    scheme_sink.observe_exclusions(shard.consort.arms[session.scheme])
     scheme_sink.observe_session_duration(session.duration)
     for stream in session.streams:
         delta.sim_watch_s.add(stream.watch_time)

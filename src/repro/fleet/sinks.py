@@ -18,9 +18,8 @@ grouped into chunks.  Every accumulator here therefore merges *exactly*:
   double, which keeps second moments exact under the catastrophic
   cancellation of ``E[x²] - mean²``.  The total converts back
   to the nearest double only at report time (correctly rounded).
-* :class:`FleetHistogram` — the fixed log-spaced bin layout of
-  :class:`repro.obs.HistogramSpec` with integer bin counts and an
-  :class:`ExactSum` value total.
+* :class:`FleetHistogram` — the obs layer's log-binned
+  :class:`~repro.obs.registry.LogHistogram` with an :class:`ExactSum` total.
 * :class:`StreamingMoments` / :class:`WeightedMoments` — first and second
   (weighted) raw moments over :class:`ExactSum` fields; means, standard
   errors, and the §3.4 interval formulas are evaluated exactly in rational
@@ -30,6 +29,10 @@ Because every merge is exact integer arithmetic, sink merging is truly
 associative *and* permutation-invariant (property-tested in
 ``tests/fleet/test_sink_properties.py``) — "merged in session-id order" is
 then a convention for log readability, not a correctness requirement.
+Each aggregate declares its state once (:class:`ExactAggregate`), and
+loading is strict: every count goes through :func:`repro.fields.whole`, so
+a checkpoint holding 2.5, ``true`` or -3 raises naming the field instead of
+resuming into a wrong dump.
 
 Confidence intervals: bootstrap resampling needs the full sample, which a
 constant-memory sink cannot retain.  The streaming sink reports the paper's
@@ -49,13 +52,16 @@ counterparts to ~1e-9 and bracket the same point.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Tuple, Type, TypeVar
 
 from repro.analysis.bootstrap import ConfidenceInterval
 from repro.analysis.summary import SchemeSummary, StreamAggregator
 from repro.analysis.stats import normal_z, stream_years
-from repro.obs.registry import HistogramSpec, TIME_SPEC
+from repro.experiment.consort import EXCLUDED, ConsortArm
+from repro.fields import whole, wholes
+from repro.obs.registry import HistogramSpec, LogHistogram, TIME_SPEC
 from repro.streaming.session import StreamResult
 
 SINK_SCHEMA_VERSION = 1
@@ -66,6 +72,12 @@ _SCALE_BITS = 1074
 ``ExactSum`` serialization is the total scaled by ``2**1074``."""
 
 _TWO_53 = float(1 << 53)
+
+_ARM_TALLIES = ("streams_assigned", *EXCLUDED, "truncated_loss_of_contact")
+"""The :class:`~repro.experiment.consort.ConsortArm` tallies a scheme sink
+folds per session, under the same names."""
+
+_A = TypeVar("_A", bound="ExactAggregate")
 
 
 # Histogram layouts for the distributions the fleet tracks.  Reusing the
@@ -211,26 +223,81 @@ class ExactSum:
         return f"ExactSum({self.value()!r})"
 
 
-class StreamingMoments:
+class ExactAggregate:
+    """An exactly-merging aggregate whose state is the fields its class
+    body declares (a dataclass), in the order it saves them.
+
+    A field declared ``int`` is a count (``COUNTS``): a merge adds it, it
+    is saved as itself and it loads through :func:`repro.fields.whole`, so
+    a corrupt count raises naming the field.  Any other field (``PARTS``)
+    has its own ``merge``, ``to_dict`` and ``from_dict``.  ``KEY`` names
+    the field a merge must match; it is saved first and is ``__init__``'s
+    one argument on load.  The tuples are worked out once, at class
+    creation (per call they tripled the cost of ``FleetSink.merge``), and
+    the state is read and written through the instance ``__dict__``.
+    """
+
+    KEY: ClassVar[Optional[str]] = None
+    FIELDS: ClassVar[Tuple[str, ...]] = ()
+    COUNTS: ClassVar[Tuple[str, ...]] = ()
+    PARTS: ClassVar[Tuple[str, ...]] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        declared = vars(cls).get("__annotations__", {})
+        cls.FIELDS = tuple(name for name in declared if name != cls.KEY)
+        cls.COUNTS = tuple(
+            name for name in cls.FIELDS if declared[name] in (int, "int")
+        )
+        cls.PARTS = tuple(n for n in cls.FIELDS if n not in cls.COUNTS)
+
+    def merge(self, other: "ExactAggregate") -> None:
+        key = self.KEY
+        if key is not None and getattr(other, key) != getattr(self, key):
+            raise ValueError(
+                f"cannot merge {type(self).__name__} for "
+                f"{getattr(other, key)!r} into {getattr(self, key)!r}"
+            )
+        mine, theirs = vars(self), vars(other)
+        for name in self.COUNTS:
+            mine[name] += theirs[name]
+        for name in self.PARTS:
+            mine[name].merge(theirs[name])
+
+    def to_dict(self) -> dict:
+        key, state = self.KEY, vars(self)
+        data = {} if key is None else {key: state[key]}
+        for name in self.FIELDS:
+            value = state[name]
+            data[name] = value if type(value) is int else value.to_dict()
+        return data
+
+    @classmethod
+    def from_dict(cls: Type[_A], data: dict) -> _A:
+        key = cls.KEY
+        args: Tuple[str, ...] = () if key is None else (str(data[key]),)
+        aggregate = cls(*args)
+        state, owner = vars(aggregate), cls.__name__
+        for name in cls.COUNTS:
+            state[name] = whole(owner, name, data[name])
+        for name in cls.PARTS:
+            state[name] = type(state[name]).from_dict(data[name])
+        return aggregate
+
+
+@dataclass(eq=False)
+class StreamingMoments(ExactAggregate):
     """Count / exact sum / exact sum of squares of an unweighted sample."""
 
-    __slots__ = ("n", "sum", "sum_sq")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.sum = ExactSum()
-        self.sum_sq = ExactSum()
+    n: int = 0
+    sum: ExactSum = field(default_factory=ExactSum)
+    sum_sq: ExactSum = field(default_factory=ExactSum)
 
     def observe(self, value: float) -> None:
         value = float(value)
         self.n += 1
         self.sum.add(value)
         self.sum_sq.add_product(value, value)
-
-    def merge(self, other: "StreamingMoments") -> None:
-        self.n += other.n
-        self.sum.merge(other.sum)
-        self.sum_sq.merge(other.sum_sq)
 
     def mean(self) -> float:
         if self.n == 0:
@@ -266,23 +333,9 @@ class StreamingMoments:
             confidence=confidence,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "sum": self.sum.to_dict(),
-            "sum_sq": self.sum_sq.to_dict(),
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "StreamingMoments":
-        moments = cls()
-        moments.n = int(data["n"])
-        moments.sum = ExactSum.from_dict(data["sum"])
-        moments.sum_sq = ExactSum.from_dict(data["sum_sq"])
-        return moments
-
-
-class WeightedMoments:
+@dataclass(eq=False)
+class WeightedMoments(ExactAggregate):
     """Exact raw moments for §3.4's duration-weighted mean and its
     weighted standard error.
 
@@ -293,15 +346,12 @@ class WeightedMoments:
     conversion to double.
     """
 
-    __slots__ = ("n", "sum_w", "sum_wx", "sum_w2", "sum_w2x", "sum_w2x2")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.sum_w = ExactSum()
-        self.sum_wx = ExactSum()
-        self.sum_w2 = ExactSum()
-        self.sum_w2x = ExactSum()
-        self.sum_w2x2 = ExactSum()
+    n: int = 0
+    sum_w: ExactSum = field(default_factory=ExactSum)
+    sum_wx: ExactSum = field(default_factory=ExactSum)
+    sum_w2: ExactSum = field(default_factory=ExactSum)
+    sum_w2x: ExactSum = field(default_factory=ExactSum)
+    sum_w2x2: ExactSum = field(default_factory=ExactSum)
 
     def observe(self, value: float, weight: float) -> None:
         value = float(value)
@@ -314,14 +364,6 @@ class WeightedMoments:
         self.sum_w2.add_product(weight, weight)
         self.sum_w2x.add_product(weight, weight, value)
         self.sum_w2x2.add_product(weight, weight, value, value)
-
-    def merge(self, other: "WeightedMoments") -> None:
-        self.n += other.n
-        self.sum_w.merge(other.sum_w)
-        self.sum_wx.merge(other.sum_wx)
-        self.sum_w2.merge(other.sum_w2)
-        self.sum_w2x.merge(other.sum_w2x)
-        self.sum_w2x2.merge(other.sum_w2x2)
 
     def mean(self) -> float:
         if self.n == 0 or self.sum_w.is_zero():
@@ -362,155 +404,93 @@ class WeightedMoments:
             confidence=confidence,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "sum_w": self.sum_w.to_dict(),
-            "sum_wx": self.sum_wx.to_dict(),
-            "sum_w2": self.sum_w2.to_dict(),
-            "sum_w2x": self.sum_w2x.to_dict(),
-            "sum_w2x2": self.sum_w2x2.to_dict(),
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "WeightedMoments":
-        moments = cls()
-        moments.n = int(data["n"])
-        moments.sum_w = ExactSum.from_dict(data["sum_w"])
-        moments.sum_wx = ExactSum.from_dict(data["sum_wx"])
-        moments.sum_w2 = ExactSum.from_dict(data["sum_w2"])
-        moments.sum_w2x = ExactSum.from_dict(data["sum_w2x"])
-        moments.sum_w2x2 = ExactSum.from_dict(data["sum_w2x2"])
-        return moments
+class FleetHistogram(LogHistogram):
+    """:class:`repro.obs.registry.LogHistogram`'s bins with an exact value
+    total.  Unlike :class:`repro.obs.Histogram` (whose float ``sum`` is
+    order-dependent), the total is an :class:`ExactSum`, and the count is
+    derived from the bins."""
 
-
-class FleetHistogram:
-    """Log-binned histogram with integer counts and an exact value total.
-
-    Bin layout comes from :class:`repro.obs.HistogramSpec` — a pure function
-    of ``(lo, hi, n_bins)`` — so any two sinks over the same spec have
-    identical edges and merging is integer addition.  Unlike the obs-layer
-    :class:`repro.obs.Histogram` (whose float ``sum`` field is
-    order-dependent), the value total here is an :class:`ExactSum`.
-    """
-
-    __slots__ = ("spec", "counts", "underflow", "overflow", "total")
+    __slots__ = ("total",)
 
     def __init__(self, spec: HistogramSpec) -> None:
-        self.spec = spec
-        self.counts: List[int] = [0] * spec.n_bins
-        self.underflow = 0
-        self.overflow = 0
+        super().__init__(spec)
         self.total = ExactSum()
 
     @property
     def count(self) -> int:
-        return self.underflow + self.overflow + sum(self.counts)
+        return self.observed()
 
     def observe(self, value: float) -> None:
-        index = self.spec.bin_index(value)
-        if index < 0:
-            self.underflow += 1
-        elif index >= self.spec.n_bins:
-            self.overflow += 1
-        else:
-            self.counts[index] += 1
+        super().observe(value)
         self.total.add(value)
 
-    def merge(self, other: "FleetHistogram") -> None:
-        if other.spec != self.spec:
-            raise ValueError(
-                f"cannot merge histograms with different specs "
-                f"({self.spec} vs {other.spec})"
-            )
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.underflow += other.underflow
-        self.overflow += other.overflow
+    def merge(self, other: "FleetHistogram") -> None:  # type: ignore[override]
+        super().merge(other)
         self.total.merge(other.total)
 
     def mean(self) -> float:
         n = self.count
         return float(self.total.fraction() / n) if n else 0.0
 
-    def quantile(self, q: float) -> float:
-        """Approximate quantile from bin counts (geometric bin centre)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must lie in [0, 1]")
-        n = self.count
-        if n == 0:
-            return 0.0
-        target = q * n
-        running = self.underflow
-        if running >= target:
-            return self.spec.lo
-        edges = self.spec.edges()
-        for i, c in enumerate(self.counts):
-            running += c
-            if running >= target:
-                return math.sqrt(edges[i] * edges[i + 1])
-        return self.spec.hi
-
     def to_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_dict(),
-            "counts": list(self.counts),
-            "underflow": self.underflow,
-            "overflow": self.overflow,
-            "total": self.total.to_dict(),
-        }
+        return {**super().to_dict(), "total": self.total.to_dict()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FleetHistogram":
-        hist = cls(HistogramSpec.from_dict(data["spec"]))
-        counts = [int(c) for c in data["counts"]]
-        if len(counts) != hist.spec.n_bins:
-            raise ValueError("bin count mismatch in histogram state")
-        hist.counts = counts
-        hist.underflow = int(data["underflow"])
-        hist.overflow = int(data["overflow"])
+        hist = super().from_dict(data)
         hist.total = ExactSum.from_dict(data["total"])
         return hist
 
 
-class StreamingSchemeSink(StreamAggregator):
+@dataclass(eq=False)
+class StreamingSchemeSink(ExactAggregate, StreamAggregator):
     """One scheme's O(1)-memory aggregate: quality, stalls, exclusions.
 
     Implements the :class:`repro.analysis.summary.StreamAggregator`
     interface.  ``observe_stream`` expects *eligible* streams (the caller
     applies the CONSORT filter, as with the batch path); exclusion counters
     arrive separately via :meth:`observe_exclusions` from the per-session
-    CONSORT arms.
+    CONSORT arms.  Its state merges, saves and loads field by field
+    (:class:`ExactAggregate`); a merge refuses another scheme's sink.
     """
 
-    def __init__(self, scheme: str) -> None:
-        self.scheme = scheme
-        # Session-level accounting.
-        self.sessions = 0
-        self.streams_assigned = 0
-        self.duration = StreamingMoments()
-        self.duration_hist = FleetHistogram(DURATION_SPEC)
-        # CONSORT exclusion tallies (Fig. A1).
-        self.did_not_begin = 0
-        self.watch_time_under_4s = 0
-        self.slow_video_decoder = 0
-        self.truncated_loss_of_contact = 0
-        # Eligible-stream quality aggregates (Fig. 1 columns).
-        self.n_streams = 0
-        self.watch = ExactSum()
-        self.stall = ExactSum()
-        self.stall_sq = ExactSum()
-        self.watch_sq = ExactSum()
-        self.stall_watch = ExactSum()
-        self.ssim = WeightedMoments()
-        self.variation = WeightedMoments()
-        self.bitrate = WeightedMoments()
-        self.startup = StreamingMoments()
-        self.first_ssim = StreamingMoments()
-        self.streams_with_stall = 0
-        self.watch_hist = FleetHistogram(WATCH_TIME_SPEC)
-        self.stall_ratio_hist = FleetHistogram(STALL_RATIO_SPEC)
-        self.ssim_hist = FleetHistogram(SSIM_SPEC)
+    KEY = "scheme"
+    scheme: str
+    # Session-level accounting.
+    sessions: int = 0
+    streams_assigned: int = 0
+    duration: StreamingMoments = field(default_factory=StreamingMoments)
+    duration_hist: FleetHistogram = field(
+        default_factory=lambda: FleetHistogram(DURATION_SPEC)
+    )
+    # CONSORT tallies (Fig. A1), named as on ConsortArm.
+    did_not_begin: int = 0
+    watch_time_under_4s: int = 0
+    slow_video_decoder: int = 0
+    truncated_loss_of_contact: int = 0
+    # Eligible-stream quality aggregates (Fig. 1 columns).
+    n_streams: int = 0
+    watch: ExactSum = field(default_factory=ExactSum)
+    stall: ExactSum = field(default_factory=ExactSum)
+    stall_sq: ExactSum = field(default_factory=ExactSum)
+    watch_sq: ExactSum = field(default_factory=ExactSum)
+    stall_watch: ExactSum = field(default_factory=ExactSum)
+    ssim: WeightedMoments = field(default_factory=WeightedMoments)
+    variation: WeightedMoments = field(default_factory=WeightedMoments)
+    bitrate: WeightedMoments = field(default_factory=WeightedMoments)
+    startup: StreamingMoments = field(default_factory=StreamingMoments)
+    first_ssim: StreamingMoments = field(default_factory=StreamingMoments)
+    streams_with_stall: int = 0
+    watch_hist: FleetHistogram = field(
+        default_factory=lambda: FleetHistogram(WATCH_TIME_SPEC)
+    )
+    stall_ratio_hist: FleetHistogram = field(
+        default_factory=lambda: FleetHistogram(STALL_RATIO_SPEC)
+    )
+    ssim_hist: FleetHistogram = field(
+        default_factory=lambda: FleetHistogram(SSIM_SPEC)
+    )
 
     # ------------------------------------------------------------------
     # StreamAggregator interface
@@ -544,52 +524,11 @@ class StreamingSchemeSink(StreamAggregator):
         self.duration.observe(duration_s)
         self.duration_hist.observe(duration_s)
 
-    def observe_exclusions(
-        self,
-        streams_assigned: int = 0,
-        did_not_begin: int = 0,
-        watch_time_under_4s: int = 0,
-        slow_video_decoder: int = 0,
-        truncated_loss_of_contact: int = 0,
-    ) -> None:
-        """Fold one session's CONSORT exclusion counts (Fig. A1)."""
-        self.streams_assigned += streams_assigned
-        self.did_not_begin += did_not_begin
-        self.watch_time_under_4s += watch_time_under_4s
-        self.slow_video_decoder += slow_video_decoder
-        self.truncated_loss_of_contact += truncated_loss_of_contact
-
-    # ------------------------------------------------------------------
-    # Merging (exact: integer arithmetic throughout)
-    # ------------------------------------------------------------------
-    def merge(self, other: "StreamingSchemeSink") -> None:
-        if other.scheme != self.scheme:
-            raise ValueError(
-                f"cannot merge sink for {other.scheme!r} into {self.scheme!r}"
-            )
-        self.sessions += other.sessions
-        self.streams_assigned += other.streams_assigned
-        self.duration.merge(other.duration)
-        self.duration_hist.merge(other.duration_hist)
-        self.did_not_begin += other.did_not_begin
-        self.watch_time_under_4s += other.watch_time_under_4s
-        self.slow_video_decoder += other.slow_video_decoder
-        self.truncated_loss_of_contact += other.truncated_loss_of_contact
-        self.n_streams += other.n_streams
-        self.watch.merge(other.watch)
-        self.stall.merge(other.stall)
-        self.stall_sq.merge(other.stall_sq)
-        self.watch_sq.merge(other.watch_sq)
-        self.stall_watch.merge(other.stall_watch)
-        self.ssim.merge(other.ssim)
-        self.variation.merge(other.variation)
-        self.bitrate.merge(other.bitrate)
-        self.startup.merge(other.startup)
-        self.first_ssim.merge(other.first_ssim)
-        self.streams_with_stall += other.streams_with_stall
-        self.watch_hist.merge(other.watch_hist)
-        self.stall_ratio_hist.merge(other.stall_ratio_hist)
-        self.ssim_hist.merge(other.ssim_hist)
+    def observe_exclusions(self, arm: ConsortArm) -> None:
+        """Fold one session's CONSORT arm (Fig. A1): its streams and each
+        exclusion tally."""
+        for name in _ARM_TALLIES:
+            setattr(self, name, getattr(self, name) + getattr(arm, name))
 
     # ------------------------------------------------------------------
     # Reporting
@@ -662,69 +601,6 @@ class StreamingSchemeSink(StreamAggregator):
             ),
         )
 
-    # ------------------------------------------------------------------
-    # Serialization (exact round trip)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "sessions": self.sessions,
-            "streams_assigned": self.streams_assigned,
-            "duration": self.duration.to_dict(),
-            "duration_hist": self.duration_hist.to_dict(),
-            "did_not_begin": self.did_not_begin,
-            "watch_time_under_4s": self.watch_time_under_4s,
-            "slow_video_decoder": self.slow_video_decoder,
-            "truncated_loss_of_contact": self.truncated_loss_of_contact,
-            "n_streams": self.n_streams,
-            "watch": self.watch.to_dict(),
-            "stall": self.stall.to_dict(),
-            "stall_sq": self.stall_sq.to_dict(),
-            "watch_sq": self.watch_sq.to_dict(),
-            "stall_watch": self.stall_watch.to_dict(),
-            "ssim": self.ssim.to_dict(),
-            "variation": self.variation.to_dict(),
-            "bitrate": self.bitrate.to_dict(),
-            "startup": self.startup.to_dict(),
-            "first_ssim": self.first_ssim.to_dict(),
-            "streams_with_stall": self.streams_with_stall,
-            "watch_hist": self.watch_hist.to_dict(),
-            "stall_ratio_hist": self.stall_ratio_hist.to_dict(),
-            "ssim_hist": self.ssim_hist.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StreamingSchemeSink":
-        sink = cls(str(data["scheme"]))
-        sink.sessions = int(data["sessions"])
-        sink.streams_assigned = int(data["streams_assigned"])
-        sink.duration = StreamingMoments.from_dict(data["duration"])
-        sink.duration_hist = FleetHistogram.from_dict(data["duration_hist"])
-        sink.did_not_begin = int(data["did_not_begin"])
-        sink.watch_time_under_4s = int(data["watch_time_under_4s"])
-        sink.slow_video_decoder = int(data["slow_video_decoder"])
-        sink.truncated_loss_of_contact = int(
-            data["truncated_loss_of_contact"]
-        )
-        sink.n_streams = int(data["n_streams"])
-        sink.watch = ExactSum.from_dict(data["watch"])
-        sink.stall = ExactSum.from_dict(data["stall"])
-        sink.stall_sq = ExactSum.from_dict(data["stall_sq"])
-        sink.watch_sq = ExactSum.from_dict(data["watch_sq"])
-        sink.stall_watch = ExactSum.from_dict(data["stall_watch"])
-        sink.ssim = WeightedMoments.from_dict(data["ssim"])
-        sink.variation = WeightedMoments.from_dict(data["variation"])
-        sink.bitrate = WeightedMoments.from_dict(data["bitrate"])
-        sink.startup = StreamingMoments.from_dict(data["startup"])
-        sink.first_ssim = StreamingMoments.from_dict(data["first_ssim"])
-        sink.streams_with_stall = int(data["streams_with_stall"])
-        sink.watch_hist = FleetHistogram.from_dict(data["watch_hist"])
-        sink.stall_ratio_hist = FleetHistogram.from_dict(
-            data["stall_ratio_hist"]
-        )
-        sink.ssim_hist = FleetHistogram.from_dict(data["ssim_hist"])
-        return sink
-
 
 class FleetSink:
     """The whole deployment's aggregate: per-scheme sinks plus workload
@@ -792,15 +668,18 @@ class FleetSink:
                 f"(expected {SINK_SCHEMA_VERSION})"
             )
         sink = cls()
-        sink.sessions = int(data["sessions"])
-        sink.streams = int(data["streams"])
+        owner = cls.__name__
+        sink.sessions = whole(owner, "sessions", data["sessions"])
+        sink.streams = whole(owner, "streams", data["streams"])
         for name in sorted(data["schemes"]):
             sink.schemes[name] = StreamingSchemeSink.from_dict(
                 data["schemes"][name]
             )
-        for day in sorted(data["sessions_by_day"]):
-            sink.sessions_by_day[int(day)] = int(data["sessions_by_day"][day])
-        hours = [int(c) for c in data["arrivals_by_hour"]]
+        sink.sessions_by_day = {
+            int(day): whole(owner, f"sessions_by_day[{day}]", count)
+            for day, count in sorted(data["sessions_by_day"].items())
+        }
+        hours = wholes(owner, "arrivals_by_hour", data["arrivals_by_hour"])
         if len(hours) != cls.HOURS_PER_DAY:
             raise ValueError("arrivals_by_hour must have 24 entries")
         sink.arrivals_by_hour = hours

@@ -27,9 +27,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Type, TypeVar
 
-from repro.fields import check, positive, whole_positive
+from repro.fields import check, positive, whole, whole_positive, wholes
 
 
 @dataclass(frozen=True)
@@ -102,18 +102,23 @@ RATE_SPEC = HistogramSpec(lo=1e4, hi=1e10, n_bins=60)
 """Rates in bits/s: 10 kbit/s .. 10 Gbit/s, 10 bins per decade."""
 
 
-class Histogram:
-    """Counts of observations in the fixed log-spaced bins of one spec."""
+_H = TypeVar("_H", bound="LogHistogram")
 
-    __slots__ = ("spec", "counts", "underflow", "overflow", "count", "sum")
+
+class LogHistogram:
+    """Counts of observations in the fixed log-spaced bins of one spec:
+    the bin counting, exact merge and quantile that :class:`Histogram` and
+    :class:`repro.fleet.sinks.FleetHistogram` share.  Each count loads
+    through :func:`repro.fields.whole`, so a corrupt one raises naming it.
+    """
+
+    __slots__ = ("spec", "counts", "underflow", "overflow")
 
     def __init__(self, spec: HistogramSpec = HistogramSpec()) -> None:
         self.spec = spec
         self.counts = [0] * spec.n_bins
         self.underflow = 0
         self.overflow = 0
-        self.count = 0
-        self.sum = 0.0
 
     def observe(self, value: float) -> None:
         idx = self.spec.bin_index(value)
@@ -123,10 +128,8 @@ class Histogram:
             self.overflow += 1
         else:
             self.counts[idx] += 1
-        self.count += 1
-        self.sum += value
 
-    def merge(self, other: "Histogram") -> None:
+    def merge(self, other: "LogHistogram") -> None:
         if other.spec != self.spec:
             raise ValueError(
                 f"cannot merge histograms with different specs "
@@ -136,21 +139,20 @@ class Histogram:
             self.counts[i] += c
         self.underflow += other.underflow
         self.overflow += other.overflow
-        self.count += other.count
-        self.sum += other.sum
 
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
+    def observed(self) -> int:
+        """Observations in the bins, under- and overflow included."""
+        return self.underflow + self.overflow + sum(self.counts)
 
     def quantile(self, q: float) -> float:
         """Approximate quantile from the bin counts (geometric bin center;
         ``lo``/``hi`` for the open under/overflow buckets)."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must lie in [0, 1]")
-        if self.count == 0:
+        n = self.observed()
+        if n == 0:
             return 0.0
-        target = q * self.count
+        target = q * n
         running = self.underflow
         if running >= target:
             return self.spec.lo
@@ -167,20 +169,53 @@ class Histogram:
             "counts": list(self.counts),
             "underflow": self.underflow,
             "overflow": self.overflow,
-            "count": self.count,
-            "sum": self.sum,
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Histogram":
+    def from_dict(cls: Type[_H], data: dict) -> _H:
         hist = cls(HistogramSpec.from_dict(data["spec"]))
-        counts = list(data["counts"])
+        owner = cls.__name__
+        counts = wholes(owner, "counts", data["counts"])
         if len(counts) != hist.spec.n_bins:
-            raise ValueError("bin count mismatch in histogram dump")
+            raise ValueError(f"{owner}: bin count mismatch with its spec")
         hist.counts = counts
-        hist.underflow = int(data["underflow"])
-        hist.overflow = int(data["overflow"])
-        hist.count = int(data["count"])
+        hist.underflow = whole(owner, "underflow", data["underflow"])
+        hist.overflow = whole(owner, "overflow", data["overflow"])
+        return hist
+
+
+class Histogram(LogHistogram):
+    """A :class:`LogHistogram` with a stored count and a float sum (merged
+    in session-id order, so serial and parallel trials agree)."""
+
+    __slots__ = ("count", "sum")
+
+    def __init__(self, spec: HistogramSpec = HistogramSpec()) -> None:
+        super().__init__(spec)
+        self.count = 0
+        self.sum = 0.0
+
+    def observe(self, value: float) -> None:
+        super().observe(value)
+        self.count += 1
+        self.sum += value
+
+    def merge(self, other: "Histogram") -> None:  # type: ignore[override]
+        super().merge(other)
+        self.count += other.count
+        self.sum += other.sum
+
+    @property
+    def mean(self) -> float:
+        return self.sum / self.count if self.count else 0.0
+
+    def to_dict(self) -> dict:
+        return {**super().to_dict(), "count": self.count, "sum": self.sum}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Histogram":
+        hist = super().from_dict(data)
+        hist.count = whole(cls.__name__, "count", data["count"])
         hist.sum = float(data["sum"])
         return hist
 

@@ -3,13 +3,17 @@
 import pytest
 
 from repro.experiment.consort import (
+    EXCLUDED,
     MIN_WATCH_TIME_S,
     ConsortArm,
     ConsortFlow,
     classify_stream,
     eligible_streams,
 )
+from repro.experiment.harness import RandomizedTrial, TrialConfig
 from repro.streaming.session import StreamResult
+
+from tests.fleet.conftest import classical_specs
 
 
 def stream(play=10.0, stall=0.0, startup=0.5, never=False, excluded=False):
@@ -87,3 +91,52 @@ class TestConsortFlow:
         arm = flow.arm("fugu")
         assert arm.scheme == "fugu"
         assert flow.arm("fugu") is arm
+
+
+class TestSessionTallies:
+    """``session_machine`` counts each stream under the tally its final
+    category names, so every tally equals the arm's streams that
+    :func:`classify_stream` puts there."""
+
+    @pytest.mark.parametrize("slow_decoder_prob", [0.0, 1.0])
+    def test_each_tally_counts_its_category(self, slow_decoder_prob):
+        config = TrialConfig(
+            n_sessions=12, seed=3, slow_decoder_prob=slow_decoder_prob,
+            loss_of_contact_prob=1.0,
+        )
+        trial = RandomizedTrial(classical_specs(), config).run()
+        for name, arm in trial.consort.arms.items():
+            streams = [
+                stream for session in trial.sessions
+                if session.scheme == name for stream in session.streams
+            ]
+            for category in (*EXCLUDED, "considered"):
+                assert getattr(arm, category) == sum(
+                    classify_stream(stream) == category for stream in streams
+                ), (name, category)
+            assert arm.streams_assigned == len(streams)
+            # Every considered stream draws (and here loses) contact.
+            assert arm.truncated_loss_of_contact == arm.considered
+        totals = {
+            category: sum(
+                getattr(arm, category) for arm in trial.consort.arms.values()
+            )
+            for category in (*EXCLUDED, "considered")
+        }
+        if slow_decoder_prob:
+            assert totals["considered"] == 0
+            assert totals["slow_video_decoder"] > 0
+        else:
+            assert totals["considered"] > 0
+            assert totals["slow_video_decoder"] == 0
+
+    def test_merge_adds_every_tally(self):
+        arm = ConsortArm(scheme="x", considered_watch_time_s=1.5)
+        other = ConsortArm(
+            scheme="x", **{category: 2 for category in EXCLUDED},
+            considered_watch_time_s=2.0,
+        )
+        arm.merge_from(other)
+        assert [getattr(arm, c) for c in EXCLUDED] == [2, 2, 2]
+        assert arm.considered_watch_time_s == 3.5
+        assert arm.excluded == 6

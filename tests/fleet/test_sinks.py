@@ -10,6 +10,7 @@ import pytest
 from repro.abr.base import ChunkRecord
 from repro.analysis.stats import normal_z, weighted_mean, weighted_mean_ci
 from repro.analysis.summary import summarize_scheme
+from repro.experiment.consort import ConsortArm
 from repro.fleet.sinks import (
     DURATION_SPEC,
     ExactSum,
@@ -276,8 +277,12 @@ class TestStreamingSchemeSink:
 
     def test_exclusion_counters_accumulate(self):
         sink = StreamingSchemeSink("x")
-        sink.observe_exclusions(streams_assigned=5, did_not_begin=1)
-        sink.observe_exclusions(streams_assigned=3, watch_time_under_4s=2)
+        sink.observe_exclusions(
+            ConsortArm("x", streams_assigned=5, did_not_begin=1)
+        )
+        sink.observe_exclusions(
+            ConsortArm("x", streams_assigned=3, watch_time_under_4s=2)
+        )
         assert sink.streams_assigned == 8
         assert sink.did_not_begin == 1
         assert sink.watch_time_under_4s == 2
@@ -294,7 +299,9 @@ class TestFleetSink:
         scheme = sink.scheme("bba")
         scheme.observe_stream(make_stream(0, play=200.0, stall=1.0))
         scheme.observe_session_duration(250.0)
-        scheme.observe_exclusions(streams_assigned=2, did_not_begin=1)
+        scheme.observe_exclusions(
+            ConsortArm("bba", streams_assigned=2, did_not_begin=1)
+        )
         return sink
 
     def test_serialization_exact_round_trip(self):
