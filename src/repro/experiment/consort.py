@@ -53,10 +53,8 @@ class ConsortArm:
             raise ValueError(
                 f"cannot merge arm {other.scheme!r} into {self.scheme!r}"
             )
-        for tally in fields(self):
-            name = tally.name
-            if name != "scheme":
-                setattr(self, name, getattr(self, name) + getattr(other, name))
+        for name in (f.name for f in fields(self) if f.name != "scheme"):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
 @dataclass

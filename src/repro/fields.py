@@ -9,8 +9,7 @@ bound, ``True`` is an int and 2.5 passes ``>= 1``.  A kind refuses them all:
 * :func:`positive` / :func:`non_negative` — finite and ``> 0`` / ``>= 0``;
 * :func:`probability` — finite and in ``[0, 1]``;
 * :func:`whole` / :func:`whole_positive` — an integral value ``>= 0`` /
-  ``>= 1``, returned as an ``int`` (``int()`` would truncate 2.7 to 2);
-  :func:`wholes` checks a list of counts as :func:`whole` does.
+  ``>= 1``, returned as an ``int`` (``int()`` would truncate 2.7 to 2).
 
 A float kind returns the value as given, checked but not rewritten, so a
 config's ``repr`` and ``to_dict`` (its fingerprint) are what its caller
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 import math
 from numbers import Integral, Real
-from typing import Any, Iterable, List
+from typing import Any
 
 
 def _is_finite(value: Any) -> bool:
@@ -68,8 +67,6 @@ def probability(owner: str, name: str, value: Any) -> Any:
 
 
 def _whole(owner: str, name: str, value: Any, least: int) -> int:
-    if type(value) is int and value >= least:  # skips the Integral ABC check
-        return value
     if _is_finite(value) and value >= least and int(value) == value:
         return int(value)
     raise _error(owner, name, f"a whole number ≥ {least}", value)
@@ -81,15 +78,6 @@ def whole(owner: str, name: str, value: Any) -> int:
 
 def whole_positive(owner: str, name: str, value: Any) -> int:
     return _whole(owner, name, value, 1)
-
-
-def wholes(owner: str, name: str, values: Iterable[Any]) -> List[int]:
-    """Each of ``values`` as :func:`whole` returns it; an error names the
-    element (``counts[3]``).  Loads a saved list of counts in one pass."""
-    checked = list(values)
-    if all(type(v) is int and v >= 0 for v in checked):
-        return checked
-    return [whole(owner, f"{name}[{i}]", v) for i, v in enumerate(checked)]
 
 
 def check(instance: Any) -> None:

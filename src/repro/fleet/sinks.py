@@ -60,7 +60,7 @@ from repro.analysis.bootstrap import ConfidenceInterval
 from repro.analysis.summary import SchemeSummary, StreamAggregator
 from repro.analysis.stats import normal_z, stream_years
 from repro.experiment.consort import EXCLUDED, ConsortArm
-from repro.fields import whole, wholes
+from repro.fields import whole
 from repro.obs.registry import HistogramSpec, LogHistogram, TIME_SPEC
 from repro.streaming.session import StreamResult
 
@@ -227,29 +227,31 @@ class ExactAggregate:
     """An exactly-merging aggregate whose state is the fields its class
     body declares (a dataclass), in the order it saves them.
 
-    A field declared ``int`` is a count (``COUNTS``): a merge adds it, it
-    is saved as itself and it loads through :func:`repro.fields.whole`, so
-    a corrupt count raises naming the field.  Any other field (``PARTS``)
-    has its own ``merge``, ``to_dict`` and ``from_dict``.  ``KEY`` names
-    the field a merge must match; it is saved first and is ``__init__``'s
-    one argument on load.  The tuples are worked out once, at class
-    creation (per call they tripled the cost of ``FleetSink.merge``), and
-    the state is read and written through the instance ``__dict__``.
+    ``FIELDS`` pairs each field with whether it is declared ``int``.  An
+    ``int`` field is a count (``COUNTS``): a merge adds it, it is saved as
+    itself and it loads through :func:`repro.fields.whole`, so a corrupt
+    count raises naming the field.  Any other field (``PARTS``) has its
+    own ``merge``, ``to_dict`` and ``from_dict``.  ``KEY`` names the field
+    a merge must match; it is saved first and is ``__init__``'s one
+    argument on load.  The tuples are worked out once, at class creation
+    (per call they tripled the cost of ``FleetSink.merge``), and the state
+    is read and written through the instance ``__dict__``.
     """
 
     KEY: ClassVar[Optional[str]] = None
-    FIELDS: ClassVar[Tuple[str, ...]] = ()
+    FIELDS: ClassVar[Tuple[Tuple[str, bool], ...]] = ()
     COUNTS: ClassVar[Tuple[str, ...]] = ()
     PARTS: ClassVar[Tuple[str, ...]] = ()
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         declared = vars(cls).get("__annotations__", {})
-        cls.FIELDS = tuple(name for name in declared if name != cls.KEY)
-        cls.COUNTS = tuple(
-            name for name in cls.FIELDS if declared[name] in (int, "int")
+        cls.FIELDS = tuple(
+            (name, declared[name] in (int, "int"))
+            for name in declared if name != cls.KEY
         )
-        cls.PARTS = tuple(n for n in cls.FIELDS if n not in cls.COUNTS)
+        cls.COUNTS = tuple(name for name, count in cls.FIELDS if count)
+        cls.PARTS = tuple(name for name, count in cls.FIELDS if not count)
 
     def merge(self, other: "ExactAggregate") -> None:
         key = self.KEY
@@ -267,9 +269,8 @@ class ExactAggregate:
     def to_dict(self) -> dict:
         key, state = self.KEY, vars(self)
         data = {} if key is None else {key: state[key]}
-        for name in self.FIELDS:
-            value = state[name]
-            data[name] = value if type(value) is int else value.to_dict()
+        for name, count in self.FIELDS:
+            data[name] = state[name] if count else state[name].to_dict()
         return data
 
     @classmethod
@@ -283,6 +284,26 @@ class ExactAggregate:
         for name in cls.PARTS:
             state[name] = type(state[name]).from_dict(data[name])
         return aggregate
+
+
+def _mean_ci(
+    moments: Any, confidence: float, empty: bool
+) -> Optional[ConfidenceInterval]:
+    """Normal-approximation interval around ``moments.mean()`` with
+    ``moments.standard_error()`` (``None`` if ``empty``; zero-width below
+    n=2)."""
+    z = normal_z(confidence)
+    if empty:
+        return None
+    point = moments.mean()
+    if moments.n < 2:
+        return ConfidenceInterval(
+            point=point, low=point, high=point, confidence=confidence
+        )
+    half = z * moments.standard_error()
+    return ConfidenceInterval(
+        point=point, low=point - half, high=point + half, confidence=confidence
+    )
 
 
 @dataclass(eq=False)
@@ -317,21 +338,7 @@ class StreamingMoments(ExactAggregate):
         return math.sqrt(float(var)) / math.sqrt(self.n)
 
     def mean_ci(self, confidence: float = 0.95) -> Optional[ConfidenceInterval]:
-        """Normal-approximation interval around the mean (``None`` if
-        empty; zero-width below n=2)."""
-        z = normal_z(confidence)
-        if self.n == 0:
-            return None
-        point = self.mean()
-        if self.n < 2:
-            return ConfidenceInterval(
-                point=point, low=point, high=point, confidence=confidence
-            )
-        half = z * self.standard_error()
-        return ConfidenceInterval(
-            point=point, low=point - half, high=point + half,
-            confidence=confidence,
-        )
+        return _mean_ci(self, confidence, empty=self.n == 0)
 
 
 @dataclass(eq=False)
@@ -390,19 +397,8 @@ class WeightedMoments(ExactAggregate):
         return math.sqrt(float(se2))
 
     def mean_ci(self, confidence: float = 0.95) -> Optional[ConfidenceInterval]:
-        z = normal_z(confidence)
-        if self.n == 0 or self.sum_w.is_zero():
-            return None
-        point = self.mean()
-        if self.n < 2:
-            return ConfidenceInterval(
-                point=point, low=point, high=point, confidence=confidence
-            )
-        half = z * self.standard_error()
-        return ConfidenceInterval(
-            point=point, low=point - half, high=point + half,
-            confidence=confidence,
-        )
+        empty = self.n == 0 or self.sum_w.is_zero()
+        return _mean_ci(self, confidence, empty)
 
 
 class FleetHistogram(LogHistogram):
@@ -679,7 +675,10 @@ class FleetSink:
             int(day): whole(owner, f"sessions_by_day[{day}]", count)
             for day, count in sorted(data["sessions_by_day"].items())
         }
-        hours = wholes(owner, "arrivals_by_hour", data["arrivals_by_hour"])
+        hours = [
+            whole(owner, f"arrivals_by_hour[{h}]", n)
+            for h, n in enumerate(data["arrivals_by_hour"])
+        ]
         if len(hours) != cls.HOURS_PER_DAY:
             raise ValueError("arrivals_by_hour must have 24 entries")
         sink.arrivals_by_hour = hours

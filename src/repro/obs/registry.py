@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Type, TypeVar
 
-from repro.fields import check, positive, whole, whole_positive, wholes
+from repro.fields import check, positive, whole, whole_positive
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,9 @@ class LogHistogram:
     def from_dict(cls: Type[_H], data: dict) -> _H:
         hist = cls(HistogramSpec.from_dict(data["spec"]))
         owner = cls.__name__
-        counts = wholes(owner, "counts", data["counts"])
+        counts = [
+            whole(owner, f"counts[{i}]", c) for i, c in enumerate(data["counts"])
+        ]
         if len(counts) != hist.spec.n_bins:
             raise ValueError(f"{owner}: bin count mismatch with its spec")
         hist.counts = counts
